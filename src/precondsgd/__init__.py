@@ -31,21 +31,17 @@ from .problems import (
     make_synthetic_logistic,
 )
 from .precond import (
-    EmaEstimatorState,
+    Preconditioner,
     PreconditionerConstants,
     PreconditionerKind,
     constants_diagonal,
     constants_full_matrix,
     constants_identity,
-    ema_update,
     estimate_m_bound,
-    estimated_A,
-    idealized_A,
     second_order_complexity_factor,
 )
 from .estimation import (
     EmaWeighting,
-    EstimabilityCert,
     EstimationBoundInputs,
     beta_schedule,
     burn_in_length,
@@ -54,18 +50,13 @@ from .estimation import (
     measure_estimation_error,
 )
 from .optimizer import (
-    EstimatedPreconditioner,
     HyperParams,
-    IdealizedPreconditioner,
     StationarityReport,
     TrajectoryRecord,
     check_stationarity,
     first_order_params,
     hessian_tolerance,
-    run_large_step_variant,
-    run_preconditioned_sgd,
-    run_rmsprop,
-    run_rmsprop_with_burnin,
+    run_sgd,
     second_order_params,
 )
 from .checks import (

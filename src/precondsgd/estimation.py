@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParamError, MissingOracleError, PreconditionViolatedError
 from .linalg import op_norm
-from .precond import EmaEstimatorState, PreconditionerKind, estimated_A, idealized_A
+from .precond import Preconditioner
 
 
 def _ceil_int(x: float) -> int:
@@ -77,23 +77,6 @@ class EstimationBoundInputs:
             raise InvalidParamError("d and T must be >= 1")
 
 
-@dataclass(frozen=True)
-class EstimabilityCert:
-    """A (W, T, eta, mu, delta) certificate for a matrix sequence."""
-
-    W: int
-    T: int
-    eta_eff: float
-    mu: float
-    delta_prob: float
-
-    def __post_init__(self):
-        if self.W < 1:
-            raise InvalidParamError("W must be >= 1")
-        if self.mu <= 0.0:
-            raise InvalidParamError("mu must be positive")
-
-
 def beta_schedule(eta: float, C: float = 1.0) -> float:
     """The EMA parameter beta = 1 - C eta^(2/3) that balances bias and variance."""
     if eta <= 0.0 or C <= 0.0:
@@ -130,28 +113,24 @@ def burn_in_length(eta: float, c_w: float = 1.0) -> int:
     return max(1, _ceil_int(c_w * eta ** (-2.0 / 3.0)))
 
 
-def estimation_error(problem, kind: PreconditionerKind, x, state: EmaEstimatorState) -> float:
-    """||Ahat - A(x)||_op with the idealized preconditioner as ground truth."""
-    if kind.variant == "identity":
-        return 0.0
-    a_hat = estimated_A(state, kind)
-    a_star = idealized_A(problem, kind, x)
-    return op_norm(a_hat.a - a_star.a)
-
-
-def measure_estimation_error(problem, kind: PreconditionerKind, xs, states):
+def measure_estimation_error(problem, pre: Preconditioner, xs, gs, beta: float):
     """Per-step ||Ahat_t - A(x_t)||_op and its running supremum.
 
-    ``xs`` and ``states`` are parallel sequences of iterates and EMA
-    states (as recorded by an optimizer run or a replay).
+    Replays a run: ``pre`` observes each sample g_t (drawn at x_t) with the
+    EMA parameter ``beta`` and is then compared with the idealized
+    preconditioner at x_t.
     """
-    if not problem.has_exact_g and kind.variant != "identity":
+    if not problem.has_exact_g and pre.kind.variant != "identity":
         raise MissingOracleError("measuring estimation error needs an exact_G oracle")
     xs = list(xs)
-    states = list(states)
-    if len(xs) != len(states):
-        raise InvalidParamError("xs and states must have equal length")
-    errs = np.array([estimation_error(problem, kind, x, s) for x, s in zip(xs, states)])
+    gs = list(gs)
+    if len(xs) != len(gs):
+        raise InvalidParamError("xs and gs must have equal length")
+    errs = []
+    for x, g in zip(xs, gs):
+        pre.observe(g, beta)
+        errs.append(pre.est_error(problem, x))
+    errs = np.array(errs)
     return errs, np.maximum.accumulate(errs) if errs.size else errs
 
 

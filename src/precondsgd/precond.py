@@ -1,16 +1,18 @@
 """Preconditioners and their scalar constants.
 
-Idealized preconditioners built from the exact second-moment oracle
-A(x) = (G(x) + eps I)^exponent, their EMA-estimated counterparts
-Ghat_t = beta Ghat_{t-1} + (1-beta) g g^T, and calculators for the
-(nu1, nu2, c3, c4, lambda_-) constants that the convergence rates are
-expressed in, for the identity / full-matrix / diagonal variants.
+One type, ``Preconditioner``, builds A = (G + eps I)^exponent for every
+form the paper uses: the identity, the idealized A(x) from the exact
+second-moment oracle G(x), and the estimate from the EMA
+Ghat_t = beta_t Ghat_{t-1} + (1-beta_t) g g^T, each in a diagonal and a
+full (or covariance) variant. Also calculators for the (nu1, nu2, c3, c4,
+lambda_-) constants that the convergence rates are expressed in, for the
+identity / full-matrix / diagonal variants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .errors import (
     MissingOracleError,
     SingularMatrixError,
 )
-from .linalg import SymMatrix, sym_power
+from .linalg import SymMatrix
 
 IDENTITY = "identity"
 FULL_MATRIX = "full_matrix"
@@ -69,88 +71,119 @@ class PreconditionerConstants:
     M_bound: float
 
 
-@dataclass(frozen=True)
-class EmaEstimatorState:
-    """Functional EMA accumulator for Ghat; updates return a new state."""
+class Preconditioner:
+    """A = (G + eps I)^exponent, from the oracle G(x) or from the EMA estimate.
 
-    g_hat: np.ndarray
-    beta: float
-    steps_seen: int = 0
-    bias_corrected: bool = False
+    Three forms share this type: the identity (A = I), the idealized form
+    (G = G(x) from the problem's exact_G oracle; Sigma = G - grad grad^T
+    for the covariance variant) and the estimated form (G = Ghat, fed by
+    ``observe``; the run loop feeds the covariance variant differences
+    (g1 - g2)/sqrt(2) of two samples). Each keeps only diag G in the
+    diagonal variant and at d=1, and takes the matrix power through eigh
+    otherwise.
 
-    def __post_init__(self):
-        if not 0.0 <= self.beta < 1.0:
-            raise InvalidParamError("beta must be in [0, 1)")
-
-    @classmethod
-    def zeros(cls, dim: int, beta: float, bias_corrected: bool = False) -> "EmaEstimatorState":
-        g = np.zeros((dim, dim))
-        g.setflags(write=False)
-        return cls(g_hat=g, beta=beta, steps_seen=0, bias_corrected=bias_corrected)
-
-    @property
-    def dim(self) -> int:
-        return self.g_hat.shape[0]
-
-    def with_beta(self, beta: float) -> "EmaEstimatorState":
-        return replace(self, beta=beta)
-
-
-def ema_update(state: EmaEstimatorState, g) -> EmaEstimatorState:
-    """One EMA step: Ghat <- beta Ghat + (1-beta) g g^T."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (state.dim,):
-        raise DimMismatchError(f"gradient shape {g.shape} vs estimator dim {state.dim}")
-    new = state.beta * state.g_hat + (1.0 - state.beta) * np.outer(g, g)
-    new.setflags(write=False)
-    return replace(state, g_hat=new, steps_seen=state.steps_seen + 1)
-
-
-def _effective_g_hat(state: EmaEstimatorState) -> np.ndarray:
-    if state.bias_corrected and state.steps_seen > 0:
-        return state.g_hat / (1.0 - state.beta**state.steps_seen)
-    return state.g_hat
-
-
-def estimated_A(state: EmaEstimatorState, kind: PreconditionerKind) -> SymMatrix:
-    """Preconditioner (Ghat + eps I)^exponent from the current EMA state."""
-    if kind.variant == IDENTITY:
-        return SymMatrix.identity(state.dim)
-    g_hat = _effective_g_hat(state)
-    if kind.variant == DIAGONAL:
-        d = np.diag(g_hat) + kind.epsilon
-        if np.any(d <= 0.0):
-            raise SingularMatrixError("diagonal of Ghat + eps not positive")
-        return SymMatrix.from_diagonal(d**kind.exponent)
-    # full_matrix and covariance_full_matrix share the matrix-power form;
-    # in covariance mode the state is fed difference-of-gradient samples.
-    reg = SymMatrix(g_hat + kind.epsilon * np.eye(state.dim))
-    return sym_power(reg, kind.exponent, 0.0)
-
-
-def idealized_A(problem, kind: PreconditionerKind, x) -> SymMatrix:
-    """Oracle preconditioner A(x) built from the exact second moment.
-
-    Identity needs no oracle; the other variants require exact_G. The
-    covariance variant uses Sigma = G - grad grad^T in place of G.
+    ``observe(g, beta)`` applies Ghat <- beta Ghat + (1-beta) g g^T (a no-op
+    unless estimating); with ``bias_corrected`` Ghat is divided by
+    1 - prod(beta_t), which is exact under a changing beta.
+    ``direction(problem, x, g)`` returns A g, ``dense(problem, x)`` returns
+    A, and ``est_error(problem, x)`` returns ||Ahat - A(x)||_op against the
+    idealized form. The estimated form keeps its eigendecomposition until
+    the next ``observe``. Instances are mutable: use one per run.
     """
-    if kind.variant == IDENTITY:
-        return SymMatrix.identity(problem.dim)
-    if not problem.has_exact_g:
-        raise MissingOracleError("idealized preconditioner needs an exact_G oracle")
-    G = problem.exact_G(x)
-    if kind.variant == DIAGONAL:
-        d = G.diagonal() + kind.epsilon
-        if np.any(d <= 0.0):
-            raise SingularMatrixError("diagonal of G + eps not positive")
-        return SymMatrix.from_diagonal(d**kind.exponent)
-    if kind.variant == COVARIANCE_FULL_MATRIX:
-        g = problem.grad(x)
-        base = G.a - np.outer(g, g)
-    else:
-        base = G.a
-    reg = SymMatrix(base + kind.epsilon * np.eye(problem.dim))
-    return sym_power(reg, kind.exponent, 0.0)
+
+    def __init__(self, kind: PreconditionerKind, dim: int, source: str = "idealized",
+                 bias_corrected: bool = False):
+        if source not in ("idealized", "estimated"):
+            raise InvalidParamError(f"unknown preconditioner source {source!r}")
+        if dim < 1:
+            raise InvalidParamError("dim must be >= 1")
+        self.kind = kind
+        self.dim = dim
+        self.source = source
+        self.estimating = source == "estimated" and kind.variant != IDENTITY
+        self.bias_corrected = bias_corrected
+        self.diagonal = kind.variant == DIAGONAL or dim == 1
+        self._g_hat = np.zeros(dim if self.diagonal else (dim, dim))
+        self._beta_prod = 1.0
+        self._spectrum_cache = None
+
+    def observe(self, g, beta: float) -> None:
+        """One EMA step Ghat <- beta Ghat + (1-beta) g g^T."""
+        if not self.estimating:
+            return
+        if g.shape != (self.dim,):
+            raise DimMismatchError(f"gradient shape {g.shape} vs preconditioner dim {self.dim}")
+        if self.bias_corrected:
+            self._beta_prod *= beta
+        if self.diagonal:
+            self._g_hat = beta * self._g_hat + (1.0 - beta) * g * g
+        else:
+            self._g_hat = beta * self._g_hat + (1.0 - beta) * np.outer(g, g)
+        self._spectrum_cache = None
+
+    def direction(self, problem, x, g):
+        """The preconditioned direction A g, for one vector g (use ``dense`` for A itself)."""
+        if self.kind.variant == IDENTITY:
+            return g
+        a, v = self._spectrum(problem, x)
+        if v is None:
+            return a * g
+        return v @ (a * (v.T @ g))
+
+    def dense(self, problem, x) -> np.ndarray:
+        """A as a dense matrix."""
+        if self.kind.variant == IDENTITY:
+            return np.eye(self.dim)
+        a, v = self._spectrum(problem, x)
+        if v is None:
+            return np.diag(a)
+        return (v * a) @ v.T
+
+    def est_error(self, problem, x) -> float:
+        """||Ahat - A(x)||_op with the idealized form as ground truth; 0 unless estimating."""
+        if not self.estimating:
+            return 0.0
+        a, v = self._spectrum(problem, x)
+        a_ref, v_ref = self._ideal_spectrum(problem, x)
+        if v is None:
+            return float(np.max(np.abs(a - a_ref)))
+        diff = (v * a) @ v.T - (v_ref * a_ref) @ v_ref.T
+        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+
+    def _spectrum(self, problem, x):
+        if not self.estimating:
+            return self._ideal_spectrum(problem, x)
+        if self._spectrum_cache is None:
+            correction = 1.0 - self._beta_prod if self._beta_prod < 1.0 else 1.0
+            self._spectrum_cache = self._power(self._g_hat / correction, "Ghat")
+        return self._spectrum_cache
+
+    def _ideal_spectrum(self, problem, x):
+        if not problem.has_exact_g:
+            raise MissingOracleError("idealized preconditioner needs an exact_G oracle")
+        G = problem.exact_G(x)
+        covariance = self.kind.variant == COVARIANCE_FULL_MATRIX
+        if self.diagonal:
+            base = G.diagonal()
+            if covariance:
+                base = base - problem.grad(x) ** 2
+        else:
+            base = G.a
+            if covariance:
+                gr = problem.grad(x)
+                base = base - np.outer(gr, gr)
+        return self._power(base, "G")
+
+    def _power(self, base, name: str):
+        """(lambda^exponent, V) for the eigenpairs of base + eps I; V is None when diagonal."""
+        if self.diagonal:
+            lam, v = base + self.kind.epsilon, None
+        else:
+            w, v = np.linalg.eigh(base)
+            lam = w + self.kind.epsilon
+        if np.any(lam <= 0.0):
+            raise SingularMatrixError(f"lambda_min({name}) + eps not positive")
+        return lam**self.kind.exponent, v
 
 
 def _require_exact_g(problem, x) -> SymMatrix:
@@ -231,6 +264,6 @@ def estimate_m_bound(problem, kind: PreconditionerKind, x, n_samples: int, rng) 
     """
     if n_samples < 1:
         raise InvalidParamError("n_samples must be >= 1")
-    A = idealized_A(problem, kind, x).a
+    A = Preconditioner(kind, problem.dim).dense(problem, x)
     gs = problem.sample_grad_batch(x, n_samples, rng)
     return float(np.max(np.linalg.norm(gs @ A.T, axis=1)))

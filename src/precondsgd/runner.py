@@ -16,26 +16,22 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ExperimentConfig, resolve_axis
-from .errors import ConfigError, NonFiniteError, SingularMatrixError
-from .estimation import beta_schedule, burn_in_length
+from .errors import ConfigError, NonFiniteError
+from .estimation import _ceil_int, beta_schedule, burn_in_length
 from .optimizer import (
     STEP_LARGE,
     STEP_NORMAL,
-    EstimatedPreconditioner,
     HyperParams,
-    IdealizedPreconditioner,
     first_order_params,
-    run_large_step_variant,
-    run_preconditioned_sgd,
-    run_rmsprop,
-    run_rmsprop_with_burnin,
+    run_sgd,
     second_order_params,
 )
-from .precond import PreconditionerConstants, PreconditionerKind
+from .precond import Preconditioner, PreconditionerConstants, PreconditionerKind
 from .problems import (
     ProblemSmoothness,
     load_dataset_csv,
@@ -49,6 +45,23 @@ from .problems import (
 # The paper-scale escape level (-0.1) is below the saddle problem's global
 # minimum (~ -0.01265), so escape is declared at -0.01 instead.
 DEFAULT_ESCAPE_LEVEL = -0.01
+
+
+class _Algorithm(NamedTuple):
+    source: str  # default preconditioner source
+    source_configurable: bool  # optimizer.source may override it
+    burn_in: bool  # W estimate-only samples precede the run, when estimating
+    large_steps: bool
+
+
+# Every algorithm is run_sgd with one of these settings.
+_ALGORITHMS = {
+    "sgd": _Algorithm("idealized", False, False, False),
+    "preconditioned_sgd": _Algorithm("idealized", True, False, False),
+    "rmsprop": _Algorithm("estimated", False, False, False),
+    "rmsprop_burnin": _Algorithm("estimated", False, True, False),
+    "large_step": _Algorithm("estimated", True, True, True),
+}
 
 SUMMARY_COLUMNS = (
     "run_id",
@@ -123,6 +136,9 @@ class ResolvedRun:
     algorithm: str
     kind: PreconditionerKind
     source: str
+    bias_corrected: bool
+    burn_in: int
+    large_steps: bool
     hp: HyperParams
     T: int
     beta_c: float | None
@@ -136,15 +152,16 @@ class ResolvedRun:
 def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
+    spec = _ALGORITHMS.get(algo)
+    if spec is None:
+        raise ConfigError(f"optimizer.algorithm: unknown algorithm {algo!r}")
     variant = "identity" if algo == "sgd" else ocfg.get("kind", "full_matrix")
     kind = PreconditionerKind(
         variant=variant,
         epsilon=ocfg.get("epsilon", 0.0),
         exponent=ocfg.get("exponent", -0.5),
     )
-    source = "idealized" if algo in ("sgd", "preconditioned_sgd") else "estimated"
-    if algo in ("preconditioned_sgd", "large_step"):
-        source = ocfg.get("source", source)
+    source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
 
     beta, beta_c = None, None
     if "beta_spec" in ocfg:
@@ -201,15 +218,14 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     if eta is None:
         raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
 
-    if algo == "rmsprop_burnin" and W is None:
+    burn_in = spec.burn_in and source == "estimated"
+    if burn_in and W is None:
         W = burn_in_length(eta, rcfg.get("burn_in_c", 1.0))
-    if algo == "large_step":
+    if spec.large_steps:
         if r is None or t_thresh is None:
             raise ConfigError("optimizer.r and optimizer.t_thresh: required for large_step")
         if source == "estimated" and S is None:
-            S = max(1, math.ceil(r / eta))
-        if W is None:
-            W = burn_in_length(eta, rcfg.get("burn_in_c", 1.0)) if source == "estimated" else 0
+            S = max(1, _ceil_int(r / eta))
 
     hp = HyperParams(
         eta=eta,
@@ -238,6 +254,9 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
         algorithm=algo,
         kind=kind,
         source=source,
+        bias_corrected=ocfg.get("bias_corrected", False),
+        burn_in=hp.W if burn_in else 0,
+        large_steps=spec.large_steps,
         hp=hp,
         T=T,
         beta_c=beta_c,
@@ -254,39 +273,23 @@ def execute_records(cfg: ExperimentConfig, seed: int):
     problem = build_problem(cfg.problem)
     run = resolve_run(cfg, problem)
     rng = make_rng(seed)
-    opts = dict(
+    pre = Preconditioner(run.kind, problem.dim, run.source, run.bias_corrected)
+    records = run_sgd(
+        problem,
+        pre,
+        run.hp,
+        run.T,
+        rng,
         x0=run.x0,
+        burn_in=run.burn_in,
+        large_steps=run.large_steps,
+        eta_schedule=run.eta_schedule,
+        beta_c=run.beta_c,
         log_every=run.log_every,
         track_est_error=run.track_est_error,
         lambda_min_every=run.lambda_min_every,
-        beta_c=run.beta_c,
-        eta_schedule=run.eta_schedule,
     )
-    if run.algorithm in ("sgd", "preconditioned_sgd"):
-        src = (
-            IdealizedPreconditioner(run.kind)
-            if run.source == "idealized"
-            else EstimatedPreconditioner(run.kind, cfg.optimizer.get("bias_corrected", False))
-        )
-        return problem, run, run_preconditioned_sgd(problem, src, run.hp, run.T, rng, **opts)
-    if run.algorithm == "rmsprop":
-        return problem, run, run_rmsprop(
-            problem, run.hp, run.T, rng, kind=run.kind,
-            bias_corrected=cfg.optimizer.get("bias_corrected", False), **opts,
-        )
-    if run.algorithm == "rmsprop_burnin":
-        return problem, run, run_rmsprop_with_burnin(
-            problem, run.hp, run.T, rng, kind=run.kind,
-            bias_corrected=cfg.optimizer.get("bias_corrected", False), **opts,
-        )
-    if run.algorithm == "large_step":
-        src = (
-            IdealizedPreconditioner(run.kind)
-            if run.source == "idealized"
-            else EstimatedPreconditioner(run.kind, cfg.optimizer.get("bias_corrected", False))
-        )
-        return problem, run, run_large_step_variant(problem, src, run.hp, run.T, rng, **opts)
-    raise ConfigError(f"optimizer.algorithm: unknown algorithm {run.algorithm!r}")
+    return problem, run, records
 
 
 def trajectory_columns(dim: int) -> list[str]:

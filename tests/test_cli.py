@@ -304,3 +304,52 @@ class TestReport:
         sum_a = cmd_run(cfg, str(out_a))
         sum_b = cmd_sweep(cfg, "optimizer.eta", ["0.01"], str(out_b))
         assert main(["report", sum_a, sum_b, "--out", str(tmp_path / "r")]) == 2
+
+
+LARGE_STEP_CFG = """
+[problem]
+name = quadratic_gaussian
+dim = 2
+h_diag = 1.0,0.5
+noise_diag = 0.5,0.2
+
+[optimizer]
+algorithm = large_step
+kind = diagonal
+eta = 0.01
+r = 0.07
+t_thresh = 10
+beta_spec = 0.9
+epsilon = 1e-8
+
+[run]
+seeds = 0
+t = 40
+"""
+
+
+class TestResolveRun:
+    def test_hallucination_divisor_rounds_like_second_order_params(self, tmp_path, monkeypatch):
+        # 0.07 / 0.01 is 7.000000000000001 in floats: S = ceil(r/eta) must
+        # still be 7, as second_order_params computes it
+        from precondsgd import runner
+        from precondsgd.estimation import burn_in_length
+
+        assert 0.07 / 0.01 > 7.0
+        cfg = load_config(write_config(tmp_path / "cfg.ini", LARGE_STEP_CFG))
+        build, calls = runner.build_problem, []
+
+        def counting_build(pcfg):
+            problem = build(pcfg)
+            sample = problem.sample_grad
+            problem.sample_grad = lambda x, rng: calls.append(1) or sample(x, rng)
+            return problem
+
+        monkeypatch.setattr(runner, "build_problem", counting_build)
+        _, run, records = runner.execute_records(cfg, 0)
+        assert run.hp.S == 7
+        W = burn_in_length(0.01)
+        assert run.hp.W == W
+        large_steps = 4  # t = 0, 10, 20, 30
+        assert len(calls) == 40 + W + large_steps * (7 + 1)
+        assert sum(r.step_kind == "hallucinated" for r in records) == large_steps * (7 + 1)

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from precondsgd import (
-    EmaEstimatorState,
     EmaWeighting,
     EstimationBoundInputs,
     InvalidParamError,
+    Preconditioner,
     PreconditionerKind,
     PreconditionViolatedError,
     beta_schedule,
     burn_in_length,
-    ema_update,
     estimate_sigma_max,
     estimation_error_bound,
-    idealized_A,
     make_quadratic_gaussian,
     make_saddle_problem,
     measure_estimation_error,
@@ -140,31 +138,20 @@ def test_bias_chain_bound_deterministic():
 class TestMeasureEstimationError:
     def test_identity_kind_error_is_zero(self):
         p = make_saddle_problem()
-        kind = PreconditionerKind(variant="identity")
-        s = EmaEstimatorState.zeros(2, beta=0.9)
-        xs, states = [], []
+        pre = Preconditioner(PreconditionerKind(variant="identity"), 2, "estimated")
         rng = rng_for(42)
         x = np.array([0.2, 0.1])
-        for _ in range(10):
-            s = ema_update(s, p.sample_grad(x, rng))
-            xs.append(x)
-            states.append(s)
-        errs, sup = measure_estimation_error(p, kind, xs, states)
+        gs = [p.sample_grad(x, rng) for _ in range(10)]
+        errs, sup = measure_estimation_error(p, pre, [x] * 10, gs, 0.9)
         assert np.all(errs == 0.0)
         assert np.all(sup == 0.0)
 
     def test_noiseless_error_decays_at_rate_beta(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
-        kind = PreconditionerKind(epsilon=0.5)
+        pre = Preconditioner(PreconditionerKind(epsilon=0.5), 2, "estimated")
         x = np.array([1.0, -0.5])
         beta = 0.9
-        s = EmaEstimatorState.zeros(2, beta=beta)
-        xs, states = [], []
-        for _ in range(150):
-            s = ema_update(s, p.grad(x))
-            xs.append(x)
-            states.append(s)
-        errs, sup = measure_estimation_error(p, kind, xs, states)
+        errs, sup = measure_estimation_error(p, pre, [x] * 150, [p.grad(x)] * 150, beta)
         ratios = errs[100:140] / errs[99:139]
         assert np.allclose(ratios, beta, rtol=0.02)
         assert errs[-1] < 1e-4
@@ -175,11 +162,14 @@ class TestMeasureEstimationError:
         x = np.array([1.3, -0.7])
         beta, T = 0.99, 5000
         rng = rng_for(43)
-        s = EmaEstimatorState.zeros(2, beta=beta)
+        pre = Preconditioner(PreconditionerKind(epsilon=0.5), 2, "estimated")
+        g_hat = np.zeros((2, 2))
         for _ in range(T):
-            s = ema_update(s, p.sample_grad(x, rng))
+            g = p.sample_grad(x, rng)
+            g_hat = beta * g_hat + (1.0 - beta) * np.outer(g, g)
+            pre.observe(g, beta)
         g_true = p.exact_G(x).a
-        g_err = op_norm(s.g_hat - g_true)
+        g_err = op_norm(g_hat - g_true)
 
         # exact sigma_max by enumeration over the 4-point support
         grad = p.grad(x)
@@ -200,9 +190,7 @@ class TestMeasureEstimationError:
         # variance-term form with slack 5
         assert g_err <= 5.0 * math.sqrt(1.0 - beta) * sigma_max * math.sqrt(math.log(2.0))
 
-        kind = PreconditionerKind(epsilon=0.5)
-        errs, _ = measure_estimation_error(p, kind, [x], [s])
-        assert errs[0] <= 5.0 * phi
+        assert pre.est_error(p, x) <= 5.0 * phi
 
     def test_mc_sigma_max_close_to_enumeration(self):
         p = make_saddle_problem()

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from precondsgd import (
-    EstimatedPreconditioner,
     HyperParams,
-    IdealizedPreconditioner,
     InvalidParamError,
     NonFiniteError,
+    Preconditioner,
     PreconditionerConstants,
     PreconditionerKind,
     ProblemSmoothness,
@@ -20,10 +19,7 @@ from precondsgd import (
     make_counterexample,
     make_quadratic_gaussian,
     make_saddle_problem,
-    run_large_step_variant,
-    run_preconditioned_sgd,
-    run_rmsprop,
-    run_rmsprop_with_burnin,
+    run_sgd,
     second_order_params,
 )
 from precondsgd.estimation import EstimationBoundInputs, beta_schedule, burn_in_length, estimation_error_bound
@@ -33,8 +29,16 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def identity_source():
-    return IdealizedPreconditioner(PreconditionerKind(variant="identity"))
+def identity_source(p):
+    return Preconditioner(PreconditionerKind(variant="identity"), p.dim)
+
+
+def idealized(p, kind):
+    return Preconditioner(kind, p.dim)
+
+
+def estimated(p, kind=None):
+    return Preconditioner(PreconditionerKind() if kind is None else kind, p.dim, "estimated")
 
 
 class ConstantGradientProblem(StochasticProblem):
@@ -70,8 +74,8 @@ class ConstantGradientProblem(StochasticProblem):
 class TestPreconditionedSgd:
     def test_identity_noiseless_geometric_decay(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
-        recs = run_preconditioned_sgd(
-            p, identity_source(), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0]
+        recs = run_sgd(
+            p, identity_source(p), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0]
         )
         for t, r in enumerate(recs):
             assert r.iteration == t
@@ -79,8 +83,8 @@ class TestPreconditionedSgd:
 
     def test_zero_stepsize_stays_put(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
-        recs = run_preconditioned_sgd(
-            p, identity_source(), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2]
+        recs = run_sgd(
+            p, identity_source(p), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2]
         )
         for r in recs:
             assert np.array_equal(r.x, [0.4, -0.2])
@@ -91,7 +95,7 @@ class TestPreconditionedSgd:
         p = make_counterexample(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.005)
-        recs = run_preconditioned_sgd(p, IdealizedPreconditioner(kind), hp, 8000, rng_for(2), x0=[0.0])
+        recs = run_sgd(p, idealized(p, kind), hp, 8000, rng_for(2), x0=[0.0])
         scale = 1.0 / math.sqrt(2.1)
         away = [b.x[0] - a.x[0] for a, b in zip(recs, recs[1:]) if b.x[0] > a.x[0]]
         # every unclipped move away from -1 is the -1-gradient step eta * A
@@ -103,8 +107,8 @@ class TestPreconditionedSgd:
         p = make_saddle_problem()
         hp = HyperParams(eta=0.01, beta=0.95, epsilon=1e-8)
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        a = run_rmsprop(p, hp, 300, rng_for(7), kind=kind, x0=[0.1, 0.1])
-        b = run_rmsprop(p, hp, 300, rng_for(7), kind=kind, x0=[0.1, 0.1])
+        a = run_sgd(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
+        b = run_sgd(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.x, rb.x)
@@ -113,9 +117,9 @@ class TestPreconditionedSgd:
     def test_estimated_identity_matches_idealized_identity(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.01)
-        a = run_preconditioned_sgd(p, identity_source(), hp, 100, rng_for(8), x0=[0.2, 0.0])
-        src = EstimatedPreconditioner(PreconditionerKind(variant="identity"))
-        b = run_preconditioned_sgd(p, src, hp, 100, rng_for(8), x0=[0.2, 0.0])
+        a = run_sgd(p, identity_source(p), hp, 100, rng_for(8), x0=[0.2, 0.0])
+        src = estimated(p, PreconditionerKind(variant="identity"))
+        b = run_sgd(p, src, hp, 100, rng_for(8), x0=[0.2, 0.0])
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.x, rb.x)
 
@@ -124,14 +128,14 @@ class TestRmsprop:
     def test_beta_zero_is_sign_sgd(self):
         p = make_quadratic_gaussian(1, np.eye(1), np.eye(1))
         hp = HyperParams(eta=0.01, beta=0.0, epsilon=0.0)
-        recs = run_rmsprop(p, hp, 50, rng_for(3), kind=PreconditionerKind(epsilon=0.0), x0=[2.0])
+        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
         for a, b in zip(recs, recs[1:]):
             assert abs(b.x[0] - a.x[0]) == pytest.approx(hp.eta, rel=1e-12)
 
     def test_constant_gradient_approaches_normalized_step(self):
         p = ConstantGradientProblem(c=3.0)
         hp = HyperParams(eta=0.05, beta=0.9, epsilon=0.0)
-        recs = run_rmsprop(p, hp, 120, rng_for(4), kind=PreconditionerKind(epsilon=0.0), x0=[0.0])
+        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
         late = [abs(b.x[0] - a.x[0]) for a, b in zip(recs[-21:], recs[-20:])]
         for step in late:
             assert step == pytest.approx(hp.eta, rel=1e-4)
@@ -141,7 +145,7 @@ class TestRmsprop:
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0, epsilon=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
-        recs = run_rmsprop(p, hp, 3, rng_for(5), kind=kind, x0=[5e-5])
+        recs = run_sgd(p, estimated(p, kind), hp, 3, rng_for(5), x0=[5e-5])
         assert recs[0].grad_norm < 0.1 * hp.eta
         step = abs(recs[1].x[0] - recs[0].x[0])
         assert step > 10.0 * hp.eta
@@ -151,7 +155,7 @@ class TestRmsprop:
         hp = HyperParams(eta=1e-3, beta=0.0, epsilon=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         with pytest.raises(NonFiniteError) as err:
-            run_rmsprop(p, hp, 10, rng_for(6), kind=kind, x0=[1e-60])
+            run_sgd(p, estimated(p, kind), hp, 10, rng_for(6), x0=[1e-60])
         assert len(err.value.records) >= 1  # partial trajectory retained
 
     def test_covariance_kind_converges_near_stationarity(self):
@@ -160,7 +164,7 @@ class TestRmsprop:
         p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
         hp = HyperParams(eta=0.01, beta=0.95, epsilon=1e-6)
         kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=1e-6)
-        recs = run_rmsprop(p, hp, 1500, rng_for(9), kind=kind, x0=[2.0, -2.0])
+        recs = run_sgd(p, estimated(p, kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
         assert len(recs) == 1500
         assert recs[-1].f_val < 0.05 * recs[0].f_val
 
@@ -170,15 +174,15 @@ class TestBurnIn:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.005, beta=0.9, W=0)
-        a = run_rmsprop(p, hp, 200, rng_for(10), kind=kind)
-        b = run_rmsprop_with_burnin(p, hp, 200, rng_for(10), kind=kind)
+        a = run_sgd(p, estimated(p, kind), hp, 200, rng_for(10))
+        b = run_sgd(p, estimated(p, kind), hp, 200, rng_for(10), burn_in=hp.W)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.x, rb.x) and ra.f_val == rb.f_val
 
     def test_burnin_records_precede_iteration_zero(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.005, beta=0.9, W=25)
-        recs = run_rmsprop_with_burnin(p, hp, 50, rng_for(11), kind=PreconditionerKind(epsilon=1e-8))
+        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11), burn_in=hp.W)
         burn = [r for r in recs if r.step_kind == "burnin"]
         assert len(burn) == 25
         assert [r.iteration for r in burn] == list(range(-25, 0))
@@ -195,9 +199,9 @@ class TestBurnIn:
         W = burn_in_length(eta, c_w)
         beta = beta_schedule(eta, 1.0)
         hp = HyperParams(eta=eta, beta=beta, W=W, epsilon=0.5)
-        recs = run_rmsprop_with_burnin(
-            p, hp, 1, rng_for(12), kind=PreconditionerKind(epsilon=0.5),
-            x0=x0, track_est_error=True,
+        recs = run_sgd(
+            p, estimated(p, PreconditionerKind(epsilon=0.5)), hp, 1, rng_for(12),
+            burn_in=hp.W, x0=x0, track_est_error=True,
         )
         burn_err = [r.est_error for r in recs if r.step_kind == "burnin"][-1]
 
@@ -223,8 +227,8 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.01, r=0.01, t_thresh=1)
-        a = run_preconditioned_sgd(p, IdealizedPreconditioner(kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
-        b = run_large_step_variant(p, IdealizedPreconditioner(kind), hp, 150, rng_for(13), x0=[0.3, 0.1])
+        a = run_sgd(p, idealized(p, kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
+        b = run_sgd(p, idealized(p, kind), hp, 150, rng_for(13), x0=[0.3, 0.1], large_steps=True)
         assert all(r.step_kind == "large" for r in b)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.x, rb.x) and ra.f_val == rb.f_val
@@ -233,7 +237,7 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.001, r=0.01, t_thresh=40)
-        recs = run_large_step_variant(p, IdealizedPreconditioner(kind), hp, 200, rng_for(14), x0=[0.0, 0.0])
+        recs = run_sgd(p, idealized(p, kind), hp, 200, rng_for(14), x0=[0.0, 0.0], large_steps=True)
         larges = [r.iteration for r in recs if r.step_kind == "large"]
         assert larges == [0, 40, 80, 120, 160]
 
@@ -241,7 +245,9 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
-        recs = run_large_step_variant(p, EstimatedPreconditioner(kind), hp, 120, rng_for(15), x0=[0.0, 0.0])
+        recs = run_sgd(
+            p, estimated(p, kind), hp, 120, rng_for(15), x0=[0.0, 0.0], large_steps=True, burn_in=hp.W
+        )
         halluc = [r for r in recs if r.step_kind == "hallucinated"]
         larges = [i for i, r in enumerate(recs) if r.step_kind == "large"]
         # 3 large steps in 120 iterations at cadence 50, each hallucinating S+1 = 2
@@ -261,7 +267,7 @@ class TestLargeStep:
         p = make_saddle_problem()
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
         with pytest.raises(InvalidParamError):
-            run_large_step_variant(p, EstimatedPreconditioner(PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16))
+            run_sgd(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16), large_steps=True)
 
     def test_escape_acceleration_over_identity(self):
         p = make_saddle_problem()
@@ -276,11 +282,11 @@ class TestLargeStep:
 
         T, seeds = 6000, range(5)
         fm = [
-            escape_time(run_large_step_variant(p, IdealizedPreconditioner(kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0]))
+            escape_time(run_sgd(p, idealized(p, kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0], large_steps=True))
             for s in seeds
         ]
         ident = [
-            escape_time(run_preconditioned_sgd(p, identity_source(), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
+            escape_time(run_sgd(p, identity_source(p), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
             for s in seeds
         ]
         assert np.median(fm) < np.median(ident)
@@ -292,7 +298,7 @@ class TestProjection:
     def test_counterexample_iterates_stay_in_box(self):
         p = make_counterexample(C=10.0, zeta=0.05)
         hp = HyperParams(eta=0.05, beta=0.9, epsilon=1e-8)
-        recs = run_rmsprop(p, hp, 2000, rng_for(17), kind=PreconditionerKind(epsilon=1e-8), x0=[0.0])
+        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0])
         assert all(-1.0 <= r.x[0] <= 1.0 for r in recs)
 
 
@@ -401,9 +407,7 @@ def test_one_step_descent_lemma_monte_carlo():
         p = make_quadratic_gaussian(dim, h, cov)
         x0 = rng.uniform(-1.0, 1.0, size=dim)
         k = constants_full_matrix(p, x0, eps=0.0)
-        from precondsgd import idealized_A
-
-        a = idealized_A(p, PreconditionerKind(epsilon=0.0), x0).a
+        a = idealized(p, PreconditionerKind(epsilon=0.0)).dense(p, x0)
         lam_minus = float(np.linalg.eigvalsh(a)[0])
         mu = 0.4 * lam_minus
         raw = rng.standard_normal((dim, dim))
@@ -433,7 +437,7 @@ def test_large_step_amortized_increase_bound():
     kind = PreconditionerKind(epsilon=0.0)
     deltas = []
     for s in range(25):
-        recs = run_large_step_variant(p, IdealizedPreconditioner(kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0)
+        recs = run_sgd(p, idealized(p, kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0, large_steps=True)
         for i, r in enumerate(recs[:-1]):
             if r.step_kind == "large":
                 deltas.append(recs[i + 1].f_val - r.f_val)
@@ -442,20 +446,81 @@ def test_large_step_amortized_increase_bound():
     assert deltas.mean() <= 9.0 * p.smoothness.L * k.c3 * hp.r**2 / 8.0 + 4.0 * se
 
 
-def test_estimated_full_matrix_matches_functional_replay():
-    """The loop's fast path agrees with the functional EMA/preconditioner API."""
-    from precondsgd import EmaEstimatorState, ema_update, estimated_A
+def reference_power(G, kind, diagonal):
+    """(G + eps I)^exponent by eigh, or on the diagonal for diagonal forms."""
+    if diagonal:
+        return np.diag((np.diag(G) + kind.epsilon) ** kind.exponent)
+    w, v = np.linalg.eigh(G + kind.epsilon * np.eye(len(G)))
+    return (v * w**kind.exponent) @ v.T
 
-    p = make_quadratic_gaussian(2, np.eye(2), 0.5 * np.eye(2))
-    kind = PreconditionerKind(epsilon=0.1)
-    hp = HyperParams(eta=0.05, beta=0.8)
-    recs = run_preconditioned_sgd(p, EstimatedPreconditioner(kind), hp, 40, rng_for(21), x0=[1.0, -1.0])
 
-    replay_rng = rng_for(21)
-    state = EmaEstimatorState.zeros(2, beta=0.8)
-    for t in range(len(recs) - 1):
-        g = p.sample_grad(recs[t].x, replay_rng)
-        state = ema_update(state, g)
-        a = estimated_A(state, kind)
-        x_next = recs[t].x - hp.eta * a.a @ g
-        assert np.allclose(x_next, recs[t + 1].x, atol=1e-12)
+def inv_sqrt_decay(t):
+    return 0.05 / math.sqrt(t + 1.0)
+
+
+# name -> (source, HyperParams fields, run_sgd options, bias_corrected)
+PARITY_CASES = {
+    "idealized": ("idealized", dict(eta=0.05), {}, False),
+    "fixed-beta": ("estimated", dict(eta=0.05, beta=0.8), {}, False),
+    "bias-corrected": ("estimated", dict(eta=0.05, beta=0.8), {}, True),
+    "beta-schedule": ("estimated", dict(eta=0.05), dict(beta_c=0.5, eta_schedule=inv_sqrt_decay), True),
+    "burnin-hallucinated": (
+        "estimated",
+        dict(eta=0.02, beta=0.9, r=0.06, t_thresh=4, S=3, W=5),
+        dict(burn_in=5, large_steps=True),
+        False,
+    ),
+}
+PARITY_H = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.5]])
+PARITY_COV = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("variant", ["identity", "full_matrix", "diagonal", "covariance_full_matrix"])
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_run_matches_numpy_reference(case, variant, dim):
+    """Every step of the loop is x - step A g with A from a plain numpy replay.
+
+    The replay redraws each sample at the logged point, keeps the full EMA
+    Ghat (bias-corrected by 1 - prod beta_t), and takes (Ghat + eps I)^p
+    by eigh, or on the diagonal for the diagonal variant.
+    """
+    source, hp_fields, opts, bias_corrected = PARITY_CASES[case]
+    p = make_quadratic_gaussian(dim, PARITY_H[:dim, :dim], PARITY_COV[:dim, :dim])
+    kind = PreconditionerKind(variant=variant, epsilon=0.05)
+    hp = HyperParams(**hp_fields)
+    pre = Preconditioner(kind, dim, source, bias_corrected)
+    recs = run_sgd(p, pre, hp, 30, rng_for(21), x0=np.linspace(1.0, -0.5, dim), **opts)
+
+    estimating = source == "estimated" and variant != "identity"
+    covariance = variant == "covariance_full_matrix"
+    diagonal = variant == "diagonal"
+    eta_schedule = opts.get("eta_schedule", lambda t: hp.eta)
+    rng = rng_for(21)
+    g_hat, beta_prod, t = np.zeros((dim, dim)), 1.0, -1
+    steps = [i for i, r in enumerate(recs) if r.step_kind in ("normal", "large")]
+    for i, rec in enumerate(recs):
+        g = upd = p.sample_grad(rec.x, rng)
+        if estimating and covariance:
+            upd = (g - p.sample_grad(rec.x, rng)) / math.sqrt(2.0)
+        t += rec.step_kind in ("normal", "large")
+        eta_t = hp.eta if rec.step_kind == "burnin" else eta_schedule(t)
+        if estimating:
+            beta = beta_schedule(eta_t, opts["beta_c"]) if "beta_c" in opts else hp.beta
+            g_hat = beta * g_hat + (1.0 - beta) * np.outer(upd, upd)
+            beta_prod *= beta
+        if i not in steps or i == steps[-1]:
+            continue
+        if variant == "identity":
+            a = np.eye(dim)
+        elif estimating:
+            a = reference_power(g_hat / (1.0 - beta_prod) if bias_corrected else g_hat, kind, diagonal)
+        else:
+            G = p.exact_G(rec.x).a
+            if covariance:
+                G = G - np.outer(p.grad(rec.x), p.grad(rec.x))
+            a = reference_power(G, kind, diagonal)
+        step = hp.r if rec.step_kind == "large" else eta_t
+        following = recs[steps[steps.index(i) + 1]]
+        np.testing.assert_allclose(rec.x - step * a @ g, following.x, rtol=1e-10, atol=1e-12)
+    assert sum(r.step_kind == "hallucinated" for r in recs) == (32 if estimating and "S" in hp_fields else 0)

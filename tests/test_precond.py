@@ -3,9 +3,9 @@ import pytest
 
 from precondsgd import (
     DimMismatchError,
-    EmaEstimatorState,
     InvalidParamError,
     MissingOracleError,
+    Preconditioner,
     PreconditionerConstants,
     PreconditionerKind,
     SingularMatrixError,
@@ -13,10 +13,7 @@ from precondsgd import (
     constants_diagonal,
     constants_full_matrix,
     constants_identity,
-    ema_update,
     estimate_m_bound,
-    estimated_A,
-    idealized_A,
     make_counterexample,
     make_quadratic_gaussian,
     make_saddle_problem,
@@ -34,6 +31,32 @@ def random_spd(rng, dim, lam_lo=0.05, lam_hi=3.0):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     lam = rng.uniform(lam_lo, lam_hi, size=dim)
     return (q * lam) @ q.T
+
+
+def idealized_A(problem, kind, x):
+    return Preconditioner(kind, problem.dim).dense(problem, x)
+
+
+def estimated_with(g_hat, kind, bias_corrected=False):
+    """An estimated preconditioner whose Ghat is the given PSD matrix.
+
+    Observes sqrt(n lambda_i) v_i with beta_i = i/(i+1): the running mean
+    of the n rank-one samples is sum lambda_i v_i v_i^T.
+    """
+    w, v = np.linalg.eigh(g_hat)
+    n = len(w)
+    pre = Preconditioner(kind, n, "estimated", bias_corrected)
+    for i in range(n):
+        pre.observe(np.sqrt(n * max(w[i], 0.0)) * v[:, i], i / (i + 1.0))
+    return pre
+
+
+# With A = (Ghat + I)^-1 the estimate is recoverable as A^-1 - I.
+RECOVERABLE = PreconditionerKind(variant="full_matrix", epsilon=1.0, exponent=-1.0)
+
+
+def g_hat_of(pre):
+    return np.linalg.inv(pre.dense(None, None)) - np.eye(pre.dim)
 
 
 def problem_with_g(g):
@@ -58,26 +81,26 @@ class TestIdealizedA:
     def test_identity_kind(self):
         p = make_saddle_problem()
         a = idealized_A(p, PreconditionerKind(variant="identity"), np.array([0.3, -0.2]))
-        assert np.array_equal(a.a, np.eye(2))
+        assert np.array_equal(a, np.eye(2))
 
     def test_counterexample_constant_scalar(self):
         p = make_counterexample(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0, exponent=-0.5)
         for x in (-0.9, 0.0, 0.7):
             a = idealized_A(p, kind, np.array([x]))
-            assert a.a[0, 0] == pytest.approx(1.0 / np.sqrt(2.1), rel=1e-12)
+            assert a[0, 0] == pytest.approx(1.0 / np.sqrt(2.1), rel=1e-12)
 
     def test_saddle_origin_full_matrix(self):
         p = make_saddle_problem()
         a = idealized_A(p, PreconditionerKind(variant="full_matrix"), np.zeros(2))
-        assert np.allclose(a.a, np.diag([1.0, 10.0]), rtol=1e-12)
+        assert np.allclose(a, np.diag([1.0, 10.0]), rtol=1e-12)
 
     def test_covariance_kind_removes_mean_term(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="covariance_full_matrix")
         for x in (np.zeros(2), np.array([0.4, -0.3])):
             a = idealized_A(p, kind, x)
-            assert np.allclose(a.a, np.diag([1.0, 10.0]), rtol=1e-10)
+            assert np.allclose(a, np.diag([1.0, 10.0]), rtol=1e-10)
 
     def test_missing_oracle(self):
         from precondsgd import make_synthetic_logistic
@@ -85,73 +108,116 @@ class TestIdealizedA:
         p = make_synthetic_logistic(30, 3, seed=0, batch=5)
         with pytest.raises(MissingOracleError):
             idealized_A(p, PreconditionerKind(), np.zeros(3))
+        with pytest.raises(MissingOracleError):
+            Preconditioner(PreconditionerKind(), 3).direction(p, np.zeros(3), np.ones(3))
+
+    def test_direction_is_dense_times_g(self):
+        rng = rng_for(36)
+        p = make_quadratic_gaussian(3, random_spd(rng, 3), random_spd(rng, 3))
+        x, g = rng.standard_normal(3), rng.standard_normal(3)
+        for variant in ("identity", "full_matrix", "diagonal", "covariance_full_matrix"):
+            pre = Preconditioner(PreconditionerKind(variant=variant, epsilon=0.1), 3)
+            assert np.allclose(pre.direction(p, x, g), pre.dense(p, x) @ g, rtol=1e-12, atol=1e-14)
 
 
 class TestEmaUpdate:
     def test_single_update_from_zero(self):
-        s = EmaEstimatorState.zeros(2, beta=0.9)
-        s = ema_update(s, np.array([1.0, 0.0]))
-        assert np.allclose(s.g_hat, 0.1 * np.diag([1.0, 0.0]), atol=0)
-        assert s.steps_seen == 1
+        pre = Preconditioner(RECOVERABLE, 2, "estimated")
+        pre.observe(np.array([1.0, 0.0]), 0.9)
+        assert np.allclose(g_hat_of(pre), 0.1 * np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_repeated_identical_gradient_geometric_series(self):
         g = np.array([0.5, -1.5])
         beta, T = 0.8, 17
-        s = EmaEstimatorState.zeros(2, beta=beta)
+        pre = Preconditioner(RECOVERABLE, 2, "estimated")
         for _ in range(T):
-            s = ema_update(s, g)
-        assert np.allclose(s.g_hat, (1.0 - beta**T) * np.outer(g, g), rtol=1e-12)
+            pre.observe(g, beta)
+        assert np.allclose(g_hat_of(pre), (1.0 - beta**T) * np.outer(g, g), rtol=1e-12)
 
     def test_beta_zero_keeps_no_memory(self):
-        s = EmaEstimatorState.zeros(2, beta=0.0)
-        s = ema_update(s, np.array([1.0, 2.0]))
-        s = ema_update(s, np.array([3.0, 0.0]))
-        assert np.array_equal(s.g_hat, np.outer([3.0, 0.0], [3.0, 0.0]))
+        pre = Preconditioner(RECOVERABLE, 2, "estimated")
+        pre.observe(np.array([1.0, 2.0]), 0.0)
+        pre.observe(np.array([3.0, 0.0]), 0.0)
+        assert np.allclose(g_hat_of(pre), np.outer([3.0, 0.0], [3.0, 0.0]), atol=1e-14)
 
     def test_dim_mismatch(self):
-        s = EmaEstimatorState.zeros(2, beta=0.5)
+        pre = Preconditioner(PreconditionerKind(), 2, "estimated")
         with pytest.raises(DimMismatchError):
-            ema_update(s, np.ones(3))
+            pre.observe(np.ones(3), 0.5)
+
+    def test_observe_is_a_no_op_unless_estimating(self):
+        p = make_saddle_problem()
+        x, g = np.array([0.3, -0.2]), np.array([1.0, 2.0])
+        for pre in (
+            Preconditioner(PreconditionerKind(epsilon=0.1), 2),
+            Preconditioner(PreconditionerKind(variant="identity"), 2, "estimated"),
+        ):
+            before = pre.direction(p, x, g)
+            pre.observe(np.array([5.0, -5.0]), 0.5)
+            assert np.array_equal(pre.direction(p, x, g), before)
+            assert pre.est_error(p, x) == 0.0
+
+    def test_one_eigh_per_observe(self, monkeypatch):
+        p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
+        x = np.array([0.5, -0.5])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        pre = Preconditioner(PreconditionerKind(epsilon=0.1), 2, "estimated")
+        pre.observe(np.array([1.0, 2.0]), 0.9)
+        pre.direction(p, x, np.ones(2))
+        pre.dense(p, x)
+        assert len(calls) == 1
+        pre.est_error(p, x)  # decomposes G(x) only
+        assert len(calls) == 2
+        pre.observe(np.array([1.0, -1.0]), 0.9)
+        pre.direction(p, x, np.ones(2))
+        assert len(calls) == 3
 
 
 class TestEstimatedA:
     def test_diagonal_example(self):
-        s = EmaEstimatorState(g_hat=np.diag([3.0, 0.0]), beta=0.9, steps_seen=5)
-        a = estimated_A(s, PreconditionerKind(variant="full_matrix", epsilon=1.0))
-        assert np.allclose(a.a, np.diag([0.5, 1.0]), rtol=1e-12)
+        pre = estimated_with(np.diag([3.0, 0.0]), PreconditionerKind(variant="full_matrix", epsilon=1.0))
+        assert np.allclose(pre.dense(None, None), np.diag([0.5, 1.0]), rtol=1e-12)
 
     def test_identity_g_hat(self):
-        s = EmaEstimatorState(g_hat=np.eye(3), beta=0.9, steps_seen=5)
-        a = estimated_A(s, PreconditionerKind(variant="full_matrix", epsilon=0.0))
-        assert np.allclose(a.a, np.eye(3), rtol=1e-12)
+        pre = estimated_with(np.eye(3), PreconditionerKind(variant="full_matrix", epsilon=0.0))
+        assert np.allclose(pre.dense(None, None), np.eye(3), rtol=1e-12)
 
     def test_inverse_square_root_identity(self):
         rng = rng_for(30)
         for _ in range(10):
             g = random_spd(rng, 4)
             eps = float(rng.choice([0.0, 0.3]))
-            s = EmaEstimatorState(g_hat=g, beta=0.9, steps_seen=3)
-            a = estimated_A(s, PreconditionerKind(epsilon=eps))
-            prod = a.a @ a.a @ (g + eps * np.eye(4))
+            a = estimated_with(g, PreconditionerKind(epsilon=eps)).dense(None, None)
+            prod = a @ a @ (g + eps * np.eye(4))
             assert op_norm(prod - np.eye(4)) <= 1e-8
 
     def test_singular_raises(self):
-        s = EmaEstimatorState.zeros(2, beta=0.9)
+        pre = Preconditioner(PreconditionerKind(epsilon=0.0), 2, "estimated")
         with pytest.raises(SingularMatrixError):
-            estimated_A(s, PreconditionerKind(epsilon=0.0))
+            pre.dense(None, None)
 
     def test_bias_correction_rescales(self):
         g = np.array([1.0, 2.0])
         beta, T = 0.9, 8
-        s = EmaEstimatorState.zeros(2, beta=beta, bias_corrected=True)
+        pre = Preconditioner(PreconditionerKind(epsilon=1.0), 2, "estimated", bias_corrected=True)
         for _ in range(T):
-            s = ema_update(s, g)
-        a = estimated_A(s, PreconditionerKind(epsilon=1.0))
-        expected = estimated_A(
-            EmaEstimatorState(g_hat=np.outer(g, g), beta=beta, steps_seen=T),
-            PreconditionerKind(epsilon=1.0),
-        )
-        assert np.allclose(a.a, expected.a, rtol=1e-12)
+            pre.observe(g, beta)
+        expected = estimated_with(np.outer(g, g), PreconditionerKind(epsilon=1.0))
+        assert np.allclose(pre.dense(None, None), expected.dense(None, None), rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["full_matrix", "diagonal"])
+    def test_bias_correction_under_changing_beta(self, variant):
+        # Dividing by 1 - prod(beta_t) recovers g g^T exactly for a constant
+        # g; 1 - beta^t with the latest beta would give 2.89 g g^T here.
+        g = np.array([0.6, -1.2])
+        pre = Preconditioner(PreconditionerKind(variant=variant, epsilon=1.0, exponent=-1.0), 2, "estimated", True)
+        for beta in (0.5, 0.9):
+            pre.observe(g, beta)
+        recovered = np.linalg.inv(pre.dense(None, None)) - np.eye(2)
+        expected = np.outer(g, g) if variant == "full_matrix" else np.diag(g * g)
+        assert np.allclose(recovered, expected, rtol=1e-12, atol=1e-14)
 
 
 class TestConstants:
@@ -265,7 +331,7 @@ def test_definitional_inequalities_hold():
         grad = rng.standard_normal(dim)
         for variant in ("identity", "full_matrix", "diagonal"):
             k = constants_for(variant, problem, x, eps)
-            a = idealized_A(problem, PreconditionerKind(variant=variant, epsilon=eps), x)
+            a = SymMatrix(idealized_A(problem, PreconditionerKind(variant=variant, epsilon=eps), x))
             a_half = sym_power(a, 0.5, 0.0)
             lhs = np.linalg.norm(a.a @ grad) ** 2
             rhs = k.nu1 * np.linalg.norm(a_half.a @ grad) ** 2
