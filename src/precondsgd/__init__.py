@@ -7,6 +7,7 @@ from .errors import (
     InvalidParamError,
     MissingOracleError,
     NonFiniteError,
+    NumericError,
     PrecondSgdError,
     PreconditionViolatedError,
     SingularMatrixError,
@@ -52,7 +53,7 @@ from .estimation import (
 from .optimizer import (
     HyperParams,
     StationarityReport,
-    TrajectoryRecord,
+    Trajectory,
     check_stationarity,
     first_order_params,
     hessian_tolerance,

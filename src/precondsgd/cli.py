@@ -3,8 +3,10 @@
 Subcommands: ``run`` (one condition x seeds), ``sweep`` (an axis of
 values x seeds), ``estimation-scaling`` (sup estimation error vs eta),
 and ``report`` (quantile-band plot data from summaries). Exit codes:
-0 ok, 2 configuration error, 3 numeric failure (divergence/singularity),
-with partial trajectories flushed before exiting.
+0 ok, 2 configuration error (negative or repeated seeds included),
+3 numeric failure (divergence/singularity); on a numeric failure of
+``run`` or ``sweep`` every seed's trajectory is still written, partial
+for the seeds that failed, and no summary is.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from .errors import (
     ConfigError,
     DataFormatError,
     InvalidParamError,
-    NonFiniteError,
+    NumericError,
     PreconditionViolatedError,
-    SingularMatrixError,
 )
 from .runner import cmd_estimation_scaling, cmd_report, cmd_run, cmd_sweep
 
@@ -34,7 +35,13 @@ EXIT_NUMERIC = 3
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory (default: $PRECONDSGD_OUT or ./results)")
-    common.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps (default: CPU count)")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="run and sweep: split each condition's seeds into this many lockstep groups, "
+        "run in as many worker processes; the output does not depend on it (default: CPU count)",
+    )
     common.add_argument("--seed-offset", type=int, default=0, help="added to every configured seed")
     return common
 
@@ -90,7 +97,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, InvalidParamError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteError, SingularMatrixError, PreconditionViolatedError) as err:
+    except (NumericError, PreconditionViolatedError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -5,16 +5,23 @@ class PrecondSgdError(Exception):
     """Base class for all package errors."""
 
 
-class NonFiniteError(PrecondSgdError):
+class NumericError(PrecondSgdError):
+    """A numeric failure of a run: the CLI exits with code 3.
+
+    ``rows``, when set, is a boolean mask over the leading (seed) axis of
+    the stacked input that failed; None means every row failed.
+    """
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
+
+
+class NonFiniteError(NumericError):
     """A value that must be finite is NaN/inf, or a run diverged."""
 
-    def __init__(self, message, records=None):
-        super().__init__(message)
-        # Partial trajectory captured up to the failure, for flushing.
-        self.records = records if records is not None else []
 
-
-class SingularMatrixError(PrecondSgdError):
+class SingularMatrixError(NumericError):
     """A negative matrix power was requested of a singular matrix."""
 
 

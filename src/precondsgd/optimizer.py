@@ -9,9 +9,16 @@ iterations and, when estimating, hallucinates interpolated samples to
 keep the estimate accurate. Also the first-order and second-order
 stepsize/iteration calculators and a stationarity check.
 
-A run is strictly sequential and consumes a single caller-owned RNG in
-program order, so identical (problem, hyperparameters, seed) triples
-produce bitwise-identical trajectories.
+A run advances B seeds in lockstep: iterates are a (B, d) stack, the
+preconditioner holds one estimate per seed, and the exact oracles and
+the eigendecompositions take the whole stack at once. Each seed draws
+from its own caller-owned RNG stream, one ``sample_grad`` call per seed
+and sample in program order, and every stacked operation gives each row
+the bits of its own single-seed computation. So a seed's trajectory is
+bitwise identical whichever seeds run beside it, and identical
+(problem, hyperparameters, seed) triples produce bitwise-identical
+trajectories. A seed that fails (divergence, a singular matrix) stops
+there; the others run on.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidParamError, MissingOracleError, NonFiniteError
+from .errors import DimMismatchError, InvalidParamError, MissingOracleError, NonFiniteError, NumericError
 from .estimation import _ceil_int, beta_schedule, burn_in_length
 from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants
 from .problems import ProblemSmoothness, StochasticProblem
@@ -82,23 +89,35 @@ class HyperParams:
 
 
 @dataclass
-class TrajectoryRecord:
-    """State logged at one event of a run.
+class Trajectory:
+    """The events one seed logged, as columns of equal length n.
 
-    ``iteration`` is a strictly increasing event index: burn-in records
+    ``iteration`` is a strictly increasing event index: burn-in events
     occupy -W..-1 and the first optimization step is 0. When hallucinated
-    records interleave (estimated large-step mode) they consume indices
+    events interleave (estimated large-step mode) they consume indices
     too, so the index equals the optimization step count only in runs
-    without hallucination.
+    without hallucination. ``step_kind`` holds one of the STEP_* names.
+    ``lambda_min_h`` and ``est_error`` are NaN where they were not
+    evaluated. ``x`` is (n, d); a trajectory read back from CSV has none.
+    ``error`` is the numeric failure that stopped the seed, if any; the
+    columns then end with the last event logged before it.
     """
 
-    iteration: int
-    x: np.ndarray
-    f_val: float
-    grad_norm: float
-    step_kind: str
-    lambda_min_h: float | None = None
-    est_error: float | None = None
+    iteration: np.ndarray
+    step_kind: np.ndarray
+    f: np.ndarray
+    grad_norm: np.ndarray
+    lambda_min_h: np.ndarray
+    est_error: np.ndarray
+    x: np.ndarray | None = None
+    error: NumericError | None = None
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def steps(self) -> np.ndarray:
+        """Boolean mask of the optimization steps (normal and large events)."""
+        return (self.step_kind == STEP_NORMAL) | (self.step_kind == STEP_LARGE)
 
 
 @dataclass
@@ -124,7 +143,7 @@ def run_sgd(
     pre: Preconditioner,
     hp: HyperParams,
     T: int,
-    rng,
+    rngs,
     *,
     x0=None,
     burn_in: int = 0,
@@ -134,21 +153,30 @@ def run_sgd(
     log_every: int = 1,
     track_est_error: bool = False,
     lambda_min_every: int = 0,
-) -> list[TrajectoryRecord]:
+) -> list[Trajectory]:
     """Preconditioned SGD x <- x - eta A g: the one run loop of every algorithm.
 
-    ``pre`` supplies A and is updated in place: an estimating preconditioner
-    observes each sample before preconditioning it. ``burn_in``
-    estimate-only samples at x0 precede the loop. With ``large_steps`` the
-    stepsize is hp.r every hp.t_thresh steps, and an estimating
-    preconditioner then observes hp.S+1 hallucinated samples interpolated
-    between the step's endpoints. ``beta_c`` replaces hp.beta by the
-    schedule beta(eta_t); ``eta_schedule`` maps t to eta_t.
+    Runs one seed per RNG stream in ``rngs``, all from x0, in lockstep,
+    and returns one Trajectory per seed. ``pre`` supplies A, is made with
+    ``batch=len(rngs)`` and is updated in place: an estimating
+    preconditioner observes each sample before preconditioning it.
+    ``burn_in`` estimate-only samples at x0 precede the loop. With
+    ``large_steps`` the stepsize is hp.r every hp.t_thresh steps, and an
+    estimating preconditioner then observes hp.S+1 hallucinated samples
+    interpolated between the step's endpoints. ``beta_c`` replaces hp.beta
+    by the schedule beta(eta_t); ``eta_schedule`` maps t to eta_t. A seed
+    whose objective passes DIVERGENCE_F_LIMIT, whose iterate stops being
+    finite or whose matrix power fails stops with the error in its
+    Trajectory; the other seeds run on.
     """
     if T < 1:
         raise InvalidParamError("T must be >= 1")
     if log_every < 1:
         raise InvalidParamError("log_every must be >= 1")
+    rngs = list(rngs)
+    n_seeds = len(rngs)
+    if n_seeds < 1:
+        raise InvalidParamError("run_sgd needs at least one RNG stream")
     dim = problem.dim
     x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (dim,) or not np.all(np.isfinite(x)):
@@ -156,6 +184,8 @@ def run_sgd(
 
     if pre.dim != dim:
         raise DimMismatchError(f"preconditioner dim {pre.dim} vs problem dim {dim}")
+    if pre.batch != n_seeds:
+        raise DimMismatchError(f"preconditioner batch {pre.batch} vs {n_seeds} RNG streams")
     estimating = pre.estimating
     covariance = estimating and pre.kind.variant == COVARIANCE_FULL_MATRIX
     if estimating and hp.beta is None and beta_c is None:
@@ -167,8 +197,49 @@ def run_sgd(
             raise InvalidParamError("large-step mode needs r >= eta")
         if pre.source == "estimated" and hp.S is None:
             raise InvalidParamError("estimated large-step mode needs S >= 1")
+    hallucinating = large_steps and estimating
 
-    records: list[TrajectoryRecord] = []
+    # Columns for every seed, one slot per event that can be logged.
+    n_events = burn_in + T + (((T - 1) // hp.t_thresh + 1) * (hp.S + 1) if hallucinating else 0)
+    capacity = (n_events - 1) // log_every + 2
+    iteration = np.empty(capacity, dtype=np.int64)
+    step_kind = np.empty(capacity, dtype=object)
+    f_col = np.empty((n_seeds, capacity))
+    grad_norm_col = np.empty((n_seeds, capacity))
+    lambda_col = np.full((n_seeds, capacity), np.nan)
+    error_col = np.full((n_seeds, capacity), np.nan)
+    x_col = np.empty((n_seeds, capacity, dim))
+    logged = 0
+    lengths = np.zeros(n_seeds, dtype=np.int64)
+    errors: list[NumericError | None] = [None] * n_seeds
+
+    # The seeds still running: their positions in rngs and their rows of
+    # every per-seed array in flight ("x" the iterates).
+    live = np.arange(n_seeds)
+    rows = {"x": np.tile(x, (n_seeds, 1))}
+
+    def freeze(bad, error_for) -> None:
+        """Stop the live seeds marked in ``bad``; error_for(i) is live seed i's error."""
+        nonlocal live, rngs
+        for i in np.flatnonzero(bad):
+            errors[live[i]] = error_for(i)
+            lengths[live[i]] = logged
+        keep = ~bad
+        live = live[keep]
+        rngs = [rng for rng, k in zip(rngs, keep) if k]
+        pre.keep(keep)
+        for name, value in rows.items():
+            rows[name] = value[keep]
+
+    def guarded(op):
+        """op() over the live seeds; the seeds it fails for stop, and it reruns on the rest."""
+        while live.size:
+            try:
+                return op()
+            except NumericError as err:
+                freeze(np.ones(live.size, dtype=bool) if err.rows is None else err.rows, lambda i: err)
+        return None
+
     ideal = Preconditioner(pre.kind, dim) if track_est_error and estimating else None
 
     def current_beta(eta_t: float) -> float:
@@ -176,48 +247,57 @@ def run_sgd(
             return beta_schedule(eta_t, beta_c)
         return hp.beta if hp.beta is not None else 0.0
 
-    def draw_sample(at_x):
-        g = problem.sample_grad(at_x, rng)
+    def draw_sample(at):
+        g = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
         if covariance:
-            g2 = problem.sample_grad(at_x, rng)
+            g2 = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
             return g, (g - g2) / math.sqrt(2.0)
         return g, g
 
-    def tracked_error(at_x) -> float | None:
+    def tracked_error(at):
         if ideal is None:
-            return None
+            return np.nan
         if pre.diagonal:
-            return pre.est_error(problem, at_x)
+            return pre.est_error(problem, at)
         # Known defect, kept so recorded outputs stay byte-identical: applied
         # to I, direction() scales columns rather than rows by lambda^p, so
         # this reference is diag(lambda^p) in eigenvalue order, not A(x).
         # pre.est_error is the correct ||Ahat - A(x)||_op.
-        reference = ideal.direction(problem, at_x, np.eye(dim))
-        return float(np.max(np.abs(np.linalg.eigvalsh(pre.dense(problem, at_x) - reference))))
+        a, v = ideal._spectrum(problem, at)
+        reference = v @ (a[..., None, :] * (v.swapaxes(-1, -2) @ np.eye(dim)))
+        return np.abs(np.linalg.eigvalsh(pre.dense(problem, at) - reference)).max(axis=-1)
 
-    def log(ev: int, at_x, kind_label: str, t_for_hess: int | None) -> None:
-        f_val = problem.eval_f(at_x)
-        if not np.isfinite(f_val) or abs(f_val) > DIVERGENCE_F_LIMIT:
-            raise NonFiniteError(f"objective diverged (f={f_val}) at event {ev}", records=records)
-        lam_h = None
-        if (
-            lambda_min_every > 0
-            and t_for_hess is not None
-            and t_for_hess % lambda_min_every == 0
-            and problem.has_hessian
-        ):
-            lam_h = problem.hessian(at_x).lambda_min()
-        records.append(
-            TrajectoryRecord(
-                iteration=ev,
-                x=at_x.copy(),
-                f_val=f_val,
-                grad_norm=float(np.linalg.norm(problem.grad(at_x))),
-                step_kind=kind_label,
-                lambda_min_h=lam_h,
-                est_error=tracked_error(at_x),
-            )
-        )
+    def log(ev: int, at: str, kind_label: str, t_for_hess: int | None) -> None:
+        """Log event ev at the points rows[at] of the live seeds."""
+        nonlocal logged
+        rows["f"] = f_val = problem.eval_f(rows[at])
+        within = np.abs(f_val) <= DIVERGENCE_F_LIMIT  # False for NaN and inf
+        if not within.all():
+            freeze(~within, lambda i: NonFiniteError(f"objective diverged (f={float(f_val[i])}) at event {ev}"))
+
+        def oracles():
+            points = rows[at]
+            lam_h = np.nan
+            if (
+                lambda_min_every > 0
+                and t_for_hess is not None
+                and t_for_hess % lambda_min_every == 0
+                and problem.has_hessian
+            ):
+                lam_h = problem.hessian(points).lambda_min()
+            g = problem.grad(points)
+            return lam_h, np.sqrt(np.vecdot(g, g)), tracked_error(points)
+
+        values = guarded(oracles)
+        if values is None:
+            return
+        seeds = slice(None) if live.size == n_seeds else live
+        iteration[logged] = ev
+        step_kind[logged] = kind_label
+        f_col[seeds, logged] = rows["f"]
+        lambda_col[seeds, logged], grad_norm_col[seeds, logged], error_col[seeds, logged] = values
+        x_col[seeds, logged] = rows[at]
+        logged += 1
 
     def should_log(ev: int, is_last: bool) -> bool:
         return is_last or ev % log_every == 0
@@ -225,46 +305,71 @@ def run_sgd(
     ev = -burn_in
     # Burn-in: update the estimate at x0 without moving x.
     for _ in range(burn_in):
-        _, upd = draw_sample(x)  # drawn by every form, so streams stay aligned
+        if not live.size:
+            break
+        _, upd = draw_sample(rows["x"])  # drawn by every form, so streams stay aligned
         if estimating:
             pre.observe(upd, current_beta(hp.eta))
         if should_log(ev, False):
-            log(ev, x, STEP_BURNIN, None)
+            log(ev, "x", STEP_BURNIN, None)
         ev += 1
 
     for t in range(T):
+        if not live.size:
+            break
         eta_t = hp.eta if eta_schedule is None else eta_schedule(t)
         is_large = large_steps and t % hp.t_thresh == 0
         step_size = hp.r if is_large else eta_t
 
-        g, upd = draw_sample(x)
+        rows["g"], upd = draw_sample(rows["x"])
         if estimating:
             pre.observe(upd, current_beta(eta_t))
-        direction = pre.direction(problem, x, g)
+        rows["direction"] = guarded(lambda: pre.direction(problem, rows["x"], rows["g"]))
+        if not live.size:
+            break
 
         if should_log(ev, t == T - 1):
-            log(ev, x, STEP_LARGE if is_large else STEP_NORMAL, t)
+            log(ev, "x", STEP_LARGE if is_large else STEP_NORMAL, t)
         ev += 1
+        if not live.size:
+            break
 
-        x_start = x
-        x = x - step_size * direction
+        rows["x_start"] = rows["x"]
+        x_new = rows["x"] - step_size * rows["direction"]
         if problem.clip_bounds is not None:
-            x = np.clip(x, problem.clip_bounds[0], problem.clip_bounds[1])
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"iterate diverged at step {t}", records=records)
+            x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
+        rows["x"] = x_new
+        finite = np.isfinite(x_new).all(axis=1)
+        if not finite.all():
+            freeze(~finite, lambda i: NonFiniteError(f"iterate diverged at step {t}"))
 
-        if is_large and estimating:
+        if is_large and hallucinating:
             # Hallucinate S+1 interpolated samples so the estimate keeps
             # up despite the large displacement (per-sample move <= r/S).
             for s in range(hp.S + 1):
-                xs = x_start + (s / hp.S) * (x - x_start)
-                _, upd = draw_sample(xs)
+                if not live.size:
+                    break
+                rows["xs"] = rows["x_start"] + (s / hp.S) * (rows["x"] - rows["x_start"])
+                _, upd = draw_sample(rows["xs"])
                 pre.observe(upd, current_beta(eta_t))
                 if should_log(ev, False):
-                    log(ev, xs, STEP_HALLUCINATED, None)
+                    log(ev, "xs", STEP_HALLUCINATED, None)
                 ev += 1
 
-    return records
+    lengths[live] = logged
+    return [
+        Trajectory(
+            iteration=iteration[:n],
+            step_kind=step_kind[:n],
+            f=f_col[b, :n],
+            grad_norm=grad_norm_col[b, :n],
+            lambda_min_h=lambda_col[b, :n],
+            est_error=error_col[b, :n],
+            x=x_col[b, :n],
+            error=errors[b],
+        )
+        for b, n in enumerate(lengths)
+    ]
 
 
 def first_order_params(

@@ -22,7 +22,7 @@ from .errors import (
     MissingOracleError,
     SingularMatrixError,
 )
-from .linalg import SymMatrix
+from .linalg import SymMatrix, eigh
 
 IDENTITY = "identity"
 FULL_MATRIX = "full_matrix"
@@ -82,28 +82,40 @@ class Preconditioner:
     diagonal variant and at d=1, and takes the matrix power through eigh
     otherwise.
 
+    With ``batch`` = B the preconditioner serves B seeds in lockstep: the
+    estimate is a (B, d, d) stack (B, d when diagonal), and points and
+    gradients are (B, d) stacks, one row per seed. Without it, points
+    and gradients are single vectors. Each row gets the bits of its own
+    unbatched computation.
+
     ``observe(g, beta)`` applies Ghat <- beta Ghat + (1-beta) g g^T (a no-op
     unless estimating); with ``bias_corrected`` Ghat is divided by
     1 - prod(beta_t), which is exact under a changing beta.
     ``direction(problem, x, g)`` returns A g, ``dense(problem, x)`` returns
     A, and ``est_error(problem, x)`` returns ||Ahat - A(x)||_op against the
     idealized form. The estimated form keeps its eigendecomposition until
-    the next ``observe``. Instances are mutable: use one per run.
+    the next ``observe``. A SingularMatrixError marks in ``rows`` the seeds
+    whose matrix failed; ``keep`` drops seeds. Instances are mutable: use
+    one per run.
     """
 
     def __init__(self, kind: PreconditionerKind, dim: int, source: str = "idealized",
-                 bias_corrected: bool = False):
+                 bias_corrected: bool = False, batch: int | None = None):
         if source not in ("idealized", "estimated"):
             raise InvalidParamError(f"unknown preconditioner source {source!r}")
         if dim < 1:
             raise InvalidParamError("dim must be >= 1")
+        if batch is not None and batch < 1:
+            raise InvalidParamError("batch must be >= 1")
         self.kind = kind
         self.dim = dim
         self.source = source
+        self.batch = batch
         self.estimating = source == "estimated" and kind.variant != IDENTITY
         self.bias_corrected = bias_corrected
         self.diagonal = kind.variant == DIAGONAL or dim == 1
-        self._g_hat = np.zeros(dim if self.diagonal else (dim, dim))
+        self._point_shape = (dim,) if batch is None else (batch, dim)
+        self._g_hat = np.zeros(self._point_shape if self.diagonal else self._point_shape + (dim,))
         self._beta_prod = 1.0
         self._spectrum_cache = None
 
@@ -111,51 +123,61 @@ class Preconditioner:
         """One EMA step Ghat <- beta Ghat + (1-beta) g g^T."""
         if not self.estimating:
             return
-        if g.shape != (self.dim,):
-            raise DimMismatchError(f"gradient shape {g.shape} vs preconditioner dim {self.dim}")
+        if g.shape != self._point_shape:
+            raise DimMismatchError(f"gradient shape {g.shape} vs preconditioner shape {self._point_shape}")
         if self.bias_corrected:
             self._beta_prod *= beta
+        self._g_hat *= beta
         if self.diagonal:
-            self._g_hat = beta * self._g_hat + (1.0 - beta) * g * g
+            self._g_hat += (1.0 - beta) * g * g
         else:
-            self._g_hat = beta * self._g_hat + (1.0 - beta) * np.outer(g, g)
+            update = g[..., :, None] * g[..., None, :]
+            update *= 1.0 - beta
+            self._g_hat += update
         self._spectrum_cache = None
 
+    def keep(self, rows) -> None:
+        """Keep only the seeds marked in the boolean mask ``rows`` (batched form)."""
+        self._g_hat = self._g_hat[rows]
+        if self._spectrum_cache is not None:
+            a, v = self._spectrum_cache
+            self._spectrum_cache = (a[rows], None if v is None else v[rows])
+        self.batch = int(np.count_nonzero(rows))
+        self._point_shape = (self.batch, self.dim)
+
     def direction(self, problem, x, g):
-        """The preconditioned direction A g, for one vector g (use ``dense`` for A itself)."""
+        """The preconditioned direction A g, for a vector g or a stack (use ``dense`` for A itself)."""
         if self.kind.variant == IDENTITY:
             return g
         a, v = self._spectrum(problem, x)
         if v is None:
             return a * g
-        return v @ (a * (v.T @ g))
+        return np.matvec(v, a * np.vecmat(g, v))
 
     def dense(self, problem, x) -> np.ndarray:
-        """A as a dense matrix."""
+        """A as a dense matrix, or a stack of them."""
         if self.kind.variant == IDENTITY:
             return np.eye(self.dim)
-        a, v = self._spectrum(problem, x)
-        if v is None:
-            return np.diag(a)
-        return (v * a) @ v.T
+        return _dense(*self._spectrum(problem, x))
 
-    def est_error(self, problem, x) -> float:
+    def est_error(self, problem, x):
         """||Ahat - A(x)||_op with the idealized form as ground truth; 0 unless estimating."""
         if not self.estimating:
             return 0.0
         a, v = self._spectrum(problem, x)
         a_ref, v_ref = self._ideal_spectrum(problem, x)
         if v is None:
-            return float(np.max(np.abs(a - a_ref)))
-        diff = (v * a) @ v.T - (v_ref * a_ref) @ v_ref.T
-        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+            return np.abs(a - a_ref).max(axis=-1)
+        diff = _dense(a, v) - _dense(a_ref, v_ref)
+        return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1)
 
     def _spectrum(self, problem, x):
         if not self.estimating:
             return self._ideal_spectrum(problem, x)
         if self._spectrum_cache is None:
-            correction = 1.0 - self._beta_prod if self._beta_prod < 1.0 else 1.0
-            self._spectrum_cache = self._power(self._g_hat / correction, "Ghat")
+            # Dividing by 1 changes no bit: skip the copy when uncorrected.
+            g_hat = self._g_hat / (1.0 - self._beta_prod) if self._beta_prod < 1.0 else self._g_hat
+            self._spectrum_cache = self._power(g_hat, "Ghat")
         return self._spectrum_cache
 
     def _ideal_spectrum(self, problem, x):
@@ -171,7 +193,7 @@ class Preconditioner:
             base = G.a
             if covariance:
                 gr = problem.grad(x)
-                base = base - np.outer(gr, gr)
+                base = base - gr[..., :, None] * gr[..., None, :]
         return self._power(base, "G")
 
     def _power(self, base, name: str):
@@ -179,11 +201,22 @@ class Preconditioner:
         if self.diagonal:
             lam, v = base + self.kind.epsilon, None
         else:
-            w, v = np.linalg.eigh(base)
+            w, v = eigh(base)
             lam = w + self.kind.epsilon
-        if np.any(lam <= 0.0):
-            raise SingularMatrixError(f"lambda_min({name}) + eps not positive")
+        if (lam <= 0.0).any():
+            bad = (lam <= 0.0).any(axis=-1)
+            raise SingularMatrixError(f"lambda_min({name}) + eps not positive", rows=bad if bad.ndim else None)
         return lam**self.kind.exponent, v
+
+
+def _dense(a, v):
+    """V diag(a) V^T from the output of ``_power``, for one matrix or a stack."""
+    if v is None:
+        out = np.zeros(a.shape + a.shape[-1:])
+        diag = np.arange(a.shape[-1])
+        out[..., diag, diag] = a
+        return out
+    return (v * a[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def _require_exact_g(problem, x) -> SymMatrix:

@@ -3,8 +3,10 @@
 Each problem exposes the exact objective and gradient, an unbiased
 stochastic-gradient sampler driven by a caller-owned RNG, and, where it
 is available in closed form, the exact second-moment matrix
-G(x) = E[g g^T] and the Hessian. Problems are immutable; parallel runs
-should use independent RNG streams.
+G(x) = E[g g^T] and the Hessian. The exact oracles take one point of
+shape (d,) or a (B, d) stack of points, one row per seed of a run, and
+give each row the bits of its own single-point call. Problems are
+immutable; parallel runs should use independent RNG streams.
 """
 
 from __future__ import annotations
@@ -48,8 +50,13 @@ class StochasticProblem:
 
     Subclasses must set ``dim`` and implement ``eval_f``, ``grad`` and
     ``sample_grad``. ``exact_G`` and ``hessian`` raise MissingOracleError
-    unless overridden. ``clip_bounds``, when set, asks the optimizer to
-    project iterates onto [lo, hi] after every step.
+    unless overridden. ``eval_f``, ``grad``, ``exact_G`` and ``hessian``
+    take a point x of shape (d,) or a stack of shape (B, d): ``eval_f``
+    then returns a float or B values, ``grad`` the same shape as x, and
+    the matrix oracles a SymMatrix of one matrix (which, for a stack,
+    applies to every row) or a (B, d, d) stack. ``sample_grad`` takes one
+    point. ``clip_bounds``, when set, asks the optimizer to project
+    iterates onto [lo, hi] after every step.
     """
 
     dim: int = 0
@@ -79,8 +86,8 @@ class StochasticProblem:
 
     def _check_dim(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise InvalidParamError(f"expected point of shape ({self.dim},), got {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise InvalidParamError(f"expected a point of shape ({self.dim},) or a stack (B, {self.dim}), got {x.shape}")
         return x
 
 
@@ -108,9 +115,10 @@ class SaddleProblem2D(StochasticProblem):
         self.H_DIAG.setflags(write=False)
         self._noise_cov = np.diag([1.0, 0.01])
 
-    def eval_f(self, x) -> float:
+    def eval_f(self, x):
         x = self._check_dim(x)
-        return float(0.5 * (self.H_DIAG * x) @ x + np.sum(x**10))
+        f = 0.5 * np.vecdot(self.H_DIAG * x, x) + np.sum(x**10, axis=-1)
+        return float(f) if x.ndim == 1 else f
 
     def grad(self, x) -> np.ndarray:
         x = self._check_dim(x)
@@ -126,11 +134,13 @@ class SaddleProblem2D(StochasticProblem):
 
     def exact_G(self, x) -> SymMatrix:
         g = self.grad(x)
-        return SymMatrix(np.outer(g, g) + self._noise_cov)
+        return SymMatrix(_outer(g) + self._noise_cov)
 
     def hessian(self, x) -> SymMatrix:
         x = self._check_dim(x)
-        return SymMatrix(np.diag(self.H_DIAG + 90.0 * x**8))
+        h = np.zeros(x.shape + (2,))
+        h[..., [0, 1], [0, 1]] = self.H_DIAG + 90.0 * x**8
+        return SymMatrix(h)
 
 
 class CounterexampleProblem(StochasticProblem):
@@ -155,15 +165,17 @@ class CounterexampleProblem(StochasticProblem):
         self.C = float(C)
         self.zeta = float(zeta)
         self.p = (1.0 + zeta) / (C + 1.0)
-        self._second_moment = C * (1.0 + zeta) - zeta
+        # Constant in x: one matrix serves every point of a stack.
+        self._G = SymMatrix([[C * (1.0 + zeta) - zeta]])
+        self._H = SymMatrix([[0.0]])
 
-    def eval_f(self, x) -> float:
+    def eval_f(self, x):
         x = self._check_dim(x)
-        return float(self.zeta * x[0])
+        f = self.zeta * x[..., 0]
+        return float(f) if x.ndim == 1 else f
 
     def grad(self, x) -> np.ndarray:
-        self._check_dim(x)
-        return np.array([self.zeta])
+        return np.full(self._check_dim(x).shape, self.zeta)
 
     def sample_grad(self, x, rng) -> np.ndarray:
         self._check_dim(x)
@@ -177,11 +189,11 @@ class CounterexampleProblem(StochasticProblem):
 
     def exact_G(self, x) -> SymMatrix:
         self._check_dim(x)
-        return SymMatrix([[self._second_moment]])
+        return self._G
 
     def hessian(self, x) -> SymMatrix:
         self._check_dim(x)
-        return SymMatrix([[0.0]])
+        return self._H
 
 
 class QuadraticGaussianProblem(StochasticProblem):
@@ -212,13 +224,13 @@ class QuadraticGaussianProblem(StochasticProblem):
         hw = self._H.eigendecomposition().eigenvalues
         self.smoothness = ProblemSmoothness(L=float(np.max(np.abs(hw))), rho=0.0)
 
-    def eval_f(self, x) -> float:
+    def eval_f(self, x):
         x = self._check_dim(x)
-        return float(0.5 * x @ (self._H.a @ x))
+        f = 0.5 * np.vecdot(x, np.matvec(self._H.a, x))
+        return float(f) if x.ndim == 1 else f
 
     def grad(self, x) -> np.ndarray:
-        x = self._check_dim(x)
-        return self._H.a @ x
+        return np.matvec(self._H.a, self._check_dim(x))
 
     def sample_grad(self, x, rng) -> np.ndarray:
         return self.grad(x) + self._noise_factor @ rng.standard_normal(self.dim)
@@ -229,10 +241,16 @@ class QuadraticGaussianProblem(StochasticProblem):
 
     def exact_G(self, x) -> SymMatrix:
         g = self.grad(x)
-        return SymMatrix(np.outer(g, g) + self._cov.a)
+        return SymMatrix(_outer(g) + self._cov.a)
 
     def hessian(self, x) -> SymMatrix:
+        self._check_dim(x)
         return self._H
+
+
+def _outer(g):
+    """g g^T of a vector, or of each row of a stack."""
+    return g[..., :, None] * g[..., None, :]
 
 
 def _sigmoid(z):
@@ -273,14 +291,21 @@ class LogisticRegressionProblem(StochasticProblem):
         self.n_samples = X.shape[0]
         self.dim = X.shape[1]
 
-    def eval_f(self, x) -> float:
+    # X @ x has no stacked form with the bits of the single product, so
+    # the exact oracles take a stack one row at a time.
+
+    def eval_f(self, x):
         x = self._check_dim(x)
+        if x.ndim == 2:
+            return np.array([self.eval_f(row) for row in x])
         z = self._X @ x
         # mean of log(1 + e^z) - y z, computed stably
         return float(np.mean(np.logaddexp(0.0, z) - self._y * z))
 
     def grad(self, x) -> np.ndarray:
         x = self._check_dim(x)
+        if x.ndim == 2:
+            return np.array([self.grad(row) for row in x])
         z = self._X @ x
         return self._X.T @ (_sigmoid(z) - self._y) / self.n_samples
 
@@ -298,9 +323,14 @@ class LogisticRegressionProblem(StochasticProblem):
 
     def hessian(self, x) -> SymMatrix:
         x = self._check_dim(x)
+        if x.ndim == 2:
+            return SymMatrix([self._hessian_entries(row) for row in x])
+        return SymMatrix(self._hessian_entries(x))
+
+    def _hessian_entries(self, x) -> np.ndarray:
         s = _sigmoid(self._X @ x)
         w = s * (1.0 - s)
-        return SymMatrix((self._X.T * w) @ self._X / self.n_samples)
+        return (self._X.T * w) @ self._X / self.n_samples
 
 
 def make_saddle_problem() -> SaddleProblem2D:

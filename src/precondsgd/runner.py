@@ -1,11 +1,17 @@
 """Experiment execution: runs, sweeps, scaling studies, and report data.
 
-Builds problems and optimizer runs from an ExperimentConfig, executes
-(condition, seed) cells (optionally in a process pool), writes one
-trajectory CSV per cell plus a merged summary CSV, and turns summaries
-back into quantile-band plot data. All files are written atomically
-(temp + rename) and floats are formatted with their shortest round-trip
-representation, so re-running a config reproduces byte-identical output.
+Builds problems and optimizer runs from an ExperimentConfig and executes
+seed groups: contiguous runs of a condition's seeds that advance in
+lockstep in one process (``jobs`` groups per condition, optionally in a
+process pool). Writes one trajectory CSV per seed plus a merged summary
+CSV, and turns summaries back into quantile-band plot data. A seed's
+bytes do not depend on the group it ran in, so the output does not
+depend on ``jobs``. A seed that fails numerically still gets its partial
+trajectory; the other seeds finish, and the first failure in seed order
+is raised once everything is written (without a summary). All files are
+written atomically (temp + rename) and floats are formatted with their
+shortest round-trip representation, so re-running a config reproduces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ExperimentConfig, resolve_axis
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError
 from .estimation import _ceil_int, beta_schedule, burn_in_length
 from .optimizer import (
-    STEP_LARGE,
-    STEP_NORMAL,
     HyperParams,
+    Trajectory,
     first_order_params,
     run_sgd,
     second_order_params,
@@ -268,18 +273,20 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     )
 
 
-def execute_records(cfg: ExperimentConfig, seed: int):
-    """Run one (condition, seed) cell and return its trajectory records."""
+def execute_records(cfg: ExperimentConfig, seeds):
+    """Run a group of seeds of one condition in lockstep.
+
+    Returns the problem, the resolved run and one Trajectory per seed.
+    """
     problem = build_problem(cfg.problem)
     run = resolve_run(cfg, problem)
-    rng = make_rng(seed)
-    pre = Preconditioner(run.kind, problem.dim, run.source, run.bias_corrected)
-    records = run_sgd(
+    pre = Preconditioner(run.kind, problem.dim, run.source, run.bias_corrected, batch=len(seeds))
+    trajectories = run_sgd(
         problem,
         pre,
         run.hp,
         run.T,
-        rng,
+        [make_rng(seed) for seed in seeds],
         x0=run.x0,
         burn_in=run.burn_in,
         large_steps=run.large_steps,
@@ -289,7 +296,7 @@ def execute_records(cfg: ExperimentConfig, seed: int):
         track_est_error=run.track_est_error,
         lambda_min_every=run.lambda_min_every,
     )
-    return problem, run, records
+    return problem, run, trajectories
 
 
 def trajectory_columns(dim: int) -> list[str]:
@@ -299,113 +306,110 @@ def trajectory_columns(dim: int) -> list[str]:
     return cols
 
 
-def write_trajectory(path, records, dim: int) -> None:
-    cols = trajectory_columns(dim)
-    include_x = dim <= 8
+def _fmt_logged(value: float) -> str:
+    """A column that is NaN where nothing was evaluated: written empty there."""
+    return "" if value != value else repr(value)
+
+
+def write_trajectory(path, traj: Trajectory, dim: int) -> None:
+    columns = [
+        traj.iteration.tolist(),
+        traj.step_kind.tolist(),
+        traj.f.tolist(),
+        traj.grad_norm.tolist(),
+        traj.lambda_min_h.tolist(),
+        traj.est_error.tolist(),
+    ]
+    if dim <= 8:
+        columns += traj.x.T.tolist()
 
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for r in records:
-            row = [
-                str(r.iteration),
-                r.step_kind,
-                _fmt(r.f_val),
-                _fmt(r.grad_norm),
-                _fmt(r.lambda_min_h),
-                _fmt(r.est_error),
-            ]
-            if include_x:
-                row += [_fmt(float(v)) for v in r.x]
-            writer.writerow(row)
+        writer.writerow(trajectory_columns(dim))
+        writer.writerows(
+            (str(it), kind, repr(f), repr(gn), _fmt_logged(lam), _fmt_logged(err), *map(repr, x))
+            for it, kind, f, gn, lam, err, *x in zip(*columns)
+        )
 
     _atomic_write(path, write)
 
 
-def read_trajectory(path) -> list[dict]:
-    rows = []
+def read_trajectory(path) -> Trajectory:
+    """The logged columns of a trajectory CSV (without x)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for raw in reader:
-            rows.append(
-                {
-                    "iter": int(raw["iter"]),
-                    "step_kind": raw["step_kind"],
-                    "f": float(raw["f"]),
-                    "grad_norm": float(raw["grad_norm"]),
-                    "lambda_min_H": float(raw["lambda_min_H"]) if raw["lambda_min_H"] else None,
-                    "est_error": float(raw["est_error"]) if raw["est_error"] else None,
-                }
-            )
-    return rows
+        raw = list(csv.DictReader(fh))
+
+    def floats(name):
+        return np.array([float(r[name]) if r[name] else np.nan for r in raw], dtype=np.float64)
+
+    return Trajectory(
+        iteration=np.array([int(r["iter"]) for r in raw], dtype=np.int64),
+        step_kind=np.array([r["step_kind"] for r in raw], dtype=object),
+        f=floats("f"),
+        grad_norm=floats("grad_norm"),
+        lambda_min_h=floats("lambda_min_H"),
+        est_error=floats("est_error"),
+    )
 
 
-def summarize_rows(rows, run_id: str, seed: int, escape_level: float, f_threshold, trajectory: str) -> dict:
-    """Summary of one trajectory; derived only from logged rows, so the
+def summarize(traj: Trajectory, run_id: str, seed: int, escape_level: float, f_threshold, trajectory: str) -> dict:
+    """Summary of one trajectory; derived only from logged columns, so the
     summary is exactly recomputable from the trajectory CSV."""
-    steps = [r for r in rows if r["step_kind"] in (STEP_NORMAL, STEP_LARGE)]
-    if not steps:
+    steps = traj.steps()
+    if not steps.any():
         raise ConfigError("trajectory contains no optimization steps")
-    fs = np.array([r["f"] for r in steps])
-    escape = next((r["iter"] for r in steps if r["f"] <= escape_level), None)
-    threshold_hit = None
-    if f_threshold is not None:
-        threshold_hit = next((r["iter"] for r in steps if r["f"] <= f_threshold), None)
-    est_errors = [r["est_error"] for r in steps if r["est_error"] is not None]
+    fs = traj.f[steps]
+    iters = traj.iteration[steps]
+
+    def first_iter_at_or_below(level):
+        hit = np.flatnonzero(fs <= level)
+        return int(iters[hit[0]]) if hit.size else None
+
+    est_errors = traj.est_error[steps]
+    est_errors = est_errors[~np.isnan(est_errors)]
     return {
         "run_id": run_id,
         "seed": seed,
         "final_f": float(fs[-1]),
         "min_f": float(fs.min()),
-        "iters_to_threshold": threshold_hit,
-        "escape_time": escape,
+        "iters_to_threshold": None if f_threshold is None else first_iter_at_or_below(f_threshold),
+        "escape_time": first_iter_at_or_below(escape_level),
         "mean_last_1000_f": float(fs[-min(1000, len(fs)):].mean()),
-        "sup_est_error": max(est_errors) if est_errors else None,
+        "sup_est_error": float(est_errors.max()) if est_errors.size else None,
         "trajectory": trajectory,
     }
-
-
-def records_to_rows(records) -> list[dict]:
-    return [
-        {
-            "iter": r.iteration,
-            "step_kind": r.step_kind,
-            "f": r.f_val,
-            "grad_norm": r.grad_norm,
-            "lambda_min_H": r.lambda_min_h,
-            "est_error": r.est_error,
-        }
-        for r in records
-    ]
 
 
 def _safe_name(value: str) -> str:
     return "".join(c if (c.isalnum() or c in "._=-") else "-" for c in value)
 
 
-def run_cell(cfg: ExperimentConfig, run_id: str, seed: int, out_dir: str) -> dict:
-    """Execute one cell, write its trajectory, and return its summary row.
+def run_group(cfg: ExperimentConfig, run_id: str, seeds, out_dir: str):
+    """Run a seed group in lockstep and write one trajectory per seed.
 
-    On divergence the partial trajectory is still flushed before the
-    error propagates.
+    Returns the summary rows of the seeds that finished and the
+    (seed, error) pairs of those that failed numerically; a failed seed's
+    trajectory holds the events logged before its failure.
     """
-    traj_name = f"{_safe_name(run_id)}_seed{seed}.csv"
-    traj_path = os.path.join(out_dir, traj_name)
-    try:
-        problem, run, records = execute_records(cfg, seed)
-    except NonFiniteError as err:
-        dim = build_problem(cfg.problem).dim
-        write_trajectory(traj_path, err.records, dim)
-        raise NonFiniteError(f"{run_id} seed {seed}: {err}") from None
-    write_trajectory(traj_path, records, problem.dim)
-    return summarize_rows(
-        records_to_rows(records),
-        run_id,
-        seed,
-        cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL),
-        cfg.run.get("f_threshold"),
-        traj_name,
-    )
+    problem, _, trajectories = execute_records(cfg, seeds)
+    rows, failures = [], []
+    for seed, traj in zip(seeds, trajectories):
+        traj_name = f"{_safe_name(run_id)}_seed{seed}.csv"
+        write_trajectory(os.path.join(out_dir, traj_name), traj, problem.dim)
+        if traj.error is not None:
+            failures.append((seed, traj.error))
+            continue
+        rows.append(
+            summarize(
+                traj,
+                run_id,
+                seed,
+                cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL),
+                cfg.run.get("f_threshold"),
+                traj_name,
+            )
+        )
+    return rows, failures
 
 
 def write_summary(path, rows, extra_columns=()) -> None:
@@ -431,24 +435,46 @@ def read_summary(path) -> tuple[list[str], list[dict]]:
     return header, rows
 
 
-def _pool_cell(args):
-    cfg, run_id, seed, out_dir = args
-    return run_cell(cfg, run_id, seed, out_dir)
+def _seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
+    """The configured seeds plus the offset: each must be >= 0 and occur once."""
+    seeds = [s + seed_offset for s in cfg.run["seeds"]]
+    if min(seeds) < 0:
+        raise ConfigError(f"run.seeds: seed {min(seeds)} is negative (after --seed-offset {seed_offset})")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"run.seeds: seed {repeated[0]} occurs more than once (after --seed-offset {seed_offset})")
+    return seeds
 
 
-def _execute_cells(cells, jobs: int):
-    if jobs <= 1 or len(cells) <= 1:
-        return [_pool_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_pool_cell, cells))
+def _execute_conditions(conditions, seeds, out_dir: str, jobs: int) -> list[dict]:
+    """Run each (run_id, cfg) condition over the seeds; return the summary rows.
+
+    The seeds are split into ``jobs`` contiguous lockstep groups per
+    condition. Every group runs and writes its trajectories before the
+    first numeric failure, in condition and seed order, is raised.
+    """
+    n_groups = max(1, min(jobs, len(seeds)))
+    groups = [g.tolist() for g in np.array_split(np.array(seeds), n_groups)]
+    tasks = [(cfg, run_id, group, out_dir) for run_id, cfg in conditions for group in groups]
+    if jobs <= 1 or len(tasks) <= 1:
+        results = [run_group(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_group, *zip(*tasks)))
+    rows = []
+    for (_, run_id, _, _), (group_rows, failures) in zip(tasks, results):
+        if failures:
+            seed, err = failures[0]
+            raise type(err)(f"{run_id} seed {seed}: {err}")
+        rows += group_rows
+    return rows
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int = 0) -> str:
     """One condition x all seeds; returns the summary path."""
+    seeds = _seeds(cfg, seed_offset)
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [s + seed_offset for s in cfg.run["seeds"]]
-    cells = [(cfg, "run", seed, out_dir) for seed in seeds]
-    rows = _execute_cells(cells, jobs)
+    rows = _execute_conditions([("run", cfg)], seeds, out_dir, jobs)
     rows.sort(key=lambda r: r["seed"])
     path = os.path.join(out_dir, "summary.csv")
     write_summary(path, rows)
@@ -462,16 +488,14 @@ def cmd_sweep(
     if not values:
         raise ConfigError("sweep: empty value list")
     resolve_axis(axis)
+    seeds = _seeds(cfg, seed_offset)
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [s + seed_offset for s in cfg.run["seeds"]]
-    cells = []
+    conditions = []
     for value in values:
         sub = cfg.clone()
         sub.set_axis_value(axis, value)
-        run_id = f"{axis}={value}"
-        for seed in seeds:
-            cells.append((sub, run_id, seed, out_dir))
-    rows = _execute_cells(cells, jobs)
+        conditions.append((f"{axis}={value}", sub))
+    rows = _execute_conditions(conditions, seeds, out_dir, jobs)
 
     def sort_key(row):
         value = row["run_id"].split("=", 1)[1]
@@ -499,13 +523,13 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
+    seed = _seeds(cfg, seed_offset)[0]
     problem_probe = build_problem(cfg.problem)
     if not problem_probe.has_exact_g:
         raise ConfigError("problem: estimation scaling needs an exact_G oracle")
     os.makedirs(out_dir, exist_ok=True)
     c_sched = cfg.run.get("beta_c", 1.0)
     factor = cfg.run.get("est_window_factor", 40.0)
-    seed = cfg.run["seeds"][0] + seed_offset
 
     rows = []
     for eta in sorted(etas, reverse=True):
@@ -519,17 +543,17 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
         sub.run["t"] = window
         sub.run["track_est_error"] = True
         sub.run["log_every"] = 1
-        problem, run, records = execute_records(sub, seed)
-        steps = [r for r in records if r.step_kind in (STEP_NORMAL, STEP_LARGE)]
-        sup_err = max(r.est_error for r in steps)
+        _, run, (traj,) = execute_records(sub, [seed])
+        if traj.error is not None:
+            raise traj.error
         rows.append(
             {
                 "eta": eta,
                 "beta": beta,
                 "T": window,
                 "W": run.hp.W,
-                "sup_error": sup_err,
-                "max_x_norm": max(float(np.linalg.norm(r.x)) for r in records),
+                "sup_error": float(traj.est_error[traj.steps()].max()),
+                "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()),
                 "seed": seed,
             }
         )
@@ -587,13 +611,14 @@ def cmd_report(summary_paths, out_dir: str) -> str:
         iters_ref = None
         f_by_seed = []
         for seed, traj_path, _src in sorted(groups[run_id]):
-            rows = [r for r in read_trajectory(traj_path) if r["step_kind"] in (STEP_NORMAL, STEP_LARGE)]
-            iters = [r["iter"] for r in rows]
+            traj = read_trajectory(traj_path)
+            steps = traj.steps()
+            iters = traj.iteration[steps].tolist()
             if iters_ref is None:
                 iters_ref = iters
             elif iters != iters_ref:
                 raise ConfigError(f"{traj_path}: iteration grid differs within condition {run_id!r}")
-            f_by_seed.append([r["f"] for r in rows])
+            f_by_seed.append(traj.f[steps])
         f_mat = np.asarray(f_by_seed)
         p10, p50, p90 = np.quantile(f_mat, [0.1, 0.5, 0.9], axis=0)
         for i, it in enumerate(iters_ref):

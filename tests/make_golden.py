@@ -9,7 +9,9 @@ sha256 of every file the command left in its output directory.
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
 est_error tracking, lambda_min(H) logging, a sweep, an estimation-scaling
-study and a run that diverges. Regenerate the file only for a change
+study and a run that diverges, and runs three or more seeds of a
+condition on each path where seeds share work (one sweep with
+``--jobs 2``; every other config runs with ``--jobs 1``). Regenerate the file only for a change
 meant to alter the program's results, and say so with the change.
 """
 
@@ -248,6 +250,116 @@ t = 1
 etas = 0.01,0.003
 est_window_factor = 0.5
 """),
+    # Three or more seeds per condition: the paths a run of several seeds
+    # at once takes must give each seed the bytes of its own run.
+    "multi-rmsprop-full-saddle": ("run", (), SADDLE + """
+[optimizer]
+algorithm = rmsprop
+kind = full_matrix
+eta = 0.01
+beta_spec = 0.99
+epsilon = 1e-8
+[run]
+seeds = 20,21,22,23
+t = 60
+lambda_min_every = 1
+"""),
+    "multi-rmsprop-diagonal-schedule": ("run", (), QUAD3 + """
+[optimizer]
+algorithm = rmsprop
+kind = diagonal
+eta = 0.02
+beta_spec = schedule:0.5
+epsilon = 1e-8
+bias_corrected = true
+eta_decay = inv_sqrt
+[run]
+seeds = 24,25,26
+t = 40
+track_est_error = true
+lambda_min_every = 4
+"""),
+    "multi-rmsprop-covariance": ("run", (), QUAD3 + """
+[optimizer]
+algorithm = rmsprop
+kind = covariance_full_matrix
+eta = 0.02
+beta_spec = 0.9
+epsilon = 0.1
+[run]
+seeds = 27,28,29
+t = 40
+track_est_error = true
+"""),
+    "multi-psgd-idealized-full-quad": ("run", (), QUAD3 + """
+[optimizer]
+algorithm = preconditioned_sgd
+source = idealized
+kind = full_matrix
+eta = 0.02
+epsilon = 1e-3
+[run]
+seeds = 30,31,32
+t = 40
+lambda_min_every = 2
+"""),
+    "multi-rmsprop-burnin": ("run", (), QUAD3 + """
+[optimizer]
+algorithm = rmsprop_burnin
+kind = full_matrix
+eta = 0.05
+beta_spec = schedule
+epsilon = 1e-6
+[run]
+seeds = 33,34,35
+t = 30
+track_est_error = true
+lambda_min_every = 5
+log_every = 3
+"""),
+    "multi-large-step-estimated-logistic": ("run", (), LOGISTIC + """
+[optimizer]
+algorithm = large_step
+source = estimated
+kind = full_matrix
+eta = 0.01
+beta_spec = 0.9
+epsilon = 1e-6
+r = 0.04
+t_thresh = 8
+w = 5
+[run]
+seeds = 36,37,38
+t = 40
+log_every = 3
+lambda_min_every = 4
+"""),
+    "multi-counterexample-clipped": ("run", (), COUNTER + """
+[optimizer]
+algorithm = rmsprop
+kind = diagonal
+eta = 0.2
+beta_spec = 0.9
+epsilon = 1e-8
+[run]
+seeds = 39,40,41
+t = 60
+track_est_error = true
+lambda_min_every = 7
+"""),
+    "multi-sweep-eta-jobs2": ("sweep", ("--axis", "optimizer.eta", "--values", "0.01,0.03",
+                                        "--jobs", "2"), QUAD3 + """
+[optimizer]
+algorithm = rmsprop
+kind = full_matrix
+beta_spec = 0.9
+epsilon = 1e-6
+[run]
+seeds = 42,43,44,45,46
+t = 25
+track_est_error = true
+lambda_min_every = 3
+"""),
     "diverges": ("run", (), """
 [problem]
 name = saddle
@@ -272,7 +384,8 @@ def run_config(name: str, work_dir: str) -> dict:
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        rc = main([subcommand, cfg_path, *extra, "--out", out_dir, "--jobs", "1"])
+        jobs = () if "--jobs" in extra else ("--jobs", "1")
+        rc = main([subcommand, cfg_path, *extra, "--out", out_dir, *jobs])
     files = {}
     for fname in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, fname), "rb") as fh:

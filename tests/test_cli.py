@@ -11,7 +11,7 @@ from precondsgd.runner import (
     cmd_sweep,
     read_summary,
     read_trajectory,
-    summarize_rows,
+    summarize,
 )
 
 
@@ -95,10 +95,8 @@ class TestCmdRun:
         out = tmp_path / "out"
         header, rows = read_summary(cmd_run(cfg, str(out)))
         for row in rows:
-            traj_rows = read_trajectory(out / row["trajectory"])
-            redo = summarize_rows(
-                traj_rows, row["run_id"], int(row["seed"]), -0.01, None, row["trajectory"]
-            )
+            traj = read_trajectory(out / row["trajectory"])
+            redo = summarize(traj, row["run_id"], int(row["seed"]), -0.01, None, row["trajectory"])
             assert repr(redo["final_f"]) == row["final_f"]
             assert repr(redo["min_f"]) == row["min_f"]
             assert repr(redo["mean_last_1000_f"]) == row["mean_last_1000_f"]
@@ -178,6 +176,89 @@ t = 10
         flag_dir = tmp_path / "flagout"
         assert main(["run", cfg, "--out", str(flag_dir)]) == 0
         assert (flag_dir / "summary.csv").exists()
+
+
+DIVERGES_FOR_SEED_1 = """
+[problem]
+name = saddle
+x0 = 1.08,0
+
+[optimizer]
+algorithm = sgd
+eta = 0.1
+
+[run]
+seeds = 1,2,3
+t = 20
+"""
+
+SINGULAR_AT_FIRST_STEP = """
+[problem]
+name = quadratic_gaussian
+dim = 10
+h_diag = 1,1,1,1,1,1,1,1,1,1
+noise_diag = 1,1,1,1,1,1,1,1,1,1
+
+[optimizer]
+algorithm = rmsprop
+kind = full_matrix
+eta = 0.01
+beta_spec = 0.9
+epsilon = 0
+
+[run]
+seeds = 0,1
+t = 5
+"""
+
+
+class TestNumericFailures:
+    def test_a_diverging_seed_leaves_the_same_files_for_any_jobs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.ini", DIVERGES_FOR_SEED_1)
+        files = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", cfg, "--out", str(out), "--jobs", str(jobs)]) == 3
+            assert "run seed 1: objective diverged" in capsys.readouterr().err
+            files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files[1] == files[2] == files[3]
+        assert sorted(files[1]) == ["run_seed1.csv", "run_seed2.csv", "run_seed3.csv"]  # no summary
+        out = tmp_path / "jobs1"
+        assert 1 <= len(read_trajectory(out / "run_seed1.csv")) < 20
+        # the other seeds finish, with the bytes of a run without seed 1
+        alone = write_config(tmp_path / "alone.ini", DIVERGES_FOR_SEED_1.replace("seeds = 1,2,3", "seeds = 2,3"))
+        assert main(["run", alone, "--out", str(tmp_path / "alone"), "--jobs", "1"]) == 0
+        for name in ("run_seed2.csv", "run_seed3.csv"):
+            assert len(read_trajectory(out / name)) == 20
+            assert files[1][name] == (tmp_path / "alone" / name).read_bytes()
+
+    def test_singular_estimate_flushes_every_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.ini", SINGULAR_AT_FIRST_STEP)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 3
+        assert "run seed 0: lambda_min(Ghat) + eps not positive" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run_seed0.csv", "run_seed1.csv"]
+        for p in out.iterdir():
+            assert len(read_trajectory(p)) == 0  # the failure came before the first logged event
+
+    @pytest.mark.parametrize(
+        "command, seeds, offset, message",
+        [
+            ("run", "-1, 2", 0, "seed -1 is negative"),
+            ("run", "0, 1", -1, "seed -1 is negative"),
+            ("run", "3, 3", 0, "seed 3 occurs more than once"),
+            ("sweep", "4, 2, 4", 0, "seed 4 occurs more than once"),
+            ("estimation-scaling", "0", -2, "seed -2 is negative"),
+        ],
+    )
+    def test_negative_or_repeated_seeds_exit_2(self, tmp_path, capsys, command, seeds, offset, message):
+        text = SADDLE_CFG.replace("seeds = 0,1,2", f"seeds = {seeds}") + "etas = 0.01, 0.001\n"
+        cfg = write_config(tmp_path / "cfg.ini", text)
+        out = tmp_path / "out"
+        extra = ["--axis", "optimizer.eta", "--values", "0.01"] if command == "sweep" else []
+        assert main([command, cfg, *extra, "--out", str(out), "--seed-offset", str(offset)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -292,10 +373,11 @@ class TestReport:
             bands = list(csv.DictReader(fh))
         _, rows = read_summary(summary)
         traj = read_trajectory(out / rows[0]["trajectory"])
-        for band, rec in zip(bands, traj):
-            assert float(band["f_p10"]) == rec["f"]
-            assert float(band["f_p50"]) == rec["f"]
-            assert float(band["f_p90"]) == rec["f"]
+        assert len(bands) == len(traj)
+        for band, f in zip(bands, traj.f):
+            assert float(band["f_p10"]) == f
+            assert float(band["f_p50"]) == f
+            assert float(band["f_p90"]) == f
 
     def test_mixed_schema_exit_2(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 20")))
@@ -346,10 +428,10 @@ class TestResolveRun:
             return problem
 
         monkeypatch.setattr(runner, "build_problem", counting_build)
-        _, run, records = runner.execute_records(cfg, 0)
+        _, run, (traj,) = runner.execute_records(cfg, [0])
         assert run.hp.S == 7
         W = burn_in_length(0.01)
         assert run.hp.W == W
         large_steps = 4  # t = 0, 10, 20, 30
         assert len(calls) == 40 + W + large_steps * (7 + 1)
-        assert sum(r.step_kind == "hallucinated" for r in records) == large_steps * (7 + 1)
+        assert np.count_nonzero(traj.step_kind == "hallucinated") == large_steps * (7 + 1)

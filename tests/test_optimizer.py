@@ -11,6 +11,7 @@ from precondsgd import (
     PreconditionerConstants,
     PreconditionerKind,
     ProblemSmoothness,
+    SingularMatrixError,
     StochasticProblem,
     check_stationarity,
     constants_full_matrix,
@@ -30,15 +31,20 @@ def rng_for(seed):
 
 
 def identity_source(p):
-    return Preconditioner(PreconditionerKind(variant="identity"), p.dim)
+    return Preconditioner(PreconditionerKind(variant="identity"), p.dim, batch=1)
 
 
 def idealized(p, kind):
-    return Preconditioner(kind, p.dim)
+    return Preconditioner(kind, p.dim, batch=1)
 
 
 def estimated(p, kind=None):
-    return Preconditioner(PreconditionerKind() if kind is None else kind, p.dim, "estimated")
+    return Preconditioner(PreconditionerKind() if kind is None else kind, p.dim, "estimated", batch=1)
+
+
+def run1(problem, pre, hp, T, rng, **options):
+    """The one Trajectory of a single-seed run."""
+    return run_sgd(problem, pre, hp, T, [rng], **options)[0]
 
 
 class ConstantGradientProblem(StochasticProblem):
@@ -52,10 +58,11 @@ class ConstantGradientProblem(StochasticProblem):
         self.c = float(c)
 
     def eval_f(self, x):
-        return float(self.c * x[0])
+        f = self.c * np.asarray(x)[..., 0]
+        return float(f) if np.ndim(x) == 1 else f
 
     def grad(self, x):
-        return np.array([self.c])
+        return np.full(np.shape(x), self.c)
 
     def sample_grad(self, x, rng):
         return np.array([self.c])
@@ -74,20 +81,17 @@ class ConstantGradientProblem(StochasticProblem):
 class TestPreconditionedSgd:
     def test_identity_noiseless_geometric_decay(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
-        recs = run_sgd(
-            p, identity_source(p), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0]
-        )
-        for t, r in enumerate(recs):
-            assert r.iteration == t
-            assert np.allclose(r.x, [0.9**t, 0.0], rtol=1e-10)
+        traj = run1(p, identity_source(p), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0])
+        assert np.array_equal(traj.iteration, np.arange(15))
+        for t, x in enumerate(traj.x):
+            assert np.allclose(x, [0.9**t, 0.0], rtol=1e-10)
 
     def test_zero_stepsize_stays_put(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
-        recs = run_sgd(
-            p, identity_source(p), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2]
-        )
-        for r in recs:
-            assert np.array_equal(r.x, [0.4, -0.2])
+        traj = run1(p, identity_source(p), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2])
+        assert len(traj) == 20
+        for x in traj.x:
+            assert np.array_equal(x, [0.4, -0.2])
 
     def test_idealized_full_matrix_on_counterexample(self):
         # A is the constant 1/sqrt(E[g^2]), so the run is SGD up to scale
@@ -95,68 +99,65 @@ class TestPreconditionedSgd:
         p = make_counterexample(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.005)
-        recs = run_sgd(p, idealized(p, kind), hp, 8000, rng_for(2), x0=[0.0])
+        xs = run1(p, idealized(p, kind), hp, 8000, rng_for(2), x0=[0.0]).x[:, 0]
         scale = 1.0 / math.sqrt(2.1)
-        away = [b.x[0] - a.x[0] for a, b in zip(recs, recs[1:]) if b.x[0] > a.x[0]]
+        moves = np.diff(xs)
+        away = moves[moves > 0]
         # every unclipped move away from -1 is the -1-gradient step eta * A
-        assert all(abs(d - hp.eta * scale) <= 1e-12 for d in away)
-        assert all(-1.0 <= r.x[0] <= 1.0 for r in recs)
-        assert recs[-1].x[0] <= -0.9
+        assert away.size and np.all(np.abs(away - hp.eta * scale) <= 1e-12)
+        assert np.all((-1.0 <= xs) & (xs <= 1.0))
+        assert xs[-1] <= -0.9
 
     def test_determinism_bitwise(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.01, beta=0.95, epsilon=1e-8)
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        a = run_sgd(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
-        b = run_sgd(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.x, rb.x)
-            assert ra.f_val == rb.f_val and ra.grad_norm == rb.grad_norm
+        a = run1(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
+        b = run1(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
+        assert len(a) == len(b) == 300
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.f, b.f) and np.array_equal(a.grad_norm, b.grad_norm)
 
     def test_estimated_identity_matches_idealized_identity(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.01)
-        a = run_sgd(p, identity_source(p), hp, 100, rng_for(8), x0=[0.2, 0.0])
+        a = run1(p, identity_source(p), hp, 100, rng_for(8), x0=[0.2, 0.0])
         src = estimated(p, PreconditionerKind(variant="identity"))
-        b = run_sgd(p, src, hp, 100, rng_for(8), x0=[0.2, 0.0])
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.x, rb.x)
+        b = run1(p, src, hp, 100, rng_for(8), x0=[0.2, 0.0])
+        assert np.array_equal(a.x, b.x)
 
 
 class TestRmsprop:
     def test_beta_zero_is_sign_sgd(self):
         p = make_quadratic_gaussian(1, np.eye(1), np.eye(1))
         hp = HyperParams(eta=0.01, beta=0.0, epsilon=0.0)
-        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
-        for a, b in zip(recs, recs[1:]):
-            assert abs(b.x[0] - a.x[0]) == pytest.approx(hp.eta, rel=1e-12)
+        traj = run1(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
+        assert np.allclose(np.abs(np.diff(traj.x[:, 0])), hp.eta, rtol=1e-12, atol=0.0)
 
     def test_constant_gradient_approaches_normalized_step(self):
         p = ConstantGradientProblem(c=3.0)
         hp = HyperParams(eta=0.05, beta=0.9, epsilon=0.0)
-        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
-        late = [abs(b.x[0] - a.x[0]) for a, b in zip(recs[-21:], recs[-20:])]
-        for step in late:
-            assert step == pytest.approx(hp.eta, rel=1e-4)
+        traj = run1(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
+        late = np.abs(np.diff(traj.x[-21:, 0]))
+        assert np.allclose(late, hp.eta, rtol=1e-4, atol=0.0)
 
     def test_exponent_minus_one_step_blows_past_ten_eta(self):
         # near stationarity the -1 exponent takes steps eta/|grad| >> eta
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0, epsilon=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
-        recs = run_sgd(p, estimated(p, kind), hp, 3, rng_for(5), x0=[5e-5])
-        assert recs[0].grad_norm < 0.1 * hp.eta
-        step = abs(recs[1].x[0] - recs[0].x[0])
+        traj = run1(p, estimated(p, kind), hp, 3, rng_for(5), x0=[5e-5])
+        assert traj.grad_norm[0] < 0.1 * hp.eta
+        step = abs(traj.x[1, 0] - traj.x[0, 0])
         assert step > 10.0 * hp.eta
 
     def test_exponent_minus_one_near_stationary_start_diverges(self):
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0, epsilon=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
-        with pytest.raises(NonFiniteError) as err:
-            run_sgd(p, estimated(p, kind), hp, 10, rng_for(6), x0=[1e-60])
-        assert len(err.value.records) >= 1  # partial trajectory retained
+        traj = run1(p, estimated(p, kind), hp, 10, rng_for(6), x0=[1e-60])
+        assert isinstance(traj.error, NonFiniteError)
+        assert len(traj) >= 1  # partial trajectory retained
 
     def test_covariance_kind_converges_near_stationarity(self):
         # Sigma^(-1/2) preconditioning: stable on the quadratic where the
@@ -164,9 +165,9 @@ class TestRmsprop:
         p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
         hp = HyperParams(eta=0.01, beta=0.95, epsilon=1e-6)
         kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=1e-6)
-        recs = run_sgd(p, estimated(p, kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
-        assert len(recs) == 1500
-        assert recs[-1].f_val < 0.05 * recs[0].f_val
+        traj = run1(p, estimated(p, kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
+        assert len(traj) == 1500
+        assert traj.f[-1] < 0.05 * traj.f[0]
 
 
 class TestBurnIn:
@@ -174,23 +175,20 @@ class TestBurnIn:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.005, beta=0.9, W=0)
-        a = run_sgd(p, estimated(p, kind), hp, 200, rng_for(10))
-        b = run_sgd(p, estimated(p, kind), hp, 200, rng_for(10), burn_in=hp.W)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.x, rb.x) and ra.f_val == rb.f_val
+        a = run1(p, estimated(p, kind), hp, 200, rng_for(10))
+        b = run1(p, estimated(p, kind), hp, 200, rng_for(10), burn_in=hp.W)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_burnin_records_precede_iteration_zero(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.005, beta=0.9, W=25)
-        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11), burn_in=hp.W)
-        burn = [r for r in recs if r.step_kind == "burnin"]
-        assert len(burn) == 25
-        assert [r.iteration for r in burn] == list(range(-25, 0))
-        assert all(np.array_equal(r.x, recs[0].x) for r in burn)
-        main = [r for r in recs if r.step_kind != "burnin"]
-        assert main[0].iteration == 0
-        iters = [r.iteration for r in recs]
-        assert iters == sorted(iters) and len(set(iters)) == len(iters)
+        traj = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11), burn_in=hp.W)
+        burn = traj.step_kind == "burnin"
+        assert np.count_nonzero(burn) == 25
+        assert traj.iteration[burn].tolist() == list(range(-25, 0))
+        assert np.all(traj.x[burn] == traj.x[0])
+        assert traj.iteration[~burn][0] == 0
+        assert np.all(np.diff(traj.iteration) > 0)
 
     def test_post_burnin_estimate_meets_bound(self):
         p = make_saddle_problem()
@@ -199,11 +197,11 @@ class TestBurnIn:
         W = burn_in_length(eta, c_w)
         beta = beta_schedule(eta, 1.0)
         hp = HyperParams(eta=eta, beta=beta, W=W, epsilon=0.5)
-        recs = run_sgd(
+        traj = run1(
             p, estimated(p, PreconditionerKind(epsilon=0.5)), hp, 1, rng_for(12),
             burn_in=hp.W, x0=x0, track_est_error=True,
         )
-        burn_err = [r.est_error for r in recs if r.step_kind == "burnin"][-1]
+        burn_err = traj.est_error[traj.step_kind == "burnin"][-1]
 
         grad = p.grad(x0)
         g_true = p.exact_G(x0).a
@@ -227,66 +225,60 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.01, r=0.01, t_thresh=1)
-        a = run_sgd(p, idealized(p, kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
-        b = run_sgd(p, idealized(p, kind), hp, 150, rng_for(13), x0=[0.3, 0.1], large_steps=True)
-        assert all(r.step_kind == "large" for r in b)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.x, rb.x) and ra.f_val == rb.f_val
+        a = run1(p, idealized(p, kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
+        b = run1(p, idealized(p, kind), hp, 150, rng_for(13), x0=[0.3, 0.1], large_steps=True)
+        assert np.all(b.step_kind == "large")
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_large_step_cadence(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.001, r=0.01, t_thresh=40)
-        recs = run_sgd(p, idealized(p, kind), hp, 200, rng_for(14), x0=[0.0, 0.0], large_steps=True)
-        larges = [r.iteration for r in recs if r.step_kind == "large"]
-        assert larges == [0, 40, 80, 120, 160]
+        traj = run1(p, idealized(p, kind), hp, 200, rng_for(14), x0=[0.0, 0.0], large_steps=True)
+        assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 40, 80, 120, 160]
 
     def test_hallucination_s_one_samples_both_endpoints(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
-        recs = run_sgd(
+        traj = run1(
             p, estimated(p, kind), hp, 120, rng_for(15), x0=[0.0, 0.0], large_steps=True, burn_in=hp.W
         )
-        halluc = [r for r in recs if r.step_kind == "hallucinated"]
-        larges = [i for i, r in enumerate(recs) if r.step_kind == "large"]
+        larges = np.flatnonzero(traj.step_kind == "large")
         # 3 large steps in 120 iterations at cadence 50, each hallucinating S+1 = 2
-        assert len(halluc) == 2 * len(larges) == 6
+        assert np.count_nonzero(traj.step_kind == "hallucinated") == 2 * len(larges) == 6
         for i in larges:
-            start, h0, h1, after = recs[i], recs[i + 1], recs[i + 2], recs[i + 3]
-            assert h0.step_kind == h1.step_kind == "hallucinated"
+            assert traj.step_kind[i + 1] == traj.step_kind[i + 2] == "hallucinated"
             # s=0 samples the step's start, s=S=1 its end: exactly one
             # hallucinated sample sits at the post-step point
-            assert np.array_equal(h0.x, start.x)
-            assert np.array_equal(h1.x, after.x)
-            assert not np.array_equal(h1.x, h0.x)
-        iters = [r.iteration for r in recs]
-        assert iters == sorted(iters) and len(set(iters)) == len(iters)
+            start, h0, h1, after = traj.x[i : i + 4]
+            assert np.array_equal(h0, start)
+            assert np.array_equal(h1, after)
+            assert not np.array_equal(h1, h0)
+        assert np.all(np.diff(traj.iteration) > 0)
 
     def test_estimated_mode_requires_s(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
         with pytest.raises(InvalidParamError):
-            run_sgd(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16), large_steps=True)
+            run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16), large_steps=True)
 
     def test_escape_acceleration_over_identity(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=1e-3, r=1e-2, t_thresh=100)
 
-        def escape_time(recs, level=-0.01):
-            for r in recs:
-                if r.f_val <= level:
-                    return r.iteration
-            return math.inf
+        def escape_time(traj, level=-0.01):
+            hit = np.flatnonzero(traj.f <= level)
+            return traj.iteration[hit[0]] if hit.size else math.inf
 
         T, seeds = 6000, range(5)
         fm = [
-            escape_time(run_sgd(p, idealized(p, kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0], large_steps=True))
+            escape_time(run1(p, idealized(p, kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0], large_steps=True))
             for s in seeds
         ]
         ident = [
-            escape_time(run_sgd(p, identity_source(p), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
+            escape_time(run1(p, identity_source(p), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
             for s in seeds
         ]
         assert np.median(fm) < np.median(ident)
@@ -298,8 +290,9 @@ class TestProjection:
     def test_counterexample_iterates_stay_in_box(self):
         p = make_counterexample(C=10.0, zeta=0.05)
         hp = HyperParams(eta=0.05, beta=0.9, epsilon=1e-8)
-        recs = run_sgd(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0])
-        assert all(-1.0 <= r.x[0] <= 1.0 for r in recs)
+        xs = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0]).x
+        assert len(xs) == 2000
+        assert np.all((-1.0 <= xs) & (xs <= 1.0))
 
 
 class TestFirstOrderParams:
@@ -437,10 +430,9 @@ def test_large_step_amortized_increase_bound():
     kind = PreconditionerKind(epsilon=0.0)
     deltas = []
     for s in range(25):
-        recs = run_sgd(p, idealized(p, kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0, large_steps=True)
-        for i, r in enumerate(recs[:-1]):
-            if r.step_kind == "large":
-                deltas.append(recs[i + 1].f_val - r.f_val)
+        traj = run1(p, idealized(p, kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0, large_steps=True)
+        large = np.flatnonzero(traj.step_kind[:-1] == "large")
+        deltas += (traj.f[large + 1] - traj.f[large]).tolist()
     deltas = np.asarray(deltas)
     se = deltas.std(ddof=1) / math.sqrt(len(deltas))
     assert deltas.mean() <= 9.0 * p.smoothness.L * k.c3 * hp.r**2 / 8.0 + 4.0 * se
@@ -475,36 +467,58 @@ PARITY_H = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.5]])
 PARITY_COV = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
 
 
+TRAJECTORY_COLUMNS = ("iteration", "step_kind", "f", "grad_norm", "lambda_min_h", "est_error", "x")
+# One seed, and three seeds in lockstep (ids keep the one-seed names).
+SEED_CASES = [pytest.param(name, 1, id=name) for name in sorted(PARITY_CASES)] + [
+    pytest.param(name, 3, id=f"{name}-3seeds") for name in sorted(PARITY_CASES)
+]
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("variant", ["identity", "full_matrix", "diagonal", "covariance_full_matrix"])
-@pytest.mark.parametrize("case", sorted(PARITY_CASES))
-def test_run_matches_numpy_reference(case, variant, dim):
+@pytest.mark.parametrize("case, n_seeds", SEED_CASES)
+def test_run_matches_numpy_reference(case, n_seeds, variant, dim):
     """Every step of the loop is x - step A g with A from a plain numpy replay.
 
     The replay redraws each sample at the logged point, keeps the full EMA
     Ghat (bias-corrected by 1 - prod beta_t), and takes (Ghat + eps I)^p
-    by eigh, or on the diagonal for the diagonal variant.
+    by eigh, or on the diagonal for the diagonal variant. With several
+    seeds in lockstep, each seed's trajectory also equals, bit for bit,
+    its own single-seed run.
     """
     source, hp_fields, opts, bias_corrected = PARITY_CASES[case]
     p = make_quadratic_gaussian(dim, PARITY_H[:dim, :dim], PARITY_COV[:dim, :dim])
     kind = PreconditionerKind(variant=variant, epsilon=0.05)
     hp = HyperParams(**hp_fields)
-    pre = Preconditioner(kind, dim, source, bias_corrected)
-    recs = run_sgd(p, pre, hp, 30, rng_for(21), x0=np.linspace(1.0, -0.5, dim), **opts)
+    x0 = np.linspace(1.0, -0.5, dim)
+    seeds = [21 + i for i in range(n_seeds)]
+    pre = Preconditioner(kind, dim, source, bias_corrected, batch=n_seeds)
+    trajectories = run_sgd(p, pre, hp, 30, [rng_for(s) for s in seeds], x0=x0, **opts)
+    assert len(trajectories) == n_seeds
+    for seed, traj in zip(seeds, trajectories):
+        if n_seeds > 1:
+            alone = run1(p, Preconditioner(kind, dim, source, bias_corrected, batch=1), hp, 30, rng_for(seed),
+                         x0=x0, **opts)
+            for column in TRAJECTORY_COLUMNS:
+                np.testing.assert_array_equal(getattr(traj, column), getattr(alone, column), err_msg=column)
+        check_against_numpy_replay(p, traj, rng_for(seed), kind, hp, opts, source, bias_corrected)
 
+
+def check_against_numpy_replay(p, traj, rng, kind, hp, opts, source, bias_corrected):
+    variant, dim = kind.variant, p.dim
     estimating = source == "estimated" and variant != "identity"
     covariance = variant == "covariance_full_matrix"
     diagonal = variant == "diagonal"
     eta_schedule = opts.get("eta_schedule", lambda t: hp.eta)
-    rng = rng_for(21)
     g_hat, beta_prod, t = np.zeros((dim, dim)), 1.0, -1
-    steps = [i for i, r in enumerate(recs) if r.step_kind in ("normal", "large")]
-    for i, rec in enumerate(recs):
-        g = upd = p.sample_grad(rec.x, rng)
+    steps = np.flatnonzero(traj.steps()).tolist()
+    assert traj.error is None and len(steps) == 30
+    for i, (x, kind_label) in enumerate(zip(traj.x, traj.step_kind)):
+        g = upd = p.sample_grad(x, rng)
         if estimating and covariance:
-            upd = (g - p.sample_grad(rec.x, rng)) / math.sqrt(2.0)
-        t += rec.step_kind in ("normal", "large")
-        eta_t = hp.eta if rec.step_kind == "burnin" else eta_schedule(t)
+            upd = (g - p.sample_grad(x, rng)) / math.sqrt(2.0)
+        t += kind_label in ("normal", "large")
+        eta_t = hp.eta if kind_label == "burnin" else eta_schedule(t)
         if estimating:
             beta = beta_schedule(eta_t, opts["beta_c"]) if "beta_c" in opts else hp.beta
             g_hat = beta * g_hat + (1.0 - beta) * np.outer(upd, upd)
@@ -516,11 +530,58 @@ def test_run_matches_numpy_reference(case, variant, dim):
         elif estimating:
             a = reference_power(g_hat / (1.0 - beta_prod) if bias_corrected else g_hat, kind, diagonal)
         else:
-            G = p.exact_G(rec.x).a
+            G = p.exact_G(x).a
             if covariance:
-                G = G - np.outer(p.grad(rec.x), p.grad(rec.x))
+                G = G - np.outer(p.grad(x), p.grad(x))
             a = reference_power(G, kind, diagonal)
-        step = hp.r if rec.step_kind == "large" else eta_t
-        following = recs[steps[steps.index(i) + 1]]
-        np.testing.assert_allclose(rec.x - step * a @ g, following.x, rtol=1e-10, atol=1e-12)
-    assert sum(r.step_kind == "hallucinated" for r in recs) == (32 if estimating and "S" in hp_fields else 0)
+        step = hp.r if kind_label == "large" else eta_t
+        following = traj.x[steps[steps.index(i) + 1]]
+        np.testing.assert_allclose(x - step * a @ g, following, rtol=1e-10, atol=1e-12)
+    hallucinated = np.count_nonzero(traj.step_kind == "hallucinated")
+    assert hallucinated == (32 if estimating and hp.S is not None else 0)
+
+
+class SingularPastOneProblem(StochasticProblem):
+    """f = -x_0 with unit Gaussian gradient noise; G(x) turns singular once x_0 >= 1."""
+
+    dim = 2
+    has_exact_g = True
+
+    def eval_f(self, x):
+        f = -np.asarray(x)[..., 0]
+        return float(f) if np.ndim(x) == 1 else f
+
+    def grad(self, x):
+        g = np.zeros(np.shape(x))
+        g[..., 0] = -1.0
+        return g
+
+    def sample_grad(self, x, rng):
+        return self.grad(x) + rng.standard_normal(2)
+
+    def exact_G(self, x):
+        from precondsgd import SymMatrix
+
+        x = np.asarray(x)
+        G = np.zeros(x.shape + (2,))
+        G[..., 0, 0] = 2.0
+        G[..., 1, 1] = x[..., 0] < 1.0
+        return SymMatrix(G)
+
+
+def test_a_seed_that_fails_stops_alone_with_the_bits_of_its_own_run():
+    p = SingularPastOneProblem()
+    kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
+    hp = HyperParams(eta=0.05)
+    seeds = range(50, 56)
+    together = run_sgd(p, Preconditioner(kind, 2, batch=len(seeds)), hp, 30, [rng_for(s) for s in seeds])
+    failed = [t.error is not None for t in together]
+    assert any(failed) and not all(failed)
+    for seed, traj in zip(seeds, together):
+        alone = run1(p, idealized(p, kind), hp, 30, rng_for(seed))
+        for column in TRAJECTORY_COLUMNS:
+            np.testing.assert_array_equal(getattr(traj, column), getattr(alone, column), err_msg=column)
+        assert type(traj.error) is type(alone.error)
+        assert str(traj.error) == str(alone.error)
+        if traj.error is not None:
+            assert isinstance(traj.error, SingularMatrixError) and 1 <= len(traj) < 30

@@ -234,3 +234,41 @@ class TestCsvLoader:
         path.write_text("a,label\nx,1\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_dataset_csv(path)
+
+
+STACKED_PROBLEMS = {
+    "saddle": make_saddle_problem,
+    "counterexample": lambda: make_counterexample(3.0, 0.5),
+    "quadratic": lambda: make_quadratic_gaussian(
+        5, np.diag([1.0, 0.7, 0.4, -0.2, 0.1]) + 0.05, np.diag([1.0, 0.5, 0.3, 0.2, 0.1]) + 0.01
+    ),
+    "logistic": lambda: make_synthetic_logistic(60, 4, seed=3, batch=10),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_PROBLEMS))
+def test_stacked_oracles_match_per_point_calls(name):
+    """Each row of a stacked oracle call has the bits of its own single-point call."""
+    p = STACKED_PROBLEMS[name]()
+    points = rng_for(40).uniform(-1.2, 1.2, size=(7, p.dim))
+    n, d = points.shape
+    f, g = p.eval_f(points), p.grad(points)
+    assert f.shape == (n,) and g.shape == (n, d)
+    matrices = {}
+    if p.has_hessian:
+        matrices["hessian"] = p.hessian(points)
+    if p.has_exact_g:
+        matrices["exact_G"] = p.exact_G(points)
+    for i, x in enumerate(points):
+        assert same_bits(f[i], p.eval_f(x))
+        assert same_bits(g[i], p.grad(x))
+        for oracle, stacked in matrices.items():
+            single = getattr(p, oracle)(x)
+            # a single matrix answers for every point of the stack
+            assert same_bits(np.broadcast_to(stacked.a, (n, d, d))[i], single.a), oracle
+            assert same_bits(np.broadcast_to(stacked.lambda_min(), (n,))[i], single.lambda_min()), oracle
