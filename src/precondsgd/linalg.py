@@ -45,6 +45,12 @@ def eigh(a):
     return w, v
 
 
+# The range of the largest |entry| in which LAPACK's eigensolvers do not
+# rescale the matrix: [sqrt(safmin/eps), sqrt(eps/safmin)] in LAPACK's
+# dsyevd, with safmin = 2^-1022 and eps = 2^-52.
+_LAPACK_UNSCALED = (2.0**-485, 2.0**485)
+
+
 class SymMatrix:
     """Dense symmetric matrix, or a (B, d, d) stack of them, with a cached eigendecomposition.
 
@@ -54,9 +60,22 @@ class SymMatrix:
     ``lambda_min``/``lambda_max`` are arrays, and the module functions
     below take single matrices only. Instances are immutable after
     construction and safe to share across threads.
+
+    A matrix built by ``from_diagonal`` knows its eigenvalues without a
+    decomposition: they are its diagonal in ascending order. That is
+    exactly what LAPACK returns for a diagonal input unless it rescales
+    the matrix first, which it does when the largest |entry| lies outside
+    ``_LAPACK_UNSCALED``: a diagonal has no off-diagonal entries to
+    reduce, so its entries come back sorted and untouched. So when every
+    matrix's largest |entry| lies in that range, ``eigenvalues``,
+    ``lambda_min`` and ``lambda_max`` skip ``eigh`` and give its bits; the
+    one difference is the order of +0.0 and -0.0 within a tie of zeros.
+    Otherwise (an all-zero matrix included) they call ``eigh``.
+    ``eigendecomposition`` always calls ``eigh``: for tied eigenvalues
+    LAPACK orders the eigenvectors differently from a stable sort.
     """
 
-    __slots__ = ("_a", "_eig")
+    __slots__ = ("_a", "_eig", "_w")
 
     def __init__(self, entries) -> None:
         a = np.array(entries, dtype=np.float64)
@@ -69,6 +88,7 @@ class SymMatrix:
         a.setflags(write=False)
         self._a = a
         self._eig = None
+        self._w = None
 
     @classmethod
     def identity(cls, dim: int) -> "SymMatrix":
@@ -76,7 +96,26 @@ class SymMatrix:
 
     @classmethod
     def from_diagonal(cls, diag) -> "SymMatrix":
-        return cls(np.diag(np.asarray(diag, dtype=np.float64)))
+        """diag(d) of a (d,) vector, or a (B, d, d) stack of them from a (B, d) stack."""
+        d = np.array(diag, dtype=np.float64)
+        if d.ndim not in (1, 2) or d.shape[-1] == 0:
+            raise InvalidParamError(f"expected a nonempty diagonal or a stack of them, got shape {d.shape}")
+        top = np.abs(d).max(axis=-1)  # NaN or inf when an entry is
+        if not np.isfinite(top).all():
+            raise NonFiniteError("matrix entries must be finite", rows=None if d.ndim == 1 else ~np.isfinite(top))
+        n = d.shape[-1]
+        a = np.zeros(d.shape + (n,))
+        a.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = d
+        a.setflags(write=False)
+        m = cls.__new__(cls)
+        m._a = a
+        m._eig = None
+        m._w = None
+        lo, hi = _LAPACK_UNSCALED
+        if lo <= top.min() and top.max() <= hi:
+            d.sort(axis=-1)
+            m._w = d
+        return m
 
     @property
     def dim(self) -> int:
@@ -95,14 +134,20 @@ class SymMatrix:
             self._eig = EigenDecomposition(*eigh(self._a))
         return self._eig
 
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, (d,) or (B, d); without ``eigh`` when built from a diagonal."""
+        if self._w is None:
+            self._w = self.eigendecomposition().eigenvalues
+        return self._w
+
     def lambda_min(self):
         """The smallest eigenvalue: a float, or one per matrix of a stack."""
-        w = self.eigendecomposition().eigenvalues[..., 0]
+        w = self.eigenvalues()[..., 0]
         return float(w) if w.ndim == 0 else w
 
     def lambda_max(self):
         """The largest eigenvalue: a float, or one per matrix of a stack."""
-        w = self.eigendecomposition().eigenvalues[..., -1]
+        w = self.eigenvalues()[..., -1]
         return float(w) if w.ndim == 0 else w
 
     def __repr__(self) -> str:

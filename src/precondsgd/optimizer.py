@@ -138,6 +138,10 @@ def hessian_tolerance(rho: float, tau_g: float) -> float:
     return math.sqrt(rho * tau_g)
 
 
+# Overflow on a diverging seed is expected: the divergence guard and the
+# finite-iterate check stop that seed and name the event, so numpy's
+# warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def run_sgd(
     problem: StochasticProblem,
     pre: Preconditioner,

@@ -125,8 +125,8 @@ class SaddleProblem2D(StochasticProblem):
         return self.H_DIAG * x + 10.0 * x**9
 
     def sample_grad(self, x, rng) -> np.ndarray:
-        b = self.B_SUPPORT[rng.integers(4)]
-        return self.grad(x) + b
+        x = self._check_dim(x)
+        return self.H_DIAG * x + 10.0 * x**9 + self.B_SUPPORT[rng.integers(4)]
 
     def sample_grad_batch(self, x, n, rng) -> np.ndarray:
         b = self.B_SUPPORT[rng.integers(4, size=n)]
@@ -137,10 +137,7 @@ class SaddleProblem2D(StochasticProblem):
         return SymMatrix(_outer(g) + self._noise_cov)
 
     def hessian(self, x) -> SymMatrix:
-        x = self._check_dim(x)
-        h = np.zeros(x.shape + (2,))
-        h[..., [0, 1], [0, 1]] = self.H_DIAG + 90.0 * x**8
-        return SymMatrix(h)
+        return SymMatrix.from_diagonal(self.H_DIAG + 90.0 * self._check_dim(x) ** 8)
 
 
 class CounterexampleProblem(StochasticProblem):
@@ -254,12 +251,9 @@ def _outer(g):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1 + e^-z), computed as e^z/(1 + e^z) for z < 0 so that no exp overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class LogisticRegressionProblem(StochasticProblem):
@@ -306,13 +300,15 @@ class LogisticRegressionProblem(StochasticProblem):
         x = self._check_dim(x)
         if x.ndim == 2:
             return np.array([self.grad(row) for row in x])
-        z = self._X @ x
-        return self._X.T @ (_sigmoid(z) - self._y) / self.n_samples
+        residual = _sigmoid(self._X @ x)
+        residual -= self._y
+        return self._X.T @ residual / self.n_samples
 
     def _batch_grad(self, x, idx) -> np.ndarray:
         Xb = self._X[idx]
-        z = Xb @ x
-        return Xb.T @ (_sigmoid(z) - self._y[idx]) / len(idx)
+        residual = _sigmoid(Xb @ x)
+        residual -= self._y[idx]
+        return Xb.T @ residual / len(idx)
 
     def sample_grad(self, x, rng) -> np.ndarray:
         x = self._check_dim(x)

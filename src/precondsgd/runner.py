@@ -20,7 +20,6 @@ import csv
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -306,30 +305,41 @@ def trajectory_columns(dim: int) -> list[str]:
     return cols
 
 
-def _fmt_logged(value: float) -> str:
-    """A column that is NaN where nothing was evaluated: written empty there."""
-    return "" if value != value else repr(value)
+# Trajectory rows formatted and written at a time: memory stays flat
+# however long the run.
+TRAJECTORY_CHUNK_ROWS = 256
+
+
+def _reprs(column, blank_nan: bool = False) -> list[str]:
+    """repr() of each value of a 1-D numeric array, from one repr of its list.
+
+    The list repr calls repr on each element, so floats get their shortest
+    round-trip form, formatted in C rather than one call per value. With
+    ``blank_nan``, NaN (a value that was not evaluated) is the empty field.
+    """
+    text = repr(column.tolist())[1:-1]
+    return (text.replace("nan", "") if blank_nan else text).split(", ")
 
 
 def write_trajectory(path, traj: Trajectory, dim: int) -> None:
-    columns = [
-        traj.iteration.tolist(),
-        traj.step_kind.tolist(),
-        traj.f.tolist(),
-        traj.grad_norm.tolist(),
-        traj.lambda_min_h.tolist(),
-        traj.est_error.tolist(),
-    ]
-    if dim <= 8:
-        columns += traj.x.T.tolist()
+    """One CSV row per logged event. No field needs quoting: they are numbers
+    and the STEP_* names."""
+    x_columns = traj.x.T if dim <= 8 else ()
 
     def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_columns(dim))
-        writer.writerows(
-            (str(it), kind, repr(f), repr(gn), _fmt_logged(lam), _fmt_logged(err), *map(repr, x))
-            for it, kind, f, gn, lam, err, *x in zip(*columns)
-        )
+        fh.write(",".join(trajectory_columns(dim)) + "\n")
+        for start in range(0, len(traj), TRAJECTORY_CHUNK_ROWS):
+            rows = slice(start, start + TRAJECTORY_CHUNK_ROWS)
+            fields = [
+                _reprs(traj.iteration[rows]),
+                traj.step_kind[rows].tolist(),
+                _reprs(traj.f[rows]),
+                _reprs(traj.grad_norm[rows]),
+                _reprs(traj.lambda_min_h[rows], blank_nan=True),
+                _reprs(traj.est_error[rows], blank_nan=True),
+                *(_reprs(x[rows]) for x in x_columns),
+            ]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
     _atomic_write(path, write)
 
@@ -459,6 +469,9 @@ def _execute_conditions(conditions, seeds, out_dir: str, jobs: int) -> list[dict
     if jobs <= 1 or len(tasks) <= 1:
         results = [run_group(*task) for task in tasks]
     else:
+        # Imported here: a serial run need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_group, *zip(*tasks)))
     rows = []
@@ -545,7 +558,7 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
         sub.run["log_every"] = 1
         _, run, (traj,) = execute_records(sub, [seed])
         if traj.error is not None:
-            raise traj.error
+            raise type(traj.error)(f"eta {eta} seed {seed}: {traj.error}")
         rows.append(
             {
                 "eta": eta,

@@ -9,10 +9,12 @@ sha256 of every file the command left in its output directory.
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
 est_error tracking, lambda_min(H) logging, a sweep, an estimation-scaling
-study and a run that diverges, and runs three or more seeds of a
-condition on each path where seeds share work (one sweep with
-``--jobs 2``; every other config runs with ``--jobs 1``). Regenerate the file only for a change
-meant to alter the program's results, and say so with the change.
+study and two runs that diverge (one through numpy overflow), and runs
+three or more seeds of a condition on each path where seeds share work
+(one sweep with ``--jobs 2``; every other config runs with ``--jobs 1``).
+A numpy RuntimeWarning during a config is an error. Regenerate the file
+only for a change meant to alter the program's results, and say so with
+the change.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -360,6 +363,19 @@ t = 25
 track_est_error = true
 lambda_min_every = 3
 """),
+    # Two of three seeds overflow x**9 and x**10 before the divergence
+    # guard stops them; the run must stay silent apart from its exit code.
+    "diverges-overflow": ("run", (), """
+[problem]
+name = saddle
+x0 = 0.98,0
+[optimizer]
+algorithm = sgd
+eta = 0.2
+[run]
+seeds = 0,1,2
+t = 40
+"""),
     "diverges": ("run", (), """
 [problem]
 name = saddle
@@ -383,7 +399,11 @@ def run_config(name: str, work_dir: str) -> dict:
     out_dir = os.path.join(work_dir, name)
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # A run prints nothing but its result: a numpy RuntimeWarning (an
+    # overflow on a diverging seed, say) fails the config.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         jobs = () if "--jobs" in extra else ("--jobs", "1")
         rc = main([subcommand, cfg_path, *extra, "--out", out_dir, *jobs])
     files = {}

@@ -1,4 +1,8 @@
+import csv
+import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,12 +10,16 @@ import pytest
 from precondsgd import ConfigError
 from precondsgd.cli import main
 from precondsgd.config import load_config, parse_beta_spec
+from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Trajectory
 from precondsgd.runner import (
+    TRAJECTORY_CHUNK_ROWS,
     cmd_run,
     cmd_sweep,
     read_summary,
     read_trajectory,
     summarize,
+    trajectory_columns,
+    write_trajectory,
 )
 
 
@@ -317,6 +325,28 @@ est_window_factor = 20
 
 
 class TestEstimationScaling:
+    def test_numeric_failure_names_eta_and_seed(self, tmp_path, capsys):
+        # eps = 0: the d=3 estimate after one sample is singular.
+        cfg = write_config(tmp_path / "e.ini", """
+[problem]
+name = quadratic_gaussian
+dim = 3
+h_diag = 1.0,0.5,0.2
+noise_diag = 1.0,0.3,0.1
+x0 = 1.0,-1.0,0.5
+[optimizer]
+algorithm = rmsprop_burnin
+kind = full_matrix
+epsilon = 0
+[run]
+seeds = 5
+t = 1
+etas = 0.01,0.003
+""")
+        assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: eta 0.01 seed 5: lambda_min(Ghat) + eps not positive" in err
+
     def test_single_eta_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,1", etas="0.01"))
         assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -435,3 +465,63 @@ class TestResolveRun:
         large_steps = 4  # t = 0, 10, 20, 30
         assert len(calls) == 40 + W + large_steps * (7 + 1)
         assert np.count_nonzero(traj.step_kind == "hallucinated") == large_steps * (7 + 1)
+
+
+def csv_writer_trajectory(traj, dim) -> str:
+    """The trajectory CSV as csv.writer formats it, one repr() per value."""
+    def logged(value):
+        return "" if value != value else repr(value)
+
+    columns = [traj.iteration.tolist(), traj.step_kind.tolist(), traj.f.tolist(), traj.grad_norm.tolist(),
+               traj.lambda_min_h.tolist(), traj.est_error.tolist()]
+    if dim <= 8:
+        columns += traj.x.T.tolist()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(trajectory_columns(dim))
+    writer.writerows(
+        (str(it), kind, repr(f), repr(gn), logged(lam), logged(err), *map(repr, x))
+        for it, kind, f, gn, lam, err, *x in zip(*columns)
+    )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("dim", [1, 8, 9])
+@pytest.mark.parametrize("rows", [0, 1, TRAJECTORY_CHUNK_ROWS - 1, TRAJECTORY_CHUNK_ROWS, TRAJECTORY_CHUNK_ROWS + 1])
+def test_trajectory_csv_has_the_bytes_of_csv_writer(tmp_path, rows, dim):
+    rng = np.random.default_rng(rows * 10 + dim)
+    # NaN is written "nan" in f, grad_norm and x, and empty in the two logged columns.
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-300, 0.1, 1e16])
+
+    def column(shape, blanks=False):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        mask = rng.random(shape) < 0.2
+        values[mask] = rng.choice(specials, size=mask.sum())
+        if blanks:
+            values[rng.random(shape) < 0.4] = np.nan
+        return values
+
+    kinds = np.array([STEP_BURNIN, STEP_NORMAL, STEP_LARGE, STEP_HALLUCINATED], dtype=object)
+    traj = Trajectory(
+        iteration=np.arange(rows, dtype=np.int64) - rows // 3,  # negative: burn-in events
+        step_kind=kinds[rng.integers(0, 4, size=rows)],
+        f=column(rows),
+        grad_norm=column(rows),
+        lambda_min_h=column(rows, blanks=True),
+        est_error=column(rows, blanks=True),
+        x=column((rows, dim)),
+    )
+    path = tmp_path / "t.csv"
+    write_trajectory(path, traj, dim)
+    assert path.read_bytes() == csv_writer_trajectory(traj, dim).encode("utf-8")
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    code = (
+        "import sys, precondsgd.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -58,6 +58,84 @@ class TestSymMatrix:
             assert op_norm(v.T @ v - np.eye(dim)) <= 1e-10
 
 
+def random_diagonal(rng, shape):
+    """Entries of magnitude 1e-100 to 1e100, random signs, with ties and +0.0 entries."""
+    d = 10.0 ** rng.uniform(-100.0, 100.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    n = shape[-1]
+    for row in d.reshape(-1, n):
+        if n > 1 and rng.random() < 0.5:
+            row[rng.integers(0, n, size=rng.integers(2, n + 1))] = row[rng.integers(0, n)]
+        if n > 1 and rng.random() < 0.3:  # an all-zero matrix would take the eigh path
+            row[rng.integers(0, n, size=rng.integers(1, n))] = 0.0
+    return d
+
+
+def count_eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestFromDiagonal:
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 30])
+    def test_eigenvalues_have_the_bits_of_eigh_without_calling_it(self, monkeypatch, dim, batch):
+        rng = np.random.default_rng(1000 * dim + (batch or 0))
+        calls = count_eigh_calls(monkeypatch)
+        for _ in range(40):
+            d = random_diagonal(rng, (dim,) if batch is None else (batch, dim))
+            dense = np.zeros(d.shape + (dim,))
+            dense[..., np.arange(dim), np.arange(dim)] = d
+            m = SymMatrix.from_diagonal(d)
+            lam_min, lam_max, w = m.lambda_min(), m.lambda_max(), m.eigenvalues()
+            assert calls == []
+            ref = np.linalg.eigh(dense).eigenvalues
+            assert w.tobytes() == ref.tobytes()
+            if batch is None:
+                assert type(lam_min) is float and type(lam_max) is float
+            else:
+                assert lam_min.shape == lam_max.shape == (batch,)
+            assert np.asarray(lam_min).tobytes() == ref[..., 0].tobytes()
+            assert np.asarray(lam_max).tobytes() == ref[..., -1].tobytes()
+            assert m.a.tobytes() == dense.tobytes()
+            calls.clear()
+
+    @pytest.mark.parametrize("top", [1e200, 1e-200, 0.0])
+    def test_where_lapack_rescales_eigh_gives_the_eigenvalues(self, monkeypatch, top):
+        # Entries spanning many decades beside a largest entry outside
+        # LAPACK's unscaled range: its rescaling rounds the small ones.
+        d = top * np.array([[1.0, 3e-150, -7e-151], [0.5, -1e-140, 2e-160]])
+        calls = count_eigh_calls(monkeypatch)
+        m = SymMatrix.from_diagonal(d)
+        w = m.eigenvalues()
+        assert len(calls) == 2
+        assert w.tobytes() == np.linalg.eigh(m.a).eigenvalues.tobytes()
+
+    def test_eigendecomposition_still_calls_eigh(self, monkeypatch):
+        calls = count_eigh_calls(monkeypatch)
+        m = SymMatrix.from_diagonal([2.0, 2.0, 1.0])
+        w, v = m.eigendecomposition()
+        assert calls == [(3, 3)]
+        assert np.allclose((v * w) @ v.T, m.a, rtol=0.0, atol=1e-15)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(NonFiniteError) as err:
+            SymMatrix.from_diagonal([[1.0, 2.0], [np.nan, 0.0], [1.0, np.inf]])
+        assert err.value.rows.tolist() == [False, True, True]
+        with pytest.raises(NonFiniteError):
+            SymMatrix.from_diagonal([np.inf, 1.0])
+        with pytest.raises(InvalidParamError):
+            SymMatrix.from_diagonal(np.ones((2, 2, 2)))
+        with pytest.raises(InvalidParamError):
+            SymMatrix.from_diagonal([])
+
+
 class TestSymPower:
     def test_diagonal_case(self):
         r = sym_power(SymMatrix(np.diag([4.0, 9.0])), -0.5, 0.0)

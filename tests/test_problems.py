@@ -272,3 +272,27 @@ def test_stacked_oracles_match_per_point_calls(name):
             # a single matrix answers for every point of the stack
             assert same_bits(np.broadcast_to(stacked.a, (n, d, d))[i], single.a), oracle
             assert same_bits(np.broadcast_to(stacked.lambda_min(), (n,))[i], single.lambda_min()), oracle
+
+
+def masked_sigmoid(z):
+    """The boolean-mask logistic function: 1/(1+e^-z) where z >= 0, e^z/(1+e^z) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_has_the_bits_of_the_masked_formula():
+    from precondsgd.problems import _sigmoid
+
+    rng = rng_for(41)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.2, -745.2, 36.7, -36.7])
+    for _ in range(300):
+        z = rng.standard_normal(100) * 10.0 ** rng.uniform(-3.0, 3.0)
+        z[rng.integers(0, 100, size=10)] = rng.choice(specials, size=10)
+        got, want = _sigmoid(z), masked_sigmoid(z)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
