@@ -3,7 +3,7 @@
 Flat INI-style configs with [problem], [optimizer], [run] and an optional
 [sweep] section. Every key is typed against a per-section schema and
 unknown keys are errors, not warnings: a silently misspelled key would
-corrupt a sweep.
+corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ KINDS = ("identity", "full_matrix", "diagonal", "covariance_full_matrix")
 SOURCES = ("idealized", "estimated")
 ETA_DECAYS = ("none", "inv_sqrt")
 AUTO_MODES = ("first_order_exact", "first_order_inexact", "second_order")
+# The optimizer keys that only the optimizer.auto calculators read.
+AUTO_KEYS = ("l", "rho", "c3", "c4", "nu1", "nu2", "lambda_minus", "m_bound", "delta_f", "tau", "delta", "omega",
+             "k_const")
 
 
 def _parse_float(s):
@@ -163,8 +166,10 @@ class ExperimentConfig:
         )
 
     def set_axis_value(self, axis: str, raw_value: str) -> None:
+        """Set a sweep axis to one of its values; the result is validated like a loaded config."""
         section, key, parser = resolve_axis(axis)
         getattr(self, section)[key] = parser(raw_value)
+        validate_config(self)
 
 
 def resolve_axis(axis: str):
@@ -227,6 +232,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     auto = cfg.optimizer.get("auto")
     if auto is not None and auto not in AUTO_MODES:
         raise ConfigError(f"optimizer.auto: unknown mode {auto!r}")
+    if auto is None:
+        for key in AUTO_KEYS:
+            if key in cfg.optimizer:
+                raise ConfigError(f"optimizer.{key}: read only by optimizer.auto, which is not set")
     if not cfg.run.get("seeds"):
         raise ConfigError("run.seeds: must be non-empty")
     if cfg.run.get("t", 1) < 1:

@@ -50,16 +50,37 @@ def eigh(a):
 # dsyevd, with safmin = 2^-1022 and eps = 2^-52.
 _LAPACK_UNSCALED = (2.0**-485, 2.0**485)
 
+# No sum of two entries at most this large in magnitude overflows.
+_HALF_MAX = np.finfo(np.float64).max / 2.0
+
+
+def _symmetrized(a):
+    """(a + a^T)/2 of a matrix or a (B, d, d) stack; a/2 + a^T/2 where a + a^T overflows.
+
+    Raises NonFiniteError (rows: the failing matrices of a stack) unless
+    the result, and so every entry of a, is finite.
+    """
+    at = a.swapaxes(-1, -2)
+    if np.abs(a).max() <= _HALF_MAX:  # False when an entry is NaN or inf
+        return (a + at) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (a + at) / 2.0
+        s = np.where(np.isfinite(s), s, a / 2.0 + at / 2.0)
+    finite = np.isfinite(s).all(axis=(-2, -1))
+    if not finite.all():
+        raise NonFiniteError("matrix entries must be finite", rows=None if a.ndim == 2 else ~finite)
+    return s
+
 
 class SymMatrix:
     """Dense symmetric matrix, or a (B, d, d) stack of them, with a cached eigendecomposition.
 
-    Entries are symmetrized to (M + M^T)/2 on construction: repeated
-    rank-one updates accumulate asymmetric rounding otherwise. A stack
-    holds one matrix per point of a stacked oracle call; its
-    ``lambda_min``/``lambda_max`` are arrays, and the module functions
-    below take single matrices only. Instances are immutable after
-    construction and safe to share across threads.
+    Entries are symmetrized to (M + M^T)/2 on construction (see
+    ``_symmetrized``): repeated rank-one updates accumulate asymmetric
+    rounding otherwise. A stack holds one matrix per point of a stacked
+    oracle call; its ``lambda_min``/``lambda_max`` are arrays, and the
+    module functions below take single matrices only. Instances are
+    immutable after construction and safe to share across threads.
 
     A matrix built by ``from_diagonal`` knows its eigenvalues without a
     decomposition: they are its diagonal in ascending order. That is
@@ -81,10 +102,7 @@ class SymMatrix:
         a = np.array(entries, dtype=np.float64)
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
             raise InvalidParamError(f"expected a nonempty square matrix or a stack of them, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            finite = np.isfinite(a).all(axis=(-2, -1))
-            raise NonFiniteError("matrix entries must be finite", rows=None if a.ndim == 2 else ~finite)
-        a = (a + a.swapaxes(-1, -2)) / 2.0
+        a = _symmetrized(a)
         a.setflags(write=False)
         self._a = a
         self._eig = None
@@ -178,11 +196,9 @@ def op_norm(m) -> float:
         w = m.eigendecomposition().eigenvalues
     else:
         a = np.asarray(m, dtype=np.float64)
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("matrix entries must be finite")
         if a.size == 0:
             return 0.0
-        w = np.linalg.eigvalsh((a + a.T) / 2.0)
+        w = np.linalg.eigvalsh(_symmetrized(a))
     return float(np.max(np.abs(w)))
 
 

@@ -46,27 +46,23 @@ DIVERGENCE_F_LIMIT = 1e100
 
 @dataclass
 class HyperParams:
-    """Everything governing one optimizer run.
+    """The settings ``run_sgd`` acts on, each in one place.
 
-    eta is the base stepsize, r the occasional large stepsize applied
-    every t_thresh steps, W the burn-in length, S the hallucination
-    divisor (S+1 interpolated samples per large step), omega the
-    logarithmic threshold constant and K_const the universal constant of
-    the second-order analysis. f_thresh/g_thresh are carried along when
-    produced by the second-order calculator.
+    eta is the base stepsize. An estimating preconditioner's EMA uses the
+    fixed beta or, with beta_c, the schedule beta(eta_t) = 1 - beta_c
+    eta_t^(2/3). W estimate-only samples at x0 (burn-in) precede the run.
+    When t_thresh is set, every t_thresh-th step has stepsize r and an
+    estimating preconditioner then observes S+1 samples along it. The run
+    does not read f_thresh/g_thresh, the second-order calculator's outputs.
     """
 
     eta: float
     beta: float | None = None
-    epsilon: float = 0.0
+    beta_c: float | None = None
     r: float | None = None
     t_thresh: int | None = None
     W: int = 0
     S: int | None = None
-    tau: float | None = None
-    delta_prob: float | None = None
-    omega: float = 5.0
-    K_const: float = 0.125
     f_thresh: float | None = None
     g_thresh: float | None = None
 
@@ -76,16 +72,14 @@ class HyperParams:
             raise InvalidParamError("eta must be nonnegative")
         if self.beta is not None and not 0.0 <= self.beta < 1.0:
             raise InvalidParamError("beta must be in [0, 1)")
-        if self.epsilon < 0.0:
-            raise InvalidParamError("epsilon must be nonnegative")
+        if self.beta is not None and self.beta_c is not None:
+            raise InvalidParamError("set beta or beta_c, not both")
         if self.t_thresh is not None and self.t_thresh < 1:
             raise InvalidParamError("t_thresh must be >= 1")
         if self.W < 0:
             raise InvalidParamError("W must be >= 0")
         if self.S is not None and self.S < 1:
             raise InvalidParamError("S must be >= 1")
-        if not 0.0 < self.K_const < 1.0:
-            raise InvalidParamError("K_const must be in (0, 1)")
 
 
 @dataclass
@@ -150,10 +144,7 @@ def run_sgd(
     rngs,
     *,
     x0=None,
-    burn_in: int = 0,
-    large_steps: bool = False,
     eta_schedule=None,
-    beta_c: float | None = None,
     log_every: int = 1,
     track_est_error: bool = False,
     lambda_min_every: int = 0,
@@ -163,12 +154,12 @@ def run_sgd(
     Runs one seed per RNG stream in ``rngs``, all from x0, in lockstep,
     and returns one Trajectory per seed. ``pre`` supplies A, is made with
     ``batch=len(rngs)`` and is updated in place: an estimating
-    preconditioner observes each sample before preconditioning it.
-    ``burn_in`` estimate-only samples at x0 precede the loop. With
-    ``large_steps`` the stepsize is hp.r every hp.t_thresh steps, and an
-    estimating preconditioner then observes hp.S+1 hallucinated samples
-    interpolated between the step's endpoints. ``beta_c`` replaces hp.beta
-    by the schedule beta(eta_t); ``eta_schedule`` maps t to eta_t. A seed
+    preconditioner observes each sample before preconditioning it, with
+    the EMA parameter hp.beta or, with hp.beta_c, beta(eta_t). hp.W
+    estimate-only samples at x0 precede the loop. When hp.t_thresh is set
+    the stepsize is hp.r every hp.t_thresh steps, and an estimating
+    preconditioner then observes hp.S+1 hallucinated samples interpolated
+    between the step's endpoints. ``eta_schedule`` maps t to eta_t. A seed
     whose objective passes DIVERGENCE_F_LIMIT, whose iterate stops being
     finite or whose matrix power fails stops with the error in its
     Trajectory; the other seeds run on.
@@ -192,19 +183,17 @@ def run_sgd(
         raise DimMismatchError(f"preconditioner batch {pre.batch} vs {n_seeds} RNG streams")
     estimating = pre.estimating
     covariance = estimating and pre.kind.variant == COVARIANCE_FULL_MATRIX
-    if estimating and hp.beta is None and beta_c is None:
+    if estimating and hp.beta is None and hp.beta_c is None:
         raise InvalidParamError("estimated preconditioning needs beta or a beta schedule")
-    if large_steps:
-        if hp.t_thresh is None:
-            raise InvalidParamError("large-step mode needs t_thresh")
-        if hp.r is None or hp.r < hp.eta:
-            raise InvalidParamError("large-step mode needs r >= eta")
-        if pre.source == "estimated" and hp.S is None:
-            raise InvalidParamError("estimated large-step mode needs S >= 1")
+    large_steps = hp.t_thresh is not None
+    if large_steps and (hp.r is None or hp.r < hp.eta):
+        raise InvalidParamError("large-step mode needs r >= eta")
     hallucinating = large_steps and estimating
+    if hallucinating and hp.S is None:
+        raise InvalidParamError("estimated large-step mode needs S >= 1")
 
     # Columns for every seed, one slot per event that can be logged.
-    n_events = burn_in + T + (((T - 1) // hp.t_thresh + 1) * (hp.S + 1) if hallucinating else 0)
+    n_events = hp.W + T + (((T - 1) // hp.t_thresh + 1) * (hp.S + 1) if hallucinating else 0)
     capacity = (n_events - 1) // log_every + 2
     iteration = np.empty(capacity, dtype=np.int64)
     step_kind = np.empty(capacity, dtype=object)
@@ -247,8 +236,8 @@ def run_sgd(
     ideal = Preconditioner(pre.kind, dim) if track_est_error and estimating else None
 
     def current_beta(eta_t: float) -> float:
-        if beta_c is not None:
-            return beta_schedule(eta_t, beta_c)
+        if hp.beta_c is not None:
+            return beta_schedule(eta_t, hp.beta_c)
         return hp.beta if hp.beta is not None else 0.0
 
     def draw_sample(at):
@@ -306,9 +295,9 @@ def run_sgd(
     def should_log(ev: int, is_last: bool) -> bool:
         return is_last or ev % log_every == 0
 
-    ev = -burn_in
+    ev = -hp.W
     # Burn-in: update the estimate at x0 without moving x.
-    for _ in range(burn_in):
+    for _ in range(hp.W):
         if not live.size:
             break
         _, upd = draw_sample(rows["x"])  # drawn by every form, so streams stay aligned
@@ -407,10 +396,12 @@ def second_order_params(
     k_const: float = 0.125,
     c_w: float = 1.0,
     beta_c: float | None = 1.0,
-    epsilon: float = 0.0,
 ) -> HyperParams:
-    """Second-order parameter settings (r, eta, f_thresh, t_thresh, W, S).
+    """The second-order theorem's run (r, eta, t_thresh, W, S, beta) and thresholds.
 
+    It runs as it stands: with an estimating preconditioner, ``run_sgd``
+    takes the burn-in, the large steps and the hallucinated samples. beta
+    is beta(eta) of the schedule with constant ``beta_c`` (None: no beta).
     With gamma = lambda_- sqrt(rho tau):
       r        = gamma^2 delta c4 K / (54 nu1 nu2 c3 L rho M)
       eta      = gamma^5 delta^2 c4^2 K^2 / (324 M^2 L^2 nu1^2 nu2^2 c3^2 rho^2 omega)
@@ -458,15 +449,10 @@ def second_order_params(
     return HyperParams(
         eta=eta,
         beta=beta,
-        epsilon=epsilon,
         r=r,
         t_thresh=t_thresh,
         W=burn_in_length(eta, c_w),
         S=max(1, _ceil_int(r / eta)),
-        tau=tau,
-        delta_prob=delta_prob,
-        omega=omega,
-        K_const=k_const,
         f_thresh=f_thresh,
         g_thresh=f_thresh / t_thresh,
     )

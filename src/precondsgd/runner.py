@@ -20,7 +20,7 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,7 @@ DEFAULT_ESCAPE_LEVEL = -0.01
 class _Algorithm(NamedTuple):
     source: str  # default preconditioner source
     source_configurable: bool  # optimizer.source may override it
-    burn_in: bool  # W estimate-only samples precede the run, when estimating
+    burn_in: bool  # W estimate-only samples precede the run, when the source is estimated
     large_steps: bool
 
 
@@ -141,11 +141,8 @@ class ResolvedRun:
     kind: PreconditionerKind
     source: str
     bias_corrected: bool
-    burn_in: int
-    large_steps: bool
     hp: HyperParams
     T: int
-    beta_c: float | None
     eta_schedule: object
     x0: np.ndarray
     log_every: int
@@ -154,6 +151,10 @@ class ResolvedRun:
 
 
 def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
+    """The run a condition asks for. ``hp`` holds only what the algorithm runs:
+    W only with burn-in, r and t_thresh only for ``large_step``, S only when
+    it hallucinates, beta or beta_c only when estimating; plus the
+    f_thresh/g_thresh of ``auto = second_order``."""
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
     spec = _ALGORITHMS.get(algo)
@@ -166,6 +167,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
         exponent=ocfg.get("exponent", -0.5),
     )
     source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
+    estimating = source == "estimated" and kind.variant != "identity"
 
     beta, beta_c = None, None
     if "beta_spec" in ocfg:
@@ -174,7 +176,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
             beta = value
         else:
             beta_c = value
-    elif source == "estimated" and kind.variant != "identity":
+    elif estimating:
         raise ConfigError("optimizer.beta_spec: required for estimated preconditioning")
 
     eta = ocfg.get("eta")
@@ -183,6 +185,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     t_thresh = ocfg.get("t_thresh")
     W = ocfg.get("w")
     S = ocfg.get("s")
+    f_thresh = g_thresh = None
 
     auto = ocfg.get("auto")
     if auto in ("first_order_exact", "first_order_inexact"):
@@ -205,7 +208,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
             lambda_minus=ocfg["lambda_minus"],
             M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
         )
-        hp_auto = second_order_params(
+        eta, beta, beta_c, r, t_thresh, W, S, f_thresh, g_thresh = astuple(second_order_params(
             consts,
             ProblemSmoothness(L=ocfg["l"], rho=ocfg["rho"]),
             tau=ocfg["tau"],
@@ -214,36 +217,26 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
             k_const=ocfg.get("k_const", 0.125),
             c_w=rcfg.get("burn_in_c", 1.0),
             beta_c=beta_c if beta_c is not None else 1.0,
-            epsilon=kind.epsilon,
-        )
-        eta, r, t_thresh, W, S, beta, beta_c = (
-            hp_auto.eta, hp_auto.r, hp_auto.t_thresh, hp_auto.W, hp_auto.S, hp_auto.beta, None,
-        )
+        ))
     if eta is None:
         raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
 
-    burn_in = spec.burn_in and source == "estimated"
-    if burn_in and W is None:
+    if not (spec.burn_in and source == "estimated"):
+        W = 0
+    elif W is None:
         W = burn_in_length(eta, rcfg.get("burn_in_c", 1.0))
-    if spec.large_steps:
-        if r is None or t_thresh is None:
-            raise ConfigError("optimizer.r and optimizer.t_thresh: required for large_step")
-        if source == "estimated" and S is None:
-            S = max(1, _ceil_int(r / eta))
+    if not spec.large_steps:
+        r = t_thresh = None
+    elif r is None or t_thresh is None:
+        raise ConfigError("optimizer.r and optimizer.t_thresh: required for large_step")
+    if not (spec.large_steps and estimating):
+        S = None
+    elif S is None:
+        S = max(1, _ceil_int(r / eta))
+    if not estimating:
+        beta = beta_c = None
 
-    hp = HyperParams(
-        eta=eta,
-        beta=beta,
-        epsilon=kind.epsilon,
-        r=r,
-        t_thresh=t_thresh,
-        W=W or 0,
-        S=S,
-        tau=ocfg.get("tau"),
-        delta_prob=ocfg.get("delta"),
-        omega=ocfg.get("omega", 5.0),
-        K_const=ocfg.get("k_const", 0.125),
-    )
+    hp = HyperParams(eta, beta, beta_c, r, t_thresh, W, S, f_thresh, g_thresh)
 
     eta_schedule = None
     if ocfg.get("eta_decay", "none") == "inv_sqrt":
@@ -259,11 +252,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
         kind=kind,
         source=source,
         bias_corrected=ocfg.get("bias_corrected", False),
-        burn_in=hp.W if burn_in else 0,
-        large_steps=spec.large_steps,
         hp=hp,
         T=T,
-        beta_c=beta_c,
         eta_schedule=eta_schedule,
         x0=x0,
         log_every=rcfg.get("log_every", 1),
@@ -287,10 +277,7 @@ def execute_records(cfg: ExperimentConfig, seeds):
         run.T,
         [make_rng(seed) for seed in seeds],
         x0=run.x0,
-        burn_in=run.burn_in,
-        large_steps=run.large_steps,
         eta_schedule=run.eta_schedule,
-        beta_c=run.beta_c,
         log_every=run.log_every,
         track_est_error=run.track_est_error,
         lambda_min_every=run.lambda_min_every,

@@ -9,7 +9,8 @@ sha256 of every file the command left in its output directory.
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
 est_error tracking, lambda_min(H) logging, a sweep, an estimation-scaling
-study and two runs that diverge (one through numpy overflow), and runs
+study, each ``optimizer.auto`` mode (second-order with three algorithms)
+and two runs that diverge (one through numpy overflow), and runs
 three or more seeds of a condition on each path where seeds share work
 (one sweep with ``--jobs 2``; every other config runs with ``--jobs 1``).
 A numpy RuntimeWarning during a config is an error. Regenerate the file
@@ -362,6 +363,94 @@ seeds = 42,43,44,45,46
 t = 25
 track_est_error = true
 lambda_min_every = 3
+"""),
+    # optimizer.auto: the second-order settings resolve to W=36,
+    # t_thresh=43 and S=3 (eta ~ 0.0047); the first-order ones derive T=247
+    # from their formula, whatever run.t says.
+    "auto-second-order-rmsprop": ("run", (), SADDLE + """
+[optimizer]
+algorithm = rmsprop
+auto = second_order
+l = 1
+rho = 1
+c3 = 2
+c4 = 0.5
+lambda_minus = 0.5
+tau = 100
+delta = 1
+omega = 1
+beta_spec = schedule
+epsilon = 1e-8
+[run]
+seeds = 50,51
+t = 100
+"""),
+    "auto-second-order-rmsprop-burnin": ("run", (), SADDLE + """
+[optimizer]
+algorithm = rmsprop_burnin
+auto = second_order
+l = 1
+rho = 1
+c3 = 2
+c4 = 0.5
+lambda_minus = 0.5
+tau = 100
+delta = 1
+omega = 1
+beta_spec = schedule
+epsilon = 1e-8
+[run]
+seeds = 52
+t = 100
+"""),
+    "auto-second-order-large-step": ("run", (), SADDLE + """
+[optimizer]
+algorithm = large_step
+auto = second_order
+l = 1
+rho = 1
+c3 = 2
+c4 = 0.5
+lambda_minus = 0.5
+tau = 100
+delta = 1
+omega = 1
+beta_spec = schedule
+epsilon = 1e-8
+[run]
+seeds = 53,54
+t = 100
+"""),
+    "auto-first-order-exact": ("run", (), QUAD3 + """
+[optimizer]
+algorithm = preconditioned_sgd
+source = idealized
+kind = full_matrix
+auto = first_order_exact
+l = 1
+c3 = 1
+lambda_minus = 1
+delta_f = 1
+tau = 0.3
+[run]
+seeds = 55
+t = 10
+"""),
+    "auto-first-order-inexact": ("run", (), QUAD3 + """
+[optimizer]
+algorithm = rmsprop
+kind = diagonal
+beta_spec = 0.9
+epsilon = 1e-8
+auto = first_order_inexact
+l = 1
+c3 = 1
+lambda_minus = 1
+delta_f = 1
+tau = 0.6
+[run]
+seeds = 56
+t = 10
 """),
     # Two of three seeds overflow x**9 and x**10 before the divergence
     # guard stops them; the run must stay silent apart from its exit code.

@@ -9,14 +9,17 @@ import pytest
 
 from precondsgd import ConfigError
 from precondsgd.cli import main
-from precondsgd.config import load_config, parse_beta_spec
+from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
 from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Trajectory
 from precondsgd.runner import (
     TRAJECTORY_CHUNK_ROWS,
+    build_problem,
     cmd_run,
     cmd_sweep,
+    execute_records,
     read_summary,
     read_trajectory,
+    resolve_run,
     summarize,
     trajectory_columns,
     write_trajectory,
@@ -74,6 +77,23 @@ class TestConfigParsing:
         bad = SADDLE_CFG.replace("t = 200", "")
         with pytest.raises(ConfigError, match="run.t"):
             load_config(write_config(tmp_path / "d.ini", bad))
+
+    @pytest.mark.parametrize("key", AUTO_KEYS)
+    def test_auto_only_key_without_auto_exits_2_naming_it(self, tmp_path, capsys, key):
+        bad = SADDLE_CFG.replace("[optimizer]\n", f"[optimizer]\n{key} = 0.5\n")
+        cfg = write_config(tmp_path / "e.ini", bad)
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert f"optimizer.{key}: read only by optimizer.auto" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # with optimizer.auto set, the key loads
+        with_auto = bad.replace("[optimizer]\n", "[optimizer]\nauto = second_order\n")
+        assert load_config(write_config(tmp_path / "f.ini", with_auto)).optimizer[key] == 0.5
+
+    def test_sweeping_an_auto_only_key_without_auto_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.ini", SADDLE_CFG)
+        argv = ["sweep", cfg, "--axis", "optimizer.tau", "--values", "1,2", "--out", str(tmp_path / "o"), "--jobs", "1"]
+        assert main(argv) == 2
+        assert "optimizer.tau: read only by optimizer.auto" in capsys.readouterr().err
 
 
 class TestCmdRun:
@@ -465,6 +485,90 @@ class TestResolveRun:
         large_steps = 4  # t = 0, 10, 20, 30
         assert len(calls) == 40 + W + large_steps * (7 + 1)
         assert np.count_nonzero(traj.step_kind == "hallucinated") == large_steps * (7 + 1)
+
+
+SECOND_ORDER_KEYS = """auto = second_order
+l = 1
+rho = 1
+c3 = 2
+c4 = 0.5
+lambda_minus = 0.5
+tau = 100
+delta = 1
+omega = 1
+"""
+
+# Every algorithm, with each source it can take.
+ALGORITHM_SOURCES = [
+    ("sgd", None),
+    ("preconditioned_sgd", "idealized"),
+    ("preconditioned_sgd", "estimated"),
+    ("rmsprop", None),
+    ("rmsprop_burnin", None),
+    ("large_step", "idealized"),
+    ("large_step", "estimated"),
+]
+
+
+def resolved_config(tmp_path, algorithm, source, auto):
+    """A saddle config that sets every run setting; the algorithm decides which it acts on."""
+    text = f"""
+[problem]
+name = saddle
+x0 = 0.1,0.05
+[optimizer]
+algorithm = {algorithm}
+kind = full_matrix
+beta_spec = schedule
+epsilon = 1e-8
+eta = 0.005
+r = 0.02
+t_thresh = 15
+w = 7
+s = 2
+"""
+    if source is not None:
+        text += f"source = {source}\n"
+    if auto:
+        text += SECOND_ORDER_KEYS
+    text += "[run]\nseeds = 0,1\nt = 100\n"
+    return load_config(write_config(tmp_path / "cfg.ini", text))
+
+
+class TestHyperParamsIsTheRun:
+    @pytest.mark.parametrize("auto", [False, True], ids=["explicit", "auto"])
+    @pytest.mark.parametrize("algorithm, source", ALGORITHM_SOURCES)
+    def test_resolved_hp_matches_the_trajectory(self, tmp_path, algorithm, source, auto):
+        _, run, trajectories = execute_records(resolved_config(tmp_path, algorithm, source, auto), [0, 1])
+        hp = run.hp
+        estimating = run.source == "estimated" and run.kind.variant != "identity"
+        assert (hp.beta is not None or hp.beta_c is not None) == estimating
+        assert (hp.f_thresh is not None) == (hp.g_thresh is not None) == auto
+        for traj in trajectories:
+            assert traj.error is None
+            count = {kind: np.count_nonzero(traj.step_kind == kind)
+                     for kind in (STEP_BURNIN, STEP_LARGE, STEP_HALLUCINATED, STEP_NORMAL)}
+            assert count[STEP_BURNIN] == hp.W
+            assert (count[STEP_LARGE] > 0) == (hp.t_thresh is not None)
+            if hp.t_thresh is not None:
+                assert count[STEP_LARGE] == -(-run.T // hp.t_thresh)
+            assert (hp.S is not None) == (count[STEP_HALLUCINATED] > 0)
+            if estimating:
+                assert count[STEP_HALLUCINATED] == count[STEP_LARGE] * ((hp.S or 0) + 1)
+            assert count[STEP_LARGE] + count[STEP_NORMAL] == run.T
+
+    def test_rmsprop_with_second_order_auto_has_no_burn_in_or_large_steps(self, tmp_path):
+        def resolved_hp(algorithm):
+            cfg = resolved_config(tmp_path, algorithm, None, True)
+            return resolve_run(cfg, build_problem(cfg.problem)).hp
+
+        hp = resolved_hp("rmsprop")
+        assert hp.W == 0 and hp.r is None and hp.t_thresh is None and hp.S is None
+        # the calculator's thresholds are carried through
+        large = resolved_hp("large_step")
+        assert (large.W, large.t_thresh, large.S) == (36, 43, 3)
+        assert hp.f_thresh == large.f_thresh > 0.0
+        assert hp.g_thresh == large.g_thresh == large.f_thresh / 43
 
 
 def csv_writer_trajectory(traj, dim) -> str:

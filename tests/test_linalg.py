@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,59 @@ class TestSymMatrix:
             scale = max(1.0, op_norm(m))
             assert op_norm((v * w) @ v.T - m.a) <= 1e-10 * scale
             assert op_norm(v.T @ v - np.eye(dim)) <= 1e-10
+
+
+def random_entries_with_subnormals(rng, shape):
+    """Random entries over many decades, a quarter of them subnormal, with +-0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    tiny = rng.random(shape) < 0.25
+    a[tiny] = rng.standard_normal(np.count_nonzero(tiny)) * 5e-324 * rng.integers(1, 2**40, np.count_nonzero(tiny))
+    a.flat[:2] = (0.0, -0.0)
+    return a
+
+
+class TestSymmetrization:
+    """(M + M^T)/2 where the sum is finite; M/2 + M^T/2 where it overflows."""
+
+    @pytest.mark.parametrize("entry", [1e308, -1e308, np.finfo(np.float64).max])
+    def test_entries_near_the_float_maximum_survive(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SymMatrix([[entry, 0.0], [0.0, 1.0]])
+            norm = op_norm(np.array([[entry, 0.0], [0.0, 1.0]]))
+        assert m.a[0, 0] == entry
+        # LAPACK rescales a matrix this large, which may cost its eigenvalues an ulp.
+        assert m.lambda_max() == pytest.approx(max(entry, 1.0), rel=1e-15)
+        assert m.lambda_min() == pytest.approx(min(entry, 1.0), rel=1e-15)
+        assert norm == pytest.approx(abs(entry), rel=1e-15)
+
+    def test_off_diagonal_pair_that_overflows_is_halved_first(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SymMatrix([[1.0, 1.7e308], [1.6e308, 2.0]])
+        assert m.a[0, 1] == m.a[1, 0] == 1.7e308 / 2.0 + 1.6e308 / 2.0
+        assert m.a[0, 0] == 1.0 and m.a[1, 1] == 2.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10])
+    def test_bits_of_the_plain_mean_on_random_matrices_with_subnormals(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(50):
+            a = random_entries_with_subnormals(rng, (dim, dim))
+            expected = (a + a.T) / 2.0
+            assert np.array_equal(SymMatrix(a).a, expected)
+            assert op_norm(a) == np.abs(np.linalg.eigvalsh(expected)).max()
+            stack = random_entries_with_subnormals(rng, (4, dim, dim))
+            assert np.array_equal(SymMatrix(stack).a, (stack + stack.swapaxes(-1, -2)) / 2.0)
+
+    def test_a_stack_names_the_matrices_that_are_not_finite(self):
+        stack = np.ones((3, 2, 2))
+        stack[1, 0, 1] = np.inf
+        stack[2, 0, 0] = 1e308
+        with pytest.raises(NonFiniteError) as info:
+            SymMatrix(stack)
+        assert info.value.rows.tolist() == [False, True, False]
+        with pytest.raises(NonFiniteError):
+            op_norm(np.array([[np.inf, 1e308], [1e308, 0.0]]))
 
 
 def random_diagonal(rng, shape):

@@ -110,7 +110,7 @@ class TestPreconditionedSgd:
 
     def test_determinism_bitwise(self):
         p = make_saddle_problem()
-        hp = HyperParams(eta=0.01, beta=0.95, epsilon=1e-8)
+        hp = HyperParams(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         a = run1(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
         b = run1(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
@@ -130,13 +130,13 @@ class TestPreconditionedSgd:
 class TestRmsprop:
     def test_beta_zero_is_sign_sgd(self):
         p = make_quadratic_gaussian(1, np.eye(1), np.eye(1))
-        hp = HyperParams(eta=0.01, beta=0.0, epsilon=0.0)
+        hp = HyperParams(eta=0.01, beta=0.0)
         traj = run1(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
         assert np.allclose(np.abs(np.diff(traj.x[:, 0])), hp.eta, rtol=1e-12, atol=0.0)
 
     def test_constant_gradient_approaches_normalized_step(self):
         p = ConstantGradientProblem(c=3.0)
-        hp = HyperParams(eta=0.05, beta=0.9, epsilon=0.0)
+        hp = HyperParams(eta=0.05, beta=0.9)
         traj = run1(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
         late = np.abs(np.diff(traj.x[-21:, 0]))
         assert np.allclose(late, hp.eta, rtol=1e-4, atol=0.0)
@@ -144,7 +144,7 @@ class TestRmsprop:
     def test_exponent_minus_one_step_blows_past_ten_eta(self):
         # near stationarity the -1 exponent takes steps eta/|grad| >> eta
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
-        hp = HyperParams(eta=1e-3, beta=0.0, epsilon=0.0)
+        hp = HyperParams(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         traj = run1(p, estimated(p, kind), hp, 3, rng_for(5), x0=[5e-5])
         assert traj.grad_norm[0] < 0.1 * hp.eta
@@ -153,7 +153,7 @@ class TestRmsprop:
 
     def test_exponent_minus_one_near_stationary_start_diverges(self):
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
-        hp = HyperParams(eta=1e-3, beta=0.0, epsilon=0.0)
+        hp = HyperParams(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         traj = run1(p, estimated(p, kind), hp, 10, rng_for(6), x0=[1e-60])
         assert isinstance(traj.error, NonFiniteError)
@@ -163,7 +163,7 @@ class TestRmsprop:
         # Sigma^(-1/2) preconditioning: stable on the quadratic where the
         # noise covariance is constant (its intended near-stationary use)
         p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
-        hp = HyperParams(eta=0.01, beta=0.95, epsilon=1e-6)
+        hp = HyperParams(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=1e-6)
         traj = run1(p, estimated(p, kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
         assert len(traj) == 1500
@@ -174,15 +174,14 @@ class TestBurnIn:
     def test_w_zero_identical_to_plain_rmsprop(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        hp = HyperParams(eta=0.005, beta=0.9, W=0)
-        a = run1(p, estimated(p, kind), hp, 200, rng_for(10))
-        b = run1(p, estimated(p, kind), hp, 200, rng_for(10), burn_in=hp.W)
+        a = run1(p, estimated(p, kind), HyperParams(eta=0.005, beta=0.9), 200, rng_for(10))
+        b = run1(p, estimated(p, kind), HyperParams(eta=0.005, beta=0.9, W=0), 200, rng_for(10))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_burnin_records_precede_iteration_zero(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.005, beta=0.9, W=25)
-        traj = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11), burn_in=hp.W)
+        traj = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11))
         burn = traj.step_kind == "burnin"
         assert np.count_nonzero(burn) == 25
         assert traj.iteration[burn].tolist() == list(range(-25, 0))
@@ -196,10 +195,10 @@ class TestBurnIn:
         eta, c_w = 0.01, 5.0
         W = burn_in_length(eta, c_w)
         beta = beta_schedule(eta, 1.0)
-        hp = HyperParams(eta=eta, beta=beta, W=W, epsilon=0.5)
+        hp = HyperParams(eta=eta, beta=beta, W=W)
         traj = run1(
             p, estimated(p, PreconditionerKind(epsilon=0.5)), hp, 1, rng_for(12),
-            burn_in=hp.W, x0=x0, track_est_error=True,
+            x0=x0, track_est_error=True,
         )
         burn_err = traj.est_error[traj.step_kind == "burnin"][-1]
 
@@ -226,7 +225,7 @@ class TestLargeStep:
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.01, r=0.01, t_thresh=1)
         a = run1(p, idealized(p, kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
-        b = run1(p, idealized(p, kind), hp, 150, rng_for(13), x0=[0.3, 0.1], large_steps=True)
+        b = run1(p, idealized(p, kind), hp, 150, rng_for(13), x0=[0.3, 0.1])
         assert np.all(b.step_kind == "large")
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
@@ -234,16 +233,14 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.001, r=0.01, t_thresh=40)
-        traj = run1(p, idealized(p, kind), hp, 200, rng_for(14), x0=[0.0, 0.0], large_steps=True)
+        traj = run1(p, idealized(p, kind), hp, 200, rng_for(14), x0=[0.0, 0.0])
         assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 40, 80, 120, 160]
 
     def test_hallucination_s_one_samples_both_endpoints(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
-        traj = run1(
-            p, estimated(p, kind), hp, 120, rng_for(15), x0=[0.0, 0.0], large_steps=True, burn_in=hp.W
-        )
+        traj = run1(p, estimated(p, kind), hp, 120, rng_for(15), x0=[0.0, 0.0])
         larges = np.flatnonzero(traj.step_kind == "large")
         # 3 large steps in 120 iterations at cadence 50, each hallucinating S+1 = 2
         assert np.count_nonzero(traj.step_kind == "hallucinated") == 2 * len(larges) == 6
@@ -261,7 +258,7 @@ class TestLargeStep:
         p = make_saddle_problem()
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
         with pytest.raises(InvalidParamError):
-            run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16), large_steps=True)
+            run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16))
 
     def test_escape_acceleration_over_identity(self):
         p = make_saddle_problem()
@@ -274,7 +271,7 @@ class TestLargeStep:
 
         T, seeds = 6000, range(5)
         fm = [
-            escape_time(run1(p, idealized(p, kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0], large_steps=True))
+            escape_time(run1(p, idealized(p, kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0]))
             for s in seeds
         ]
         ident = [
@@ -289,7 +286,7 @@ class TestLargeStep:
 class TestProjection:
     def test_counterexample_iterates_stay_in_box(self):
         p = make_counterexample(C=10.0, zeta=0.05)
-        hp = HyperParams(eta=0.05, beta=0.9, epsilon=1e-8)
+        hp = HyperParams(eta=0.05, beta=0.9)
         xs = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0]).x
         assert len(xs) == 2000
         assert np.all((-1.0 <= xs) & (xs <= 1.0))
@@ -353,10 +350,23 @@ class TestSecondOrderParams:
                 M_bound=float(rng.uniform(0.5, 4.0)),
             )
             sm = ProblemSmoothness(L=float(rng.uniform(0.5, 4.0)), rho=float(rng.uniform(0.5, 4.0)))
-            hp = second_order_params(k, sm, tau=float(rng.uniform(0.05, 1.0)), delta_prob=float(rng.uniform(0.05, 1.0)))
+            delta_prob = float(rng.uniform(0.05, 1.0))
+            hp = second_order_params(k, sm, tau=float(rng.uniform(0.05, 1.0)), delta_prob=delta_prob)
             lhs = 9.0 * sm.L * k.c3 / 8.0 * hp.r**2
-            rhs = hp.delta_prob * hp.f_thresh / 4.0
+            rhs = delta_prob * hp.f_thresh / 4.0
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_its_hyperparams_run_burn_in_and_large_steps_as_they_stand(self):
+        k = PreconditionerConstants(nu1=1.0, nu2=1.0, c3=2.0, c4=0.5, lambda_minus=0.5, M_bound=math.sqrt(2.0))
+        hp = second_order_params(k, ProblemSmoothness(L=1.0, rho=1.0), tau=100.0, delta_prob=1.0, omega=1.0)
+        assert (hp.W, hp.t_thresh, hp.S) == (36, 43, 3)
+        p = make_saddle_problem()
+        pre = Preconditioner(PreconditionerKind(variant="diagonal", epsilon=1e-8), 2, "estimated", batch=2)
+        for traj in run_sgd(p, pre, hp, 100, [rng_for(60), rng_for(61)]):
+            kinds = traj.step_kind.tolist()
+            assert traj.error is None
+            assert [kinds.count(k) for k in ("burnin", "large", "hallucinated", "normal")] == [36, 3, 12, 97]
+            assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 43 + 4, 86 + 8]
 
     def test_warns_when_r_below_eta(self):
         k = PreconditionerConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -430,7 +440,7 @@ def test_large_step_amortized_increase_bound():
     kind = PreconditionerKind(epsilon=0.0)
     deltas = []
     for s in range(25):
-        traj = run1(p, idealized(p, kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0, large_steps=True)
+        traj = run1(p, idealized(p, kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0)
         large = np.flatnonzero(traj.step_kind[:-1] == "large")
         deltas += (traj.f[large + 1] - traj.f[large]).tolist()
     deltas = np.asarray(deltas)
@@ -455,13 +465,8 @@ PARITY_CASES = {
     "idealized": ("idealized", dict(eta=0.05), {}, False),
     "fixed-beta": ("estimated", dict(eta=0.05, beta=0.8), {}, False),
     "bias-corrected": ("estimated", dict(eta=0.05, beta=0.8), {}, True),
-    "beta-schedule": ("estimated", dict(eta=0.05), dict(beta_c=0.5, eta_schedule=inv_sqrt_decay), True),
-    "burnin-hallucinated": (
-        "estimated",
-        dict(eta=0.02, beta=0.9, r=0.06, t_thresh=4, S=3, W=5),
-        dict(burn_in=5, large_steps=True),
-        False,
-    ),
+    "beta-schedule": ("estimated", dict(eta=0.05, beta_c=0.5), dict(eta_schedule=inv_sqrt_decay), True),
+    "burnin-hallucinated": ("estimated", dict(eta=0.02, beta=0.9, r=0.06, t_thresh=4, S=3, W=5), {}, False),
 }
 PARITY_H = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.5]])
 PARITY_COV = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
@@ -520,7 +525,7 @@ def check_against_numpy_replay(p, traj, rng, kind, hp, opts, source, bias_correc
         t += kind_label in ("normal", "large")
         eta_t = hp.eta if kind_label == "burnin" else eta_schedule(t)
         if estimating:
-            beta = beta_schedule(eta_t, opts["beta_c"]) if "beta_c" in opts else hp.beta
+            beta = beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta
             g_hat = beta * g_hat + (1.0 - beta) * np.outer(upd, upd)
             beta_prod *= beta
         if i not in steps or i == steps[-1]:
