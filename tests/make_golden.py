@@ -8,9 +8,10 @@ sha256 of every file the command left in its output directory.
 ``tests/test_golden_cli.py`` re-runs the configs and compares. The
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
-est_error tracking, lambda_min(H) logging, a sweep, an estimation-scaling
-study, each ``optimizer.auto`` mode (second-order with three algorithms)
-and two runs that diverge (one through numpy overflow), and runs
+est_error tracking, lambda_min(H) logging, a sweep (one from its [sweep]
+section), two estimation-scaling studies, each ``optimizer.auto`` mode
+(second-order with three algorithms, once with every optional constant),
+the summary levels, label noise and two runs that diverge (one through numpy overflow), and runs
 three or more seeds of a condition on each path where seeds share work
 (one sweep with ``--jobs 2``; every other config runs with ``--jobs 1``).
 A numpy RuntimeWarning during a config is an error. Regenerate the file
@@ -451,6 +452,63 @@ tau = 0.6
 [run]
 seeds = 56
 t = 10
+"""),
+    # Every optional second-order constant, a beta schedule constant, the
+    # eta decay, a burn-in constant and both summary levels: resolves to
+    # W=46, t_thresh=22 and S=2, and seed 1 escapes at iteration 55.
+    "auto-second-order-large-step-all-constants": ("run", (), SADDLE + """
+[optimizer]
+algorithm = large_step
+auto = second_order
+l = 1
+rho = 1
+c3 = 2
+c4 = 0.5
+lambda_minus = 0.5
+tau = 100
+delta = 1
+omega = 1
+nu1 = 1.2
+nu2 = 0.9
+m_bound = 1.5
+k_const = 0.2
+beta_spec = schedule:0.5
+eta_decay = inv_sqrt
+epsilon = 1e-8
+[run]
+seeds = 0,1
+t = 100
+burn_in_c = 2
+escape_level = -0.0002
+f_threshold = 0.003
+"""),
+    "estimation-scaling-diagonal-constants": ("estimation-scaling", (), QUAD3 + """
+[optimizer]
+algorithm = rmsprop_burnin
+kind = diagonal
+epsilon = 1e-6
+[run]
+seeds = 18
+t = 1
+etas = 0.01,0.003
+est_window_factor = 0.5
+beta_c = 0.5
+burn_in_c = 2
+"""),
+    # The axis and its values come from the [sweep] section alone.
+    "sweep-section-logistic-label-noise": ("sweep", (), LOGISTIC + """label_noise = 0.2
+[optimizer]
+algorithm = rmsprop
+kind = diagonal
+beta_spec = 0.9
+epsilon = 1e-6
+[run]
+seeds = 19
+t = 50
+log_every = 10
+[sweep]
+axis = optimizer.eta
+values = 0.05,0.1
 """),
     # Two of three seeds overflow x**9 and x**10 before the divergence
     # guard stops them; the run must stay silent apart from its exit code.
