@@ -48,7 +48,7 @@ from .estimation import (
     burn_in_length,
     estimate_sigma_max,
     estimation_error_bound,
-    measure_estimation_error,
+    hallucination_count,
 )
 from .optimizer import (
     HyperParams,

@@ -3,7 +3,9 @@
 Flat INI-style configs with [problem], [optimizer], [run] and an optional
 [sweep] section. Every key is typed against a per-section schema and
 unknown keys are errors, not warnings: a silently misspelled key would
-corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it.
+corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it,
+and one it computes, beside it (``runner.resolve_run`` checks); except
+the required ``run.t``, which the first-order modes replace with their T.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ import copy
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .optimizer import ALGORITHMS, ETA_DECAYS
+from .precond import SOURCES, VARIANTS
 
 PROBLEM_NAMES = ("saddle", "counterexample", "quadratic_gaussian", "logistic_synthetic", "logistic_csv")
-ALGORITHMS = ("sgd", "preconditioned_sgd", "rmsprop", "rmsprop_burnin", "large_step")
-KINDS = ("identity", "full_matrix", "diagonal", "covariance_full_matrix")
-SOURCES = ("idealized", "estimated")
-ETA_DECAYS = ("none", "inv_sqrt")
 AUTO_MODES = ("first_order_exact", "first_order_inexact", "second_order")
 # The optimizer keys that only the optimizer.auto calculators read.
 AUTO_KEYS = ("l", "rho", "c3", "c4", "nu1", "nu2", "lambda_minus", "m_bound", "delta_f", "tau", "delta", "omega",
@@ -221,7 +221,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if algo not in ALGORITHMS:
         raise ConfigError(f"optimizer.algorithm: unknown algorithm {algo!r}")
     kind = cfg.optimizer.get("kind", "full_matrix")
-    if kind not in KINDS:
+    if kind not in VARIANTS:
         raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
     source = cfg.optimizer.get("source", "estimated")
     if source not in SOURCES:

@@ -2,8 +2,10 @@
 
 EMA weightings, the explicit bias/variance bound on the EMA estimate of
 a matrix-valued function along a slowly moving sequence, the
-beta(eta) = 1 - C eta^(2/3) schedule that optimizes it, and empirical
-measurement of the estimation error against the idealized preconditioner.
+beta(eta) = 1 - C eta^(2/3) schedule that optimizes it, the counts that
+follow from eta (the burn-in length W and the hallucination count S),
+and a Monte-Carlo estimate of the bound's variance input sigma_max. The
+run loop measures the estimation error itself (``track_est_error``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidParamError, MissingOracleError, PreconditionViolatedError
 from .linalg import op_norm
-from .precond import Preconditioner
 
 
 def _ceil_int(x: float) -> int:
@@ -113,25 +114,11 @@ def burn_in_length(eta: float, c_w: float = 1.0) -> int:
     return max(1, _ceil_int(c_w * eta ** (-2.0 / 3.0)))
 
 
-def measure_estimation_error(problem, pre: Preconditioner, xs, gs, beta: float):
-    """Per-step ||Ahat_t - A(x_t)||_op and its running supremum.
-
-    Replays a run: ``pre`` observes each sample g_t (drawn at x_t) with the
-    EMA parameter ``beta`` and is then compared with the idealized
-    preconditioner at x_t.
-    """
-    if not problem.has_exact_g and pre.kind.variant != "identity":
-        raise MissingOracleError("measuring estimation error needs an exact_G oracle")
-    xs = list(xs)
-    gs = list(gs)
-    if len(xs) != len(gs):
-        raise InvalidParamError("xs and gs must have equal length")
-    errs = []
-    for x, g in zip(xs, gs):
-        pre.observe(g, beta)
-        errs.append(pre.est_error(problem, x))
-    errs = np.array(errs)
-    return errs, np.maximum.accumulate(errs) if errs.size else errs
+def hallucination_count(r: float, eta: float) -> int:
+    """S = ceil(r/eta): a large step of length r observed at S+1 points moves at most eta between them."""
+    if eta <= 0.0 or r <= 0.0:
+        raise InvalidParamError("r and eta must be positive")
+    return max(1, _ceil_int(r / eta))
 
 
 def estimate_sigma_max(problem, x, n_samples: int, rng) -> float:

@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimMismatchError, InvalidParamError, MissingOracleError, NonFiniteError, NumericError
-from .estimation import _ceil_int, beta_schedule, burn_in_length
+from .estimation import _ceil_int, beta_schedule, burn_in_length, hallucination_count
 from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants
 from .problems import ProblemSmoothness, StochasticProblem
 
@@ -43,20 +44,25 @@ STEP_HALLUCINATED = "hallucinated"
 # demo relies on it to terminate cleanly.
 DIVERGENCE_F_LIMIT = 1e100
 
+ETA_DECAYS = ("none", "inv_sqrt")
+
 
 @dataclass
 class HyperParams:
-    """The settings ``run_sgd`` acts on, each in one place.
+    """The settings ``run_sgd`` acts on, each in one place; plain data.
 
-    eta is the base stepsize. An estimating preconditioner's EMA uses the
-    fixed beta or, with beta_c, the schedule beta(eta_t) = 1 - beta_c
-    eta_t^(2/3). W estimate-only samples at x0 (burn-in) precede the run.
-    When t_thresh is set, every t_thresh-th step has stepsize r and an
-    estimating preconditioner then observes S+1 samples along it. The run
-    does not read f_thresh/g_thresh, the second-order calculator's outputs.
+    eta is the base stepsize; with eta_decay "inv_sqrt" step t takes
+    eta_t = eta / sqrt(t + 1), with "none" eta_t = eta. An estimating
+    preconditioner's EMA uses the fixed beta or, with beta_c, the schedule
+    beta(eta_t) = 1 - beta_c eta_t^(2/3). W estimate-only samples at x0
+    (burn-in) precede the run. When t_thresh is set, every t_thresh-th
+    step has stepsize r and an estimating preconditioner then observes S+1
+    samples along it. The run does not read f_thresh/g_thresh, the
+    second-order calculator's outputs.
     """
 
     eta: float
+    eta_decay: str = "none"
     beta: float | None = None
     beta_c: float | None = None
     r: float | None = None
@@ -70,6 +76,8 @@ class HyperParams:
         # eta = 0 is allowed as a degenerate run (the trajectory stays put).
         if self.eta < 0.0:
             raise InvalidParamError("eta must be nonnegative")
+        if self.eta_decay not in ETA_DECAYS:
+            raise InvalidParamError(f"eta_decay must be one of {ETA_DECAYS}, got {self.eta_decay!r}")
         if self.beta is not None and not 0.0 <= self.beta < 1.0:
             raise InvalidParamError("beta must be in [0, 1)")
         if self.beta is not None and self.beta_c is not None:
@@ -132,6 +140,23 @@ def hessian_tolerance(rho: float, tau_g: float) -> float:
     return math.sqrt(rho * tau_g)
 
 
+class Algorithm(NamedTuple):
+    source: str  # default preconditioner source
+    source_configurable: bool  # optimizer.source may override it
+    burn_in: bool  # W estimate-only samples precede the run, when the source is estimated
+    large_steps: bool
+
+
+# Every algorithm is run_sgd with one of these settings.
+ALGORITHMS = {
+    "sgd": Algorithm("idealized", False, False, False),
+    "preconditioned_sgd": Algorithm("idealized", True, False, False),
+    "rmsprop": Algorithm("estimated", False, False, False),
+    "rmsprop_burnin": Algorithm("estimated", False, True, False),
+    "large_step": Algorithm("estimated", True, True, True),
+}
+
+
 # Overflow on a diverging seed is expected: the divergence guard and the
 # finite-iterate check stop that seed and name the event, so numpy's
 # warnings would only repeat it.
@@ -144,7 +169,6 @@ def run_sgd(
     rngs,
     *,
     x0=None,
-    eta_schedule=None,
     log_every: int = 1,
     track_est_error: bool = False,
     lambda_min_every: int = 0,
@@ -155,14 +179,15 @@ def run_sgd(
     and returns one Trajectory per seed. ``pre`` supplies A, is made with
     ``batch=len(rngs)`` and is updated in place: an estimating
     preconditioner observes each sample before preconditioning it, with
-    the EMA parameter hp.beta or, with hp.beta_c, beta(eta_t). hp.W
+    the EMA parameter hp.beta or, with hp.beta_c, beta(eta_t), where eta_t
+    is hp.eta or, with hp.eta_decay "inv_sqrt", hp.eta / sqrt(t + 1). hp.W
     estimate-only samples at x0 precede the loop. When hp.t_thresh is set
     the stepsize is hp.r every hp.t_thresh steps, and an estimating
     preconditioner then observes hp.S+1 hallucinated samples interpolated
-    between the step's endpoints. ``eta_schedule`` maps t to eta_t. A seed
-    whose objective passes DIVERGENCE_F_LIMIT, whose iterate stops being
-    finite or whose matrix power fails stops with the error in its
-    Trajectory; the other seeds run on.
+    between the step's endpoints. A seed whose objective passes
+    DIVERGENCE_F_LIMIT, whose iterate stops being finite or whose matrix
+    power fails stops with the error in its Trajectory; the other seeds
+    run on.
     """
     if T < 1:
         raise InvalidParamError("T must be >= 1")
@@ -189,6 +214,7 @@ def run_sgd(
     if large_steps and (hp.r is None or hp.r < hp.eta):
         raise InvalidParamError("large-step mode needs r >= eta")
     hallucinating = large_steps and estimating
+    decaying = hp.eta_decay == "inv_sqrt"
     if hallucinating and hp.S is None:
         raise InvalidParamError("estimated large-step mode needs S >= 1")
 
@@ -310,7 +336,7 @@ def run_sgd(
     for t in range(T):
         if not live.size:
             break
-        eta_t = hp.eta if eta_schedule is None else eta_schedule(t)
+        eta_t = hp.eta / math.sqrt(t + 1.0) if decaying else hp.eta
         is_large = large_steps and t % hp.t_thresh == 0
         step_size = hp.r if is_large else eta_t
 
@@ -452,7 +478,7 @@ def second_order_params(
         r=r,
         t_thresh=t_thresh,
         W=burn_in_length(eta, c_w),
-        S=max(1, _ceil_int(r / eta)),
+        S=hallucination_count(r, eta),
         f_thresh=f_thresh,
         g_thresh=f_thresh / t_thresh,
     )

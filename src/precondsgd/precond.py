@@ -29,6 +29,7 @@ FULL_MATRIX = "full_matrix"
 DIAGONAL = "diagonal"
 COVARIANCE_FULL_MATRIX = "covariance_full_matrix"
 VARIANTS = (IDENTITY, FULL_MATRIX, DIAGONAL, COVARIANCE_FULL_MATRIX)
+SOURCES = ("idealized", "estimated")
 
 # Exponent -1 exists only for the instability demonstration; -1/2 is the
 # stable adaptive-method exponent.
@@ -101,7 +102,7 @@ class Preconditioner:
 
     def __init__(self, kind: PreconditionerKind, dim: int, source: str = "idealized",
                  bias_corrected: bool = False, batch: int | None = None):
-        if source not in ("idealized", "estimated"):
+        if source not in SOURCES:
             raise InvalidParamError(f"unknown preconditioner source {source!r}")
         if dim < 1:
             raise InvalidParamError("dim must be >= 1")

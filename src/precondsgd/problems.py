@@ -22,24 +22,19 @@ from .linalg import SymMatrix
 
 @dataclass(frozen=True)
 class ProblemSmoothness:
-    """Smoothness/noise constants a problem declares, where known.
+    """Smoothness constants a problem declares, where known.
 
-    L: gradient-Lipschitz constant; rho: Hessian-Lipschitz constant;
-    L_G: Lipschitz constant of x -> G(x); sigma_max: conditional
-    per-sample variance bound; R: per-sample deviation bound; M_step:
-    uniform bound on the preconditioned step ||A g||. Any field may be
-    None when the constant is unknown or unbounded on the full domain.
+    L: gradient-Lipschitz constant; rho: Hessian-Lipschitz constant.
+    Either may be None when the constant is unknown or unbounded on the
+    full domain. The estimation bound's constants (sigma_max, R, the step
+    bound and the Lipschitz constant of G) are ``EstimationBoundInputs``.
     """
 
     L: float | None = None
     rho: float | None = None
-    L_G: float | None = None
-    sigma_max: float | None = None
-    R: float | None = None
-    M_step: float | None = None
 
     def __post_init__(self):
-        for name in ("L", "rho", "L_G", "sigma_max", "R", "M_step"):
+        for name in ("L", "rho"):
             v = getattr(self, name)
             if v is not None and (not np.isfinite(v) or v < 0):
                 raise InvalidParamError(f"smoothness constant {name} must be finite and >= 0")

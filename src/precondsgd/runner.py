@@ -20,15 +20,15 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import astuple, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, resolve_axis
 from .errors import ConfigError
-from .estimation import _ceil_int, beta_schedule, burn_in_length
+from .estimation import beta_schedule, burn_in_length, hallucination_count
 from .optimizer import (
+    ALGORITHMS,
     HyperParams,
     Trajectory,
     first_order_params,
@@ -50,22 +50,6 @@ from .problems import (
 # minimum (~ -0.01265), so escape is declared at -0.01 instead.
 DEFAULT_ESCAPE_LEVEL = -0.01
 
-
-class _Algorithm(NamedTuple):
-    source: str  # default preconditioner source
-    source_configurable: bool  # optimizer.source may override it
-    burn_in: bool  # W estimate-only samples precede the run, when the source is estimated
-    large_steps: bool
-
-
-# Every algorithm is run_sgd with one of these settings.
-_ALGORITHMS = {
-    "sgd": _Algorithm("idealized", False, False, False),
-    "preconditioned_sgd": _Algorithm("idealized", True, False, False),
-    "rmsprop": _Algorithm("estimated", False, False, False),
-    "rmsprop_burnin": _Algorithm("estimated", False, True, False),
-    "large_step": _Algorithm("estimated", True, True, True),
-}
 
 SUMMARY_COLUMNS = (
     "run_id",
@@ -135,15 +119,13 @@ def build_problem(pcfg: dict):
 
 @dataclass
 class ResolvedRun:
-    """Everything needed to execute one run of a condition."""
+    """Everything one run of a condition executes, as plain data that pickles."""
 
-    algorithm: str
     kind: PreconditionerKind
     source: str
     bias_corrected: bool
     hp: HyperParams
     T: int
-    eta_schedule: object
     x0: np.ndarray
     log_every: int
     track_est_error: bool
@@ -151,15 +133,17 @@ class ResolvedRun:
 
 
 def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
-    """The run a condition asks for. ``hp`` holds only what the algorithm runs:
-    W only with burn-in, r and t_thresh only for ``large_step``, S only when
-    it hallucinates, beta or beta_c only when estimating; plus the
-    f_thresh/g_thresh of ``auto = second_order``."""
+    """The run a condition asks for, each setting read once, or a ConfigError.
+
+    ``hp`` holds only what the algorithm runs: W only with burn-in, r and
+    t_thresh only for ``large_step``, S only when it hallucinates, beta or
+    beta_c only when estimating; plus the f_thresh/g_thresh of
+    ``auto = second_order``. Setting a key ``optimizer.auto`` computes (eta;
+    for second_order also r, t_thresh, w, s and a fixed beta), or a run
+    needing the exact_G oracle the problem lacks, is an error."""
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
-    spec = _ALGORITHMS.get(algo)
-    if spec is None:
-        raise ConfigError(f"optimizer.algorithm: unknown algorithm {algo!r}")
+    spec = ALGORITHMS[algo]
     variant = "identity" if algo == "sgd" else ocfg.get("kind", "full_matrix")
     kind = PreconditionerKind(
         variant=variant,
@@ -168,6 +152,10 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     )
     source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
     estimating = source == "estimated" and kind.variant != "identity"
+    track_est_error = rcfg.get("track_est_error", False)
+    if kind.variant != "identity" and (source == "idealized" or track_est_error) and not problem.has_exact_g:
+        needs = "idealized preconditioning" if source == "idealized" else "est_error tracking"
+        raise ConfigError(f"problem.name: {cfg.problem['name']} has no exact_G oracle, which {needs} needs")
 
     beta, beta_c = None, None
     if "beta_spec" in ocfg:
@@ -179,15 +167,15 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     elif estimating:
         raise ConfigError("optimizer.beta_spec: required for estimated preconditioning")
 
-    eta = ocfg.get("eta")
+    eta, r, t_thresh, W, S = (ocfg.get(key) for key in ("eta", "r", "t_thresh", "w", "s"))
     T = rcfg["t"]
-    r = ocfg.get("r")
-    t_thresh = ocfg.get("t_thresh")
-    W = ocfg.get("w")
-    S = ocfg.get("s")
     f_thresh = g_thresh = None
 
     auto = ocfg.get("auto")
+    if auto is not None:
+        for key in ("eta", "r", "t_thresh", "w", "s") if auto == "second_order" else ("eta",):
+            if key in ocfg:
+                raise ConfigError(f"optimizer.{key}: computed by optimizer.auto={auto}, so it may not be set")
     if auto in ("first_order_exact", "first_order_inexact"):
         for key in ("l", "c3", "lambda_minus", "delta_f", "tau"):
             if key not in ocfg:
@@ -197,6 +185,9 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
             exact=auto == "first_order_exact",
         )
     elif auto == "second_order":
+        if beta is not None:
+            raise ConfigError("optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order; "
+                              "set schedule:C or nothing")
         for key in ("l", "rho", "c3", "c4", "lambda_minus", "tau", "delta"):
             if key not in ocfg:
                 raise ConfigError(f"optimizer.{key}: required for auto=second_order")
@@ -208,7 +199,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
             lambda_minus=ocfg["lambda_minus"],
             M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
         )
-        eta, beta, beta_c, r, t_thresh, W, S, f_thresh, g_thresh = astuple(second_order_params(
+        found = second_order_params(
             consts,
             ProblemSmoothness(L=ocfg["l"], rho=ocfg["rho"]),
             tau=ocfg["tau"],
@@ -217,7 +208,9 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
             k_const=ocfg.get("k_const", 0.125),
             c_w=rcfg.get("burn_in_c", 1.0),
             beta_c=beta_c if beta_c is not None else 1.0,
-        ))
+        )
+        eta, beta, beta_c, r, t_thresh = found.eta, found.beta, found.beta_c, found.r, found.t_thresh
+        W, S, f_thresh, g_thresh = found.W, found.S, found.f_thresh, found.g_thresh
     if eta is None:
         raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
 
@@ -232,15 +225,9 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     if not (spec.large_steps and estimating):
         S = None
     elif S is None:
-        S = max(1, _ceil_int(r / eta))
+        S = hallucination_count(r, eta)
     if not estimating:
         beta = beta_c = None
-
-    hp = HyperParams(eta, beta, beta_c, r, t_thresh, W, S, f_thresh, g_thresh)
-
-    eta_schedule = None
-    if ocfg.get("eta_decay", "none") == "inv_sqrt":
-        eta_schedule = lambda t: eta / math.sqrt(t + 1.0)  # noqa: E731
 
     x0_cfg = cfg.problem.get("x0")
     if x0_cfg is not None and len(x0_cfg) != problem.dim:
@@ -248,16 +235,17 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     x0 = np.asarray(x0_cfg, dtype=np.float64) if x0_cfg is not None else np.zeros(problem.dim)
 
     return ResolvedRun(
-        algorithm=algo,
         kind=kind,
         source=source,
         bias_corrected=ocfg.get("bias_corrected", False),
-        hp=hp,
+        hp=HyperParams(
+            eta=eta, eta_decay=ocfg.get("eta_decay", "none"), beta=beta, beta_c=beta_c, r=r, t_thresh=t_thresh,
+            W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh,
+        ),
         T=T,
-        eta_schedule=eta_schedule,
         x0=x0,
         log_every=rcfg.get("log_every", 1),
-        track_est_error=rcfg.get("track_est_error", False),
+        track_est_error=track_est_error,
         lambda_min_every=rcfg.get("lambda_min_every", 0),
     )
 
@@ -277,7 +265,6 @@ def execute_records(cfg: ExperimentConfig, seeds):
         run.T,
         [make_rng(seed) for seed in seeds],
         x0=run.x0,
-        eta_schedule=run.eta_schedule,
         log_every=run.log_every,
         track_est_error=run.track_est_error,
         lambda_min_every=run.lambda_min_every,
@@ -473,7 +460,6 @@ def _execute_conditions(conditions, seeds, out_dir: str, jobs: int) -> list[dict
 def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int = 0) -> str:
     """One condition x all seeds; returns the summary path."""
     seeds = _seeds(cfg, seed_offset)
-    os.makedirs(out_dir, exist_ok=True)
     rows = _execute_conditions([("run", cfg)], seeds, out_dir, jobs)
     rows.sort(key=lambda r: r["seed"])
     path = os.path.join(out_dir, "summary.csv")
@@ -489,11 +475,11 @@ def cmd_sweep(
         raise ConfigError("sweep: empty value list")
     resolve_axis(axis)
     seeds = _seeds(cfg, seed_offset)
-    os.makedirs(out_dir, exist_ok=True)
     conditions = []
     for value in values:
         sub = cfg.clone()
         sub.set_axis_value(axis, value)
+        resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
         conditions.append((f"{axis}={value}", sub))
     rows = _execute_conditions(conditions, seeds, out_dir, jobs)
 
@@ -524,10 +510,6 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
     seed = _seeds(cfg, seed_offset)[0]
-    problem_probe = build_problem(cfg.problem)
-    if not problem_probe.has_exact_g:
-        raise ConfigError("problem: estimation scaling needs an exact_G oracle")
-    os.makedirs(out_dir, exist_ok=True)
     c_sched = cfg.run.get("beta_c", 1.0)
     factor = cfg.run.get("est_window_factor", 40.0)
 

@@ -1,8 +1,10 @@
 import csv
 import io
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -10,13 +12,17 @@ import pytest
 from precondsgd import ConfigError
 from precondsgd.cli import main
 from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
-from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Trajectory
+from precondsgd.estimation import beta_schedule
+from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Trajectory, run_sgd
+from precondsgd.precond import Preconditioner
 from precondsgd.runner import (
     TRAJECTORY_CHUNK_ROWS,
+    ResolvedRun,
     build_problem,
     cmd_run,
     cmd_sweep,
     execute_records,
+    make_rng,
     read_summary,
     read_trajectory,
     resolve_run,
@@ -511,7 +517,7 @@ ALGORITHM_SOURCES = [
 
 
 def resolved_config(tmp_path, algorithm, source, auto):
-    """A saddle config that sets every run setting; the algorithm decides which it acts on."""
+    """A saddle config that sets every run setting auto leaves to it; the algorithm decides which it acts on."""
     text = f"""
 [problem]
 name = saddle
@@ -521,16 +527,13 @@ algorithm = {algorithm}
 kind = full_matrix
 beta_spec = schedule
 epsilon = 1e-8
-eta = 0.005
-r = 0.02
-t_thresh = 15
-w = 7
-s = 2
 """
     if source is not None:
         text += f"source = {source}\n"
     if auto:
         text += SECOND_ORDER_KEYS
+    else:
+        text += "eta = 0.005\nr = 0.02\nt_thresh = 15\nw = 7\ns = 2\n"
     text += "[run]\nseeds = 0,1\nt = 100\n"
     return load_config(write_config(tmp_path / "cfg.ini", text))
 
@@ -569,6 +572,140 @@ class TestHyperParamsIsTheRun:
         assert (large.W, large.t_thresh, large.S) == (36, 43, 3)
         assert hp.f_thresh == large.f_thresh > 0.0
         assert hp.g_thresh == large.g_thresh == large.f_thresh / 43
+
+
+FIRST_ORDER_KEYS = "l = 1\nc3 = 1\nlambda_minus = 1\ndelta_f = 1\ntau = 0.3\n"
+AUTO_SETTINGS = {
+    "first_order_exact": "auto = first_order_exact\n" + FIRST_ORDER_KEYS,
+    "first_order_inexact": "auto = first_order_inexact\n" + FIRST_ORDER_KEYS,
+    "second_order": SECOND_ORDER_KEYS,
+}
+
+
+def auto_config(tmp_path, auto, algorithm="rmsprop", extra=""):
+    """A saddle config with ``optimizer.auto`` (None: without it) plus ``extra`` optimizer lines."""
+    return write_config(tmp_path / "auto.ini", f"""
+[problem]
+name = saddle
+x0 = 0.1,0.05
+[optimizer]
+algorithm = {algorithm}
+kind = full_matrix
+epsilon = 1e-8
+beta_spec = schedule:0.5
+{AUTO_SETTINGS.get(auto, "")}{extra}[run]
+seeds = 0,1
+t = 100
+""")
+
+
+class TestAutoLeavesNoKeyUnread:
+    @pytest.mark.parametrize(
+        "auto, key, value",
+        [("second_order", key, value) for key, value in
+         (("eta", "0.005"), ("r", "0.02"), ("t_thresh", "15"), ("w", "7"), ("s", "2"))]
+        + [("first_order_exact", "eta", "0.005"), ("first_order_inexact", "eta", "0.005")],
+    )
+    def test_a_key_auto_computes_exits_2_naming_it(self, tmp_path, capsys, auto, key, value):
+        cfg = auto_config(tmp_path, auto, extra=f"{key} = {value}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert f"optimizer.{key}: computed by optimizer.auto={auto}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_second_order_rejects_a_fixed_beta_and_reads_a_schedule(self, tmp_path, capsys):
+        cfg = auto_config(tmp_path, "second_order")
+        fixed = write_config(tmp_path / "fixed.ini", open(cfg).read().replace("schedule:0.5", "0.9"))
+        assert main(["run", fixed, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert "optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order" in capsys.readouterr().err
+        loaded = load_config(cfg)
+        hp = resolve_run(loaded, build_problem(loaded.problem)).hp
+        assert hp.beta == beta_schedule(hp.eta, 0.5)
+
+
+LOGISTIC_CFG = """
+[problem]
+name = logistic_synthetic
+n = 50
+d = 3
+data_seed = 1
+[optimizer]
+kind = diagonal
+eta = 0.05
+beta_spec = 0.9
+epsilon = 1e-6
+[run]
+seeds = 0
+t = 10
+"""
+
+
+class TestConfigErrorsBeforeAnyRun:
+    @pytest.mark.parametrize(
+        "optimizer, run, needs",
+        [
+            ("algorithm = preconditioned_sgd\nsource = idealized\n", "", "idealized preconditioning"),
+            ("algorithm = large_step\nsource = idealized\nr = 0.1\nt_thresh = 5\n", "", "idealized preconditioning"),
+            ("algorithm = rmsprop\n", "track_est_error = true\n", "est_error tracking"),
+        ],
+    )
+    def test_a_run_needing_exact_g_on_a_problem_without_it_exits_2(self, tmp_path, capsys, optimizer, run, needs):
+        text = LOGISTIC_CFG.replace("[optimizer]\n", "[optimizer]\n" + optimizer) + run
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"logistic_synthetic has no exact_G oracle, which {needs} needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimation_scaling_without_exact_g_exits_2(self, tmp_path, capsys):
+        text = LOGISTIC_CFG.replace("[optimizer]\n", "[optimizer]\nalgorithm = rmsprop_burnin\n") + "etas = 0.01,0.003\n"
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "c.ini", text), "--out", str(out)]) == 2
+        assert "logistic_synthetic has no exact_G oracle, which est_error tracking needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_sweep_resolves_every_condition_before_running_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--axis", "optimizer.algorithm",
+                "--values", "rmsprop,large_step", "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert "optimizer.r and optimizer.t_thresh: required for large_step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_steps_with_a_zero_eta_exit_2(self, tmp_path, capsys):
+        text = LARGE_STEP_CFG.replace("eta = 0.01", "eta = 0\nw = 3")
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]) == 2
+        assert "r and eta must be positive" in capsys.readouterr().err
+
+
+class TestResolvedRunIsPlainData:
+    @pytest.mark.parametrize("decay", [None, "none", "inv_sqrt"])
+    @pytest.mark.parametrize("auto", [None, *AUTO_SETTINGS])
+    def test_a_resolved_run_pickles_with_its_eta_decay(self, tmp_path, auto, decay):
+        extra = "" if decay is None else f"eta_decay = {decay}\n"
+        if auto != "second_order":
+            extra += "r = 0.2\nt_thresh = 15\n" + ("eta = 0.005\n" if auto is None else "")
+        cfg = load_config(auto_config(tmp_path, auto, algorithm="large_step", extra=extra))
+        run = resolve_run(cfg, build_problem(cfg.problem))
+        assert asdict(run.hp)["eta_decay"] == (decay or "none")
+        back = pickle.loads(pickle.dumps(run))
+        assert len(fields(ResolvedRun)) == 9
+        for field in fields(ResolvedRun):
+            np.testing.assert_equal(getattr(back, field.name), getattr(run, field.name), err_msg=field.name)
+
+    def test_the_unpickled_run_runs_what_execute_records_ran(self, tmp_path):
+        cfg = load_config(auto_config(tmp_path, "second_order", algorithm="large_step", extra="eta_decay = inv_sqrt\n"))
+        problem, run, trajectories = execute_records(cfg, [0, 1])
+        back = pickle.loads(pickle.dumps(run))
+
+        def rerun(hp):
+            pre = Preconditioner(back.kind, problem.dim, back.source, back.bias_corrected, batch=2)
+            return run_sgd(problem, pre, hp, back.T, [make_rng(0), make_rng(1)], x0=back.x0,
+                           log_every=back.log_every, track_est_error=back.track_est_error,
+                           lambda_min_every=back.lambda_min_every)
+
+        for traj, again in zip(trajectories, rerun(back.hp)):
+            np.testing.assert_array_equal(traj.x, again.x)
+        # the decay came through hp: without it the run differs
+        assert not np.array_equal(trajectories[0].x, rerun(replace(back.hp, eta_decay="none"))[0].x)
 
 
 def csv_writer_trajectory(traj, dim) -> str:

@@ -14,9 +14,9 @@ from precondsgd import (
     burn_in_length,
     estimate_sigma_max,
     estimation_error_bound,
+    hallucination_count,
     make_quadratic_gaussian,
     make_saddle_problem,
-    measure_estimation_error,
     op_norm,
 )
 
@@ -103,6 +103,21 @@ class TestBurnInLength:
             burn_in_length(0.0)
 
 
+class TestHallucinationCount:
+    def test_examples(self):
+        # 0.07 / 0.01 lands a hair above 7 in floats; the count stays 7
+        assert 0.07 / 0.01 > 7.0
+        assert hallucination_count(0.07, 0.01) == 7
+        assert hallucination_count(0.3, 0.1) == 3
+        assert hallucination_count(0.015, 0.01) == 2
+        assert hallucination_count(0.001, 0.01) == 1
+
+    @pytest.mark.parametrize("r, eta", [(0.1, 0.0), (0.0, 0.1), (-0.1, 0.1)])
+    def test_rejects_nonpositive(self, r, eta):
+        with pytest.raises(InvalidParamError, match="r and eta must be positive"):
+            hallucination_count(r, eta)
+
+
 def test_bias_chain_bound_deterministic():
     """|sum w_t G(x_t) - G(x_T)| <= M L_G eta / ((1-beta)(1-beta^T)) for Lipschitz G."""
     rng = rng_for(41)
@@ -135,6 +150,15 @@ def test_bias_chain_bound_deterministic():
         assert lhs <= rhs * (1 + 1e-9)
 
 
+def observed_errors(p, pre, x, gs, beta):
+    """||Ahat_t - A(x)||_op after each sample g_t that ``pre`` observes."""
+    errs = []
+    for g in gs:
+        pre.observe(g, beta)
+        errs.append(pre.est_error(p, x))
+    return np.array(errs)
+
+
 class TestMeasureEstimationError:
     def test_identity_kind_error_is_zero(self):
         p = make_saddle_problem()
@@ -142,20 +166,19 @@ class TestMeasureEstimationError:
         rng = rng_for(42)
         x = np.array([0.2, 0.1])
         gs = [p.sample_grad(x, rng) for _ in range(10)]
-        errs, sup = measure_estimation_error(p, pre, [x] * 10, gs, 0.9)
+        errs = observed_errors(p, pre, x, gs, 0.9)
         assert np.all(errs == 0.0)
-        assert np.all(sup == 0.0)
 
     def test_noiseless_error_decays_at_rate_beta(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
         pre = Preconditioner(PreconditionerKind(epsilon=0.5), 2, "estimated")
         x = np.array([1.0, -0.5])
         beta = 0.9
-        errs, sup = measure_estimation_error(p, pre, [x] * 150, [p.grad(x)] * 150, beta)
+        errs = observed_errors(p, pre, x, [p.grad(x)] * 150, beta)
         ratios = errs[100:140] / errs[99:139]
         assert np.allclose(ratios, beta, rtol=0.02)
         assert errs[-1] < 1e-4
-        assert np.all(sup == errs[0])  # errors only decrease from the first step
+        assert np.all(np.maximum.accumulate(errs) == errs[0])  # errors only decrease from the first step
 
     def test_stationary_saddle_error_under_bound(self):
         p = make_saddle_problem()

@@ -78,6 +78,12 @@ class ConstantGradientProblem(StochasticProblem):
         return SymMatrix([[0.0]])
 
 
+def test_hyperparams_rejects_an_unknown_eta_decay():
+    assert HyperParams(eta=0.1, eta_decay="inv_sqrt").eta_decay == "inv_sqrt"
+    with pytest.raises(InvalidParamError, match="eta_decay"):
+        HyperParams(eta=0.1, eta_decay="inv_square")
+
+
 class TestPreconditionedSgd:
     def test_identity_noiseless_geometric_decay(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
@@ -456,17 +462,13 @@ def reference_power(G, kind, diagonal):
     return (v * w**kind.exponent) @ v.T
 
 
-def inv_sqrt_decay(t):
-    return 0.05 / math.sqrt(t + 1.0)
-
-
-# name -> (source, HyperParams fields, run_sgd options, bias_corrected)
+# name -> (source, HyperParams fields, bias_corrected)
 PARITY_CASES = {
-    "idealized": ("idealized", dict(eta=0.05), {}, False),
-    "fixed-beta": ("estimated", dict(eta=0.05, beta=0.8), {}, False),
-    "bias-corrected": ("estimated", dict(eta=0.05, beta=0.8), {}, True),
-    "beta-schedule": ("estimated", dict(eta=0.05, beta_c=0.5), dict(eta_schedule=inv_sqrt_decay), True),
-    "burnin-hallucinated": ("estimated", dict(eta=0.02, beta=0.9, r=0.06, t_thresh=4, S=3, W=5), {}, False),
+    "idealized": ("idealized", dict(eta=0.05), False),
+    "fixed-beta": ("estimated", dict(eta=0.05, beta=0.8), False),
+    "bias-corrected": ("estimated", dict(eta=0.05, beta=0.8), True),
+    "beta-schedule": ("estimated", dict(eta=0.05, eta_decay="inv_sqrt", beta_c=0.5), True),
+    "burnin-hallucinated": ("estimated", dict(eta=0.02, beta=0.9, r=0.06, t_thresh=4, S=3, W=5), False),
 }
 PARITY_H = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.5]])
 PARITY_COV = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
@@ -491,30 +493,29 @@ def test_run_matches_numpy_reference(case, n_seeds, variant, dim):
     seeds in lockstep, each seed's trajectory also equals, bit for bit,
     its own single-seed run.
     """
-    source, hp_fields, opts, bias_corrected = PARITY_CASES[case]
+    source, hp_fields, bias_corrected = PARITY_CASES[case]
     p = make_quadratic_gaussian(dim, PARITY_H[:dim, :dim], PARITY_COV[:dim, :dim])
     kind = PreconditionerKind(variant=variant, epsilon=0.05)
     hp = HyperParams(**hp_fields)
     x0 = np.linspace(1.0, -0.5, dim)
     seeds = [21 + i for i in range(n_seeds)]
     pre = Preconditioner(kind, dim, source, bias_corrected, batch=n_seeds)
-    trajectories = run_sgd(p, pre, hp, 30, [rng_for(s) for s in seeds], x0=x0, **opts)
+    trajectories = run_sgd(p, pre, hp, 30, [rng_for(s) for s in seeds], x0=x0)
     assert len(trajectories) == n_seeds
     for seed, traj in zip(seeds, trajectories):
         if n_seeds > 1:
             alone = run1(p, Preconditioner(kind, dim, source, bias_corrected, batch=1), hp, 30, rng_for(seed),
-                         x0=x0, **opts)
+                         x0=x0)
             for column in TRAJECTORY_COLUMNS:
                 np.testing.assert_array_equal(getattr(traj, column), getattr(alone, column), err_msg=column)
-        check_against_numpy_replay(p, traj, rng_for(seed), kind, hp, opts, source, bias_corrected)
+        check_against_numpy_replay(p, traj, rng_for(seed), kind, hp, source, bias_corrected)
 
 
-def check_against_numpy_replay(p, traj, rng, kind, hp, opts, source, bias_corrected):
+def check_against_numpy_replay(p, traj, rng, kind, hp, source, bias_corrected):
     variant, dim = kind.variant, p.dim
     estimating = source == "estimated" and variant != "identity"
     covariance = variant == "covariance_full_matrix"
     diagonal = variant == "diagonal"
-    eta_schedule = opts.get("eta_schedule", lambda t: hp.eta)
     g_hat, beta_prod, t = np.zeros((dim, dim)), 1.0, -1
     steps = np.flatnonzero(traj.steps()).tolist()
     assert traj.error is None and len(steps) == 30
@@ -523,7 +524,7 @@ def check_against_numpy_replay(p, traj, rng, kind, hp, opts, source, bias_correc
         if estimating and covariance:
             upd = (g - p.sample_grad(x, rng)) / math.sqrt(2.0)
         t += kind_label in ("normal", "large")
-        eta_t = hp.eta if kind_label == "burnin" else eta_schedule(t)
+        eta_t = hp.eta / math.sqrt(t + 1.0) if hp.eta_decay == "inv_sqrt" and kind_label != "burnin" else hp.eta
         if estimating:
             beta = beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta
             g_hat = beta * g_hat + (1.0 - beta) * np.outer(upd, upd)
