@@ -214,9 +214,9 @@ def run_sgd(
     if large_steps and (hp.r is None or hp.r < hp.eta):
         raise InvalidParamError("large-step mode needs r >= eta")
     hallucinating = large_steps and estimating
-    decaying = hp.eta_decay == "inv_sqrt"
     if hallucinating and hp.S is None:
         raise InvalidParamError("estimated large-step mode needs S >= 1")
+    decaying = hp.eta_decay == "inv_sqrt"
 
     # Columns for every seed, one slot per event that can be logged.
     n_events = hp.W + T + (((T - 1) // hp.t_thresh + 1) * (hp.S + 1) if hallucinating else 0)

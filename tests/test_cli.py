@@ -614,7 +614,7 @@ class TestAutoLeavesNoKeyUnread:
 
     def test_second_order_rejects_a_fixed_beta_and_reads_a_schedule(self, tmp_path, capsys):
         cfg = auto_config(tmp_path, "second_order")
-        fixed = write_config(tmp_path / "fixed.ini", open(cfg).read().replace("schedule:0.5", "0.9"))
+        fixed = write_config(tmp_path / "fixed.ini", (tmp_path / "auto.ini").read_text().replace("schedule:0.5", "0.9"))
         assert main(["run", fixed, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert "optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order" in capsys.readouterr().err
         loaded = load_config(cfg)
@@ -656,7 +656,8 @@ class TestConfigErrorsBeforeAnyRun:
         assert not out.exists()
 
     def test_estimation_scaling_without_exact_g_exits_2(self, tmp_path, capsys):
-        text = LOGISTIC_CFG.replace("[optimizer]\n", "[optimizer]\nalgorithm = rmsprop_burnin\n") + "etas = 0.01,0.003\n"
+        text = LOGISTIC_CFG.replace("[optimizer]\n", "[optimizer]\nalgorithm = rmsprop_burnin\n")
+        text += "etas = 0.01,0.003\n"
         out = tmp_path / "o"
         assert main(["estimation-scaling", write_config(tmp_path / "c.ini", text), "--out", str(out)]) == 2
         assert "logistic_synthetic has no exact_G oracle, which est_error tracking needs" in capsys.readouterr().err
@@ -687,7 +688,6 @@ class TestResolvedRunIsPlainData:
         run = resolve_run(cfg, build_problem(cfg.problem))
         assert asdict(run.hp)["eta_decay"] == (decay or "none")
         back = pickle.loads(pickle.dumps(run))
-        assert len(fields(ResolvedRun)) == 9
         for field in fields(ResolvedRun):
             np.testing.assert_equal(getattr(back, field.name), getattr(run, field.name), err_msg=field.name)
 
