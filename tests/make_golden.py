@@ -9,11 +9,12 @@ sha256 of every file the command left in its output directory.
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
 est_error tracking, lambda_min(H) logging, a sweep (one from its [sweep]
-section), two estimation-scaling studies, each ``optimizer.auto`` mode
-(second-order with three algorithms, once with every optional constant),
-the summary levels, label noise and two runs that diverge (one through numpy overflow), and runs
-three or more seeds of a condition on each path where seeds share work
-(one sweep with ``--jobs 2``; every other config runs with ``--jobs 1``).
+section), a report on a sweep's summary, two estimation-scaling studies,
+each ``optimizer.auto`` mode (second-order with three algorithms, once
+with every optional constant), the summary levels, label noise and two
+runs that diverge (one through numpy overflow), and runs three or more
+seeds of a condition on each path where seeds share work (one sweep with
+``--jobs 2``; every other config runs with ``--jobs 1``).
 A numpy RuntimeWarning during a config is an error. Regenerate the file
 only for a change meant to alter the program's results, and say so with
 the change.
@@ -40,7 +41,8 @@ QUAD3 = (
 )
 LOGISTIC = "[problem]\nname = logistic_synthetic\nn = 200\nd = 4\ndata_seed = 3\nbatch = 20\n"
 
-# name -> (subcommand, extra CLI arguments, config text)
+# name -> (subcommand, extra CLI arguments, config text); a "report" entry
+# instead names the config whose summary it reads, and has no text.
 CONFIGS = {
     "sgd": ("run", (), SADDLE + """
 [optimizer]
@@ -365,6 +367,9 @@ t = 25
 track_est_error = true
 lambda_min_every = 3
 """),
+    # report on the summary of the sweep its arguments name (run first):
+    # the quantile bands over that sweep's five seeds per condition.
+    "report-multi-sweep-eta-jobs2": ("report", ("multi-sweep-eta-jobs2",), None),
     # optimizer.auto: the second-order settings resolve to W=36,
     # t_thresh=43 and S=3 (eta ~ 0.0047); the first-order ones derive T=247
     # from their formula, whatever run.t says.
@@ -542,17 +547,23 @@ def run_config(name: str, work_dir: str) -> dict:
     from precondsgd.cli import main
 
     subcommand, extra, text = CONFIGS[name]
-    cfg_path = os.path.join(work_dir, f"{name}.ini")
     out_dir = os.path.join(work_dir, name)
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if subcommand == "report":
+        (source,) = extra
+        run_config(source, work_dir)
+        argv = [subcommand, os.path.join(work_dir, source, "summary.csv")]
+    else:
+        cfg_path = os.path.join(work_dir, f"{name}.ini")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [subcommand, cfg_path, *extra]
     # A run prints nothing but its result: a numpy RuntimeWarning (an
     # overflow on a diverging seed, say) fails the config.
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         jobs = () if "--jobs" in extra else ("--jobs", "1")
-        rc = main([subcommand, cfg_path, *extra, "--out", out_dir, *jobs])
+        rc = main([*argv, "--out", out_dir, *jobs])
     files = {}
     for fname in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, fname), "rb") as fh:
