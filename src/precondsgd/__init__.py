@@ -1,4 +1,9 @@
-"""Adaptive gradient methods as preconditioned SGD with an explicit estimation layer."""
+"""Adaptive gradient methods as preconditioned SGD with an explicit estimation layer.
+
+``precond`` holds the one ``Preconditioner`` and ``constants``, the theorems'
+constants of a ``PreconditionerKind``; ``optimizer`` the one run loop
+``run_sgd`` and the parameter calculators; ``runner`` the experiments.
+"""
 
 from .errors import (
     ConfigError,
@@ -35,9 +40,7 @@ from .precond import (
     Preconditioner,
     PreconditionerConstants,
     PreconditionerKind,
-    constants_diagonal,
-    constants_full_matrix,
-    constants_identity,
+    constants,
     estimate_m_bound,
     second_order_complexity_factor,
 )

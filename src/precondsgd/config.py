@@ -3,9 +3,17 @@
 Flat INI-style configs with [problem], [optimizer], [run] and an optional
 [sweep] section. Every key is typed against a per-section schema and
 unknown keys are errors, not warnings: a silently misspelled key would
-corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it,
-and one it computes, beside it (``runner.resolve_run`` checks); except
-the required ``run.t``, which the first-order modes replace with their T.
+corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it
+or under a mode that does not read it, and one the mode computes, beside
+it (``runner.resolve_run`` checks); except the required ``run.t``, which
+the first-order modes replace with their T.
+
+A known key that the chosen algorithm or kind does not run is dropped,
+not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
+outside ``large_step``, ``w`` without burn-in, or ``beta_spec`` under
+``kind = identity``. That lets one config serve a sweep over
+``optimizer.kind`` or ``optimizer.algorithm``. ``runner.resolve_run``
+returns what runs, each dropped key unset.
 """
 
 from __future__ import annotations
@@ -15,14 +23,12 @@ import copy
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .optimizer import ALGORITHMS, ETA_DECAYS
+from .optimizer import ALGORITHMS, AUTO_MODES, ETA_DECAYS
 from .precond import SOURCES, VARIANTS
 
 PROBLEM_NAMES = ("saddle", "counterexample", "quadratic_gaussian", "logistic_synthetic", "logistic_csv")
-AUTO_MODES = ("first_order_exact", "first_order_inexact", "second_order")
 # The optimizer keys that only the optimizer.auto calculators read.
-AUTO_KEYS = ("l", "rho", "c3", "c4", "nu1", "nu2", "lambda_minus", "m_bound", "delta_f", "tau", "delta", "omega",
-             "k_const")
+AUTO_KEYS = tuple(dict.fromkeys(key for mode in AUTO_MODES.values() for key in mode.requires + mode.reads))
 
 
 def _parse_float(s):
@@ -158,12 +164,7 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
 
     def clone(self) -> "ExperimentConfig":
-        return ExperimentConfig(
-            problem=copy.deepcopy(self.problem),
-            optimizer=copy.deepcopy(self.optimizer),
-            run=copy.deepcopy(self.run),
-            sweep=copy.deepcopy(self.sweep),
-        )
+        return copy.deepcopy(self)
 
     def set_axis_value(self, axis: str, raw_value: str) -> None:
         """Set a sweep axis to one of its values; the result is validated like a loaded config."""

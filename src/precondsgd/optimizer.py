@@ -7,7 +7,9 @@ diagonal RMSProp (the EMA-estimated A), RMSProp with burn-in, and the
 increasing-stepsize variant that takes a large step every t_thresh
 iterations and, when estimating, hallucinates interpolated samples to
 keep the estimate accurate. Also the first-order and second-order
-stepsize/iteration calculators and a stationarity check.
+stepsize/iteration calculators, ``AUTO_MODES`` (the config keys each
+``optimizer.auto`` mode of them requires, reads and computes) and a
+stationarity check.
 
 A run advances B seeds in lockstep: iterates are a (B, d) stack, the
 preconditioner holds one estimate per seed, and the exact oracles and
@@ -259,12 +261,10 @@ def run_sgd(
                 freeze(np.ones(live.size, dtype=bool) if err.rows is None else err.rows, lambda i: err)
         return None
 
-    ideal = Preconditioner(pre.kind, dim) if track_est_error and estimating else None
+    tracking = track_est_error and estimating
 
     def current_beta(eta_t: float) -> float:
-        if hp.beta_c is not None:
-            return beta_schedule(eta_t, hp.beta_c)
-        return hp.beta if hp.beta is not None else 0.0
+        return beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta
 
     def draw_sample(at):
         g = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
@@ -274,7 +274,7 @@ def run_sgd(
         return g, g
 
     def tracked_error(at):
-        if ideal is None:
+        if not tracking:
             return np.nan
         if pre.diagonal:
             return pre.est_error(problem, at)
@@ -282,7 +282,7 @@ def run_sgd(
         # to I, direction() scales columns rather than rows by lambda^p, so
         # this reference is diag(lambda^p) in eigenvalue order, not A(x).
         # pre.est_error is the correct ||Ahat - A(x)||_op.
-        a, v = ideal._spectrum(problem, at)
+        a, v = pre._ideal_spectrum(problem, at)
         reference = v @ (a[..., None, :] * (v.swapaxes(-1, -2) @ np.eye(dim)))
         return np.abs(np.linalg.eigvalsh(pre.dense(problem, at) - reference)).max(axis=-1)
 
@@ -318,20 +318,23 @@ def run_sgd(
         x_col[seeds, logged] = rows[at]
         logged += 1
 
-    def should_log(ev: int, is_last: bool) -> bool:
-        return is_last or ev % log_every == 0
-
     ev = -hp.W
+
+    def observe_only(at: str, kind_label: str, eta_t: float) -> None:
+        """An event that only feeds the estimate: draw at rows[at], observe, log, advance ev."""
+        nonlocal ev
+        _, upd = draw_sample(rows[at])  # drawn by every form, so streams stay aligned
+        if estimating:
+            pre.observe(upd, current_beta(eta_t))
+        if ev % log_every == 0:
+            log(ev, at, kind_label, None)
+        ev += 1
+
     # Burn-in: update the estimate at x0 without moving x.
     for _ in range(hp.W):
         if not live.size:
             break
-        _, upd = draw_sample(rows["x"])  # drawn by every form, so streams stay aligned
-        if estimating:
-            pre.observe(upd, current_beta(hp.eta))
-        if should_log(ev, False):
-            log(ev, "x", STEP_BURNIN, None)
-        ev += 1
+        observe_only("x", STEP_BURNIN, hp.eta)
 
     for t in range(T):
         if not live.size:
@@ -347,7 +350,7 @@ def run_sgd(
         if not live.size:
             break
 
-        if should_log(ev, t == T - 1):
+        if t == T - 1 or ev % log_every == 0:
             log(ev, "x", STEP_LARGE if is_large else STEP_NORMAL, t)
         ev += 1
         if not live.size:
@@ -369,11 +372,7 @@ def run_sgd(
                 if not live.size:
                     break
                 rows["xs"] = rows["x_start"] + (s / hp.S) * (rows["x"] - rows["x_start"])
-                _, upd = draw_sample(rows["xs"])
-                pre.observe(upd, current_beta(eta_t))
-                if should_log(ev, False):
-                    log(ev, "xs", STEP_HALLUCINATED, None)
-                ev += 1
+                observe_only("xs", STEP_HALLUCINATED, eta_t)
 
     lengths[live] = logged
     return [
@@ -389,6 +388,23 @@ def run_sgd(
         )
         for b, n in enumerate(lengths)
     ]
+
+
+class AutoMode(NamedTuple):
+    requires: tuple[str, ...]  # optimizer keys the calculator must be given
+    reads: tuple[str, ...]  # optional optimizer keys it reads
+    computes: tuple[str, ...]  # optimizer keys it sets, so a config may not
+
+
+# The optimizer.auto modes: first_order_params (exact or inexact) and
+# second_order_params, by the config keys each takes.
+_FIRST_ORDER = AutoMode(("l", "c3", "lambda_minus", "delta_f", "tau"), (), ("eta",))
+AUTO_MODES = {
+    "first_order_exact": _FIRST_ORDER,
+    "first_order_inexact": _FIRST_ORDER,
+    "second_order": AutoMode(("l", "rho", "c3", "c4", "lambda_minus", "tau", "delta"),
+                             ("nu1", "nu2", "m_bound", "omega", "k_const"), ("eta", "r", "t_thresh", "w", "s")),
+}
 
 
 def first_order_params(

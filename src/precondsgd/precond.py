@@ -4,9 +4,10 @@ One type, ``Preconditioner``, builds A = (G + eps I)^exponent for every
 form the paper uses: the identity, the idealized A(x) from the exact
 second-moment oracle G(x), and the estimate from the EMA
 Ghat_t = beta_t Ghat_{t-1} + (1-beta_t) g g^T, each in a diagonal and a
-full (or covariance) variant. Also calculators for the (nu1, nu2, c3, c4,
-lambda_-) constants that the convergence rates are expressed in, for the
-identity / full-matrix / diagonal variants.
+full (or covariance) variant. Also ``constants``, the one calculator of
+the (nu1, nu2, c3, c4, lambda_-) constants that the convergence rates are
+expressed in: it takes a PreconditionerKind (the identity, or the full-matrix
+or diagonal variant at exponent -1/2) and reads eps from it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     MissingOracleError,
     SingularMatrixError,
 )
-from .linalg import SymMatrix, eigh
+from .linalg import eigh
 
 IDENTITY = "identity"
 FULL_MATRIX = "full_matrix"
@@ -60,7 +61,7 @@ class PreconditionerConstants:
     nu1/nu2 relate ||A v|| to ||A^1/2 v||, c3 bounds the rescaled noise
     magnitude E||A g||^2, c4 lower-bounds lambda_min(A G A^T), lambda_-
     lower-bounds lambda_min(A). M_bound is the uniform step bound ||A g||,
-    problem-specific; calculators default it to sqrt(c3), which is the
+    problem-specific; ``constants`` defaults it to sqrt(c3), which is the
     scale it should have.
     """
 
@@ -220,64 +221,43 @@ def _dense(a, v):
     return (v * a[..., None, :]) @ v.swapaxes(-1, -2)
 
 
-def _require_exact_g(problem, x) -> SymMatrix:
+def constants(problem, x, kind: PreconditionerKind, m_bound: float | None = None) -> PreconditionerConstants:
+    """The constants of the idealized preconditioner of ``kind`` at x, with eps = kind.epsilon.
+
+    Identity (A = I, whatever the exponent): nu1 = nu2 = lambda_- = 1,
+    c3 = tr G, c4 = lambda_min(G). Full matrix, A = (G + eps I)^-1/2, and
+    diagonal, A = diag(G + eps)^-1/2, from the extreme eigenvalues lo, hi
+    of G (of diag G when diagonal): nu1 = nu2 = (lo + eps)^-1/2,
+    c3 = d hi/(hi + eps), c4 = corr lo/(lo + eps), lambda_- = (hi + eps)^-1/2,
+    where corr = lambda_min(G diag(G)^-1) when diagonal and 1 otherwise.
+    The covariance variant and exponent -1 have no constants.
+    """
+    if kind.variant == COVARIANCE_FULL_MATRIX or (kind.variant != IDENTITY and kind.exponent != -0.5):
+        raise InvalidParamError(f"the {kind.variant} preconditioner with exponent {kind.exponent} has no constants")
     if not problem.has_exact_g:
         raise MissingOracleError("constants need an exact_G oracle")
-    return problem.exact_G(x)
-
-
-def constants_identity(problem, x, m_bound: float | None = None) -> PreconditionerConstants:
-    """Constants for A = I: nu1 = nu2 = lambda_- = 1, c3 = tr G, c4 = lambda_min(G)."""
-    G = _require_exact_g(problem, x)
-    c3 = float(np.trace(G.a))
-    return PreconditionerConstants(
-        nu1=1.0,
-        nu2=1.0,
-        c3=c3,
-        c4=G.lambda_min(),
-        lambda_minus=1.0,
-        M_bound=math.sqrt(c3) if m_bound is None else m_bound,
-    )
-
-
-def constants_full_matrix(problem, x, eps: float, m_bound: float | None = None) -> PreconditionerConstants:
-    """Constants for A = (G + eps I)^-1/2."""
-    G = _require_exact_g(problem, x)
-    lmin, lmax = G.lambda_min(), G.lambda_max()
-    if lmin + eps <= 0.0:
-        raise SingularMatrixError("lambda_min(G) + eps must be positive")
-    nu = (lmin + eps) ** -0.5
-    c3 = problem.dim * lmax / (eps + lmax)
-    return PreconditionerConstants(
-        nu1=nu,
-        nu2=nu,
-        c3=c3,
-        c4=lmin / (lmin + eps),
-        lambda_minus=(lmax + eps) ** -0.5,
-        M_bound=math.sqrt(c3) if m_bound is None else m_bound,
-    )
-
-
-def constants_diagonal(problem, x, eps: float, m_bound: float | None = None) -> PreconditionerConstants:
-    """Constants for A = diag(G + eps)^-1/2 (coincides with full-matrix for diagonal G)."""
-    G = _require_exact_g(problem, x)
-    dg = G.diagonal()
-    mn, mx = float(dg.min()), float(dg.max())
-    if mn + eps <= 0.0 or mn <= 0.0:
-        raise SingularMatrixError("diagonal entries of G (+ eps) must be positive")
-    # lambda_min(G diag(G)^-1) via the similar symmetric D^-1/2 G D^-1/2.
-    dinvsqrt = 1.0 / np.sqrt(dg)
-    normalized = G.a * np.outer(dinvsqrt, dinvsqrt)
-    corr_lmin = float(np.linalg.eigvalsh(normalized)[0])
-    c3 = problem.dim * mx / (eps + mx)
-    return PreconditionerConstants(
-        nu1=(eps + mn) ** -0.5,
-        nu2=(eps + mn) ** -0.5,
-        c3=c3,
-        c4=corr_lmin * mn / (eps + mn),
-        lambda_minus=(eps + mx) ** -0.5,
-        M_bound=math.sqrt(c3) if m_bound is None else m_bound,
-    )
+    G = problem.exact_G(x)
+    eps = kind.epsilon
+    if kind.variant == IDENTITY:
+        nu, c3, c4, lambda_minus = 1.0, float(np.trace(G.a)), G.lambda_min(), 1.0
+    else:
+        if kind.variant == DIAGONAL:
+            dg = G.diagonal()
+            lo, hi = float(dg.min()), float(dg.max())
+            if lo <= 0.0:
+                raise SingularMatrixError("diagonal entries of G must be positive")
+            # lambda_min(G diag(G)^-1) via the similar symmetric D^-1/2 G D^-1/2.
+            dinvsqrt = 1.0 / np.sqrt(dg)
+            corr = float(np.linalg.eigvalsh(G.a * np.outer(dinvsqrt, dinvsqrt))[0])
+        else:
+            lo, hi, corr = G.lambda_min(), G.lambda_max(), 1.0
+            if lo + eps <= 0.0:
+                raise SingularMatrixError("lambda_min(G) + eps must be positive")
+        nu = (lo + eps) ** -0.5
+        c3 = problem.dim * hi / (eps + hi)
+        c4 = corr * lo / (lo + eps)
+        lambda_minus = (hi + eps) ** -0.5
+    return PreconditionerConstants(nu, nu, c3, c4, lambda_minus, math.sqrt(c3) if m_bound is None else m_bound)
 
 
 def second_order_complexity_factor(k: PreconditionerConstants) -> float:

@@ -295,15 +295,14 @@ class LogisticRegressionProblem(StochasticProblem):
         x = self._check_dim(x)
         if x.ndim == 2:
             return np.array([self.grad(row) for row in x])
-        residual = _sigmoid(self._X @ x)
-        residual -= self._y
-        return self._X.T @ residual / self.n_samples
+        return self._batch_grad(x, slice(None))
 
     def _batch_grad(self, x, idx) -> np.ndarray:
+        """The mean gradient over the rows ``idx`` selects."""
         Xb = self._X[idx]
         residual = _sigmoid(Xb @ x)
         residual -= self._y[idx]
-        return Xb.T @ residual / len(idx)
+        return Xb.T @ residual / len(Xb)
 
     def sample_grad(self, x, rng) -> np.ndarray:
         x = self._check_dim(x)

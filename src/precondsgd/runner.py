@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, resolve_axis
+from .config import AUTO_KEYS, ExperimentConfig, resolve_axis
 from .errors import ConfigError
 from .estimation import beta_schedule, burn_in_length, hallucination_count
 from .optimizer import (
     ALGORITHMS,
+    AUTO_MODES,
     HyperParams,
     Trajectory,
     first_order_params,
@@ -70,6 +71,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header of ``columns``, then one line per row dict, each value as ``_fmt`` gives it (absent: empty)."""
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+
+    _atomic_write(path, write)
 
 
 def _atomic_write(path, write_fn) -> None:
@@ -138,18 +150,16 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     ``hp`` holds only what the algorithm runs: W only with burn-in, r and
     t_thresh only for ``large_step``, S only when it hallucinates, beta or
     beta_c only when estimating; plus the f_thresh/g_thresh of
-    ``auto = second_order``. Setting a key ``optimizer.auto`` computes (eta;
-    for second_order also r, t_thresh, w, s and a fixed beta), or a run
-    needing the exact_G oracle the problem lacks, is an error."""
+    ``auto = second_order``. Under ``optimizer.auto``, setting a key its
+    mode computes (``optimizer.AUTO_MODES``; second_order also computes a
+    fixed beta) or an auto key the mode does not read, or leaving out one
+    it requires, is an error; so is a run needing the exact_G oracle the
+    problem lacks."""
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
     spec = ALGORITHMS[algo]
     variant = "identity" if algo == "sgd" else ocfg.get("kind", "full_matrix")
-    kind = PreconditionerKind(
-        variant=variant,
-        epsilon=ocfg.get("epsilon", 0.0),
-        exponent=ocfg.get("exponent", -0.5),
-    )
+    kind = PreconditionerKind(variant, ocfg.get("epsilon", 0.0), ocfg.get("exponent", -0.5))
     source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
     estimating = source == "estimated" and kind.variant != "identity"
     track_est_error = rcfg.get("track_est_error", False)
@@ -173,24 +183,25 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
 
     auto = ocfg.get("auto")
     if auto is not None:
-        for key in ("eta", "r", "t_thresh", "w", "s") if auto == "second_order" else ("eta",):
+        calc = AUTO_MODES[auto]
+        for key in calc.computes:
             if key in ocfg:
                 raise ConfigError(f"optimizer.{key}: computed by optimizer.auto={auto}, so it may not be set")
-    if auto in ("first_order_exact", "first_order_inexact"):
-        for key in ("l", "c3", "lambda_minus", "delta_f", "tau"):
+        for key in AUTO_KEYS:
+            if key in ocfg and key not in calc.requires + calc.reads:
+                raise ConfigError(f"optimizer.{key}: not read by optimizer.auto={auto}")
+        if auto == "second_order" and beta is not None:
+            raise ConfigError("optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order; "
+                              "set schedule:C or nothing")
+        for key in calc.requires:
             if key not in ocfg:
                 raise ConfigError(f"optimizer.{key}: required for auto={auto}")
+    if auto in ("first_order_exact", "first_order_inexact"):
         eta, T = first_order_params(
             ocfg["l"], ocfg["c3"], ocfg["lambda_minus"], ocfg["delta_f"], ocfg["tau"],
             exact=auto == "first_order_exact",
         )
     elif auto == "second_order":
-        if beta is not None:
-            raise ConfigError("optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order; "
-                              "set schedule:C or nothing")
-        for key in ("l", "rho", "c3", "c4", "lambda_minus", "tau", "delta"):
-            if key not in ocfg:
-                raise ConfigError(f"optimizer.{key}: required for auto=second_order")
         consts = PreconditionerConstants(
             nu1=ocfg.get("nu1", 1.0),
             nu2=ocfg.get("nu2", 1.0),
@@ -396,18 +407,6 @@ def run_group(cfg: ExperimentConfig, run_id: str, seeds, out_dir: str):
     return rows, failures
 
 
-def write_summary(path, rows, extra_columns=()) -> None:
-    cols = list(extra_columns) + list(SUMMARY_COLUMNS)
-
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in cols])
-
-    _atomic_write(path, write)
-
-
 def read_summary(path) -> tuple[list[str], list[dict]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -463,7 +462,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int
     rows = _execute_conditions([("run", cfg)], seeds, out_dir, jobs)
     rows.sort(key=lambda r: r["seed"])
     path = os.path.join(out_dir, "summary.csv")
-    write_summary(path, rows)
+    write_csv(path, SUMMARY_COLUMNS, rows)
     return path
 
 
@@ -495,20 +494,29 @@ def cmd_sweep(
         row["axis"] = axis
         row["axis_value"] = row["run_id"].split("=", 1)[1]
     path = os.path.join(out_dir, "summary.csv")
-    write_summary(path, rows, extra_columns=("axis", "axis_value"))
+    write_csv(path, ("axis", "axis_value") + SUMMARY_COLUMNS, rows)
     return path
 
 
 def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int = 0) -> str:
     """Sup preconditioner-estimation error versus eta, with the fitted slope.
 
-    For each eta, runs RMSProp with burn-in under beta = 1 - C eta^(2/3),
-    tracking ||Ahat_t - A(x_t)|| over a window of ~est_window_factor EMA
-    time constants, and fits the log-log slope of the sup error.
+    For each eta of run.etas, runs RMSProp with burn-in under
+    beta = 1 - C eta^(2/3) (C = run.beta_c), tracking ||Ahat_t - A(x_t)||
+    over a window of ~est_window_factor EMA time constants, and fits the
+    log-log slope of the sup error. Each run replaces optimizer.algorithm
+    (by rmsprop_burnin), optimizer.eta, optimizer.beta_spec (by the fixed
+    beta(eta)), run.t (by the window if longer), run.track_est_error and
+    run.log_every. kind = identity (no estimate) and optimizer.auto (which
+    would set eta) are ConfigErrors, raised before any file is written.
     """
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
+    if cfg.optimizer.get("kind") == "identity":
+        raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
+    if "auto" in cfg.optimizer:
+        raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
     seed = _seeds(cfg, seed_offset)[0]
     c_sched = cfg.run.get("beta_c", 1.0)
     factor = cfg.run.get("est_window_factor", 40.0)
@@ -521,51 +529,24 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
         sub.optimizer["algorithm"] = "rmsprop_burnin"
         sub.optimizer["eta"] = eta
         sub.optimizer["beta_spec"] = ("fixed", beta)
-        sub.optimizer.pop("auto", None)
         sub.run["t"] = window
         sub.run["track_est_error"] = True
         sub.run["log_every"] = 1
         _, run, (traj,) = execute_records(sub, [seed])
         if traj.error is not None:
             raise type(traj.error)(f"eta {eta} seed {seed}: {traj.error}")
-        rows.append(
-            {
-                "eta": eta,
-                "beta": beta,
-                "T": window,
-                "W": run.hp.W,
-                "sup_error": float(traj.est_error[traj.steps()].max()),
-                "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()),
-                "seed": seed,
-            }
-        )
+        rows.append({"eta": eta, "beta": beta, "T": window, "W": run.hp.W,
+                     "sup_error": float(traj.est_error[traj.steps()].max()),
+                     "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()), "seed": seed})
 
     finite = [r for r in rows if r["sup_error"] > 0.0]
+    slope = 0.0
     if len(finite) >= 2:
-        slope = float(
-            np.polyfit(
-                np.log([r["eta"] for r in finite]), np.log([r["sup_error"] for r in finite]), 1
-            )[0]
-        )
-    else:
-        slope = 0.0
+        slope = float(np.polyfit(np.log([r["eta"] for r in finite]), np.log([r["sup_error"] for r in finite]), 1)[0])
 
     path = os.path.join(out_dir, "scaling.csv")
-
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        cols = ["eta", "beta", "T", "W", "sup_error", "max_x_norm", "seed"]
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in cols])
-
-    _atomic_write(path, write)
-
-    fit_path = os.path.join(out_dir, "scaling_fit.csv")
-    _atomic_write(
-        fit_path,
-        lambda fh: fh.write("slope\n" + _fmt(slope) + "\n"),
-    )
+    write_csv(path, ("eta", "beta", "T", "W", "sup_error", "max_x_norm", "seed"), rows)
+    write_csv(os.path.join(out_dir, "scaling_fit.csv"), ("slope",), [{"slope": slope}])
     return path
 
 
@@ -602,17 +583,12 @@ def cmd_report(summary_paths, out_dir: str) -> str:
                 raise ConfigError(f"{traj_path}: iteration grid differs within condition {run_id!r}")
             f_by_seed.append(traj.f[steps])
         f_mat = np.asarray(f_by_seed)
-        p10, p50, p90 = np.quantile(f_mat, [0.1, 0.5, 0.9], axis=0)
-        for i, it in enumerate(iters_ref):
-            out_rows.append((run_id, it, p10[i], p50[i], p90[i]))
+        p10, p50, p90 = np.quantile(f_mat, [0.1, 0.5, 0.9], axis=0).tolist()
+        out_rows += (
+            {"run_id": run_id, "iter": it, "f_p10": a, "f_p50": b, "f_p90": c}
+            for it, a, b, c in zip(iters_ref, p10, p50, p90)
+        )
 
     path = os.path.join(out_dir, "bands.csv")
-
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run_id", "iter", "f_p10", "f_p50", "f_p90"])
-        for run_id, it, a, b, c in out_rows:
-            writer.writerow([run_id, str(it), _fmt(float(a)), _fmt(float(b)), _fmt(float(c))])
-
-    _atomic_write(path, write)
+    write_csv(path, ("run_id", "iter", "f_p10", "f_p50", "f_p90"), out_rows)
     return path

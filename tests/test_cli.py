@@ -373,6 +373,22 @@ etas = 0.01,0.003
         err = capsys.readouterr().err
         assert "numeric failure: eta 0.01 seed 5: lambda_min(Ghat) + eps not positive" in err
 
+    @pytest.mark.parametrize(
+        "setting, replacement, key",
+        [
+            ("kind = full_matrix\n", "kind = identity\n", "optimizer.kind"),
+            ("eta = 0.01\n", "auto = first_order_exact\nl = 1\nc3 = 1\nlambda_minus = 1\ndelta_f = 1\ntau = 0.3\n",
+             "optimizer.auto"),
+        ],
+        ids=("identity", "auto"),
+    )
+    def test_what_it_cannot_run_exits_2_and_writes_nothing(self, tmp_path, capsys, setting, replacement, key):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace(setting, replacement)
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_eta_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,1", etas="0.01"))
         assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -610,6 +626,18 @@ class TestAutoLeavesNoKeyUnread:
         cfg = auto_config(tmp_path, auto, extra=f"{key} = {value}\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert f"optimizer.{key}: computed by optimizer.auto={auto}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "auto, key",
+        [(auto, key) for auto in ("first_order_exact", "first_order_inexact")
+         for key in ("rho", "c4", "nu1", "nu2", "m_bound", "delta", "omega", "k_const")]
+        + [("second_order", "delta_f")],
+    )
+    def test_a_key_of_another_mode_exits_2_naming_it(self, tmp_path, capsys, auto, key):
+        cfg = auto_config(tmp_path, auto, extra=f"{key} = 1\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert f"optimizer.{key}: not read by optimizer.auto={auto}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_second_order_rejects_a_fixed_beta_and_reads_a_schedule(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from precondsgd import (
     SingularMatrixError,
     StochasticProblem,
     check_stationarity,
-    constants_full_matrix,
+    constants,
     first_order_params,
     hessian_tolerance,
     make_counterexample,
@@ -415,7 +415,7 @@ def test_one_step_descent_lemma_monte_carlo():
         cov = (q * rng.uniform(0.2, 1.0, size=dim)) @ q.T
         p = make_quadratic_gaussian(dim, h, cov)
         x0 = rng.uniform(-1.0, 1.0, size=dim)
-        k = constants_full_matrix(p, x0, eps=0.0)
+        k = constants(p, x0, PreconditionerKind(epsilon=0.0))
         a = idealized(p, PreconditionerKind(epsilon=0.0)).dense(p, x0)
         lam_minus = float(np.linalg.eigvalsh(a)[0])
         mu = 0.4 * lam_minus
@@ -438,7 +438,7 @@ def test_large_step_amortized_increase_bound():
     rng = rng_for(20)
     p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), 0.2 * np.eye(2))
     x0 = np.array([0.5, -0.5])
-    k = constants_full_matrix(p, x0, eps=0.0)
+    k = constants(p, x0, PreconditionerKind(epsilon=0.0))
     sm = ProblemSmoothness(L=p.smoothness.L, rho=1.0)
     hp = second_order_params(k, sm, tau=0.15, delta_prob=0.5, omega=2.0)
     t_thresh = min(hp.t_thresh, 40)  # keep the run short but with many large steps

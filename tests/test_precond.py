@@ -10,9 +10,7 @@ from precondsgd import (
     PreconditionerKind,
     SingularMatrixError,
     SymMatrix,
-    constants_diagonal,
-    constants_full_matrix,
-    constants_identity,
+    constants,
     estimate_m_bound,
     make_counterexample,
     make_quadratic_gaussian,
@@ -220,26 +218,31 @@ class TestEstimatedA:
         assert np.allclose(recovered, expected, rtol=1e-12, atol=1e-14)
 
 
+IDENTITY_KIND = PreconditionerKind("identity")
+FULL_KIND = PreconditionerKind("full_matrix")
+DIAGONAL_KIND = PreconditionerKind("diagonal")
+
+
 class TestConstants:
     def test_identity_saddle_origin(self):
-        k = constants_identity(make_saddle_problem(), np.zeros(2))
+        k = constants(make_saddle_problem(), np.zeros(2), IDENTITY_KIND)
         assert (k.nu1, k.nu2, k.lambda_minus) == (1.0, 1.0, 1.0)
         assert k.c3 == pytest.approx(1.01)
         assert k.c4 == pytest.approx(0.01)
 
     def test_identity_isotropic(self):
-        k = constants_identity(problem_with_g(np.eye(3)), np.zeros(3))
+        k = constants(problem_with_g(np.eye(3)), np.zeros(3), IDENTITY_KIND)
         assert k.c3 == pytest.approx(3.0)
         assert k.c4 == pytest.approx(1.0)
 
     def test_identity_unit_constants_for_any_g(self):
         rng = rng_for(31)
         for _ in range(5):
-            k = constants_identity(problem_with_g(random_spd(rng, 4)), np.zeros(4))
+            k = constants(problem_with_g(random_spd(rng, 4)), np.zeros(4), IDENTITY_KIND)
             assert (k.nu1, k.nu2, k.lambda_minus) == (1.0, 1.0, 1.0)
 
     def test_full_matrix_plugin(self):
-        k = constants_full_matrix(problem_with_g(np.diag([1.0, 0.01])), np.zeros(2), eps=0.0)
+        k = constants(problem_with_g(np.diag([1.0, 0.01])), np.zeros(2), FULL_KIND)
         assert k.nu1 == pytest.approx(10.0)
         assert k.nu2 == pytest.approx(10.0)
         assert k.c3 == pytest.approx(2.0)
@@ -247,21 +250,21 @@ class TestConstants:
         assert k.lambda_minus == pytest.approx(1.0)
 
     def test_full_matrix_identity_g(self):
-        k = constants_full_matrix(problem_with_g(np.eye(4)), np.zeros(4), eps=0.0)
+        k = constants(problem_with_g(np.eye(4)), np.zeros(4), FULL_KIND)
         assert (k.nu1, k.c3, k.c4, k.lambda_minus) == (1.0, 4.0, 1.0, 1.0)
 
     def test_full_matrix_large_eps_limit(self):
         p = problem_with_g(np.diag([0.8, 0.2]))
-        k0 = constants_full_matrix(p, np.zeros(2), eps=0.0)
-        k = constants_full_matrix(p, np.zeros(2), eps=1e12)
+        k0 = constants(p, np.zeros(2), FULL_KIND)
+        k = constants(p, np.zeros(2), PreconditionerKind(epsilon=1e12))
         assert k.c3 <= 1e-6 * k0.c3
         assert k.c4 <= 1e-6 * k0.c4
         assert k.lambda_minus <= 1e-6 * k0.lambda_minus
 
     def test_diagonal_matches_full_for_diagonal_g(self):
         p = problem_with_g(np.diag([1.0, 0.01]))
-        kd = constants_diagonal(p, np.zeros(2), eps=0.0)
-        kf = constants_full_matrix(p, np.zeros(2), eps=0.0)
+        kd = constants(p, np.zeros(2), DIAGONAL_KIND)
+        kf = constants(p, np.zeros(2), FULL_KIND)
         assert kd.nu1 == pytest.approx(kf.nu1)
         assert kd.c3 == pytest.approx(kf.c3)
         assert kd.c4 == pytest.approx(kf.c4)
@@ -271,9 +274,27 @@ class TestConstants:
         assert kd.c4 == pytest.approx(1.0)
 
     def test_diagonal_correlation_factor(self):
-        k = constants_diagonal(problem_with_g(np.array([[2.0, 1.0], [1.0, 2.0]])), np.zeros(2), eps=0.0)
+        k = constants(problem_with_g(np.array([[2.0, 1.0], [1.0, 2.0]])), np.zeros(2), DIAGONAL_KIND)
         # lambda_min(G diag(G)^-1) = lambda_min([[1, .5], [.5, 1]]) = 0.5
         assert k.c4 == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            PreconditionerKind("covariance_full_matrix"),
+            PreconditionerKind("full_matrix", exponent=-1.0),
+            PreconditionerKind("diagonal", exponent=-1.0),
+        ],
+        ids=("covariance", "full_matrix-exponent-1", "diagonal-exponent-1"),
+    )
+    def test_kinds_without_constants_are_rejected(self, kind):
+        with pytest.raises(InvalidParamError, match="no constants"):
+            constants(problem_with_g(np.eye(2)), np.zeros(2), kind)
+
+    def test_identity_ignores_the_exponent(self):
+        p = problem_with_g(np.diag([1.0, 0.01]))
+        k = constants(p, np.zeros(2), PreconditionerKind("identity", exponent=-1.0))
+        assert k == constants(p, np.zeros(2), IDENTITY_KIND)
 
 
 class TestComplexityFactor:
@@ -288,7 +309,7 @@ class TestComplexityFactor:
             g = random_spd(rng, dim)
             lam = np.linalg.eigvalsh(g)
             kappa = lam[-1] / lam[0]
-            k = constants_full_matrix(problem_with_g(g), np.zeros(dim), eps=0.0)
+            k = constants(problem_with_g(g), np.zeros(dim), FULL_KIND)
             closed = dim**4 * kappa**4 * lam[-1]
             assert second_order_complexity_factor(k) == pytest.approx(closed, rel=1e-9)
 
@@ -299,24 +320,16 @@ class TestComplexityFactor:
         p = problem_with_g(g)
         kappa = 0.5 / 0.005
         sgd_bound = 2**4 * kappa**4
-        k_rms = constants_full_matrix(p, np.zeros(2), eps=0.0)
+        k_rms = constants(p, np.zeros(2), FULL_KIND)
         rms_factor = second_order_complexity_factor(k_rms)
         assert rms_factor == pytest.approx(2**4 * kappa**4 * 0.5, rel=1e-9)
         assert rms_factor < sgd_bound
-        k_sgd = constants_identity(p, np.zeros(2))
+        k_sgd = constants(p, np.zeros(2), IDENTITY_KIND)
         assert second_order_complexity_factor(k_sgd) <= sgd_bound * (1 + 1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParamError):
             second_order_complexity_factor(PreconditionerConstants(1, 1, 0, 1, 1, 1))
-
-
-def constants_for(variant, problem, x, eps):
-    if variant == "identity":
-        return constants_identity(problem, x)
-    if variant == "full_matrix":
-        return constants_full_matrix(problem, x, eps)
-    return constants_diagonal(problem, x, eps)
 
 
 def test_definitional_inequalities_hold():
@@ -330,8 +343,9 @@ def test_definitional_inequalities_hold():
         eps = float(rng.choice([0.0, 0.1, 1.0]))
         grad = rng.standard_normal(dim)
         for variant in ("identity", "full_matrix", "diagonal"):
-            k = constants_for(variant, problem, x, eps)
-            a = SymMatrix(idealized_A(problem, PreconditionerKind(variant=variant, epsilon=eps), x))
+            kind = PreconditionerKind(variant=variant, epsilon=eps)
+            k = constants(problem, x, kind)
+            a = SymMatrix(idealized_A(problem, kind, x))
             a_half = sym_power(a, 0.5, 0.0)
             lhs = np.linalg.norm(a.a @ grad) ** 2
             rhs = k.nu1 * np.linalg.norm(a_half.a @ grad) ** 2
