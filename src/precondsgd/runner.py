@@ -568,7 +568,6 @@ def cmd_report(summary_paths, out_dir: str) -> str:
                 (int(row["seed"]), os.path.join(base, row["trajectory"]), path)
             )
 
-    os.makedirs(out_dir, exist_ok=True)
     out_rows = []
     for run_id in sorted(groups):
         iters_ref = None

@@ -459,6 +459,16 @@ class TestReport:
         sum_b = cmd_sweep(cfg, "optimizer.eta", ["0.01"], str(out_b))
         assert main(["report", sum_a, sum_b, "--out", str(tmp_path / "r")]) == 2
 
+    def test_differing_iteration_grids_exit_2_and_write_nothing(self, tmp_path, capsys):
+        summaries = []
+        for t in (20, 30):
+            cfg = load_config(write_config(tmp_path / f"{t}.ini", SADDLE_CFG.replace("t = 200", f"t = {t}")))
+            summaries.append(cmd_run(cfg, str(tmp_path / f"run{t}")))
+        out = tmp_path / "r"
+        assert main(["report", *summaries, "--out", str(out)]) == 2
+        assert "iteration grid differs within condition 'run'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 LARGE_STEP_CFG = """
 [problem]
