@@ -94,6 +94,12 @@ class SymMatrix:
     Otherwise (an all-zero matrix included) they call ``eigh``.
     ``eigendecomposition`` always calls ``eigh``: for tied eigenvalues
     LAPACK orders the eigenvectors differently from a stable sort.
+
+    ``outer_plus(g, base)`` builds g g^T + base, the second moment of a
+    mean g and a covariance base, without the copy and the averaging:
+    the sum is already exactly symmetric, because floating-point products
+    commute and base is symmetric, and (a + a^T)/2 of a symmetric a with
+    no entry above ``_HALF_MAX`` returns a's own bits.
     """
 
     __slots__ = ("_a", "_eig", "_w")
@@ -102,7 +108,10 @@ class SymMatrix:
         a = np.array(entries, dtype=np.float64)
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
             raise InvalidParamError(f"expected a nonempty square matrix or a stack of them, got shape {a.shape}")
-        a = _symmetrized(a)
+        self._own(_symmetrized(a))
+
+    def _own(self, a) -> None:
+        """Take the symmetric array a, which nothing else holds, as the read-only entries."""
         a.setflags(write=False)
         self._a = a
         self._eig = None
@@ -111,6 +120,23 @@ class SymMatrix:
     @classmethod
     def identity(cls, dim: int) -> "SymMatrix":
         return cls(np.eye(dim))
+
+    @classmethod
+    def outer_plus(cls, g, base: "SymMatrix") -> "SymMatrix":
+        """g g^T + base for a (d,) vector g, or a (B, d, d) stack of them from a (B, d) stack.
+
+        Gives the bits of ``SymMatrix(g g^T + base.a)`` and raises as it does.
+        """
+        g = np.asarray(g, dtype=np.float64)
+        if g.ndim not in (1, 2) or g.shape[-1] != base.dim:
+            raise InvalidParamError(f"expected a vector or a stack of them of dim {base.dim}, got shape {g.shape}")
+        a = g[..., :, None] * g[..., None, :]
+        a += base.a
+        if not np.abs(a).max() <= _HALF_MAX:  # NaN, inf or an entry whose double overflows
+            a = _symmetrized(a)
+        m = cls.__new__(cls)
+        m._own(a)
+        return m
 
     @classmethod
     def from_diagonal(cls, diag) -> "SymMatrix":
@@ -124,11 +150,8 @@ class SymMatrix:
         n = d.shape[-1]
         a = np.zeros(d.shape + (n,))
         a.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = d
-        a.setflags(write=False)
         m = cls.__new__(cls)
-        m._a = a
-        m._eig = None
-        m._w = None
+        m._own(a)
         lo, hi = _LAPACK_UNSCALED
         if lo <= top.min() and top.max() <= hi:
             d.sort(axis=-1)

@@ -12,15 +12,15 @@ stepsize/iteration calculators, ``AUTO_MODES`` (the config keys each
 stationarity check.
 
 A run advances B seeds in lockstep: iterates are a (B, d) stack, the
-preconditioner holds one estimate per seed, and the exact oracles and
-the eigendecompositions take the whole stack at once. Each seed draws
-from its own caller-owned RNG stream, one ``sample_grad`` call per seed
-and sample in program order, and every stacked operation gives each row
-the bits of its own single-seed computation. So a seed's trajectory is
-bitwise identical whichever seeds run beside it, and identical
-(problem, hyperparameters, seed) triples produce bitwise-identical
-trajectories. A seed that fails (divergence, a singular matrix) stops
-there; the others run on.
+preconditioner holds one estimate per seed, and the exact oracles take
+the whole stack at once; ``linalg.eigh`` still decomposes one matrix per
+LAPACK call. Each seed draws from its own caller-owned RNG stream, one
+``sample_grad`` call per seed and sample in program order, and every
+stacked operation gives each row the bits of its own single-seed
+computation. So a seed's trajectory is bitwise identical whichever seeds
+run beside it, and identical (problem, hyperparameters, seed) triples
+produce bitwise-identical trajectories. A seed that fails (divergence, a
+singular matrix) stops there; the others run on.
 """
 
 from __future__ import annotations
@@ -252,11 +252,11 @@ def run_sgd(
         for name, value in rows.items():
             rows[name] = value[keep]
 
-    def guarded(op):
-        """op() over the live seeds; the seeds it fails for stop, and it reruns on the rest."""
+    def guarded(op, *args):
+        """op(*args) over the live seeds; the seeds it fails for stop, and it reruns on the rest."""
         while live.size:
             try:
-                return op()
+                return op(*args)
             except NumericError as err:
                 freeze(np.ones(live.size, dtype=bool) if err.rows is None else err.rows, lambda i: err)
         return None
@@ -278,36 +278,34 @@ def run_sgd(
             return np.nan
         if pre.diagonal:
             return pre.est_error(problem, at)
-        # Known defect, kept so recorded outputs stay byte-identical: applied
-        # to I, direction() scales columns rather than rows by lambda^p, so
-        # this reference is diag(lambda^p) in eigenvalue order, not A(x).
-        # pre.est_error is the correct ||Ahat - A(x)||_op.
-        a, v = pre._ideal_spectrum(problem, at)
-        reference = v @ (a[..., None, :] * (v.swapaxes(-1, -2) @ np.eye(dim)))
-        return np.abs(np.linalg.eigvalsh(pre.dense(problem, at) - reference)).max(axis=-1)
+        diff = pre.dense(problem, at)
+        diff -= _defect_reference(*pre._ideal_spectrum(problem, at))
+        return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1)
+
+    def direction():
+        return pre.direction(problem, rows["x"], rows["g"])
+
+    def oracles(at: str, hess_due: bool):
+        """lambda_min(H) (NaN unless due), ||grad f|| and the tracked est_error at rows[at]."""
+        points = rows[at]
+        lam_h = problem.hessian(points).lambda_min() if hess_due else np.nan
+        g = problem.grad(points)
+        return lam_h, np.sqrt(np.vecdot(g, g)), tracked_error(points)
 
     def log(ev: int, at: str, kind_label: str, t_for_hess: int | None) -> None:
         """Log event ev at the points rows[at] of the live seeds."""
         nonlocal logged
         rows["f"] = f_val = problem.eval_f(rows[at])
-        within = np.abs(f_val) <= DIVERGENCE_F_LIMIT  # False for NaN and inf
-        if not within.all():
+        if not np.abs(f_val).max() <= DIVERGENCE_F_LIMIT:  # also for NaN and inf
+            within = np.abs(f_val) <= DIVERGENCE_F_LIMIT
             freeze(~within, lambda i: NonFiniteError(f"objective diverged (f={float(f_val[i])}) at event {ev}"))
-
-        def oracles():
-            points = rows[at]
-            lam_h = np.nan
-            if (
-                lambda_min_every > 0
-                and t_for_hess is not None
-                and t_for_hess % lambda_min_every == 0
-                and problem.has_hessian
-            ):
-                lam_h = problem.hessian(points).lambda_min()
-            g = problem.grad(points)
-            return lam_h, np.sqrt(np.vecdot(g, g)), tracked_error(points)
-
-        values = guarded(oracles)
+        hess_due = (
+            lambda_min_every > 0
+            and t_for_hess is not None
+            and t_for_hess % lambda_min_every == 0
+            and problem.has_hessian
+        )
+        values = guarded(oracles, at, hess_due)
         if values is None:
             return
         seeds = slice(None) if live.size == n_seeds else live
@@ -346,7 +344,7 @@ def run_sgd(
         rows["g"], upd = draw_sample(rows["x"])
         if estimating:
             pre.observe(upd, current_beta(eta_t))
-        rows["direction"] = guarded(lambda: pre.direction(problem, rows["x"], rows["g"]))
+        rows["direction"] = guarded(direction)
         if not live.size:
             break
 
@@ -361,9 +359,8 @@ def run_sgd(
         if problem.clip_bounds is not None:
             x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
         rows["x"] = x_new
-        finite = np.isfinite(x_new).all(axis=1)
-        if not finite.all():
-            freeze(~finite, lambda i: NonFiniteError(f"iterate diverged at step {t}"))
+        if not np.isfinite(x_new).all():
+            freeze(~np.isfinite(x_new).all(axis=1), lambda i: NonFiniteError(f"iterate diverged at step {t}"))
 
         if is_large and hallucinating:
             # Hallucinate S+1 interpolated samples so the estimate keeps
@@ -388,6 +385,19 @@ def run_sgd(
         )
         for b, n in enumerate(lengths)
     ]
+
+
+def _defect_reference(a, v):
+    """The reference the logged full-matrix est_error compares Ahat with: V (a * V^T).
+
+    Known defect, kept so recorded outputs stay byte-identical: it scales
+    the columns of V^T rather than its rows by a = lambda^p, so it is
+    diag(lambda^p) in eigenvalue order, not A(x) = V diag(a) V^T.
+    Preconditioner.est_error is the correct ||Ahat - A(x)||_op. The
+    contiguous copy of V^T has the layout, and so the bits, of the product
+    V^T I it replaces.
+    """
+    return v @ (a[..., None, :] * np.ascontiguousarray(v.swapaxes(-1, -2)))
 
 
 class AutoMode(NamedTuple):

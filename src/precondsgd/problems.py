@@ -108,7 +108,7 @@ class SaddleProblem2D(StochasticProblem):
     def __init__(self):
         self.B_SUPPORT.setflags(write=False)
         self.H_DIAG.setflags(write=False)
-        self._noise_cov = np.diag([1.0, 0.01])
+        self._noise_cov = SymMatrix.from_diagonal([1.0, 0.01])
 
     def eval_f(self, x):
         x = self._check_dim(x)
@@ -128,8 +128,7 @@ class SaddleProblem2D(StochasticProblem):
         return self.grad(x)[None, :] + b
 
     def exact_G(self, x) -> SymMatrix:
-        g = self.grad(x)
-        return SymMatrix(_outer(g) + self._noise_cov)
+        return SymMatrix.outer_plus(self.grad(x), self._noise_cov)
 
     def hessian(self, x) -> SymMatrix:
         return SymMatrix.from_diagonal(self.H_DIAG + 90.0 * self._check_dim(x) ** 8)
@@ -232,17 +231,11 @@ class QuadraticGaussianProblem(StochasticProblem):
         return self.grad(x)[None, :] + z @ self._noise_factor.T
 
     def exact_G(self, x) -> SymMatrix:
-        g = self.grad(x)
-        return SymMatrix(_outer(g) + self._cov.a)
+        return SymMatrix.outer_plus(np.matvec(self._H.a, self._check_dim(x)), self._cov)
 
     def hessian(self, x) -> SymMatrix:
         self._check_dim(x)
         return self._H
-
-
-def _outer(g):
-    """g g^T of a vector, or of each row of a stack."""
-    return g[..., :, None] * g[..., None, :]
 
 
 def _sigmoid(z):

@@ -507,18 +507,26 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
     log-log slope of the sup error. Each run replaces optimizer.algorithm
     (by rmsprop_burnin), optimizer.eta, optimizer.beta_spec (by the fixed
     beta(eta)), run.t (by the window if longer), run.track_est_error and
-    run.log_every. kind = identity (no estimate) and optimizer.auto (which
-    would set eta) are ConfigErrors, raised before any file is written.
+    run.log_every. kind = identity (no estimate), optimizer.auto (which
+    would set eta), and an eta that repeats or has no beta(eta) in (0, 1)
+    are ConfigErrors, raised before any file is written.
     """
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
+    c_sched = cfg.run.get("beta_c", 1.0)
+    if not c_sched > 0.0:
+        raise ConfigError(f"run.beta_c: must be positive, got {c_sched}")
+    for eta in etas:
+        if etas.count(eta) > 1:
+            raise ConfigError(f"run.etas: eta {eta} occurs more than once")
+        if not eta > 0.0 or not c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) must lie in (0, 1)
+            raise ConfigError(f"run.etas: eta {eta} must be positive with run.beta_c * eta^(2/3) < 1")
     if cfg.optimizer.get("kind") == "identity":
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:
         raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
     seed = _seeds(cfg, seed_offset)[0]
-    c_sched = cfg.run.get("beta_c", 1.0)
     factor = cfg.run.get("est_window_factor", 40.0)
 
     rows = []

@@ -9,12 +9,13 @@ sha256 of every file the command left in its output directory.
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
 est_error tracking, lambda_min(H) logging, a sweep (one from its [sweep]
-section), a report on a sweep's summary, two estimation-scaling studies,
-each ``optimizer.auto`` mode (second-order with three algorithms, once
-with every optional constant), the summary levels, label noise and two
-runs that diverge (one through numpy overflow), and runs three or more
-seeds of a condition on each path where seeds share work (one sweep with
-``--jobs 2``; every other config runs with ``--jobs 1``).
+section), a report on a sweep's summary, three estimation-scaling studies
+(one full-matrix at d=10 from the origin), each ``optimizer.auto`` mode
+(second-order with three algorithms, once with every optional constant),
+the summary levels, label noise and two runs that diverge (one through
+numpy overflow), and runs three or more seeds of a condition on each
+path where seeds share work (one sweep with ``--jobs 2``; every other
+config runs with ``--jobs 1``).
 A numpy RuntimeWarning during a config is an error. Regenerate the file
 only for a change meant to alter the program's results, and say so with
 the change.
@@ -253,6 +254,25 @@ kind = full_matrix
 epsilon = 1e-6
 [run]
 seeds = 17
+t = 1
+etas = 0.01,0.003
+est_window_factor = 0.5
+"""),
+    # At x0 = 0 the d=10 quadratic's G(x0) is diagonal, so the burn-in
+    # eigenvectors hold exact zeros; the full-matrix est_error tracks them.
+    "estimation-scaling-d10-origin": ("estimation-scaling", (), """
+[problem]
+name = quadratic_gaussian
+dim = 10
+h_diag = 1.0,0.774,0.599,0.464,0.359,0.278,0.215,0.167,0.129,0.1
+noise_diag = 1.0,0.774,0.599,0.464,0.359,0.278,0.215,0.167,0.129,0.1
+x0 = 0,0,0,0,0,0,0,0,0,0
+[optimizer]
+algorithm = rmsprop_burnin
+kind = full_matrix
+epsilon = 1e-8
+[run]
+seeds = 57
 t = 1
 etas = 0.01,0.003
 est_window_factor = 0.5

@@ -389,6 +389,27 @@ etas = 0.01,0.003
         assert f"error: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "etas, extra, message",
+        [
+            ("0.01, 0.01", "", "run.etas: eta 0.01 occurs more than once"),
+            ("0.01, 0.003, 0.010", "", "run.etas: eta 0.01 occurs more than once"),
+            ("0.01, -0.01", "", "run.etas: eta -0.01 must be positive"),
+            ("0, 0.01", "", "run.etas: eta 0.0 must be positive"),
+            ("0.01, 1.0", "", "run.etas: eta 1.0 must be positive with run.beta_c * eta^(2/3) < 1"),
+            ("0.01, 0.1", "beta_c = 5\n", "run.etas: eta 0.1 must be positive with run.beta_c * eta^(2/3) < 1"),
+            ("0.01, 0.1", "beta_c = 0\n", "run.beta_c: must be positive"),
+        ],
+        ids=("repeated", "repeated-spelled-apart", "negative", "zero", "beta-not-positive", "beta-c-too-large",
+             "beta-c-zero"),
+    )
+    def test_bad_etas_exit_2_name_the_key_and_write_nothing(self, tmp_path, capsys, etas, extra, message):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas=etas) + extra
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_eta_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,1", etas="0.01"))
         assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -189,6 +190,90 @@ class TestFromDiagonal:
             SymMatrix.from_diagonal(np.ones((2, 2, 2)))
         with pytest.raises(InvalidParamError):
             SymMatrix.from_diagonal([])
+
+
+HALF_MAX = np.finfo(np.float64).max / 2.0
+
+
+def random_outer_entries(rng, shape, big, nonfinite=()):
+    """Entries of magnitude 1e-3 to 1e3 with subnormals, +-0.0, some of magnitude ``big`` and ``nonfinite``."""
+    x = 10.0 ** rng.uniform(-3.0, 3.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    special = np.array([0.0, -0.0, 5e-324, -3e-320, 2.2e-308, big, -big, 0.999 * big, -1.001 * big, *nonfinite])
+    pick = rng.random(shape) < rng.uniform(0.0, 0.3)
+    x[pick] = rng.choice(special, size=np.count_nonzero(pick))
+    return x
+
+
+class TestOuterPlus:
+    """outer_plus(g, base) has the bits of SymMatrix(g g^T + base.a), and raises as it does."""
+
+    @staticmethod
+    def via_constructor(g, base):
+        try:
+            return SymMatrix(g[..., :, None] * g[..., None, :] + base.a).a, None
+        except NonFiniteError as err:
+            return None, err
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10])
+    def test_bits_and_errors_of_the_constructor(self, dim, batch):
+        rng = np.random.default_rng(7000 + 10 * dim + (batch or 0))
+        paths = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(200):
+                g = random_outer_entries(rng, (dim,) if batch is None else (batch, dim), math.sqrt(HALF_MAX),
+                                         (np.nan, np.inf, -np.inf))
+                b = random_outer_entries(rng, (dim, dim), HALF_MAX)
+                base = SymMatrix(np.triu(b) + np.triu(b, 1).T)
+                expected, err = self.via_constructor(g, base)
+                if err is not None:
+                    with pytest.raises(NonFiniteError) as info:
+                        SymMatrix.outer_plus(g, base)
+                    assert str(info.value) == str(err)
+                    if batch is None:
+                        assert info.value.rows is None and err.rows is None
+                    else:
+                        assert info.value.rows.tolist() == err.rows.tolist()
+                    paths.add("raises")
+                    continue
+                m = SymMatrix.outer_plus(g, base)
+                assert m.a.tobytes() == expected.tobytes()
+                assert m.a.shape == expected.shape and not m.a.flags.writeable
+                raw = g[..., :, None] * g[..., None, :] + base.a
+                paths.add("plain" if np.abs(raw).max() <= HALF_MAX else "averaged")
+        assert paths == {"plain", "averaged", "raises"}
+
+    def test_read_only_and_eigenvalues_of_a_fresh_matrix(self):
+        base = SymMatrix(np.diag([1.0, 2.0]))
+        m = SymMatrix.outer_plus(np.array([[3.0, -0.0], [0.0, 1.0]]), base)
+        with pytest.raises(ValueError):
+            m.a[0, 0, 0] = 0.0
+        assert np.array_equal(m.eigenvalues(), np.linalg.eigh(m.a).eigenvalues)
+        assert np.array_equal(base.a, np.diag([1.0, 2.0]))
+
+    def test_signed_zeros_and_subnormals_keep_their_bits(self):
+        base = SymMatrix([[-0.0, -0.0], [-0.0, 5e-324]])
+        for g in (np.array([-0.0, 1.0]), np.array([[-0.0, 1.0], [0.0, -3e-320]])):
+            m = SymMatrix.outer_plus(g, base)
+            assert m.a.tobytes() == SymMatrix(g[..., :, None] * g[..., None, :] + base.a).a.tobytes()
+            assert np.signbit(m.a[..., 0, 1]).all()
+
+    def test_rows_that_are_not_finite(self):
+        base = SymMatrix(np.eye(2))
+        g = np.array([[1.0, 2.0], [np.nan, 0.0], [1.0, np.inf], [1e200, 1.0], [3.0, -0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as info:
+                SymMatrix.outer_plus(g, base)
+        assert info.value.rows.tolist() == [False, True, True, True, False]
+        with pytest.raises(NonFiniteError) as info:
+            SymMatrix.outer_plus(np.array([np.nan, 1.0]), base)
+        assert info.value.rows is None
+
+    def test_rejects_a_point_of_another_dimension(self):
+        base = SymMatrix(np.eye(2))
+        for g in (np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), 1.0):
+            with pytest.raises(InvalidParamError):
+                SymMatrix.outer_plus(g, base)
 
 
 class TestSymPower:

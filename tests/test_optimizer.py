@@ -591,3 +591,42 @@ def test_a_seed_that_fails_stops_alone_with_the_bits_of_its_own_run():
         assert str(traj.error) == str(alone.error)
         if traj.error is not None:
             assert isinstance(traj.error, SingularMatrixError) and 1 <= len(traj) < 30
+
+
+def test_defect_reference_has_the_bits_of_the_identity_product():
+    """The logged full-matrix est_error's reference V (a * V^T) equals V (a * (V^T I)) bit for bit.
+
+    Over eigh outputs of random PSD stacks, of diagonal matrices (whose
+    eigenvectors hold exact zeros) and of permuted block-diagonal ones
+    (whose eigenvectors also hold -0.0), d from 1 to 10.
+    """
+    from precondsgd.linalg import eigh
+    from precondsgd.optimizer import _defect_reference
+
+    rng = rng_for(90)
+    negative_zeros = 0
+    for trial in range(600):
+        dim, batch = int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        form = trial % 3
+        if form == 0:
+            m = rng.standard_normal((batch, dim, dim))
+            m = m @ m.swapaxes(-1, -2)
+        elif form == 1:
+            m = np.zeros((batch, dim, dim))
+            m[:, np.arange(dim), np.arange(dim)] = rng.random((batch, dim)) * 10.0 ** rng.integers(-5, 3)
+        else:
+            m = np.zeros((batch, dim, dim))
+            k = int(rng.integers(0, dim + 1))
+            for lo, hi in ((0, k), (k, dim)):
+                f = rng.standard_normal((batch, hi - lo, hi - lo))
+                m[:, lo:hi, lo:hi] = f @ f.swapaxes(-1, -2)
+            perm = rng.permutation(dim)
+            m = m[:, perm][:, :, perm]
+        w, v = eigh(m)
+        negative_zeros += np.count_nonzero((v == 0.0) & np.signbit(v))
+        a = (np.maximum(w, 0.0) + 1e-8) ** -0.5
+        if batch == 1 and trial % 2:
+            a, v = a[0], v[0]
+        old = v @ (a[..., None, :] * (v.swapaxes(-1, -2) @ np.eye(dim)))
+        assert _defect_reference(a, v).tobytes() == old.tobytes()
+    assert negative_zeros > 0
