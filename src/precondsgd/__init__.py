@@ -2,7 +2,7 @@
 
 ``precond`` holds the one ``Preconditioner`` and ``constants``, the theorems'
 constants of a ``PreconditionerKind``; ``optimizer`` the one run loop
-``run_sgd`` and the parameter calculators; ``runner`` the experiments.
+``run_sgd``, the ``Run`` it runs and the calculators; ``runner`` the experiments.
 """
 
 from .errors import (
@@ -55,6 +55,7 @@ from .estimation import (
 )
 from .optimizer import (
     HyperParams,
+    Run,
     StationarityReport,
     Trajectory,
     check_stationarity,

@@ -13,7 +13,7 @@ not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
 outside ``large_step``, ``w`` without burn-in, or ``beta_spec`` under
 ``kind = identity``. That lets one config serve a sweep over
 ``optimizer.kind`` or ``optimizer.algorithm``. ``runner.resolve_run``
-returns what runs, each dropped key unset.
+returns the ``optimizer.Run`` that runs, each dropped key unset.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ _SCHEMAS = {
 }
 
 _REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds", "t")}
+# Keys no condition of a sweep reads: the seeds come from the base config,
+# these run keys only estimation-scaling reads, and [sweep] only the CLI.
+_UNSWEPT = ("run.seeds", "run.etas", "run.est_window_factor", "run.beta_c")
 
 
 @dataclass
@@ -181,6 +184,8 @@ def resolve_axis(axis: str):
     schema = _SCHEMAS[section]
     if key not in schema:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if section == "sweep" or axis in _UNSWEPT:
+        raise ConfigError(f"{axis}: no condition of a sweep reads it, so it cannot be a sweep axis")
     return section, key, schema[key]
 
 
@@ -241,6 +246,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.seeds: must be non-empty")
     if cfg.run.get("t", 1) < 1:
         raise ConfigError("run.t: must be >= 1")
+    for key in ("est_window_factor", "beta_c", "burn_in_c"):
+        if key in cfg.run and not cfg.run[key] > 0.0:
+            raise ConfigError(f"run.{key}: must be positive, got {cfg.run[key]}")
 
     if name == "counterexample":
         for key in ("c", "zeta"):

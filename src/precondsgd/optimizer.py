@@ -1,14 +1,14 @@
 """The run loop and theorem-driven parameter calculators.
 
-``run_sgd`` is preconditioned SGD x <- x - eta A g with any
-``Preconditioner``, and every algorithm is one configuration of it: SGD
-(identity), preconditioned SGD with the oracle A(x), full-matrix /
-diagonal RMSProp (the EMA-estimated A), RMSProp with burn-in, and the
-increasing-stepsize variant that takes a large step every t_thresh
-iterations and, when estimating, hallucinates interpolated samples to
-keep the estimate accurate. Also the first-order and second-order
-stepsize/iteration calculators, ``AUTO_MODES`` (the config keys each
-``optimizer.auto`` mode of them requires, reads and computes) and a
+``run_sgd(problem, run, rngs)`` is preconditioned SGD x <- x - eta A g,
+and every algorithm is one ``Run`` of it (what ``runner.resolve_run``
+returns): SGD (identity), preconditioned SGD with the oracle A(x),
+full-matrix / diagonal RMSProp (the EMA-estimated A), RMSProp with
+burn-in, and the increasing-stepsize variant that takes a large step
+every t_thresh iterations and, when estimating, hallucinates
+interpolated samples to keep the estimate accurate. Also the first- and
+second-order stepsize/iteration calculators, ``AUTO_MODES`` (the config
+keys each ``optimizer.auto`` mode requires, reads and computes) and a
 stationarity check.
 
 A run advances B seeds in lockstep: iterates are a (B, d) stack, the
@@ -32,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidParamError, MissingOracleError, NonFiniteError, NumericError
+from .errors import InvalidParamError, MissingOracleError, NonFiniteError, NumericError
 from .estimation import _ceil_int, beta_schedule, burn_in_length, hallucination_count
-from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants
+from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants, PreconditionerKind, estimates
 from .problems import ProblemSmoothness, StochasticProblem
 
 STEP_NORMAL = "normal"
@@ -51,7 +51,7 @@ ETA_DECAYS = ("none", "inv_sqrt")
 
 @dataclass
 class HyperParams:
-    """The settings ``run_sgd`` acts on, each in one place; plain data.
+    """The stepsizes, EMA and phases of a ``Run``, each in one place; plain data.
 
     eta is the base stepsize; with eta_decay "inv_sqrt" step t takes
     eta_t = eta / sqrt(t + 1), with "none" eta_t = eta. An estimating
@@ -90,6 +90,43 @@ class HyperParams:
             raise InvalidParamError("W must be >= 0")
         if self.S is not None and self.S < 1:
             raise InvalidParamError("S must be >= 1")
+
+
+@dataclass
+class Run:
+    """Everything ``run_sgd`` executes, checked once: plain data that pickles.
+
+    ``kind`` and ``source`` pick the Preconditioner (``bias_corrected`` its
+    EMA correction), ``hp`` the steps; T optimization steps from x0 (None:
+    the origin). Every log_every-th event is logged, with lambda_min(H) at
+    every lambda_min_every-th step (0: never) and, if track_est_error and
+    estimating, ||Ahat - A(x)||.
+    """
+
+    kind: PreconditionerKind
+    source: str
+    bias_corrected: bool
+    hp: HyperParams
+    T: int
+    x0: np.ndarray | None = None
+    log_every: int = 1
+    track_est_error: bool = False
+    lambda_min_every: int = 0
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise InvalidParamError("T must be >= 1")
+        if self.log_every < 1:
+            raise InvalidParamError("log_every must be >= 1")
+        if self.lambda_min_every < 0:
+            raise InvalidParamError("lambda_min_every must be >= 0")
+        hp, estimating = self.hp, estimates(self.kind, self.source)
+        if estimating and hp.beta is None and hp.beta_c is None:
+            raise InvalidParamError("estimated preconditioning needs beta or a beta schedule")
+        if hp.t_thresh is not None and (hp.r is None or hp.r < hp.eta):
+            raise InvalidParamError("large-step mode needs r >= eta")
+        if hp.t_thresh is not None and estimating and hp.S is None:
+            raise InvalidParamError("estimated large-step mode needs S >= 1")
 
 
 @dataclass
@@ -163,61 +200,37 @@ ALGORITHMS = {
 # finite-iterate check stop that seed and name the event, so numpy's
 # warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
-def run_sgd(
-    problem: StochasticProblem,
-    pre: Preconditioner,
-    hp: HyperParams,
-    T: int,
-    rngs,
-    *,
-    x0=None,
-    log_every: int = 1,
-    track_est_error: bool = False,
-    lambda_min_every: int = 0,
-) -> list[Trajectory]:
+def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     """Preconditioned SGD x <- x - eta A g: the one run loop of every algorithm.
 
-    Runs one seed per RNG stream in ``rngs``, all from x0, in lockstep,
-    and returns one Trajectory per seed. ``pre`` supplies A, is made with
-    ``batch=len(rngs)`` and is updated in place: an estimating
-    preconditioner observes each sample before preconditioning it, with
-    the EMA parameter hp.beta or, with hp.beta_c, beta(eta_t), where eta_t
-    is hp.eta or, with hp.eta_decay "inv_sqrt", hp.eta / sqrt(t + 1). hp.W
-    estimate-only samples at x0 precede the loop. When hp.t_thresh is set
-    the stepsize is hp.r every hp.t_thresh steps, and an estimating
-    preconditioner then observes hp.S+1 hallucinated samples interpolated
-    between the step's endpoints. A seed whose objective passes
-    DIVERGENCE_F_LIMIT, whose iterate stops being finite or whose matrix
-    power fails stops with the error in its Trajectory; the other seeds
-    run on.
+    Runs ``run`` for one seed per RNG stream in ``rngs``, all from run.x0,
+    in lockstep, and returns one Trajectory per seed. A is one
+    Preconditioner for all seeds: an estimating one observes each sample
+    before preconditioning it, with the EMA parameter hp.beta or, with
+    hp.beta_c, beta(eta_t), where eta_t is hp.eta or, with hp.eta_decay
+    "inv_sqrt", hp.eta / sqrt(t + 1). hp.W estimate-only samples at x0
+    precede the loop. When hp.t_thresh is set the stepsize is hp.r every
+    hp.t_thresh steps, and an estimating preconditioner then observes
+    hp.S+1 hallucinated samples interpolated between the step's endpoints.
+    A seed whose objective passes DIVERGENCE_F_LIMIT, whose iterate stops
+    being finite or whose matrix power fails stops with the error in its
+    Trajectory; the other seeds run on.
     """
-    if T < 1:
-        raise InvalidParamError("T must be >= 1")
-    if log_every < 1:
-        raise InvalidParamError("log_every must be >= 1")
     rngs = list(rngs)
     n_seeds = len(rngs)
     if n_seeds < 1:
         raise InvalidParamError("run_sgd needs at least one RNG stream")
     dim = problem.dim
-    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(dim) if run.x0 is None else np.array(run.x0, dtype=np.float64)
     if x.shape != (dim,) or not np.all(np.isfinite(x)):
         raise InvalidParamError("x0 must be a finite point of the problem dimension")
 
-    if pre.dim != dim:
-        raise DimMismatchError(f"preconditioner dim {pre.dim} vs problem dim {dim}")
-    if pre.batch != n_seeds:
-        raise DimMismatchError(f"preconditioner batch {pre.batch} vs {n_seeds} RNG streams")
+    pre = Preconditioner(run.kind, dim, run.source, run.bias_corrected, batch=n_seeds)
+    hp, T, log_every, lambda_min_every = run.hp, run.T, run.log_every, run.lambda_min_every
     estimating = pre.estimating
-    covariance = estimating and pre.kind.variant == COVARIANCE_FULL_MATRIX
-    if estimating and hp.beta is None and hp.beta_c is None:
-        raise InvalidParamError("estimated preconditioning needs beta or a beta schedule")
+    covariance = estimating and run.kind.variant == COVARIANCE_FULL_MATRIX
     large_steps = hp.t_thresh is not None
-    if large_steps and (hp.r is None or hp.r < hp.eta):
-        raise InvalidParamError("large-step mode needs r >= eta")
     hallucinating = large_steps and estimating
-    if hallucinating and hp.S is None:
-        raise InvalidParamError("estimated large-step mode needs S >= 1")
     decaying = hp.eta_decay == "inv_sqrt"
 
     # Columns for every seed, one slot per event that can be logged.
@@ -261,7 +274,7 @@ def run_sgd(
                 freeze(np.ones(live.size, dtype=bool) if err.rows is None else err.rows, lambda i: err)
         return None
 
-    tracking = track_est_error and estimating
+    tracking = run.track_est_error and estimating
 
     def current_beta(eta_t: float) -> float:
         return beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta

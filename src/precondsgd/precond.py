@@ -54,6 +54,11 @@ class PreconditionerKind:
             raise InvalidParamError(f"exponent must be one of {ALLOWED_EXPONENTS}")
 
 
+def estimates(kind: PreconditionerKind, source: str) -> bool:
+    """Whether a preconditioner of this kind and source estimates G from samples."""
+    return source == "estimated" and kind.variant != IDENTITY
+
+
 @dataclass(frozen=True)
 class PreconditionerConstants:
     """Scalar summary (nu1, nu2, c3, c4, lambda_-, M) of a preconditioner.
@@ -113,7 +118,7 @@ class Preconditioner:
         self.dim = dim
         self.source = source
         self.batch = batch
-        self.estimating = source == "estimated" and kind.variant != IDENTITY
+        self.estimating = estimates(kind, source)
         self.bias_corrected = bias_corrected
         self.diagonal = kind.variant == DIAGONAL or dim == 1
         self._point_shape = (dim,) if batch is None else (batch, dim)

@@ -20,7 +20,6 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,13 @@ from .optimizer import (
     ALGORITHMS,
     AUTO_MODES,
     HyperParams,
+    Run,
     Trajectory,
     first_order_params,
     run_sgd,
     second_order_params,
 )
-from .precond import Preconditioner, PreconditionerConstants, PreconditionerKind
+from .precond import PreconditionerConstants, PreconditionerKind, estimates
 from .problems import (
     ProblemSmoothness,
     load_dataset_csv,
@@ -129,23 +129,8 @@ def build_problem(pcfg: dict):
     raise ConfigError(f"problem.name: unknown problem {name!r}")
 
 
-@dataclass
-class ResolvedRun:
-    """Everything one run of a condition executes, as plain data that pickles."""
-
-    kind: PreconditionerKind
-    source: str
-    bias_corrected: bool
-    hp: HyperParams
-    T: int
-    x0: np.ndarray
-    log_every: int
-    track_est_error: bool
-    lambda_min_every: int
-
-
-def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
-    """The run a condition asks for, each setting read once, or a ConfigError.
+def resolve_run(cfg: ExperimentConfig, problem) -> Run:
+    """The run a condition asks for, each setting read once and checked by ``Run``.
 
     ``hp`` holds only what the algorithm runs: W only with burn-in, r and
     t_thresh only for ``large_step``, S only when it hallucinates, beta or
@@ -153,15 +138,15 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
     ``auto = second_order``. Under ``optimizer.auto``, setting a key its
     mode computes (``optimizer.AUTO_MODES``; second_order also computes a
     fixed beta) or an auto key the mode does not read, or leaving out one
-    it requires, is an error; so is a run needing the exact_G oracle the
-    problem lacks."""
+    it requires, is a ConfigError; so is a run needing the exact_G oracle
+    the problem lacks."""
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
     spec = ALGORITHMS[algo]
     variant = "identity" if algo == "sgd" else ocfg.get("kind", "full_matrix")
     kind = PreconditionerKind(variant, ocfg.get("epsilon", 0.0), ocfg.get("exponent", -0.5))
     source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
-    estimating = source == "estimated" and kind.variant != "identity"
+    estimating = estimates(kind, source)
     track_est_error = rcfg.get("track_est_error", False)
     if kind.variant != "identity" and (source == "idealized" or track_est_error) and not problem.has_exact_g:
         needs = "idealized preconditioning" if source == "idealized" else "est_error tracking"
@@ -245,7 +230,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> ResolvedRun:
         raise ConfigError("problem.x0: length must equal the problem dimension")
     x0 = np.asarray(x0_cfg, dtype=np.float64) if x0_cfg is not None else np.zeros(problem.dim)
 
-    return ResolvedRun(
+    return Run(
         kind=kind,
         source=source,
         bias_corrected=ocfg.get("bias_corrected", False),
@@ -268,19 +253,7 @@ def execute_records(cfg: ExperimentConfig, seeds):
     """
     problem = build_problem(cfg.problem)
     run = resolve_run(cfg, problem)
-    pre = Preconditioner(run.kind, problem.dim, run.source, run.bias_corrected, batch=len(seeds))
-    trajectories = run_sgd(
-        problem,
-        pre,
-        run.hp,
-        run.T,
-        [make_rng(seed) for seed in seeds],
-        x0=run.x0,
-        log_every=run.log_every,
-        track_est_error=run.track_est_error,
-        lambda_min_every=run.lambda_min_every,
-    )
-    return problem, run, trajectories
+    return problem, run, run_sgd(problem, run, [make_rng(seed) for seed in seeds])
 
 
 def trajectory_columns(dim: int) -> list[str]:
@@ -472,12 +445,14 @@ def cmd_sweep(
     """Cross-product of axis values and seeds, merged into one summary."""
     if not values:
         raise ConfigError("sweep: empty value list")
-    resolve_axis(axis)
+    section, key, _ = resolve_axis(axis)
     seeds = _seeds(cfg, seed_offset)
     conditions = []
     for value in values:
         sub = cfg.clone()
         sub.set_axis_value(axis, value)
+        if any(getattr(sub, section)[key] == getattr(done, section)[key] for _, done in conditions):
+            raise ConfigError(f"sweep.values: {axis} value {value} occurs more than once")
         resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
         conditions.append((f"{axis}={value}", sub))
     rows = _execute_conditions(conditions, seeds, out_dir, jobs)
@@ -515,8 +490,6 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
     c_sched = cfg.run.get("beta_c", 1.0)
-    if not c_sched > 0.0:
-        raise ConfigError(f"run.beta_c: must be positive, got {c_sched}")
     for eta in etas:
         if etas.count(eta) > 1:
             raise ConfigError(f"run.etas: eta {eta} occurs more than once")

@@ -9,15 +9,13 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from precondsgd import ConfigError
+from precondsgd import ConfigError, config
 from precondsgd.cli import main
 from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
 from precondsgd.estimation import beta_schedule
-from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Trajectory, run_sgd
-from precondsgd.precond import Preconditioner
+from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, run_sgd
 from precondsgd.runner import (
     TRAJECTORY_CHUNK_ROWS,
-    ResolvedRun,
     build_problem,
     cmd_run,
     cmd_sweep,
@@ -319,12 +317,71 @@ class TestSweep:
             main(["sweep", cfg, "--axis", "optimizer.nope", "--values", "1,2", "--out", str(tmp_path / "o")]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [("optimizer.eta", "0.1,0.1", "0.1"), ("optimizer.eta", "0.1,0.01,0.10", "0.10"),
+         ("optimizer.beta_spec", "schedule,schedule:1", "schedule:1")],
+    )
+    def test_a_repeated_value_exits_2_naming_sweep_values(self, tmp_path, capsys, axis, values, repeated):
+        out = tmp_path / "o"
+        argv = ["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--axis", axis, "--values", values,
+                "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert f"error: sweep.values: {axis} value {repeated} occurs more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beta_spec_axis_mixes_fixed_and_schedule(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 40")))
         out = tmp_path / "out"
         path = cmd_sweep(cfg, "optimizer.beta_spec", ["0.9", "schedule:1"], str(out))
         _, rows = read_summary(path)
         assert {r["axis_value"] for r in rows} == {"0.9", "schedule:1"}
+
+
+# Each [run] and [sweep] key as a sweep axis: two values whose conditions
+# differ in their resolved Run or their summary, or None for a key no
+# condition reads, which a sweep rejects.
+SWEEP_AXES = {
+    "run.seeds": None,
+    "run.t": "20,30",
+    "run.log_every": "1,2",
+    "run.track_est_error": "false,true",
+    "run.lambda_min_every": "0,1",
+    "run.escape_level": "-0.01,1",
+    "run.f_threshold": "-0.01,1",
+    "run.etas": None,
+    "run.est_window_factor": None,
+    "run.beta_c": None,
+    "run.burn_in_c": "1,2",
+    "sweep.axis": None,
+    "sweep.values": None,
+}
+
+
+@pytest.mark.parametrize("axis", [f"{section}.{key}" for section in ("run", "sweep") for key in config._SCHEMAS[section]])
+def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_path, capsys, axis):
+    base = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("rmsprop", "rmsprop_burnin")
+                                    .replace("seeds = 0,1,2\nt = 200", "seeds = 0\nt = 30")))
+    values = SWEEP_AXES[axis]  # a key added to the schema must be classified here
+    out = tmp_path / "o"
+    argv = ["sweep", str(tmp_path / "c.ini"), "--axis", axis, f"--values={values or '5,6'}", "--out", str(out),
+            "--jobs", "1"]
+    if values is None:
+        assert main(argv) == 2
+        assert f"error: {axis}: no condition of a sweep reads it" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert main(argv) == 0
+    runs = []
+    for value in values.split(","):
+        sub = base.clone()
+        sub.set_axis_value(axis, value)
+        runs.append(repr(resolve_run(sub, build_problem(sub.problem))))  # Run's == fails on its x0 array
+    _, rows = read_summary(out / "summary.csv")
+    labels = ("axis", "axis_value", "run_id", "trajectory")
+    summaries = [{k: v for k, v in row.items() if k not in labels} for row in rows]
+    assert len(summaries) == 2
+    assert runs[0] != runs[1] or summaries[0] != summaries[1]
 
 
 ESTIMATION_CFG = """
@@ -730,6 +787,34 @@ class TestConfigErrorsBeforeAnyRun:
         assert "optimizer.r and optimizer.t_thresh: required for large_step" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [("optimizer.eta", "0.01,0.5", "large-step mode needs r >= eta"),
+         ("run.log_every", "1,0", "log_every must be >= 1")],
+    )
+    def test_a_sweep_condition_the_run_rejects_stops_the_sweep_before_any_runs(self, tmp_path, capsys, axis, values,
+                                                                               message):
+        out = tmp_path / "o"
+        argv = ["sweep", write_config(tmp_path / "c.ini", LARGE_STEP_CFG), "--axis", axis, "--values", values,
+                "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("lambda_min_every = -3", "lambda_min_every must be >= 0"),
+         ("est_window_factor = -5", "run.est_window_factor: must be positive"),
+         ("burn_in_c = -1", "run.burn_in_c: must be positive"),
+         ("burn_in_c = 0", "run.burn_in_c: must be positive")],
+    )
+    def test_a_run_number_out_of_range_exits_2_and_writes_nothing(self, tmp_path, capsys, line, message):
+        out = tmp_path / "o"
+        argv = ["run", write_config(tmp_path / "c.ini", LARGE_STEP_CFG + line + "\n"), "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_large_steps_with_a_zero_eta_exit_2(self, tmp_path, capsys):
         text = LARGE_STEP_CFG.replace("eta = 0.01", "eta = 0\nw = 3")
         assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]) == 2
@@ -747,7 +832,7 @@ class TestResolvedRunIsPlainData:
         run = resolve_run(cfg, build_problem(cfg.problem))
         assert asdict(run.hp)["eta_decay"] == (decay or "none")
         back = pickle.loads(pickle.dumps(run))
-        for field in fields(ResolvedRun):
+        for field in fields(Run):
             np.testing.assert_equal(getattr(back, field.name), getattr(run, field.name), err_msg=field.name)
 
     def test_the_unpickled_run_runs_what_execute_records_ran(self, tmp_path):
@@ -756,10 +841,7 @@ class TestResolvedRunIsPlainData:
         back = pickle.loads(pickle.dumps(run))
 
         def rerun(hp):
-            pre = Preconditioner(back.kind, problem.dim, back.source, back.bias_corrected, batch=2)
-            return run_sgd(problem, pre, hp, back.T, [make_rng(0), make_rng(1)], x0=back.x0,
-                           log_every=back.log_every, track_est_error=back.track_est_error,
-                           lambda_min_every=back.lambda_min_every)
+            return run_sgd(problem, replace(back, hp=hp), [make_rng(0), make_rng(1)])
 
         for traj, again in zip(trajectories, rerun(back.hp)):
             np.testing.assert_array_equal(traj.x, again.x)

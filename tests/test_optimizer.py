@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from precondsgd import (
     PreconditionerConstants,
     PreconditionerKind,
     ProblemSmoothness,
+    Run,
     SingularMatrixError,
     StochasticProblem,
     check_stationarity,
@@ -30,21 +32,21 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def identity_source(p):
-    return Preconditioner(PreconditionerKind(variant="identity"), p.dim, batch=1)
+def identity_source():
+    return partial(Run, PreconditionerKind(variant="identity"), "idealized", False)
 
 
-def idealized(p, kind):
-    return Preconditioner(kind, p.dim, batch=1)
+def idealized(kind):
+    return partial(Run, kind, "idealized", False)
 
 
-def estimated(p, kind=None):
-    return Preconditioner(PreconditionerKind() if kind is None else kind, p.dim, "estimated", batch=1)
+def estimated(kind=None):
+    return partial(Run, PreconditionerKind() if kind is None else kind, "estimated", False)
 
 
-def run1(problem, pre, hp, T, rng, **options):
-    """The one Trajectory of a single-seed run."""
-    return run_sgd(problem, pre, hp, T, [rng], **options)[0]
+def run1(problem, make_run, hp, T, rng, **options):
+    """The one Trajectory of a single-seed run of make_run(hp=hp, T=T, **options)."""
+    return run_sgd(problem, make_run(hp=hp, T=T, **options), [rng])[0]
 
 
 class ConstantGradientProblem(StochasticProblem):
@@ -84,17 +86,33 @@ def test_hyperparams_rejects_an_unknown_eta_decay():
         HyperParams(eta=0.1, eta_decay="inv_square")
 
 
+@pytest.mark.parametrize(
+    "source, hp, fields, message",
+    [
+        ("idealized", dict(eta=0.1), dict(T=0), "T must be >= 1"),
+        ("idealized", dict(eta=0.1), dict(log_every=0), "log_every must be >= 1"),
+        ("idealized", dict(eta=0.1), dict(lambda_min_every=-3), "lambda_min_every must be >= 0"),
+        ("estimated", dict(eta=0.1), {}, "needs beta or a beta schedule"),
+        ("idealized", dict(eta=0.1, r=0.05, t_thresh=5), {}, "large-step mode needs r >= eta"),
+        ("estimated", dict(eta=0.1, beta=0.9, r=0.5, t_thresh=5), {}, "estimated large-step mode needs S"),
+    ],
+)
+def test_a_run_is_checked_when_it_is_built(source, hp, fields, message):
+    with pytest.raises(InvalidParamError, match=message):
+        Run(PreconditionerKind(variant="diagonal"), source, False, HyperParams(**hp), **{"T": 10, **fields})
+
+
 class TestPreconditionedSgd:
     def test_identity_noiseless_geometric_decay(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
-        traj = run1(p, identity_source(p), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0])
+        traj = run1(p, identity_source(), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0])
         assert np.array_equal(traj.iteration, np.arange(15))
         for t, x in enumerate(traj.x):
             assert np.allclose(x, [0.9**t, 0.0], rtol=1e-10)
 
     def test_zero_stepsize_stays_put(self):
         p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
-        traj = run1(p, identity_source(p), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2])
+        traj = run1(p, identity_source(), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2])
         assert len(traj) == 20
         for x in traj.x:
             assert np.array_equal(x, [0.4, -0.2])
@@ -105,7 +123,7 @@ class TestPreconditionedSgd:
         p = make_counterexample(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.005)
-        xs = run1(p, idealized(p, kind), hp, 8000, rng_for(2), x0=[0.0]).x[:, 0]
+        xs = run1(p, idealized(kind), hp, 8000, rng_for(2), x0=[0.0]).x[:, 0]
         scale = 1.0 / math.sqrt(2.1)
         moves = np.diff(xs)
         away = moves[moves > 0]
@@ -118,8 +136,8 @@ class TestPreconditionedSgd:
         p = make_saddle_problem()
         hp = HyperParams(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        a = run1(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
-        b = run1(p, estimated(p, kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
+        a = run1(p, estimated(kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
+        b = run1(p, estimated(kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
         assert len(a) == len(b) == 300
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.f, b.f) and np.array_equal(a.grad_norm, b.grad_norm)
@@ -127,8 +145,8 @@ class TestPreconditionedSgd:
     def test_estimated_identity_matches_idealized_identity(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.01)
-        a = run1(p, identity_source(p), hp, 100, rng_for(8), x0=[0.2, 0.0])
-        src = estimated(p, PreconditionerKind(variant="identity"))
+        a = run1(p, identity_source(), hp, 100, rng_for(8), x0=[0.2, 0.0])
+        src = estimated(PreconditionerKind(variant="identity"))
         b = run1(p, src, hp, 100, rng_for(8), x0=[0.2, 0.0])
         assert np.array_equal(a.x, b.x)
 
@@ -137,13 +155,13 @@ class TestRmsprop:
     def test_beta_zero_is_sign_sgd(self):
         p = make_quadratic_gaussian(1, np.eye(1), np.eye(1))
         hp = HyperParams(eta=0.01, beta=0.0)
-        traj = run1(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
+        traj = run1(p, estimated(PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
         assert np.allclose(np.abs(np.diff(traj.x[:, 0])), hp.eta, rtol=1e-12, atol=0.0)
 
     def test_constant_gradient_approaches_normalized_step(self):
         p = ConstantGradientProblem(c=3.0)
         hp = HyperParams(eta=0.05, beta=0.9)
-        traj = run1(p, estimated(p, PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
+        traj = run1(p, estimated(PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
         late = np.abs(np.diff(traj.x[-21:, 0]))
         assert np.allclose(late, hp.eta, rtol=1e-4, atol=0.0)
 
@@ -152,7 +170,7 @@ class TestRmsprop:
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
-        traj = run1(p, estimated(p, kind), hp, 3, rng_for(5), x0=[5e-5])
+        traj = run1(p, estimated(kind), hp, 3, rng_for(5), x0=[5e-5])
         assert traj.grad_norm[0] < 0.1 * hp.eta
         step = abs(traj.x[1, 0] - traj.x[0, 0])
         assert step > 10.0 * hp.eta
@@ -161,7 +179,7 @@ class TestRmsprop:
         p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
-        traj = run1(p, estimated(p, kind), hp, 10, rng_for(6), x0=[1e-60])
+        traj = run1(p, estimated(kind), hp, 10, rng_for(6), x0=[1e-60])
         assert isinstance(traj.error, NonFiniteError)
         assert len(traj) >= 1  # partial trajectory retained
 
@@ -171,7 +189,7 @@ class TestRmsprop:
         p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
         hp = HyperParams(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=1e-6)
-        traj = run1(p, estimated(p, kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
+        traj = run1(p, estimated(kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
         assert len(traj) == 1500
         assert traj.f[-1] < 0.05 * traj.f[0]
 
@@ -180,14 +198,14 @@ class TestBurnIn:
     def test_w_zero_identical_to_plain_rmsprop(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        a = run1(p, estimated(p, kind), HyperParams(eta=0.005, beta=0.9), 200, rng_for(10))
-        b = run1(p, estimated(p, kind), HyperParams(eta=0.005, beta=0.9, W=0), 200, rng_for(10))
+        a = run1(p, estimated(kind), HyperParams(eta=0.005, beta=0.9), 200, rng_for(10))
+        b = run1(p, estimated(kind), HyperParams(eta=0.005, beta=0.9, W=0), 200, rng_for(10))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_burnin_records_precede_iteration_zero(self):
         p = make_saddle_problem()
         hp = HyperParams(eta=0.005, beta=0.9, W=25)
-        traj = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11))
+        traj = run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11))
         burn = traj.step_kind == "burnin"
         assert np.count_nonzero(burn) == 25
         assert traj.iteration[burn].tolist() == list(range(-25, 0))
@@ -203,7 +221,7 @@ class TestBurnIn:
         beta = beta_schedule(eta, 1.0)
         hp = HyperParams(eta=eta, beta=beta, W=W)
         traj = run1(
-            p, estimated(p, PreconditionerKind(epsilon=0.5)), hp, 1, rng_for(12),
+            p, estimated(PreconditionerKind(epsilon=0.5)), hp, 1, rng_for(12),
             x0=x0, track_est_error=True,
         )
         burn_err = traj.est_error[traj.step_kind == "burnin"][-1]
@@ -230,8 +248,8 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.01, r=0.01, t_thresh=1)
-        a = run1(p, idealized(p, kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
-        b = run1(p, idealized(p, kind), hp, 150, rng_for(13), x0=[0.3, 0.1])
+        a = run1(p, idealized(kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
+        b = run1(p, idealized(kind), hp, 150, rng_for(13), x0=[0.3, 0.1])
         assert np.all(b.step_kind == "large")
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
@@ -239,14 +257,14 @@ class TestLargeStep:
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.001, r=0.01, t_thresh=40)
-        traj = run1(p, idealized(p, kind), hp, 200, rng_for(14), x0=[0.0, 0.0])
+        traj = run1(p, idealized(kind), hp, 200, rng_for(14), x0=[0.0, 0.0])
         assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 40, 80, 120, 160]
 
     def test_hallucination_s_one_samples_both_endpoints(self):
         p = make_saddle_problem()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
-        traj = run1(p, estimated(p, kind), hp, 120, rng_for(15), x0=[0.0, 0.0])
+        traj = run1(p, estimated(kind), hp, 120, rng_for(15), x0=[0.0, 0.0])
         larges = np.flatnonzero(traj.step_kind == "large")
         # 3 large steps in 120 iterations at cadence 50, each hallucinating S+1 = 2
         assert np.count_nonzero(traj.step_kind == "hallucinated") == 2 * len(larges) == 6
@@ -264,7 +282,7 @@ class TestLargeStep:
         p = make_saddle_problem()
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
         with pytest.raises(InvalidParamError):
-            run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16))
+            run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16))
 
     def test_escape_acceleration_over_identity(self):
         p = make_saddle_problem()
@@ -277,11 +295,11 @@ class TestLargeStep:
 
         T, seeds = 6000, range(5)
         fm = [
-            escape_time(run1(p, idealized(p, kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0]))
+            escape_time(run1(p, idealized(kind), hp, T, rng_for(100 + s), x0=[0.0, 0.0]))
             for s in seeds
         ]
         ident = [
-            escape_time(run1(p, identity_source(p), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
+            escape_time(run1(p, identity_source(), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
             for s in seeds
         ]
         assert np.median(fm) < np.median(ident)
@@ -293,7 +311,7 @@ class TestProjection:
     def test_counterexample_iterates_stay_in_box(self):
         p = make_counterexample(C=10.0, zeta=0.05)
         hp = HyperParams(eta=0.05, beta=0.9)
-        xs = run1(p, estimated(p, PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0]).x
+        xs = run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0]).x
         assert len(xs) == 2000
         assert np.all((-1.0 <= xs) & (xs <= 1.0))
 
@@ -367,8 +385,8 @@ class TestSecondOrderParams:
         hp = second_order_params(k, ProblemSmoothness(L=1.0, rho=1.0), tau=100.0, delta_prob=1.0, omega=1.0)
         assert (hp.W, hp.t_thresh, hp.S) == (36, 43, 3)
         p = make_saddle_problem()
-        pre = Preconditioner(PreconditionerKind(variant="diagonal", epsilon=1e-8), 2, "estimated", batch=2)
-        for traj in run_sgd(p, pre, hp, 100, [rng_for(60), rng_for(61)]):
+        run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, hp, 100)
+        for traj in run_sgd(p, run, [rng_for(60), rng_for(61)]):
             kinds = traj.step_kind.tolist()
             assert traj.error is None
             assert [kinds.count(k) for k in ("burnin", "large", "hallucinated", "normal")] == [36, 3, 12, 97]
@@ -416,7 +434,7 @@ def test_one_step_descent_lemma_monte_carlo():
         p = make_quadratic_gaussian(dim, h, cov)
         x0 = rng.uniform(-1.0, 1.0, size=dim)
         k = constants(p, x0, PreconditionerKind(epsilon=0.0))
-        a = idealized(p, PreconditionerKind(epsilon=0.0)).dense(p, x0)
+        a = Preconditioner(PreconditionerKind(epsilon=0.0), dim).dense(p, x0)
         lam_minus = float(np.linalg.eigvalsh(a)[0])
         mu = 0.4 * lam_minus
         raw = rng.standard_normal((dim, dim))
@@ -446,7 +464,7 @@ def test_large_step_amortized_increase_bound():
     kind = PreconditionerKind(epsilon=0.0)
     deltas = []
     for s in range(25):
-        traj = run1(p, idealized(p, kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0)
+        traj = run1(p, idealized(kind), hp, 30 * t_thresh, rng_for(300 + s), x0=x0)
         large = np.flatnonzero(traj.step_kind[:-1] == "large")
         deltas += (traj.f[large + 1] - traj.f[large]).tolist()
     deltas = np.asarray(deltas)
@@ -499,13 +517,12 @@ def test_run_matches_numpy_reference(case, n_seeds, variant, dim):
     hp = HyperParams(**hp_fields)
     x0 = np.linspace(1.0, -0.5, dim)
     seeds = [21 + i for i in range(n_seeds)]
-    pre = Preconditioner(kind, dim, source, bias_corrected, batch=n_seeds)
-    trajectories = run_sgd(p, pre, hp, 30, [rng_for(s) for s in seeds], x0=x0)
+    run = Run(kind, source, bias_corrected, hp, 30, x0)
+    trajectories = run_sgd(p, run, [rng_for(s) for s in seeds])
     assert len(trajectories) == n_seeds
     for seed, traj in zip(seeds, trajectories):
         if n_seeds > 1:
-            alone = run1(p, Preconditioner(kind, dim, source, bias_corrected, batch=1), hp, 30, rng_for(seed),
-                         x0=x0)
+            (alone,) = run_sgd(p, run, [rng_for(seed)])
             for column in TRAJECTORY_COLUMNS:
                 np.testing.assert_array_equal(getattr(traj, column), getattr(alone, column), err_msg=column)
         check_against_numpy_replay(p, traj, rng_for(seed), kind, hp, source, bias_corrected)
@@ -580,11 +597,11 @@ def test_a_seed_that_fails_stops_alone_with_the_bits_of_its_own_run():
     kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
     hp = HyperParams(eta=0.05)
     seeds = range(50, 56)
-    together = run_sgd(p, Preconditioner(kind, 2, batch=len(seeds)), hp, 30, [rng_for(s) for s in seeds])
+    together = run_sgd(p, Run(kind, "idealized", False, hp, 30), [rng_for(s) for s in seeds])
     failed = [t.error is not None for t in together]
     assert any(failed) and not all(failed)
     for seed, traj in zip(seeds, together):
-        alone = run1(p, idealized(p, kind), hp, 30, rng_for(seed))
+        alone = run1(p, idealized(kind), hp, 30, rng_for(seed))
         for column in TRAJECTORY_COLUMNS:
             np.testing.assert_array_equal(getattr(traj, column), getattr(alone, column), err_msg=column)
         assert type(traj.error) is type(alone.error)
