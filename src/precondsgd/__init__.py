@@ -27,13 +27,13 @@ from .linalg import (
     sym_power,
 )
 from .problems import (
+    CounterexampleProblem,
+    LogisticRegressionProblem,
     ProblemSmoothness,
+    QuadraticGaussianProblem,
+    SaddleProblem2D,
     StochasticProblem,
     load_dataset_csv,
-    make_counterexample,
-    make_logistic_regression,
-    make_quadratic_gaussian,
-    make_saddle_problem,
     make_synthetic_logistic,
 )
 from .precond import (

@@ -6,7 +6,9 @@ and ``report`` (quantile-band plot data from summaries). Exit codes:
 0 ok, 2 configuration error (negative or repeated seeds included),
 3 numeric failure (divergence/singularity); on a numeric failure of
 ``run`` or ``sweep`` every seed's trajectory is still written, partial
-for the seeds that failed, and no summary is.
+for the seeds that failed, and no summary is. The flags ``--out``,
+``--jobs`` and ``--seed-offset`` follow the subcommand; placed before it
+they are a usage error.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
-    parser = argparse.ArgumentParser(prog="precondsgd", parents=[common])
+    parser = argparse.ArgumentParser(prog="precondsgd")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", parents=[common], help="run one configured condition")

@@ -6,7 +6,8 @@ unknown keys are errors, not warnings: a silently misspelled key would
 corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it
 or under a mode that does not read it, and one the mode computes, beside
 it (``runner.resolve_run`` checks); except the required ``run.t``, which
-the first-order modes replace with their T.
+the first-order modes replace with their T. The problem names, and the
+[problem] keys each name requires, come from ``problems.PROBLEMS``.
 
 A known key that the chosen algorithm or kind does not run is dropped,
 not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .optimizer import ALGORITHMS, AUTO_MODES, ETA_DECAYS
 from .precond import SOURCES, VARIANTS
+from .problems import PROBLEMS
 
-PROBLEM_NAMES = ("saddle", "counterexample", "quadratic_gaussian", "logistic_synthetic", "logistic_csv")
 # The optimizer keys that only the optimizer.auto calculators read.
 AUTO_KEYS = tuple(dict.fromkeys(key for mode in AUTO_MODES.values() for key in mode.requires + mode.reads))
 
@@ -221,8 +222,11 @@ def load_config(path) -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     name = cfg.problem.get("name")
-    if name not in PROBLEM_NAMES:
-        raise ConfigError(f"problem.name: unknown problem {name!r} (expected one of {PROBLEM_NAMES})")
+    if name not in PROBLEMS:
+        raise ConfigError(f"problem.name: unknown problem {name!r} (expected one of {tuple(PROBLEMS)})")
+    for key in PROBLEMS[name].requires:
+        if key not in cfg.problem:
+            raise ConfigError(f"problem.{key}: required for {name}")
     algo = cfg.optimizer.get("algorithm")
     if algo not in ALGORITHMS:
         raise ConfigError(f"optimizer.algorithm: unknown algorithm {algo!r}")
@@ -249,18 +253,3 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key in ("est_window_factor", "beta_c", "burn_in_c"):
         if key in cfg.run and not cfg.run[key] > 0.0:
             raise ConfigError(f"run.{key}: must be positive, got {cfg.run[key]}")
-
-    if name == "counterexample":
-        for key in ("c", "zeta"):
-            if key not in cfg.problem:
-                raise ConfigError(f"problem.{key}: required for the counterexample problem")
-    if name == "quadratic_gaussian":
-        for key in ("dim", "h_diag", "noise_diag"):
-            if key not in cfg.problem:
-                raise ConfigError(f"problem.{key}: required for quadratic_gaussian")
-    if name == "logistic_synthetic":
-        for key in ("n", "d", "data_seed"):
-            if key not in cfg.problem:
-                raise ConfigError(f"problem.{key}: required for logistic_synthetic")
-    if name == "logistic_csv" and "path" not in cfg.problem:
-        raise ConfigError("problem.path: required for logistic_csv")

@@ -97,10 +97,10 @@ class Run:
     """Everything ``run_sgd`` executes, checked once: plain data that pickles.
 
     ``kind`` and ``source`` pick the Preconditioner (``bias_corrected`` its
-    EMA correction), ``hp`` the steps; T optimization steps from x0 (None:
-    the origin). Every log_every-th event is logged, with lambda_min(H) at
-    every lambda_min_every-th step (0: never) and, if track_est_error and
-    estimating, ||Ahat - A(x)||.
+    EMA correction), ``hp`` the steps; T optimization steps from x0, held
+    as a tuple of floats (None: the origin). Every log_every-th event is
+    logged, with lambda_min(H) at every lambda_min_every-th step (0: never)
+    and, if track_est_error and estimating, ||Ahat - A(x)||.
     """
 
     kind: PreconditionerKind
@@ -108,12 +108,14 @@ class Run:
     bias_corrected: bool
     hp: HyperParams
     T: int
-    x0: np.ndarray | None = None
+    x0: tuple[float, ...] | None = None
     log_every: int = 1
     track_est_error: bool = False
     lambda_min_every: int = 0
 
     def __post_init__(self):
+        if self.x0 is not None:
+            self.x0 = tuple(map(float, self.x0))
         if self.T < 1:
             raise InvalidParamError("T must be >= 1")
         if self.log_every < 1:

@@ -7,16 +7,22 @@ G(x) = E[g g^T] and the Hessian. The exact oracles take one point of
 shape (d,) or a (B, d) stack of points, one row per seed of a run, and
 give each row the bits of its own single-point call. Problems are
 immutable; parallel runs should use independent RNG streams.
+
+``PROBLEMS`` is the one list of the problems a config can name: it maps
+each ``problem.name`` to the ``[problem]`` keys that problem requires and
+to the builder that takes the ``[problem]`` dict.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidParamError, MissingOracleError
+from .errors import ConfigError, DataFormatError, InvalidParamError, MissingOracleError
 from .linalg import SymMatrix
 
 
@@ -247,16 +253,16 @@ def _sigmoid(z):
 class LogisticRegressionProblem(StochasticProblem):
     """Mean cross-entropy of a linear classifier on a fixed dataset.
 
-    Minibatch gradients are uniform without-replacement batches; with
-    batch equal to the sample count the sampler reproduces the exact
-    gradient (same summation order, no RNG draw). No exact second-moment
-    oracle.
+    Minibatch gradients are uniform without-replacement batches of
+    ``batch`` samples, by default all of them; with batch equal to the
+    sample count the sampler reproduces the exact gradient (same summation
+    order, no RNG draw). No exact second-moment oracle.
     """
 
     has_exact_g = False
     has_hessian = True
 
-    def __init__(self, features, labels, batch: int):
+    def __init__(self, features, labels, batch: int | None = None):
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -265,6 +271,7 @@ class LogisticRegressionProblem(StochasticProblem):
             raise DataFormatError("dataset is empty")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DataFormatError("labels must be 0/1")
+        batch = X.shape[0] if batch is None else batch
         if not 1 <= batch <= X.shape[0]:
             raise InvalidParamError(f"batch must be in [1, {X.shape[0]}]")
         self._X = X
@@ -316,32 +323,12 @@ class LogisticRegressionProblem(StochasticProblem):
         return (self._X.T * w) @ self._X / self.n_samples
 
 
-def make_saddle_problem() -> SaddleProblem2D:
-    """The 2-D saddle-escape experiment problem."""
-    return SaddleProblem2D()
-
-
-def make_counterexample(C: float, zeta: float) -> CounterexampleProblem:
-    """The non-convergence counterexample with gap zeta and spike C."""
-    return CounterexampleProblem(C, zeta)
-
-
-def make_quadratic_gaussian(dim: int, H, noise_cov) -> QuadraticGaussianProblem:
-    """Quadratic objective with Gaussian gradient noise of known covariance."""
-    return QuadraticGaussianProblem(dim, H, noise_cov)
-
-
-def make_logistic_regression(features, labels, batch: int) -> LogisticRegressionProblem:
-    """Binary logistic regression with uniform minibatch gradients."""
-    return LogisticRegressionProblem(features, labels, batch)
-
-
 def make_synthetic_logistic(
     n_samples: int,
     n_features: int,
     seed: int,
     label_noise: float = 0.05,
-    batch: int = 100,
+    batch: int | None = None,
     feature_scale: float = 1.0,
 ) -> LogisticRegressionProblem:
     """Separable-with-noise logistic regression instance.
@@ -350,6 +337,7 @@ def make_synthetic_logistic(
     the population optimum sits to the origin), labels from a random
     linear separator with a ``label_noise`` fraction flipped, generated
     deterministically from ``seed`` (independent of any run RNG).
+    Minibatches of ``batch`` samples (default: 100, or all if fewer).
     """
     if not 0.0 <= label_noise < 0.5:
         raise InvalidParamError("label_noise must be in [0, 0.5)")
@@ -363,7 +351,7 @@ def make_synthetic_logistic(
     if n_flip:
         flip = rng.choice(n_samples, size=n_flip, replace=False)
         y[flip] = 1.0 - y[flip]
-    return LogisticRegressionProblem(X, y, batch)
+    return LogisticRegressionProblem(X, y, min(100, n_samples) if batch is None else batch)
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -393,3 +381,28 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise DataFormatError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
     return data[:, :-1], data[:, -1]
+
+
+def _quadratic_gaussian(p: dict) -> QuadraticGaussianProblem:
+    dim, h_diag, noise_diag = p["dim"], p["h_diag"], p["noise_diag"]
+    if len(h_diag) != dim or len(noise_diag) != dim:
+        raise ConfigError("problem.h_diag/noise_diag must have length problem.dim")
+    return QuadraticGaussianProblem(dim, np.diag(h_diag), np.diag(noise_diag))
+
+
+class ProblemEntry(NamedTuple):
+    requires: tuple[str, ...]  # the [problem] keys a config of this problem must set
+    build: Callable[[dict], StochasticProblem]  # the problem, from the [problem] dict
+
+
+# Every problem a config can name. The default of an optional key is
+# declared once, in the builder or in the function it calls.
+PROBLEMS = {
+    "saddle": ProblemEntry((), lambda p: SaddleProblem2D()),
+    "counterexample": ProblemEntry(("c", "zeta"), lambda p: CounterexampleProblem(p["c"], p["zeta"])),
+    "quadratic_gaussian": ProblemEntry(("dim", "h_diag", "noise_diag"), _quadratic_gaussian),
+    "logistic_synthetic": ProblemEntry(("n", "d", "data_seed"), lambda p: make_synthetic_logistic(
+        p["n"], p["d"], p["data_seed"], **{key: p[key] for key in ("label_noise", "batch") if key in p})),
+    "logistic_csv": ProblemEntry(("path",), lambda p: LogisticRegressionProblem(
+        *load_dataset_csv(p["path"]), p.get("batch"))),
+}

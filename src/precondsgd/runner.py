@@ -37,15 +37,7 @@ from .optimizer import (
     second_order_params,
 )
 from .precond import PreconditionerConstants, PreconditionerKind, estimates
-from .problems import (
-    ProblemSmoothness,
-    load_dataset_csv,
-    make_counterexample,
-    make_logistic_regression,
-    make_quadratic_gaussian,
-    make_saddle_problem,
-    make_synthetic_logistic,
-)
+from .problems import PROBLEMS, ProblemSmoothness
 
 # The paper-scale escape level (-0.1) is below the saddle problem's global
 # minimum (~ -0.01265), so escape is declared at -0.01 instead.
@@ -104,29 +96,10 @@ def make_rng(seed: int):
 
 
 def build_problem(pcfg: dict):
-    name = pcfg["name"]
-    if name == "saddle":
-        return make_saddle_problem()
-    if name == "counterexample":
-        return make_counterexample(pcfg["c"], pcfg["zeta"])
-    if name == "quadratic_gaussian":
-        dim = pcfg["dim"]
-        h_diag, noise_diag = pcfg["h_diag"], pcfg["noise_diag"]
-        if len(h_diag) != dim or len(noise_diag) != dim:
-            raise ConfigError("problem.h_diag/noise_diag must have length problem.dim")
-        return make_quadratic_gaussian(dim, np.diag(h_diag), np.diag(noise_diag))
-    if name == "logistic_synthetic":
-        return make_synthetic_logistic(
-            pcfg["n"],
-            pcfg["d"],
-            seed=pcfg["data_seed"],
-            label_noise=pcfg.get("label_noise", 0.05),
-            batch=pcfg.get("batch", min(100, pcfg["n"])),
-        )
-    if name == "logistic_csv":
-        X, y = load_dataset_csv(pcfg["path"])
-        return make_logistic_regression(X, y, pcfg.get("batch", X.shape[0]))
-    raise ConfigError(f"problem.name: unknown problem {name!r}")
+    """The problem a [problem] dict names, built by its ``problems.PROBLEMS`` entry."""
+    if pcfg["name"] not in PROBLEMS:
+        raise ConfigError(f"problem.name: unknown problem {pcfg['name']!r}")
+    return PROBLEMS[pcfg["name"]].build(pcfg)
 
 
 def resolve_run(cfg: ExperimentConfig, problem) -> Run:
@@ -225,10 +198,9 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     if not estimating:
         beta = beta_c = None
 
-    x0_cfg = cfg.problem.get("x0")
-    if x0_cfg is not None and len(x0_cfg) != problem.dim:
+    x0 = cfg.problem.get("x0", [0.0] * problem.dim)
+    if len(x0) != problem.dim:
         raise ConfigError("problem.x0: length must equal the problem dimension")
-    x0 = np.asarray(x0_cfg, dtype=np.float64) if x0_cfg is not None else np.zeros(problem.dim)
 
     return Run(
         kind=kind,
@@ -453,6 +425,10 @@ def cmd_sweep(
         sub.set_axis_value(axis, value)
         if any(getattr(sub, section)[key] == getattr(done, section)[key] for _, done in conditions):
             raise ConfigError(f"sweep.values: {axis} value {value} occurs more than once")
+        name = _safe_name(f"{axis}={value}")
+        clash = [run_id.split("=", 1)[1] for run_id, _ in conditions if _safe_name(run_id) == name]
+        if clash:
+            raise ConfigError(f"sweep.values: {axis} values {clash[0]} and {value} would both write {name}_seed*.csv")
         resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
         conditions.append((f"{axis}={value}", sub))
     rows = _execute_conditions(conditions, seeds, out_dir, jobs)
@@ -499,7 +475,9 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:
         raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
-    seed = _seeds(cfg, seed_offset)[0]
+    seed, *more = _seeds(cfg, seed_offset)
+    if more:
+        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {1 + len(more)}")
     factor = cfg.run.get("est_window_factor", 40.0)
 
     rows = []

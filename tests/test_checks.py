@@ -5,13 +5,13 @@ import pytest
 
 from precondsgd import (
     InvalidParamError,
+    QuadraticGaussianProblem,
+    SaddleProblem2D,
     SingularMatrixError,
     SymMatrix,
     exp_growth_bound,
     inexact_noise_amplification,
     isotropy_covariance_check,
-    make_quadratic_gaussian,
-    make_saddle_problem,
     negative_eigenvalue_bound,
     quadratic_sqrt_bound,
     series_bounds,
@@ -177,17 +177,17 @@ class TestNegativeEigenvalueBound:
 class TestIsotropyCovariance:
     def test_saddle_at_origin_identity_covariance(self):
         n = 100_000
-        dev = isotropy_covariance_check(make_saddle_problem(), np.zeros(2), n, rng_for(58))
+        dev = isotropy_covariance_check(SaddleProblem2D(), np.zeros(2), n, rng_for(58))
         assert dev <= 5.0 * math.sqrt(2.0 / n)
 
     def test_noiseless_problem_raises_singular(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.zeros((2, 2)))
         with pytest.raises(SingularMatrixError):
             isotropy_covariance_check(p, np.array([1.0, 0.5]), 100, rng_for(59))
 
     def test_quadratic_gaussian_random_point(self):
         rng = rng_for(60)
-        p = make_quadratic_gaussian(3, np.diag([1.0, 0.5, 2.0]), np.diag([1.0, 0.3, 0.7]))
+        p = QuadraticGaussianProblem(3, np.diag([1.0, 0.5, 2.0]), np.diag([1.0, 0.3, 0.7]))
         n = 100_000
         for _ in range(3):
             x = rng.standard_normal(3)

@@ -9,11 +9,12 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from precondsgd import ConfigError, config
+from precondsgd import ConfigError, StochasticProblem, config, problems
 from precondsgd.cli import main
 from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
 from precondsgd.estimation import beta_schedule
 from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, run_sgd
+from precondsgd.problems import PROBLEMS
 from precondsgd.runner import (
     TRAJECTORY_CHUNK_ROWS,
     build_problem,
@@ -198,6 +199,16 @@ t = 10
         assert len(partials) == 1
         assert len(read_trajectory(partials[0])) >= 1
 
+    @pytest.mark.parametrize("flags", [["--out", "X"], ["--jobs", "1"], ["--seed-offset", "3"]])
+    def test_a_flag_before_the_subcommand_is_a_usage_error(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PRECONDSGD_OUT", raising=False)
+        cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 5"))
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "run", cfg])
+        assert exc.value.code == 2
+        assert not (tmp_path / "X").exists() and not (tmp_path / "results").exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 20"))
         env_dir = tmp_path / "envout"
@@ -330,6 +341,15 @@ class TestSweep:
         assert f"error: sweep.values: {axis} value {repeated} occurs more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_values_naming_one_trajectory_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--axis", "run.escape_level",
+                "--values=1e-2,1e+2", "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert ("error: sweep.values: run.escape_level values 1e-2 and 1e+2 would both write "
+                "run.escape_level=1e-2_seed*.csv") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beta_spec_axis_mixes_fixed_and_schedule(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 40")))
         out = tmp_path / "out"
@@ -376,7 +396,7 @@ def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_pat
     for value in values.split(","):
         sub = base.clone()
         sub.set_axis_value(axis, value)
-        runs.append(repr(resolve_run(sub, build_problem(sub.problem))))  # Run's == fails on its x0 array
+        runs.append(resolve_run(sub, build_problem(sub.problem)))
     _, rows = read_summary(out / "summary.csv")
     labels = ("axis", "axis_value", "run_id", "trajectory")
     summaries = [{k: v for k, v in row.items() if k not in labels} for row in rows]
@@ -465,6 +485,13 @@ etas = 0.01,0.003
         out = tmp_path / "o"
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_than_one_seed_exits_2_naming_run_seeds(self, tmp_path, capsys):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace("seeds = 5", "seeds = 17,18,19")
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
+        assert "error: run.seeds: estimation scaling runs one seed, got 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_eta_exit_2(self, tmp_path):
@@ -819,6 +846,129 @@ class TestConfigErrorsBeforeAnyRun:
         text = LARGE_STEP_CFG.replace("eta = 0.01", "eta = 0\nw = 3")
         assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]) == 2
         assert "r and eta must be positive" in capsys.readouterr().err
+
+
+LOGISTIC_RUN_CFG = """
+[problem]
+name = logistic_synthetic
+n = {n}
+d = 4
+data_seed = 3
+{batch}
+[optimizer]
+algorithm = rmsprop
+kind = diagonal
+eta = 0.05
+beta_spec = 0.9
+epsilon = 1e-6
+[run]
+seeds = 0,1
+t = 30
+"""
+
+
+def run_files(tmp_path, name, text):
+    """The files ``precondsgd run`` writes for a config, by name."""
+    out = tmp_path / name
+    assert main(["run", write_config(tmp_path / f"{name}.ini", text), "--out", str(out), "--jobs", "1"]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestProblemsAsConfigured:
+    def test_a_logistic_csv_of_the_synthetic_data_runs_the_same_bytes(self, tmp_path):
+        from precondsgd import make_synthetic_logistic
+
+        data = make_synthetic_logistic(200, 4, seed=3, batch=20)
+        with open(tmp_path / "data.csv", "w", encoding="utf-8") as fh:
+            fh.write("x_0,x_1,x_2,x_3,label\n")
+            fh.writelines(",".join(map(repr, [*row, label])) + "\n" for row, label in
+                          zip(data._X.tolist(), data._y.tolist()))
+        synthetic = LOGISTIC_RUN_CFG.format(n=200, batch="batch = 20")
+        from_csv = synthetic.replace("name = logistic_synthetic\nn = 200\nd = 4\ndata_seed = 3",
+                                     f"name = logistic_csv\npath = {tmp_path / 'data.csv'}")
+        files = run_files(tmp_path, "synthetic", synthetic)
+        assert sorted(files) == ["run_seed0.csv", "run_seed1.csv", "summary.csv"]
+        assert run_files(tmp_path, "csv", from_csv) == files
+
+    @pytest.mark.parametrize("n, batch", [(50, 50), (200, 100)])
+    def test_the_default_batch_is_100_or_every_sample(self, tmp_path, n, batch):
+        default = run_files(tmp_path, "default", LOGISTIC_RUN_CFG.format(n=n, batch=""))
+        assert default == run_files(tmp_path, "set", LOGISTIC_RUN_CFG.format(n=n, batch=f"batch = {batch}"))
+
+
+# The [problem] section of a minimal config of each problem, one required key a line.
+MINIMAL_PROBLEMS = {
+    "saddle": "",
+    "counterexample": "c = 3\nzeta = 0.5\n",
+    "quadratic_gaussian": "dim = 2\nh_diag = 1,0.5\nnoise_diag = 0.5,0.2\n",
+    "logistic_synthetic": "n = 20\nd = 2\ndata_seed = 0\n",
+    "logistic_csv": "path = {path}\n",
+}
+
+
+def minimal_config(tmp_path, name, drop=None):
+    """A minimal config of problem ``name``, without the [problem] line of key ``drop``."""
+    (tmp_path / "data.csv").write_text("x_0,x_1,label\n1.0,0.5,1\n-0.5,2.0,0\n0.25,-1.0,1\n", encoding="utf-8")
+    keys = MINIMAL_PROBLEMS[name].format(path=tmp_path / "data.csv")  # a problem added to PROBLEMS needs a line
+    keys = "".join(line + "\n" for line in keys.splitlines() if line.partition(" =")[0] != drop)
+    text = f"[problem]\nname = {name}\n{keys}[optimizer]\nalgorithm = sgd\neta = 0.01\n[run]\nseeds = 0\nt = 3\n"
+    return write_config(tmp_path / f"{name}.ini", text)
+
+
+class RecordingDict(dict):
+    """A dict that records every key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+class TestTheProblemTableAndTheSchemaAgree:
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_a_minimal_config_loads_builds_and_runs(self, tmp_path, name):
+        cfg = load_config(minimal_config(tmp_path, name))
+        assert set(cfg.problem) == {"name", *PROBLEMS[name].requires}
+        assert isinstance(build_problem(cfg.problem), StochasticProblem)
+        assert main(["run", minimal_config(tmp_path, name), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name in PROBLEMS for key in PROBLEMS[name].requires])
+    def test_a_config_without_a_required_key_exits_2_naming_it(self, tmp_path, capsys, name, key):
+        out = tmp_path / "o"
+        assert main(["run", minimal_config(tmp_path, name, drop=key), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: problem.{key}: required for {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_builders_read_every_problem_key_and_build_every_problem_class(self, tmp_path):
+        read, built = {"name", "x0"}, set()
+        for name in PROBLEMS:
+            pcfg = RecordingDict(load_config(minimal_config(tmp_path, name)).problem)
+            built.add(type(PROBLEMS[name].build(pcfg)))
+            read |= pcfg.read
+        assert read == set(config._SCHEMAS["problem"])
+        classes = {c for c in vars(problems).values() if isinstance(c, type) and issubclass(c, StochasticProblem)}
+        assert built == classes - {StochasticProblem}
+
+    def test_an_unvalidated_unknown_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="problem.name: unknown problem 'nosuch'"):
+            build_problem({"name": "nosuch"})
+
+    def test_a_quadratic_whose_diagonals_miss_its_dim_exits_2(self, tmp_path, capsys):
+        text = open(minimal_config(tmp_path, "quadratic_gaussian"), encoding="utf-8").read()
+        cfg = write_config(tmp_path / "c.ini", text.replace("dim = 2", "dim = 3"))
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert "error: problem.h_diag/noise_diag must have length problem.dim" in capsys.readouterr().err
 
 
 class TestResolvedRunIsPlainData:

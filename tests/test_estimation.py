@@ -10,13 +10,13 @@ from precondsgd import (
     Preconditioner,
     PreconditionerKind,
     PreconditionViolatedError,
+    QuadraticGaussianProblem,
+    SaddleProblem2D,
     beta_schedule,
     burn_in_length,
     estimate_sigma_max,
     estimation_error_bound,
     hallucination_count,
-    make_quadratic_gaussian,
-    make_saddle_problem,
     op_norm,
 )
 
@@ -161,7 +161,7 @@ def observed_errors(p, pre, x, gs, beta):
 
 class TestMeasureEstimationError:
     def test_identity_kind_error_is_zero(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         pre = Preconditioner(PreconditionerKind(variant="identity"), 2, "estimated")
         rng = rng_for(42)
         x = np.array([0.2, 0.1])
@@ -170,7 +170,7 @@ class TestMeasureEstimationError:
         assert np.all(errs == 0.0)
 
     def test_noiseless_error_decays_at_rate_beta(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.zeros((2, 2)))
         pre = Preconditioner(PreconditionerKind(epsilon=0.5), 2, "estimated")
         x = np.array([1.0, -0.5])
         beta = 0.9
@@ -181,7 +181,7 @@ class TestMeasureEstimationError:
         assert np.all(np.maximum.accumulate(errs) == errs[0])  # errors only decrease from the first step
 
     def test_stationary_saddle_error_under_bound(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         x = np.array([1.3, -0.7])
         beta, T = 0.99, 5000
         rng = rng_for(43)
@@ -216,7 +216,7 @@ class TestMeasureEstimationError:
         assert pre.est_error(p, x) <= 5.0 * phi
 
     def test_mc_sigma_max_close_to_enumeration(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         x = np.array([0.4, 0.2])
         grad = p.grad(x)
         g_true = p.exact_G(x).a

@@ -1,10 +1,12 @@
 import math
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from precondsgd import (
+    CounterexampleProblem,
     HyperParams,
     InvalidParamError,
     NonFiniteError,
@@ -12,16 +14,15 @@ from precondsgd import (
     PreconditionerConstants,
     PreconditionerKind,
     ProblemSmoothness,
+    QuadraticGaussianProblem,
     Run,
+    SaddleProblem2D,
     SingularMatrixError,
     StochasticProblem,
     check_stationarity,
     constants,
     first_order_params,
     hessian_tolerance,
-    make_counterexample,
-    make_quadratic_gaussian,
-    make_saddle_problem,
     run_sgd,
     second_order_params,
 )
@@ -102,16 +103,26 @@ def test_a_run_is_checked_when_it_is_built(source, hp, fields, message):
         Run(PreconditionerKind(variant="diagonal"), source, False, HyperParams(**hp), **{"T": 10, **fields})
 
 
+def test_equal_runs_compare_equal_and_hold_plain_data():
+    def run(x0):
+        return Run(PreconditionerKind(), "estimated", False, HyperParams(eta=0.1, beta=0.9), 10, x0=x0)
+
+    assert run(np.zeros(2)) == run(np.zeros(2)) == run([0.0, 0.0])
+    assert run(np.zeros(2)) != run(np.array([0.0, 1.0])) != replace(run(None), x0=(0.0, 1.0, 2.0))
+    assert asdict(run(np.array([0.5, -1.0])))["x0"] == (0.5, -1.0)
+    assert type(run(np.ones(2)).x0[0]) is float
+
+
 class TestPreconditionedSgd:
     def test_identity_noiseless_geometric_decay(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.zeros((2, 2)))
         traj = run1(p, identity_source(), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0])
         assert np.array_equal(traj.iteration, np.arange(15))
         for t, x in enumerate(traj.x):
             assert np.allclose(x, [0.9**t, 0.0], rtol=1e-10)
 
     def test_zero_stepsize_stays_put(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
         traj = run1(p, identity_source(), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2])
         assert len(traj) == 20
         for x in traj.x:
@@ -120,7 +131,7 @@ class TestPreconditionedSgd:
     def test_idealized_full_matrix_on_counterexample(self):
         # A is the constant 1/sqrt(E[g^2]), so the run is SGD up to scale
         # and drifts to the boundary -1
-        p = make_counterexample(C=2.0, zeta=0.1)
+        p = CounterexampleProblem(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.005)
         xs = run1(p, idealized(kind), hp, 8000, rng_for(2), x0=[0.0]).x[:, 0]
@@ -133,7 +144,7 @@ class TestPreconditionedSgd:
         assert xs[-1] <= -0.9
 
     def test_determinism_bitwise(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         hp = HyperParams(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         a = run1(p, estimated(kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
@@ -143,7 +154,7 @@ class TestPreconditionedSgd:
         assert np.array_equal(a.f, b.f) and np.array_equal(a.grad_norm, b.grad_norm)
 
     def test_estimated_identity_matches_idealized_identity(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         hp = HyperParams(eta=0.01)
         a = run1(p, identity_source(), hp, 100, rng_for(8), x0=[0.2, 0.0])
         src = estimated(PreconditionerKind(variant="identity"))
@@ -153,7 +164,7 @@ class TestPreconditionedSgd:
 
 class TestRmsprop:
     def test_beta_zero_is_sign_sgd(self):
-        p = make_quadratic_gaussian(1, np.eye(1), np.eye(1))
+        p = QuadraticGaussianProblem(1, np.eye(1), np.eye(1))
         hp = HyperParams(eta=0.01, beta=0.0)
         traj = run1(p, estimated(PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
         assert np.allclose(np.abs(np.diff(traj.x[:, 0])), hp.eta, rtol=1e-12, atol=0.0)
@@ -167,7 +178,7 @@ class TestRmsprop:
 
     def test_exponent_minus_one_step_blows_past_ten_eta(self):
         # near stationarity the -1 exponent takes steps eta/|grad| >> eta
-        p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
+        p = QuadraticGaussianProblem(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         traj = run1(p, estimated(kind), hp, 3, rng_for(5), x0=[5e-5])
@@ -176,7 +187,7 @@ class TestRmsprop:
         assert step > 10.0 * hp.eta
 
     def test_exponent_minus_one_near_stationary_start_diverges(self):
-        p = make_quadratic_gaussian(1, np.eye(1), np.zeros((1, 1)))
+        p = QuadraticGaussianProblem(1, np.eye(1), np.zeros((1, 1)))
         hp = HyperParams(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         traj = run1(p, estimated(kind), hp, 10, rng_for(6), x0=[1e-60])
@@ -186,7 +197,7 @@ class TestRmsprop:
     def test_covariance_kind_converges_near_stationarity(self):
         # Sigma^(-1/2) preconditioning: stable on the quadratic where the
         # noise covariance is constant (its intended near-stationary use)
-        p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
+        p = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
         hp = HyperParams(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=1e-6)
         traj = run1(p, estimated(kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
@@ -196,14 +207,14 @@ class TestRmsprop:
 
 class TestBurnIn:
     def test_w_zero_identical_to_plain_rmsprop(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         a = run1(p, estimated(kind), HyperParams(eta=0.005, beta=0.9), 200, rng_for(10))
         b = run1(p, estimated(kind), HyperParams(eta=0.005, beta=0.9, W=0), 200, rng_for(10))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_burnin_records_precede_iteration_zero(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         hp = HyperParams(eta=0.005, beta=0.9, W=25)
         traj = run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11))
         burn = traj.step_kind == "burnin"
@@ -214,7 +225,7 @@ class TestBurnIn:
         assert np.all(np.diff(traj.iteration) > 0)
 
     def test_post_burnin_estimate_meets_bound(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         x0 = np.array([2.0, 1.0])
         eta, c_w = 0.01, 5.0
         W = burn_in_length(eta, c_w)
@@ -245,7 +256,7 @@ class TestBurnIn:
 
 class TestLargeStep:
     def test_degenerate_schedule_matches_plain_run(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.01, r=0.01, t_thresh=1)
         a = run1(p, idealized(kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
@@ -254,14 +265,14 @@ class TestLargeStep:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_large_step_cadence(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=0.001, r=0.01, t_thresh=40)
         traj = run1(p, idealized(kind), hp, 200, rng_for(14), x0=[0.0, 0.0])
         assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 40, 80, 120, 160]
 
     def test_hallucination_s_one_samples_both_endpoints(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
         traj = run1(p, estimated(kind), hp, 120, rng_for(15), x0=[0.0, 0.0])
@@ -279,13 +290,13 @@ class TestLargeStep:
         assert np.all(np.diff(traj.iteration) > 0)
 
     def test_estimated_mode_requires_s(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
         with pytest.raises(InvalidParamError):
             run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16))
 
     def test_escape_acceleration_over_identity(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
         hp = HyperParams(eta=1e-3, r=1e-2, t_thresh=100)
 
@@ -309,7 +320,7 @@ class TestLargeStep:
 
 class TestProjection:
     def test_counterexample_iterates_stay_in_box(self):
-        p = make_counterexample(C=10.0, zeta=0.05)
+        p = CounterexampleProblem(C=10.0, zeta=0.05)
         hp = HyperParams(eta=0.05, beta=0.9)
         xs = run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0]).x
         assert len(xs) == 2000
@@ -384,7 +395,7 @@ class TestSecondOrderParams:
         k = PreconditionerConstants(nu1=1.0, nu2=1.0, c3=2.0, c4=0.5, lambda_minus=0.5, M_bound=math.sqrt(2.0))
         hp = second_order_params(k, ProblemSmoothness(L=1.0, rho=1.0), tau=100.0, delta_prob=1.0, omega=1.0)
         assert (hp.W, hp.t_thresh, hp.S) == (36, 43, 3)
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, hp, 100)
         for traj in run_sgd(p, run, [rng_for(60), rng_for(61)]):
             kinds = traj.step_kind.tolist()
@@ -402,18 +413,18 @@ class TestSecondOrderParams:
 
 class TestStationarity:
     def test_saddle_origin_detected_nonstationary(self):
-        rep = check_stationarity(make_saddle_problem(), np.zeros(2), tau_g=0.1, tau_h=0.05)
+        rep = check_stationarity(SaddleProblem2D(), np.zeros(2), tau_g=0.1, tau_h=0.05)
         assert not rep.is_stationary
         assert rep.grad_norm == 0.0
         assert rep.lambda_min_h == pytest.approx(-0.1)
 
     def test_quadratic_minimum_is_stationary(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
         rep = check_stationarity(p, np.zeros(2), tau_g=1e-6, tau_h=1e-6)
         assert rep.is_stationary
 
     def test_unit_gradient_point(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
         x = np.array([1.0, 0.0])
         rep = check_stationarity(p, x, tau_g=0.5, tau_h=0.5)
         assert rep.grad_norm == pytest.approx(1.0)
@@ -431,7 +442,7 @@ def test_one_step_descent_lemma_monte_carlo():
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         h = (q * rng.uniform(0.3, 2.0, size=dim)) @ q.T
         cov = (q * rng.uniform(0.2, 1.0, size=dim)) @ q.T
-        p = make_quadratic_gaussian(dim, h, cov)
+        p = QuadraticGaussianProblem(dim, h, cov)
         x0 = rng.uniform(-1.0, 1.0, size=dim)
         k = constants(p, x0, PreconditionerKind(epsilon=0.0))
         a = Preconditioner(PreconditionerKind(epsilon=0.0), dim).dense(p, x0)
@@ -454,7 +465,7 @@ def test_one_step_descent_lemma_monte_carlo():
 def test_large_step_amortized_increase_bound():
     """Mean f-increase across large steps stays under 9 L c3 r^2 / 8 + 4 SE."""
     rng = rng_for(20)
-    p = make_quadratic_gaussian(2, np.diag([1.0, 0.5]), 0.2 * np.eye(2))
+    p = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), 0.2 * np.eye(2))
     x0 = np.array([0.5, -0.5])
     k = constants(p, x0, PreconditionerKind(epsilon=0.0))
     sm = ProblemSmoothness(L=p.smoothness.L, rho=1.0)
@@ -512,7 +523,7 @@ def test_run_matches_numpy_reference(case, n_seeds, variant, dim):
     its own single-seed run.
     """
     source, hp_fields, bias_corrected = PARITY_CASES[case]
-    p = make_quadratic_gaussian(dim, PARITY_H[:dim, :dim], PARITY_COV[:dim, :dim])
+    p = QuadraticGaussianProblem(dim, PARITY_H[:dim, :dim], PARITY_COV[:dim, :dim])
     kind = PreconditionerKind(variant=variant, epsilon=0.05)
     hp = HyperParams(**hp_fields)
     x0 = np.linspace(1.0, -0.5, dim)

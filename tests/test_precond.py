@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from precondsgd import (
+    CounterexampleProblem,
     DimMismatchError,
     InvalidParamError,
     MissingOracleError,
     Preconditioner,
     PreconditionerConstants,
     PreconditionerKind,
+    QuadraticGaussianProblem,
+    SaddleProblem2D,
     SingularMatrixError,
     SymMatrix,
     constants,
     estimate_m_bound,
-    make_counterexample,
-    make_quadratic_gaussian,
-    make_saddle_problem,
     op_norm,
     second_order_complexity_factor,
     sym_power,
@@ -60,7 +60,7 @@ def g_hat_of(pre):
 def problem_with_g(g):
     """Zero objective whose exact second moment is the given constant matrix."""
     d = g.shape[0]
-    return make_quadratic_gaussian(d, np.zeros((d, d)), g)
+    return QuadraticGaussianProblem(d, np.zeros((d, d)), g)
 
 
 class TestKindValidation:
@@ -77,24 +77,24 @@ class TestKindValidation:
 
 class TestIdealizedA:
     def test_identity_kind(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         a = idealized_A(p, PreconditionerKind(variant="identity"), np.array([0.3, -0.2]))
         assert np.array_equal(a, np.eye(2))
 
     def test_counterexample_constant_scalar(self):
-        p = make_counterexample(C=2.0, zeta=0.1)
+        p = CounterexampleProblem(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0, exponent=-0.5)
         for x in (-0.9, 0.0, 0.7):
             a = idealized_A(p, kind, np.array([x]))
             assert a[0, 0] == pytest.approx(1.0 / np.sqrt(2.1), rel=1e-12)
 
     def test_saddle_origin_full_matrix(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         a = idealized_A(p, PreconditionerKind(variant="full_matrix"), np.zeros(2))
         assert np.allclose(a, np.diag([1.0, 10.0]), rtol=1e-12)
 
     def test_covariance_kind_removes_mean_term(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         kind = PreconditionerKind(variant="covariance_full_matrix")
         for x in (np.zeros(2), np.array([0.4, -0.3])):
             a = idealized_A(p, kind, x)
@@ -111,7 +111,7 @@ class TestIdealizedA:
 
     def test_direction_is_dense_times_g(self):
         rng = rng_for(36)
-        p = make_quadratic_gaussian(3, random_spd(rng, 3), random_spd(rng, 3))
+        p = QuadraticGaussianProblem(3, random_spd(rng, 3), random_spd(rng, 3))
         x, g = rng.standard_normal(3), rng.standard_normal(3)
         for variant in ("identity", "full_matrix", "diagonal", "covariance_full_matrix"):
             pre = Preconditioner(PreconditionerKind(variant=variant, epsilon=0.1), 3)
@@ -144,7 +144,7 @@ class TestEmaUpdate:
             pre.observe(np.ones(3), 0.5)
 
     def test_observe_is_a_no_op_unless_estimating(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         x, g = np.array([0.3, -0.2]), np.array([1.0, 2.0])
         for pre in (
             Preconditioner(PreconditionerKind(epsilon=0.1), 2),
@@ -156,7 +156,7 @@ class TestEmaUpdate:
             assert pre.est_error(p, x) == 0.0
 
     def test_one_eigh_per_observe(self, monkeypatch):
-        p = make_quadratic_gaussian(2, np.eye(2), np.eye(2))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
         x = np.array([0.5, -0.5])
         calls = []
         eigh = np.linalg.eigh
@@ -225,7 +225,7 @@ DIAGONAL_KIND = PreconditionerKind("diagonal")
 
 class TestConstants:
     def test_identity_saddle_origin(self):
-        k = constants(make_saddle_problem(), np.zeros(2), IDENTITY_KIND)
+        k = constants(SaddleProblem2D(), np.zeros(2), IDENTITY_KIND)
         assert (k.nu1, k.nu2, k.lambda_minus) == (1.0, 1.0, 1.0)
         assert k.c3 == pytest.approx(1.01)
         assert k.c4 == pytest.approx(0.01)
@@ -358,7 +358,7 @@ def test_definitional_inequalities_hold():
 
 def test_covariance_rank_one_estimator_unbiased():
     """E[(g1-g2)(g1-g2)^T / 2] equals the gradient covariance."""
-    p = make_saddle_problem()
+    p = SaddleProblem2D()
     x = np.array([0.5, -0.2])
     rng = rng_for(34)
     n = 100_000

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from precondsgd import (
+    CounterexampleProblem,
     DataFormatError,
     InvalidParamError,
+    LogisticRegressionProblem,
+    QuadraticGaussianProblem,
+    SaddleProblem2D,
     load_dataset_csv,
-    make_counterexample,
-    make_logistic_regression,
-    make_quadratic_gaussian,
-    make_saddle_problem,
     make_synthetic_logistic,
 )
 
@@ -28,7 +28,7 @@ def central_difference_grad(f, x, h=1e-6):
 
 class TestSaddleProblem:
     def test_values_at_origin(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         origin = np.zeros(2)
         assert p.eval_f(origin) == 0.0
         assert np.array_equal(p.grad(origin), np.zeros(2))
@@ -36,12 +36,12 @@ class TestSaddleProblem:
         assert np.allclose(p.exact_G(origin).a, np.diag([1.0, 0.01]))
 
     def test_b_support_moments_exact(self):
-        b = make_saddle_problem().B_SUPPORT
+        b = SaddleProblem2D().B_SUPPORT
         assert np.array_equal(b.mean(axis=0), np.zeros(2))
         assert np.allclose(b.T @ b / 4.0, np.diag([1.0, 0.01]), atol=0)
 
     def test_gradient_matches_finite_differences(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         rng = rng_for(11)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=2)
@@ -49,14 +49,14 @@ class TestSaddleProblem:
             assert np.allclose(p.grad(x), fd, rtol=1e-5, atol=1e-7)
 
     def test_sample_mean_near_zero_at_origin(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         gs = p.sample_grad_batch(np.zeros(2), 100_000, rng_for(12))
         mean = gs.mean(axis=0)
         se = gs.std(axis=0, ddof=1) / np.sqrt(gs.shape[0])
         assert np.all(np.abs(mean) <= 3.0 * se)
 
     def test_empirical_covariance_at_origin(self):
-        p = make_saddle_problem()
+        p = SaddleProblem2D()
         gs = p.sample_grad_batch(np.zeros(2), 100_000, rng_for(13))
         emp = gs.T @ gs / gs.shape[0]
         true = np.diag([1.0, 0.01])
@@ -66,7 +66,7 @@ class TestSaddleProblem:
 
 class TestCounterexample:
     def test_two_point_moments(self):
-        p = make_counterexample(C=2.0, zeta=0.1)
+        p = CounterexampleProblem(C=2.0, zeta=0.1)
         assert p.p == pytest.approx(1.1 / 3.0)
         # enumeration over the two outcomes
         enumerated = p.p * 2.0**2 + (1.0 - p.p) * 1.0
@@ -74,17 +74,17 @@ class TestCounterexample:
         assert p.exact_G(np.array([0.0])).a[0, 0] == pytest.approx(2.1)
 
     def test_gradient_is_constant_zeta(self):
-        p = make_counterexample(C=2.0, zeta=0.1)
+        p = CounterexampleProblem(C=2.0, zeta=0.1)
         for x in (-1.0, -0.3, 0.8):
             assert p.grad(np.array([x]))[0] == 0.1
             assert p.eval_f(np.array([x])) == pytest.approx(0.1 * x)
 
     def test_exact_g_independent_of_x(self):
-        p = make_counterexample(C=2.0, zeta=0.1)
+        p = CounterexampleProblem(C=2.0, zeta=0.1)
         assert p.exact_G(np.array([-1.0])).a == pytest.approx(p.exact_G(np.array([1.0])).a)
 
     def test_empirical_second_moment(self):
-        p = make_counterexample(C=10.0, zeta=0.05)
+        p = CounterexampleProblem(C=10.0, zeta=0.05)
         g = p.sample_grad_batch(np.array([0.0]), 100_000, rng_for(14))[:, 0]
         target = 10.0 * 1.05 - 0.05
         se = np.std(g**2, ddof=1) / np.sqrt(len(g))
@@ -92,23 +92,23 @@ class TestCounterexample:
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParamError):
-            make_counterexample(C=0.5, zeta=0.1)
+            CounterexampleProblem(C=0.5, zeta=0.1)
         with pytest.raises(InvalidParamError):
-            make_counterexample(C=2.0, zeta=0.0)
+            CounterexampleProblem(C=2.0, zeta=0.0)
         with pytest.raises(InvalidParamError):
-            make_counterexample(C=2.0, zeta=3.0)
+            CounterexampleProblem(C=2.0, zeta=3.0)
 
 
 class TestQuadraticGaussian:
     def test_exact_g_at_origin(self):
-        p = make_quadratic_gaussian(3, np.eye(3), np.eye(3))
+        p = QuadraticGaussianProblem(3, np.eye(3), np.eye(3))
         assert np.allclose(p.exact_G(np.zeros(3)).a, np.eye(3))
 
     def test_gradient_matches_finite_differences(self):
         rng = rng_for(15)
         raw = rng.standard_normal((4, 4))
         h = (raw + raw.T) / 2.0
-        p = make_quadratic_gaussian(4, h, np.eye(4))
+        p = QuadraticGaussianProblem(4, h, np.eye(4))
         for _ in range(20):
             x = rng.standard_normal(4)
             fd = central_difference_grad(p.eval_f, x)
@@ -117,24 +117,24 @@ class TestQuadraticGaussian:
 
     def test_hessian_spectrum(self):
         h = np.diag([2.0, -0.5])
-        p = make_quadratic_gaussian(2, h, np.eye(2))
+        p = QuadraticGaussianProblem(2, h, np.eye(2))
         assert p.hessian(np.zeros(2)).lambda_min() == pytest.approx(-0.5)
 
     def test_singular_noise_cov_allowed(self):
-        p = make_quadratic_gaussian(2, np.eye(2), np.zeros((2, 2)))
+        p = QuadraticGaussianProblem(2, np.eye(2), np.zeros((2, 2)))
         g = p.sample_grad(np.ones(2), rng_for(16))
         assert np.array_equal(g, np.ones(2))
 
     def test_noise_cov_must_be_psd(self):
         with pytest.raises(InvalidParamError):
-            make_quadratic_gaussian(2, np.eye(2), np.diag([1.0, -0.5]))
+            QuadraticGaussianProblem(2, np.eye(2), np.diag([1.0, -0.5]))
 
 
 def test_unbiasedness_all_oracle_problems():
     problems = [
-        (make_saddle_problem(), 2),
-        (make_counterexample(C=3.0, zeta=0.2), 1),
-        (make_quadratic_gaussian(3, np.diag([1.0, 2.0, 0.5]), 0.5 * np.eye(3)), 3),
+        (SaddleProblem2D(), 2),
+        (CounterexampleProblem(C=3.0, zeta=0.2), 1),
+        (QuadraticGaussianProblem(3, np.diag([1.0, 2.0, 0.5]), 0.5 * np.eye(3)), 3),
     ]
     rng = rng_for(17)
     for p, dim in problems:
@@ -147,9 +147,9 @@ def test_unbiasedness_all_oracle_problems():
 
 def test_second_moment_dominates_squared_mean():
     problems = [
-        (make_saddle_problem(), 2),
-        (make_counterexample(C=3.0, zeta=0.2), 1),
-        (make_quadratic_gaussian(3, np.eye(3), 0.1 * np.eye(3)), 3),
+        (SaddleProblem2D(), 2),
+        (CounterexampleProblem(C=3.0, zeta=0.2), 1),
+        (QuadraticGaussianProblem(3, np.eye(3), 0.1 * np.eye(3)), 3),
     ]
     rng = rng_for(18)
     for p, dim in problems:
@@ -163,14 +163,14 @@ def test_second_moment_dominates_squared_mean():
 class TestLogisticRegression:
     def test_zero_weights_loss_is_log_two(self):
         rng = rng_for(19)
-        p = make_logistic_regression(rng.standard_normal((20, 4)), (rng.random(20) < 0.5).astype(float), 5)
+        p = LogisticRegressionProblem(rng.standard_normal((20, 4)), (rng.random(20) < 0.5).astype(float), 5)
         assert p.eval_f(np.zeros(4)) == pytest.approx(np.log(2.0))
 
     def test_full_batch_equals_exact_gradient(self):
         rng = rng_for(20)
         X = rng.standard_normal((12, 3))
         y = (rng.random(12) < 0.5).astype(float)
-        p = make_logistic_regression(X, y, batch=12)
+        p = LogisticRegressionProblem(X, y, batch=12)
         w = rng.standard_normal(3)
         assert np.array_equal(p.sample_grad(w, rng), p.grad(w))
 
@@ -178,7 +178,7 @@ class TestLogisticRegression:
         rng = rng_for(21)
         X = rng.standard_normal((10, 5))
         y = (rng.random(10) < 0.5).astype(float)
-        p = make_logistic_regression(X, y, batch=10)
+        p = LogisticRegressionProblem(X, y, batch=10)
         for _ in range(5):
             w = rng.standard_normal(5)
             fd = central_difference_grad(p.eval_f, w)
@@ -189,7 +189,7 @@ class TestLogisticRegression:
         rng = rng_for(22)
         X = rng.standard_normal((50, 3))
         y = (rng.random(50) < 0.5).astype(float)
-        p = make_logistic_regression(X, y, batch=10)
+        p = LogisticRegressionProblem(X, y, batch=10)
         w = rng.standard_normal(3)
         gs = p.sample_grad_batch(w, 40_000, rng)
         se = gs.std(axis=0, ddof=1) / np.sqrt(gs.shape[0])
@@ -197,9 +197,9 @@ class TestLogisticRegression:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DataFormatError):
-            make_logistic_regression(np.ones((4, 2)), np.zeros(5), 2)
+            LogisticRegressionProblem(np.ones((4, 2)), np.zeros(5), 2)
         with pytest.raises(DataFormatError):
-            make_logistic_regression(np.ones((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]), 2)
+            LogisticRegressionProblem(np.ones((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]), 2)
 
     def test_synthetic_generator_deterministic(self):
         p1 = make_synthetic_logistic(100, 5, seed=42, label_noise=0.1, batch=10)
@@ -237,9 +237,9 @@ class TestCsvLoader:
 
 
 STACKED_PROBLEMS = {
-    "saddle": make_saddle_problem,
-    "counterexample": lambda: make_counterexample(3.0, 0.5),
-    "quadratic": lambda: make_quadratic_gaussian(
+    "saddle": SaddleProblem2D,
+    "counterexample": lambda: CounterexampleProblem(3.0, 0.5),
+    "quadratic": lambda: QuadraticGaussianProblem(
         5, np.diag([1.0, 0.7, 0.4, -0.2, 0.1]) + 0.05, np.diag([1.0, 0.5, 0.3, 0.2, 0.1]) + 0.01
     ),
     "logistic": lambda: make_synthetic_logistic(60, 4, seed=3, batch=10),
