@@ -2,7 +2,8 @@
 
 ``precond`` holds the one ``Preconditioner`` and ``constants``, the theorems'
 constants of a ``PreconditionerKind``; ``optimizer`` the one run loop
-``run_sgd``, the ``Run`` it runs and the calculators; ``runner`` the experiments.
+``run_sgd``, the ``Run`` it runs and the calculators; ``runner`` the experiments;
+``linalg`` the one way into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
 """
 
 from .errors import (
@@ -24,7 +25,6 @@ from .linalg import (
     invsqrt_preconditioner_bound,
     op_norm,
     sqrt_perturbation_bound,
-    sym_power,
 )
 from .problems import (
     CounterexampleProblem,
@@ -45,7 +45,6 @@ from .precond import (
     second_order_complexity_factor,
 )
 from .estimation import (
-    EmaWeighting,
     EstimationBoundInputs,
     beta_schedule,
     burn_in_length,
@@ -63,15 +62,6 @@ from .optimizer import (
     hessian_tolerance,
     run_sgd,
     second_order_params,
-)
-from .checks import (
-    InequalityCase,
-    exp_growth_bound,
-    inexact_noise_amplification,
-    isotropy_covariance_check,
-    negative_eigenvalue_bound,
-    quadratic_sqrt_bound,
-    series_bounds,
 )
 
 __version__ = "0.1.0"

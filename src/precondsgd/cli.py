@@ -8,7 +8,7 @@ and ``report`` (quantile-band plot data from summaries). Exit codes:
 ``run`` or ``sweep`` every seed's trajectory is still written, partial
 for the seeds that failed, and no summary is. The flags ``--out``,
 ``--jobs`` and ``--seed-offset`` follow the subcommand; placed before it
-they are a usage error.
+they are a usage error that names the flag.
 """
 
 from __future__ import annotations
@@ -34,23 +34,25 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output directory (default: $PRECONDSGD_OUT or ./results)")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="run and sweep: split each condition's seeds into this many lockstep groups, "
-        "run in as many worker processes; the output does not depend on it (default: CPU count)",
-    )
-    common.add_argument("--seed-offset", type=int, default=0, help="added to every configured seed")
-    return common
+_COMMON_FLAGS = {
+    "--out": dict(help="output directory (default: $PRECONDSGD_OUT or ./results)"),
+    "--jobs": dict(type=int, help="run and sweep: split each condition's seeds into this many lockstep groups, "
+                   "run in as many worker processes; the output does not depend on it (default: CPU count)"),
+    "--seed-offset": dict(type=int, default=0, help="added to every configured seed"),
+}
+
+
+def _before_subcommand(value):
+    """The type of a subcommand's flag placed before the subcommand: always a usage error, which names the flag."""
+    raise argparse.ArgumentTypeError("must follow the subcommand")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False)
     parser = argparse.ArgumentParser(prog="precondsgd")
+    for flag, kwargs in _COMMON_FLAGS.items():
+        common.add_argument(flag, **kwargs)
+        parser.add_argument(flag, type=_before_subcommand, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", parents=[common], help="run one configured condition")

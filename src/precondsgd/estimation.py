@@ -1,17 +1,16 @@
 """Estimation from moving sequences.
 
-EMA weightings, the explicit bias/variance bound on the EMA estimate of
-a matrix-valued function along a slowly moving sequence, the
-beta(eta) = 1 - C eta^(2/3) schedule that optimizes it, the counts that
-follow from eta (the burn-in length W and the hallucination count S),
-and a Monte-Carlo estimate of the bound's variance input sigma_max. The
+The explicit bias/variance bound on the EMA estimate of a matrix-valued
+function along a slowly moving sequence, the beta(eta) = 1 - C eta^(2/3)
+schedule that optimizes it, the counts that follow from eta (the burn-in
+length W and the hallucination count S), and a Monte-Carlo estimate of the bound's variance input sigma_max. The
 run loop measures the estimation error itself (``track_est_error``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,28 +22,6 @@ def _ceil_int(x: float) -> int:
     # Guarded ceil: formulas like eta**(-2/3) land a hair above exact
     # integers in floats; do not let that bump the count by one.
     return int(math.ceil(x - 1e-12 - 1e-9 * abs(x)))
-
-
-@dataclass(frozen=True)
-class EmaWeighting:
-    """Normalized weights w_t proportional to beta^(T-t), t = 1..T."""
-
-    beta: float
-    T: int
-    weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidParamError("beta must be in (0, 1)")
-        if self.T < 1:
-            raise InvalidParamError("T must be >= 1")
-        w = self.beta ** np.arange(self.T - 1, -1, -1, dtype=np.float64)
-        w /= w.sum()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def sq_norm(self) -> float:
-        return float(np.sum(self.weights**2))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Dense symmetric-matrix numerics.
 
-Eigendecomposition-backed matrix powers and operator norms for the small
-(d <~ 200) symmetric matrices manipulated throughout the package, plus
+The LAPACK entry points ``eigh`` and ``eigvalsh``, ``SymMatrix`` and operator
+norms for the small (d <~ 200) symmetric matrices of the package, plus
 closed-form operator-norm bounds on how much the inverse, square root,
 and inverse square root of a positive matrix can move under a small
 symmetric perturbation.
@@ -18,7 +18,6 @@ from .errors import (
     InvalidParamError,
     NonFiniteError,
     PreconditionViolatedError,
-    SingularMatrixError,
 )
 
 
@@ -43,6 +42,11 @@ def eigh(a):
     for b, m in enumerate(a):
         w[b], v[b] = np.linalg.eigh(m)
     return w, v
+
+
+def eigvalsh(a):
+    """``np.linalg.eigvalsh``, looked up at call time; with ``eigh``, the package's only LAPACK caller."""
+    return np.linalg.eigvalsh(a)
 
 
 # The range of the largest |entry| in which LAPACK's eigensolvers do not
@@ -118,10 +122,6 @@ class SymMatrix:
         self._w = None
 
     @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
     def outer_plus(cls, g, base: "SymMatrix") -> "SymMatrix":
         """g g^T + base for a (d,) vector g, or a (B, d, d) stack of them from a (B, d) stack.
 
@@ -195,24 +195,6 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-def sym_power(m: SymMatrix, p: float, clamp_floor: float = 0.0) -> SymMatrix:
-    """Spectral power V diag(max(lambda_i, clamp_floor)^p) V^T.
-
-    Eigenvalues are clamped at ``clamp_floor`` before the power is taken.
-    Raises SingularMatrixError when a negative power is requested with
-    ``clamp_floor`` 0 and a nonpositive eigenvalue present.
-    """
-    if clamp_floor < 0.0:
-        raise InvalidParamError("clamp_floor must be nonnegative")
-    w, v = m.eigendecomposition()
-    lam = np.maximum(w, clamp_floor)
-    if p < 0.0 and np.any(lam <= 0.0):
-        raise SingularMatrixError(
-            f"negative power {p} of a matrix with min clamped eigenvalue {lam.min()}"
-        )
-    return SymMatrix((v * lam**p) @ v.T)
-
-
 def op_norm(m) -> float:
     """Operator norm max |lambda_i| of a symmetric matrix (SymMatrix or array)."""
     if isinstance(m, SymMatrix):
@@ -221,7 +203,7 @@ def op_norm(m) -> float:
         a = np.asarray(m, dtype=np.float64)
         if a.size == 0:
             return 0.0
-        w = np.linalg.eigvalsh(_symmetrized(a))
+        w = eigvalsh(_symmetrized(a))
     return float(np.max(np.abs(w)))
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InvalidParamError, MissingOracleError, NonFiniteError, NumericError
 from .estimation import _ceil_int, beta_schedule, burn_in_length, hallucination_count
+from .linalg import eigvalsh
 from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants, PreconditionerKind, estimates
 from .problems import ProblemSmoothness, StochasticProblem
 
@@ -295,7 +296,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
             return pre.est_error(problem, at)
         diff = pre.dense(problem, at)
         diff -= _defect_reference(*pre._ideal_spectrum(problem, at))
-        return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1)
+        return np.abs(eigvalsh(diff)).max(axis=-1)
 
     def direction():
         return pre.direction(problem, rows["x"], rows["g"])

@@ -23,7 +23,7 @@ from .errors import (
     MissingOracleError,
     SingularMatrixError,
 )
-from .linalg import eigh
+from .linalg import eigh, eigvalsh
 
 IDENTITY = "identity"
 FULL_MATRIX = "full_matrix"
@@ -176,7 +176,7 @@ class Preconditioner:
         if v is None:
             return np.abs(a - a_ref).max(axis=-1)
         diff = _dense(a, v) - _dense(a_ref, v_ref)
-        return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1)
+        return np.abs(eigvalsh(diff)).max(axis=-1)
 
     def _spectrum(self, problem, x):
         if not self.estimating:
@@ -253,7 +253,7 @@ def constants(problem, x, kind: PreconditionerKind, m_bound: float | None = None
                 raise SingularMatrixError("diagonal entries of G must be positive")
             # lambda_min(G diag(G)^-1) via the similar symmetric D^-1/2 G D^-1/2.
             dinvsqrt = 1.0 / np.sqrt(dg)
-            corr = float(np.linalg.eigvalsh(G.a * np.outer(dinvsqrt, dinvsqrt))[0])
+            corr = float(eigvalsh(G.a * np.outer(dinvsqrt, dinvsqrt))[0])
         else:
             lo, hi, corr = G.lambda_min(), G.lambda_max(), 1.0
             if lo + eps <= 0.0:

@@ -1,10 +1,12 @@
-"""Inequality oracles for the computable auxiliary lemmas.
+"""Test helpers: seeded random instances and oracles for the paper's auxiliary lemmas.
 
-Each oracle evaluates both sides of one inequality exactly (or by Monte
-Carlo where the statement is an expectation) and returns an
-InequalityCase, so property tests can assert lhs <= rhs on randomized
-inputs. Deterministic cases carry only rounding slack; Monte-Carlo cases
-build a 4-standard-error margin into the right-hand side.
+No run of the package uses anything here. The random-instance helpers
+and the property-test settings are declared once for every test module.
+Each lemma oracle evaluates both sides of one inequality exactly (or by
+Monte Carlo where the statement is an expectation) and returns an
+InequalityCase, so tests can assert lhs <= rhs on randomized inputs.
+Deterministic cases carry only rounding slack; Monte-Carlo cases build a
+4-standard-error margin into the right-hand side.
 """
 
 from __future__ import annotations
@@ -13,12 +15,88 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from hypothesis import settings
 
-from .errors import InvalidParamError, MissingOracleError, SingularMatrixError
-from .linalg import SymMatrix, sym_power
+from precondsgd import InvalidParamError, MissingOracleError, SingularMatrixError, SymMatrix
 
 # Relative slack for deterministic inequalities: rounding only.
 REL_SLACK = 1e-12
+
+# Property tests draw the same examples on every run and store none.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def rng_for(seed):
+    """The Philox stream of ``runner.make_rng``."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def random_spd(rng, dim, lam_lo=0.1, lam_hi=3.0):
+    """Q diag(lam) Q^T with a random orthogonal Q and dim eigenvalues uniform in [lam_lo, lam_hi]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = rng.uniform(lam_lo, lam_hi, size=dim)
+    return (q * lam) @ q.T
+
+
+def random_sym_with_norm(rng, dim, norm):
+    """Random symmetric matrix with the given operator norm (zero norm allowed)."""
+    raw = rng.standard_normal((dim, dim))
+    sym = (raw + raw.T) / 2.0
+    cur = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    if cur == 0.0:
+        return np.zeros((dim, dim))
+    return sym * (norm / cur)
+
+
+def random_spd_spanning(rng, dim, lam_lo, lam_hi):
+    """Random SPD matrix whose spectrum spans [lam_lo, lam_hi] exactly."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    if dim == 1:
+        lam = np.array([lam_lo])
+    else:
+        lam = np.sort(rng.uniform(lam_lo, lam_hi, size=dim))
+        lam[0], lam[-1] = lam_lo, lam_hi
+    return (q * lam) @ q.T
+
+
+def sym_power(m: SymMatrix, p: float, clamp_floor: float = 0.0) -> SymMatrix:
+    """Spectral power V diag(max(lambda_i, clamp_floor)^p) V^T.
+
+    Eigenvalues are clamped at ``clamp_floor`` before the power is taken.
+    Raises SingularMatrixError when a negative power is requested with
+    ``clamp_floor`` 0 and a nonpositive eigenvalue present.
+    """
+    if clamp_floor < 0.0:
+        raise InvalidParamError("clamp_floor must be nonnegative")
+    w, v = m.eigendecomposition()
+    lam = np.maximum(w, clamp_floor)
+    if p < 0.0 and np.any(lam <= 0.0):
+        raise SingularMatrixError(
+            f"negative power {p} of a matrix with min clamped eigenvalue {lam.min()}"
+        )
+    return SymMatrix((v * lam**p) @ v.T)
+
+
+@dataclass(frozen=True)
+class EmaWeighting:
+    """Normalized weights w_t proportional to beta^(T-t), t = 1..T."""
+
+    beta: float
+    T: int
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.beta < 1.0:
+            raise InvalidParamError("beta must be in (0, 1)")
+        if self.T < 1:
+            raise InvalidParamError("T must be >= 1")
+        w = self.beta ** np.arange(self.T - 1, -1, -1, dtype=np.float64)
+        w /= w.sum()
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    def sq_norm(self) -> float:
+        return float(np.sum(self.weights**2))
 
 
 @dataclass(frozen=True)
@@ -60,25 +138,33 @@ def series_bounds(beta_pos: float, t: int) -> tuple[InequalityCase, InequalityCa
 
 
 def quadratic_sqrt_bound(A: float, B: float, C: float, z: float) -> InequalityCase:
-    """sqrt(A z^2 + B z + C) <= sqrt(A) (2z + B/(2A) + sqrt(C/A)) for nonneg inputs."""
+    """sqrt(A z^2 + B z + C) <= sqrt(A) (2z + B/(2A) + sqrt(C/A)) for nonneg inputs.
+
+    The right-hand side is evaluated with sqrt(A) sqrt(C/A) = sqrt(C): C/A
+    underflows for a subnormal C, which made the rhs 0 at B = z = 0.
+    """
     if A <= 0.0:
         raise InvalidParamError("A must be positive")
     if B < 0.0 or C < 0.0 or z < 0.0:
         raise InvalidParamError("B, C, z must be nonnegative")
     lhs = math.sqrt(A * z**2 + B * z + C)
-    rhs = math.sqrt(A) * (2.0 * z + B / (2.0 * A) + math.sqrt(C / A))
+    rhs = math.sqrt(A) * (2.0 * z + B / (2.0 * A)) + math.sqrt(C)
     return InequalityCase("quadratic_sqrt", lhs, rhs, {"A": A, "B": B, "C": C, "z": z})
 
 
 def exp_growth_bound(x: float, C_target: float) -> InequalityCase:
-    """(1+x)^t >= C for t = ceil(2 log(C) / x), 0 < x < 1, C > 1."""
+    """(1+x)^t >= C for t = ceil(2 log(C) / x), 0 < x < 1, C > 1.
+
+    (1+x)^t is evaluated as exp(t log1p(x)): 1 + x rounds to 1 for x below
+    about 1e-16, which made the rhs 1.
+    """
     if not 0.0 < x < 1.0:
         raise InvalidParamError("x must be in (0, 1)")
     if C_target <= 1.0:
         raise InvalidParamError("C_target must be > 1")
     t = max(1, math.ceil(2.0 * math.log(C_target) / x))
     return InequalityCase(
-        "exp_growth", C_target, (1.0 + x) ** t, {"x": x, "C_target": C_target, "t": t}
+        "exp_growth", C_target, math.exp(t * math.log1p(x)), {"x": x, "C_target": C_target, "t": t}
     )
 
 
@@ -96,13 +182,13 @@ def inexact_noise_amplification(
         raise InvalidParamError("c3 must be positive")
     if dim < 1 or n_samples < 10:
         raise InvalidParamError("need dim >= 1 and n_samples >= 10")
-    A = _random_spd(dim, rng, lambda_min=0.5, lambda_max=2.0)
+    A = random_spd_spanning(rng, dim, 0.5, 2.0)
     lam_min = float(np.linalg.eigvalsh(A)[0])
     mu = rng.uniform(0.0, 0.5) * lam_min / 2.0 * 0.999
-    E = _random_sym_with_norm(dim, mu, rng)
+    E = random_sym_with_norm(rng, dim, mu)
     A_hat = A + E
 
-    cov = _random_spd(dim, rng, lambda_min=0.2, lambda_max=1.0)
+    cov = random_spd_spanning(rng, dim, 0.2, 1.0)
     # Scale the gradient covariance so trace(A cov A) = c3 exactly.
     cov *= c3 / float(np.trace(A @ cov @ A))
     factor = np.linalg.cholesky(cov)
@@ -157,24 +243,3 @@ def isotropy_covariance_check(problem, x, n_samples: int, rng) -> float:
     xi = (samples - grad) @ g_inv_half.T
     empirical = xi.T @ xi / n_samples  # E[xi] = 0, so the raw second moment
     return float(np.max(np.abs(empirical - closed_form)))
-
-
-def _random_spd(dim: int, rng, lambda_min: float, lambda_max: float) -> np.ndarray:
-    """Random SPD matrix whose spectrum spans [lambda_min, lambda_max] exactly."""
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    if dim == 1:
-        lam = np.array([lambda_min])
-    else:
-        lam = np.sort(rng.uniform(lambda_min, lambda_max, size=dim))
-        lam[0], lam[-1] = lambda_min, lambda_max
-    return (q * lam) @ q.T
-
-
-def _random_sym_with_norm(dim: int, norm: float, rng) -> np.ndarray:
-    """Random symmetric matrix with the given operator norm (zero norm allowed)."""
-    raw = rng.standard_normal((dim, dim))
-    sym = (raw + raw.T) / 2.0
-    cur = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    if cur == 0.0:
-        return np.zeros((dim, dim))
-    return sym * (norm / cur)

@@ -2,24 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from precondsgd import (
-    InvalidParamError,
-    QuadraticGaussianProblem,
-    SaddleProblem2D,
-    SingularMatrixError,
-    SymMatrix,
+from lemmas import (
+    PROPERTY,
     exp_growth_bound,
     inexact_noise_amplification,
     isotropy_covariance_check,
     negative_eigenvalue_bound,
     quadratic_sqrt_bound,
+    rng_for,
     series_bounds,
 )
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from precondsgd import InvalidParamError, QuadraticGaussianProblem, SaddleProblem2D, SingularMatrixError, SymMatrix
 
 
 class TestSeriesBounds:
@@ -55,6 +51,13 @@ class TestSeriesBounds:
             for case, ref in zip(cases, exact):
                 assert case.lhs == pytest.approx(ref, rel=1e-10)
 
+    @settings(PROPERTY, max_examples=100)
+    @given(beta_pos=st.floats(1e-3, 0.999), t=st.integers(1, 900))
+    def test_property_over_its_domain(self, beta_pos, t):
+        # t <= 900 keeps (1 + beta_pos)^t finite
+        for case in series_bounds(beta_pos, t):
+            assert case.holds(), case
+
     def test_domain(self):
         with pytest.raises(InvalidParamError):
             series_bounds(1.0, 5)
@@ -84,6 +87,16 @@ class TestQuadraticSqrtBound:
             )
             assert case.holds(), case
 
+    @settings(PROPERTY, max_examples=100)
+    @given(
+        A=st.floats(0.0, 1e3, exclude_min=True), B=st.floats(0.0, 1e3), C=st.floats(0.0, 1e3), z=st.floats(0.0, 1e3)
+    )
+    @example(A=2.0, B=0.0, C=5e-324, z=0.0)
+    def test_property_over_its_domain(self, A, B, C, z):
+        # B = z = 0 is the equality case lhs = rhs = sqrt(C); in the example C/A underflows
+        case = quadratic_sqrt_bound(A, B, C, z)
+        assert case.holds(), case
+
     def test_zero_a_rejected(self):
         with pytest.raises(InvalidParamError):
             quadratic_sqrt_bound(0.0, 1.0, 1.0, 1.0)
@@ -106,6 +119,14 @@ class TestExpGrowthBound:
         for _ in range(1000):
             case = exp_growth_bound(float(rng.uniform(1e-3, 0.999)), float(rng.uniform(1.001, 50.0)))
             assert case.holds(), case
+
+    @settings(PROPERTY, max_examples=100)
+    @given(x=st.floats(1e-300, 0.999), C_target=st.floats(1.0, 1e6, exclude_min=True))
+    @example(x=1e-17, C_target=2.0)
+    def test_property_over_its_domain(self, x, C_target):
+        # x >= 1e-300 keeps t = ceil(2 log(C) / x) finite
+        case = exp_growth_bound(x, C_target)
+        assert case.holds(), case
 
 
 class TestInexactNoiseAmplification:
@@ -142,7 +163,7 @@ class TestInexactNoiseAmplification:
 class TestNegativeEigenvalueBound:
     def test_identity_preconditioner_equality(self):
         h = SymMatrix(np.diag([1.0, -0.7]))
-        case = negative_eigenvalue_bound(SymMatrix.identity(2), h)
+        case = negative_eigenvalue_bound(SymMatrix(np.eye(2)), h)
         assert case.lhs == pytest.approx(0.7)
         assert case.rhs == pytest.approx(0.7)
         assert case.holds()
@@ -171,7 +192,7 @@ class TestNegativeEigenvalueBound:
 
     def test_requires_negative_curvature(self):
         with pytest.raises(InvalidParamError):
-            negative_eigenvalue_bound(SymMatrix.identity(2), SymMatrix.identity(2))
+            negative_eigenvalue_bound(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)))
 
 
 class TestIsotropyCovariance:

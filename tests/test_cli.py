@@ -101,6 +101,23 @@ class TestConfigParsing:
         assert "optimizer.tau: read only by optimizer.auto" in capsys.readouterr().err
 
 
+ESCAPE_CFG = """
+[problem]
+name = saddle
+x0 = 0,0
+
+[optimizer]
+algorithm = {algorithm}
+eta = 0.01
+{extra}
+
+[run]
+seeds = 0,1,2,3,4,5,6,7
+t = 1000
+log_every = 10
+"""
+
+
 class TestCmdRun:
     def test_produces_trajectories_and_summary(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG))
@@ -156,6 +173,19 @@ class TestCmdRun:
         assert {r["seed"] for r in rows_b} == {"100", "101", "102"}
         assert rows_a[0]["final_f"] != rows_b[0]["final_f"]
 
+    def test_full_matrix_rmsprop_escapes_the_saddle_where_sgd_stays(self, tmp_path):
+        # The paper's claim at the CLI: from the saddle point, full-matrix
+        # RMSProp escapes at 100-250 in every seed; SGD escapes in no seed
+        # by T = 1000 (in 3 of 8 by T = 3000, at 2440-2730).
+        escapes = {}
+        for algorithm, extra in (("sgd", ""), ("rmsprop", "kind = full_matrix\nbeta_spec = 0.99\nepsilon = 1e-8")):
+            cfg = write_config(tmp_path / f"{algorithm}.ini", ESCAPE_CFG.format(algorithm=algorithm, extra=extra))
+            assert main(["run", cfg, "--out", str(tmp_path / algorithm), "--jobs", "1"]) == 0
+            _, rows = read_summary(tmp_path / algorithm / "summary.csv")
+            escapes[algorithm] = [int(r["escape_time"]) for r in rows if r["escape_time"]]
+        assert len(escapes["rmsprop"]) == 8 and max(escapes["rmsprop"]) <= 1000 // 2
+        assert len(escapes["sgd"]) <= 2
+
 
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
@@ -200,13 +230,14 @@ t = 10
         assert len(read_trajectory(partials[0])) >= 1
 
     @pytest.mark.parametrize("flags", [["--out", "X"], ["--jobs", "1"], ["--seed-offset", "3"]])
-    def test_a_flag_before_the_subcommand_is_a_usage_error(self, tmp_path, monkeypatch, flags):
+    def test_a_flag_before_the_subcommand_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flags):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("PRECONDSGD_OUT", raising=False)
         cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 5"))
         with pytest.raises(SystemExit) as exc:
             main([*flags, "run", cfg])
         assert exc.value.code == 2
+        assert f"argument {flags[0]}: must follow the subcommand" in capsys.readouterr().err
         assert not (tmp_path / "X").exists() and not (tmp_path / "results").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):

@@ -1,7 +1,15 @@
-"""The numpy floor in pyproject.toml admits every numpy name the package calls."""
+"""pyproject.toml declares what the package, its tests and its benchmark import.
 
+The numpy floor admits every numpy name the package calls, and the test
+extra names every module that the tests and the benchmark import beyond
+the standard library, numpy and their own files. Also: ``linalg`` is the
+package's only caller of LAPACK's eigensolvers.
+"""
+
+import ast
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +23,19 @@ def _version(text):
     return tuple(parts + [0] * (3 - len(parts)))
 
 
-def _numpy_floor():
+def _project():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
-    (spec,) = [d for d in deps if re.match(r"numpy\b", d)]
+        return tomllib.load(fh)["project"]
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _numpy_floor():
+    (spec,) = [d for d in _project()["dependencies"] if re.match(r"numpy\b", d)]
     return _version(re.fullmatch(r"numpy>=([0-9.]+)", spec.replace(" ", "")).group(1))
 
 
@@ -27,8 +43,7 @@ def _numpy_names():
     names = set()
     for fname in sorted(os.listdir(PACKAGE)):
         if fname.endswith(".py"):
-            with open(os.path.join(PACKAGE, fname), encoding="utf-8") as fh:
-                names.update(re.findall(r"\bnp\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", fh.read()))
+            names.update(re.findall(r"\bnp\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", _read(os.path.join(PACKAGE, fname))))
     return sorted(names)
 
 
@@ -53,3 +68,28 @@ def test_numpy_floor_admits_every_numpy_name_used():
     assert (_added_in("matvec"), _added_in("vecdot")) == ((2, 2, 0), (2, 0, 0))
     too_new = {n: v for n in names if (v := _added_in(n)) is not None and v > floor}
     assert not too_new, f"pyproject.toml requires numpy>={floor}, but these names are newer: {too_new}"
+
+
+def test_the_test_extra_names_every_module_the_tests_and_the_benchmark_import():
+    own, imported = set(), set()
+    for directory in ("tests", "perfbench"):
+        path = os.path.join(ROOT, directory)
+        for fname in sorted(os.listdir(path)):
+            if fname.endswith(".py"):
+                own.add(fname[:-3])
+                for node in ast.walk(ast.parse(_read(os.path.join(path, fname)))):
+                    if isinstance(node, ast.Import):
+                        imported.update(alias.name.split(".")[0] for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add(node.module.split(".")[0])
+    assert {"numpy", "pytest", "hypothesis", "lemmas"} <= imported
+    requirements = _project()["optional-dependencies"]["test"]
+    extra = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    undeclared = imported - set(sys.stdlib_module_names) - own - {"precondsgd", "numpy"} - extra
+    assert not undeclared, f"imported by tests/ or perfbench/ but not in the test extra: {sorted(undeclared)}"
+
+
+def test_only_linalg_calls_the_lapack_eigensolvers():
+    lapack = re.compile(r"\b(?:np|numpy)\.linalg\.eig(?:vals)?h\b|from numpy\.linalg import[^\n]*\beig(?:vals)?h\b")
+    callers = {f for f in os.listdir(PACKAGE) if f.endswith(".py") and lapack.search(_read(os.path.join(PACKAGE, f)))}
+    assert callers == {"linalg.py"}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lemmas import EmaWeighting, rng_for
 from precondsgd import (
-    EmaWeighting,
     EstimationBoundInputs,
     InvalidParamError,
     Preconditioner,
@@ -19,10 +19,6 @@ from precondsgd import (
     hallucination_count,
     op_norm,
 )
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def bound_inputs(**kw):

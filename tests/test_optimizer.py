@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from lemmas import rng_for
 from precondsgd import (
     CounterexampleProblem,
     HyperParams,
@@ -27,10 +28,6 @@ from precondsgd import (
     second_order_params,
 )
 from precondsgd.estimation import EstimationBoundInputs, beta_schedule, burn_in_length, estimation_error_bound
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def identity_source():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lemmas import random_spd, rng_for, sym_power
 from precondsgd import (
     CounterexampleProblem,
     DimMismatchError,
@@ -17,18 +18,7 @@ from precondsgd import (
     estimate_m_bound,
     op_norm,
     second_order_complexity_factor,
-    sym_power,
 )
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def random_spd(rng, dim, lam_lo=0.05, lam_hi=3.0):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    lam = rng.uniform(lam_lo, lam_hi, size=dim)
-    return (q * lam) @ q.T
 
 
 def idealized_A(problem, kind, x):
@@ -111,7 +101,7 @@ class TestIdealizedA:
 
     def test_direction_is_dense_times_g(self):
         rng = rng_for(36)
-        p = QuadraticGaussianProblem(3, random_spd(rng, 3), random_spd(rng, 3))
+        p = QuadraticGaussianProblem(3, random_spd(rng, 3, lam_lo=0.05), random_spd(rng, 3, lam_lo=0.05))
         x, g = rng.standard_normal(3), rng.standard_normal(3)
         for variant in ("identity", "full_matrix", "diagonal", "covariance_full_matrix"):
             pre = Preconditioner(PreconditionerKind(variant=variant, epsilon=0.1), 3)
@@ -185,7 +175,7 @@ class TestEstimatedA:
     def test_inverse_square_root_identity(self):
         rng = rng_for(30)
         for _ in range(10):
-            g = random_spd(rng, 4)
+            g = random_spd(rng, 4, lam_lo=0.05)
             eps = float(rng.choice([0.0, 0.3]))
             a = estimated_with(g, PreconditionerKind(epsilon=eps)).dense(None, None)
             prod = a @ a @ (g + eps * np.eye(4))
@@ -238,7 +228,7 @@ class TestConstants:
     def test_identity_unit_constants_for_any_g(self):
         rng = rng_for(31)
         for _ in range(5):
-            k = constants(problem_with_g(random_spd(rng, 4)), np.zeros(4), IDENTITY_KIND)
+            k = constants(problem_with_g(random_spd(rng, 4, lam_lo=0.05)), np.zeros(4), IDENTITY_KIND)
             assert (k.nu1, k.nu2, k.lambda_minus) == (1.0, 1.0, 1.0)
 
     def test_full_matrix_plugin(self):
@@ -306,7 +296,7 @@ class TestComplexityFactor:
         rng = rng_for(32)
         for _ in range(10):
             dim = int(rng.integers(2, 7))
-            g = random_spd(rng, dim)
+            g = random_spd(rng, dim, lam_lo=0.05)
             lam = np.linalg.eigvalsh(g)
             kappa = lam[-1] / lam[0]
             k = constants(problem_with_g(g), np.zeros(dim), FULL_KIND)
@@ -337,7 +327,7 @@ def test_definitional_inequalities_hold():
     rng = rng_for(33)
     for _ in range(100):
         dim = int(rng.integers(2, 7))
-        g = random_spd(rng, dim)
+        g = random_spd(rng, dim, lam_lo=0.05)
         problem = problem_with_g(g)
         x = np.zeros(dim)
         eps = float(rng.choice([0.0, 0.1, 1.0]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lemmas import rng_for
 from precondsgd import (
     CounterexampleProblem,
     DataFormatError,
@@ -11,10 +12,6 @@ from precondsgd import (
     load_dataset_csv,
     make_synthetic_logistic,
 )
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def central_difference_grad(f, x, h=1e-6):
