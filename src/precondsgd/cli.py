@@ -6,9 +6,11 @@ and ``report`` (quantile-band plot data from summaries). Exit codes:
 0 ok, 2 configuration error (negative or repeated seeds included),
 3 numeric failure (divergence/singularity); on a numeric failure of
 ``run`` or ``sweep`` every seed's trajectory is still written, partial
-for the seeds that failed, and no summary is. The flags ``--out``,
-``--jobs`` and ``--seed-offset`` follow the subcommand; placed before it
-they are a usage error that names the flag.
+for the seeds that failed, and no summary is. Each subcommand takes
+``--out``; ``run``, ``sweep`` and ``estimation-scaling`` also take
+``--jobs`` (at least 1) and ``--seed-offset``. A flag a subcommand does
+not read, one placed before the subcommand, and ``--jobs`` below 1 are
+usage errors (exit 2) that name the flag.
 """
 
 from __future__ import annotations
@@ -34,10 +36,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def _jobs(value: str) -> int:
+    """The type of --jobs: an integer of at least 1."""
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 _COMMON_FLAGS = {
     "--out": dict(help="output directory (default: $PRECONDSGD_OUT or ./results)"),
-    "--jobs": dict(type=int, help="run and sweep: split each condition's seeds into this many lockstep groups, "
-                   "run in as many worker processes; the output does not depend on it (default: CPU count)"),
+    "--jobs": dict(type=_jobs, default=os.cpu_count() or 1,
+                   help="at least 1: split each condition's seeds (a sweep value's, an eta's) into this many "
+                   "lockstep groups, run in up to as many worker processes; the output does not depend on it "
+                   "(default: CPU count)"),
     "--seed-offset": dict(type=int, default=0, help="added to every configured seed"),
 }
 
@@ -48,56 +59,49 @@ def _before_subcommand(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
     parser = argparse.ArgumentParser(prog="precondsgd")
-    for flag, kwargs in _COMMON_FLAGS.items():
-        common.add_argument(flag, **kwargs)
+    for flag in _COMMON_FLAGS:
         parser.add_argument(flag, type=_before_subcommand, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="run one configured condition")
-    p_run.add_argument("config")
+    def subcommand(name, help, flags=tuple(_COMMON_FLAGS)):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_COMMON_FLAGS[flag])
+        return p
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="run a sweep over one config key")
+    subcommand("run", "run one configured condition").add_argument("config")
+    p_sweep = subcommand("sweep", "run a sweep over one config key")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--axis", default=None, help="config key to sweep, e.g. optimizer.eta")
     p_sweep.add_argument("--values", default=None, help="comma-separated axis values")
-
-    p_est = sub.add_parser("estimation-scaling", parents=[common], help="sup estimation error vs eta")
-    p_est.add_argument("config")
-
-    p_rep = sub.add_parser("report", parents=[common], help="quantile bands from summary files")
-    p_rep.add_argument("summaries", nargs="+")
-
+    subcommand("estimation-scaling", "sup estimation error vs eta").add_argument("config")
+    subcommand("report", "quantile bands from summary files", flags=("--out",)).add_argument("summaries", nargs="+")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "results"
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
 
     try:
-        if args.command == "run":
-            cfg = load_config(args.config)
-            path = cmd_run(cfg, out_dir, jobs=jobs, seed_offset=args.seed_offset)
-            print(path)
-        elif args.command == "sweep":
-            cfg = load_config(args.config)
-            axis = args.axis or cfg.sweep.get("axis")
-            raw_values = args.values if args.values is not None else cfg.sweep.get("values")
-            if not axis or raw_values is None:
-                raise ConfigError("sweep: --axis and --values are required (or a [sweep] section)")
-            values = [v.strip() for v in raw_values.split(",") if v.strip()]
-            path = cmd_sweep(cfg, axis, values, out_dir, jobs=jobs, seed_offset=args.seed_offset)
-            print(path)
-        elif args.command == "estimation-scaling":
-            cfg = load_config(args.config)
-            path = cmd_estimation_scaling(cfg, out_dir, seed_offset=args.seed_offset)
-            print(path)
-        elif args.command == "report":
+        if args.command == "report":
             path = cmd_report(args.summaries, out_dir)
-            print(path)
+        else:
+            cfg = load_config(args.config)
+            flags = dict(jobs=args.jobs, seed_offset=args.seed_offset)
+            if args.command == "run":
+                path = cmd_run(cfg, out_dir, **flags)
+            elif args.command == "sweep":
+                axis = args.axis or cfg.sweep.get("axis")
+                raw_values = args.values if args.values is not None else cfg.sweep.get("values")
+                if not axis or raw_values is None:
+                    raise ConfigError("sweep: --axis and --values are required (or a [sweep] section)")
+                values = [v.strip() for v in raw_values.split(",") if v.strip()]
+                path = cmd_sweep(cfg, axis, values, out_dir, **flags)
+            else:
+                path = cmd_estimation_scaling(cfg, out_dir, **flags)
+        print(path)
     except (ConfigError, DataFormatError, InvalidParamError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

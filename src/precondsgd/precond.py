@@ -66,8 +66,8 @@ class PreconditionerConstants:
     nu1/nu2 relate ||A v|| to ||A^1/2 v||, c3 bounds the rescaled noise
     magnitude E||A g||^2, c4 lower-bounds lambda_min(A G A^T), lambda_-
     lower-bounds lambda_min(A). M_bound is the uniform step bound ||A g||,
-    problem-specific; ``constants`` defaults it to sqrt(c3), which is the
-    scale it should have.
+    problem-specific; ``constants`` sets it to sqrt(c3), the scale it
+    should have (``estimate_m_bound`` measures it).
     """
 
     nu1: float
@@ -226,7 +226,7 @@ def _dense(a, v):
     return (v * a[..., None, :]) @ v.swapaxes(-1, -2)
 
 
-def constants(problem, x, kind: PreconditionerKind, m_bound: float | None = None) -> PreconditionerConstants:
+def constants(problem, x, kind: PreconditionerKind) -> PreconditionerConstants:
     """The constants of the idealized preconditioner of ``kind`` at x, with eps = kind.epsilon.
 
     Identity (A = I, whatever the exponent): nu1 = nu2 = lambda_- = 1,
@@ -262,7 +262,7 @@ def constants(problem, x, kind: PreconditionerKind, m_bound: float | None = None
         c3 = problem.dim * hi / (eps + hi)
         c4 = corr * lo / (lo + eps)
         lambda_minus = (hi + eps) ** -0.5
-    return PreconditionerConstants(nu, nu, c3, c4, lambda_minus, math.sqrt(c3) if m_bound is None else m_bound)
+    return PreconditionerConstants(nu, nu, c3, c4, lambda_minus, math.sqrt(c3))
 
 
 def second_order_complexity_factor(k: PreconditionerConstants) -> float:

@@ -329,22 +329,18 @@ def make_synthetic_logistic(
     seed: int,
     label_noise: float = 0.05,
     batch: int | None = None,
-    feature_scale: float = 1.0,
 ) -> LogisticRegressionProblem:
     """Separable-with-noise logistic regression instance.
 
-    Gaussian features (scaled by ``feature_scale``, which sets how close
-    the population optimum sits to the origin), labels from a random
-    linear separator with a ``label_noise`` fraction flipped, generated
-    deterministically from ``seed`` (independent of any run RNG).
+    Standard Gaussian features, labels from a random linear separator
+    with a ``label_noise`` fraction flipped, generated deterministically
+    from ``seed`` (independent of any run RNG).
     Minibatches of ``batch`` samples (default: 100, or all if fewer).
     """
     if not 0.0 <= label_noise < 0.5:
         raise InvalidParamError("label_noise must be in [0, 0.5)")
-    if feature_scale <= 0.0:
-        raise InvalidParamError("feature_scale must be positive")
     rng = np.random.Generator(np.random.Philox(seed))
-    X = rng.standard_normal((n_samples, n_features)) * feature_scale
+    X = rng.standard_normal((n_samples, n_features))
     w_star = rng.standard_normal(n_features)
     y = (X @ w_star > 0).astype(np.float64)
     n_flip = int(round(label_noise * n_samples))

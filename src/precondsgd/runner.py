@@ -1,22 +1,24 @@
 """Experiment execution: runs, sweeps, scaling studies, and report data.
 
 Builds problems and optimizer runs from an ExperimentConfig and executes
-seed groups: contiguous runs of a condition's seeds that advance in
-lockstep in one process (``jobs`` groups per condition, optionally in a
-process pool). Writes one trajectory CSV per seed plus a merged summary
-CSV, and turns summaries back into quantile-band plot data. A seed's
-bytes do not depend on the group it ran in, so the output does not
-depend on ``jobs``. A seed that fails numerically still gets its partial
-trajectory; the other seeds finish, and the first failure in seed order
-is raised once everything is written (without a summary). All files are
-written atomically (temp + rename) and floats are formatted with their
-shortest round-trip representation, so re-running a config reproduces
-byte-identical output.
+each condition (a run, a sweep value, a scaling study's eta) in seed
+groups: contiguous runs of its seeds that advance in lockstep in one
+process (``jobs`` groups per condition, optionally in a process pool).
+Writes one trajectory CSV per seed plus a merged summary CSV (or one
+scaling row per eta), and turns summaries back into quantile-band plot
+data. A seed's bytes do not depend on the group it ran in, so the output
+does not depend on ``jobs``. A seed that fails numerically still gets
+its partial trajectory; the other seeds finish, and the first failure in
+condition and seed order is raised once everything is written (without
+a summary). All files are written atomically (temp + rename) and floats
+are formatted with their shortest round-trip representation, so
+re-running a config reproduces byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import tempfile
@@ -24,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .config import AUTO_KEYS, ExperimentConfig, resolve_axis
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .estimation import beta_schedule, burn_in_length, hallucination_count
 from .optimizer import (
     ALGORITHMS,
@@ -324,32 +326,32 @@ def _safe_name(value: str) -> str:
     return "".join(c if (c.isalnum() or c in "._=-") else "-" for c in value)
 
 
-def run_group(cfg: ExperimentConfig, run_id: str, seeds, out_dir: str):
+def run_group(cfg: ExperimentConfig, run_id: str, seeds, out_dir: str) -> list:
     """Run a seed group in lockstep and write one trajectory per seed.
 
-    Returns the summary rows of the seeds that finished and the
-    (seed, error) pairs of those that failed numerically; a failed seed's
-    trajectory holds the events logged before its failure.
+    Returns, per seed, its summary row or, if it failed numerically, its
+    error; a failed seed's trajectory holds the events logged before its
+    failure.
     """
     problem, _, trajectories = execute_records(cfg, seeds)
-    rows, failures = [], []
+    outcomes = []
     for seed, traj in zip(seeds, trajectories):
         traj_name = f"{_safe_name(run_id)}_seed{seed}.csv"
         write_trajectory(os.path.join(out_dir, traj_name), traj, problem.dim)
-        if traj.error is not None:
-            failures.append((seed, traj.error))
-            continue
-        rows.append(
-            summarize(
-                traj,
-                run_id,
-                seed,
-                cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL),
-                cfg.run.get("f_threshold"),
-                traj_name,
-            )
-        )
-    return rows, failures
+        outcomes.append(traj.error if traj.error is not None else summarize(
+            traj, run_id, seed, cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL), cfg.run.get("f_threshold"),
+            traj_name))
+    return outcomes
+
+
+def _scaling_group(cfg: ExperimentConfig, run_id: str, seeds) -> list:
+    """Run a seed group of a scaling study's eta; return per seed its scaling.csv row or its NumericError."""
+    _, run, trajectories = execute_records(cfg, seeds)
+    return [traj.error if traj.error is not None else {
+        "eta": run.hp.eta, "beta": run.hp.beta, "T": run.T, "W": run.hp.W,
+        "sup_error": float(traj.est_error[traj.steps()].max()),
+        "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()), "seed": seed,
+    } for seed, traj in zip(seeds, trajectories)]
 
 
 def read_summary(path) -> tuple[list[str], list[dict]]:
@@ -374,37 +376,38 @@ def _seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
     return seeds
 
 
-def _execute_conditions(conditions, seeds, out_dir: str, jobs: int) -> list[dict]:
-    """Run each (run_id, cfg) condition over the seeds; return the summary rows.
+def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
+    """Run each (run_id, cfg) condition over the seeds with ``group``; return the rows.
 
     The seeds are split into ``jobs`` contiguous lockstep groups per
-    condition. Every group runs and writes its trajectories before the
-    first numeric failure, in condition and seed order, is raised.
+    condition; ``group(cfg, run_id, seeds)`` runs one and returns per seed
+    its row or its NumericError. Every group runs (and writes its files)
+    before the first failure, in condition and seed order, is raised.
     """
     n_groups = max(1, min(jobs, len(seeds)))
     groups = [g.tolist() for g in np.array_split(np.array(seeds), n_groups)]
-    tasks = [(cfg, run_id, group, out_dir) for run_id, cfg in conditions for group in groups]
+    tasks = [(cfg, run_id, seed_group) for run_id, cfg in conditions for seed_group in groups]
     if jobs <= 1 or len(tasks) <= 1:
-        results = [run_group(*task) for task in tasks]
+        results = [group(*task) for task in tasks]
     else:
         # Imported here: a serial run need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_group, *zip(*tasks)))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(group, *zip(*tasks)))
     rows = []
-    for (_, run_id, _, _), (group_rows, failures) in zip(tasks, results):
-        if failures:
-            seed, err = failures[0]
-            raise type(err)(f"{run_id} seed {seed}: {err}")
-        rows += group_rows
+    for (_, run_id, seed_group), outcomes in zip(tasks, results):
+        for seed, outcome in zip(seed_group, outcomes):
+            if isinstance(outcome, NumericError):
+                raise type(outcome)(f"{run_id} seed {seed}: {outcome}")
+            rows.append(outcome)
     return rows
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int = 0) -> str:
     """One condition x all seeds; returns the summary path."""
     seeds = _seeds(cfg, seed_offset)
-    rows = _execute_conditions([("run", cfg)], seeds, out_dir, jobs)
+    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), [("run", cfg)], seeds, jobs)
     rows.sort(key=lambda r: r["seed"])
     path = os.path.join(out_dir, "summary.csv")
     write_csv(path, SUMMARY_COLUMNS, rows)
@@ -431,7 +434,7 @@ def cmd_sweep(
             raise ConfigError(f"sweep.values: {axis} values {clash[0]} and {value} would both write {name}_seed*.csv")
         resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
         conditions.append((f"{axis}={value}", sub))
-    rows = _execute_conditions(conditions, seeds, out_dir, jobs)
+    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), conditions, seeds, jobs)
 
     def sort_key(row):
         value = row["run_id"].split("=", 1)[1]
@@ -449,18 +452,20 @@ def cmd_sweep(
     return path
 
 
-def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int = 0) -> str:
+def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int = 0) -> str:
     """Sup preconditioner-estimation error versus eta, with the fitted slope.
 
     For each eta of run.etas, runs RMSProp with burn-in under
     beta = 1 - C eta^(2/3) (C = run.beta_c), tracking ||Ahat_t - A(x_t)||
     over a window of ~est_window_factor EMA time constants, and fits the
-    log-log slope of the sup error. Each run replaces optimizer.algorithm
-    (by rmsprop_burnin), optimizer.eta, optimizer.beta_spec (by the fixed
-    beta(eta)), run.t (by the window if longer), run.track_est_error and
-    run.log_every. kind = identity (no estimate), optimizer.auto (which
-    would set eta), and an eta that repeats or has no beta(eta) in (0, 1)
-    are ConfigErrors, raised before any file is written.
+    log-log slope of the sup error. Each eta is a condition ``eta <eta>``,
+    largest first, and ``jobs`` of them run at once. Each run replaces
+    optimizer.algorithm (by rmsprop_burnin), optimizer.eta,
+    optimizer.beta_spec (by the fixed beta(eta)), run.t (by the window if
+    longer), run.track_est_error and run.log_every. kind = identity (no
+    estimate), optimizer.auto (which would set eta), and an eta that
+    repeats or has no beta(eta) in (0, 1) are ConfigErrors. Neither a
+    ConfigError nor a numeric failure writes a file.
     """
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
@@ -475,28 +480,23 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, seed_offset: int
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:
         raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
-    seed, *more = _seeds(cfg, seed_offset)
-    if more:
-        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {1 + len(more)}")
+    seeds = _seeds(cfg, seed_offset)
+    if len(seeds) > 1:
+        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(seeds)}")
     factor = cfg.run.get("est_window_factor", 40.0)
 
-    rows = []
+    conditions = []
     for eta in sorted(etas, reverse=True):
         beta = beta_schedule(eta, c_sched)
-        window = max(cfg.run.get("t", 1), math.ceil(factor / (1.0 - beta)))
         sub = cfg.clone()
         sub.optimizer["algorithm"] = "rmsprop_burnin"
         sub.optimizer["eta"] = eta
         sub.optimizer["beta_spec"] = ("fixed", beta)
-        sub.run["t"] = window
+        sub.run["t"] = max(cfg.run.get("t", 1), math.ceil(factor / (1.0 - beta)))
         sub.run["track_est_error"] = True
         sub.run["log_every"] = 1
-        _, run, (traj,) = execute_records(sub, [seed])
-        if traj.error is not None:
-            raise type(traj.error)(f"eta {eta} seed {seed}: {traj.error}")
-        rows.append({"eta": eta, "beta": beta, "T": window, "W": run.hp.W,
-                     "sup_error": float(traj.est_error[traj.steps()].max()),
-                     "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()), "seed": seed})
+        conditions.append((f"eta {eta}", sub))
+    rows = _execute_conditions(_scaling_group, conditions, seeds, jobs)
 
     finite = [r for r in rows if r["sup_error"] > 0.0]
     slope = 0.0

@@ -15,7 +15,7 @@ section), a report on a sweep's summary, three estimation-scaling studies
 the summary levels, label noise and two runs that diverge (one through
 numpy overflow), and runs three or more seeds of a condition on each
 path where seeds share work (one sweep with ``--jobs 2``; every other
-config runs with ``--jobs 1``).
+config but a report, which takes no ``--jobs``, runs with ``--jobs 1``).
 A numpy RuntimeWarning during a config is an error. Regenerate the file
 only for a change meant to alter the program's results, and say so with
 the change.
@@ -582,7 +582,7 @@ def run_config(name: str, work_dir: str) -> dict:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        jobs = () if "--jobs" in extra else ("--jobs", "1")
+        jobs = () if "--jobs" in extra or subcommand == "report" else ("--jobs", "1")
         rc = main([*argv, "--out", out_dir, *jobs])
     files = {}
     for fname in sorted(os.listdir(out_dir)):

@@ -1,4 +1,7 @@
+import argparse
+import concurrent.futures
 import csv
+import inspect
 import io
 import os
 import pickle
@@ -9,8 +12,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from precondsgd import ConfigError, StochasticProblem, config, problems
-from precondsgd.cli import main
+from precondsgd import ConfigError, StochasticProblem, config, problems, runner
+from precondsgd.cli import build_parser, main
 from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
 from precondsgd.estimation import beta_schedule
 from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, run_sgd
@@ -239,6 +242,17 @@ t = 10
         assert exc.value.code == 2
         assert f"argument {flags[0]}: must follow the subcommand" in capsys.readouterr().err
         assert not (tmp_path / "X").exists() and not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["run", "estimation-scaling"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exits_2_and_writes_nothing(self, tmp_path, capsys, command, jobs):
+        cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG + "etas = 0.01, 0.001\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 20"))
@@ -477,9 +491,31 @@ seeds = 5
 t = 1
 etas = 0.01,0.003
 """)
-        assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert "numeric failure: eta 0.01 seed 5: lambda_min(Ghat) + eps not positive" in err
+        for jobs in ("1", "2"):  # the serial loop and the process pool
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["estimation-scaling", cfg, "--out", str(out), "--jobs", jobs]) == 3
+            err = capsys.readouterr().err
+            assert "numeric failure: eta 0.01 seed 5: lambda_min(Ghat) + eps not positive" in err
+            assert not out.exists()  # no scaling.csv
+
+    def test_jobs_runs_the_etas_in_a_process_pool_with_the_same_bytes(self, tmp_path, monkeypatch):
+        pools = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01,0.001"))
+        files = {}
+        for jobs in ("1", "2", "5"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["estimation-scaling", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert pools == [{"max_workers": 2}, {"max_workers": 3}]  # no more workers than etas
+        assert sorted(files["1"]) == ["scaling.csv", "scaling_fit.csv"]
+        assert files["1"] == files["2"] == files["5"]
 
     @pytest.mark.parametrize(
         "setting, replacement, key",
@@ -604,6 +640,32 @@ class TestReport:
         assert main(["report", *summaries, "--out", str(out)]) == 2
         assert "iteration grid differs within condition 'run'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--jobs", "7"), ("--seed-offset", "5")])
+    def test_a_flag_report_does_not_read_exits_2(self, tmp_path, capsys, flag, value):
+        cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 20")))
+        summary = cmd_run(cfg, str(tmp_path / "run"))
+        out = tmp_path / "rep"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", summary, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEveryFlagIsRead:
+    # A flag and the keyword of the runner.cmd_* that reads it.
+    KEYWORDS = {"--out": "out_dir", "--jobs": "jobs", "--seed-offset": "seed_offset"}
+    READ_BY_MAIN = {"sweep": {"--axis", "--values"}}
+
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subparsers.choices) == ["estimation-scaling", "report", "run", "sweep"]
+        for command, parser in subparsers.choices.items():
+            declared = {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+            params = inspect.signature(getattr(runner, "cmd_" + command.replace("-", "_"))).parameters
+            read = {flag for flag, keyword in self.KEYWORDS.items() if keyword in params}
+            assert declared == read | self.READ_BY_MAIN.get(command, set()), command
 
 
 LARGE_STEP_CFG = """
