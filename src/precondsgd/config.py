@@ -7,7 +7,9 @@ corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it
 or under a mode that does not read it, and one the mode computes, beside
 it (``runner.resolve_run`` checks); except the required ``run.t``, which
 the first-order modes replace with their T. The problem names, and the
-[problem] keys each name requires, come from ``problems.PROBLEMS``.
+[problem] keys each name requires, come from ``problems.PROBLEMS``, and
+the auto keys (each a number) from ``optimizer.AUTO_MODES``. Every number
+must be finite: nan and inf are refused where they are read.
 
 A known key that the chosen algorithm or kind does not run is dropped,
 not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import copy
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -34,9 +37,12 @@ AUTO_KEYS = tuple(dict.fromkeys(key for mode in AUTO_MODES.values() for key in m
 
 def _parse_float(s):
     try:
-        return float(s)
+        value = float(s)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {s!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_int(s):
@@ -119,19 +125,7 @@ _SCHEMAS = {
         "s": _parse_int,
         "bias_corrected": _parse_bool,
         "auto": _parse_str,
-        "l": _parse_float,
-        "rho": _parse_float,
-        "c3": _parse_float,
-        "c4": _parse_float,
-        "nu1": _parse_float,
-        "nu2": _parse_float,
-        "lambda_minus": _parse_float,
-        "m_bound": _parse_float,
-        "delta_f": _parse_float,
-        "tau": _parse_float,
-        "delta": _parse_float,
-        "omega": _parse_float,
-        "k_const": _parse_float,
+        **dict.fromkeys(AUTO_KEYS, _parse_float),  # every calculator input is a number
     },
     "run": {
         "seeds": _parse_int_list,
@@ -173,7 +167,10 @@ class ExperimentConfig:
     def set_axis_value(self, axis: str, raw_value: str) -> None:
         """Set a sweep axis to one of its values; the result is validated like a loaded config."""
         section, key, parser = resolve_axis(axis)
-        getattr(self, section)[key] = parser(raw_value)
+        try:
+            getattr(self, section)[key] = parser(raw_value)
+        except ConfigError as exc:
+            raise ConfigError(f"{axis}: {exc}") from exc
         validate_config(self)
 
 

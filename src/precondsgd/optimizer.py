@@ -207,17 +207,19 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     """Preconditioned SGD x <- x - eta A g: the one run loop of every algorithm.
 
     Runs ``run`` for one seed per RNG stream in ``rngs``, all from run.x0,
-    in lockstep, and returns one Trajectory per seed. A is one
-    Preconditioner for all seeds: an estimating one observes each sample
-    before preconditioning it, with the EMA parameter hp.beta or, with
-    hp.beta_c, beta(eta_t), where eta_t is hp.eta or, with hp.eta_decay
-    "inv_sqrt", hp.eta / sqrt(t + 1). hp.W estimate-only samples at x0
-    precede the loop. When hp.t_thresh is set the stepsize is hp.r every
-    hp.t_thresh steps, and an estimating preconditioner then observes
-    hp.S+1 hallucinated samples interpolated between the step's endpoints.
-    A seed whose objective passes DIVERGENCE_F_LIMIT, whose iterate stops
-    being finite or whose matrix power fails stops with the error in its
-    Trajectory; the other seeds run on.
+    in lockstep, and returns one Trajectory per seed. Every sample (of
+    burn-in, of a step, or hallucinated) is one event: drawn, observed and
+    logged if due. A is one Preconditioner for all seeds: an estimating
+    one observes each sample before preconditioning it, with the EMA
+    parameter hp.beta or, with hp.beta_c, beta(eta_t), where eta_t is
+    hp.eta or, with hp.eta_decay "inv_sqrt", hp.eta / sqrt(t + 1). hp.W
+    estimate-only samples at x0 precede the loop. When hp.t_thresh is set
+    the stepsize is hp.r every hp.t_thresh steps, and an estimating
+    preconditioner then observes hp.S+1 hallucinated samples interpolated
+    between the step's endpoints. A seed whose objective passes
+    DIVERGENCE_F_LIMIT, whose iterate stops being finite or whose matrix
+    power fails stops with the error in its Trajectory; the other seeds
+    run on.
     """
     rngs = list(rngs)
     n_seeds = len(rngs)
@@ -247,6 +249,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     error_col = np.full((n_seeds, capacity), np.nan)
     x_col = np.empty((n_seeds, capacity, dim))
     logged = 0
+    ev = -hp.W  # the current event's index: burn-in takes -W..-1
     lengths = np.zeros(n_seeds, dtype=np.int64)
     errors: list[NumericError | None] = [None] * n_seeds
 
@@ -279,9 +282,6 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
 
     tracking = run.track_est_error and estimating
 
-    def current_beta(eta_t: float) -> float:
-        return beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta
-
     def draw_sample(at):
         g = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
         if covariance:
@@ -298,9 +298,6 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         diff -= _defect_reference(*pre._ideal_spectrum(problem, at))
         return np.abs(eigvalsh(diff)).max(axis=-1)
 
-    def direction():
-        return pre.direction(problem, rows["x"], rows["g"])
-
     def oracles(at: str, hess_due: bool):
         """lambda_min(H) (NaN unless due), ||grad f|| and the tracked est_error at rows[at]."""
         points = rows[at]
@@ -308,8 +305,8 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         g = problem.grad(points)
         return lam_h, np.sqrt(np.vecdot(g, g)), tracked_error(points)
 
-    def log(ev: int, at: str, kind_label: str, t_for_hess: int | None) -> None:
-        """Log event ev at the points rows[at] of the live seeds."""
+    def log(at: str, kind_label: str, t_for_hess: int | None) -> None:
+        """Log the current event ev at the points rows[at] of the live seeds."""
         nonlocal logged
         rows["f"] = f_val = problem.eval_f(rows[at])
         if not np.abs(f_val).max() <= DIVERGENCE_F_LIMIT:  # also for NaN and inf
@@ -332,46 +329,37 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         x_col[seeds, logged] = rows[at]
         logged += 1
 
-    ev = -hp.W
-
-    def observe_only(at: str, kind_label: str, eta_t: float) -> None:
-        """An event that only feeds the estimate: draw at rows[at], observe, log, advance ev."""
+    def event(at: str, kind_label: str, eta_t: float, t: int | None = None) -> None:
+        """One event at rows[at]: draw, observe, and at step t keep the sample
+        and its direction; log if due; advance ev."""
         nonlocal ev
-        _, upd = draw_sample(rows[at])  # drawn by every form, so streams stay aligned
+        g, upd = draw_sample(rows[at])  # drawn whether or not it is observed, so streams stay aligned
         if estimating:
-            pre.observe(upd, current_beta(eta_t))
-        if ev % log_every == 0:
-            log(ev, at, kind_label, None)
+            pre.observe(upd, beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta)
+        if t is not None:
+            rows["g"] = g
+            rows["direction"] = guarded(lambda: pre.direction(problem, rows["x"], rows["g"]))
+        if live.size and (ev % log_every == 0 or t == T - 1):
+            log(at, kind_label, t)
         ev += 1
 
     # Burn-in: update the estimate at x0 without moving x.
     for _ in range(hp.W):
         if not live.size:
             break
-        observe_only("x", STEP_BURNIN, hp.eta)
+        event("x", STEP_BURNIN, hp.eta)
 
     for t in range(T):
         if not live.size:
             break
         eta_t = hp.eta / math.sqrt(t + 1.0) if decaying else hp.eta
         is_large = large_steps and t % hp.t_thresh == 0
-        step_size = hp.r if is_large else eta_t
-
-        rows["g"], upd = draw_sample(rows["x"])
-        if estimating:
-            pre.observe(upd, current_beta(eta_t))
-        rows["direction"] = guarded(direction)
-        if not live.size:
-            break
-
-        if t == T - 1 or ev % log_every == 0:
-            log(ev, "x", STEP_LARGE if is_large else STEP_NORMAL, t)
-        ev += 1
+        event("x", STEP_LARGE if is_large else STEP_NORMAL, eta_t, t)
         if not live.size:
             break
 
         rows["x_start"] = rows["x"]
-        x_new = rows["x"] - step_size * rows["direction"]
+        x_new = rows["x"] - (hp.r if is_large else eta_t) * rows["direction"]
         if problem.clip_bounds is not None:
             x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
         rows["x"] = x_new
@@ -385,7 +373,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
                 if not live.size:
                     break
                 rows["xs"] = rows["x_start"] + (s / hp.S) * (rows["x"] - rows["x_start"])
-                observe_only("xs", STEP_HALLUCINATED, eta_t)
+                event("xs", STEP_HALLUCINATED, eta_t)
 
     lengths[live] = logged
     return [

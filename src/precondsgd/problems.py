@@ -126,8 +126,7 @@ class SaddleProblem2D(StochasticProblem):
         return self.H_DIAG * x + 10.0 * x**9
 
     def sample_grad(self, x, rng) -> np.ndarray:
-        x = self._check_dim(x)
-        return self.H_DIAG * x + 10.0 * x**9 + self.B_SUPPORT[rng.integers(4)]
+        return self.grad(x) + self.B_SUPPORT[rng.integers(4)]
 
     def sample_grad_batch(self, x, n, rng) -> np.ndarray:
         b = self.B_SUPPORT[rng.integers(4, size=n)]
@@ -237,7 +236,7 @@ class QuadraticGaussianProblem(StochasticProblem):
         return self.grad(x)[None, :] + z @ self._noise_factor.T
 
     def exact_G(self, x) -> SymMatrix:
-        return SymMatrix.outer_plus(np.matvec(self._H.a, self._check_dim(x)), self._cov)
+        return SymMatrix.outer_plus(self.grad(x), self._cov)
 
     def hessian(self, x) -> SymMatrix:
         self._check_dim(x)

@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .config import AUTO_KEYS, ExperimentConfig, resolve_axis
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 from .estimation import beta_schedule, burn_in_length, hallucination_count
 from .optimizer import (
     ALGORITHMS,
@@ -278,15 +278,14 @@ def write_trajectory(path, traj: Trajectory, dim: int) -> None:
 
 def read_trajectory(path) -> Trajectory:
     """The logged columns of a trajectory CSV (without x)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw = list(csv.DictReader(fh))
+    _, raw = read_summary(path, trajectory_columns(0))
 
     def floats(name):
-        return np.array([float(r[name]) if r[name] else np.nan for r in raw], dtype=np.float64)
+        return np.array(_column(path, raw, name, lambda v: float(v) if v else np.nan), dtype=np.float64)
 
     return Trajectory(
-        iteration=np.array([int(r["iter"]) for r in raw], dtype=np.int64),
-        step_kind=np.array([r["step_kind"] for r in raw], dtype=object),
+        iteration=np.array(_column(path, raw, "iter", int), dtype=np.int64),
+        step_kind=np.array(_column(path, raw, "step_kind"), dtype=object),
         f=floats("f"),
         grad_norm=floats("grad_norm"),
         lambda_min_h=floats("lambda_min_H"),
@@ -354,15 +353,27 @@ def _scaling_group(cfg: ExperimentConfig, run_id: str, seeds) -> list:
     } for seed, traj in zip(seeds, trajectories)]
 
 
-def read_summary(path) -> tuple[list[str], list[dict]]:
+def read_summary(path, required=()) -> tuple[list[str], list[dict]]:
+    """The header and row dicts of a CSV file with the ``required`` columns; else a DataFormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty summary") from None
+        header = next(reader, [])
+        missing = [name for name in required if name not in header]
+        if not header or missing:
+            raise DataFormatError(f"{path}: no {missing[0]} column" if missing else f"{path}: empty file")
         rows = [dict(zip(header, row)) for row in reader]
     return header, rows
+
+
+def _column(path, rows, name, parse=str) -> list:
+    """parse(row[name]) for the rows of the CSV file ``path``; a field it cannot parse is a DataFormatError."""
+    values = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            values.append(parse(row[name]))
+        except (KeyError, ValueError):
+            raise DataFormatError(f"{path}:{line}: bad {name} field {row.get(name)!r}") from None
+    return values
 
 
 def _seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
@@ -463,8 +474,9 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, s
     optimizer.algorithm (by rmsprop_burnin), optimizer.eta,
     optimizer.beta_spec (by the fixed beta(eta)), run.t (by the window if
     longer), run.track_est_error and run.log_every. kind = identity (no
-    estimate), optimizer.auto (which would set eta), and an eta that
-    repeats or has no beta(eta) in (0, 1) are ConfigErrors. Neither a
+    estimate), optimizer.auto (which would set eta), an eta_decay other
+    than none (each row is fitted against its constant eta), and an eta
+    that repeats or has no beta(eta) in (0, 1) are ConfigErrors. Neither a
     ConfigError nor a numeric failure writes a file.
     """
     etas = cfg.run.get("etas")
@@ -480,6 +492,8 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, s
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:
         raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
+    if cfg.optimizer.get("eta_decay", "none") != "none":
+        raise ConfigError("optimizer.eta_decay: estimation scaling runs each eta as a constant stepsize")
     seeds = _seeds(cfg, seed_offset)
     if len(seeds) > 1:
         raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(seeds)}")
@@ -514,24 +528,23 @@ def cmd_report(summary_paths, out_dir: str) -> str:
     if not summary_paths:
         raise ConfigError("report: no summary files given")
     header0 = None
-    groups: dict[str, list[tuple[int, str, str]]] = {}
+    groups: dict[str, list[tuple[int, str]]] = {}
     for path in summary_paths:
-        header, rows = read_summary(path)
+        header, rows = read_summary(path, ("run_id", "seed", "trajectory"))
         if header0 is None:
             header0 = header
         elif header != header0:
             raise ConfigError(f"{path}: summary schema does not match {summary_paths[0]}")
         base = os.path.dirname(os.path.abspath(path))
-        for row in rows:
-            groups.setdefault(row["run_id"], []).append(
-                (int(row["seed"]), os.path.join(base, row["trajectory"]), path)
-            )
+        seeds = _column(path, rows, "seed", int)
+        for run_id, seed, trajectory in zip(_column(path, rows, "run_id"), seeds, _column(path, rows, "trajectory")):
+            groups.setdefault(run_id, []).append((seed, os.path.join(base, trajectory)))
 
     out_rows = []
     for run_id in sorted(groups):
         iters_ref = None
         f_by_seed = []
-        for seed, traj_path, _src in sorted(groups[run_id]):
+        for seed, traj_path in sorted(groups[run_id]):
             traj = read_trajectory(traj_path)
             steps = traj.steps()
             iters = traj.iteration[steps].tolist()

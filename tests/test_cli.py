@@ -97,6 +97,31 @@ class TestConfigParsing:
         with_auto = bad.replace("[optimizer]\n", "[optimizer]\nauto = second_order\n")
         assert load_config(write_config(tmp_path / "f.ini", with_auto)).optimizer[key] == 0.5
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("eta = 0.01", "eta = fast", "optimizer.eta: expected a number, got 'fast'"),
+            ("t = 200", "t = 2.5", "run.t: expected an integer, got '2.5'"),
+            ("t = 200", "t = 200\ntrack_est_error = maybe", "run.track_est_error: expected a boolean, got 'maybe'"),
+            ("seeds = 0,1,2", "seeds = ,", "run.seeds: expected a comma-separated list of integers"),
+        ],
+        ids=("number", "integer", "boolean", "empty-list"),
+    )
+    def test_a_value_its_parser_rejects_exits_2_naming_the_key(self, tmp_path, capsys, old, new, message):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace(old, new))
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert f"c.ini: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parse, text", [
+        (config._parse_float, "nan"), (config._parse_float, "-inf"), (config._parse_float_list, "1, nan"),
+        (parse_beta_spec, "nan"), (parse_beta_spec, "schedule:inf"),
+    ])
+    def test_every_number_parser_refuses_nan_and_inf(self, parse, text):
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            parse(text)
+
     def test_sweeping_an_auto_only_key_without_auto_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.ini", SADDLE_CFG)
         argv = ["sweep", cfg, "--axis", "optimizer.tau", "--values", "1,2", "--out", str(tmp_path / "o"), "--jobs", "1"]
@@ -231,6 +256,34 @@ t = 10
         partials = list(out.glob("*.csv"))
         assert len(partials) == 1
         assert len(read_trajectory(partials[0])) >= 1
+
+    def test_an_overflowing_iterate_exits_3_and_keeps_the_step_0_row(self, tmp_path, capsys):
+        text = ("[problem]\nname = quadratic_gaussian\ndim = 1\nh_diag = 1\nnoise_diag = 0\nx0 = 10\n"
+                "[optimizer]\nalgorithm = sgd\neta = 1e308\n[run]\nseeds = 0\nt = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 3
+        assert "iterate diverged at step 0" in capsys.readouterr().err
+        assert read_trajectory(out / "run_seed0.csv").iteration.tolist() == [0]
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("x0 = 0,0", "x0 = 0,0,0", "problem.x0: length must equal the problem dimension"),
+         ("t = 200", "t = 0", "run.t: must be >= 1")],
+        ids=("x0-length", "t-zero"),
+    )
+    def test_a_run_the_config_cannot_describe_exits_2_naming_the_key(self, tmp_path, capsys, old, new, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace(old, new))
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_sweep_without_an_axis_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--out", str(out), "--jobs", "1"]) == 2
+        assert "sweep: --axis and --values are required" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--out", "X"], ["--jobs", "1"], ["--seed-offset", "3"]])
     def test_a_flag_before_the_subcommand_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flags):
@@ -523,8 +576,9 @@ etas = 0.01,0.003
             ("kind = full_matrix\n", "kind = identity\n", "optimizer.kind"),
             ("eta = 0.01\n", "auto = first_order_exact\nl = 1\nc3 = 1\nlambda_minus = 1\ndelta_f = 1\ntau = 0.3\n",
              "optimizer.auto"),
+            ("eta = 0.01\n", "eta = 0.01\neta_decay = inv_sqrt\n", "optimizer.eta_decay"),
         ],
-        ids=("identity", "auto"),
+        ids=("identity", "auto", "eta-decay"),
     )
     def test_what_it_cannot_run_exits_2_and_writes_nothing(self, tmp_path, capsys, setting, replacement, key):
         text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace(setting, replacement)
@@ -639,6 +693,28 @@ class TestReport:
         out = tmp_path / "r"
         assert main(["report", *summaries, "--out", str(out)]) == 2
         assert "iteration grid differs within condition 'run'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_file_that_is_no_summary_exits_2_naming_the_column(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01"))
+        assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "es")]) == 0
+        out = tmp_path / "rep"
+        assert main(["report", str(tmp_path / "es" / "scaling.csv"), "--out", str(out)]) == 2
+        assert f"error: {tmp_path / 'es' / 'scaling.csv'}: no run_id column" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_trajectory_field_that_is_no_number_exits_2_naming_its_line(self, tmp_path, capsys):
+        cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 5")))
+        summary = cmd_run(cfg, str(tmp_path / "run"))
+        traj = tmp_path / "run" / "run_seed1.csv"
+        lines = traj.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[2] = "abc"  # the f of the second logged event
+        lines[2] = ",".join(fields)
+        traj.write_text("".join(lines))
+        out = tmp_path / "rep"
+        assert main(["report", summary, "--out", str(out)]) == 2
+        assert f"error: {traj}:3: bad f field 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--jobs", "7"), ("--seed-offset", "5")])
@@ -933,6 +1009,31 @@ class TestConfigErrorsBeforeAnyRun:
         argv = ["run", write_config(tmp_path / "c.ini", LARGE_STEP_CFG + line + "\n"), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "optimizer, key, value",
+        [("algorithm = sgd\neta = nan\n", "optimizer.eta", "nan"),
+         ("algorithm = sgd\neta = inf\n", "optimizer.eta", "inf"),
+         ("algorithm = preconditioned_sgd\nsource = idealized\neta = 0.01\nepsilon = nan\n", "optimizer.epsilon", "nan")],
+        ids=("eta-nan", "eta-inf", "epsilon-nan"),
+    )
+    def test_a_non_finite_number_exits_2_naming_the_key_and_writes_nothing(self, tmp_path, capsys, optimizer, key,
+                                                                           value):
+        text = f"[problem]\nname = saddle\nx0 = 0.1,0.1\n[optimizer]\n{optimizer}[run]\nseeds = 0\nt = 5\n"
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"c.ini: {key}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_non_finite_sweep_value_stops_the_sweep_before_any_runs(self, tmp_path, capsys):
+        text = "[problem]\nname = counterexample\nc = 3\nzeta = 1\n[optimizer]\nalgorithm = sgd\neta = 0.01\n" \
+               "[run]\nseeds = 0\nt = 5\n"
+        out = tmp_path / "o"
+        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--axis", "problem.x0", "--values", "0.5,nan",
+                "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert "error: problem.x0: expected a finite number, got 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_large_steps_with_a_zero_eta_exit_2(self, tmp_path, capsys):
