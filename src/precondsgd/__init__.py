@@ -29,7 +29,6 @@ from .linalg import (
 from .problems import (
     CounterexampleProblem,
     LogisticRegressionProblem,
-    ProblemSmoothness,
     QuadraticGaussianProblem,
     SaddleProblem2D,
     StochasticProblem,

@@ -32,11 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParamError, MissingOracleError, NonFiniteError, NumericError
+from .errors import InvalidParamError, NonFiniteError, NumericError
 from .estimation import _ceil_int, beta_schedule, burn_in_length, hallucination_count
 from .linalg import eigvalsh
 from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants, PreconditionerKind, estimates
-from .problems import ProblemSmoothness, StochasticProblem
+from .problems import StochasticProblem
 
 STEP_NORMAL = "normal"
 STEP_LARGE = "large"
@@ -445,7 +445,8 @@ def first_order_params(
 
 def second_order_params(
     k: PreconditionerConstants,
-    smooth: ProblemSmoothness,
+    L: float,
+    rho: float,
     tau: float,
     delta_prob: float,
     omega: float = 5.0,
@@ -458,7 +459,9 @@ def second_order_params(
     It runs as it stands: with an estimating preconditioner, ``run_sgd``
     takes the burn-in, the large steps and the hallucinated samples. beta
     is beta(eta) of the schedule with constant ``beta_c`` (None: no beta).
-    With gamma = lambda_- sqrt(rho tau):
+    L and rho, the gradient- and Hessian-Lipschitz constants, are plain
+    numbers that must be finite and positive, as must tau, delta_prob and
+    omega. With gamma = lambda_- sqrt(rho tau):
       r        = gamma^2 delta c4 K / (54 nu1 nu2 c3 L rho M)
       eta      = gamma^5 delta^2 c4^2 K^2 / (324 M^2 L^2 nu1^2 nu2^2 c3^2 rho^2 omega)
       f_thresh = gamma^4 delta c4^2 K^2 / (54*12 nu1^2 nu2^2 c3 L rho^2 M^2)
@@ -466,18 +469,16 @@ def second_order_params(
     W = ceil(c_w eta^-2/3) and S = ceil(r/eta) so each hallucinated
     sample moves at most eta.
     """
-    for name, v in (("tau", tau), ("delta_prob", delta_prob), ("omega", omega)):
-        if v <= 0.0:
-            raise InvalidParamError(f"{name} must be positive")
+    for name, v in (("L", L), ("rho", rho), ("tau", tau), ("delta_prob", delta_prob), ("omega", omega)):
+        if not 0.0 < v < math.inf:
+            raise InvalidParamError(f"{name} must be finite and positive")
     if not 0.0 < k_const < 1.0:
         raise InvalidParamError("k_const must be in (0, 1)")
-    if smooth.L is None or smooth.L <= 0.0 or smooth.rho is None or smooth.rho <= 0.0:
-        raise InvalidParamError("second-order parameters need positive L and rho")
     for name in ("nu1", "nu2", "c3", "c4", "lambda_minus", "M_bound"):
         if getattr(k, name) <= 0.0:
             raise InvalidParamError(f"constant {name} must be positive")
 
-    L, rho, M = smooth.L, smooth.rho, k.M_bound
+    M = k.M_bound
     gamma = k.lambda_minus * math.sqrt(rho * tau)
     nn = k.nu1 * k.nu2
     r = gamma**2 * delta_prob * k.c4 * k_const / (54.0 * nn * k.c3 * L * rho * M)
@@ -518,8 +519,6 @@ def check_stationarity(problem, x, tau_g: float, tau_h: float) -> StationarityRe
     """Is x a (tau_g, tau_h)-stationary point of the problem objective?"""
     if tau_g <= 0.0 or tau_h <= 0.0:
         raise InvalidParamError("tolerances must be positive")
-    if not problem.has_hessian:
-        raise MissingOracleError("stationarity check needs a Hessian oracle")
     grad_norm = float(np.linalg.norm(problem.grad(x)))
     lam = problem.hessian(x).lambda_min()
     return StationarityReport(

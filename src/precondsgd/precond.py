@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    InvalidParamError,
-    MissingOracleError,
-    SingularMatrixError,
-)
+from .errors import DimMismatchError, InvalidParamError, SingularMatrixError
 from .linalg import eigh, eigvalsh
 
 IDENTITY = "identity"
@@ -188,8 +183,6 @@ class Preconditioner:
         return self._spectrum_cache
 
     def _ideal_spectrum(self, problem, x):
-        if not problem.has_exact_g:
-            raise MissingOracleError("idealized preconditioner needs an exact_G oracle")
         G = problem.exact_G(x)
         covariance = self.kind.variant == COVARIANCE_FULL_MATRIX
         if self.diagonal:
@@ -239,8 +232,6 @@ def constants(problem, x, kind: PreconditionerKind) -> PreconditionerConstants:
     """
     if kind.variant == COVARIANCE_FULL_MATRIX or (kind.variant != IDENTITY and kind.exponent != -0.5):
         raise InvalidParamError(f"the {kind.variant} preconditioner with exponent {kind.exponent} has no constants")
-    if not problem.has_exact_g:
-        raise MissingOracleError("constants need an exact_G oracle")
     G = problem.exact_G(x)
     eps = kind.epsilon
     if kind.variant == IDENTITY:

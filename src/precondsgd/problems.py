@@ -3,9 +3,12 @@
 Each problem exposes the exact objective and gradient, an unbiased
 stochastic-gradient sampler driven by a caller-owned RNG, and, where it
 is available in closed form, the exact second-moment matrix
-G(x) = E[g g^T] and the Hessian. The exact oracles take one point of
-shape (d,) or a (B, d) stack of points, one row per seed of a run, and
-give each row the bits of its own single-point call. Problems are
+G(x) = E[g g^T] and the Hessian. A problem has an exact oracle exactly
+when its class defines it; the base class's raises MissingOracleError.
+The exact oracles take one point of shape (d,) or a (B, d) stack of
+points, one row per seed of a run, and give each row the bits of its own
+single-point call; so does ``sample_grad_batch`` for n draws at one
+point, against n ``sample_grad`` calls on the same stream. Problems are
 immutable; parallel runs should use independent RNG streams.
 
 ``PROBLEMS`` is the one list of the problems a config can name: it maps
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,32 +28,13 @@ from .errors import ConfigError, DataFormatError, InvalidParamError, MissingOrac
 from .linalg import SymMatrix
 
 
-@dataclass(frozen=True)
-class ProblemSmoothness:
-    """Smoothness constants a problem declares, where known.
-
-    L: gradient-Lipschitz constant; rho: Hessian-Lipschitz constant.
-    Either may be None when the constant is unknown or unbounded on the
-    full domain. The estimation bound's constants (sigma_max, R, the step
-    bound and the Lipschitz constant of G) are ``EstimationBoundInputs``.
-    """
-
-    L: float | None = None
-    rho: float | None = None
-
-    def __post_init__(self):
-        for name in ("L", "rho"):
-            v = getattr(self, name)
-            if v is not None and (not np.isfinite(v) or v < 0):
-                raise InvalidParamError(f"smoothness constant {name} must be finite and >= 0")
-
-
 class StochasticProblem:
     """Base class: objective, exact gradient, stochastic gradient sampler.
 
     Subclasses must set ``dim`` and implement ``eval_f``, ``grad`` and
-    ``sample_grad``. ``exact_G`` and ``hessian`` raise MissingOracleError
-    unless overridden. ``eval_f``, ``grad``, ``exact_G`` and ``hessian``
+    ``sample_grad``; they may define ``exact_G`` and ``hessian``, which
+    here raise MissingOracleError, and ``has_exact_g``/``has_hessian``
+    say whether they did. ``eval_f``, ``grad``, ``exact_G`` and ``hessian``
     take a point x of shape (d,) or a stack of shape (B, d): ``eval_f``
     then returns a float or B values, ``grad`` the same shape as x, and
     the matrix oracles a SymMatrix of one matrix (which, for a stack,
@@ -61,10 +44,15 @@ class StochasticProblem:
     """
 
     dim: int = 0
-    smoothness: ProblemSmoothness = ProblemSmoothness()
     clip_bounds: tuple[float, float] | None = None
-    has_exact_g: bool = False
-    has_hessian: bool = False
+
+    @property
+    def has_exact_g(self) -> bool:
+        return type(self).exact_G is not StochasticProblem.exact_G
+
+    @property
+    def has_hessian(self) -> bool:
+        return type(self).hessian is not StochasticProblem.hessian
 
     def eval_f(self, x) -> float:
         raise NotImplementedError
@@ -108,8 +96,6 @@ class SaddleProblem2D(StochasticProblem):
     )
 
     dim = 2
-    has_exact_g = True
-    has_hessian = True
 
     def __init__(self):
         self.B_SUPPORT.setflags(write=False)
@@ -149,8 +135,6 @@ class CounterexampleProblem(StochasticProblem):
     """
 
     dim = 1
-    has_exact_g = True
-    has_hessian = True
     clip_bounds = (-1.0, 1.0)
 
     def __init__(self, C: float, zeta: float):
@@ -199,15 +183,12 @@ class QuadraticGaussianProblem(StochasticProblem):
     closed form. The workhorse fixture for the convergence theorems.
     """
 
-    has_exact_g = True
-    has_hessian = True
-
     def __init__(self, dim: int, H, noise_cov):
         if dim < 1:
             raise InvalidParamError("dim must be >= 1")
         self.dim = int(dim)
-        h = H.a if isinstance(H, SymMatrix) else np.asarray(H, dtype=np.float64)
-        c = noise_cov.a if isinstance(noise_cov, SymMatrix) else np.asarray(noise_cov, dtype=np.float64)
+        h = np.asarray(H, dtype=np.float64)
+        c = np.asarray(noise_cov, dtype=np.float64)
         if h.shape != (dim, dim) or c.shape != (dim, dim):
             raise InvalidParamError("H and noise_cov must be dim x dim")
         self._H = SymMatrix(h)
@@ -217,8 +198,6 @@ class QuadraticGaussianProblem(StochasticProblem):
             raise InvalidParamError("noise_cov must be positive semidefinite")
         # PSD factor (handles singular covariances, unlike Cholesky).
         self._noise_factor = v * np.sqrt(np.maximum(w, 0.0))
-        hw = self._H.eigendecomposition().eigenvalues
-        self.smoothness = ProblemSmoothness(L=float(np.max(np.abs(hw))), rho=0.0)
 
     def eval_f(self, x):
         x = self._check_dim(x)
@@ -233,7 +212,8 @@ class QuadraticGaussianProblem(StochasticProblem):
 
     def sample_grad_batch(self, x, n, rng) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
-        return self.grad(x)[None, :] + z @ self._noise_factor.T
+        # matvec gives each row the bits of sample_grad's F @ z; z @ F^T can differ in the last bit.
+        return self.grad(x)[None, :] + np.matvec(self._noise_factor, z)
 
     def exact_G(self, x) -> SymMatrix:
         return SymMatrix.outer_plus(self.grad(x), self._cov)
@@ -257,9 +237,6 @@ class LogisticRegressionProblem(StochasticProblem):
     sample count the sampler reproduces the exact gradient (same summation
     order, no RNG draw). No exact second-moment oracle.
     """
-
-    has_exact_g = False
-    has_hessian = True
 
     def __init__(self, features, labels, batch: int | None = None):
         X = np.asarray(features, dtype=np.float64)

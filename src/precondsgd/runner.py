@@ -39,7 +39,7 @@ from .optimizer import (
     second_order_params,
 )
 from .precond import PreconditionerConstants, PreconditionerKind, estimates
-from .problems import PROBLEMS, ProblemSmoothness
+from .problems import PROBLEMS
 
 # The paper-scale escape level (-0.1) is below the saddle problem's global
 # minimum (~ -0.01265), so escape is declared at -0.01 instead.
@@ -139,6 +139,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
 
     eta, r, t_thresh, W, S = (ocfg.get(key) for key in ("eta", "r", "t_thresh", "w", "s"))
     T = rcfg["t"]
+    # The calculators' optional constants, passed only when set: each default is the calculator's own.
+    burn_in_c = {"c_w": rcfg["burn_in_c"]} if "burn_in_c" in rcfg else {}
     f_thresh = g_thresh = None
 
     auto = ocfg.get("auto")
@@ -171,14 +173,10 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
             M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
         )
         found = second_order_params(
-            consts,
-            ProblemSmoothness(L=ocfg["l"], rho=ocfg["rho"]),
-            tau=ocfg["tau"],
-            delta_prob=ocfg["delta"],
-            omega=ocfg.get("omega", 5.0),
-            k_const=ocfg.get("k_const", 0.125),
-            c_w=rcfg.get("burn_in_c", 1.0),
-            beta_c=beta_c if beta_c is not None else 1.0,
+            consts, ocfg["l"], ocfg["rho"], ocfg["tau"], ocfg["delta"],
+            **{key: ocfg[key] for key in ("omega", "k_const") if key in ocfg},
+            **burn_in_c,
+            **({"beta_c": beta_c} if beta_c is not None else {}),
         )
         eta, beta, beta_c, r, t_thresh = found.eta, found.beta, found.beta_c, found.r, found.t_thresh
         W, S, f_thresh, g_thresh = found.W, found.S, found.f_thresh, found.g_thresh
@@ -188,7 +186,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     if not (spec.burn_in and source == "estimated"):
         W = 0
     elif W is None:
-        W = burn_in_length(eta, rcfg.get("burn_in_c", 1.0))
+        W = burn_in_length(eta, **burn_in_c)
     if not spec.large_steps:
         r = t_thresh = None
     elif r is None or t_thresh is None:
@@ -524,11 +522,16 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, s
 
 
 def cmd_report(summary_paths, out_dir: str) -> str:
-    """Per-condition f-vs-iteration quantile bands (p10/p50/p90 over seeds)."""
+    """Per-condition f-vs-iteration quantile bands (p10/p50/p90 over seeds).
+
+    Conditions are keyed by run_id across the summaries given, so shards
+    of one condition with disjoint seeds merge into one band; a seed that
+    occurs twice in one condition is a ConfigError naming both summaries.
+    """
     if not summary_paths:
         raise ConfigError("report: no summary files given")
     header0 = None
-    groups: dict[str, list[tuple[int, str]]] = {}
+    groups: dict[str, dict[int, tuple[str, str]]] = {}  # run_id -> seed -> (summary, trajectory)
     for path in summary_paths:
         header, rows = read_summary(path, ("run_id", "seed", "trajectory"))
         if header0 is None:
@@ -538,13 +541,16 @@ def cmd_report(summary_paths, out_dir: str) -> str:
         base = os.path.dirname(os.path.abspath(path))
         seeds = _column(path, rows, "seed", int)
         for run_id, seed, trajectory in zip(_column(path, rows, "run_id"), seeds, _column(path, rows, "trajectory")):
-            groups.setdefault(run_id, []).append((seed, os.path.join(base, trajectory)))
+            condition = groups.setdefault(run_id, {})
+            if seed in condition:
+                raise ConfigError(f"{path}: run_id {run_id!r} seed {seed} also occurs in {condition[seed][0]}")
+            condition[seed] = (path, os.path.join(base, trajectory))
 
     out_rows = []
     for run_id in sorted(groups):
         iters_ref = None
         f_by_seed = []
-        for seed, traj_path in sorted(groups[run_id]):
+        for _, (_, traj_path) in sorted(groups[run_id].items()):
             traj = read_trajectory(traj_path)
             steps = traj.steps()
             iters = traj.iteration[steps].tolist()

@@ -104,8 +104,13 @@ class TestConfigParsing:
             ("t = 200", "t = 2.5", "run.t: expected an integer, got '2.5'"),
             ("t = 200", "t = 200\ntrack_est_error = maybe", "run.track_est_error: expected a boolean, got 'maybe'"),
             ("seeds = 0,1,2", "seeds = ,", "run.seeds: expected a comma-separated list of integers"),
+            ("[run]", "[bogus]\nkey = 1\n[run]", "unknown section [bogus]"),
+            ("t = 200", "t = 200\na line with no value", "Source contains parsing errors"),
+            ("beta_spec = 0.9", "beta_spec = schedule:0", "optimizer.beta_spec: beta schedule constant must be positive"),
+            ("x0 = 0,0", "x0 = ,", "problem.x0: expected a comma-separated list of numbers"),
         ],
-        ids=("number", "integer", "boolean", "empty-list"),
+        ids=("number", "integer", "boolean", "empty-list", "unknown-section", "unparsable-line", "beta-schedule-zero",
+             "empty-number-list"),
     )
     def test_a_value_its_parser_rejects_exits_2_naming_the_key(self, tmp_path, capsys, old, new, message):
         out = tmp_path / "o"
@@ -269,8 +274,18 @@ t = 10
     @pytest.mark.parametrize(
         "old, new, message",
         [("x0 = 0,0", "x0 = 0,0,0", "problem.x0: length must equal the problem dimension"),
-         ("t = 200", "t = 0", "run.t: must be >= 1")],
-        ids=("x0-length", "t-zero"),
+         ("t = 200", "t = 0", "run.t: must be >= 1"),
+         ("algorithm = rmsprop", "algorithm = adam", "optimizer.algorithm: unknown algorithm 'adam'"),
+         ("kind = diagonal", "kind = lowrank", "optimizer.kind: unknown kind 'lowrank'"),
+         ("kind = diagonal", "kind = diagonal\nsource = guessed", "optimizer.source: unknown source 'guessed'"),
+         ("eta = 0.01", "eta = 0.01\neta_decay = cosine", "optimizer.eta_decay: unknown schedule 'cosine'"),
+         ("eta = 0.01", "eta = 0.01\nauto = guess", "optimizer.auto: unknown mode 'guess'"),
+         ("beta_spec = 0.9\n", "", "optimizer.beta_spec: required for estimated preconditioning"),
+         ("eta = 0.01\n", "", "optimizer.eta: required (or supply optimizer.auto)"),
+         ("eta = 0.01", "auto = first_order_exact\nl = 1\nc3 = 1\nlambda_minus = 1\ndelta_f = 1",
+          "optimizer.tau: required for auto=first_order_exact")],
+        ids=("x0-length", "t-zero", "algorithm", "kind", "source", "eta-decay", "auto", "no-beta-spec", "no-eta",
+             "auto-without-tau"),
     )
     def test_a_run_the_config_cannot_describe_exits_2_naming_the_key(self, tmp_path, capsys, old, new, message):
         out = tmp_path / "out"
@@ -689,11 +704,34 @@ class TestReport:
         summaries = []
         for t in (20, 30):
             cfg = load_config(write_config(tmp_path / f"{t}.ini", SADDLE_CFG.replace("t = 200", f"t = {t}")))
-            summaries.append(cmd_run(cfg, str(tmp_path / f"run{t}")))
+            summaries.append(cmd_run(cfg, str(tmp_path / f"run{t}"), seed_offset=t))  # disjoint seeds
         out = tmp_path / "r"
         assert main(["report", *summaries, "--out", str(out)]) == 2
         assert "iteration grid differs within condition 'run'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_seed_twice_in_one_condition_exits_2_naming_both_summaries(self, tmp_path, capsys):
+        summaries = []
+        for name, eta in (("ra", "0.01"), ("rb", "0.5")):
+            text = SADDLE_CFG.replace("eta = 0.01", f"eta = {eta}").replace("seeds = 0,1,2", "seeds = 0,1")
+            cfg = load_config(write_config(tmp_path / f"{name}.ini", text.replace("t = 200", "t = 20")))
+            summaries.append(cmd_run(cfg, str(tmp_path / name)))
+        out = tmp_path / "rep"
+        assert main(["report", *summaries, "--out", str(out)]) == 2
+        assert f"error: {summaries[1]}: run_id 'run' seed 0 also occurs in {summaries[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shards_with_disjoint_seeds_merge_into_the_band_of_one_run(self, tmp_path):
+        text = SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 0,1").replace("t = 200", "t = 20")
+        cfg = load_config(write_config(tmp_path / "cfg.ini", text))
+        shards = [cmd_run(cfg, str(tmp_path / f"shard{offset}"), seed_offset=offset) for offset in (0, 2)]
+        whole = cmd_run(load_config(write_config(tmp_path / "whole.ini", text.replace("seeds = 0,1", "seeds = 0,1,2,3"))),
+                        str(tmp_path / "whole"))
+        assert main(["report", *shards, "--out", str(tmp_path / "rep_shards")]) == 0
+        assert main(["report", whole, "--out", str(tmp_path / "rep_whole")]) == 0
+        merged = (tmp_path / "rep_shards" / "bands.csv").read_bytes()
+        assert merged == (tmp_path / "rep_whole" / "bands.csv").read_bytes()
+        assert len(merged.splitlines()) == 1 + 20
 
     def test_a_file_that_is_no_summary_exits_2_naming_the_column(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01"))
@@ -986,7 +1024,8 @@ class TestConfigErrorsBeforeAnyRun:
     @pytest.mark.parametrize(
         "axis, values, message",
         [("optimizer.eta", "0.01,0.5", "large-step mode needs r >= eta"),
-         ("run.log_every", "1,0", "log_every must be >= 1")],
+         ("run.log_every", "1,0", "log_every must be >= 1"),
+         ("eta", "0.01", "sweep axis must be 'section.key', got 'eta'")],
     )
     def test_a_sweep_condition_the_run_rejects_stops_the_sweep_before_any_runs(self, tmp_path, capsys, axis, values,
                                                                                message):

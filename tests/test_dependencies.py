@@ -3,7 +3,8 @@
 The numpy floor admits every numpy name the package calls, and the test
 extra names every module that the tests and the benchmark import beyond
 the standard library, numpy and their own files. Also: ``linalg`` is the
-package's only caller of LAPACK's eigensolvers.
+package's only caller of LAPACK's eigensolvers, and the base oracles of
+``problems.StochasticProblem`` are the only raisers of MissingOracleError.
 """
 
 import ast
@@ -93,3 +94,26 @@ def test_only_linalg_calls_the_lapack_eigensolvers():
     lapack = re.compile(r"\b(?:np|numpy)\.linalg\.eig(?:vals)?h\b|from numpy\.linalg import[^\n]*\beig(?:vals)?h\b")
     callers = {f for f in os.listdir(PACKAGE) if f.endswith(".py") and lapack.search(_read(os.path.join(PACKAGE, f)))}
     assert callers == {"linalg.py"}
+
+
+def _raisers(tree, name, scope=()):
+    """The dotted scopes (class and function names) whose bodies raise ``name``."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = scope + (node.name,) if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else scope
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == name:  # MissingOracleError or errors.MissingOracleError
+                found.add(".".join(scope))
+        found |= _raisers(node, name, inner)
+    return found
+
+
+def test_only_the_base_oracles_raise_missing_oracle_error():
+    """A problem has an oracle when it defines it: no caller restates that by a flag check of its own."""
+    raisers = {
+        f"{fname[:-3]}.{scope}"
+        for fname in sorted(os.listdir(PACKAGE)) if fname.endswith(".py")
+        for scope in _raisers(ast.parse(_read(os.path.join(PACKAGE, fname))), "MissingOracleError")
+    }
+    assert raisers == {"problems.StochasticProblem.exact_G", "problems.StochasticProblem.hessian"}

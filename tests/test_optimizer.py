@@ -14,7 +14,6 @@ from precondsgd import (
     Preconditioner,
     PreconditionerConstants,
     PreconditionerKind,
-    ProblemSmoothness,
     QuadraticGaussianProblem,
     Run,
     SaddleProblem2D,
@@ -51,8 +50,6 @@ class ConstantGradientProblem(StochasticProblem):
     """Noiseless 1-d linear objective f = c x: constant gradient c."""
 
     dim = 1
-    has_exact_g = True
-    has_hessian = True
 
     def __init__(self, c):
         self.c = float(c)
@@ -352,7 +349,7 @@ def unit_constants():
 class TestSecondOrderParams:
     def test_unit_substitution(self):
         hp = second_order_params(
-            unit_constants(), ProblemSmoothness(L=1.0, rho=1.0), tau=1.0,
+            unit_constants(), 1.0, 1.0, tau=1.0,
             delta_prob=1.0, omega=1.0, k_const=0.125,
         )
         assert hp.r == pytest.approx((1.0 / 8.0) / 54.0, rel=1e-12)
@@ -364,9 +361,9 @@ class TestSecondOrderParams:
         assert hp.W == burn_in_length(hp.eta, 1.0)
 
     def test_gamma_fifth_power_scaling(self):
-        k, sm = unit_constants(), ProblemSmoothness(L=1.0, rho=1.0)
-        hp1 = second_order_params(k, sm, tau=0.4, delta_prob=0.5)
-        hp2 = second_order_params(k, sm, tau=0.1, delta_prob=0.5)
+        k = unit_constants()
+        hp1 = second_order_params(k, 1.0, 1.0, tau=0.4, delta_prob=0.5)
+        hp2 = second_order_params(k, 1.0, 1.0, tau=0.1, delta_prob=0.5)
         assert hp2.eta / hp1.eta == pytest.approx(1.0 / 32.0, rel=1e-9)
         assert hp2.r / hp1.r == pytest.approx(1.0 / 4.0, rel=1e-9)
 
@@ -381,16 +378,16 @@ class TestSecondOrderParams:
                 lambda_minus=float(rng.uniform(0.1, 2.0)),
                 M_bound=float(rng.uniform(0.5, 4.0)),
             )
-            sm = ProblemSmoothness(L=float(rng.uniform(0.5, 4.0)), rho=float(rng.uniform(0.5, 4.0)))
+            L, rho = float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0))
             delta_prob = float(rng.uniform(0.05, 1.0))
-            hp = second_order_params(k, sm, tau=float(rng.uniform(0.05, 1.0)), delta_prob=delta_prob)
-            lhs = 9.0 * sm.L * k.c3 / 8.0 * hp.r**2
+            hp = second_order_params(k, L, rho, tau=float(rng.uniform(0.05, 1.0)), delta_prob=delta_prob)
+            lhs = 9.0 * L * k.c3 / 8.0 * hp.r**2
             rhs = delta_prob * hp.f_thresh / 4.0
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_its_hyperparams_run_burn_in_and_large_steps_as_they_stand(self):
         k = PreconditionerConstants(nu1=1.0, nu2=1.0, c3=2.0, c4=0.5, lambda_minus=0.5, M_bound=math.sqrt(2.0))
-        hp = second_order_params(k, ProblemSmoothness(L=1.0, rho=1.0), tau=100.0, delta_prob=1.0, omega=1.0)
+        hp = second_order_params(k, 1.0, 1.0, tau=100.0, delta_prob=1.0, omega=1.0)
         assert (hp.W, hp.t_thresh, hp.S) == (36, 43, 3)
         p = SaddleProblem2D()
         run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, hp, 100)
@@ -400,11 +397,16 @@ class TestSecondOrderParams:
             assert [kinds.count(k) for k in ("burnin", "large", "hallucinated", "normal")] == [36, 3, 12, 97]
             assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 43 + 4, 86 + 8]
 
+    @pytest.mark.parametrize("L, rho", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_a_smoothness_constant_that_is_not_finite_and_positive(self, L, rho):
+        with pytest.raises(InvalidParamError, match="must be finite and positive"):
+            second_order_params(unit_constants(), L, rho, tau=1.0, delta_prob=0.5)
+
     def test_warns_when_r_below_eta(self):
         k = PreconditionerConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.warns(UserWarning):
             second_order_params(
-                k, ProblemSmoothness(L=1.0, rho=1.0), tau=2e5, delta_prob=1.0, omega=1.0, beta_c=None
+                k, 1.0, 1.0, tau=2e5, delta_prob=1.0, omega=1.0, beta_c=None
             )
 
 
@@ -437,7 +439,8 @@ def test_one_step_descent_lemma_monte_carlo():
     dim, eta, n_mc = 3, 0.01, 4000
     for _ in range(50):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        h = (q * rng.uniform(0.3, 2.0, size=dim)) @ q.T
+        h_eigenvalues = rng.uniform(0.3, 2.0, size=dim)
+        h = (q * h_eigenvalues) @ q.T
         cov = (q * rng.uniform(0.2, 1.0, size=dim)) @ q.T
         p = QuadraticGaussianProblem(dim, h, cov)
         x0 = rng.uniform(-1.0, 1.0, size=dim)
@@ -455,7 +458,8 @@ def test_one_step_descent_lemma_monte_carlo():
         f1 = 0.5 * np.einsum("ij,jk,ik->i", x1, h, x1)
         grad_sq = float(np.linalg.norm(p.grad(x0)) ** 2)
         se = f1.std(ddof=1) / math.sqrt(n_mc)
-        bound = -(eta * lam_minus / 2.0) * grad_sq + 9.0 * eta**2 * p.smoothness.L * k.c3 / 8.0
+        L = float(h_eigenvalues.max())
+        bound = -(eta * lam_minus / 2.0) * grad_sq + 9.0 * eta**2 * L * k.c3 / 8.0
         assert f1.mean() - p.eval_f(x0) <= bound + 4.0 * se
 
 
@@ -465,8 +469,8 @@ def test_large_step_amortized_increase_bound():
     p = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), 0.2 * np.eye(2))
     x0 = np.array([0.5, -0.5])
     k = constants(p, x0, PreconditionerKind(epsilon=0.0))
-    sm = ProblemSmoothness(L=p.smoothness.L, rho=1.0)
-    hp = second_order_params(k, sm, tau=0.15, delta_prob=0.5, omega=2.0)
+    L = 1.0  # the largest eigenvalue of H
+    hp = second_order_params(k, L, 1.0, tau=0.15, delta_prob=0.5, omega=2.0)
     t_thresh = min(hp.t_thresh, 40)  # keep the run short but with many large steps
     hp = HyperParams(eta=hp.eta, r=hp.r, t_thresh=t_thresh)
     kind = PreconditionerKind(epsilon=0.0)
@@ -477,7 +481,7 @@ def test_large_step_amortized_increase_bound():
         deltas += (traj.f[large + 1] - traj.f[large]).tolist()
     deltas = np.asarray(deltas)
     se = deltas.std(ddof=1) / math.sqrt(len(deltas))
-    assert deltas.mean() <= 9.0 * p.smoothness.L * k.c3 * hp.r**2 / 8.0 + 4.0 * se
+    assert deltas.mean() <= 9.0 * L * k.c3 * hp.r**2 / 8.0 + 4.0 * se
 
 
 def reference_power(G, kind, diagonal):
@@ -576,7 +580,6 @@ class SingularPastOneProblem(StochasticProblem):
     """f = -x_0 with unit Gaussian gradient noise; G(x) turns singular once x_0 >= 1."""
 
     dim = 2
-    has_exact_g = True
 
     def eval_f(self, x):
         f = -np.asarray(x)[..., 0]

@@ -1,12 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lemmas import rng_for
+from lemmas import PROPERTY, random_spd, rng_for
 from precondsgd import (
     CounterexampleProblem,
     DataFormatError,
     InvalidParamError,
     LogisticRegressionProblem,
+    MissingOracleError,
     QuadraticGaussianProblem,
     SaddleProblem2D,
     load_dataset_csv,
@@ -293,3 +298,41 @@ def test_sigmoid_has_the_bits_of_the_masked_formula():
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_PROBLEMS))
+def test_an_oracle_exists_when_the_class_defines_it(name):
+    """has_exact_g/has_hessian follow the class, also when an instance's oracle is replaced (as a tracer does)."""
+    p = STACKED_PROBLEMS[name]()
+    flags = (p.has_exact_g, p.has_hessian)
+    assert flags == (name != "logistic", True)
+    for oracle in ("exact_G", "hessian"):
+        setattr(p, oracle, functools.partial(getattr(p, oracle)))
+    assert (p.has_exact_g, p.has_hessian) == flags
+    if not p.has_exact_g:
+        with pytest.raises(MissingOracleError):
+            p.exact_G(np.zeros(p.dim))
+
+
+def non_diagonal_quadratic(dim):
+    rng = rng_for(dim)
+    return QuadraticGaussianProblem(dim, random_spd(rng, dim), random_spd(rng, dim))
+
+
+SAMPLED_PROBLEMS = {
+    "saddle": SaddleProblem2D,
+    "counterexample": lambda: CounterexampleProblem(3.0, 0.5),
+    **{f"quadratic-d{d}": functools.partial(non_diagonal_quadratic, d) for d in (1, 2, 3, 5, 10, 20, 64, 200)},
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_PROBLEMS)
+@settings(PROPERTY, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_a_batch_of_samples_has_the_bits_of_one_call_per_sample(name, seed, n):
+    p = SAMPLED_PROBLEMS[name]()
+    x = rng_for(seed).uniform(-1.0, 1.0, size=p.dim)
+    batch_rng, single_rng = rng_for(seed + 1), rng_for(seed + 1)
+    batch = p.sample_grad_batch(x, n, batch_rng)
+    singles = np.stack([p.sample_grad(x, single_rng) for _ in range(n)])
+    assert same_bits(batch, singles)
