@@ -1,9 +1,12 @@
 """Adaptive gradient methods as preconditioned SGD with an explicit estimation layer.
 
-``precond`` holds the one ``Preconditioner`` and ``constants``, the theorems'
-constants of a ``PreconditionerKind``; ``optimizer`` the one run loop
-``run_sgd``, the ``Run`` it runs and the calculators; ``runner`` the experiments;
-``linalg`` the one way into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
+``problems`` holds the problems, whose exact oracles return plain arrays:
+G(x) = E[g g^T] as a (d, d) array and lambda_min of the Hessian as a
+number, one per point of a stack. ``precond`` holds the one
+``Preconditioner`` and ``constants``, the theorems' constants of a
+``PreconditionerKind``; ``optimizer`` the one run loop ``run_sgd``, the
+``Run`` it runs and the calculators; ``runner`` the experiments; ``linalg``
+the one way into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
 """
 
 from .errors import (
@@ -19,8 +22,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    EigenDecomposition,
-    SymMatrix,
     inv_perturbation_bound,
     invsqrt_preconditioner_bound,
     op_norm,

@@ -245,8 +245,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"optimizer.{key}: read only by optimizer.auto, which is not set")
     if not cfg.run.get("seeds"):
         raise ConfigError("run.seeds: must be non-empty")
-    if cfg.run.get("t", 1) < 1:
-        raise ConfigError("run.t: must be >= 1")
+    for key, least in (("t", 1), ("log_every", 1), ("lambda_min_every", 0)):
+        if cfg.run.get(key, least) < least:
+            raise ConfigError(f"run.{key}: must be >= {least}")
     for key in ("est_window_factor", "beta_c", "burn_in_c"):
         if key in cfg.run and not cfg.run[key] > 0.0:
             raise ConfigError(f"run.{key}: must be positive, got {cfg.run[key]}")

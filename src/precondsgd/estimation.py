@@ -102,7 +102,7 @@ def estimate_sigma_max(problem, x, n_samples: int, rng) -> float:
     """Monte-Carlo estimate of sigma_max = ||E[(Y - G)^2]||^(1/2), Y = g g^T."""
     if n_samples < 2:
         raise InvalidParamError("n_samples must be >= 2")
-    G = problem.exact_G(x).a
+    G = problem.exact_G(x)
     gs = problem.sample_grad_batch(x, n_samples, rng)
     acc = np.zeros_like(G)
     for g in gs:

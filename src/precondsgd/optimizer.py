@@ -301,7 +301,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     def oracles(at: str, hess_due: bool):
         """lambda_min(H) (NaN unless due), ||grad f|| and the tracked est_error at rows[at]."""
         points = rows[at]
-        lam_h = problem.hessian(points).lambda_min() if hess_due else np.nan
+        lam_h = problem.hessian(points) if hess_due else np.nan
         g = problem.grad(points)
         return lam_h, np.sqrt(np.vecdot(g, g)), tracked_error(points)
 
@@ -520,7 +520,7 @@ def check_stationarity(problem, x, tau_g: float, tau_h: float) -> StationarityRe
     if tau_g <= 0.0 or tau_h <= 0.0:
         raise InvalidParamError("tolerances must be positive")
     grad_norm = float(np.linalg.norm(problem.grad(x)))
-    lam = problem.hessian(x).lambda_min()
+    lam = problem.hessian(x)
     return StationarityReport(
         tau_g=tau_g,
         tau_h=tau_h,

@@ -186,11 +186,11 @@ class Preconditioner:
         G = problem.exact_G(x)
         covariance = self.kind.variant == COVARIANCE_FULL_MATRIX
         if self.diagonal:
-            base = G.diagonal()
+            base = np.diagonal(G, axis1=-2, axis2=-1)
             if covariance:
                 base = base - problem.grad(x) ** 2
         else:
-            base = G.a
+            base = G
             if covariance:
                 gr = problem.grad(x)
                 base = base - gr[..., :, None] * gr[..., None, :]
@@ -234,25 +234,26 @@ def constants(problem, x, kind: PreconditionerKind) -> PreconditionerConstants:
         raise InvalidParamError(f"the {kind.variant} preconditioner with exponent {kind.exponent} has no constants")
     G = problem.exact_G(x)
     eps = kind.epsilon
-    if kind.variant == IDENTITY:
-        nu, c3, c4, lambda_minus = 1.0, float(np.trace(G.a)), G.lambda_min(), 1.0
+    if kind.variant == DIAGONAL:
+        dg = np.diagonal(G)
+        lo, hi = float(dg.min()), float(dg.max())
+        if lo <= 0.0:
+            raise SingularMatrixError("diagonal entries of G must be positive")
+        # lambda_min(G diag(G)^-1) via the similar symmetric D^-1/2 G D^-1/2.
+        dinvsqrt = 1.0 / np.sqrt(dg)
+        corr = float(eigvalsh(G * np.outer(dinvsqrt, dinvsqrt))[0])
     else:
-        if kind.variant == DIAGONAL:
-            dg = G.diagonal()
-            lo, hi = float(dg.min()), float(dg.max())
-            if lo <= 0.0:
-                raise SingularMatrixError("diagonal entries of G must be positive")
-            # lambda_min(G diag(G)^-1) via the similar symmetric D^-1/2 G D^-1/2.
-            dinvsqrt = 1.0 / np.sqrt(dg)
-            corr = float(eigvalsh(G.a * np.outer(dinvsqrt, dinvsqrt))[0])
-        else:
-            lo, hi, corr = G.lambda_min(), G.lambda_max(), 1.0
-            if lo + eps <= 0.0:
-                raise SingularMatrixError("lambda_min(G) + eps must be positive")
-        nu = (lo + eps) ** -0.5
-        c3 = problem.dim * hi / (eps + hi)
-        c4 = corr * lo / (lo + eps)
-        lambda_minus = (hi + eps) ** -0.5
+        w = eigh(G)[0]
+        lo, hi, corr = float(w[0]), float(w[-1]), 1.0
+    if kind.variant == IDENTITY:
+        c3 = float(np.trace(G))
+        return PreconditionerConstants(1.0, 1.0, c3, lo, 1.0, math.sqrt(c3))
+    if lo + eps <= 0.0:
+        raise SingularMatrixError("lambda_min(G) + eps must be positive")
+    nu = (lo + eps) ** -0.5
+    c3 = problem.dim * hi / (eps + hi)
+    c4 = corr * lo / (lo + eps)
+    lambda_minus = (hi + eps) ** -0.5
     return PreconditionerConstants(nu, nu, c3, c4, lambda_minus, math.sqrt(c3))
 
 

@@ -3,13 +3,15 @@
 Each problem exposes the exact objective and gradient, an unbiased
 stochastic-gradient sampler driven by a caller-owned RNG, and, where it
 is available in closed form, the exact second-moment matrix
-G(x) = E[g g^T] and the Hessian. A problem has an exact oracle exactly
-when its class defines it; the base class's raises MissingOracleError.
-The exact oracles take one point of shape (d,) or a (B, d) stack of
-points, one row per seed of a run, and give each row the bits of its own
-single-point call; so does ``sample_grad_batch`` for n draws at one
-point, against n ``sample_grad`` calls on the same stream. Problems are
-immutable; parallel runs should use independent RNG streams.
+G(x) = E[g g^T] as an array and the smallest Hessian eigenvalue
+lambda_min(H(x)), the one curvature number a run reads. A problem has an
+exact oracle exactly when its class defines it; the base class's raises
+MissingOracleError. The exact oracles take one point of shape (d,) or a
+(B, d) stack of points, one row per seed of a run, and give each row the
+bits of its own single-point call; so does ``sample_grad_batch`` for n
+draws at one point, against n ``sample_grad`` calls on the same stream.
+Problems are immutable (every array they cache is read-only); parallel
+runs should use independent RNG streams.
 
 ``PROBLEMS`` is the one list of the problems a config can name: it maps
 each ``problem.name`` to the ``[problem]`` keys that problem requires and
@@ -24,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, InvalidParamError, MissingOracleError
-from .linalg import SymMatrix
+from .errors import ConfigError, DataFormatError, InvalidParamError, MissingOracleError, NonFiniteError
+from .linalg import eigh
 
 
 class StochasticProblem:
@@ -36,11 +38,12 @@ class StochasticProblem:
     here raise MissingOracleError, and ``has_exact_g``/``has_hessian``
     say whether they did. ``eval_f``, ``grad``, ``exact_G`` and ``hessian``
     take a point x of shape (d,) or a stack of shape (B, d): ``eval_f``
-    then returns a float or B values, ``grad`` the same shape as x, and
-    the matrix oracles a SymMatrix of one matrix (which, for a stack,
-    applies to every row) or a (B, d, d) stack. ``sample_grad`` takes one
-    point. ``clip_bounds``, when set, asks the optimizer to project
-    iterates onto [lo, hi] after every step.
+    then returns a float or B values, ``grad`` the same shape as x,
+    ``exact_G`` the symmetric (d, d) array G(x) or a (B, d, d) stack, and
+    ``hessian`` lambda_min(H(x)), a float or B values. A constant oracle
+    answers a stack with one (d, d) array or one float that applies to
+    every row. ``sample_grad`` takes one point. ``clip_bounds``, when set,
+    asks the optimizer to project iterates onto [lo, hi] after every step.
     """
 
     dim: int = 0
@@ -67,10 +70,12 @@ class StochasticProblem:
         """n stochastic gradients at x, shape (n, dim). Default: loop."""
         return np.stack([self.sample_grad(x, rng) for _ in range(n)])
 
-    def exact_G(self, x) -> SymMatrix:
+    def exact_G(self, x) -> np.ndarray:
+        """G(x) = E[g g^T]: (d, d), or (B, d, d) for a stack."""
         raise MissingOracleError(f"{type(self).__name__} has no exact second-moment oracle")
 
-    def hessian(self, x) -> SymMatrix:
+    def hessian(self, x):
+        """lambda_min of the Hessian at x: a float, or B values for a stack."""
         raise MissingOracleError(f"{type(self).__name__} has no Hessian oracle")
 
     def _check_dim(self, x) -> np.ndarray:
@@ -78,6 +83,26 @@ class StochasticProblem:
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise InvalidParamError(f"expected a point of shape ({self.dim},) or a stack (B, {self.dim}), got {x.shape}")
         return x
+
+
+def _read_only(a) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _second_moment(g, cov) -> np.ndarray:
+    """g g^T + cov, the second moment of mean g and covariance cov, for a (d,) g or a (B, d) stack.
+
+    The sum is exactly symmetric, since floating-point products commute
+    and cov is symmetric. Raises NonFiniteError (rows: the failing points
+    of a stack) unless every entry is finite.
+    """
+    G = g[..., :, None] * g[..., None, :]
+    G += cov
+    if not np.isfinite(G).all():
+        rows = None if g.ndim == 1 else ~np.isfinite(G).all(axis=(-2, -1))
+        raise NonFiniteError("matrix entries must be finite", rows=rows)
+    return G
 
 
 class SaddleProblem2D(StochasticProblem):
@@ -100,7 +125,7 @@ class SaddleProblem2D(StochasticProblem):
     def __init__(self):
         self.B_SUPPORT.setflags(write=False)
         self.H_DIAG.setflags(write=False)
-        self._noise_cov = SymMatrix.from_diagonal([1.0, 0.01])
+        self._noise_cov = _read_only(np.diag([1.0, 0.01]))
 
     def eval_f(self, x):
         x = self._check_dim(x)
@@ -118,11 +143,14 @@ class SaddleProblem2D(StochasticProblem):
         b = self.B_SUPPORT[rng.integers(4, size=n)]
         return self.grad(x)[None, :] + b
 
-    def exact_G(self, x) -> SymMatrix:
-        return SymMatrix.outer_plus(self.grad(x), self._noise_cov)
+    def exact_G(self, x) -> np.ndarray:
+        return _second_moment(self.grad(x), self._noise_cov)
 
-    def hessian(self, x) -> SymMatrix:
-        return SymMatrix.from_diagonal(self.H_DIAG + 90.0 * self._check_dim(x) ** 8)
+    def hessian(self, x):
+        """The smallest entry of the diagonal Hessian H + 90 diag(x^8): exact, with no eigh."""
+        x = self._check_dim(x)
+        lam = (self.H_DIAG + 90.0 * x**8).min(axis=-1)
+        return float(lam) if x.ndim == 1 else lam
 
 
 class CounterexampleProblem(StochasticProblem):
@@ -146,8 +174,7 @@ class CounterexampleProblem(StochasticProblem):
         self.zeta = float(zeta)
         self.p = (1.0 + zeta) / (C + 1.0)
         # Constant in x: one matrix serves every point of a stack.
-        self._G = SymMatrix([[C * (1.0 + zeta) - zeta]])
-        self._H = SymMatrix([[0.0]])
+        self._G = _read_only(np.array([[C * (1.0 + zeta) - zeta]]))
 
     def eval_f(self, x):
         x = self._check_dim(x)
@@ -167,20 +194,22 @@ class CounterexampleProblem(StochasticProblem):
         g = np.where(rng.random(n) < self.p, self.C, -1.0)
         return g[:, None]
 
-    def exact_G(self, x) -> SymMatrix:
+    def exact_G(self, x) -> np.ndarray:
         self._check_dim(x)
         return self._G
 
-    def hessian(self, x) -> SymMatrix:
+    def hessian(self, x) -> float:
         self._check_dim(x)
-        return self._H
+        return 0.0
 
 
 class QuadraticGaussianProblem(StochasticProblem):
     """f(x) = 1/2 x^T H x with additive Gaussian gradient noise.
 
     sample_grad = Hx + N(0, noise_cov), so G(x) = Hx x^T H + noise_cov in
-    closed form. The workhorse fixture for the convergence theorems.
+    closed form. The workhorse fixture for the convergence theorems. H
+    and noise_cov are stored as (M + M^T)/2, which must be finite;
+    lambda_min(H) comes from one eigh, on the first ``hessian`` call.
     """
 
     def __init__(self, dim: int, H, noise_cov):
@@ -191,9 +220,14 @@ class QuadraticGaussianProblem(StochasticProblem):
         c = np.asarray(noise_cov, dtype=np.float64)
         if h.shape != (dim, dim) or c.shape != (dim, dim):
             raise InvalidParamError("H and noise_cov must be dim x dim")
-        self._H = SymMatrix(h)
-        self._cov = SymMatrix(c)
-        w, v = self._cov.eigendecomposition()
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, c = (h + h.T) / 2.0, (c + c.T) / 2.0
+        if not (np.isfinite(h).all() and np.isfinite(c).all()):
+            raise NonFiniteError("H and noise_cov entries must be finite")
+        self._H = _read_only(h)
+        self._cov = _read_only(c)
+        self._lambda_min_h = None
+        w, v = eigh(c)
         if w[0] < -1e-12 * max(1.0, w[-1]):
             raise InvalidParamError("noise_cov must be positive semidefinite")
         # PSD factor (handles singular covariances, unlike Cholesky).
@@ -201,11 +235,11 @@ class QuadraticGaussianProblem(StochasticProblem):
 
     def eval_f(self, x):
         x = self._check_dim(x)
-        f = 0.5 * np.vecdot(x, np.matvec(self._H.a, x))
+        f = 0.5 * np.vecdot(x, np.matvec(self._H, x))
         return float(f) if x.ndim == 1 else f
 
     def grad(self, x) -> np.ndarray:
-        return np.matvec(self._H.a, self._check_dim(x))
+        return np.matvec(self._H, self._check_dim(x))
 
     def sample_grad(self, x, rng) -> np.ndarray:
         return self.grad(x) + self._noise_factor @ rng.standard_normal(self.dim)
@@ -215,12 +249,14 @@ class QuadraticGaussianProblem(StochasticProblem):
         # matvec gives each row the bits of sample_grad's F @ z; z @ F^T can differ in the last bit.
         return self.grad(x)[None, :] + np.matvec(self._noise_factor, z)
 
-    def exact_G(self, x) -> SymMatrix:
-        return SymMatrix.outer_plus(self.grad(x), self._cov)
+    def exact_G(self, x) -> np.ndarray:
+        return _second_moment(self.grad(x), self._cov)
 
-    def hessian(self, x) -> SymMatrix:
+    def hessian(self, x) -> float:
         self._check_dim(x)
-        return self._H
+        if self._lambda_min_h is None:
+            self._lambda_min_h = float(eigh(self._H)[0][0])
+        return self._lambda_min_h
 
 
 def _sigmoid(z):
@@ -287,11 +323,12 @@ class LogisticRegressionProblem(StochasticProblem):
         idx = rng.choice(self.n_samples, size=self.batch, replace=False)
         return self._batch_grad(x, idx)
 
-    def hessian(self, x) -> SymMatrix:
+    def hessian(self, x):
+        """lambda_min of (X^T diag(w) X)/n, symmetrized first: the product is not bitwise symmetric."""
         x = self._check_dim(x)
-        if x.ndim == 2:
-            return SymMatrix([self._hessian_entries(row) for row in x])
-        return SymMatrix(self._hessian_entries(x))
+        h = np.array([self._hessian_entries(row) for row in x]) if x.ndim == 2 else self._hessian_entries(x)
+        lam = eigh((h + h.swapaxes(-1, -2)) / 2.0)[0][..., 0]
+        return float(lam) if x.ndim == 1 else lam
 
     def _hessian_entries(self, x) -> np.ndarray:
         s = _sigmoid(self._X @ x)

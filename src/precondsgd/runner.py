@@ -113,8 +113,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     ``auto = second_order``. Under ``optimizer.auto``, setting a key its
     mode computes (``optimizer.AUTO_MODES``; second_order also computes a
     fixed beta) or an auto key the mode does not read, or leaving out one
-    it requires, is a ConfigError; so is a run needing the exact_G oracle
-    the problem lacks."""
+    it requires, or one outside (0, inf) ((0, 1) for k_const), is a
+    ConfigError; so is a run needing the exact_G oracle the problem lacks."""
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
     spec = ALGORITHMS[algo]
@@ -158,6 +158,11 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         for key in calc.requires:
             if key not in ocfg:
                 raise ConfigError(f"optimizer.{key}: required for auto={auto}")
+        for key in calc.requires + calc.reads:
+            # Every calculator input is a positive constant; k_const is also below 1.
+            top = 1.0 if key == "k_const" else math.inf
+            if key in ocfg and not 0.0 < ocfg[key] < top:
+                raise ConfigError(f"optimizer.{key}: must be in (0, {top}) for auto={auto}, got {ocfg[key]}")
     if auto in ("first_order_exact", "first_order_inexact"):
         eta, T = first_order_params(
             ocfg["l"], ocfg["c3"], ocfg["lambda_minus"], ocfg["delta_f"], ocfg["tau"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from hypothesis import settings
 
-from precondsgd import InvalidParamError, SingularMatrixError, SymMatrix
+from precondsgd import InvalidParamError, SingularMatrixError
 
 # Relative slack for deterministic inequalities: rounding only.
 REL_SLACK = 1e-12
@@ -59,8 +59,8 @@ def random_spd_spanning(rng, dim, lam_lo, lam_hi):
     return (q * lam) @ q.T
 
 
-def sym_power(m: SymMatrix, p: float, clamp_floor: float = 0.0) -> SymMatrix:
-    """Spectral power V diag(max(lambda_i, clamp_floor)^p) V^T.
+def sym_power(m: np.ndarray, p: float, clamp_floor: float = 0.0) -> np.ndarray:
+    """Spectral power V diag(max(lambda_i, clamp_floor)^p) V^T of a symmetric array.
 
     Eigenvalues are clamped at ``clamp_floor`` before the power is taken.
     Raises SingularMatrixError when a negative power is requested with
@@ -68,13 +68,13 @@ def sym_power(m: SymMatrix, p: float, clamp_floor: float = 0.0) -> SymMatrix:
     """
     if clamp_floor < 0.0:
         raise InvalidParamError("clamp_floor must be nonnegative")
-    w, v = m.eigendecomposition()
+    w, v = np.linalg.eigh(m)
     lam = np.maximum(w, clamp_floor)
     if p < 0.0 and np.any(lam <= 0.0):
         raise SingularMatrixError(
             f"negative power {p} of a matrix with min clamped eigenvalue {lam.min()}"
         )
-    return SymMatrix((v * lam**p) @ v.T)
+    return (v * lam**p) @ v.T
 
 
 @dataclass(frozen=True)
@@ -204,21 +204,16 @@ def inexact_noise_amplification(
     )
 
 
-def negative_eigenvalue_bound(A: SymMatrix, H: SymMatrix) -> InequalityCase:
-    """A^1/2 H A^1/2 has a negative eigenvalue of magnitude >= lambda_min(A)|lambda_min(H)|."""
-    if A.lambda_min() <= 0.0:
+def negative_eigenvalue_bound(A: np.ndarray, H: np.ndarray) -> InequalityCase:
+    """A^1/2 H A^1/2 has a negative eigenvalue of magnitude >= lambda_min(A)|lambda_min(H)| (symmetric arrays)."""
+    lam_a, lam_h = float(np.linalg.eigvalsh(A)[0]), float(np.linalg.eigvalsh(H)[0])
+    if lam_a <= 0.0:
         raise InvalidParamError("A must be positive definite")
-    if H.lambda_min() >= 0.0:
+    if lam_h >= 0.0:
         raise InvalidParamError("H must have a negative eigenvalue")
     a_half = sym_power(A, 0.5)
-    conj = a_half.a @ H.a @ a_half.a
-    most_negative = float(np.linalg.eigvalsh(conj)[0])
-    return InequalityCase(
-        "negative_eigenvalue",
-        A.lambda_min() * abs(H.lambda_min()),
-        abs(most_negative),
-        {"dim": A.dim},
-    )
+    most_negative = float(np.linalg.eigvalsh(a_half @ H @ a_half)[0])
+    return InequalityCase("negative_eigenvalue", lam_a * abs(lam_h), abs(most_negative), {"dim": len(A)})
 
 
 def isotropy_covariance_check(problem, x, n_samples: int, rng) -> float:
@@ -230,10 +225,10 @@ def isotropy_covariance_check(problem, x, n_samples: int, rng) -> float:
     if n_samples < 2:
         raise InvalidParamError("n_samples must be >= 2")
     G = problem.exact_G(x)
-    w = G.eigendecomposition().eigenvalues
+    w = np.linalg.eigvalsh(G)
     if w[0] <= 1e-12 * max(1.0, w[-1]):
         raise SingularMatrixError("G(x) is numerically singular")
-    g_inv_half = sym_power(G, -0.5).a
+    g_inv_half = sym_power(G, -0.5)
     grad = problem.grad(x)
     u = g_inv_half @ grad
     closed_form = np.eye(problem.dim) - np.outer(u, u)

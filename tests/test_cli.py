@@ -16,7 +16,9 @@ from precondsgd import ConfigError, StochasticProblem, config, problems, runner
 from precondsgd.cli import build_parser, main
 from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
 from precondsgd.estimation import beta_schedule
-from precondsgd.optimizer import STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, run_sgd
+from precondsgd.optimizer import (
+    AUTO_MODES, STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, run_sgd,
+)
 from precondsgd.problems import PROBLEMS
 from precondsgd.runner import (
     TRAJECTORY_CHUNK_ROWS,
@@ -962,6 +964,23 @@ class TestAutoLeavesNoKeyUnread:
         assert f"optimizer.{key}: not read by optimizer.auto={auto}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "auto, key, value",
+        [(auto, f"optimizer.{key}", "0") for auto, mode in AUTO_MODES.items() for key in mode.requires + mode.reads]
+        + [("second_order", "optimizer.tau", "-1"), ("second_order", "optimizer.k_const", "1"),
+           (None, "run.lambda_min_every", "-2"), (None, "run.log_every", "0")],
+    )
+    def test_a_number_out_of_range_exits_2_naming_its_key(self, tmp_path, capsys, auto, key, value):
+        """The calculators' refusals name the parameter; the CLI names the config key before any run."""
+        section, _, name = key.partition(".")
+        with open(auto_config(tmp_path, auto), encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.partition(" = ")[0] != name]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "c.ini", "\n".join(lines)), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: {key}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_second_order_rejects_a_fixed_beta_and_reads_a_schedule(self, tmp_path, capsys):
         cfg = auto_config(tmp_path, "second_order")
         fixed = write_config(tmp_path / "fixed.ini", (tmp_path / "auto.ini").read_text().replace("schedule:0.5", "0.9"))
@@ -1024,7 +1043,7 @@ class TestConfigErrorsBeforeAnyRun:
     @pytest.mark.parametrize(
         "axis, values, message",
         [("optimizer.eta", "0.01,0.5", "large-step mode needs r >= eta"),
-         ("run.log_every", "1,0", "log_every must be >= 1"),
+         ("run.log_every", "1,0", "run.log_every: must be >= 1"),
          ("eta", "0.01", "sweep axis must be 'section.key', got 'eta'")],
     )
     def test_a_sweep_condition_the_run_rejects_stops_the_sweep_before_any_runs(self, tmp_path, capsys, axis, values,
@@ -1038,7 +1057,7 @@ class TestConfigErrorsBeforeAnyRun:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("lambda_min_every = -3", "lambda_min_every must be >= 0"),
+        [("lambda_min_every = -3", "run.lambda_min_every: must be >= 0"),
          ("est_window_factor = -5", "run.est_window_factor: must be positive"),
          ("burn_in_c = -1", "run.burn_in_c: must be positive"),
          ("burn_in_c = 0", "run.burn_in_c: must be positive")],

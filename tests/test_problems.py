@@ -12,6 +12,7 @@ from precondsgd import (
     InvalidParamError,
     LogisticRegressionProblem,
     MissingOracleError,
+    NonFiniteError,
     QuadraticGaussianProblem,
     SaddleProblem2D,
     load_dataset_csv,
@@ -34,8 +35,8 @@ class TestSaddleProblem:
         origin = np.zeros(2)
         assert p.eval_f(origin) == 0.0
         assert np.array_equal(p.grad(origin), np.zeros(2))
-        assert np.allclose(p.hessian(origin).a, np.diag([1.0, -0.1]))
-        assert np.allclose(p.exact_G(origin).a, np.diag([1.0, 0.01]))
+        assert p.hessian(origin) == -0.1
+        assert np.array_equal(p.exact_G(origin), np.diag([1.0, 0.01]))
 
     def test_b_support_moments_exact(self):
         b = SaddleProblem2D().B_SUPPORT
@@ -73,7 +74,7 @@ class TestCounterexample:
         # enumeration over the two outcomes
         enumerated = p.p * 2.0**2 + (1.0 - p.p) * 1.0
         assert enumerated == pytest.approx(2.1)
-        assert p.exact_G(np.array([0.0])).a[0, 0] == pytest.approx(2.1)
+        assert p.exact_G(np.array([0.0]))[0, 0] == pytest.approx(2.1)
 
     def test_gradient_is_constant_zeta(self):
         p = CounterexampleProblem(C=2.0, zeta=0.1)
@@ -83,7 +84,7 @@ class TestCounterexample:
 
     def test_exact_g_independent_of_x(self):
         p = CounterexampleProblem(C=2.0, zeta=0.1)
-        assert p.exact_G(np.array([-1.0])).a == pytest.approx(p.exact_G(np.array([1.0])).a)
+        assert p.exact_G(np.array([-1.0])) == pytest.approx(p.exact_G(np.array([1.0])))
 
     def test_empirical_second_moment(self):
         p = CounterexampleProblem(C=10.0, zeta=0.05)
@@ -104,7 +105,7 @@ class TestCounterexample:
 class TestQuadraticGaussian:
     def test_exact_g_at_origin(self):
         p = QuadraticGaussianProblem(3, np.eye(3), np.eye(3))
-        assert np.allclose(p.exact_G(np.zeros(3)).a, np.eye(3))
+        assert np.allclose(p.exact_G(np.zeros(3)), np.eye(3))
 
     def test_gradient_matches_finite_differences(self):
         rng = rng_for(15)
@@ -120,7 +121,7 @@ class TestQuadraticGaussian:
     def test_hessian_spectrum(self):
         h = np.diag([2.0, -0.5])
         p = QuadraticGaussianProblem(2, h, np.eye(2))
-        assert p.hessian(np.zeros(2)).lambda_min() == pytest.approx(-0.5)
+        assert p.hessian(np.zeros(2)) == pytest.approx(-0.5)
 
     def test_singular_noise_cov_allowed(self):
         p = QuadraticGaussianProblem(2, np.eye(2), np.zeros((2, 2)))
@@ -158,7 +159,7 @@ def test_second_moment_dominates_squared_mean():
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=dim)
             g = p.grad(x)
-            gap = p.exact_G(x).a - np.outer(g, g)
+            gap = p.exact_G(x) - np.outer(g, g)
             assert np.linalg.eigvalsh(gap)[0] >= -1e-10
 
 
@@ -261,19 +262,146 @@ def test_stacked_oracles_match_per_point_calls(name):
     n, d = points.shape
     f, g = p.eval_f(points), p.grad(points)
     assert f.shape == (n,) and g.shape == (n, d)
-    matrices = {}
-    if p.has_hessian:
-        matrices["hessian"] = p.hessian(points)
-    if p.has_exact_g:
-        matrices["exact_G"] = p.exact_G(points)
+    # a constant oracle answers a stack with one value (one (d, d) array, or one float) for every row
+    lam = np.broadcast_to(p.hessian(points), (n,))
+    G = np.broadcast_to(p.exact_G(points), (n, d, d)) if p.has_exact_g else None
     for i, x in enumerate(points):
         assert same_bits(f[i], p.eval_f(x))
         assert same_bits(g[i], p.grad(x))
-        for oracle, stacked in matrices.items():
-            single = getattr(p, oracle)(x)
-            # a single matrix answers for every point of the stack
-            assert same_bits(np.broadcast_to(stacked.a, (n, d, d))[i], single.a), oracle
-            assert same_bits(np.broadcast_to(stacked.lambda_min(), (n,))[i], single.lambda_min()), oracle
+        assert type(p.hessian(x)) is float
+        assert same_bits(lam[i], p.hessian(x))
+        if G is not None:
+            assert same_bits(G[i], p.exact_G(x))
+
+
+def count_eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def saddle_points(rng, shape):
+    """|x_i| from 1e-320 to 1e10 (so |f| <= 1e100, as the run's divergence guard keeps it), with +-0."""
+    x = 10.0 ** rng.uniform(-320.0, 10.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    x[rng.random(shape) < 0.1] = rng.choice([0.0, -0.0, 1e10, -1e10])
+    return x
+
+
+@pytest.mark.parametrize("batch", [None, 8])
+def test_saddle_lambda_min_has_the_bits_of_eigh_without_calling_it(monkeypatch, batch):
+    p = SaddleProblem2D()
+    rng = rng_for(42 + (batch or 0))
+    points = [saddle_points(rng, (2,) if batch is None else (batch, 2)) for _ in range(200)]
+    diagonals = [np.zeros(x.shape + (2,)) for x in points]
+    for x, dense in zip(points, diagonals):
+        dense[..., [0, 1], [0, 1]] = p.H_DIAG + 90.0 * x**8
+    refs = [np.linalg.eigh(dense).eigenvalues[..., 0] for dense in diagonals]
+    calls = count_eigh_calls(monkeypatch)
+    for x, ref in zip(points, refs):
+        assert same_bits(p.hessian(x), ref if batch is not None else float(ref))
+    assert calls == []
+
+
+def test_logistic_lambda_min_is_eigh_of_the_symmetric_part_of_its_hessian():
+    rng = rng_for(43)
+    X = rng.standard_normal((30, 4))
+    p = LogisticRegressionProblem(X, (rng.random(30) < 0.5).astype(float))
+    points = rng.standard_normal((50, 4))
+
+    def reference(x):
+        s = masked_sigmoid(X @ x)
+        h = (X.T * (s * (1.0 - s))) @ X / 30
+        return np.linalg.eigh((h + h.T) / 2.0).eigenvalues[0]
+
+    refs = np.array([reference(x) for x in points])
+    assert same_bits(p.hessian(points), refs)
+    for x, ref in zip(points, refs):
+        assert same_bits(p.hessian(x), float(ref))
+
+
+def test_quadratic_decomposes_h_once_on_the_first_lambda_min(monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
+    p = QuadraticGaussianProblem(3, np.diag([2.0, -0.5, 1.0]), np.eye(3))
+    assert calls == [(3, 3)]  # the noise factor
+    assert p.hessian(np.zeros(3)) == -0.5
+    assert p.hessian(np.ones((4, 3))) == -0.5
+    assert calls == [(3, 3), (3, 3)]
+
+
+def special_entries(rng, shape):
+    """Entries of magnitude 1e-3 to 1e3, a third of them +-0.0 or subnormal."""
+    a = 10.0 ** rng.uniform(-3.0, 3.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    pick = rng.random(shape) < 0.3
+    a[pick] = rng.choice([0.0, -0.0, 5e-324, -5e-324, -3e-320, 2.2e-308], size=np.count_nonzero(pick))
+    return a
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10])
+def test_exact_g_has_the_bits_of_the_outer_product_plus_the_covariance(dim):
+    """G(x) = grad grad^T + Sigma in the bits of np.outer, signed zeros and subnormals included."""
+    rng = rng_for(44 + dim)
+    problems = [(SaddleProblem2D(), np.diag([1.0, 0.01]))] if dim == 2 else []
+    for _ in range(20):
+        h = special_entries(rng, (dim, dim))
+        off = np.triu(special_entries(rng, (dim, dim)) * 1e-6, 1)
+        cov = np.diag(rng.uniform(1.0, 2.0, size=dim)) + off + off.T
+        problems.append((QuadraticGaussianProblem(dim, np.triu(h) + np.triu(h, 1).T, cov), cov))
+    for p, cov in problems:
+        points = special_entries(rng, (5, dim))
+        stacked = p.exact_G(points)
+        for i, x in enumerate(points):
+            g = p.grad(x)
+            expected = np.outer(g, g) + cov
+            assert same_bits(p.exact_G(x), expected) and same_bits(stacked[i], expected)
+
+
+def test_exact_g_keeps_a_negative_zero_and_a_subnormal():
+    p = QuadraticGaussianProblem(2, np.eye(2), [[1.0, -0.0], [-0.0, 5e-324]])
+    G = p.exact_G(np.array([0.0, -3e-320]))  # grad = (0.0, -3e-320), so grad_0 grad_1 = -0.0
+    assert np.signbit(G[0, 1]) and np.signbit(G[1, 0]) and G[1, 1] == 5e-324
+
+
+def test_a_non_finite_second_moment_names_the_failing_points():
+    p = SaddleProblem2D()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError) as info:
+            p.exact_G(np.array([[0.5, 0.1], [1e30, 0.0], [0.0, -0.2]]))
+        assert info.value.rows.tolist() == [False, True, False]
+        with pytest.raises(NonFiniteError) as info:
+            p.exact_G(np.array([1e30, 0.0]))
+    assert info.value.rows is None
+
+
+def test_cached_arrays_are_read_only():
+    with pytest.raises(ValueError):
+        CounterexampleProblem(3.0, 0.5).exact_G(np.zeros(1))[0, 0] = 1.0
+    p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
+    with pytest.raises(ValueError):
+        p._H[0, 0] = 5.0
+    assert p.hessian(np.zeros(2)) == 1.0
+
+
+def test_a_quadratic_keeps_the_symmetric_part_of_its_matrices():
+    p = QuadraticGaussianProblem(2, [[1.0, 2.0], [0.0, 3.0]], [[1.0, 0.5], [-0.5, 2.0]])
+    assert np.array_equal(p.grad(np.array([1.0, 0.0])), [1.0, 1.0])
+    assert np.array_equal(p.exact_G(np.zeros(2)), np.diag([1.0, 2.0]))
+    with pytest.raises(InvalidParamError):
+        QuadraticGaussianProblem(2, np.eye(3), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["H", "noise_cov"])
+def test_a_quadratic_with_a_non_finite_matrix_raises(bad, which):
+    m = np.eye(2)
+    m[0, 1] = bad
+    with pytest.raises(NonFiniteError):
+        QuadraticGaussianProblem(2, m if which == "H" else np.eye(2), m if which == "noise_cov" else np.eye(2))
 
 
 def masked_sigmoid(z):
