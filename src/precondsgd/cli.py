@@ -6,11 +6,13 @@ and ``report`` (quantile-band plot data from summaries). Exit codes:
 0 ok, 2 configuration error (negative or repeated seeds included),
 3 numeric failure (divergence/singularity); on a numeric failure of
 ``run`` or ``sweep`` every seed's trajectory is still written, partial
-for the seeds that failed, and no summary is. Each subcommand takes
-``--out``; ``run``, ``sweep`` and ``estimation-scaling`` also take
-``--jobs`` (at least 1) and ``--seed-offset``. A flag a subcommand does
-not read, one placed before the subcommand, and ``--jobs`` below 1 are
-usage errors (exit 2) that name the flag.
+for the seeds that failed, and no summary is. The config file states the
+whole experiment: its seeds, a sweep's axis and values, a scaling study's
+etas and beta schedule. The flags say only where the output goes
+(``--out``, every subcommand) and how to run (``--jobs``, at least 1,
+for all but ``report``). A flag a subcommand does not read, one placed
+before the subcommand, and ``--jobs`` below 1 are usage errors (exit 2)
+that name the flag.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ _COMMON_FLAGS = {
     "--out": dict(help="output directory (default: $PRECONDSGD_OUT or ./results)"),
     "--jobs": dict(type=_jobs, default=os.cpu_count() or 1,
                    help="at least 1: split each condition's seeds (a sweep value's, an eta's) into this many "
-                   "lockstep groups, run in up to as many worker processes; the output does not depend on it "
-                   "(default: CPU count)"),
-    "--seed-offset": dict(type=int, default=0, help="added to every configured seed"),
+                   "lockstep groups, run in up to as many worker processes; what runs, and so the output, comes "
+                   "from the config alone (default: CPU count)"),
 }
 
 
@@ -71,10 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     subcommand("run", "run one configured condition").add_argument("config")
-    p_sweep = subcommand("sweep", "run a sweep over one config key")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", default=None, help="config key to sweep, e.g. optimizer.eta")
-    p_sweep.add_argument("--values", default=None, help="comma-separated axis values")
+    subcommand("sweep", "run the sweep of the config's [sweep] section").add_argument("config")
     subcommand("estimation-scaling", "sup estimation error vs eta").add_argument("config")
     subcommand("report", "quantile bands from summary files", flags=("--out",)).add_argument("summaries", nargs="+")
     return parser
@@ -88,19 +86,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             path = cmd_report(args.summaries, out_dir)
         else:
-            cfg = load_config(args.config)
-            flags = dict(jobs=args.jobs, seed_offset=args.seed_offset)
-            if args.command == "run":
-                path = cmd_run(cfg, out_dir, **flags)
-            elif args.command == "sweep":
-                axis = args.axis or cfg.sweep.get("axis")
-                raw_values = args.values if args.values is not None else cfg.sweep.get("values")
-                if not axis or raw_values is None:
-                    raise ConfigError("sweep: --axis and --values are required (or a [sweep] section)")
-                values = [v.strip() for v in raw_values.split(",") if v.strip()]
-                path = cmd_sweep(cfg, axis, values, out_dir, **flags)
-            else:
-                path = cmd_estimation_scaling(cfg, out_dir, **flags)
+            command = {"run": cmd_run, "sweep": cmd_sweep, "estimation-scaling": cmd_estimation_scaling}
+            path = command[args.command](load_config(args.config), out_dir, jobs=args.jobs)
         print(path)
     except (ConfigError, DataFormatError, InvalidParamError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,15 +1,17 @@
 """Experiment configuration files.
 
-Flat INI-style configs with [problem], [optimizer], [run] and an optional
-[sweep] section. Every key is typed against a per-section schema and
-unknown keys are errors, not warnings: a silently misspelled key would
-corrupt a sweep. So is a key only ``optimizer.auto`` reads, without it
-or under a mode that does not read it, and one the mode computes, beside
-it (``runner.resolve_run`` checks); except the required ``run.t``, which
-the first-order modes replace with their T. The problem names, and the
-[problem] keys each name requires, come from ``problems.PROBLEMS``, and
-the auto keys (each a number) from ``optimizer.AUTO_MODES``. Every number
-must be finite: nan and inf are refused where they are read.
+Flat INI-style configs with [problem], [optimizer], [run] and an
+optional [sweep] section, the only home of a sweep's axis and values: a
+config states every condition it runs. Every key is typed against a
+per-section schema and unknown keys are errors, not warnings: a silently
+misspelled key would corrupt a sweep. So is a key only
+``optimizer.auto`` reads, without it or under a mode that does not read
+it, and one the mode computes, beside it (``runner.resolve_run``
+checks); except the required ``run.t``, which the first-order modes
+replace with their T. The problem names, and the [problem] keys each
+name requires, come from ``problems.PROBLEMS``, and the auto keys (each
+a number) from ``optimizer.AUTO_MODES``. Every number must be finite:
+nan and inf are refused where they are read.
 
 A known key that the chosen algorithm or kind does not run is dropped,
 not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,18 +68,15 @@ def _parse_str(s):
     return s.strip()
 
 
-def _parse_float_list(s):
+def _parse_list(s, parse_item=_parse_str, what="values"):
     items = [v.strip() for v in s.split(",") if v.strip()]
     if not items:
-        raise ConfigError("expected a comma-separated list of numbers")
-    return [_parse_float(v) for v in items]
+        raise ConfigError(f"expected a comma-separated list of {what}")
+    return [parse_item(v) for v in items]
 
 
-def _parse_int_list(s):
-    items = [v.strip() for v in s.split(",") if v.strip()]
-    if not items:
-        raise ConfigError("expected a comma-separated list of integers")
-    return [_parse_int(v) for v in items]
+_parse_float_list = functools.partial(_parse_list, parse_item=_parse_float, what="numbers")
+_parse_int_list = functools.partial(_parse_list, parse_item=_parse_int, what="integers")
 
 
 def parse_beta_spec(s):
@@ -137,19 +137,18 @@ _SCHEMAS = {
         "f_threshold": _parse_float,
         "etas": _parse_float_list,
         "est_window_factor": _parse_float,
-        "beta_c": _parse_float,
         "burn_in_c": _parse_float,
     },
     "sweep": {
         "axis": _parse_str,
-        "values": _parse_str,
+        "values": _parse_list,  # each value kept as written: it names its condition
     },
 }
 
 _REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds", "t")}
 # Keys no condition of a sweep reads: the seeds come from the base config,
-# these run keys only estimation-scaling reads, and [sweep] only the CLI.
-_UNSWEPT = ("run.seeds", "run.etas", "run.est_window_factor", "run.beta_c")
+# these run keys only estimation-scaling reads, and [sweep] only the sweep itself.
+_UNSWEPT = ("run.seeds", "run.etas", "run.est_window_factor")
 
 
 @dataclass
@@ -248,6 +247,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, least in (("t", 1), ("log_every", 1), ("lambda_min_every", 0)):
         if cfg.run.get(key, least) < least:
             raise ConfigError(f"run.{key}: must be >= {least}")
-    for key in ("est_window_factor", "beta_c", "burn_in_c"):
+    for key in ("est_window_factor", "burn_in_c"):
         if key in cfg.run and not cfg.run[key] > 0.0:
             raise ConfigError(f"run.{key}: must be positive, got {cfg.run[key]}")

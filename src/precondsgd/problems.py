@@ -396,7 +396,10 @@ def _quadratic_gaussian(p: dict) -> QuadraticGaussianProblem:
     dim, h_diag, noise_diag = p["dim"], p["h_diag"], p["noise_diag"]
     if len(h_diag) != dim or len(noise_diag) != dim:
         raise ConfigError("problem.h_diag/noise_diag must have length problem.dim")
-    return QuadraticGaussianProblem(dim, np.diag(h_diag), np.diag(noise_diag))
+    try:
+        return QuadraticGaussianProblem(dim, np.diag(h_diag), np.diag(noise_diag))
+    except NonFiniteError as exc:  # finite entries whose symmetrized sum overflows, such as 1e308
+        raise ConfigError(f"problem.h_diag/noise_diag: {exc}") from exc
 
 
 class ProblemEntry(NamedTuple):

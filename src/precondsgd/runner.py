@@ -113,7 +113,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     ``auto = second_order``. Under ``optimizer.auto``, setting a key its
     mode computes (``optimizer.AUTO_MODES``; second_order also computes a
     fixed beta) or an auto key the mode does not read, or leaving out one
-    it requires, or one outside (0, inf) ((0, 1) for k_const), is a
+    it requires, or one outside (0, inf) ((0, 1) for k_const, (0, 1] for
+    the probability delta), is a
     ConfigError; so is a run needing the exact_G oracle the problem lacks."""
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
@@ -159,10 +160,11 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
             if key not in ocfg:
                 raise ConfigError(f"optimizer.{key}: required for auto={auto}")
         for key in calc.requires + calc.reads:
-            # Every calculator input is a positive constant; k_const is also below 1.
-            top = 1.0 if key == "k_const" else math.inf
-            if key in ocfg and not 0.0 < ocfg[key] < top:
-                raise ConfigError(f"optimizer.{key}: must be in (0, {top}) for auto={auto}, got {ocfg[key]}")
+            # Every calculator input is a positive constant; k_const is also below 1, the probability delta at most 1.
+            top, closed = {"k_const": (1.0, False), "delta": (1.0, True)}.get(key, (math.inf, False))
+            if key in ocfg and not (0.0 < ocfg[key] < top or closed and ocfg[key] == top):
+                raise ConfigError(f"optimizer.{key}: must be in (0, {top}{']' if closed else ')'} for auto={auto}, "
+                                  f"got {ocfg[key]}")
     if auto in ("first_order_exact", "first_order_inexact"):
         eta, T = first_order_params(
             ocfg["l"], ocfg["c3"], ocfg["lambda_minus"], ocfg["delta_f"], ocfg["tau"],
@@ -379,14 +381,14 @@ def _column(path, rows, name, parse=str) -> list:
     return values
 
 
-def _seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
-    """The configured seeds plus the offset: each must be >= 0 and occur once."""
-    seeds = [s + seed_offset for s in cfg.run["seeds"]]
+def _seeds(cfg: ExperimentConfig) -> list[int]:
+    """The configured seeds: each must be >= 0 and occur once."""
+    seeds = cfg.run["seeds"]
     if min(seeds) < 0:
-        raise ConfigError(f"run.seeds: seed {min(seeds)} is negative (after --seed-offset {seed_offset})")
+        raise ConfigError(f"run.seeds: seed {min(seeds)} is negative")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
-        raise ConfigError(f"run.seeds: seed {repeated[0]} occurs more than once (after --seed-offset {seed_offset})")
+        raise ConfigError(f"run.seeds: seed {repeated[0]} occurs more than once")
     return seeds
 
 
@@ -418,9 +420,9 @@ def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
     return rows
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int = 0) -> str:
+def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """One condition x all seeds; returns the summary path."""
-    seeds = _seeds(cfg, seed_offset)
+    seeds = _seeds(cfg)
     rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), [("run", cfg)], seeds, jobs)
     rows.sort(key=lambda r: r["seed"])
     path = os.path.join(out_dir, "summary.csv")
@@ -428,14 +430,14 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int
     return path
 
 
-def cmd_sweep(
-    cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str, jobs: int = 1, seed_offset: int = 0
-) -> str:
-    """Cross-product of axis values and seeds, merged into one summary."""
-    if not values:
-        raise ConfigError("sweep: empty value list")
+def cmd_sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
+    """Cross-product of the values of sweep.axis (both from [sweep]) and the seeds, merged into one summary."""
+    for key in ("axis", "values"):
+        if key not in cfg.sweep:
+            raise ConfigError(f"sweep.{key}: required for sweep")
+    axis, values = cfg.sweep["axis"], cfg.sweep["values"]
     section, key, _ = resolve_axis(axis)
-    seeds = _seeds(cfg, seed_offset)
+    seeds = _seeds(cfg)
     conditions = []
     for value in values:
         sub = cfg.clone()
@@ -466,38 +468,42 @@ def cmd_sweep(
     return path
 
 
-def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1, seed_offset: int = 0) -> str:
+def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """Sup preconditioner-estimation error versus eta, with the fitted slope.
 
     For each eta of run.etas, runs RMSProp with burn-in under
-    beta = 1 - C eta^(2/3) (C = run.beta_c), tracking ||Ahat_t - A(x_t)||
-    over a window of ~est_window_factor EMA time constants, and fits the
-    log-log slope of the sup error. Each eta is a condition ``eta <eta>``,
-    largest first, and ``jobs`` of them run at once. Each run replaces
+    beta = 1 - C eta^(2/3), C from optimizer.beta_spec = schedule:C (1 if
+    the key is unset), tracking ||Ahat_t - A(x_t)|| over a window of
+    ~est_window_factor EMA time constants, and fits the log-log slope of
+    the sup error. Each eta is a condition ``eta <eta>``, largest first,
+    and ``jobs`` of them run at once. Each run replaces
     optimizer.algorithm (by rmsprop_burnin), optimizer.eta,
     optimizer.beta_spec (by the fixed beta(eta)), run.t (by the window if
-    longer), run.track_est_error and run.log_every. kind = identity (no
-    estimate), optimizer.auto (which would set eta), an eta_decay other
-    than none (each row is fitted against its constant eta), and an eta
-    that repeats or has no beta(eta) in (0, 1) are ConfigErrors. Neither a
+    longer), run.track_est_error and run.log_every. A fixed beta_spec
+    (one beta cannot serve several etas), kind = identity (no estimate),
+    optimizer.auto (which would set eta), an eta_decay other than none
+    (each row is fitted against its constant eta), and an eta that
+    repeats or has no beta(eta) in (0, 1) are ConfigErrors. Neither a
     ConfigError nor a numeric failure writes a file.
     """
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
-    c_sched = cfg.run.get("beta_c", 1.0)
+    mode, c_sched = cfg.optimizer.get("beta_spec", ("schedule", 1.0))
+    if mode == "fixed":
+        raise ConfigError("optimizer.beta_spec: one fixed beta cannot serve several etas; set schedule:C or nothing")
     for eta in etas:
         if etas.count(eta) > 1:
             raise ConfigError(f"run.etas: eta {eta} occurs more than once")
         if not eta > 0.0 or not c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) must lie in (0, 1)
-            raise ConfigError(f"run.etas: eta {eta} must be positive with run.beta_c * eta^(2/3) < 1")
+            raise ConfigError(f"run.etas: eta {eta} must be positive with C eta^(2/3) < 1, C = {c_sched}")
     if cfg.optimizer.get("kind") == "identity":
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:
         raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
     if cfg.optimizer.get("eta_decay", "none") != "none":
         raise ConfigError("optimizer.eta_decay: estimation scaling runs each eta as a constant stepsize")
-    seeds = _seeds(cfg, seed_offset)
+    seeds = _seeds(cfg)
     if len(seeds) > 1:
         raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(seeds)}")
     factor = cfg.run.get("est_window_factor", 40.0)

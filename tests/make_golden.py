@@ -8,9 +8,10 @@ sha256 of every file the command left in its output directory.
 ``tests/test_golden_cli.py`` re-runs the configs and compares. The
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
-est_error tracking, lambda_min(H) logging, a sweep (one from its [sweep]
-section), a report on a sweep's summary, three estimation-scaling studies
-(one full-matrix at d=10 from the origin), each ``optimizer.auto`` mode
+est_error tracking, lambda_min(H) logging, sweeps (each, like every
+sweep, reads its axis and values from its [sweep] section), a report on
+a sweep's summary, three estimation-scaling studies (one full-matrix at
+d=10 from the origin), each ``optimizer.auto`` mode
 (second-order with three algorithms, once with every optional constant),
 the summary levels, label noise and two runs that diverge (one through
 numpy overflow), and runs three or more seeds of a condition on each
@@ -235,8 +236,7 @@ seeds = 15
 t = 40
 log_every = 7
 """),
-    "sweep-kind": ("sweep", ("--axis", "optimizer.kind", "--values",
-                             "identity,full_matrix,diagonal,covariance_full_matrix"), QUAD3 + """
+    "sweep-kind": ("sweep", (), QUAD3 + """
 [optimizer]
 algorithm = rmsprop
 eta = 0.02
@@ -246,6 +246,9 @@ epsilon = 0.01
 seeds = 16
 t = 25
 track_est_error = true
+[sweep]
+axis = optimizer.kind
+values = identity,full_matrix,diagonal,covariance_full_matrix
 """),
     "estimation-scaling": ("estimation-scaling", (), QUAD3 + """
 [optimizer]
@@ -374,8 +377,7 @@ t = 60
 track_est_error = true
 lambda_min_every = 7
 """),
-    "multi-sweep-eta-jobs2": ("sweep", ("--axis", "optimizer.eta", "--values", "0.01,0.03",
-                                        "--jobs", "2"), QUAD3 + """
+    "multi-sweep-eta-jobs2": ("sweep", ("--jobs", "2"), QUAD3 + """
 [optimizer]
 algorithm = rmsprop
 kind = full_matrix
@@ -386,6 +388,9 @@ seeds = 42,43,44,45,46
 t = 25
 track_est_error = true
 lambda_min_every = 3
+[sweep]
+axis = optimizer.eta
+values = 0.01,0.03
 """),
     # report on the summary of the sweep its arguments name (run first):
     # the quantile bands over that sweep's five seeds per condition.
@@ -512,12 +517,12 @@ f_threshold = 0.003
 algorithm = rmsprop_burnin
 kind = diagonal
 epsilon = 1e-6
+beta_spec = schedule:0.5
 [run]
 seeds = 18
 t = 1
 etas = 0.01,0.003
 est_window_factor = 0.5
-beta_c = 0.5
 burn_in_c = 2
 """),
     # The axis and its values come from the [sweep] section alone.

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -39,6 +40,11 @@ from precondsgd.runner import (
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def with_sweep(text, axis, values):
+    """A config's ``text`` with a [sweep] section of ``axis`` and ``values``."""
+    return f"{text}\n[sweep]\naxis = {axis}\nvalues = {values}\n"
 
 
 SADDLE_CFG = """
@@ -122,7 +128,8 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("parse, text", [
-        (config._parse_float, "nan"), (config._parse_float, "-inf"), (config._parse_float_list, "1, nan"),
+        (config._parse_float, "nan"), (config._parse_float, "-inf"),
+        pytest.param(config._parse_float_list, "1, nan", id="_parse_float_list-1, nan"),  # a partial has no name
         (parse_beta_spec, "nan"), (parse_beta_spec, "schedule:inf"),
     ])
     def test_every_number_parser_refuses_nan_and_inf(self, parse, text):
@@ -130,9 +137,8 @@ class TestConfigParsing:
             parse(text)
 
     def test_sweeping_an_auto_only_key_without_auto_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "a.ini", SADDLE_CFG)
-        argv = ["sweep", cfg, "--axis", "optimizer.tau", "--values", "1,2", "--out", str(tmp_path / "o"), "--jobs", "1"]
-        assert main(argv) == 2
+        cfg = write_config(tmp_path / "a.ini", with_sweep(SADDLE_CFG, "optimizer.tau", "1,2"))
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert "optimizer.tau: read only by optimizer.auto" in capsys.readouterr().err
 
 
@@ -197,12 +203,14 @@ class TestCmdRun:
         cmd_run(cfg, str(parallel), jobs=3)
         assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
 
-    def test_seed_offset_changes_streams(self, tmp_path):
+    def test_other_seeds_run_other_streams(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG))
+        other_seeds = SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 100,101,102")
+        other = load_config(write_config(tmp_path / "other.ini", other_seeds))
         a = tmp_path / "a"
         b = tmp_path / "b"
-        cmd_run(cfg, str(a), seed_offset=0)
-        cmd_run(cfg, str(b), seed_offset=100)
+        cmd_run(cfg, str(a))
+        cmd_run(other, str(b))
         _, rows_a = read_summary(a / "summary.csv")
         _, rows_b = read_summary(b / "summary.csv")
         assert {r["seed"] for r in rows_b} == {"100", "101", "102"}
@@ -296,13 +304,17 @@ t = 10
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_a_sweep_without_an_axis_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key", [("", "axis"), ("[sweep]\n", "axis"),
+                                              ("[sweep]\naxis = optimizer.eta\n", "values")],
+                             ids=("no-section", "empty-section", "no-values"))
+    def test_a_sweep_without_its_axis_or_values_exits_2_naming_the_key(self, tmp_path, capsys, section, key):
         out = tmp_path / "out"
-        assert main(["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--out", str(out), "--jobs", "1"]) == 2
-        assert "sweep: --axis and --values are required" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG + section)
+        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: sweep.{key}: required for sweep" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--out", "X"], ["--jobs", "1"], ["--seed-offset", "3"]])
+    @pytest.mark.parametrize("flags", [["--out", "X"], ["--jobs", "1"]])
     def test_a_flag_before_the_subcommand_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flags):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("PRECONDSGD_OUT", raising=False)
@@ -400,30 +412,32 @@ class TestNumericFailures:
             assert len(read_trajectory(p)) == 0  # the failure came before the first logged event
 
     @pytest.mark.parametrize(
-        "command, seeds, offset, message",
+        "command, seeds, message",
         [
-            ("run", "-1, 2", 0, "seed -1 is negative"),
-            ("run", "0, 1", -1, "seed -1 is negative"),
-            ("run", "3, 3", 0, "seed 3 occurs more than once"),
-            ("sweep", "4, 2, 4", 0, "seed 4 occurs more than once"),
-            ("estimation-scaling", "0", -2, "seed -2 is negative"),
+            ("run", "-1, 2", "seed -1 is negative"),
+            ("run", "3, 3", "seed 3 occurs more than once"),
+            ("sweep", "4, 2, 4", "seed 4 occurs more than once"),
+            ("sweep", "5, -3", "seed -3 is negative"),
+            ("estimation-scaling", "-2", "seed -2 is negative"),
+            ("estimation-scaling", "6, 6", "seed 6 occurs more than once"),
         ],
     )
-    def test_negative_or_repeated_seeds_exit_2(self, tmp_path, capsys, command, seeds, offset, message):
-        text = SADDLE_CFG.replace("seeds = 0,1,2", f"seeds = {seeds}") + "etas = 0.01, 0.001\n"
-        cfg = write_config(tmp_path / "cfg.ini", text)
+    def test_negative_or_repeated_seeds_exit_2(self, tmp_path, capsys, command, seeds, message):
+        if command == "estimation-scaling":
+            text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01, 0.001").replace("seeds = 5", f"seeds = {seeds}")
+        else:
+            text = with_sweep(SADDLE_CFG.replace("seeds = 0,1,2", f"seeds = {seeds}"), "optimizer.eta", "0.01")
         out = tmp_path / "out"
-        extra = ["--axis", "optimizer.eta", "--values", "0.01"] if command == "sweep" else []
-        assert main([command, cfg, *extra, "--out", str(out), "--seed-offset", str(offset)]) == 2
-        assert message in capsys.readouterr().err
+        assert main([command, write_config(tmp_path / "cfg.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: run.seeds: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestSweep:
     def test_eta_sweep_merges_and_sorts(self, tmp_path):
-        cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 50")))
+        text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 50"), "optimizer.eta", "0.01, 0.003, 0.001")
         out = tmp_path / "out"
-        path = cmd_sweep(cfg, "optimizer.eta", ["0.01", "0.003", "0.001"], str(out))
+        path = cmd_sweep(load_config(write_config(tmp_path / "cfg.ini", text)), str(out))
         header, rows = read_summary(path)
         assert header[:2] == ["axis", "axis_value"]
         assert len(rows) == 9
@@ -433,15 +447,17 @@ class TestSweep:
         assert seeds == sorted(seeds)
         assert len(list(out.glob("*.csv"))) == 10  # 9 trajectories + summary
 
-    def test_empty_values_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG)
-        assert main(["sweep", cfg, "--axis", "optimizer.eta", "--values", "", "--out", str(tmp_path / "o")]) == 2
-
-    def test_unknown_axis_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG)
-        assert (
-            main(["sweep", cfg, "--axis", "optimizer.nope", "--values", "1,2", "--out", str(tmp_path / "o")]) == 2
-        )
+    @pytest.mark.parametrize("axis, values, message", [
+        ("optimizer.eta", "", "cfg.ini: sweep.values: expected a comma-separated list of values"),
+        ("optimizer.eta", " , ", "cfg.ini: sweep.values: expected a comma-separated list of values"),
+        ("optimizer.nope", "1,2", "unknown sweep axis 'optimizer.nope'"),
+    ], ids=("empty-values", "blank-values", "unknown-axis"))
+    def test_a_sweep_section_it_cannot_run_exits_2_and_writes_nothing(self, tmp_path, capsys, axis, values, message):
+        cfg = write_config(tmp_path / "cfg.ini", with_sweep(SADDLE_CFG, axis, values))
+        out = tmp_path / "o"
+        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "axis, values, repeated",
@@ -450,25 +466,25 @@ class TestSweep:
     )
     def test_a_repeated_value_exits_2_naming_sweep_values(self, tmp_path, capsys, axis, values, repeated):
         out = tmp_path / "o"
-        argv = ["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--axis", axis, "--values", values,
-                "--out", str(out), "--jobs", "1"]
+        argv = ["sweep", write_config(tmp_path / "c.ini", with_sweep(SADDLE_CFG, axis, values)), "--out", str(out),
+                "--jobs", "1"]
         assert main(argv) == 2
         assert f"error: sweep.values: {axis} value {repeated} occurs more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_two_values_naming_one_trajectory_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "o"
-        argv = ["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--axis", "run.escape_level",
-                "--values=1e-2,1e+2", "--out", str(out), "--jobs", "1"]
+        text = with_sweep(SADDLE_CFG, "run.escape_level", "1e-2,1e+2")
+        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert ("error: sweep.values: run.escape_level values 1e-2 and 1e+2 would both write "
                 "run.escape_level=1e-2_seed*.csv") in capsys.readouterr().err
         assert not out.exists()
 
     def test_beta_spec_axis_mixes_fixed_and_schedule(self, tmp_path):
-        cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 40")))
+        text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 40"), "optimizer.beta_spec", "0.9, schedule:1")
         out = tmp_path / "out"
-        path = cmd_sweep(cfg, "optimizer.beta_spec", ["0.9", "schedule:1"], str(out))
+        path = cmd_sweep(load_config(write_config(tmp_path / "c.ini", text)), str(out))
         _, rows = read_summary(path)
         assert {r["axis_value"] for r in rows} == {"0.9", "schedule:1"}
 
@@ -486,7 +502,6 @@ SWEEP_AXES = {
     "run.f_threshold": "-0.01,1",
     "run.etas": None,
     "run.est_window_factor": None,
-    "run.beta_c": None,
     "run.burn_in_c": "1,2",
     "sweep.axis": None,
     "sweep.values": None,
@@ -495,12 +510,11 @@ SWEEP_AXES = {
 
 @pytest.mark.parametrize("axis", [f"{section}.{key}" for section in ("run", "sweep") for key in config._SCHEMAS[section]])
 def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_path, capsys, axis):
-    base = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("rmsprop", "rmsprop_burnin")
-                                    .replace("seeds = 0,1,2\nt = 200", "seeds = 0\nt = 30")))
     values = SWEEP_AXES[axis]  # a key added to the schema must be classified here
+    text = SADDLE_CFG.replace("rmsprop", "rmsprop_burnin").replace("seeds = 0,1,2\nt = 200", "seeds = 0\nt = 30")
+    base = load_config(write_config(tmp_path / "c.ini", with_sweep(text, axis, values or "5,6")))
     out = tmp_path / "o"
-    argv = ["sweep", str(tmp_path / "c.ini"), "--axis", axis, f"--values={values or '5,6'}", "--out", str(out),
-            "--jobs", "1"]
+    argv = ["sweep", str(tmp_path / "c.ini"), "--out", str(out), "--jobs", "1"]
     if values is None:
         assert main(argv) == 2
         assert f"error: {axis}: no condition of a sweep reads it" in capsys.readouterr().err
@@ -531,7 +545,6 @@ x0 = 0,0
 algorithm = rmsprop
 kind = full_matrix
 eta = 0.01
-beta_spec = 0.9
 epsilon = 0.0001
 
 [run]
@@ -605,25 +618,48 @@ etas = 0.01,0.003
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "etas, extra, message",
+        "etas, beta_spec, message",
         [
             ("0.01, 0.01", "", "run.etas: eta 0.01 occurs more than once"),
             ("0.01, 0.003, 0.010", "", "run.etas: eta 0.01 occurs more than once"),
             ("0.01, -0.01", "", "run.etas: eta -0.01 must be positive"),
             ("0, 0.01", "", "run.etas: eta 0.0 must be positive"),
-            ("0.01, 1.0", "", "run.etas: eta 1.0 must be positive with run.beta_c * eta^(2/3) < 1"),
-            ("0.01, 0.1", "beta_c = 5\n", "run.etas: eta 0.1 must be positive with run.beta_c * eta^(2/3) < 1"),
-            ("0.01, 0.1", "beta_c = 0\n", "run.beta_c: must be positive"),
+            ("0.01, 1.0", "", "run.etas: eta 1.0 must be positive with C eta^(2/3) < 1, C = 1.0"),
+            ("0.01, 0.1", "schedule:5", "run.etas: eta 0.1 must be positive with C eta^(2/3) < 1, C = 5.0"),
+            ("0.01, 0.1", "schedule:0", "optimizer.beta_spec: beta schedule constant must be positive"),
+            ("0.01, 0.1", "0.9", "optimizer.beta_spec: one fixed beta cannot serve several etas"),
         ],
         ids=("repeated", "repeated-spelled-apart", "negative", "zero", "beta-not-positive", "beta-c-too-large",
-             "beta-c-zero"),
+             "beta-c-zero", "fixed-beta"),
     )
-    def test_bad_etas_exit_2_name_the_key_and_write_nothing(self, tmp_path, capsys, etas, extra, message):
-        text = ESTIMATION_CFG.format(noise="1,0.5", etas=etas) + extra
+    def test_bad_etas_exit_2_name_the_key_and_write_nothing(self, tmp_path, capsys, etas, beta_spec, message):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas=etas)
+        if beta_spec:
+            text = text.replace("[optimizer]\n", f"[optimizer]\nbeta_spec = {beta_spec}\n")
         out = tmp_path / "o"
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err  # a value the loader refuses follows the file name
         assert not out.exists()
+
+    def test_run_beta_c_is_an_unknown_key(self, tmp_path, capsys):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01") + "beta_c = 0.5\n"
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
+        assert "e.ini: unknown key run.beta_c" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta_spec, c", [(None, 1.0), ("schedule", 1.0), ("schedule:0.5", 0.5)])
+    def test_the_beta_schedule_constant_comes_from_beta_spec(self, tmp_path, beta_spec, c):
+        # The golden config estimation-scaling-diagonal-constants pins the bytes of schedule:0.5.
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
+        if beta_spec is not None:
+            text = text.replace("[optimizer]\n", f"[optimizer]\nbeta_spec = {beta_spec}\n")
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 0
+        _, rows = read_summary(out / "scaling.csv")
+        assert [(r["eta"], r["beta"]) for r in rows] == [
+            (repr(eta), repr(beta_schedule(eta, c))) for eta in (0.01, 0.003)]
 
     def test_more_than_one_seed_exits_2_naming_run_seeds(self, tmp_path, capsys):
         text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace("seeds = 5", "seeds = 17,18,19")
@@ -695,18 +731,20 @@ class TestReport:
             assert float(band["f_p90"]) == f
 
     def test_mixed_schema_exit_2(self, tmp_path):
-        cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 20")))
+        text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 20"), "optimizer.eta", "0.01")
+        cfg = load_config(write_config(tmp_path / "cfg.ini", text))
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         sum_a = cmd_run(cfg, str(out_a))
-        sum_b = cmd_sweep(cfg, "optimizer.eta", ["0.01"], str(out_b))
+        sum_b = cmd_sweep(cfg, str(out_b))
         assert main(["report", sum_a, sum_b, "--out", str(tmp_path / "r")]) == 2
 
     def test_differing_iteration_grids_exit_2_and_write_nothing(self, tmp_path, capsys):
         summaries = []
         for t in (20, 30):
-            cfg = load_config(write_config(tmp_path / f"{t}.ini", SADDLE_CFG.replace("t = 200", f"t = {t}")))
-            summaries.append(cmd_run(cfg, str(tmp_path / f"run{t}"), seed_offset=t))  # disjoint seeds
+            text = SADDLE_CFG.replace("t = 200", f"t = {t}").replace("seeds = 0,1,2", f"seeds = {t},{t + 1}")
+            cfg = load_config(write_config(tmp_path / f"{t}.ini", text))  # disjoint seeds
+            summaries.append(cmd_run(cfg, str(tmp_path / f"run{t}")))
         out = tmp_path / "r"
         assert main(["report", *summaries, "--out", str(out)]) == 2
         assert "iteration grid differs within condition 'run'" in capsys.readouterr().err
@@ -724,11 +762,14 @@ class TestReport:
         assert not out.exists()
 
     def test_shards_with_disjoint_seeds_merge_into_the_band_of_one_run(self, tmp_path):
-        text = SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 0,1").replace("t = 200", "t = 20")
-        cfg = load_config(write_config(tmp_path / "cfg.ini", text))
-        shards = [cmd_run(cfg, str(tmp_path / f"shard{offset}"), seed_offset=offset) for offset in (0, 2)]
-        whole = cmd_run(load_config(write_config(tmp_path / "whole.ini", text.replace("seeds = 0,1", "seeds = 0,1,2,3"))),
-                        str(tmp_path / "whole"))
+        text = SADDLE_CFG.replace("t = 200", "t = 20")
+
+        def run_seeds(name, seeds):
+            return cmd_run(load_config(write_config(tmp_path / f"{name}.ini", text.replace("0,1,2", seeds))),
+                           str(tmp_path / name))
+
+        shards = [run_seeds("shard0", "0,1"), run_seeds("shard2", "2,3")]  # two configs with disjoint seeds
+        whole = run_seeds("whole", "0,1,2,3")
         assert main(["report", *shards, "--out", str(tmp_path / "rep_shards")]) == 0
         assert main(["report", whole, "--out", str(tmp_path / "rep_whole")]) == 0
         merged = (tmp_path / "rep_shards" / "bands.csv").read_bytes()
@@ -770,18 +811,40 @@ class TestReport:
 
 
 class TestEveryFlagIsRead:
-    # A flag and the keyword of the runner.cmd_* that reads it.
-    KEYWORDS = {"--out": "out_dir", "--jobs": "jobs", "--seed-offset": "seed_offset"}
-    READ_BY_MAIN = {"sweep": {"--axis", "--values"}}
+    # A flag and the keyword of the runner.cmd_* that reads it: where the output goes and how to run.
+    KEYWORDS = {"--out": "out_dir", "--jobs": "jobs"}
+    # Everything else an experiment is comes from its config.
+    FLAGS = {"run": {"--out", "--jobs"}, "sweep": {"--out", "--jobs"}, "estimation-scaling": {"--out", "--jobs"},
+             "report": {"--out"}}
 
     def test_each_subcommand_declares_only_the_flags_it_reads(self):
-        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert sorted(subparsers.choices) == ["estimation-scaling", "report", "run", "sweep"]
-        for command, parser in subparsers.choices.items():
-            declared = {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        parser = build_parser()
+        assert {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"} == {
+            "--out", "--jobs"}  # each only to refuse it before the subcommand
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subparsers.choices) == sorted(self.FLAGS)
+        for command, sub in subparsers.choices.items():
+            declared = {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
             params = inspect.signature(getattr(runner, "cmd_" + command.replace("-", "_"))).parameters
             read = {flag for flag, keyword in self.KEYWORDS.items() if keyword in params}
-            assert declared == read | self.READ_BY_MAIN.get(command, set()), command
+            assert declared == read == self.FLAGS[command], command
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "estimation-scaling"])
+    @pytest.mark.parametrize("flag, value", [("--axis", "optimizer.epsilon"), ("--values", "0.1"),
+                                             ("--seed-offset", "3")])
+    def test_a_flag_that_would_change_what_runs_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        if command == "estimation-scaling":
+            text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01")
+        else:
+            text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 5"), "optimizer.eta", "0.01")
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "o"
+        assert main([command, cfg, "--out", str(tmp_path / "ok"), "--jobs", "1"]) == 0  # the config alone runs
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, flag, value, "--out", str(out), "--jobs", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 LARGE_STEP_CFG = """
@@ -968,6 +1031,7 @@ class TestAutoLeavesNoKeyUnread:
         "auto, key, value",
         [(auto, f"optimizer.{key}", "0") for auto, mode in AUTO_MODES.items() for key in mode.requires + mode.reads]
         + [("second_order", "optimizer.tau", "-1"), ("second_order", "optimizer.k_const", "1"),
+           ("second_order", "optimizer.delta", "7"), ("second_order", "optimizer.delta", "1.5"),
            (None, "run.lambda_min_every", "-2"), (None, "run.log_every", "0")],
     )
     def test_a_number_out_of_range_exits_2_naming_its_key(self, tmp_path, capsys, auto, key, value):
@@ -979,6 +1043,16 @@ class TestAutoLeavesNoKeyUnread:
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path / "c.ini", "\n".join(lines)), "--out", str(out), "--jobs", "1"]) == 2
         assert f"error: {key}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_delta_above_1_exits_2_before_the_calculator_runs(self, tmp_path, capsys):
+        text = open(auto_config(tmp_path, "second_order", algorithm="large_step"), encoding="utf-8").read()
+        text = text.replace("delta = 1\n", "delta = 7\n").replace("schedule:0.5", "schedule")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the calculator warns on such a delta; it must not be reached
+            assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert "error: optimizer.delta: must be in (0, 1.0] for auto=second_order, got 7.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_second_order_rejects_a_fixed_beta_and_reads_a_schedule(self, tmp_path, capsys):
@@ -1026,7 +1100,7 @@ class TestConfigErrorsBeforeAnyRun:
 
     def test_estimation_scaling_without_exact_g_exits_2(self, tmp_path, capsys):
         text = LOGISTIC_CFG.replace("[optimizer]\n", "[optimizer]\nalgorithm = rmsprop_burnin\n")
-        text += "etas = 0.01,0.003\n"
+        text = text.replace("beta_spec = 0.9", "beta_spec = schedule") + "etas = 0.01,0.003\n"
         out = tmp_path / "o"
         assert main(["estimation-scaling", write_config(tmp_path / "c.ini", text), "--out", str(out)]) == 2
         assert "logistic_synthetic has no exact_G oracle, which est_error tracking needs" in capsys.readouterr().err
@@ -1034,8 +1108,8 @@ class TestConfigErrorsBeforeAnyRun:
 
     def test_a_sweep_resolves_every_condition_before_running_one(self, tmp_path, capsys):
         out = tmp_path / "o"
-        argv = ["sweep", write_config(tmp_path / "c.ini", SADDLE_CFG), "--axis", "optimizer.algorithm",
-                "--values", "rmsprop,large_step", "--out", str(out), "--jobs", "1"]
+        text = with_sweep(SADDLE_CFG, "optimizer.algorithm", "rmsprop,large_step")
+        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert "optimizer.r and optimizer.t_thresh: required for large_step" in capsys.readouterr().err
         assert not out.exists()
@@ -1049,8 +1123,8 @@ class TestConfigErrorsBeforeAnyRun:
     def test_a_sweep_condition_the_run_rejects_stops_the_sweep_before_any_runs(self, tmp_path, capsys, axis, values,
                                                                                message):
         out = tmp_path / "o"
-        argv = ["sweep", write_config(tmp_path / "c.ini", LARGE_STEP_CFG), "--axis", axis, "--values", values,
-                "--out", str(out), "--jobs", "1"]
+        text = with_sweep(LARGE_STEP_CFG, axis, values)
+        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -1088,8 +1162,8 @@ class TestConfigErrorsBeforeAnyRun:
         text = "[problem]\nname = counterexample\nc = 3\nzeta = 1\n[optimizer]\nalgorithm = sgd\neta = 0.01\n" \
                "[run]\nseeds = 0\nt = 5\n"
         out = tmp_path / "o"
-        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--axis", "problem.x0", "--values", "0.5,nan",
-                "--out", str(out), "--jobs", "1"]
+        text = with_sweep(text, "problem.x0", "0.5,nan")
+        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert "error: problem.x0: expected a finite number, got 'nan'" in capsys.readouterr().err
         assert not out.exists()
@@ -1221,6 +1295,14 @@ class TestTheProblemTableAndTheSchemaAgree:
         cfg = write_config(tmp_path / "c.ini", text.replace("dim = 2", "dim = 3"))
         assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert "error: problem.h_diag/noise_diag must have length problem.dim" in capsys.readouterr().err
+
+    def test_a_quadratic_whose_diagonal_overflows_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        text = ("[problem]\nname = quadratic_gaussian\ndim = 4\nh_diag = 1e308,-0.5,0.2,3\nnoise_diag = 1,1,1,1\n"
+                "[optimizer]\nalgorithm = sgd\neta = 0.01\n[run]\nseeds = 0\nt = 3\n")
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert "error: problem.h_diag/noise_diag: H and noise_cov entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestResolvedRunIsPlainData:
