@@ -2,7 +2,9 @@
 
 Flat INI-style configs with [problem], [optimizer], [run] and an
 optional [sweep] section, the only home of a sweep's axis and values: a
-config states every condition it runs. Every key is typed against a
+config states every condition it runs. A subcommand refuses what only
+another one reads (``runner._refuse_unread``): [sweep] outside sweep,
+run.etas and run.est_window_factor outside estimation-scaling. Every key is typed against a
 per-section schema and unknown keys are errors, not warnings: a silently
 misspelled key would corrupt a sweep. So is a key only
 ``optimizer.auto`` reads, without it or under a mode that does not read

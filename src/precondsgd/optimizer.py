@@ -21,6 +21,12 @@ computation. So a seed's trajectory is bitwise identical whichever seeds
 run beside it, and identical (problem, hyperparameters, seed) triples
 produce bitwise-identical trajectories. A seed that fails (divergence, a
 singular matrix) stops there; the others run on.
+
+Per logged event the loop evaluates only what its control reads: f, for
+the divergence guard. The columns it never reads back, ||grad f||,
+lambda_min(H) and the reference side of est_error, are filled after the
+event, once per chunk of logged events, from the iterates (and Ahat's
+spectra) kept for it; each row keeps the bits of its own per-event call.
 """
 
 from __future__ import annotations
@@ -35,7 +41,14 @@ import numpy as np
 from .errors import InvalidParamError, NonFiniteError, NumericError
 from .estimation import _ceil_int, beta_schedule, burn_in_length, hallucination_count
 from .linalg import eigvalsh
-from .precond import COVARIANCE_FULL_MATRIX, Preconditioner, PreconditionerConstants, PreconditionerKind, estimates
+from .precond import (
+    COVARIANCE_FULL_MATRIX,
+    Preconditioner,
+    PreconditionerConstants,
+    PreconditionerKind,
+    _dense,
+    estimates,
+)
 from .problems import StochasticProblem
 
 STEP_NORMAL = "normal"
@@ -199,6 +212,13 @@ ALGORITHMS = {
 }
 
 
+# The logged columns that the loop never reads back are filled once per
+# chunk of logged events. A chunk holds about this many bytes of (d, d)
+# matrices, one per seed and event: Ahat's captured spectra, and the
+# stacked G(x) and Hessians of the chunk's oracle calls.
+LOG_CHUNK_BYTES = 65536
+
+
 # Overflow on a diverging seed is expected: the divergence guard and the
 # finite-iterate check stop that seed and name the event, so numpy's
 # warnings would only repeat it.
@@ -220,6 +240,17 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     DIVERGENCE_F_LIMIT, whose iterate stops being finite or whose matrix
     power fails stops with the error in its Trajectory; the other seeds
     run on.
+
+    A logged event evaluates f at once, for the divergence guard, and
+    keeps its iterate and, when est_error is tracked, Ahat's spectrum
+    there. ||grad f||, lambda_min(H) and est_error's reference side
+    (G(x), its matrix power and the difference's eigenvalues) are filled
+    in after the event, for a chunk of logged events at a time (see
+    LOG_CHUNK_BYTES) and in one stacked call per oracle. If a call fails,
+    the chunk is evaluated again event by event, so a seed whose oracle
+    fails at a logged event ends as it would had it been evaluated there:
+    stopped at that event, unlogged, with that error, in place of any
+    later stop.
     """
     rngs = list(rngs)
     n_seeds = len(rngs)
@@ -237,39 +268,58 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     large_steps = hp.t_thresh is not None
     hallucinating = large_steps and estimating
     decaying = hp.eta_decay == "inv_sqrt"
+    tracking = run.track_est_error and estimating
+    hessian_logged = lambda_min_every > 0 and problem.has_hessian
 
     # Columns for every seed, one slot per event that can be logged.
     n_events = hp.W + T + (((T - 1) // hp.t_thresh + 1) * (hp.S + 1) if hallucinating else 0)
     capacity = (n_events - 1) // log_every + 2
     iteration = np.empty(capacity, dtype=np.int64)
     step_kind = np.empty(capacity, dtype=object)
+    hessian_due = np.zeros(capacity, dtype=bool)
     f_col = np.empty((n_seeds, capacity))
     grad_norm_col = np.empty((n_seeds, capacity))
     lambda_col = np.full((n_seeds, capacity), np.nan)
     error_col = np.full((n_seeds, capacity), np.nan)
     x_col = np.empty((n_seeds, capacity, dim))
-    logged = 0
+    logged = flushed = 0
     ev = -hp.W  # the current event's index: burn-in takes -W..-1
-    lengths = np.zeros(n_seeds, dtype=np.int64)
+    # The logged events of each seed: capacity while it runs.
+    lengths = np.full(n_seeds, capacity, dtype=np.int64)
     errors: list[NumericError | None] = [None] * n_seeds
+
+    # Logged events per chunk, and Ahat's spectrum at each logged event of
+    # the chunk, by slot mod chunk and seed.
+    chunk = max(1, LOG_CHUNK_BYTES // (n_seeds * dim * dim * 8))
+    if tracking:
+        a_kept = np.empty((chunk, n_seeds, dim))
+        v_kept = None if pre.diagonal else np.empty((chunk, n_seeds, dim, dim))
+    # The seeds whose Ahat failed at the event they stopped at: the oracles
+    # that come before Ahat at a logged event still run for them there.
+    ahat_failed = np.zeros(n_seeds, dtype=bool)
 
     # The seeds still running: their positions in rngs and their rows of
     # every per-seed array in flight ("x" the iterates).
     live = np.arange(n_seeds)
     rows = {"x": np.tile(x, (n_seeds, 1))}
 
-    def freeze(bad, error_for) -> None:
-        """Stop the live seeds marked in ``bad``; error_for(i) is live seed i's error."""
+    def drop(keep) -> None:
+        """Keep only the live seeds marked in ``keep``."""
         nonlocal live, rngs
-        for i in np.flatnonzero(bad):
-            errors[live[i]] = error_for(i)
-            lengths[live[i]] = logged
-        keep = ~bad
+        if keep.all():
+            return
         live = live[keep]
         rngs = [rng for rng, k in zip(rngs, keep) if k]
         pre.keep(keep)
         for name, value in rows.items():
             rows[name] = value[keep]
+
+    def freeze(bad, error_for) -> None:
+        """Stop the live seeds marked in ``bad`` at this event; error_for(i) is live seed i's error."""
+        for i in np.flatnonzero(bad):
+            errors[live[i]] = error_for(i)
+            lengths[live[i]] = logged
+        drop(~bad)
 
     def guarded(op, *args):
         """op(*args) over the live seeds; the seeds it fails for stop, and it reruns on the rest."""
@@ -280,8 +330,6 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
                 freeze(np.ones(live.size, dtype=bool) if err.rows is None else err.rows, lambda i: err)
         return None
 
-    tracking = run.track_est_error and estimating
-
     def draw_sample(at):
         g = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
         if covariance:
@@ -289,45 +337,93 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
             return g, (g - g2) / math.sqrt(2.0)
         return g, g
 
-    def tracked_error(at):
-        if not tracking:
-            return np.nan
-        if pre.diagonal:
-            return pre.est_error(problem, at)
-        diff = pre.dense(problem, at)
-        diff -= _defect_reference(*pre._ideal_spectrum(problem, at))
-        return np.abs(eigvalsh(diff)).max(axis=-1)
-
-    def oracles(at: str, hess_due: bool):
-        """lambda_min(H) (NaN unless due), ||grad f|| and the tracked est_error at rows[at]."""
-        points = rows[at]
-        lam_h = problem.hessian(points) if hess_due else np.nan
+    def curvature(b, s) -> None:
+        """lambda_min(H) where due and ||grad f|| at the logged (seed, slot) rows (b, s)."""
+        points = x_col[b, s]
+        due = hessian_due[s]
+        if due.any():
+            lambda_col[b[due], s[due]] = problem.hessian(points[due])
         g = problem.grad(points)
-        return lam_h, np.sqrt(np.vecdot(g, g)), tracked_error(points)
+        grad_norm_col[b, s] = np.sqrt(np.vecdot(g, g))
 
-    def log(at: str, kind_label: str, t_for_hess: int | None) -> None:
+    def reference(b, s) -> None:
+        """est_error at the logged rows (b, s), from Ahat's spectra kept there: for the full
+        matrix, the largest |eigenvalue| of Ahat - _defect_reference."""
+        a, points = a_kept[s % chunk, b], x_col[b, s]
+        if v_kept is None:
+            error_col[b, s] = pre.est_error(problem, points, (a, None))
+            return
+        diff = _dense(a, v_kept[s % chunk, b])
+        diff -= _defect_reference(*pre._ideal_spectrum(problem, points))
+        error_col[b, s] = np.abs(eigvalsh(diff)).max(axis=-1)
+
+    def each_event(first: int) -> None:
+        """Fill the slots first..logged-1 again, each oracle a guarded call over one event's seeds.
+
+        A seed the call fails for stops at that slot, its first failure,
+        with that error: in place of a later stop, and at once if it runs.
+        """
+        for slot in range(first, logged):
+            b = np.flatnonzero(slot < lengths + ahat_failed)
+            for op in (curvature, reference) if tracking else (curvature,):
+                if op is reference:
+                    b = b[slot < lengths[b]]  # a seed whose Ahat failed here keeps that error
+                while b.size:
+                    try:
+                        op(b, np.full(b.size, slot))
+                        break
+                    except NumericError as err:
+                        bad = np.ones(b.size, dtype=bool) if err.rows is None else err.rows
+                        for i in b[bad]:
+                            errors[i] = err
+                        lengths[b[bad]] = slot
+                        ahat_failed[b[bad]] = False
+                        drop(~np.isin(live, b[bad]))
+                        b = b[~bad]
+
+    def flush() -> None:
+        """Fill the deferred columns of the slots logged since the last flush, in one call per oracle."""
+        nonlocal flushed
+        first, flushed = flushed, logged
+        b, s = np.nonzero(np.arange(first, logged) < (lengths + ahat_failed)[:, None])
+        s += first
+        kept = s < lengths[b]
+        try:
+            if b.size:
+                curvature(b, s)
+            if tracking and kept.any():
+                reference(b[kept], s[kept])
+        except NumericError:
+            each_event(first)
+
+    def log(at: str, kind_label: str, t: int | None) -> None:
         """Log the current event ev at the points rows[at] of the live seeds."""
         nonlocal logged
         rows["f"] = f_val = problem.eval_f(rows[at])
         if not np.abs(f_val).max() <= DIVERGENCE_F_LIMIT:  # also for NaN and inf
             within = np.abs(f_val) <= DIVERGENCE_F_LIMIT
             freeze(~within, lambda i: NonFiniteError(f"objective diverged (f={float(f_val[i])}) at event {ev}"))
-        hess_due = (
-            lambda_min_every > 0
-            and t_for_hess is not None
-            and t_for_hess % lambda_min_every == 0
-            and problem.has_hessian
-        )
-        values = guarded(oracles, at, hess_due)
-        if values is None:
+        if not live.size:
             return
         seeds = slice(None) if live.size == n_seeds else live
         iteration[logged] = ev
         step_kind[logged] = kind_label
+        hessian_due[logged] = hessian_logged and t is not None and t % lambda_min_every == 0
         f_col[seeds, logged] = rows["f"]
-        lambda_col[seeds, logged], grad_norm_col[seeds, logged], error_col[seeds, logged] = values
         x_col[seeds, logged] = rows[at]
+        if tracking:
+            before = live
+            spectrum = guarded(lambda: pre.spectrum(problem, rows[at]))
+            if live.size < before.size:
+                ahat_failed[np.setdiff1d(before, live)] = True
+            if spectrum is not None:
+                seeds = slice(None) if live.size == n_seeds else live
+                a_kept[logged % chunk, seeds] = spectrum[0]
+                if v_kept is not None:
+                    v_kept[logged % chunk, seeds] = spectrum[1]
         logged += 1
+        if logged - flushed == chunk:
+            flush()
 
     def event(at: str, kind_label: str, eta_t: float, t: int | None = None) -> None:
         """One event at rows[at]: draw, observe, and at step t keep the sample
@@ -376,6 +472,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
                 event("xs", STEP_HALLUCINATED, eta_t)
 
     lengths[live] = logged
+    flush()
     return [
         Trajectory(
             iteration=iteration[:n],

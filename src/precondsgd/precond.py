@@ -93,8 +93,9 @@ class Preconditioner:
     ``observe(g, beta)`` applies Ghat <- beta Ghat + (1-beta) g g^T (a no-op
     unless estimating); with ``bias_corrected`` Ghat is divided by
     1 - prod(beta_t), which is exact under a changing beta.
-    ``direction(problem, x, g)`` returns A g, ``dense(problem, x)`` returns
-    A, and ``est_error(problem, x)`` returns ||Ahat - A(x)||_op against the
+    ``direction(problem, x, g)`` returns A g, ``spectrum(problem, x)`` the
+    (a, V) with A = V diag(a) V^T of a non-identity form, and
+    ``est_error(problem, x)`` returns ||Ahat - A(x)||_op against the
     idealized form. The estimated form keeps its eigendecomposition until
     the next ``observe``. A SingularMatrixError marks in ``rows`` the seeds
     whose matrix failed; ``keep`` drops seeds. Instances are mutable: use
@@ -148,32 +149,32 @@ class Preconditioner:
         self._point_shape = (self.batch, self.dim)
 
     def direction(self, problem, x, g):
-        """The preconditioned direction A g, for a vector g or a stack (use ``dense`` for A itself)."""
+        """The preconditioned direction A g, for a vector g or a stack of them."""
         if self.kind.variant == IDENTITY:
             return g
-        a, v = self._spectrum(problem, x)
+        a, v = self.spectrum(problem, x)
         if v is None:
             return a * g
         return np.matvec(v, a * np.vecmat(g, v))
 
-    def dense(self, problem, x) -> np.ndarray:
-        """A as a dense matrix, or a stack of them."""
-        if self.kind.variant == IDENTITY:
-            return np.eye(self.dim)
-        return _dense(*self._spectrum(problem, x))
+    def est_error(self, problem, x, spectrum=None):
+        """||Ahat - A(x)||_op with the idealized form as ground truth; 0 unless estimating.
 
-    def est_error(self, problem, x):
-        """||Ahat - A(x)||_op with the idealized form as ground truth; 0 unless estimating."""
+        ``spectrum``, when given, is Ahat's (a, V) as ``spectrum`` returned
+        it, kept from earlier estimates (one row per point of x); by default
+        it is the current estimate's.
+        """
         if not self.estimating:
             return 0.0
-        a, v = self._spectrum(problem, x)
+        a, v = self.spectrum(problem, x) if spectrum is None else spectrum
         a_ref, v_ref = self._ideal_spectrum(problem, x)
         if v is None:
             return np.abs(a - a_ref).max(axis=-1)
         diff = _dense(a, v) - _dense(a_ref, v_ref)
         return np.abs(eigvalsh(diff)).max(axis=-1)
 
-    def _spectrum(self, problem, x):
+    def spectrum(self, problem, x):
+        """(a, V) with A = V diag(a) V^T, of a non-identity form; V is None when diagonal."""
         if not self.estimating:
             return self._ideal_spectrum(problem, x)
         if self._spectrum_cache is None:
@@ -275,6 +276,6 @@ def estimate_m_bound(problem, kind: PreconditionerKind, x, n_samples: int, rng) 
     """
     if n_samples < 1:
         raise InvalidParamError("n_samples must be >= 1")
-    A = Preconditioner(kind, problem.dim).dense(problem, x)
     gs = problem.sample_grad_batch(x, n_samples, rng)
-    return float(np.max(np.linalg.norm(gs @ A.T, axis=1)))
+    steps = Preconditioner(kind, problem.dim).direction(problem, x, gs)
+    return float(np.max(np.linalg.norm(steps, axis=1)))

@@ -392,6 +392,17 @@ def _seeds(cfg: ExperimentConfig) -> list[int]:
     return seeds
 
 
+def _refuse_unread(cfg: ExperimentConfig, command: str) -> None:
+    """A ConfigError naming the first part of cfg that only a subcommand other than ``command`` reads."""
+    read_only_by = {
+        "estimation-scaling": [f"run.{key}" for key in ("etas", "est_window_factor") if key in cfg.run],
+        "sweep": ["[sweep]"] if cfg.sweep else [],
+    }
+    for reader, parts in read_only_by.items():
+        if reader != command and parts:
+            raise ConfigError(f"{parts[0]}: read only by {reader}, not by {command}")
+
+
 def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
     """Run each (run_id, cfg) condition over the seeds with ``group``; return the rows.
 
@@ -422,6 +433,7 @@ def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """One condition x all seeds; returns the summary path."""
+    _refuse_unread(cfg, "run")
     seeds = _seeds(cfg)
     rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), [("run", cfg)], seeds, jobs)
     rows.sort(key=lambda r: r["seed"])
@@ -432,6 +444,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """Cross-product of the values of sweep.axis (both from [sweep]) and the seeds, merged into one summary."""
+    _refuse_unread(cfg, "sweep")
     for key in ("axis", "values"):
         if key not in cfg.sweep:
             raise ConfigError(f"sweep.{key}: required for sweep")
@@ -482,10 +495,12 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -
     longer), run.track_est_error and run.log_every. A fixed beta_spec
     (one beta cannot serve several etas), kind = identity (no estimate),
     optimizer.auto (which would set eta), an eta_decay other than none
-    (each row is fitted against its constant eta), and an eta that
-    repeats or has no beta(eta) in (0, 1) are ConfigErrors. Neither a
-    ConfigError nor a numeric failure writes a file.
+    (each row is fitted against its constant eta), an eta that repeats
+    or has no beta(eta) in (0, 1), and a [sweep] section (which it would
+    not read) are ConfigErrors. Neither a ConfigError nor a numeric
+    failure writes a file.
     """
+    _refuse_unread(cfg, "estimation-scaling")
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")

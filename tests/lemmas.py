@@ -26,6 +26,15 @@ REL_SLACK = 1e-12
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
+def dense(pre, problem, x):
+    """A of a Preconditioner as a dense matrix, or a stack of them: V diag(a) V^T of its spectrum."""
+    from precondsgd.precond import _dense
+
+    if pre.kind.variant == "identity":
+        return np.eye(pre.dim)
+    return _dense(*pre.spectrum(problem, x))
+
+
 def rng_for(seed):
     """The Philox stream of ``runner.make_rng``."""
     return np.random.Generator(np.random.Philox(seed))

@@ -1,0 +1,346 @@
+"""The logged columns that the loop never reads back, and the failures of their oracles.
+
+``run_sgd`` evaluates ||grad f||, lambda_min(H) and est_error's reference
+side for a chunk of logged events at once. A seed whose oracle fails at
+a logged event must still stop there, with the error and the partial
+trajectory it had when every event evaluated its own oracles; and the
+oracles must not be called once per logged event.
+"""
+
+import hashlib
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from lemmas import rng_for
+from precondsgd import (
+    HyperParams,
+    NonFiniteError,
+    Preconditioner,
+    PreconditionerKind,
+    QuadraticGaussianProblem,
+    Run,
+    SaddleProblem2D,
+    SingularMatrixError,
+    StochasticProblem,
+    run_sgd,
+)
+from precondsgd.errors import NumericError
+from precondsgd.linalg import eigh, eigvalsh
+from precondsgd.optimizer import LOG_CHUNK_BYTES, _defect_reference
+from precondsgd.precond import _dense
+
+COLUMNS = ("iteration", "step_kind", "f", "grad_norm", "lambda_min_h", "est_error", "x")
+SEEDS = range(60, 66)
+
+
+class FailingPastProblem(StochasticProblem):
+    """f = x_1^2/2 - x_0 with unit Gaussian gradient noise: x_0 drifts up, each seed at its own pace.
+
+    Past x_0 = g_at, G(x) has a negative eigenvalue (so its matrix power
+    fails); past h_at, ``hessian`` raises a NumericError that marks those
+    rows; past f_at, f is inf (so the divergence guard stops the seed).
+    """
+
+    dim = 2
+
+    def __init__(self, g_at=math.inf, h_at=math.inf, f_at=math.inf):
+        self.g_at, self.h_at, self.f_at = g_at, h_at, f_at
+
+    def eval_f(self, x):
+        x = np.asarray(x)
+        f = np.where(x[..., 0] > self.f_at, np.inf, 0.5 * x[..., 1] ** 2 - x[..., 0])
+        return float(f) if x.ndim == 1 else f
+
+    def grad(self, x):
+        x = np.asarray(x)
+        g = np.empty(x.shape)
+        g[..., 0] = -1.0
+        g[..., 1] = x[..., 1]
+        return g
+
+    def sample_grad(self, x, rng):
+        return self.grad(x) + rng.standard_normal(2)
+
+    def exact_G(self, x):
+        x = np.asarray(x)
+        g = self.grad(x)
+        G = g[..., :, None] * g[..., None, :] + np.eye(2)
+        G[..., 1, 1] = np.where(x[..., 0] > self.g_at, -1.0, G[..., 1, 1])
+        return G
+
+    def hessian(self, x):
+        x = np.asarray(x)
+        bad = x[..., 0] > self.h_at
+        if bad.any():
+            raise NumericError(f"hessian fails past x_0 = {self.h_at}", rows=bad if x.ndim == 2 else None)
+        return np.zeros(x.shape[:-1]) if x.ndim == 2 else 0.0
+
+
+def tracked_run(log_every, epsilon=1e-3):
+    """Full-matrix RMSProp with burn-in, est_error tracked, lambda_min(H) at every second step."""
+    hp = HyperParams(eta=0.05, beta=0.9, W=3)
+    return Run(PreconditionerKind("full_matrix", epsilon), "estimated", False, hp, 120, (0.0, 0.5),
+               log_every=log_every, track_est_error=True, lambda_min_every=2)
+
+
+def digest(trajectories):
+    """sha256 of every seed's length, error and columns."""
+    h = hashlib.sha256()
+    for traj in trajectories:
+        h.update(f"{len(traj)} {type(traj.error).__name__} {traj.error}\n".encode())
+        h.update("|".join(traj.step_kind.tolist()).encode())
+        for name in COLUMNS:
+            if name != "step_kind":
+                h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+    return h.hexdigest()
+
+
+def expected_stop(healthy, problem):
+    """(logged length, error type, message) of a healthy trajectory under problem's thresholds.
+
+    The first logged event past a threshold stops the seed, checked in the
+    order of a logged event: the divergence guard, lambda_min(H) (where it
+    is due), then est_error's G(x). None when no threshold is passed.
+    """
+    x0 = healthy.x[:, 0]
+    for i in range(len(healthy)):
+        if x0[i] > problem.f_at:
+            return i, NonFiniteError, f"objective diverged (f=inf) at event {healthy.iteration[i]}"
+        if not np.isnan(healthy.lambda_min_h[i]) and x0[i] > problem.h_at:
+            return i, NumericError, f"hessian fails past x_0 = {problem.h_at}"
+        if x0[i] > problem.g_at:
+            return i, SingularMatrixError, "lambda_min(G) + eps not positive"
+    return None
+
+
+# name -> the thresholds; the digests were recorded when every logged event evaluated its own oracles.
+CASES = {
+    "exact_G": dict(g_at=4.0),
+    "hessian": dict(h_at=4.0),
+    "exact_G-before-guard": dict(g_at=3.6, f_at=3.8),
+    "guard-before-exact_G": dict(g_at=3.8, f_at=3.6),
+}
+DIGESTS = {
+    ("exact_G", 1): "b34bf68f7d3ca7804a1e6500b243fce02cc7962aba463bb34acdc75321218275",
+    ("exact_G", 7): "d8c6ff5f6d391a6d92b4740d711378aad34030fd0966ede44c45acaa4ffd40e3",
+    ("hessian", 1): "7a61ac3e80e5fcdca1b85388ad22ceef2329bfc3e7fad4c76e42c549e527181a",
+    ("hessian", 7): "c81e4bd79cdc193fad23e5cf8805381cdfbc7ca97f6d182ff1cdce356074ada8",
+    ("exact_G-before-guard", 1): "1a7bd0af28eb21281e85990c3c1903aa09e1e3ee4871347528bc195d94ac4403",
+    ("exact_G-before-guard", 7): "eb0ce4157d284e602ee30035e1d827877387e87a5f4e07c21125c45ef43a0754",
+    ("guard-before-exact_G", 1): "27d609988157f231a2b04dd8ad99938675d7ddf67fba71d3e0c2f4c1f35614a4",
+    ("guard-before-exact_G", 7): "2c1fe34d4c65fac4f60dd26168b998c1702771b0ebd1b042e6e742335660fe2e",
+}
+
+
+@pytest.mark.parametrize("log_every", [1, 7])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_failing_logged_oracle_stops_its_seed_at_that_event(case, log_every):
+    """Each seed is its healthy twin's trajectory up to the first logged event past a threshold.
+
+    The twin runs the same draws on a problem without thresholds. All six
+    seeds share one chunk of logged events, so the chunk's stacked oracle
+    call fails and the chunk is evaluated again event by event.
+    """
+    problem = FailingPastProblem(**CASES[case])
+    run = tracked_run(log_every)
+    healthy = run_sgd(FailingPastProblem(), run, [rng_for(s) for s in SEEDS])
+    failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
+    assert len(SEEDS) * 2 * 2 * 8 * (run.hp.W + run.T) <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
+    stops = [expected_stop(h, problem) for h in healthy]
+    assert sum(stop is not None for stop in stops) >= 2
+    for twin, traj, stop in zip(healthy, failing, stops):
+        assert twin.error is None
+        n = len(twin) if stop is None else stop[0]
+        assert len(traj) == n
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(traj, name), getattr(twin, name)[:n], err_msg=name)
+        if stop is None:
+            assert traj.error is None
+        else:
+            assert type(traj.error) is stop[1] and str(traj.error) == stop[2]
+    assert digest(failing) == DIGESTS[case, log_every]
+
+
+def test_a_deferred_failure_replaces_a_later_guard_stop():
+    """A seed past g_at at one logged event and past f_at at a later one ends with G's error."""
+    problem = FailingPastProblem(**CASES["exact_G-before-guard"])
+    healthy = run_sgd(FailingPastProblem(), tracked_run(1), [rng_for(s) for s in SEEDS])
+    failing = run_sgd(problem, tracked_run(1), [rng_for(s) for s in SEEDS])
+    both = [i for i, h in enumerate(healthy) if (h.x[:, 0] > problem.f_at).any()]
+    assert both
+    for i in both:
+        assert isinstance(failing[i].error, SingularMatrixError)
+        assert failing[i].x[:, 0].max() <= problem.g_at < healthy[i].x[len(failing[i]), 0]
+
+
+class FlatSecondCoordinateProblem(FailingPastProblem):
+    """FailingPastProblem with noise in x_0 alone: from x_1 = 0 every sample is (g_0, 0)."""
+
+    def sample_grad(self, x, rng):
+        return self.grad(x) + np.array([rng.standard_normal(), 0.0])
+
+
+def test_a_singular_estimate_at_burn_in_stops_every_seed_before_it_is_logged():
+    """With eps = 0, Ghat = diag(., 0) exactly at the first burn-in event, where only Ahat's spectrum is taken."""
+    run = tracked_run(1, epsilon=0.0)
+    run.x0 = (0.0, 0.0)
+    failing = run_sgd(FlatSecondCoordinateProblem(), run, [rng_for(s) for s in SEEDS])
+    for traj in failing:
+        assert len(traj) == 0
+        assert isinstance(traj.error, SingularMatrixError)
+        assert str(traj.error) == "lambda_min(Ghat) + eps not positive"
+
+
+class StackGradFailsProblem(FlatSecondCoordinateProblem):
+    """FlatSecondCoordinateProblem whose exact gradient of a stack of points fails (its sampler's does not)."""
+
+    def grad(self, x):
+        if np.ndim(x) == 2:
+            raise NumericError("grad fails on a stack")
+        return super().grad(x)
+
+
+def test_a_failing_grad_comes_before_a_failing_estimate_at_the_same_event():
+    """At a logged event ||grad f|| is evaluated before Ahat, so its error is the one each seed keeps."""
+    run = tracked_run(1, epsilon=0.0)
+    run.x0 = (0.0, 0.0)
+    failing = run_sgd(StackGradFailsProblem(), run, [rng_for(s) for s in SEEDS])
+    for traj in failing:
+        assert len(traj) == 0
+        assert type(traj.error) is NumericError and str(traj.error) == "grad fails on a stack"
+
+
+@pytest.mark.parametrize("variant", ["full_matrix", "diagonal"])
+def test_columns_over_many_chunks_have_the_bits_of_a_per_event_evaluation(variant):
+    """||grad f||, lambda_min(H) and est_error at d = 10, over four chunks of one seed and nine of three.
+
+    The per-event evaluation replays the seed's samples into its own
+    Preconditioner and evaluates each logged event's oracles on their own;
+    each seed of the lockstep run has the bits of its run alone.
+    """
+    dim, beta = 10, 0.95
+    diagonal = np.geomspace(1.0, 0.1, dim)
+    problem = QuadraticGaussianProblem(dim, np.diag(diagonal), np.diag(diagonal))
+    kind = PreconditionerKind(variant, 1e-8)
+    run = Run(kind, "estimated", False, HyperParams(eta=0.01, beta=beta, W=20), 300, tuple(np.linspace(1.0, -1.0, dim)),
+              track_est_error=True, lambda_min_every=3)
+    together = run_sgd(problem, run, [rng_for(s) for s in (3, 4, 5)])
+    assert LOG_CHUNK_BYTES // (3 * dim * dim * 8) == 27 and LOG_CHUNK_BYTES // (dim * dim * 8) == 81
+    for seed, traj in zip((3, 4, 5), together):
+        (alone,) = run_sgd(problem, run, [rng_for(seed)])
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name), err_msg=name)
+    traj = together[0]
+    assert len(traj) == 320 and traj.error is None
+    pre = Preconditioner(kind, dim, "estimated", batch=1)
+    rng = rng_for(3)
+    for i, (x, t) in enumerate(zip(traj.x, traj.iteration)):
+        pre.observe(problem.sample_grad(x, rng)[None, :], beta)
+        at = x[None, :]
+        if variant == "diagonal":
+            expected = pre.est_error(problem, at)
+        else:
+            diff = _dense(*pre.spectrum(problem, at))
+            diff -= _defect_reference(*pre._ideal_spectrum(problem, at))
+            expected = np.abs(eigvalsh(diff)).max(axis=-1)
+        assert traj.est_error[i].tobytes() == expected[0].tobytes()
+        g = problem.grad(x)
+        assert traj.grad_norm[i].tobytes() == np.sqrt(np.vecdot(g, g)).tobytes()
+        lam = problem.hessian(x) if t >= 0 and t % 3 == 0 else np.nan
+        np.testing.assert_array_equal(traj.lambda_min_h[i], lam)
+
+
+@pytest.mark.parametrize("n", [1, 7, 81, 4096])
+@pytest.mark.parametrize("dim", [1, 2, 5, 10])
+def test_the_stacked_est_error_steps_have_the_bits_of_one_matrix_calls(n, dim):
+    """_dense, _defect_reference and eigvalsh of an (n, d, d) stack equal their calls on each matrix."""
+    rng = rng_for(91 + dim)
+    m = rng.standard_normal((n, dim, dim))
+    w, v = eigh(m @ m.swapaxes(-1, -2))
+    a = (w + 1e-8) ** -0.5
+    dense, reference = _dense(a, v), _defect_reference(a, v)
+    diff = dense - reference
+    lam = eigvalsh(diff)
+    for i in range(n):
+        assert dense[i].tobytes() == _dense(a[i], v[i]).tobytes()
+        assert dense[i].tobytes() == _dense(a[i:i + 1], v[i:i + 1])[0].tobytes()
+        assert reference[i].tobytes() == _defect_reference(a[i], v[i]).tobytes()
+        assert lam[i].tobytes() == eigvalsh(diff[i]).tobytes()
+
+
+def count_calls(monkeypatch, problem):
+    """Count the calls of the problem's oracles (one made inside another is not counted) and of eigvalsh."""
+    calls = Counter()
+    depth = [0]
+
+    def counted(name, method):
+        def call(*args):
+            calls[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for name in ("eval_f", "grad", "hessian", "exact_G", "sample_grad"):
+        setattr(problem, name, counted(name, getattr(problem, name)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    return calls
+
+
+@pytest.mark.parametrize("T, chunks", [(1000, 3), (905, 2)])
+@pytest.mark.parametrize("tracked", [True, False])
+def test_the_logged_oracles_are_called_once_per_chunk_not_once_per_event(monkeypatch, tracked, T, chunks):
+    """Only f, for the divergence guard, is evaluated at each logged event.
+
+    Two seeds at d = 3 log T + 5 events, in chunks of 65536 // (2 * 9 * 8)
+    = 455 events: one call of each other oracle per chunk, none for the
+    empty rest when 910 events fill two chunks.
+    """
+    problem = QuadraticGaussianProblem(3, np.diag([1.0, 0.5, 0.2]), np.diag([1.0, 0.3, 0.1]))
+    calls = count_calls(monkeypatch, problem)
+    run = Run(PreconditionerKind("full_matrix", 1e-3), "estimated", False, HyperParams(eta=0.01, beta=0.9, W=5), T,
+              (1.0, -1.0, 0.5), track_est_error=tracked, lambda_min_every=1)
+    trajectories = run_sgd(problem, run, [rng_for(7), rng_for(8)])
+    assert [len(traj) for traj in trajectories] == [T + 5, T + 5]
+    assert LOG_CHUNK_BYTES // (2 * 3 * 3 * 8) == 455
+    tracked_calls = chunks if tracked else 0
+    assert calls == Counter(sample_grad=2 * (T + 5), eval_f=T + 5, grad=chunks, hessian=chunks, exact_G=tracked_calls,
+                            eigvalsh=tracked_calls)
+    for traj in trajectories:
+        assert not np.isnan(traj.grad_norm).any() and not np.isnan(traj.lambda_min_h[traj.steps()]).any()
+        assert np.isnan(traj.est_error).any() != tracked
+
+
+def test_a_failing_chunk_is_evaluated_again_event_by_event_and_only_that_chunk(monkeypatch):
+    """The exact_G case's one chunk fails in its stacked call, then makes one call per logged event.
+
+    Each seed that fails at an event reruns that event's call on the
+    others, as the event's own guarded call did. The healthy twin's run
+    makes one call in all.
+    """
+    problem = FailingPastProblem(**CASES["exact_G"])
+    calls = count_calls(monkeypatch, problem)
+    trajectories = run_sgd(problem, tracked_run(1), [rng_for(s) for s in SEEDS])
+    failed = sum(traj.error is not None for traj in trajectories)
+    assert failed == 4 and max(len(traj) for traj in trajectories) == 123
+    assert calls["eigvalsh"] == 123
+    assert calls["exact_G"] == 1 + 123 + failed
+    healthy = FailingPastProblem()
+    calls = count_calls(monkeypatch, healthy)
+    run_sgd(healthy, tracked_run(1), [rng_for(s) for s in SEEDS])
+    assert calls["exact_G"] == calls["eigvalsh"] == calls["grad"] == 1
+
+
+def test_the_saddle_logs_lambda_min_once_per_chunk(monkeypatch):
+    """Eight seeds at d = 2 log in chunks of 256 events."""
+    problem = SaddleProblem2D()
+    calls = count_calls(monkeypatch, problem)
+    run = Run(PreconditionerKind("full_matrix", 1e-8), "estimated", False, HyperParams(eta=0.01, beta=0.99), 600,
+              lambda_min_every=1)
+    run_sgd(problem, run, [rng_for(s) for s in range(8)])
+    assert calls == Counter(sample_grad=8 * 600, eval_f=600, grad=3, hessian=3)

@@ -426,7 +426,9 @@ class TestNumericFailures:
         if command == "estimation-scaling":
             text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01, 0.001").replace("seeds = 5", f"seeds = {seeds}")
         else:
-            text = with_sweep(SADDLE_CFG.replace("seeds = 0,1,2", f"seeds = {seeds}"), "optimizer.eta", "0.01")
+            text = SADDLE_CFG.replace("seeds = 0,1,2", f"seeds = {seeds}")
+            if command == "sweep":
+                text = with_sweep(text, "optimizer.eta", "0.01")
         out = tmp_path / "out"
         assert main([command, write_config(tmp_path / "cfg.ini", text), "--out", str(out), "--jobs", "1"]) == 2
         assert f"error: run.seeds: {message}" in capsys.readouterr().err
@@ -731,12 +733,12 @@ class TestReport:
             assert float(band["f_p90"]) == f
 
     def test_mixed_schema_exit_2(self, tmp_path):
-        text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 20"), "optimizer.eta", "0.01")
-        cfg = load_config(write_config(tmp_path / "cfg.ini", text))
+        text = SADDLE_CFG.replace("t = 200", "t = 20")
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        sum_a = cmd_run(cfg, str(out_a))
-        sum_b = cmd_sweep(cfg, str(out_b))
+        sum_a = cmd_run(load_config(write_config(tmp_path / "run.ini", text)), str(out_a))
+        sum_b = cmd_sweep(load_config(write_config(tmp_path / "sweep.ini", with_sweep(text, "optimizer.eta", "0.01"))),
+                          str(out_b))
         assert main(["report", sum_a, sum_b, "--out", str(tmp_path / "r")]) == 2
 
     def test_differing_iteration_grids_exit_2_and_write_nothing(self, tmp_path, capsys):
@@ -836,7 +838,9 @@ class TestEveryFlagIsRead:
         if command == "estimation-scaling":
             text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01")
         else:
-            text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 5"), "optimizer.eta", "0.01")
+            text = SADDLE_CFG.replace("t = 200", "t = 5")
+            if command == "sweep":
+                text = with_sweep(text, "optimizer.eta", "0.01")
         cfg = write_config(tmp_path / "c.ini", text)
         out = tmp_path / "o"
         assert main([command, cfg, "--out", str(tmp_path / "ok"), "--jobs", "1"]) == 0  # the config alone runs
@@ -1083,6 +1087,43 @@ t = 10
 
 
 class TestConfigErrorsBeforeAnyRun:
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("run", "[run]\netas = 0.1,0.01\n", "run.etas: read only by estimation-scaling, not by run"),
+            ("run", "[run]\nest_window_factor = 2\n",
+             "run.est_window_factor: read only by estimation-scaling, not by run"),
+            ("run", "[sweep]\naxis = optimizer.eta\nvalues = 0.1,0.2\n", "[sweep]: read only by sweep, not by run"),
+            ("sweep", "[run]\netas = 0.1,0.01\n", "run.etas: read only by estimation-scaling, not by sweep"),
+            ("sweep", "[run]\nest_window_factor = 2\n",
+             "run.est_window_factor: read only by estimation-scaling, not by sweep"),
+            ("estimation-scaling", "[sweep]\naxis = optimizer.epsilon\nvalues = 0.1,0.2\n",
+             "[sweep]: read only by sweep, not by estimation-scaling"),
+        ],
+        ids=("run-etas", "run-window", "run-sweep", "sweep-etas", "sweep-window", "scaling-sweep"),
+    )
+    def test_a_part_the_subcommand_would_not_read_exits_2_naming_it(self, tmp_path, capsys, command, extra, message):
+        """A setting the subcommand would drop unread; estimation-scaling's own overrides stay allowed."""
+        if command == "estimation-scaling":
+            text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
+        elif command == "sweep":
+            text = with_sweep(SADDLE_CFG, "optimizer.eta", "0.01,0.02")
+        else:
+            text = SADDLE_CFG
+        section, line = extra.split("\n", 1)
+        text = text.replace(section + "\n", section + "\n" + line) if section in text else text + extra
+        out = tmp_path / "o"
+        assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimation_scaling_still_reads_the_keys_it_overrides(self, tmp_path):
+        """optimizer.eta, optimizer.algorithm and run.t, which each eta replaces, are no unread keys."""
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
+        assert all(line in text for line in ("algorithm = rmsprop\n", "eta = 0.01\n", "t = 1\n"))
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 0
+
     @pytest.mark.parametrize(
         "optimizer, run, needs",
         [

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lemmas import rng_for
+from lemmas import dense, rng_for
 from precondsgd import (
     CounterexampleProblem,
     HyperParams,
@@ -441,7 +441,7 @@ def test_one_step_descent_lemma_monte_carlo():
         p = QuadraticGaussianProblem(dim, h, cov)
         x0 = rng.uniform(-1.0, 1.0, size=dim)
         k = constants(p, x0, PreconditionerKind(epsilon=0.0))
-        a = Preconditioner(PreconditionerKind(epsilon=0.0), dim).dense(p, x0)
+        a = dense(Preconditioner(PreconditionerKind(epsilon=0.0), dim), p, x0)
         lam_minus = float(np.linalg.eigvalsh(a)[0])
         mu = 0.4 * lam_minus
         raw = rng.standard_normal((dim, dim))

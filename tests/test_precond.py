@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lemmas import random_spd, rng_for, sym_power
+from lemmas import dense, random_spd, rng_for, sym_power
 from precondsgd import (
     CounterexampleProblem,
     DimMismatchError,
@@ -21,7 +21,7 @@ from precondsgd import (
 
 
 def idealized_A(problem, kind, x):
-    return Preconditioner(kind, problem.dim).dense(problem, x)
+    return dense(Preconditioner(kind, problem.dim), problem, x)
 
 
 def estimated_with(g_hat, kind, bias_corrected=False):
@@ -43,7 +43,7 @@ RECOVERABLE = PreconditionerKind(variant="full_matrix", epsilon=1.0, exponent=-1
 
 
 def g_hat_of(pre):
-    return np.linalg.inv(pre.dense(None, None)) - np.eye(pre.dim)
+    return np.linalg.inv(dense(pre, None, None)) - np.eye(pre.dim)
 
 
 def problem_with_g(g):
@@ -104,7 +104,7 @@ class TestIdealizedA:
         x, g = rng.standard_normal(3), rng.standard_normal(3)
         for variant in ("identity", "full_matrix", "diagonal", "covariance_full_matrix"):
             pre = Preconditioner(PreconditionerKind(variant=variant, epsilon=0.1), 3)
-            assert np.allclose(pre.direction(p, x, g), pre.dense(p, x) @ g, rtol=1e-12, atol=1e-14)
+            assert np.allclose(pre.direction(p, x, g), dense(pre, p, x) @ g, rtol=1e-12, atol=1e-14)
 
 
 class TestEmaUpdate:
@@ -153,7 +153,7 @@ class TestEmaUpdate:
         pre = Preconditioner(PreconditionerKind(epsilon=0.1), 2, "estimated")
         pre.observe(np.array([1.0, 2.0]), 0.9)
         pre.direction(p, x, np.ones(2))
-        pre.dense(p, x)
+        pre.spectrum(p, x)
         assert len(calls) == 1
         pre.est_error(p, x)  # decomposes G(x) only
         assert len(calls) == 2
@@ -165,25 +165,25 @@ class TestEmaUpdate:
 class TestEstimatedA:
     def test_diagonal_example(self):
         pre = estimated_with(np.diag([3.0, 0.0]), PreconditionerKind(variant="full_matrix", epsilon=1.0))
-        assert np.allclose(pre.dense(None, None), np.diag([0.5, 1.0]), rtol=1e-12)
+        assert np.allclose(dense(pre, None, None), np.diag([0.5, 1.0]), rtol=1e-12)
 
     def test_identity_g_hat(self):
         pre = estimated_with(np.eye(3), PreconditionerKind(variant="full_matrix", epsilon=0.0))
-        assert np.allclose(pre.dense(None, None), np.eye(3), rtol=1e-12)
+        assert np.allclose(dense(pre, None, None), np.eye(3), rtol=1e-12)
 
     def test_inverse_square_root_identity(self):
         rng = rng_for(30)
         for _ in range(10):
             g = random_spd(rng, 4, lam_lo=0.05)
             eps = float(rng.choice([0.0, 0.3]))
-            a = estimated_with(g, PreconditionerKind(epsilon=eps)).dense(None, None)
+            a = dense(estimated_with(g, PreconditionerKind(epsilon=eps)), None, None)
             prod = a @ a @ (g + eps * np.eye(4))
             assert op_norm(prod - np.eye(4)) <= 1e-8
 
     def test_singular_raises(self):
         pre = Preconditioner(PreconditionerKind(epsilon=0.0), 2, "estimated")
         with pytest.raises(SingularMatrixError):
-            pre.dense(None, None)
+            pre.spectrum(None, None)
 
     def test_bias_correction_rescales(self):
         g = np.array([1.0, 2.0])
@@ -192,7 +192,7 @@ class TestEstimatedA:
         for _ in range(T):
             pre.observe(g, beta)
         expected = estimated_with(np.outer(g, g), PreconditionerKind(epsilon=1.0))
-        assert np.allclose(pre.dense(None, None), expected.dense(None, None), rtol=1e-12)
+        assert np.allclose(dense(pre, None, None), dense(expected, None, None), rtol=1e-12)
 
     @pytest.mark.parametrize("variant", ["full_matrix", "diagonal"])
     def test_bias_correction_under_changing_beta(self, variant):
@@ -202,7 +202,7 @@ class TestEstimatedA:
         pre = Preconditioner(PreconditionerKind(variant=variant, epsilon=1.0, exponent=-1.0), 2, "estimated", True)
         for beta in (0.5, 0.9):
             pre.observe(g, beta)
-        recovered = np.linalg.inv(pre.dense(None, None)) - np.eye(2)
+        recovered = np.linalg.inv(dense(pre, None, None)) - np.eye(2)
         expected = np.outer(g, g) if variant == "full_matrix" else np.diag(g * g)
         assert np.allclose(recovered, expected, rtol=1e-12, atol=1e-14)
 

@@ -254,11 +254,16 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 7, 81, 4096])
 @pytest.mark.parametrize("name", sorted(STACKED_PROBLEMS))
-def test_stacked_oracles_match_per_point_calls(name):
-    """Each row of a stacked oracle call has the bits of its own single-point call."""
+def test_stacked_oracles_match_per_point_calls(name, n):
+    """Each row of a stacked oracle call has the bits of its own single-point call.
+
+    n spans the stacks a run makes: one seed's event, a few seeds, and
+    the chunks of logged events whose oracles run in one call.
+    """
     p = STACKED_PROBLEMS[name]()
-    points = rng_for(40).uniform(-1.2, 1.2, size=(7, p.dim))
+    points = rng_for(40).uniform(-1.2, 1.2, size=(n, p.dim))
     n, d = points.shape
     f, g = p.eval_f(points), p.grad(points)
     assert f.shape == (n,) and g.shape == (n, d)
