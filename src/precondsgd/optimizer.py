@@ -20,7 +20,10 @@ stacked operation gives each row the bits of its own single-seed
 computation. So a seed's trajectory is bitwise identical whichever seeds
 run beside it, and identical (problem, hyperparameters, seed) triples
 produce bitwise-identical trajectories. A seed that fails (divergence, a
-singular matrix) stops there; the others run on.
+singular matrix, a failing oracle) stops at its first failing check, in
+the order a logged event makes them: the divergence guard, lambda_min(H),
+||grad f||, Ahat's spectrum, est_error's reference side. The others run
+on.
 
 Per logged event the loop evaluates only what its control reads: f, for
 the divergence guard. The columns it never reads back, ||grad f||,
@@ -218,6 +221,12 @@ ALGORITHMS = {
 # stacked G(x) and Hessians of the chunk's oracle calls.
 LOG_CHUNK_BYTES = 65536
 
+# The checks of a logged event in the order it makes them. A seed stops at
+# its first failing check, held as the code _CHECKS * slot + check.
+_GUARD, _HESSIAN, _GRAD, _SPECTRUM, _REFERENCE = range(5)
+_CHECKS = _REFERENCE + 1
+_RUNNING = np.iinfo(np.int64).max
+
 
 # Overflow on a diverging seed is expected: the divergence guard and the
 # finite-iterate check stop that seed and name the event, so numpy's
@@ -246,11 +255,15 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     there. ||grad f||, lambda_min(H) and est_error's reference side
     (G(x), its matrix power and the difference's eigenvalues) are filled
     in after the event, for a chunk of logged events at a time (see
-    LOG_CHUNK_BYTES) and in one stacked call per oracle. If a call fails,
-    the chunk is evaluated again event by event, so a seed whose oracle
+    LOG_CHUNK_BYTES) and in one stacked call per oracle. A seed stops at
+    the first check that fails for it, in the order a logged event makes
+    them: the divergence guard (or, at a step, the direction before it and
+    the finite iterate after it), lambda_min(H), ||grad f||, Ahat's
+    spectrum, est_error's reference side. So a seed whose deferred oracle
     fails at a logged event ends as it would had it been evaluated there:
     stopped at that event, unlogged, with that error, in place of any
-    later stop.
+    later stop, and at once if it still runs. A call that fails for some
+    rows reruns on the rows before every stop.
     """
     rngs = list(rngs)
     n_seeds = len(rngs)
@@ -284,8 +297,8 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     x_col = np.empty((n_seeds, capacity, dim))
     logged = flushed = 0
     ev = -hp.W  # the current event's index: burn-in takes -W..-1
-    # The logged events of each seed: capacity while it runs.
-    lengths = np.full(n_seeds, capacity, dtype=np.int64)
+    # Each seed's first failing check as _CHECKS * slot + check, and its error.
+    stop = np.full(n_seeds, _RUNNING, dtype=np.int64)
     errors: list[NumericError | None] = [None] * n_seeds
 
     # Logged events per chunk, and Ahat's spectrum at each logged event of
@@ -294,18 +307,21 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     if tracking:
         a_kept = np.empty((chunk, n_seeds, dim))
         v_kept = None if pre.diagonal else np.empty((chunk, n_seeds, dim, dim))
-    # The seeds whose Ahat failed at the event they stopped at: the oracles
-    # that come before Ahat at a logged event still run for them there.
-    ahat_failed = np.zeros(n_seeds, dtype=bool)
 
     # The seeds still running: their positions in rngs and their rows of
     # every per-seed array in flight ("x" the iterates).
     live = np.arange(n_seeds)
     rows = {"x": np.tile(x, (n_seeds, 1))}
 
-    def drop(keep) -> None:
-        """Keep only the live seeds marked in ``keep``."""
+    def halt(bad, b, code, error_for) -> None:
+        """Stop the seeds b[bad] at code (one per row of b, or one for all) unless they stop earlier;
+        error_for(i) is row i's error. A seed that still runs leaves the loop."""
         nonlocal live, rngs
+        code = np.broadcast_to(code, b.shape)
+        for i in np.flatnonzero(bad):
+            if code[i] < stop[b[i]]:
+                stop[b[i]], errors[b[i]] = code[i], error_for(i)
+        keep = stop[live] == _RUNNING
         if keep.all():
             return
         live = live[keep]
@@ -314,20 +330,17 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         for name, value in rows.items():
             rows[name] = value[keep]
 
-    def freeze(bad, error_for) -> None:
-        """Stop the live seeds marked in ``bad`` at this event; error_for(i) is live seed i's error."""
-        for i in np.flatnonzero(bad):
-            errors[live[i]] = error_for(i)
-            lengths[live[i]] = logged
-        drop(~bad)
-
-    def guarded(op, *args):
-        """op(*args) over the live seeds; the seeds it fails for stop, and it reruns on the rest."""
-        while live.size:
+    def attempt(op, b, s, check):
+        """op(b, s) over the rows (seed b, slot s); a NumericError stops the seeds of the rows it
+        marks at that check, and op reruns on the rows before every stop."""
+        while b.size:
             try:
-                return op(*args)
+                return op(b, s)
             except NumericError as err:
-                freeze(np.ones(live.size, dtype=bool) if err.rows is None else err.rows, lambda i: err)
+                code = _CHECKS * s + check
+                halt(np.ones(b.size, dtype=bool) if err.rows is None else err.rows, b, code, lambda i: err)
+                before = code < stop[b]
+                b, s = b[before], s if np.ndim(s) == 0 else s[before]
         return None
 
     def draw_sample(at):
@@ -337,13 +350,13 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
             return g, (g - g2) / math.sqrt(2.0)
         return g, g
 
-    def curvature(b, s) -> None:
-        """lambda_min(H) where due and ||grad f|| at the logged (seed, slot) rows (b, s)."""
-        points = x_col[b, s]
-        due = hessian_due[s]
-        if due.any():
-            lambda_col[b[due], s[due]] = problem.hessian(points[due])
-        g = problem.grad(points)
+    def hessian(b, s) -> None:
+        """lambda_min(H) at the logged (seed, slot) rows (b, s)."""
+        lambda_col[b, s] = problem.hessian(x_col[b, s])
+
+    def grad_norm(b, s) -> None:
+        """||grad f|| at the logged rows (b, s)."""
+        g = problem.grad(x_col[b, s])
         grad_norm_col[b, s] = np.sqrt(np.vecdot(g, g))
 
     def reference(b, s) -> None:
@@ -357,52 +370,25 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         diff -= _defect_reference(*pre._ideal_spectrum(problem, points))
         error_col[b, s] = np.abs(eigvalsh(diff)).max(axis=-1)
 
-    def each_event(first: int) -> None:
-        """Fill the slots first..logged-1 again, each oracle a guarded call over one event's seeds.
-
-        A seed the call fails for stops at that slot, its first failure,
-        with that error: in place of a later stop, and at once if it runs.
-        """
-        for slot in range(first, logged):
-            b = np.flatnonzero(slot < lengths + ahat_failed)
-            for op in (curvature, reference) if tracking else (curvature,):
-                if op is reference:
-                    b = b[slot < lengths[b]]  # a seed whose Ahat failed here keeps that error
-                while b.size:
-                    try:
-                        op(b, np.full(b.size, slot))
-                        break
-                    except NumericError as err:
-                        bad = np.ones(b.size, dtype=bool) if err.rows is None else err.rows
-                        for i in b[bad]:
-                            errors[i] = err
-                        lengths[b[bad]] = slot
-                        ahat_failed[b[bad]] = False
-                        drop(~np.isin(live, b[bad]))
-                        b = b[~bad]
-
     def flush() -> None:
         """Fill the deferred columns of the slots logged since the last flush, in one call per oracle."""
         nonlocal flushed
         first, flushed = flushed, logged
-        b, s = np.nonzero(np.arange(first, logged) < (lengths + ahat_failed)[:, None])
-        s += first
-        kept = s < lengths[b]
-        try:
-            if b.size:
-                curvature(b, s)
-            if tracking and kept.any():
-                reference(b[kept], s[kept])
-        except NumericError:
-            each_event(first)
+        slots = np.arange(first, logged)
+        ops = [(_HESSIAN, hessian, slots[hessian_due[first:logged]]), (_GRAD, grad_norm, slots)]
+        if tracking:
+            ops.append((_REFERENCE, reference, slots))
+        for check, op, due in ops:
+            b, i = np.nonzero(_CHECKS * due + check < stop[:, None])
+            attempt(op, b, due[i], check)
 
     def log(at: str, kind_label: str, t: int | None) -> None:
         """Log the current event ev at the points rows[at] of the live seeds."""
         nonlocal logged
         rows["f"] = f_val = problem.eval_f(rows[at])
         if not np.abs(f_val).max() <= DIVERGENCE_F_LIMIT:  # also for NaN and inf
-            within = np.abs(f_val) <= DIVERGENCE_F_LIMIT
-            freeze(~within, lambda i: NonFiniteError(f"objective diverged (f={float(f_val[i])}) at event {ev}"))
+            halt(~(np.abs(f_val) <= DIVERGENCE_F_LIMIT), live, _CHECKS * logged + _GUARD,
+                 lambda i: NonFiniteError(f"objective diverged (f={float(f_val[i])}) at event {ev}"))
         if not live.size:
             return
         seeds = slice(None) if live.size == n_seeds else live
@@ -412,10 +398,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         f_col[seeds, logged] = rows["f"]
         x_col[seeds, logged] = rows[at]
         if tracking:
-            before = live
-            spectrum = guarded(lambda: pre.spectrum(problem, rows[at]))
-            if live.size < before.size:
-                ahat_failed[np.setdiff1d(before, live)] = True
+            spectrum = attempt(lambda b, s: pre.spectrum(problem, rows[at]), live, logged, _SPECTRUM)
             if spectrum is not None:
                 seeds = slice(None) if live.size == n_seeds else live
                 a_kept[logged % chunk, seeds] = spectrum[0]
@@ -434,7 +417,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
             pre.observe(upd, beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta)
         if t is not None:
             rows["g"] = g
-            rows["direction"] = guarded(lambda: pre.direction(problem, rows["x"], rows["g"]))
+            rows["direction"] = attempt(lambda b, s: pre.direction(problem, rows["x"], rows["g"]), live, logged, _GUARD)
         if live.size and (ev % log_every == 0 or t == T - 1):
             log(at, kind_label, t)
         ev += 1
@@ -459,8 +442,9 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         if problem.clip_bounds is not None:
             x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
         rows["x"] = x_new
-        if not np.isfinite(x_new).all():
-            freeze(~np.isfinite(x_new).all(axis=1), lambda i: NonFiniteError(f"iterate diverged at step {t}"))
+        if not np.isfinite(x_new).all():  # a check of the next logged event
+            halt(~np.isfinite(x_new).all(axis=1), live, _CHECKS * logged + _GUARD,
+                 lambda i: NonFiniteError(f"iterate diverged at step {t}"))
 
         if is_large and hallucinating:
             # Hallucinate S+1 interpolated samples so the estimate keeps
@@ -471,8 +455,8 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
                 rows["xs"] = rows["x_start"] + (s / hp.S) * (rows["x"] - rows["x_start"])
                 event("xs", STEP_HALLUCINATED, eta_t)
 
-    lengths[live] = logged
     flush()
+    lengths = np.minimum(stop, _CHECKS * logged) // _CHECKS
     return [
         Trajectory(
             iteration=iteration[:n],

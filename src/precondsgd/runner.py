@@ -395,12 +395,14 @@ def _seeds(cfg: ExperimentConfig) -> list[int]:
 def _refuse_unread(cfg: ExperimentConfig, command: str) -> None:
     """A ConfigError naming the first part of cfg that only a subcommand other than ``command`` reads."""
     read_only_by = {
-        "estimation-scaling": [f"run.{key}" for key in ("etas", "est_window_factor") if key in cfg.run],
-        "sweep": ["[sweep]"] if cfg.sweep else [],
+        ("estimation-scaling",): [f"run.{key}" for key in ("etas", "est_window_factor") if key in cfg.run],
+        ("sweep",): ["[sweep]"] if cfg.sweep else [],
+        ("run", "sweep"): [f"run.{key}" for key in ("escape_level", "f_threshold", "lambda_min_every")
+                           if key in cfg.run],
     }
-    for reader, parts in read_only_by.items():
-        if reader != command and parts:
-            raise ConfigError(f"{parts[0]}: read only by {reader}, not by {command}")
+    for readers, parts in read_only_by.items():
+        if command not in readers and parts:
+            raise ConfigError(f"{parts[0]}: read only by {' and '.join(readers)}, not by {command}")
 
 
 def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
@@ -496,9 +498,10 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -
     (one beta cannot serve several etas), kind = identity (no estimate),
     optimizer.auto (which would set eta), an eta_decay other than none
     (each row is fitted against its constant eta), an eta that repeats
-    or has no beta(eta) in (0, 1), and a [sweep] section (which it would
-    not read) are ConfigErrors. Neither a ConfigError nor a numeric
-    failure writes a file.
+    or has no beta(eta) in (0, 1), and a [sweep] section, run.escape_level,
+    run.f_threshold or run.lambda_min_every (which it would not read) are
+    ConfigErrors. Neither a ConfigError nor a numeric failure writes a
+    file.
     """
     _refuse_unread(cfg, "estimation-scaling")
     etas = cfg.run.get("etas")

@@ -7,14 +7,18 @@ trajectory it had when every event evaluated its own oracles; and the
 oracles must not be called once per logged event.
 """
 
+import functools
 import hashlib
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lemmas import rng_for
+from lemmas import PROPERTY, rng_for
 from precondsgd import (
     HyperParams,
     NonFiniteError,
@@ -27,9 +31,10 @@ from precondsgd import (
     StochasticProblem,
     run_sgd,
 )
+from precondsgd import optimizer
 from precondsgd.errors import NumericError
 from precondsgd.linalg import eigh, eigvalsh
-from precondsgd.optimizer import LOG_CHUNK_BYTES, _defect_reference
+from precondsgd.optimizer import DIVERGENCE_F_LIMIT, LOG_CHUNK_BYTES, _defect_reference
 from precondsgd.precond import _dense
 
 COLUMNS = ("iteration", "step_kind", "f", "grad_norm", "lambda_min_h", "est_error", "x")
@@ -116,43 +121,11 @@ def expected_stop(healthy, problem):
     return None
 
 
-# name -> the thresholds; the digests were recorded when every logged event evaluated its own oracles.
-CASES = {
-    "exact_G": dict(g_at=4.0),
-    "hessian": dict(h_at=4.0),
-    "exact_G-before-guard": dict(g_at=3.6, f_at=3.8),
-    "guard-before-exact_G": dict(g_at=3.8, f_at=3.6),
-}
-DIGESTS = {
-    ("exact_G", 1): "b34bf68f7d3ca7804a1e6500b243fce02cc7962aba463bb34acdc75321218275",
-    ("exact_G", 7): "d8c6ff5f6d391a6d92b4740d711378aad34030fd0966ede44c45acaa4ffd40e3",
-    ("hessian", 1): "7a61ac3e80e5fcdca1b85388ad22ceef2329bfc3e7fad4c76e42c549e527181a",
-    ("hessian", 7): "c81e4bd79cdc193fad23e5cf8805381cdfbc7ca97f6d182ff1cdce356074ada8",
-    ("exact_G-before-guard", 1): "1a7bd0af28eb21281e85990c3c1903aa09e1e3ee4871347528bc195d94ac4403",
-    ("exact_G-before-guard", 7): "eb0ce4157d284e602ee30035e1d827877387e87a5f4e07c21125c45ef43a0754",
-    ("guard-before-exact_G", 1): "27d609988157f231a2b04dd8ad99938675d7ddf67fba71d3e0c2f4c1f35614a4",
-    ("guard-before-exact_G", 7): "2c1fe34d4c65fac4f60dd26168b998c1702771b0ebd1b042e6e742335660fe2e",
-}
-
-
-@pytest.mark.parametrize("log_every", [1, 7])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_a_failing_logged_oracle_stops_its_seed_at_that_event(case, log_every):
-    """Each seed is its healthy twin's trajectory up to the first logged event past a threshold.
-
-    The twin runs the same draws on a problem without thresholds. All six
-    seeds share one chunk of logged events, so the chunk's stacked oracle
-    call fails and the chunk is evaluated again event by event.
-    """
-    problem = FailingPastProblem(**CASES[case])
-    run = tracked_run(log_every)
-    healthy = run_sgd(FailingPastProblem(), run, [rng_for(s) for s in SEEDS])
-    failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
-    assert len(SEEDS) * 2 * 2 * 8 * (run.hp.W + run.T) <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
-    stops = [expected_stop(h, problem) for h in healthy]
-    assert sum(stop is not None for stop in stops) >= 2
-    for twin, traj, stop in zip(healthy, failing, stops):
+def assert_stops_as_expected(healthy, failing, problem):
+    """Each failing seed is its healthy twin truncated at expected_stop, with that error."""
+    for twin, traj in zip(healthy, failing, strict=True):
         assert twin.error is None
+        stop = expected_stop(twin, problem)
         n = len(twin) if stop is None else stop[0]
         assert len(traj) == n
         for name in COLUMNS:
@@ -161,7 +134,79 @@ def test_a_failing_logged_oracle_stops_its_seed_at_that_event(case, log_every):
             assert traj.error is None
         else:
             assert type(traj.error) is stop[1] and str(traj.error) == stop[2]
+
+
+# name -> the thresholds. The digests were recorded with an earlier failure path: each logged event evaluating
+# its own oracles (the first four cases at log_every 1 and 7), or a failing chunk evaluated again event by event.
+CASES = {
+    "exact_G": dict(g_at=4.0),
+    "hessian": dict(h_at=4.0),
+    "exact_G-before-guard": dict(g_at=3.6, f_at=3.8),
+    "guard-before-exact_G": dict(g_at=3.8, f_at=3.6),
+    "hessian-before-exact_G": dict(h_at=3.6, g_at=3.8),
+    "all-three": dict(g_at=3.9, h_at=3.7, f_at=3.8),
+}
+DIGESTS = {
+    ("exact_G", 1): "b34bf68f7d3ca7804a1e6500b243fce02cc7962aba463bb34acdc75321218275",
+    ("exact_G", 3): "9c1f43a7681ed92911e54caf0b35bbe0b3fdb18db6d994327af6f0fb74fbaeaf",
+    ("exact_G", 7): "d8c6ff5f6d391a6d92b4740d711378aad34030fd0966ede44c45acaa4ffd40e3",
+    ("hessian", 1): "7a61ac3e80e5fcdca1b85388ad22ceef2329bfc3e7fad4c76e42c549e527181a",
+    ("hessian", 3): "70647436a06789c866cbb86887e8288c3452e460b2bf287876acbb7a4e9e4239",
+    ("hessian", 7): "c81e4bd79cdc193fad23e5cf8805381cdfbc7ca97f6d182ff1cdce356074ada8",
+    ("exact_G-before-guard", 1): "1a7bd0af28eb21281e85990c3c1903aa09e1e3ee4871347528bc195d94ac4403",
+    ("exact_G-before-guard", 3): "06280283b660872b0d8e7ab0041c355356a2ec01a177309caa5e76844a06757a",
+    ("exact_G-before-guard", 7): "eb0ce4157d284e602ee30035e1d827877387e87a5f4e07c21125c45ef43a0754",
+    ("guard-before-exact_G", 1): "27d609988157f231a2b04dd8ad99938675d7ddf67fba71d3e0c2f4c1f35614a4",
+    ("guard-before-exact_G", 3): "bb864b905435a06ca1cb2cfa9408640dd4ea6b32b45faddc1d194b54c732e624",
+    ("guard-before-exact_G", 7): "2c1fe34d4c65fac4f60dd26168b998c1702771b0ebd1b042e6e742335660fe2e",
+    ("hessian-before-exact_G", 1): "42dceb28d7291e9dc802f6c0575d77b5fa3364ea0936aae99c5d5c601d2b2228",
+    ("hessian-before-exact_G", 3): "2ca7ddfdf16440a33f20a3aea2d92c4156b6612352d0db94f6bc45522c85a74d",
+    ("hessian-before-exact_G", 7): "599afc16ba31a6f5fd8e9f41d69d772d1d87d535be63d09201a9630b2c104a23",
+    ("all-three", 1): "1dc1a9fde59a6339190b2448ffec9389444788277bc9adf01182367a495145a4",
+    ("all-three", 3): "52de720aa49da36eb143eedc31e3057a34338e2e1d8ddee2cebbbe5665b23ec8",
+    ("all-three", 7): "8e8bde55ef2ffcb785ef9381d8a293d20d2974415c12d8da96c499f103894344",
+}
+
+
+@pytest.mark.parametrize("log_every", [1, 3, 7])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_failing_logged_oracle_stops_its_seed_at_that_event(case, log_every):
+    """Each seed is its healthy twin's trajectory up to the first logged event past a threshold.
+
+    The twin runs the same draws on a problem without thresholds. All six
+    seeds share one chunk of logged events, so the chunk's stacked oracle
+    call fails and reruns on the rows before every seed's stop.
+    """
+    problem = FailingPastProblem(**CASES[case])
+    run = tracked_run(log_every)
+    healthy = run_sgd(FailingPastProblem(), run, [rng_for(s) for s in SEEDS])
+    failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
+    assert len(SEEDS) * 2 * 2 * 8 * (run.hp.W + run.T) <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
+    assert sum(expected_stop(h, problem) is not None for h in healthy) >= 2
+    assert_stops_as_expected(healthy, failing, problem)
     assert digest(failing) == DIGESTS[case, log_every]
+
+
+@functools.cache
+def healthy_twins(log_every):
+    return run_sgd(FailingPastProblem(), tracked_run(log_every), [rng_for(s) for s in SEEDS])
+
+
+THRESHOLD = st.one_of(st.floats(3.0, 4.5), st.just(math.inf))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(g_at=THRESHOLD, h_at=THRESHOLD, f_at=THRESHOLD, log_every=st.integers(1, 9), chunk=st.integers(1, 60))
+def test_every_seed_stops_at_its_first_failing_check(g_at, h_at, f_at, log_every, chunk):
+    """Any thresholds and log_every, in chunks of 1 to 60 logged events.
+
+    With chunks shorter than the run, a deferred failure also stops a seed
+    that still runs, and the flushes after it skip that seed.
+    """
+    problem = FailingPastProblem(g_at=g_at, h_at=h_at, f_at=f_at)
+    with mock.patch.object(optimizer, "LOG_CHUNK_BYTES", chunk * len(SEEDS) * 2 * 2 * 8):
+        failing = run_sgd(problem, tracked_run(log_every), [rng_for(s) for s in SEEDS])
+    assert_stops_as_expected(healthy_twins(log_every), failing, problem)
 
 
 def test_a_deferred_failure_replaces_a_later_guard_stop():
@@ -174,6 +219,57 @@ def test_a_deferred_failure_replaces_a_later_guard_stop():
     for i in both:
         assert isinstance(failing[i].error, SingularMatrixError)
         assert failing[i].x[:, 0].max() <= problem.g_at < healthy[i].x[len(failing[i]), 0]
+
+
+class AtTheLimitProblem(FailingPastProblem):
+    """f is DIVERGENCE_F_LIMIT at the first point of a stack and the next float above it at the others."""
+
+    def eval_f(self, x):
+        f = np.full(np.shape(x)[:-1], np.nextafter(DIVERGENCE_F_LIMIT, math.inf))
+        f[..., :1] = DIVERGENCE_F_LIMIT
+        return f
+
+
+def test_an_objective_at_the_divergence_limit_runs_on_beside_one_past_it():
+    """The guard stops a seed only past DIVERGENCE_F_LIMIT, also when another seed passes it at the same event."""
+    trajectories = run_sgd(AtTheLimitProblem(), tracked_run(1), [rng_for(s) for s in SEEDS[:2]])
+    assert len(trajectories[0]) == 123 and trajectories[0].error is None
+    assert len(trajectories[1]) == 0
+    assert str(trajectories[1].error) == "objective diverged (f=1.0000000000000002e+100) at event -3"
+
+
+class InfiniteSamplePastProblem(FailingPastProblem):
+    """FailingPastProblem whose sampled gradient is infinite past x_0 = g_at (after the same draws)."""
+
+    def sample_grad(self, x, rng):
+        g = super().sample_grad(x, rng)
+        return np.full(2, np.inf) if x[0] > self.g_at else g
+
+
+@pytest.mark.parametrize("log_every", [1, 3])
+def test_a_non_finite_iterate_stops_its_seed_after_the_event_of_its_step(log_every):
+    """With SGD, a seed whose sample at step t is infinite keeps the events logged up to step t's."""
+    def sgd(every):
+        return Run(PreconditionerKind("identity"), "idealized", False, HyperParams(eta=0.05), 120, (0.0, 0.5),
+                   log_every=every)
+
+    problem = InfiniteSamplePastProblem(g_at=6.0)
+    every_step = run_sgd(FailingPastProblem(), sgd(1), [rng_for(s) for s in SEEDS])
+    healthy = run_sgd(FailingPastProblem(), sgd(log_every), [rng_for(s) for s in SEEDS])
+    failing = run_sgd(problem, sgd(log_every), [rng_for(s) for s in SEEDS])
+    stopped = 0
+    for steps, twin, traj in zip(every_step, healthy, failing, strict=True):
+        past = np.flatnonzero(steps.x[:, 0] > problem.g_at)  # steps.iteration[t] == t
+        if not past.size:
+            assert traj.error is None and len(traj) == len(twin)
+            continue
+        stopped += 1
+        n = int(np.count_nonzero(twin.iteration <= past[0]))
+        assert len(traj) == n and type(traj.error) is NonFiniteError
+        assert str(traj.error) == f"iterate diverged at step {past[0]}"
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(traj, name), getattr(twin, name)[:n], err_msg=name)
+    assert 2 <= stopped < len(SEEDS)
 
 
 class FlatSecondCoordinateProblem(FailingPastProblem):
@@ -316,24 +412,23 @@ def test_the_logged_oracles_are_called_once_per_chunk_not_once_per_event(monkeyp
         assert np.isnan(traj.est_error).any() != tracked
 
 
-def test_a_failing_chunk_is_evaluated_again_event_by_event_and_only_that_chunk(monkeypatch):
-    """The exact_G case's one chunk fails in its stacked call, then makes one call per logged event.
+@pytest.mark.parametrize("case, oracle", [("exact_G", "exact_G"), ("hessian", "hessian")])
+def test_a_failing_stacked_call_reruns_once_on_the_rows_before_every_stop(monkeypatch, case, oracle):
+    """The case's one chunk fails in its stacked oracle call; the rerun skips the failing rows and succeeds.
 
-    Each seed that fails at an event reruns that event's call on the
-    others, as the event's own guarded call did. The healthy twin's run
-    makes one call in all.
+    The exact_G case fails in the matrix power after exact_G, so its
+    eigvalsh runs once, on the rerun. The healthy twin's run makes one
+    call of each.
     """
-    problem = FailingPastProblem(**CASES["exact_G"])
+    problem = FailingPastProblem(**CASES[case])
     calls = count_calls(monkeypatch, problem)
     trajectories = run_sgd(problem, tracked_run(1), [rng_for(s) for s in SEEDS])
-    failed = sum(traj.error is not None for traj in trajectories)
-    assert failed == 4 and max(len(traj) for traj in trajectories) == 123
-    assert calls["eigvalsh"] == 123
-    assert calls["exact_G"] == 1 + 123 + failed
+    assert sum(traj.error is not None for traj in trajectories) == 4
+    assert calls[oracle] <= 2 and calls["eigvalsh"] <= 1
     healthy = FailingPastProblem()
     calls = count_calls(monkeypatch, healthy)
     run_sgd(healthy, tracked_run(1), [rng_for(s) for s in SEEDS])
-    assert calls["exact_G"] == calls["eigvalsh"] == calls["grad"] == 1
+    assert calls["exact_G"] == calls["eigvalsh"] == calls["grad"] == calls["hessian"] == 1
 
 
 def test_the_saddle_logs_lambda_min_once_per_chunk(monkeypatch):

@@ -1099,8 +1099,12 @@ class TestConfigErrorsBeforeAnyRun:
              "run.est_window_factor: read only by estimation-scaling, not by sweep"),
             ("estimation-scaling", "[sweep]\naxis = optimizer.epsilon\nvalues = 0.1,0.2\n",
              "[sweep]: read only by sweep, not by estimation-scaling"),
+            *(("estimation-scaling", f"[run]\n{key} = {value}\n",
+               f"run.{key}: read only by run and sweep, not by estimation-scaling")
+              for key, value in (("escape_level", "0.5"), ("f_threshold", "-1"), ("lambda_min_every", "2"))),
         ],
-        ids=("run-etas", "run-window", "run-sweep", "sweep-etas", "sweep-window", "scaling-sweep"),
+        ids=("run-etas", "run-window", "run-sweep", "sweep-etas", "sweep-window", "scaling-sweep",
+             "scaling-escape-level", "scaling-f-threshold", "scaling-lambda-min-every"),
     )
     def test_a_part_the_subcommand_would_not_read_exits_2_naming_it(self, tmp_path, capsys, command, extra, message):
         """A setting the subcommand would drop unread; estimation-scaling's own overrides stay allowed."""
@@ -1118,8 +1122,9 @@ class TestConfigErrorsBeforeAnyRun:
         assert not out.exists()
 
     def test_estimation_scaling_still_reads_the_keys_it_overrides(self, tmp_path):
-        """optimizer.eta, optimizer.algorithm and run.t, which each eta replaces, are no unread keys."""
-        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
+        """optimizer.eta, optimizer.algorithm, run.t, run.log_every and run.track_est_error, which each eta
+        replaces, are no unread keys."""
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003") + "log_every = 5\ntrack_est_error = false\n"
         assert all(line in text for line in ("algorithm = rmsprop\n", "eta = 0.01\n", "t = 1\n"))
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(tmp_path / "o"),
                      "--jobs", "1"]) == 0

@@ -32,8 +32,6 @@ UNREACHED = {
         "raises MissingOracleError; runner.resolve_run refuses such a run from has_exact_g/has_hessian first"),
     "cli._before_subcommand": "a usage error (a flag before the subcommand); tests/test_cli.py runs it",
     "problems.load_dataset_csv": "logistic_csv reads a file, which no golden config ships; tests/test_cli.py runs it",
-    "optimizer.run_sgd.each_event": "evaluates a chunk of logged events again after a stacked oracle call failed; "
-                                    "no golden config's logged oracle fails, tests/test_bulk_logging.py runs it",
     **dict.fromkeys(
         ("problems.StochasticProblem.sample_grad_batch", "problems.SaddleProblem2D.sample_grad_batch",
          "problems.CounterexampleProblem.sample_grad_batch", "problems.QuadraticGaussianProblem.sample_grad_batch"),
