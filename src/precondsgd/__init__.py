@@ -5,7 +5,8 @@ G(x) = E[g g^T] as a (d, d) array and lambda_min of the Hessian as a
 number, one per point of a stack. ``precond`` holds the one
 ``Preconditioner`` and ``constants``, the theorems' constants of a
 ``PreconditionerKind``; ``optimizer`` the one run loop ``run_sgd``, the
-``Run`` it runs and the calculators; ``runner`` the experiments; ``linalg``
+``Run`` it runs and the calculators; ``config`` what a config file means,
+its conditions and their ``Run``s; ``runner`` the experiments; ``linalg``
 the one way into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
 """
 

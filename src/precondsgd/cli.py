@@ -2,18 +2,20 @@
 
 Subcommands: ``run`` (one condition x seeds), ``sweep`` (an axis of
 values x seeds), ``estimation-scaling`` (sup estimation error vs eta),
-and ``report`` (quantile-band plot data from summaries). Exit codes:
-0 ok, 2 configuration error (negative or repeated seeds included),
-3 numeric failure (divergence/singularity); on a numeric failure of
-``run`` or ``sweep`` every seed's trajectory is still written, partial
-for the seeds that failed, and no summary is. The config file states the
-whole experiment: its seeds, a sweep's axis and values, a scaling study's
-etas and beta schedule. The flags say only where the output goes
-(``--out``, every subcommand) and how to run (``--jobs``, at least 1,
-for all but ``report``). A flag a subcommand does not read, one placed
+and ``report`` (quantile-band plot data from summaries). The config file
+states the whole experiment: its seeds, a sweep's axis and values, a
+scaling study's etas and beta schedule; ``config`` reads, checks and
+resolves it, and ``runner`` runs it. The flags say only where the output
+goes (``--out``, every subcommand) and how to run (``--jobs``, at least
+1, for all but ``report``). A flag a subcommand does not read, one placed
 before the subcommand, and ``--jobs`` below 1 are usage errors (exit 2)
-that name the flag.
-"""
+that name the flag. Exit codes, by the error's class: 0 ok, 3 a numeric
+failure (``NumericError``: divergence, singularity) or a
+``PreconditionViolatedError``, 2 any other package error (a bad config,
+negative or repeated seeds included) or ``OSError`` (an ``--out`` that
+is a file). On a numeric failure of ``run`` or ``sweep`` every seed's
+trajectory is still written, partial for the seeds that failed, and no
+summary is."""
 
 from __future__ import annotations
 
@@ -22,13 +24,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    InvalidParamError,
-    NumericError,
-    PreconditionViolatedError,
-)
+from .errors import NumericError, PrecondSgdError, PreconditionViolatedError
 from .runner import cmd_estimation_scaling, cmd_report, cmd_run, cmd_sweep
 
 OUT_DIR_ENV = "PRECONDSGD_OUT"
@@ -89,12 +85,12 @@ def main(argv=None) -> int:
             command = {"run": cmd_run, "sweep": cmd_sweep, "estimation-scaling": cmd_estimation_scaling}
             path = command[args.command](load_config(args.config), out_dir, jobs=args.jobs)
         print(path)
-    except (ConfigError, DataFormatError, InvalidParamError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NumericError, PreconditionViolatedError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (PrecondSgdError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -1,26 +1,26 @@
-"""Experiment configuration files.
+"""Experiment configuration files: what a config may say and what it means.
 
-Flat INI-style configs with [problem], [optimizer], [run] and an
-optional [sweep] section, the only home of a sweep's axis and values: a
-config states every condition it runs. A subcommand refuses what only
-another one reads (``runner._refuse_unread``): [sweep] outside sweep,
-run.etas and run.est_window_factor outside estimation-scaling. Every key is typed against a
+A config is read, checked and resolved here and nowhere else:
+``load_config`` reads and checks a flat INI file ([problem], [optimizer],
+[run] and an optional [sweep], the only home of a sweep's axis and
+values), ``conditions`` turns it into a subcommand's (run_id, cfg)
+conditions, and ``resolve_run`` turns one condition into the
+``optimizer.Run`` that ``runner`` runs. A subcommand refuses what only
+another one reads (``_READERS``). Every key is typed against a
 per-section schema and unknown keys are errors, not warnings: a silently
-misspelled key would corrupt a sweep. So is a key only
-``optimizer.auto`` reads, without it or under a mode that does not read
-it, and one the mode computes, beside it (``runner.resolve_run``
-checks); except the required ``run.t``, which the first-order modes
-replace with their T. The problem names, and the [problem] keys each
-name requires, come from ``problems.PROBLEMS``, and the auto keys (each
-a number) from ``optimizer.AUTO_MODES``. Every number must be finite:
-nan and inf are refused where they are read.
+misspelled key would corrupt a sweep. So is a key only ``optimizer.auto``
+reads, without it or under a mode that does not read it, and one the mode
+computes, beside it (``AUTO_MODES``); except the required ``run.t``,
+which the first-order modes replace with their T. The problem names, and
+the [problem] keys each name requires, come from ``problems.PROBLEMS``.
+Every number must be finite: nan and inf are refused where they are read.
 
 A known key that the chosen algorithm or kind does not run is dropped,
 not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
 outside ``large_step``, ``w`` without burn-in, or ``beta_spec`` under
 ``kind = identity``. That lets one config serve a sweep over
-``optimizer.kind`` or ``optimizer.algorithm``. ``runner.resolve_run``
-returns the ``optimizer.Run`` that runs, each dropped key unset.
+``optimizer.kind`` or ``optimizer.algorithm``; ``resolve_run`` leaves
+each dropped key unset.
 """
 
 from __future__ import annotations
@@ -30,11 +30,47 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError
-from .optimizer import ALGORITHMS, AUTO_MODES, ETA_DECAYS
-from .precond import SOURCES, VARIANTS
+from .estimation import beta_schedule, burn_in_length, hallucination_count
+from .optimizer import ETA_DECAYS, HyperParams, Run, first_order_params, second_order_params
+from .precond import SOURCES, VARIANTS, PreconditionerConstants, PreconditionerKind, estimates
 from .problems import PROBLEMS
+
+
+class Algorithm(NamedTuple):
+    source: str  # default preconditioner source
+    source_configurable: bool  # optimizer.source may override it
+    burn_in: bool  # W estimate-only samples precede the run, when the source is estimated
+    large_steps: bool
+
+
+# The values of optimizer.algorithm: each is optimizer.run_sgd with one of these settings.
+ALGORITHMS = {
+    "sgd": Algorithm("idealized", False, False, False),
+    "preconditioned_sgd": Algorithm("idealized", True, False, False),
+    "rmsprop": Algorithm("estimated", False, False, False),
+    "rmsprop_burnin": Algorithm("estimated", False, True, False),
+    "large_step": Algorithm("estimated", True, True, True),
+}
+
+
+class AutoMode(NamedTuple):
+    requires: tuple[str, ...]  # optimizer keys the calculator must be given
+    reads: tuple[str, ...]  # optional optimizer keys it reads
+    computes: tuple[str, ...]  # optimizer keys it sets, so a config may not
+
+
+# The optimizer.auto modes: optimizer.first_order_params (exact or inexact)
+# and optimizer.second_order_params, by the config keys each takes.
+_FIRST_ORDER = AutoMode(("l", "c3", "lambda_minus", "delta_f", "tau"), (), ("eta",))
+AUTO_MODES = {
+    "first_order_exact": _FIRST_ORDER,
+    "first_order_inexact": _FIRST_ORDER,
+    "second_order": AutoMode(("l", "rho", "c3", "c4", "lambda_minus", "tau", "delta"),
+                             ("nu1", "nu2", "m_bound", "omega", "k_const"), ("eta", "r", "t_thresh", "w", "s")),
+}
 
 # The optimizer keys that only the optimizer.auto calculators read.
 AUTO_KEYS = tuple(dict.fromkeys(key for mode in AUTO_MODES.values() for key in mode.requires + mode.reads))
@@ -148,9 +184,18 @@ _SCHEMAS = {
 }
 
 _REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds", "t")}
-# Keys no condition of a sweep reads: the seeds come from the base config,
-# these run keys only estimation-scaling reads, and [sweep] only the sweep itself.
-_UNSWEPT = ("run.seeds", "run.etas", "run.est_window_factor")
+
+# Each part of a config that not every condition reads: the subcommands
+# that read it, and whether each of their conditions reads it (else the
+# subcommand reads it once, for all its conditions). A subcommand refuses
+# a part it does not read, naming the first in this order; a sweep axis
+# must be a part that each condition of a sweep reads.
+_READERS = {
+    **dict.fromkeys(("run.etas", "run.est_window_factor"), (("estimation-scaling",), False)),
+    "[sweep]": (("sweep",), False),
+    **dict.fromkeys(("run.escape_level", "run.f_threshold", "run.lambda_min_every"), (("run", "sweep"), True)),
+    "run.seeds": (("run", "sweep", "estimation-scaling"), False),
+}
 
 
 @dataclass
@@ -176,14 +221,15 @@ class ExperimentConfig:
 
 
 def resolve_axis(axis: str):
-    """Validate a sweep axis 'section.key' and return its parser."""
+    """Validate a sweep axis 'section.key' and return its section, key and parser."""
     section, _, key = axis.partition(".")
     if section not in _SCHEMAS or not key:
         raise ConfigError(f"sweep axis must be 'section.key', got {axis!r}")
     schema = _SCHEMAS[section]
     if key not in schema:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if section == "sweep" or axis in _UNSWEPT:
+    readers, each_condition = _READERS.get(axis) or _READERS.get(f"[{section}]", (("sweep",), True))
+    if "sweep" not in readers or not each_condition:
         raise ConfigError(f"{axis}: no condition of a sweep reads it, so it cannot be a sweep axis")
     return section, key, schema[key]
 
@@ -225,30 +271,245 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key in PROBLEMS[name].requires:
         if key not in cfg.problem:
             raise ConfigError(f"problem.{key}: required for {name}")
-    algo = cfg.optimizer.get("algorithm")
-    if algo not in ALGORITHMS:
-        raise ConfigError(f"optimizer.algorithm: unknown algorithm {algo!r}")
-    kind = cfg.optimizer.get("kind", "full_matrix")
-    if kind not in VARIANTS:
-        raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
-    source = cfg.optimizer.get("source", "estimated")
-    if source not in SOURCES:
-        raise ConfigError(f"optimizer.source: unknown source {source!r}")
-    decay = cfg.optimizer.get("eta_decay", "none")
-    if decay not in ETA_DECAYS:
-        raise ConfigError(f"optimizer.eta_decay: unknown schedule {decay!r}")
-    auto = cfg.optimizer.get("auto")
-    if auto is not None and auto not in AUTO_MODES:
-        raise ConfigError(f"optimizer.auto: unknown mode {auto!r}")
-    if auto is None:
-        for key in AUTO_KEYS:
-            if key in cfg.optimizer:
-                raise ConfigError(f"optimizer.{key}: read only by optimizer.auto, which is not set")
-    if not cfg.run.get("seeds"):
-        raise ConfigError("run.seeds: must be non-empty")
+    for key, default, allowed, noun in (
+        ("algorithm", None, ALGORITHMS, "algorithm"), ("kind", "full_matrix", VARIANTS, "kind"),
+        ("source", "estimated", SOURCES, "source"), ("eta_decay", "none", ETA_DECAYS, "schedule"),
+        ("auto", None, (None, *AUTO_MODES), "mode"),
+    ):
+        value = cfg.optimizer.get(key, default)
+        if value not in allowed:
+            raise ConfigError(f"optimizer.{key}: unknown {noun} {value!r}")
+    for key in AUTO_KEYS:
+        if key in cfg.optimizer and "auto" not in cfg.optimizer:
+            raise ConfigError(f"optimizer.{key}: read only by optimizer.auto, which is not set")
     for key, least in (("t", 1), ("log_every", 1), ("lambda_min_every", 0)):
         if cfg.run.get(key, least) < least:
             raise ConfigError(f"run.{key}: must be >= {least}")
     for key in ("est_window_factor", "burn_in_c"):
         if key in cfg.run and not cfg.run[key] > 0.0:
             raise ConfigError(f"run.{key}: must be positive, got {cfg.run[key]}")
+
+
+def _safe_name(value: str) -> str:
+    return "".join(c if (c.isalnum() or c in "._=-") else "-" for c in value)
+
+
+def _seeds(cfg: ExperimentConfig) -> list[int]:
+    """The configured seeds: each must be >= 0 and occur once."""
+    seeds = cfg.run["seeds"]
+    if min(seeds) < 0:
+        raise ConfigError(f"run.seeds: seed {min(seeds)} is negative")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"run.seeds: seed {repeated[0]} occurs more than once")
+    return seeds
+
+
+def conditions(cfg: ExperimentConfig, command: str):
+    """Yield the (run_id, cfg) conditions that ``command`` runs, each over all the seeds of cfg.run.
+
+    ``run`` runs cfg as "run", ``sweep`` one "<axis>=<value>" per value of
+    [sweep] as written, and ``estimation-scaling`` one "eta <eta>" per eta
+    (``_scaling_conditions``). A part that only another subcommand reads
+    (section.key or [section]) is refused first; the other checks are made
+    as the conditions are drawn, so a caller's check of each keeps its place.
+    """
+    for part, (readers, _) in _READERS.items():
+        section, _, key = part.strip("[]").partition(".")
+        if command not in readers and (key in getattr(cfg, section) if key else getattr(cfg, section)):
+            raise ConfigError(f"{part}: read only by {' and '.join(readers)}, not by {command}")
+    if command == "estimation-scaling":
+        yield from _scaling_conditions(cfg)
+    elif command == "sweep":
+        yield from _sweep_conditions(cfg)
+    else:
+        _seeds(cfg)
+        yield "run", cfg
+
+
+def _sweep_conditions(cfg: ExperimentConfig):
+    """One condition per value of sweep.axis; a value that repeats one before it, or writes its files, is a ConfigError."""
+    for key in ("axis", "values"):
+        if key not in cfg.sweep:
+            raise ConfigError(f"sweep.{key}: required for sweep")
+    axis = cfg.sweep["axis"]
+    section, key, _ = resolve_axis(axis)
+    _seeds(cfg)
+    done = []
+    for value in cfg.sweep["values"]:
+        sub = cfg.clone()
+        sub.set_axis_value(axis, value)
+        if any(getattr(sub, section)[key] == getattr(other, section)[key] for _, other in done):
+            raise ConfigError(f"sweep.values: {axis} value {value} occurs more than once")
+        name = _safe_name(f"{axis}={value}")
+        clash = [run_id.split("=", 1)[1] for run_id, _ in done if _safe_name(run_id) == name]
+        if clash:
+            raise ConfigError(f"sweep.values: {axis} values {clash[0]} and {value} would both write {name}_seed*.csv")
+        done.append((f"{axis}={value}", sub))
+        yield done[-1]
+
+
+def _scaling_conditions(cfg: ExperimentConfig):
+    """The estimation-scaling study's conditions: one per eta of run.etas, largest first.
+
+    Each runs RMSProp with burn-in under the fixed beta(eta) = 1 - C
+    eta^(2/3), C from optimizer.beta_spec = schedule:C (1 if unset),
+    tracking ||Ahat_t - A(x_t)|| over ~est_window_factor EMA time
+    constants: it replaces optimizer.algorithm, eta and beta_spec, and
+    run.t (by the window, if longer), track_est_error and log_every. A
+    fixed beta_spec (one beta cannot serve several etas), kind = identity
+    (no estimate), optimizer.auto (which would set eta), an eta_decay
+    other than none (each row is fitted against its constant eta), an eta
+    that repeats or has no beta(eta) in (0, 1), and more than one seed are
+    ConfigErrors.
+    """
+    etas = cfg.run.get("etas")
+    if not etas or len(etas) < 2:
+        raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
+    mode, c_sched = cfg.optimizer.get("beta_spec", ("schedule", 1.0))
+    if mode == "fixed":
+        raise ConfigError("optimizer.beta_spec: one fixed beta cannot serve several etas; set schedule:C or nothing")
+    for eta in etas:
+        if etas.count(eta) > 1:
+            raise ConfigError(f"run.etas: eta {eta} occurs more than once")
+        if not eta > 0.0 or not c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) must lie in (0, 1)
+            raise ConfigError(f"run.etas: eta {eta} must be positive with C eta^(2/3) < 1, C = {c_sched}")
+    if cfg.optimizer.get("kind") == "identity":
+        raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
+    if "auto" in cfg.optimizer:
+        raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
+    if cfg.optimizer.get("eta_decay", "none") != "none":
+        raise ConfigError("optimizer.eta_decay: estimation scaling runs each eta as a constant stepsize")
+    seeds = _seeds(cfg)
+    if len(seeds) > 1:
+        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(seeds)}")
+    factor = cfg.run.get("est_window_factor", 40.0)
+
+    for eta in sorted(etas, reverse=True):
+        beta = beta_schedule(eta, c_sched)
+        sub = cfg.clone()
+        sub.optimizer.update(algorithm="rmsprop_burnin", eta=eta, beta_spec=("fixed", beta))
+        sub.run.update(t=max(cfg.run["t"], math.ceil(factor / (1.0 - beta))), track_est_error=True, log_every=1)
+        yield f"eta {eta}", sub
+
+
+def resolve_run(cfg: ExperimentConfig, problem) -> Run:
+    """The run a condition asks for, each setting read once and checked by ``Run``.
+
+    ``hp`` holds only what the algorithm runs: W only with burn-in, r and
+    t_thresh only for ``large_step``, S only when it hallucinates, beta or
+    beta_c only when estimating; plus the f_thresh/g_thresh of
+    ``auto = second_order``. Under ``optimizer.auto``, setting a key its
+    mode computes (``AUTO_MODES``; second_order also computes a fixed
+    beta) or an auto key the mode does not read, or leaving out one it
+    requires, or one outside (0, inf) ((0, 1) for k_const, (0, 1] for the
+    probability delta), is a ConfigError; so is a run needing the exact_G
+    oracle the problem lacks.
+    """
+    ocfg, rcfg = cfg.optimizer, cfg.run
+    algo = ocfg["algorithm"]
+    spec = ALGORITHMS[algo]
+    variant = "identity" if algo == "sgd" else ocfg.get("kind", "full_matrix")
+    kind = PreconditionerKind(variant, ocfg.get("epsilon", 0.0), ocfg.get("exponent", -0.5))
+    source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
+    estimating = estimates(kind, source)
+    track_est_error = rcfg.get("track_est_error", False)
+    if kind.variant != "identity" and (source == "idealized" or track_est_error) and not problem.has_exact_g:
+        needs = "idealized preconditioning" if source == "idealized" else "est_error tracking"
+        raise ConfigError(f"problem.name: {cfg.problem['name']} has no exact_G oracle, which {needs} needs")
+
+    beta, beta_c = None, None
+    if "beta_spec" in ocfg:
+        mode, value = ocfg["beta_spec"]
+        if mode == "fixed":
+            beta = value
+        else:
+            beta_c = value
+    elif estimating:
+        raise ConfigError("optimizer.beta_spec: required for estimated preconditioning")
+
+    eta, r, t_thresh, W, S = (ocfg.get(key) for key in ("eta", "r", "t_thresh", "w", "s"))
+    T = rcfg["t"]
+    # The calculators' optional constants, passed only when set: each default is the calculator's own.
+    burn_in_c = {"c_w": rcfg["burn_in_c"]} if "burn_in_c" in rcfg else {}
+    f_thresh = g_thresh = None
+
+    auto = ocfg.get("auto")
+    if auto is not None:
+        calc = AUTO_MODES[auto]
+        for key in calc.computes:
+            if key in ocfg:
+                raise ConfigError(f"optimizer.{key}: computed by optimizer.auto={auto}, so it may not be set")
+        for key in AUTO_KEYS:
+            if key in ocfg and key not in calc.requires + calc.reads:
+                raise ConfigError(f"optimizer.{key}: not read by optimizer.auto={auto}")
+        if auto == "second_order" and beta is not None:
+            raise ConfigError("optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order; "
+                              "set schedule:C or nothing")
+        for key in calc.requires:
+            if key not in ocfg:
+                raise ConfigError(f"optimizer.{key}: required for auto={auto}")
+        for key in calc.requires + calc.reads:
+            # Every calculator input is a positive constant; k_const is also below 1, the probability delta at most 1.
+            top, closed = {"k_const": (1.0, False), "delta": (1.0, True)}.get(key, (math.inf, False))
+            if key in ocfg and not (0.0 < ocfg[key] < top or closed and ocfg[key] == top):
+                raise ConfigError(f"optimizer.{key}: must be in (0, {top}{']' if closed else ')'} for auto={auto}, "
+                                  f"got {ocfg[key]}")
+    if auto in ("first_order_exact", "first_order_inexact"):
+        eta, T = first_order_params(
+            ocfg["l"], ocfg["c3"], ocfg["lambda_minus"], ocfg["delta_f"], ocfg["tau"],
+            exact=auto == "first_order_exact",
+        )
+    elif auto == "second_order":
+        consts = PreconditionerConstants(
+            nu1=ocfg.get("nu1", 1.0),
+            nu2=ocfg.get("nu2", 1.0),
+            c3=ocfg["c3"],
+            c4=ocfg["c4"],
+            lambda_minus=ocfg["lambda_minus"],
+            M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
+        )
+        found = second_order_params(
+            consts, ocfg["l"], ocfg["rho"], ocfg["tau"], ocfg["delta"],
+            **{key: ocfg[key] for key in ("omega", "k_const") if key in ocfg},
+            **burn_in_c,
+            **({"beta_c": beta_c} if beta_c is not None else {}),
+        )
+        eta, beta, beta_c, r, t_thresh = found.eta, found.beta, found.beta_c, found.r, found.t_thresh
+        W, S, f_thresh, g_thresh = found.W, found.S, found.f_thresh, found.g_thresh
+    if eta is None:
+        raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
+
+    if not (spec.burn_in and source == "estimated"):
+        W = 0
+    elif W is None:
+        W = burn_in_length(eta, **burn_in_c)
+    if not spec.large_steps:
+        r = t_thresh = None
+    elif r is None or t_thresh is None:
+        raise ConfigError("optimizer.r and optimizer.t_thresh: required for large_step")
+    if not (spec.large_steps and estimating):
+        S = None
+    elif S is None:
+        S = hallucination_count(r, eta)
+    if not estimating:
+        beta = beta_c = None
+
+    x0 = cfg.problem.get("x0", [0.0] * problem.dim)
+    if len(x0) != problem.dim:
+        raise ConfigError("problem.x0: length must equal the problem dimension")
+
+    return Run(
+        kind=kind,
+        source=source,
+        bias_corrected=ocfg.get("bias_corrected", False),
+        hp=HyperParams(
+            eta=eta, eta_decay=ocfg.get("eta_decay", "none"), beta=beta, beta_c=beta_c, r=r, t_thresh=t_thresh,
+            W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh,
+        ),
+        T=T,
+        x0=x0,
+        log_every=rcfg.get("log_every", 1),
+        track_est_error=track_est_error,
+        lambda_min_every=rcfg.get("lambda_min_every", 0),
+    )

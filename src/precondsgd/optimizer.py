@@ -1,15 +1,15 @@
 """The run loop and theorem-driven parameter calculators.
 
 ``run_sgd(problem, run, rngs)`` is preconditioned SGD x <- x - eta A g,
-and every algorithm is one ``Run`` of it (what ``runner.resolve_run``
-returns): SGD (identity), preconditioned SGD with the oracle A(x),
-full-matrix / diagonal RMSProp (the EMA-estimated A), RMSProp with
-burn-in, and the increasing-stepsize variant that takes a large step
-every t_thresh iterations and, when estimating, hallucinates
-interpolated samples to keep the estimate accurate. Also the first- and
-second-order stepsize/iteration calculators, ``AUTO_MODES`` (the config
-keys each ``optimizer.auto`` mode requires, reads and computes) and a
-stationarity check.
+and every algorithm is one ``Run`` of it: SGD (identity), preconditioned
+SGD with the oracle A(x), full-matrix / diagonal RMSProp (the
+EMA-estimated A), RMSProp with burn-in, and the increasing-stepsize
+variant that takes a large step every t_thresh iterations and, when
+estimating, hallucinates interpolated samples to keep the estimate
+accurate. Also the first- and second-order stepsize/iteration
+calculators and a stationarity check. This module reads no config:
+``config.resolve_run`` turns a config into the ``Run``, and ``config``
+names each algorithm and calculator mode a config may pick.
 
 A run advances B seeds in lockstep: iterates are a (B, d) stack, the
 preconditioner holds one estimate per seed, and the exact oracles take
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -196,23 +195,6 @@ def hessian_tolerance(rho: float, tau_g: float) -> float:
     if rho < 0 or tau_g < 0:
         raise InvalidParamError("rho and tau_g must be nonnegative")
     return math.sqrt(rho * tau_g)
-
-
-class Algorithm(NamedTuple):
-    source: str  # default preconditioner source
-    source_configurable: bool  # optimizer.source may override it
-    burn_in: bool  # W estimate-only samples precede the run, when the source is estimated
-    large_steps: bool
-
-
-# Every algorithm is run_sgd with one of these settings.
-ALGORITHMS = {
-    "sgd": Algorithm("idealized", False, False, False),
-    "preconditioned_sgd": Algorithm("idealized", True, False, False),
-    "rmsprop": Algorithm("estimated", False, False, False),
-    "rmsprop_burnin": Algorithm("estimated", False, True, False),
-    "large_step": Algorithm("estimated", True, True, True),
-}
 
 
 # The logged columns that the loop never reads back are filled once per
@@ -483,23 +465,6 @@ def _defect_reference(a, v):
     V^T I it replaces.
     """
     return v @ (a[..., None, :] * np.ascontiguousarray(v.swapaxes(-1, -2)))
-
-
-class AutoMode(NamedTuple):
-    requires: tuple[str, ...]  # optimizer keys the calculator must be given
-    reads: tuple[str, ...]  # optional optimizer keys it reads
-    computes: tuple[str, ...]  # optimizer keys it sets, so a config may not
-
-
-# The optimizer.auto modes: first_order_params (exact or inexact) and
-# second_order_params, by the config keys each takes.
-_FIRST_ORDER = AutoMode(("l", "c3", "lambda_minus", "delta_f", "tau"), (), ("eta",))
-AUTO_MODES = {
-    "first_order_exact": _FIRST_ORDER,
-    "first_order_inexact": _FIRST_ORDER,
-    "second_order": AutoMode(("l", "rho", "c3", "c4", "lambda_minus", "tau", "delta"),
-                             ("nu1", "nu2", "m_bound", "omega", "k_const"), ("eta", "r", "t_thresh", "w", "s")),
-}
 
 
 def first_order_params(

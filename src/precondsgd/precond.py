@@ -198,14 +198,15 @@ class Preconditioner:
         return self._power(base, "G")
 
     def _power(self, base, name: str):
-        """(lambda^exponent, V) for the eigenpairs of base + eps I; V is None when diagonal."""
+        """(lambda^exponent, V) for the eigenpairs of base + eps I; V is None when diagonal. A lambda that
+        is not positive, NaN included, raises a SingularMatrixError that marks its rows."""
         if self.diagonal:
             lam, v = base + self.kind.epsilon, None
         else:
             w, v = eigh(base)
             lam = w + self.kind.epsilon
-        if (lam <= 0.0).any():
-            bad = (lam <= 0.0).any(axis=-1)
+        if not (lam > 0.0).all():
+            bad = ~(lam > 0.0).all(axis=-1)
             raise SingularMatrixError(f"lambda_min({name}) + eps not positive", rows=bad if bad.ndim else None)
         return lam**self.kind.exponent, v
 

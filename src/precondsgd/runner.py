@@ -1,44 +1,32 @@
 """Experiment execution: runs, sweeps, scaling studies, and report data.
 
-Builds problems and optimizer runs from an ExperimentConfig and executes
-each condition (a run, a sweep value, a scaling study's eta) in seed
-groups: contiguous runs of its seeds that advance in lockstep in one
-process (``jobs`` groups per condition, optionally in a process pool).
-Writes one trajectory CSV per seed plus a merged summary CSV (or one
-scaling row per eta), and turns summaries back into quantile-band plot
-data. A seed's bytes do not depend on the group it ran in, so the output
-does not depend on ``jobs``. A seed that fails numerically still gets
-its partial trajectory; the other seeds finish, and the first failure in
-condition and seed order is raised once everything is written (without
-a summary). All files are written atomically (temp + rename) and floats
-are formatted with their shortest round-trip representation, so
-re-running a config reproduces byte-identical output.
-"""
+Holds no config rule: ``config.conditions`` gives a subcommand's
+conditions and ``config.resolve_run`` each one's run. Each condition (a
+run, a sweep value, a scaling study's eta) runs in seed groups:
+contiguous runs of its seeds that advance in lockstep in one process
+(``jobs`` groups per condition, optionally in a process pool). Writes one
+trajectory CSV per seed plus a merged summary CSV (or one scaling row per
+eta), and turns summaries back into quantile-band plot data. A seed's
+bytes do not depend on the group it ran in, so the output does not
+depend on ``jobs``. A seed that fails numerically still gets its partial
+trajectory; the other seeds finish, and the first failure in condition
+and seed order is raised once everything is written (without a summary).
+All files are written atomically (temp + rename) and floats are
+formatted with their shortest round-trip representation, so re-running
+a config reproduces byte-identical output."""
 
 from __future__ import annotations
 
 import csv
 import functools
-import math
 import os
 import tempfile
 
 import numpy as np
 
-from .config import AUTO_KEYS, ExperimentConfig, resolve_axis
+from .config import ExperimentConfig, _safe_name, conditions, resolve_run
 from .errors import ConfigError, DataFormatError, NumericError
-from .estimation import beta_schedule, burn_in_length, hallucination_count
-from .optimizer import (
-    ALGORITHMS,
-    AUTO_MODES,
-    HyperParams,
-    Run,
-    Trajectory,
-    first_order_params,
-    run_sgd,
-    second_order_params,
-)
-from .precond import PreconditionerConstants, PreconditionerKind, estimates
+from .optimizer import Trajectory, run_sgd
 from .problems import PROBLEMS
 
 # The paper-scale escape level (-0.1) is below the saddle problem's global
@@ -104,132 +92,8 @@ def build_problem(pcfg: dict):
     return PROBLEMS[pcfg["name"]].build(pcfg)
 
 
-def resolve_run(cfg: ExperimentConfig, problem) -> Run:
-    """The run a condition asks for, each setting read once and checked by ``Run``.
-
-    ``hp`` holds only what the algorithm runs: W only with burn-in, r and
-    t_thresh only for ``large_step``, S only when it hallucinates, beta or
-    beta_c only when estimating; plus the f_thresh/g_thresh of
-    ``auto = second_order``. Under ``optimizer.auto``, setting a key its
-    mode computes (``optimizer.AUTO_MODES``; second_order also computes a
-    fixed beta) or an auto key the mode does not read, or leaving out one
-    it requires, or one outside (0, inf) ((0, 1) for k_const, (0, 1] for
-    the probability delta), is a
-    ConfigError; so is a run needing the exact_G oracle the problem lacks."""
-    ocfg, rcfg = cfg.optimizer, cfg.run
-    algo = ocfg["algorithm"]
-    spec = ALGORITHMS[algo]
-    variant = "identity" if algo == "sgd" else ocfg.get("kind", "full_matrix")
-    kind = PreconditionerKind(variant, ocfg.get("epsilon", 0.0), ocfg.get("exponent", -0.5))
-    source = ocfg.get("source", spec.source) if spec.source_configurable else spec.source
-    estimating = estimates(kind, source)
-    track_est_error = rcfg.get("track_est_error", False)
-    if kind.variant != "identity" and (source == "idealized" or track_est_error) and not problem.has_exact_g:
-        needs = "idealized preconditioning" if source == "idealized" else "est_error tracking"
-        raise ConfigError(f"problem.name: {cfg.problem['name']} has no exact_G oracle, which {needs} needs")
-
-    beta, beta_c = None, None
-    if "beta_spec" in ocfg:
-        mode, value = ocfg["beta_spec"]
-        if mode == "fixed":
-            beta = value
-        else:
-            beta_c = value
-    elif estimating:
-        raise ConfigError("optimizer.beta_spec: required for estimated preconditioning")
-
-    eta, r, t_thresh, W, S = (ocfg.get(key) for key in ("eta", "r", "t_thresh", "w", "s"))
-    T = rcfg["t"]
-    # The calculators' optional constants, passed only when set: each default is the calculator's own.
-    burn_in_c = {"c_w": rcfg["burn_in_c"]} if "burn_in_c" in rcfg else {}
-    f_thresh = g_thresh = None
-
-    auto = ocfg.get("auto")
-    if auto is not None:
-        calc = AUTO_MODES[auto]
-        for key in calc.computes:
-            if key in ocfg:
-                raise ConfigError(f"optimizer.{key}: computed by optimizer.auto={auto}, so it may not be set")
-        for key in AUTO_KEYS:
-            if key in ocfg and key not in calc.requires + calc.reads:
-                raise ConfigError(f"optimizer.{key}: not read by optimizer.auto={auto}")
-        if auto == "second_order" and beta is not None:
-            raise ConfigError("optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order; "
-                              "set schedule:C or nothing")
-        for key in calc.requires:
-            if key not in ocfg:
-                raise ConfigError(f"optimizer.{key}: required for auto={auto}")
-        for key in calc.requires + calc.reads:
-            # Every calculator input is a positive constant; k_const is also below 1, the probability delta at most 1.
-            top, closed = {"k_const": (1.0, False), "delta": (1.0, True)}.get(key, (math.inf, False))
-            if key in ocfg and not (0.0 < ocfg[key] < top or closed and ocfg[key] == top):
-                raise ConfigError(f"optimizer.{key}: must be in (0, {top}{']' if closed else ')'} for auto={auto}, "
-                                  f"got {ocfg[key]}")
-    if auto in ("first_order_exact", "first_order_inexact"):
-        eta, T = first_order_params(
-            ocfg["l"], ocfg["c3"], ocfg["lambda_minus"], ocfg["delta_f"], ocfg["tau"],
-            exact=auto == "first_order_exact",
-        )
-    elif auto == "second_order":
-        consts = PreconditionerConstants(
-            nu1=ocfg.get("nu1", 1.0),
-            nu2=ocfg.get("nu2", 1.0),
-            c3=ocfg["c3"],
-            c4=ocfg["c4"],
-            lambda_minus=ocfg["lambda_minus"],
-            M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
-        )
-        found = second_order_params(
-            consts, ocfg["l"], ocfg["rho"], ocfg["tau"], ocfg["delta"],
-            **{key: ocfg[key] for key in ("omega", "k_const") if key in ocfg},
-            **burn_in_c,
-            **({"beta_c": beta_c} if beta_c is not None else {}),
-        )
-        eta, beta, beta_c, r, t_thresh = found.eta, found.beta, found.beta_c, found.r, found.t_thresh
-        W, S, f_thresh, g_thresh = found.W, found.S, found.f_thresh, found.g_thresh
-    if eta is None:
-        raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
-
-    if not (spec.burn_in and source == "estimated"):
-        W = 0
-    elif W is None:
-        W = burn_in_length(eta, **burn_in_c)
-    if not spec.large_steps:
-        r = t_thresh = None
-    elif r is None or t_thresh is None:
-        raise ConfigError("optimizer.r and optimizer.t_thresh: required for large_step")
-    if not (spec.large_steps and estimating):
-        S = None
-    elif S is None:
-        S = hallucination_count(r, eta)
-    if not estimating:
-        beta = beta_c = None
-
-    x0 = cfg.problem.get("x0", [0.0] * problem.dim)
-    if len(x0) != problem.dim:
-        raise ConfigError("problem.x0: length must equal the problem dimension")
-
-    return Run(
-        kind=kind,
-        source=source,
-        bias_corrected=ocfg.get("bias_corrected", False),
-        hp=HyperParams(
-            eta=eta, eta_decay=ocfg.get("eta_decay", "none"), beta=beta, beta_c=beta_c, r=r, t_thresh=t_thresh,
-            W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh,
-        ),
-        T=T,
-        x0=x0,
-        log_every=rcfg.get("log_every", 1),
-        track_est_error=track_est_error,
-        lambda_min_every=rcfg.get("lambda_min_every", 0),
-    )
-
-
 def execute_records(cfg: ExperimentConfig, seeds):
-    """Run a group of seeds of one condition in lockstep.
-
-    Returns the problem, the resolved run and one Trajectory per seed.
-    """
+    """Run a group of seeds of one condition in lockstep; return the problem, the run and one Trajectory per seed."""
     problem = build_problem(cfg.problem)
     run = resolve_run(cfg, problem)
     return problem, run, run_sgd(problem, run, [make_rng(seed) for seed in seeds])
@@ -326,10 +190,6 @@ def summarize(traj: Trajectory, run_id: str, seed: int, escape_level: float, f_t
     }
 
 
-def _safe_name(value: str) -> str:
-    return "".join(c if (c.isalnum() or c in "._=-") else "-" for c in value)
-
-
 def run_group(cfg: ExperimentConfig, run_id: str, seeds, out_dir: str) -> list:
     """Run a seed group in lockstep and write one trajectory per seed.
 
@@ -381,30 +241,6 @@ def _column(path, rows, name, parse=str) -> list:
     return values
 
 
-def _seeds(cfg: ExperimentConfig) -> list[int]:
-    """The configured seeds: each must be >= 0 and occur once."""
-    seeds = cfg.run["seeds"]
-    if min(seeds) < 0:
-        raise ConfigError(f"run.seeds: seed {min(seeds)} is negative")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ConfigError(f"run.seeds: seed {repeated[0]} occurs more than once")
-    return seeds
-
-
-def _refuse_unread(cfg: ExperimentConfig, command: str) -> None:
-    """A ConfigError naming the first part of cfg that only a subcommand other than ``command`` reads."""
-    read_only_by = {
-        ("estimation-scaling",): [f"run.{key}" for key in ("etas", "est_window_factor") if key in cfg.run],
-        ("sweep",): ["[sweep]"] if cfg.sweep else [],
-        ("run", "sweep"): [f"run.{key}" for key in ("escape_level", "f_threshold", "lambda_min_every")
-                           if key in cfg.run],
-    }
-    for readers, parts in read_only_by.items():
-        if command not in readers and parts:
-            raise ConfigError(f"{parts[0]}: read only by {' and '.join(readers)}, not by {command}")
-
-
 def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
     """Run each (run_id, cfg) condition over the seeds with ``group``; return the rows.
 
@@ -435,109 +271,46 @@ def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """One condition x all seeds; returns the summary path."""
-    _refuse_unread(cfg, "run")
-    seeds = _seeds(cfg)
-    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), [("run", cfg)], seeds, jobs)
-    rows.sort(key=lambda r: r["seed"])
-    path = os.path.join(out_dir, "summary.csv")
-    write_csv(path, SUMMARY_COLUMNS, rows)
-    return path
+    return _cmd_summary(cfg, "run", out_dir, jobs)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """Cross-product of the values of sweep.axis (both from [sweep]) and the seeds, merged into one summary."""
-    _refuse_unread(cfg, "sweep")
-    for key in ("axis", "values"):
-        if key not in cfg.sweep:
-            raise ConfigError(f"sweep.{key}: required for sweep")
-    axis, values = cfg.sweep["axis"], cfg.sweep["values"]
-    section, key, _ = resolve_axis(axis)
-    seeds = _seeds(cfg)
-    conditions = []
-    for value in values:
-        sub = cfg.clone()
-        sub.set_axis_value(axis, value)
-        if any(getattr(sub, section)[key] == getattr(done, section)[key] for _, done in conditions):
-            raise ConfigError(f"sweep.values: {axis} value {value} occurs more than once")
-        name = _safe_name(f"{axis}={value}")
-        clash = [run_id.split("=", 1)[1] for run_id, _ in conditions if _safe_name(run_id) == name]
-        if clash:
-            raise ConfigError(f"sweep.values: {axis} values {clash[0]} and {value} would both write {name}_seed*.csv")
-        resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
-        conditions.append((f"{axis}={value}", sub))
-    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), conditions, seeds, jobs)
+    return _cmd_summary(cfg, "sweep", out_dir, jobs)
+
+
+def _cmd_summary(cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -> str:
+    """Run the conditions of ``run`` or ``sweep`` and write the summary, by axis value (numbers first) and seed."""
+    runs = []
+    for run_id, sub in conditions(cfg, command):
+        if command == "sweep":
+            resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
+        runs.append((run_id, sub))
+    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), runs, cfg.run["seeds"], jobs)
+    for row in rows:
+        row["axis"], row["axis_value"] = cfg.sweep.get("axis"), row["run_id"].partition("=")[2]
 
     def sort_key(row):
-        value = row["run_id"].split("=", 1)[1]
         try:
-            return (0, float(value), row["seed"])
+            return (0, float(row["axis_value"]), row["seed"])
         except ValueError:
-            return (1, value, row["seed"])
+            return (1, row["axis_value"], row["seed"])
 
     rows.sort(key=sort_key)
-    for row in rows:
-        row["axis"] = axis
-        row["axis_value"] = row["run_id"].split("=", 1)[1]
     path = os.path.join(out_dir, "summary.csv")
-    write_csv(path, ("axis", "axis_value") + SUMMARY_COLUMNS, rows)
+    write_csv(path, (("axis", "axis_value") if command == "sweep" else ()) + SUMMARY_COLUMNS, rows)
     return path
 
 
 def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
     """Sup preconditioner-estimation error versus eta, with the fitted slope.
 
-    For each eta of run.etas, runs RMSProp with burn-in under
-    beta = 1 - C eta^(2/3), C from optimizer.beta_spec = schedule:C (1 if
-    the key is unset), tracking ||Ahat_t - A(x_t)|| over a window of
-    ~est_window_factor EMA time constants, and fits the log-log slope of
-    the sup error. Each eta is a condition ``eta <eta>``, largest first,
-    and ``jobs`` of them run at once. Each run replaces
-    optimizer.algorithm (by rmsprop_burnin), optimizer.eta,
-    optimizer.beta_spec (by the fixed beta(eta)), run.t (by the window if
-    longer), run.track_est_error and run.log_every. A fixed beta_spec
-    (one beta cannot serve several etas), kind = identity (no estimate),
-    optimizer.auto (which would set eta), an eta_decay other than none
-    (each row is fitted against its constant eta), an eta that repeats
-    or has no beta(eta) in (0, 1), and a [sweep] section, run.escape_level,
-    run.f_threshold or run.lambda_min_every (which it would not read) are
-    ConfigErrors. Neither a ConfigError nor a numeric failure writes a
-    file.
+    Runs the conditions of ``config.conditions(cfg, "estimation-scaling")``,
+    one per eta, ``jobs`` of them at once, and writes one scaling.csv row
+    per eta and the log-log slope of sup_error in scaling_fit.csv. Neither
+    a ConfigError nor a numeric failure writes a file.
     """
-    _refuse_unread(cfg, "estimation-scaling")
-    etas = cfg.run.get("etas")
-    if not etas or len(etas) < 2:
-        raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
-    mode, c_sched = cfg.optimizer.get("beta_spec", ("schedule", 1.0))
-    if mode == "fixed":
-        raise ConfigError("optimizer.beta_spec: one fixed beta cannot serve several etas; set schedule:C or nothing")
-    for eta in etas:
-        if etas.count(eta) > 1:
-            raise ConfigError(f"run.etas: eta {eta} occurs more than once")
-        if not eta > 0.0 or not c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) must lie in (0, 1)
-            raise ConfigError(f"run.etas: eta {eta} must be positive with C eta^(2/3) < 1, C = {c_sched}")
-    if cfg.optimizer.get("kind") == "identity":
-        raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
-    if "auto" in cfg.optimizer:
-        raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
-    if cfg.optimizer.get("eta_decay", "none") != "none":
-        raise ConfigError("optimizer.eta_decay: estimation scaling runs each eta as a constant stepsize")
-    seeds = _seeds(cfg)
-    if len(seeds) > 1:
-        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(seeds)}")
-    factor = cfg.run.get("est_window_factor", 40.0)
-
-    conditions = []
-    for eta in sorted(etas, reverse=True):
-        beta = beta_schedule(eta, c_sched)
-        sub = cfg.clone()
-        sub.optimizer["algorithm"] = "rmsprop_burnin"
-        sub.optimizer["eta"] = eta
-        sub.optimizer["beta_spec"] = ("fixed", beta)
-        sub.run["t"] = max(cfg.run.get("t", 1), math.ceil(factor / (1.0 - beta)))
-        sub.run["track_est_error"] = True
-        sub.run["log_every"] = 1
-        conditions.append((f"eta {eta}", sub))
-    rows = _execute_conditions(_scaling_group, conditions, seeds, jobs)
+    rows = _execute_conditions(_scaling_group, list(conditions(cfg, "estimation-scaling")), cfg.run["seeds"], jobs)
 
     finite = [r for r in rows if r["sup_error"] > 0.0]
     slope = 0.0

@@ -1,18 +1,22 @@
-"""Mutation testing of ``optimizer.run_sgd``: how many one-token faults do the focused tests catch?
+"""Mutation testing: how many one-token faults in a function do its focused tests catch?
 
 Run from the repository root (standard library only; pytest does not
 collect this file)::
 
-    python tests/mutate.py [--tests tests/test_bulk_logging.py ...] [--timeout 20]
+    python tests/mutate.py [--target PATH:FUNCTION ...] [--tests tests/test_bulk_logging.py ...] [--timeout 20]
 
-Each mutant makes one change in the body of ``run_sgd``: ``<`` and ``<=``
-swap, ``>`` and ``>=`` swap, or an integer constant moves by +1 or -1. The
-mutated module is written into a copy of ``src``, ``tests`` and
+``--target`` names a top-level function (or ``Class.method``) of a module
+under the repository root and may be repeated; the default is
+``src/precondsgd/optimizer.py:run_sgd``. Each mutant makes one change in
+the body of one target: ``<`` and ``<=`` swap, ``>`` and ``>=``, ``==``
+and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``; ``True`` and
+``False`` swap; or an integer constant moves by +1 or -1. The mutated
+module is written into a copy of ``src``, ``tests`` and
 ``pyproject.toml`` in a temporary directory, so the checkout is never
 changed, and pytest runs the focused tests there with ``-x``. A mutant is
-killed when they fail or time out, and survives when they pass. The
-unmutated module, rewritten the same way, must pass first. The script
-prints one line per mutant and then the score and the survivors.
+killed when they fail or time out, and survives when they pass. Each
+target's unmutated module, rewritten the same way, must pass first. The
+script prints one line per mutant and then the score and the survivors.
 """
 
 from __future__ import annotations
@@ -27,40 +31,53 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MODULE = os.path.join("src", "precondsgd", "optimizer.py")
-FUNCTION = "run_sgd"
-SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
-SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+DEFAULT_TARGET = "src/precondsgd/optimizer.py:run_sgd"
+SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.In: "in",
+           ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not"}
 
 
-def sites(tree: ast.Module) -> list[tuple[ast.AST, int, str]]:
-    """(node, operator index or constant delta, description) of every mutation in FUNCTION, in walk order."""
-    function = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == FUNCTION)
+def find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    """The function ``name`` (``Class.method`` for a method) defined at the top of the module."""
+    scope = tree
+    for part in name.split("."):
+        scope = next(n for n in scope.body
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+    return scope
+
+
+def sites(tree: ast.Module, function: str) -> list[tuple[ast.AST, int, str]]:
+    """(node, operator index or constant delta, description) of every mutation in ``function``, in walk order."""
     found = []
-    for node in ast.walk(function):
+    for node in ast.walk(find_function(tree, function)):
         if isinstance(node, ast.Compare):
             for j, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     found.append((node, j, f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"))
+        elif isinstance(node, ast.Constant) and type(node.value) is bool:
+            found.append((node, 0, f"{node.value} -> {not node.value}"))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found += [(node, delta, f"{node.value} -> {node.value + delta}") for delta in (1, -1)]
     return found
 
 
-def mutant(source: str, k: int) -> tuple[str, str, str]:
-    """The module source with mutation k applied, its line:column and its description."""
+def mutant(source: str, function: str, k: int) -> tuple[str, str, str]:
+    """The module source with mutation k of ``function`` applied, its line:column and its description."""
     tree = ast.parse(source)
-    node, change, what = sites(tree)[k]
+    node, change, what = sites(tree, function)[k]
     if isinstance(node, ast.Compare):
         node.ops[change] = SWAPS[type(node.ops[change])]()
+    elif type(node.value) is bool:
+        node.value = not node.value
     else:
         node.value += change
     return ast.unparse(tree), f"{node.lineno}:{node.col_offset + 1}", what
 
 
-def passes(work: str, source: str, tests: list[str], timeout: float) -> bool:
+def passes(work: str, module: str, source: str, tests: list[str], timeout: float) -> bool:
     """Do the tests pass with ``source`` as the module? A timeout counts as a failure."""
-    with open(os.path.join(work, MODULE), "w", encoding="utf-8") as fh:
+    with open(os.path.join(work, module), "w", encoding="utf-8") as fh:
         fh.write(source)
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
@@ -73,30 +90,37 @@ def passes(work: str, source: str, tests: list[str], timeout: float) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--target", action="append", metavar="PATH:FUNCTION",
+                        help=f"a function to mutate; repeatable (default: {DEFAULT_TARGET})")
     parser.add_argument("--tests", nargs="+", default=[os.path.join("tests", "test_bulk_logging.py")])
     parser.add_argument("--timeout", type=float, default=20.0, help="seconds per mutant before it counts as killed")
     args = parser.parse_args(argv)
-    with open(os.path.join(ROOT, MODULE), encoding="utf-8") as fh:
-        source = fh.read()
-    n = len(sites(ast.parse(source)))
-    survivors = []
+    targets = [target.rpartition(":")[::2] for target in args.target or [DEFAULT_TARGET]]
+    n_total, survivors = 0, []
     with tempfile.TemporaryDirectory(prefix="mutate-") as work:
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(work, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), work)
-        if not passes(work, ast.unparse(ast.parse(source)), args.tests, args.timeout):
-            print(f"the unmutated {MODULE} fails {' '.join(args.tests)}: no score", file=sys.stderr)
-            return 1
-        for k in range(n):
-            text, where, what = mutant(source, k)
-            start = time.perf_counter()
-            killed = not passes(work, text, args.tests, args.timeout)
-            print(f"{k + 1:3d}/{n} {'killed  ' if killed else 'SURVIVED'} {MODULE}:{where} {what} "
-                  f"({time.perf_counter() - start:.1f} s)", flush=True)
-            if not killed:
-                survivors.append(f"{MODULE}:{where} {what}")
-    print(f"score: {n - len(survivors)} of {n} mutants killed")
+        for module, function in targets:
+            with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
+                source = fh.read()
+            n = len(sites(ast.parse(source), function))
+            if not passes(work, module, ast.unparse(ast.parse(source)), args.tests, args.timeout):
+                print(f"the unmutated {module} fails {' '.join(args.tests)}: no score", file=sys.stderr)
+                return 1
+            for k in range(n):
+                text, where, what = mutant(source, function, k)
+                start = time.perf_counter()
+                killed = not passes(work, module, text, args.tests, args.timeout)
+                print(f"{k + 1:3d}/{n} {'killed  ' if killed else 'SURVIVED'} {module}:{where} {function}: {what} "
+                      f"({time.perf_counter() - start:.1f} s)", flush=True)
+                if not killed:
+                    survivors.append(f"{module}:{where} {function}: {what}")
+            with open(os.path.join(work, module), "w", encoding="utf-8") as fh:
+                fh.write(source)  # the next target runs beside this one as written
+            n_total += n
+    print(f"score: {n_total - len(survivors)} of {n_total} mutants killed")
     for survivor in survivors:
         print(f"survivor: {survivor}")
     return 0

@@ -439,3 +439,35 @@ def test_the_saddle_logs_lambda_min_once_per_chunk(monkeypatch):
               lambda_min_every=1)
     run_sgd(problem, run, [rng_for(s) for s in range(8)])
     assert calls == Counter(sample_grad=8 * 600, eval_f=600, grad=3, hessian=3)
+
+
+def due_events(W, T, t_thresh, S, log_every):
+    """(iteration, step_kind) of every event a large-step run logs, counted event by event.
+
+    Burn-in takes -W..-1; each step is one event, and each large step (t
+    a multiple of t_thresh) is followed by S+1 hallucinated events. An
+    event is logged when its index is a multiple of log_every, and the
+    last step's event always is.
+    """
+    kinds = ["burnin"] * W
+    for t in range(T):
+        kinds.append("large" if t % t_thresh == 0 else "normal")
+        last_step = len(kinds) - 1
+        if t % t_thresh == 0:
+            kinds += ["hallucinated"] * (S + 1)
+    return [(i - W, kind) for i, kind in enumerate(kinds) if (i - W) % log_every == 0 or i == last_step]
+
+
+@pytest.mark.parametrize("W", [0, 3])
+@pytest.mark.parametrize("log_every", [1, 2, 3])
+def test_a_run_ending_in_a_large_step_logs_every_due_event(W, log_every):
+    """(T - 1) % t_thresh == 0: the last step is large and its hallucinated samples come after it, so the
+    run's event count, and with it the slots it allocates, must count them. At log_every = 3 every slot is
+    used: the due events fill (n_events - 1) // 3 + 1 slots, and the last step, between two of them, one more."""
+    T, t_thresh, S = 5, 4, 3
+    hp = HyperParams(eta=0.01, beta=0.9, r=0.05, t_thresh=t_thresh, W=W, S=S)
+    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, hp, T, (0.3, -0.2), log_every=log_every)
+    problem = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.2]))
+    for traj in run_sgd(problem, run, [rng_for(s) for s in SEEDS[:2]]):
+        assert traj.error is None
+        assert list(zip(traj.iteration.tolist(), traj.step_kind.tolist())) == due_events(W, T, t_thresh, S, log_every)

@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import inspect
 import io
+import math
 import os
 import pickle
 import subprocess
@@ -13,12 +14,12 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from precondsgd import ConfigError, StochasticProblem, config, problems, runner
+from precondsgd import ConfigError, StochasticProblem, cli, config, errors, problems, runner
 from precondsgd.cli import build_parser, main
-from precondsgd.config import AUTO_KEYS, load_config, parse_beta_spec
+from precondsgd.config import AUTO_KEYS, AUTO_MODES, load_config, parse_beta_spec, resolve_run
 from precondsgd.estimation import beta_schedule
 from precondsgd.optimizer import (
-    AUTO_MODES, STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, run_sgd,
+    STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, first_order_params, run_sgd,
 )
 from precondsgd.problems import PROBLEMS
 from precondsgd.runner import (
@@ -30,7 +31,6 @@ from precondsgd.runner import (
     make_rng,
     read_summary,
     read_trajectory,
-    resolve_run,
     summarize,
     trajectory_columns,
     write_trajectory,
@@ -336,6 +336,59 @@ t = 10
         assert f"argument --jobs: must be an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds, jobs", [("0", "1"), ("0,1", "2")], ids=("here", "in-a-worker"))
+    def test_an_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys, seeds, jobs):
+        """Writing a trajectory into a regular file fails with an OSError, in this process or in a worker."""
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        text = SADDLE_CFG.replace("seeds = 0,1,2\nt = 200", f"seeds = {seeds}\nt = 5")
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    EXIT_CODES = {
+        errors.NumericError: 3, errors.NonFiniteError: 3, errors.SingularMatrixError: 3,
+        errors.PreconditionViolatedError: 3, errors.PrecondSgdError: 2, errors.InvalidParamError: 2,
+        errors.MissingOracleError: 2, errors.DimMismatchError: 2, errors.DataFormatError: 2, errors.ConfigError: 2,
+        FileExistsError: 2, PermissionError: 2,
+    }
+
+    @pytest.mark.parametrize("error", EXIT_CODES, ids=lambda cls: cls.__name__)
+    def test_an_error_exits_with_the_code_of_its_class(self, tmp_path, monkeypatch, capsys, error):
+        def fail(cfg, out_dir, jobs):
+            raise error("raised by the subcommand")
+
+        monkeypatch.setattr(cli, "cmd_run", fail)
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG)
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == self.EXIT_CODES[error]
+        assert "raised by the subcommand" in capsys.readouterr().err
+
+    def test_every_package_error_has_an_exit_code(self):
+        package_errors = {cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)}
+        assert package_errors <= set(self.EXIT_CODES)
+
+    def test_a_negative_eta_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("eta = 0.01", "eta = -0.01"))
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert "error: eta must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_a_write_failing_mid_file_keeps_the_old_bytes_and_no_temp_file(self, tmp_path, error):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(b"old,bytes\n")
+
+        def write(fh):
+            fh.write("half a row,")
+            raise error("the disk is full")
+
+        with pytest.raises(error, match="the disk is full"):
+            runner._atomic_write(str(path), write)
+        assert path.read_bytes() == b"old,bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.ini", SADDLE_CFG.replace("t = 200", "t = 20"))
         env_dir = tmp_path / "envout"
@@ -382,7 +435,40 @@ t = 5
 """
 
 
+# Ghat overflows to inf at seed 0's step 6 (and seed 1's step 22), and eigh then gives NaN eigenvalues.
+NAN_SPECTRUM = """
+[problem]
+name = quadratic_gaussian
+dim = 2
+h_diag = 1,1
+noise_diag = 8e307,1
+x0 = 0.1,0.1
+
+[optimizer]
+algorithm = rmsprop
+kind = full_matrix
+eta = 0.01
+epsilon = 1e-8
+beta_spec = 0.9
+
+[run]
+seeds = 0,1
+t = 30
+track_est_error = true
+"""
+
+
 class TestNumericFailures:
+    def test_a_nan_spectrum_stops_its_seed_before_the_step(self, tmp_path, capsys):
+        """NaN is not a positive eigenvalue: the seed stops at step 6's direction, not at a NaN iterate after it."""
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "c.ini", NAN_SPECTRUM), "--out", str(out), "--jobs", "1"]) == 3
+        assert "numeric failure: run seed 0: lambda_min(Ghat) + eps not positive" in capsys.readouterr().err
+        traj = read_trajectory(out / "run_seed0.csv")
+        assert traj.iteration.tolist() == list(range(6))
+        assert read_trajectory(out / "run_seed1.csv").iteration.tolist() == list(range(22))
+        assert not (out / "summary.csv").exists()
+
     def test_a_diverging_seed_leaves_the_same_files_for_any_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.ini", DIVERGES_FOR_SEED_1)
         files = {}
@@ -481,6 +567,19 @@ class TestSweep:
         assert main(argv) == 2
         assert ("error: sweep.values: run.escape_level values 1e-2 and 1e+2 would both write "
                 "run.escape_level=1e-2_seed*.csv") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_file_name_clash_names_both_values_whole(self, tmp_path, capsys):
+        """A problem.path value may hold '=': the message names each value as written, not cut at it."""
+        first, second = tmp_path / "a=1+b.csv", tmp_path / "a=1-b.csv"
+        first.write_text("x_0,x_1,label\n1.0,0.5,1\n-0.5,2.0,0\n0.25,-1.0,1\n", encoding="utf-8")
+        text = (f"[problem]\nname = logistic_csv\npath = {first}\n[optimizer]\nalgorithm = sgd\neta = 0.01\n"
+                "[run]\nseeds = 0\nt = 3\n")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "c.ini", with_sweep(text, "problem.path", f"{first}, {second}"))
+        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: sweep.values: problem.path values {first} and {second} would both write" in err
         assert not out.exists()
 
     def test_beta_spec_axis_mixes_fixed_and_schedule(self, tmp_path):
@@ -669,6 +768,26 @@ etas = 0.01,0.003
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
         assert "error: run.seeds: estimation scaling runs one seed, got 3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_two_seeds_exit_2_naming_run_seeds(self, tmp_path, capsys):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace("seeds = 5", "seeds = 17,18")
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
+        assert "error: run.seeds: estimation scaling runs one seed, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_eta_is_one_condition_with_its_six_keys_rewritten(self, tmp_path):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.001, 0.01").replace("t = 1", "t = 1\nlog_every = 5")
+        cfg = load_config(write_config(tmp_path / "e.ini", text))
+        before = cfg.clone()
+        conditions = list(config.conditions(cfg, "estimation-scaling"))
+        assert [run_id for run_id, _ in conditions] == ["eta 0.01", "eta 0.001"]
+        for (_, sub), eta in zip(conditions, (0.01, 0.001)):
+            beta = beta_schedule(eta, 1.0)
+            assert sub.optimizer == {**cfg.optimizer, "algorithm": "rmsprop_burnin", "eta": eta,
+                                     "beta_spec": ("fixed", beta)}
+            assert sub.run == {**cfg.run, "t": math.ceil(20 / (1.0 - beta)), "track_est_error": True, "log_every": 1}
+        assert cfg == before
 
     def test_single_eta_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,1", etas="0.01"))
@@ -1006,6 +1125,25 @@ t = 100
 """)
 
 
+class TestWhatAConfigLeavesOutOrPicks:
+    def test_a_run_key_left_out_takes_its_default(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG))
+        run = resolve_run(cfg, build_problem(cfg.problem))
+        assert (run.log_every, run.lambda_min_every, run.track_est_error, run.bias_corrected) == (1, 0, False, False)
+        assert (run.hp.eta_decay, run.hp.W, run.kind.exponent) == ("none", 0, -0.5)
+
+    @pytest.mark.parametrize("auto, exact", [("first_order_exact", True), ("first_order_inexact", False)])
+    def test_each_first_order_mode_runs_its_own_calculator(self, tmp_path, auto, exact):
+        cfg = load_config(auto_config(tmp_path, auto))
+        run = resolve_run(cfg, build_problem(cfg.problem))
+        assert (run.hp.eta, run.T) == first_order_params(1.0, 1.0, 1.0, 1.0, 0.3, exact=exact)
+
+    def test_of_two_repeated_seeds_the_smaller_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 4, 3, 4, 3"))
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert "error: run.seeds: seed 3 occurs more than once" in capsys.readouterr().err
+
+
 class TestAutoLeavesNoKeyUnread:
     @pytest.mark.parametrize(
         "auto, key, value",
@@ -1261,6 +1399,27 @@ class TestProblemsAsConfigured:
         files = run_files(tmp_path, "synthetic", synthetic)
         assert sorted(files) == ["run_seed0.csv", "run_seed1.csv", "summary.csv"]
         assert run_files(tmp_path, "csv", from_csv) == files
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = 0\nbatch = 0", "batch must be in [1, 20]"),
+         ("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = 0\nbatch = 21", "batch must be in [1, 20]"),
+         ("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = 0\nlabel_noise = 0.5",
+          "label_noise must be in [0, 0.5)"),
+         ("name = logistic_synthetic\nn = 0\nd = 2\ndata_seed = 0", "dataset is empty"),
+         ("name = logistic_csv\npath = {tmp}/empty.csv", "empty.csv: empty file"),
+         ("name = logistic_csv\npath = {tmp}/header.csv", "header.csv: no data rows")],
+        ids=("batch-0", "batch-above-n", "label-noise", "no-samples", "empty-file", "header-only"),
+    )
+    def test_a_problem_it_cannot_build_exits_2_and_writes_nothing(self, tmp_path, capsys, problem, message):
+        (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+        (tmp_path / "header.csv").write_text("x_0,x_1,label\n", encoding="utf-8")
+        text = (f"[problem]\n{problem.format(tmp=tmp_path)}\n"
+                "[optimizer]\nalgorithm = sgd\neta = 0.01\n[run]\nseeds = 0\nt = 3\n")
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err.replace(f"{tmp_path}/", "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, batch", [(50, 50), (200, 100)])
     def test_the_default_batch_is_100_or_every_sample(self, tmp_path, n, batch):

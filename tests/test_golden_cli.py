@@ -29,7 +29,7 @@ UNREACHED = {
         "abstract: each problem overrides it"),
     **dict.fromkeys(
         ("problems.StochasticProblem.exact_G", "problems.StochasticProblem.hessian"),
-        "raises MissingOracleError; runner.resolve_run refuses such a run from has_exact_g/has_hessian first"),
+        "raises MissingOracleError; config.resolve_run refuses such a run from has_exact_g/has_hessian first"),
     "cli._before_subcommand": "a usage error (a flag before the subcommand); tests/test_cli.py runs it",
     "problems.load_dataset_csv": "logistic_csv reads a file, which no golden config ships; tests/test_cli.py runs it",
     **dict.fromkeys(

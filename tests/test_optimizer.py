@@ -93,6 +93,43 @@ def test_a_run_is_checked_when_it_is_built(source, hp, fields, message):
         Run(PreconditionerKind(variant="diagonal"), source, False, HyperParams(**hp), **{"T": 10, **fields})
 
 
+@pytest.mark.parametrize(
+    "hp, message",
+    [
+        (dict(eta=-0.1), "eta must be nonnegative"),
+        (dict(eta=0.1, beta=1.0), r"beta must be in \[0, 1\)"),
+        (dict(eta=0.1, beta=-0.1), r"beta must be in \[0, 1\)"),
+        (dict(eta=0.1, beta=0.9, beta_c=1.0), "set beta or beta_c, not both"),
+        (dict(eta=0.1, r=0.2, t_thresh=0), "t_thresh must be >= 1"),
+        (dict(eta=0.1, W=-1), "W must be >= 0"),
+        (dict(eta=0.1, S=0), "S must be >= 1"),
+    ],
+    ids=("eta", "beta-1", "beta-negative", "beta-and-beta_c", "t_thresh", "W", "S"),
+)
+def test_hyperparams_refuse_a_value_outside_its_domain(hp, message):
+    with pytest.raises(InvalidParamError, match=message):
+        HyperParams(**hp)
+
+
+def test_hyperparams_take_each_domain_boundary():
+    hp = HyperParams(eta=0.0, beta=0.0, r=0.1, t_thresh=1, W=0, S=1)
+    assert (hp.eta, hp.beta, hp.t_thresh, hp.W, hp.S) == (0.0, 0.0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("x0", [(0.0,), (0.0, 0.0, 0.0), (math.nan, 0.0), (0.0, -math.inf)],
+                         ids=("short", "long", "nan", "inf"))
+def test_run_sgd_refuses_an_x0_that_is_not_a_finite_point_of_the_problem(x0):
+    run = Run(PreconditionerKind("identity"), "idealized", False, HyperParams(eta=0.1), 5, x0)
+    with pytest.raises(InvalidParamError, match="x0 must be a finite point of the problem dimension"):
+        run_sgd(SaddleProblem2D(), run, [rng_for(0)])
+
+
+def test_run_sgd_needs_an_rng_stream():
+    run = Run(PreconditionerKind("identity"), "idealized", False, HyperParams(eta=0.1), 5)
+    with pytest.raises(InvalidParamError, match="at least one RNG stream"):
+        run_sgd(SaddleProblem2D(), run, [])
+
+
 def test_equal_runs_compare_equal_and_hold_plain_data():
     def run(x0):
         return Run(PreconditionerKind(), "estimated", False, HyperParams(eta=0.1, beta=0.9), 10, x0=x0)

@@ -185,6 +185,16 @@ class TestEstimatedA:
         with pytest.raises(SingularMatrixError):
             pre.spectrum(None, None)
 
+    @pytest.mark.parametrize("variant, bad", [("full_matrix", np.inf), ("diagonal", np.nan)])
+    def test_a_nan_eigenvalue_marks_only_its_seed(self, variant, bad):
+        """An inf in one seed's full-matrix Ghat makes eigh return NaN eigenvalues, and a NaN sample a NaN
+        diagonal: NaN is not positive, so only that seed's row is marked."""
+        pre = Preconditioner(PreconditionerKind(variant, epsilon=1e-8), 2, "estimated", batch=3)
+        pre.observe(np.array([[1.0, 0.5], [bad, 1.0], [0.3, -2.0]]), 0.5)
+        with pytest.raises(SingularMatrixError, match=r"lambda_min\(Ghat\) \+ eps not positive") as info:
+            pre.spectrum(None, None)
+        assert info.value.rows.tolist() == [False, True, False]
+
     def test_bias_correction_rescales(self):
         g = np.array([1.0, 2.0])
         beta, T = 0.9, 8
@@ -366,3 +376,15 @@ def test_estimate_m_bound_scale():
     # ||A g|| with A = G^-1/2 is a standard 3-d Gaussian norm: max of 2000
     # draws lands in a narrow band around 4-5
     assert 3.0 <= m <= 7.0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(dict(dim=2, source="guessed"), "unknown preconditioner source 'guessed'"), (dict(dim=0), "dim must be >= 1"),
+     (dict(dim=2, batch=0), "batch must be >= 1")],
+    ids=("source", "dim", "batch"),
+)
+def test_a_preconditioner_refuses_a_source_dim_or_batch_outside_its_domain(args, message):
+    with pytest.raises(InvalidParamError, match=message):
+        Preconditioner(PreconditionerKind(), **args)
+    assert Preconditioner(PreconditionerKind(), 1, "estimated", batch=1).dim == 1  # the smallest that builds
