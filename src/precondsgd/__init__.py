@@ -6,8 +6,9 @@ number, one per point of a stack. ``precond`` holds the one
 ``Preconditioner`` and ``constants``, the theorems' constants of a
 ``PreconditionerKind``; ``optimizer`` the one run loop ``run_sgd``, the
 ``Run`` it runs and the calculators; ``config`` what a config file means,
-its conditions and their ``Run``s; ``runner`` the experiments; ``linalg``
-the one way into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
+its conditions and their ``Run``s, each resolved once before the first
+seed runs; ``runner`` the experiments; ``linalg`` the one way into
+LAPACK. The lemma oracles are in ``tests/lemmas.py``.
 """
 
 from .errors import (

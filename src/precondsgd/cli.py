@@ -12,8 +12,11 @@ before the subcommand, and ``--jobs`` below 1 are usage errors (exit 2)
 that name the flag. Exit codes, by the error's class: 0 ok, 3 a numeric
 failure (``NumericError``: divergence, singularity) or a
 ``PreconditionViolatedError``, 2 any other package error (a bad config,
-negative or repeated seeds included) or ``OSError`` (an ``--out`` that
-is a file). On a numeric failure of ``run`` or ``sweep`` every seed's
+negative or repeated seeds included) or ``OSError``. Every config check,
+and the check that ``--out`` is, or can be made, a directory (it is not
+a file and lies under none), comes before anything runs: an exit 2 of
+``run``, ``sweep`` or ``estimation-scaling`` runs no seed and writes
+nothing. On a numeric failure of ``run`` or ``sweep`` every seed's
 trajectory is still written, partial for the seeds that failed, and no
 summary is."""
 

@@ -3,10 +3,11 @@
 A config is read, checked and resolved here and nowhere else:
 ``load_config`` reads and checks a flat INI file ([problem], [optimizer],
 [run] and an optional [sweep], the only home of a sweep's axis and
-values), ``conditions`` turns it into a subcommand's (run_id, cfg)
-conditions, and ``resolve_run`` turns one condition into the
-``optimizer.Run`` that ``runner`` runs. A subcommand refuses what only
-another one reads (``_READERS``). Every key is typed against a
+values), and ``conditions`` turns it into a subcommand's (run_id, cfg,
+run) conditions: it builds each condition's problem and resolves its
+``optimizer.Run`` (``resolve_run``) once, all before ``runner`` runs the
+first seed, so a config that exits 2 runs nothing. A subcommand refuses
+what only another one reads (``_READERS``). Every key is typed against a
 per-section schema and unknown keys are errors, not warnings: a silently
 misspelled key would corrupt a sweep. So is a key only ``optimizer.auto``
 reads, without it or under a mode that does not read it, and one the mode
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, PrecondSgdError
 from .estimation import beta_schedule, burn_in_length, hallucination_count
 from .optimizer import ETA_DECAYS, HyperParams, Run, first_order_params, second_order_params
 from .precond import SOURCES, VARIANTS, PreconditionerConstants, PreconditionerKind, estimates
@@ -305,26 +306,38 @@ def _seeds(cfg: ExperimentConfig) -> list[int]:
     return seeds
 
 
-def conditions(cfg: ExperimentConfig, command: str):
-    """Yield the (run_id, cfg) conditions that ``command`` runs, each over all the seeds of cfg.run.
+def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, ExperimentConfig, Run]]:
+    """The (run_id, cfg, run) conditions that ``command`` runs, each over all the seeds of cfg.run.
 
     ``run`` runs cfg as "run", ``sweep`` one "<axis>=<value>" per value of
     [sweep] as written, and ``estimation-scaling`` one "eta <eta>" per eta
     (``_scaling_conditions``). A part that only another subcommand reads
-    (section.key or [section]) is refused first; the other checks are made
-    as the conditions are drawn, so a caller's check of each keeps its place.
+    (section.key or [section]) is refused first; then each condition is
+    drawn and resolved against its own problem, in turn, so every error
+    of the config comes before the first seed runs. An error of a sweep
+    value's problem or run is prefixed with its "<axis>=<value>".
     """
     for part, (readers, _) in _READERS.items():
         section, _, key = part.strip("[]").partition(".")
         if command not in readers and (key in getattr(cfg, section) if key else getattr(cfg, section)):
             raise ConfigError(f"{part}: read only by {' and '.join(readers)}, not by {command}")
     if command == "estimation-scaling":
-        yield from _scaling_conditions(cfg)
+        drawn = _scaling_conditions(cfg)
     elif command == "sweep":
-        yield from _sweep_conditions(cfg)
+        drawn = _sweep_conditions(cfg)
     else:
         _seeds(cfg)
-        yield "run", cfg
+        drawn = [("run", cfg)]
+
+    def resolved(run_id, sub):
+        try:
+            return resolve_run(sub, PROBLEMS[sub.problem["name"]].build(sub.problem))
+        except (PrecondSgdError, OSError) as exc:
+            if command != "sweep":
+                raise
+            raise type(exc)(f"{run_id}: {exc}") from exc
+
+    return [(run_id, sub, resolved(run_id, sub)) for run_id, sub in drawn]
 
 
 def _sweep_conditions(cfg: ExperimentConfig):
@@ -372,8 +385,9 @@ def _scaling_conditions(cfg: ExperimentConfig):
     for eta in etas:
         if etas.count(eta) > 1:
             raise ConfigError(f"run.etas: eta {eta} occurs more than once")
-        if not eta > 0.0 or not c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) must lie in (0, 1)
-            raise ConfigError(f"run.etas: eta {eta} must be positive with C eta^(2/3) < 1, C = {c_sched}")
+        if not eta > 0.0 or not 0.0 < 1.0 - c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) in (0, 1) once rounded
+            raise ConfigError(f"run.etas: eta {eta} must be positive with beta = 1 - C eta^(2/3) in (0, 1), "
+                              f"C = {c_sched}")
     if cfg.optimizer.get("kind") == "identity":
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:

@@ -1,10 +1,13 @@
 """Experiment execution: runs, sweeps, scaling studies, and report data.
 
 Holds no config rule: ``config.conditions`` gives a subcommand's
-conditions and ``config.resolve_run`` each one's run. Each condition (a
-run, a sweep value, a scaling study's eta) runs in seed groups:
-contiguous runs of its seeds that advance in lockstep in one process
-(``jobs`` groups per condition, optionally in a process pool). Writes one
+conditions, each with its resolved run, and the output directory is
+checked after them; both before the first seed runs, so whatever exits 2
+runs nothing. Each condition (a run, a sweep value, a scaling study's
+eta) runs in seed groups: contiguous runs of its seeds that advance in
+lockstep in one process (``jobs`` groups per condition, optionally in a
+pool of freshly started worker processes, each with one BLAS thread unless
+the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS). Writes one
 trajectory CSV per seed plus a merged summary CSV (or one scaling row per
 eta), and turns summaries back into quantile-band plot data. A seed's
 bytes do not depend on the group it ran in, so the output does not
@@ -24,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .config import ExperimentConfig, _safe_name, conditions, resolve_run
+from .config import ExperimentConfig, _safe_name, conditions
 from .errors import ConfigError, DataFormatError, NumericError
 from .optimizer import Trajectory, run_sgd
 from .problems import PROBLEMS
@@ -92,11 +95,9 @@ def build_problem(pcfg: dict):
     return PROBLEMS[pcfg["name"]].build(pcfg)
 
 
-def execute_records(cfg: ExperimentConfig, seeds):
-    """Run a group of seeds of one condition in lockstep; return the problem, the run and one Trajectory per seed."""
-    problem = build_problem(cfg.problem)
-    run = resolve_run(cfg, problem)
-    return problem, run, run_sgd(problem, run, [make_rng(seed) for seed in seeds])
+def execute_records(cfg: ExperimentConfig, run, seeds) -> list[Trajectory]:
+    """Run a group of seeds of one condition (its cfg and resolved run) in lockstep; one Trajectory per seed."""
+    return run_sgd(build_problem(cfg.problem), run, [make_rng(seed) for seed in seeds])
 
 
 def trajectory_columns(dim: int) -> list[str]:
@@ -190,32 +191,30 @@ def summarize(traj: Trajectory, run_id: str, seed: int, escape_level: float, f_t
     }
 
 
-def run_group(cfg: ExperimentConfig, run_id: str, seeds, out_dir: str) -> list:
+def run_group(run_id: str, cfg: ExperimentConfig, run, seeds, out_dir: str) -> list:
     """Run a seed group in lockstep and write one trajectory per seed.
 
     Returns, per seed, its summary row or, if it failed numerically, its
     error; a failed seed's trajectory holds the events logged before its
     failure.
     """
-    problem, _, trajectories = execute_records(cfg, seeds)
     outcomes = []
-    for seed, traj in zip(seeds, trajectories):
+    for seed, traj in zip(seeds, execute_records(cfg, run, seeds)):
         traj_name = f"{_safe_name(run_id)}_seed{seed}.csv"
-        write_trajectory(os.path.join(out_dir, traj_name), traj, problem.dim)
+        write_trajectory(os.path.join(out_dir, traj_name), traj, traj.x.shape[1])
         outcomes.append(traj.error if traj.error is not None else summarize(
             traj, run_id, seed, cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL), cfg.run.get("f_threshold"),
             traj_name))
     return outcomes
 
 
-def _scaling_group(cfg: ExperimentConfig, run_id: str, seeds) -> list:
+def _scaling_group(run_id: str, cfg: ExperimentConfig, run, seeds) -> list:
     """Run a seed group of a scaling study's eta; return per seed its scaling.csv row or its NumericError."""
-    _, run, trajectories = execute_records(cfg, seeds)
     return [traj.error if traj.error is not None else {
         "eta": run.hp.eta, "beta": run.hp.beta, "T": run.T, "W": run.hp.W,
         "sup_error": float(traj.est_error[traj.steps()].max()),
         "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()), "seed": seed,
-    } for seed, traj in zip(seeds, trajectories)]
+    } for seed, traj in zip(seeds, execute_records(cfg, run, seeds))]
 
 
 def read_summary(path, required=()) -> tuple[list[str], list[dict]]:
@@ -241,27 +240,43 @@ def _column(path, rows, name, parse=str) -> list:
     return values
 
 
-def _execute_conditions(group, conditions, seeds, jobs: int) -> list[dict]:
-    """Run each (run_id, cfg) condition over the seeds with ``group``; return the rows.
+def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -> list[dict]:
+    """Resolve ``command``'s conditions and check out_dir, then run each with ``group``; return the rows.
 
     The seeds are split into ``jobs`` contiguous lockstep groups per
-    condition; ``group(cfg, run_id, seeds)`` runs one and returns per seed
-    its row or its NumericError. Every group runs (and writes its files)
+    condition; ``group(run_id, cfg, run, seeds)`` runs one and returns per
+    seed its row or its NumericError. Every group runs (and writes its files)
     before the first failure, in condition and seed order, is raised.
     """
-    n_groups = max(1, min(jobs, len(seeds)))
-    groups = [g.tolist() for g in np.array_split(np.array(seeds), n_groups)]
-    tasks = [(cfg, run_id, seed_group) for run_id, cfg in conditions for seed_group in groups]
+    runs = conditions(cfg, command)
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):  # the first write makes it; a file on its path is refused now
+        if os.path.lexists(path):
+            raise NotADirectoryError(f"output directory {out_dir}: {path} is not a directory")
+        path = os.path.dirname(path)
+    n_groups = max(1, min(jobs, len(cfg.run["seeds"])))
+    groups = [g.tolist() for g in np.array_split(np.array(cfg.run["seeds"]), n_groups)]
+    tasks = [(*condition, seed_group) for condition in runs for seed_group in groups]
     if jobs <= 1 or len(tasks) <= 1:
         results = [group(*task) for task in tasks]
     else:
         # Imported here: a serial run need not load multiprocessing.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(group, *zip(*tasks)))
+        # Fresh workers, each with one BLAS thread unless the user chose a
+        # count: a forked one keeps this process's BLAS, a thread per core.
+        blas = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name not in os.environ}
+        os.environ.update(blas)
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                results = list(pool.map(group, *zip(*tasks)))
+        finally:
+            for name in blas:
+                del os.environ[name]
     rows = []
-    for (_, run_id, seed_group), outcomes in zip(tasks, results):
+    for (run_id, _, _, seed_group), outcomes in zip(tasks, results):
         for seed, outcome in zip(seed_group, outcomes):
             if isinstance(outcome, NumericError):
                 raise type(outcome)(f"{run_id} seed {seed}: {outcome}")
@@ -281,12 +296,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
 
 def _cmd_summary(cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -> str:
     """Run the conditions of ``run`` or ``sweep`` and write the summary, by axis value (numbers first) and seed."""
-    runs = []
-    for run_id, sub in conditions(cfg, command):
-        if command == "sweep":
-            resolve_run(sub, build_problem(sub.problem))  # a bad condition stops the sweep before any runs
-        runs.append((run_id, sub))
-    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), runs, cfg.run["seeds"], jobs)
+    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), cfg, command, out_dir, jobs)
     for row in rows:
         row["axis"], row["axis_value"] = cfg.sweep.get("axis"), row["run_id"].partition("=")[2]
 
@@ -310,7 +320,7 @@ def cmd_estimation_scaling(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -
     per eta and the log-log slope of sup_error in scaling_fit.csv. Neither
     a ConfigError nor a numeric failure writes a file.
     """
-    rows = _execute_conditions(_scaling_group, list(conditions(cfg, "estimation-scaling")), cfg.run["seeds"], jobs)
+    rows = _execute_conditions(_scaling_group, cfg, "estimation-scaling", out_dir, jobs)
 
     finite = [r for r in rows if r["sup_error"] > 0.0]
     slope = 0.0

@@ -34,7 +34,7 @@ from precondsgd import (
 from precondsgd import optimizer
 from precondsgd.errors import NumericError
 from precondsgd.linalg import eigh, eigvalsh
-from precondsgd.optimizer import DIVERGENCE_F_LIMIT, LOG_CHUNK_BYTES, _defect_reference
+from precondsgd.optimizer import DIVERGENCE_F_LIMIT, LOG_CHUNK_BYTES, STEP_HALLUCINATED, _defect_reference
 from precondsgd.precond import _dense
 
 COLUMNS = ("iteration", "step_kind", "f", "grad_norm", "lambda_min_h", "est_error", "x")
@@ -270,6 +270,43 @@ def test_a_non_finite_iterate_stops_its_seed_after_the_event_of_its_step(log_eve
         for name in COLUMNS:
             np.testing.assert_array_equal(getattr(traj, name), getattr(twin, name)[:n], err_msg=name)
     assert 2 <= stopped < len(SEEDS)
+
+
+class JumpedBandProblem(FailingPastProblem):
+    """f is inf for 0 < x_0 < band only, and x_0's gradient -1 has no noise: a large step of r = 0.1
+    from x_0 = 0 jumps over the band, and only the points hallucinated along it land inside."""
+
+    def __init__(self, band=0.05):
+        super().__init__()
+        self.band = band
+
+    def eval_f(self, x):
+        x = np.asarray(x)
+        f = np.where((0.0 < x[..., 0]) & (x[..., 0] < self.band), np.inf, 0.5 * x[..., 1] ** 2 - x[..., 0])
+        return float(f) if x.ndim == 1 else f
+
+    def sample_grad(self, x, rng):
+        return self.grad(x) + np.array([0.0, rng.standard_normal()])
+
+
+def test_seeds_that_all_stop_inside_a_large_steps_hallucinated_samples_end_the_run():
+    """Estimated large steps, every event logged: each seed stops at its first hallucinated point inside the
+    band, so its trajectory ends at the hallucinated event before it, and no sample is drawn after."""
+    hp = HyperParams(eta=0.01, beta=0.9, r=0.1, t_thresh=10, W=3, S=10)
+    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, hp, 20, (0.0, 0.5))
+    healthy = run_sgd(JumpedBandProblem(band=0.0), run, [rng_for(s) for s in SEEDS])
+    problem = JumpedBandProblem()
+    draws, sample = [], problem.sample_grad
+    problem.sample_grad = lambda x, rng: draws.append(1) or sample(x, rng)
+    failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
+    n = hp.W + 2  # the burn-in, step 0 (a large step) and its first hallucinated sample, all at x_0 = 0
+    for twin, traj in zip(healthy, failing, strict=True):
+        assert twin.step_kind[n] == STEP_HALLUCINATED and 0.0 < twin.x[n, 0] < problem.band < twin.x[-1, 0]
+        assert len(traj) == n and traj.step_kind[-1] == STEP_HALLUCINATED
+        assert str(traj.error) == f"objective diverged (f=inf) at event {twin.iteration[n]}"
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(traj, name), getattr(twin, name)[:n], err_msg=name)
+    assert len(draws) == len(SEEDS) * (n + 1)
 
 
 class FlatSecondCoordinateProblem(FailingPastProblem):

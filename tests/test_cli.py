@@ -6,6 +6,7 @@ import io
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -40,6 +41,12 @@ from precondsgd.runner import (
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def the_run(cfg):
+    """The resolved run of a ``run`` config's one condition."""
+    [(_, _, run)] = config.conditions(cfg, "run")
+    return run
 
 
 def with_sweep(text, axis, values):
@@ -169,7 +176,7 @@ class TestCmdRun:
         assert len(rows) == 3
         for row in rows:
             traj = out / row["trajectory"]
-            assert traj.exists()
+            assert traj.read_text(encoding="utf-8").partition("\n")[0] == ",".join(trajectory_columns(2))  # x_0, x_1
             assert len(read_trajectory(traj)) == 200
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -202,6 +209,8 @@ class TestCmdRun:
         cmd_run(cfg, str(serial), jobs=1)
         cmd_run(cfg, str(parallel), jobs=3)
         assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+        cmd_run(cfg, str(tmp_path / "zero"), jobs=0)  # below 1, as one group
+        assert (serial / "summary.csv").read_bytes() == (tmp_path / "zero" / "summary.csv").read_bytes()
 
     def test_other_seeds_run_other_streams(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG))
@@ -335,17 +344,6 @@ t = 10
         assert exc.value.code == 2
         assert f"argument --jobs: must be an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("seeds, jobs", [("0", "1"), ("0,1", "2")], ids=("here", "in-a-worker"))
-    def test_an_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys, seeds, jobs):
-        """Writing a trajectory into a regular file fails with an OSError, in this process or in a worker."""
-        out = tmp_path / "afile"
-        out.write_text("kept\n", encoding="utf-8")
-        text = SADDLE_CFG.replace("seeds = 0,1,2\nt = 200", f"seeds = {seeds}\nt = 5")
-        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", jobs]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-        assert out.read_text(encoding="utf-8") == "kept\n"
 
     EXIT_CODES = {
         errors.NumericError: 3, errors.NonFiniteError: 3, errors.SingularMatrixError: 3,
@@ -697,7 +695,9 @@ etas = 0.01,0.003
             out = tmp_path / f"jobs{jobs}"
             assert main(["estimation-scaling", cfg, "--out", str(out), "--jobs", jobs]) == 0
             files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert pools == [{"max_workers": 2}, {"max_workers": 3}]  # no more workers than etas
+        assert [pool["max_workers"] for pool in pools] == [2, 3]  # no more workers than etas
+        assert [pool["mp_context"].get_start_method() for pool in pools] == ["spawn", "spawn"]
+        assert sorted(pools[0]) == ["max_workers", "mp_context"]
         assert sorted(files["1"]) == ["scaling.csv", "scaling_fit.csv"]
         assert files["1"] == files["2"] == files["5"]
 
@@ -725,13 +725,16 @@ etas = 0.01,0.003
             ("0.01, 0.003, 0.010", "", "run.etas: eta 0.01 occurs more than once"),
             ("0.01, -0.01", "", "run.etas: eta -0.01 must be positive"),
             ("0, 0.01", "", "run.etas: eta 0.0 must be positive"),
-            ("0.01, 1.0", "", "run.etas: eta 1.0 must be positive with C eta^(2/3) < 1, C = 1.0"),
-            ("0.01, 0.1", "schedule:5", "run.etas: eta 0.1 must be positive with C eta^(2/3) < 1, C = 5.0"),
+            ("0.01, 1.0", "", "run.etas: eta 1.0 must be positive with beta = 1 - C eta^(2/3) in (0, 1), C = 1.0"),
+            ("0.01, 0.1", "schedule:5", "run.etas: eta 0.1 must be positive with beta = 1 - C eta^(2/3) in (0, 1), "
+             "C = 5.0"),
+            ("0.01, 1e-26", "", "run.etas: eta 1e-26 must be positive with beta = 1 - C eta^(2/3) in (0, 1), "
+             "C = 1.0"),
             ("0.01, 0.1", "schedule:0", "optimizer.beta_spec: beta schedule constant must be positive"),
             ("0.01, 0.1", "0.9", "optimizer.beta_spec: one fixed beta cannot serve several etas"),
         ],
         ids=("repeated", "repeated-spelled-apart", "negative", "zero", "beta-not-positive", "beta-c-too-large",
-             "beta-c-zero", "fixed-beta"),
+             "beta-rounds-to-1", "beta-c-zero", "fixed-beta"),
     )
     def test_bad_etas_exit_2_name_the_key_and_write_nothing(self, tmp_path, capsys, etas, beta_spec, message):
         text = ESTIMATION_CFG.format(noise="1,0.5", etas=etas)
@@ -780,13 +783,14 @@ etas = 0.01,0.003
         text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.001, 0.01").replace("t = 1", "t = 1\nlog_every = 5")
         cfg = load_config(write_config(tmp_path / "e.ini", text))
         before = cfg.clone()
-        conditions = list(config.conditions(cfg, "estimation-scaling"))
-        assert [run_id for run_id, _ in conditions] == ["eta 0.01", "eta 0.001"]
-        for (_, sub), eta in zip(conditions, (0.01, 0.001)):
+        conditions = config.conditions(cfg, "estimation-scaling")
+        assert [run_id for run_id, _, _ in conditions] == ["eta 0.01", "eta 0.001"]
+        for (_, sub, run), eta in zip(conditions, (0.01, 0.001)):
             beta = beta_schedule(eta, 1.0)
             assert sub.optimizer == {**cfg.optimizer, "algorithm": "rmsprop_burnin", "eta": eta,
                                      "beta_spec": ("fixed", beta)}
             assert sub.run == {**cfg.run, "t": math.ceil(20 / (1.0 - beta)), "track_est_error": True, "log_every": 1}
+            assert run == resolve_run(sub, build_problem(sub.problem))
         assert cfg == before
 
     def test_single_eta_exit_2(self, tmp_path):
@@ -1010,7 +1014,8 @@ class TestResolveRun:
             return problem
 
         monkeypatch.setattr(runner, "build_problem", counting_build)
-        _, run, (traj,) = runner.execute_records(cfg, [0])
+        run = the_run(cfg)
+        (traj,) = runner.execute_records(cfg, run, [0])
         assert run.hp.S == 7
         W = burn_in_length(0.01)
         assert run.hp.W == W
@@ -1068,7 +1073,9 @@ class TestHyperParamsIsTheRun:
     @pytest.mark.parametrize("auto", [False, True], ids=["explicit", "auto"])
     @pytest.mark.parametrize("algorithm, source", ALGORITHM_SOURCES)
     def test_resolved_hp_matches_the_trajectory(self, tmp_path, algorithm, source, auto):
-        _, run, trajectories = execute_records(resolved_config(tmp_path, algorithm, source, auto), [0, 1])
+        cfg = resolved_config(tmp_path, algorithm, source, auto)
+        run = the_run(cfg)
+        trajectories = execute_records(cfg, run, [0, 1])
         hp = run.hp
         estimating = run.source == "estimated" and run.kind.variant != "identity"
         assert (hp.beta is not None or hp.beta_c is not None) == estimating
@@ -1300,7 +1307,7 @@ class TestConfigErrorsBeforeAnyRun:
 
     @pytest.mark.parametrize(
         "axis, values, message",
-        [("optimizer.eta", "0.01,0.5", "large-step mode needs r >= eta"),
+        [("optimizer.eta", "0.01,0.5", "optimizer.eta=0.5: large-step mode needs r >= eta"),
          ("run.log_every", "1,0", "run.log_every: must be >= 1"),
          ("eta", "0.01", "sweep axis must be 'section.key', got 'eta'")],
     )
@@ -1356,6 +1363,151 @@ class TestConfigErrorsBeforeAnyRun:
         text = LARGE_STEP_CFG.replace("eta = 0.01", "eta = 0\nw = 3")
         assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]) == 2
         assert "r and eta must be positive" in capsys.readouterr().err
+
+
+class TestNothingRunsBeforeAnExit2:
+    """Every condition is resolved, and --out checked, before the first seed runs or a worker starts."""
+
+    # Each runs as it stands, two seeds or three conditions, so --jobs 2 would start a pool.
+    CONFIGS = {
+        "run": LARGE_STEP_CFG.replace("seeds = 0\n", "seeds = 0,1\n"),
+        "sweep": with_sweep(LARGE_STEP_CFG.replace("seeds = 0\n", "seeds = 0,1\n"), "optimizer.eta", "0.01,0.02,0.03"),
+        "estimation-scaling": ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01,0.001"),
+    }
+    # command -> its config with the last condition broken, and the error it exits 2 with.
+    LAST_CONDITION_BROKEN = {
+        "run": (CONFIGS["run"].replace("eta = 0.01", "eta = 0.5"), "error: large-step mode needs r >= eta"),
+        "sweep": (CONFIGS["sweep"].replace("0.02,0.03", "0.02,0.5"),
+                  "error: optimizer.eta=0.5: large-step mode needs r >= eta"),
+        # every eta's run is the same but for eta, beta, T and W; so the last fails with the first
+        "estimation-scaling": (CONFIGS["estimation-scaling"].replace("x0 = 0,0", "x0 = 0,0,0"),
+                               "error: problem.x0: length must equal the problem dimension"),
+    }
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The run_sgd calls and the process pools started in this process, in order."""
+        started, run_sgd = [], runner.run_sgd
+        monkeypatch.setattr(runner, "run_sgd", lambda *args: started.append("run_sgd") or run_sgd(*args))
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append("pool")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        return started
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", CONFIGS)
+    def test_the_configs_run_and_the_spies_see_it(self, tmp_path, started, command, jobs):
+        cfg = write_config(tmp_path / "c.ini", self.CONFIGS[command])
+        assert main([command, cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 0
+        assert started[0] == ("run_sgd" if jobs == "1" else "pool")
+
+    def test_one_group_runs_in_this_process_whatever_jobs(self, tmp_path, started):
+        cfg = write_config(tmp_path / "c.ini", LARGE_STEP_CFG)  # one seed, one condition
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"]) == 0
+        assert started == ["run_sgd"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", CONFIGS)
+    def test_a_last_condition_that_cannot_resolve_runs_no_seed(self, tmp_path, capsys, started, command, jobs):
+        text, message = self.LAST_CONDITION_BROKEN[command]
+        out = tmp_path / "o"
+        assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", jobs]) == 2
+        assert message in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", CONFIGS)
+    def test_each_condition_is_resolved_once_before_any_runs(self, tmp_path, monkeypatch, capsys, started, command):
+        """A stand-in resolve_run fails on the last condition: the ones before it resolved once each, and none ran."""
+        resolved, resolve = [], config.resolve_run
+        conditions = config.conditions(load_config(write_config(tmp_path / "c.ini", self.CONFIGS[command])), command)
+
+        def resolve_but_the_last(cfg, problem):
+            resolved.append(resolve(cfg, problem))
+            if len(resolved) == len(conditions):
+                raise ConfigError("the last condition")
+            return resolved[-1]
+
+        monkeypatch.setattr(config, "resolve_run", resolve_but_the_last)
+        out = tmp_path / "o"
+        assert main([command, str(tmp_path / "c.ini"), "--out", str(out), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err.endswith("the last condition\n")
+        assert resolved == [run for _, _, run in conditions] and started == [] and not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=("a-file", "under-a-file"))
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", CONFIGS)
+    def test_an_out_that_is_or_lies_under_a_file_runs_no_seed(self, tmp_path, capsys, started, command, jobs, under):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / "sub" if under else afile
+        cfg = write_config(tmp_path / "c.ini", self.CONFIGS[command])
+        assert main([command, cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: output directory {out}: {afile} is not a directory\n"
+        assert started == [] and afile.read_text(encoding="utf-8") == "kept\n"
+
+    def test_the_out_check_makes_no_directory(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.ini", self.CONFIGS["run"]))
+        rows = runner._execute_conditions(lambda *task: task[-1], cfg, "run", str(tmp_path / "a" / "b"), 1)
+        assert rows == [0, 1] and sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+class TestASweepValueNamesItsError:
+    def test_a_value_its_run_refuses_is_named(self, tmp_path, capsys):
+        text = with_sweep(SADDLE_CFG.replace("kind = diagonal", "kind = full_matrix"), "optimizer.eta", "0.01, -0.01")
+        out = tmp_path / "o"
+        assert main(["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == "error: optimizer.eta=-0.01: eta must be nonnegative\n"
+        assert not out.exists()
+
+    def test_the_error_keeps_its_class(self, tmp_path):
+        """So its exit code stays: an InvalidParamError of the run, a FileNotFoundError of the problem."""
+        text = with_sweep(SADDLE_CFG, "optimizer.eta", "0.01, -0.01")
+        with pytest.raises(errors.InvalidParamError, match=r"^optimizer\.eta=-0\.01: eta must be nonnegative$"):
+            config.conditions(load_config(write_config(tmp_path / "c.ini", text)), "sweep")
+        missing = tmp_path / "missing.csv"
+        text = with_sweep(LOGISTIC_CSV_SWEEP, "problem.path", f"{tmp_path / 'data.csv'}, {missing}")
+        (tmp_path / "data.csv").write_text("a,label\n1.0,1\n-1.0,0\n", encoding="utf-8")
+        with pytest.raises(FileNotFoundError, match=f"^problem\\.path={re.escape(str(missing))}: "):
+            config.conditions(load_config(write_config(tmp_path / "c.ini", text)), "sweep")
+
+    def test_a_run_or_scaling_error_has_no_prefix(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("eta = 0.01", "eta = -0.01")))
+        with pytest.raises(errors.InvalidParamError, match="^eta must be nonnegative$"):
+            config.conditions(cfg, "run")
+
+
+LOGISTIC_CSV_SWEEP = """
+[problem]
+name = logistic_csv
+path = unset
+[optimizer]
+algorithm = sgd
+eta = 0.01
+[run]
+seeds = 0
+t = 3
+"""
+
+
+def _blas_threads(run_id, cfg, run, seeds):
+    """A seed group that returns, per seed, the BLAS thread counts its worker was started with."""
+    return [{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")} for _ in seeds]
+
+
+@pytest.mark.parametrize("user", [None, "3"], ids=("unset", "set-by-the-user"))
+def test_a_pool_worker_runs_one_blas_thread_unless_the_user_chose(tmp_path, monkeypatch, user):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if user is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
+    cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG))
+    rows = runner._execute_conditions(_blas_threads, cfg, "run", str(tmp_path / "o"), 2)
+    assert rows == [{"OPENBLAS_NUM_THREADS": user or "1", "OMP_NUM_THREADS": "1"}] * 3
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == user and "OMP_NUM_THREADS" not in os.environ
 
 
 LOGISTIC_RUN_CFG = """
@@ -1526,11 +1678,12 @@ class TestResolvedRunIsPlainData:
 
     def test_the_unpickled_run_runs_what_execute_records_ran(self, tmp_path):
         cfg = load_config(auto_config(tmp_path, "second_order", algorithm="large_step", extra="eta_decay = inv_sqrt\n"))
-        problem, run, trajectories = execute_records(cfg, [0, 1])
+        run = the_run(cfg)
+        trajectories = execute_records(cfg, run, [0, 1])
         back = pickle.loads(pickle.dumps(run))
 
         def rerun(hp):
-            return run_sgd(problem, replace(back, hp=hp), [make_rng(0), make_rng(1)])
+            return run_sgd(build_problem(cfg.problem), replace(back, hp=hp), [make_rng(0), make_rng(1)])
 
         for traj, again in zip(trajectories, rerun(back.hp)):
             np.testing.assert_array_equal(traj.x, again.x)
