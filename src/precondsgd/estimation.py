@@ -99,11 +99,11 @@ def hallucination_count(r: float, eta: float) -> int:
 
 
 def estimate_sigma_max(problem, x, n_samples: int, rng) -> float:
-    """Monte-Carlo estimate of sigma_max = ||E[(Y - G)^2]||^(1/2), Y = g g^T."""
+    """Monte-Carlo estimate of sigma_max = ||E[(Y - G)^2]||^(1/2), Y = g g^T, from n_samples draws of g at x."""
     if n_samples < 2:
         raise InvalidParamError("n_samples must be >= 2")
     G = problem.exact_G(x)
-    gs = problem.sample_grad_batch(x, n_samples, rng)
+    gs = problem.sample_grad(x, rng, n_samples)
     acc = np.zeros_like(G)
     for g in gs:
         Z = np.outer(g, g) - G

@@ -141,6 +141,8 @@ class Run:
         hp, estimating = self.hp, estimates(self.kind, self.source)
         if estimating and hp.beta is None and hp.beta_c is None:
             raise InvalidParamError("estimated preconditioning needs beta or a beta schedule")
+        if estimating and hp.beta_c is not None:
+            beta_schedule(hp.eta, hp.beta_c)  # each step's eta_t is in (0, eta], so its beta(eta_t) is in (0, 1) too
         if hp.t_thresh is not None and (hp.r is None or hp.r < hp.eta):
             raise InvalidParamError("large-step mode needs r >= eta")
         if hp.t_thresh is not None and estimating and hp.S is None:

@@ -270,13 +270,13 @@ def second_order_complexity_factor(k: PreconditionerConstants) -> float:
 def estimate_m_bound(problem, kind: PreconditionerKind, x, n_samples: int, rng) -> float:
     """Monte-Carlo estimate of the uniform step bound M = max ||A g||.
 
-    Returns the empirical maximum over ``n_samples`` draws with the
-    idealized preconditioner at x. The theorems assume a deterministic
-    bound; for unbounded noise this is a working surrogate on the same
-    scale as sqrt(c3).
+    Returns the empirical maximum over ``n_samples`` draws of g at x,
+    with the idealized preconditioner at x. The theorems assume a
+    deterministic bound; for unbounded noise this is a working surrogate
+    on the same scale as sqrt(c3).
     """
     if n_samples < 1:
         raise InvalidParamError("n_samples must be >= 1")
-    gs = problem.sample_grad_batch(x, n_samples, rng)
+    gs = problem.sample_grad(x, rng, n_samples)
     steps = Preconditioner(kind, problem.dim).direction(problem, x, gs)
     return float(np.max(np.linalg.norm(steps, axis=1)))

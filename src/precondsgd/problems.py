@@ -8,8 +8,9 @@ lambda_min(H(x)), the one curvature number a run reads. A problem has an
 exact oracle exactly when its class defines it; the base class's raises
 MissingOracleError. The exact oracles take one point of shape (d,) or a
 (B, d) stack of points, one row per seed of a run, and give each row the
-bits of its own single-point call; so does ``sample_grad_batch`` for n
-draws at one point, against n ``sample_grad`` calls on the same stream.
+bits of its own single-point call. ``sample_grad`` takes one point, and
+with a count n it takes n draws there: each problem writes its noise law
+once, and each row has the bits of one call on the same stream.
 Problems are immutable (every array they cache is read-only); parallel
 runs should use independent RNG streams.
 
@@ -42,8 +43,11 @@ class StochasticProblem:
     ``exact_G`` the symmetric (d, d) array G(x) or a (B, d, d) stack, and
     ``hessian`` lambda_min(H(x)), a float or B values. A constant oracle
     answers a stack with one (d, d) array or one float that applies to
-    every row. ``sample_grad`` takes one point. ``clip_bounds``, when set,
-    asks the optimizer to project iterates onto [lo, hi] after every step.
+    every row. ``sample_grad`` takes one point x and gives one draw of
+    shape (d,), or, with a count n, the (n, d) stack of n draws at x, each
+    row with the bits of one call on the same stream. ``clip_bounds``,
+    when set, asks the optimizer to project iterates onto [lo, hi] after
+    every step.
     """
 
     dim: int = 0
@@ -63,12 +67,8 @@ class StochasticProblem:
     def grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_grad(self, x, rng) -> np.ndarray:
+    def sample_grad(self, x, rng, n=None) -> np.ndarray:
         raise NotImplementedError
-
-    def sample_grad_batch(self, x, n, rng) -> np.ndarray:
-        """n stochastic gradients at x, shape (n, dim). Default: loop."""
-        return np.stack([self.sample_grad(x, rng) for _ in range(n)])
 
     def exact_G(self, x) -> np.ndarray:
         """G(x) = E[g g^T]: (d, d), or (B, d, d) for a stack."""
@@ -114,18 +114,12 @@ class SaddleProblem2D(StochasticProblem):
     the escape direction. The degree-10 regularizer keeps f coercive.
     """
 
-    H_DIAG = np.array([1.0, -0.1])
+    H_DIAG = _read_only(np.array([1.0, -0.1]))
     # Mean exactly 0, covariance exactly diag(1, 0.01).
-    B_SUPPORT = np.array(
-        [[1.0, 0.1], [1.0, -0.1], [-1.0, 0.1], [-1.0, -0.1]]
-    )
+    B_SUPPORT = _read_only(np.array([[1.0, 0.1], [1.0, -0.1], [-1.0, 0.1], [-1.0, -0.1]]))
+    NOISE_COV = _read_only(np.diag([1.0, 0.01]))
 
     dim = 2
-
-    def __init__(self):
-        self.B_SUPPORT.setflags(write=False)
-        self.H_DIAG.setflags(write=False)
-        self._noise_cov = _read_only(np.diag([1.0, 0.01]))
 
     def eval_f(self, x):
         x = self._check_dim(x)
@@ -136,15 +130,11 @@ class SaddleProblem2D(StochasticProblem):
         x = self._check_dim(x)
         return self.H_DIAG * x + 10.0 * x**9
 
-    def sample_grad(self, x, rng) -> np.ndarray:
-        return self.grad(x) + self.B_SUPPORT[rng.integers(4)]
-
-    def sample_grad_batch(self, x, n, rng) -> np.ndarray:
-        b = self.B_SUPPORT[rng.integers(4, size=n)]
-        return self.grad(x)[None, :] + b
+    def sample_grad(self, x, rng, n=None) -> np.ndarray:
+        return self.grad(x) + self.B_SUPPORT[rng.integers(4, size=n)]
 
     def exact_G(self, x) -> np.ndarray:
-        return _second_moment(self.grad(x), self._noise_cov)
+        return _second_moment(self.grad(x), self.NOISE_COV)
 
     def hessian(self, x):
         """The smallest entry of the diagonal Hessian H + 90 diag(x^8): exact, with no eigh."""
@@ -184,15 +174,9 @@ class CounterexampleProblem(StochasticProblem):
     def grad(self, x) -> np.ndarray:
         return np.full(self._check_dim(x).shape, self.zeta)
 
-    def sample_grad(self, x, rng) -> np.ndarray:
+    def sample_grad(self, x, rng, n=None) -> np.ndarray:
         self._check_dim(x)
-        g = self.C if rng.random() < self.p else -1.0
-        return np.array([g])
-
-    def sample_grad_batch(self, x, n, rng) -> np.ndarray:
-        self._check_dim(x)
-        g = np.where(rng.random(n) < self.p, self.C, -1.0)
-        return g[:, None]
+        return np.where(rng.random(n) < self.p, self.C, -1.0)[..., None]
 
     def exact_G(self, x) -> np.ndarray:
         self._check_dim(x)
@@ -241,13 +225,10 @@ class QuadraticGaussianProblem(StochasticProblem):
     def grad(self, x) -> np.ndarray:
         return np.matvec(self._H, self._check_dim(x))
 
-    def sample_grad(self, x, rng) -> np.ndarray:
-        return self.grad(x) + self._noise_factor @ rng.standard_normal(self.dim)
-
-    def sample_grad_batch(self, x, n, rng) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        # matvec gives each row the bits of sample_grad's F @ z; z @ F^T can differ in the last bit.
-        return self.grad(x)[None, :] + np.matvec(self._noise_factor, z)
+    def sample_grad(self, x, rng, n=None) -> np.ndarray:
+        z = rng.standard_normal(self.dim if n is None else (n, self.dim))
+        # matvec gives each row of a stack the bits of one draw's F @ z; z @ F^T can differ in the last bit.
+        return self.grad(x) + np.matvec(self._noise_factor, z)
 
     def exact_G(self, x) -> np.ndarray:
         return _second_moment(self.grad(x), self._cov)
@@ -281,6 +262,8 @@ class LogisticRegressionProblem(StochasticProblem):
             raise DataFormatError(f"features {X.shape} and labels {y.shape} do not align")
         if X.shape[0] == 0:
             raise DataFormatError("dataset is empty")
+        if X.shape[1] == 0:
+            raise DataFormatError("dataset has no feature columns")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DataFormatError("labels must be 0/1")
         batch = X.shape[0] if batch is None else batch
@@ -316,8 +299,10 @@ class LogisticRegressionProblem(StochasticProblem):
         residual -= self._y[idx]
         return Xb.T @ residual / len(Xb)
 
-    def sample_grad(self, x, rng) -> np.ndarray:
+    def sample_grad(self, x, rng, n=None) -> np.ndarray:
         x = self._check_dim(x)
+        if n is not None:  # one minibatch at a time: choice(replace=False) draws a varying amount of the stream
+            return np.array([self.sample_grad(x, rng) for _ in range(n)]).reshape(n, self.dim)
         if self.batch == self.n_samples:
             return self.grad(x)
         idx = rng.choice(self.n_samples, size=self.batch, replace=False)
@@ -350,6 +335,9 @@ def make_synthetic_logistic(
     from ``seed`` (independent of any run RNG).
     Minibatches of ``batch`` samples (default: 100, or all if fewer).
     """
+    for name, value in (("n_samples", n_samples), ("n_features", n_features), ("seed", seed)):
+        if value < 0:
+            raise InvalidParamError(f"{name} must be >= 0, got {value}")
     if not 0.0 <= label_noise < 0.5:
         raise InvalidParamError("label_noise must be in [0, 0.5)")
     rng = np.random.Generator(np.random.Philox(seed))

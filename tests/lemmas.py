@@ -241,7 +241,7 @@ def isotropy_covariance_check(problem, x, n_samples: int, rng) -> float:
     grad = problem.grad(x)
     u = g_inv_half @ grad
     closed_form = np.eye(problem.dim) - np.outer(u, u)
-    samples = problem.sample_grad_batch(x, n_samples, rng)
+    samples = problem.sample_grad(x, rng, n_samples)
     xi = (samples - grad) @ g_inv_half.T
     empirical = xi.T @ xi / n_samples  # E[xi] = 0, so the raw second moment
     return float(np.max(np.abs(empirical - closed_form)))

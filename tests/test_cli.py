@@ -1365,6 +1365,21 @@ class TestConfigErrorsBeforeAnyRun:
         assert "r and eta must be positive" in capsys.readouterr().err
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The run_sgd calls and the process pools started in this process, in order."""
+    started, run_sgd = [], runner.run_sgd
+    monkeypatch.setattr(runner, "run_sgd", lambda *args: started.append("run_sgd") or run_sgd(*args))
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append("pool")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return started
+
+
 class TestNothingRunsBeforeAnExit2:
     """Every condition is resolved, and --out checked, before the first seed runs or a worker starts."""
 
@@ -1383,20 +1398,6 @@ class TestNothingRunsBeforeAnExit2:
         "estimation-scaling": (CONFIGS["estimation-scaling"].replace("x0 = 0,0", "x0 = 0,0,0"),
                                "error: problem.x0: length must equal the problem dimension"),
     }
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The run_sgd calls and the process pools started in this process, in order."""
-        started, run_sgd = [], runner.run_sgd
-        monkeypatch.setattr(runner, "run_sgd", lambda *args: started.append("run_sgd") or run_sgd(*args))
-
-        class SpyPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append("pool")
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-        return started
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("command", CONFIGS)
@@ -1559,19 +1560,39 @@ class TestProblemsAsConfigured:
          ("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = 0\nlabel_noise = 0.5",
           "label_noise must be in [0, 0.5)"),
          ("name = logistic_synthetic\nn = 0\nd = 2\ndata_seed = 0", "dataset is empty"),
+         ("name = logistic_synthetic\nn = -5\nd = 2\ndata_seed = 0", "n_samples must be >= 0, got -5"),
+         ("name = logistic_synthetic\nn = 20\nd = -2\ndata_seed = 0", "n_features must be >= 0, got -2"),
+         ("name = logistic_synthetic\nn = 20\nd = 0\ndata_seed = 0", "dataset has no feature columns"),
+         ("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = -1", "seed must be >= 0, got -1"),
          ("name = logistic_csv\npath = {tmp}/empty.csv", "empty.csv: empty file"),
-         ("name = logistic_csv\npath = {tmp}/header.csv", "header.csv: no data rows")],
-        ids=("batch-0", "batch-above-n", "label-noise", "no-samples", "empty-file", "header-only"),
+         ("name = logistic_csv\npath = {tmp}/header.csv", "header.csv: no data rows"),
+         ("name = logistic_csv\npath = {tmp}/labels.csv", "dataset has no feature columns"),
+         ("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = 0\n[sweep]\naxis = problem.d\nvalues = 3, 0",
+          "problem.d=0: dataset has no feature columns"),
+         # a beta schedule with no beta(eta_t) in (0, 1) is refused when its run resolves
+         ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 0.0\nbeta_spec = schedule",
+          "eta and C must be positive"),
+         ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 0.01\nbeta_spec = schedule:100",
+          "C * eta^(2/3) = 4.641588833612779 must be < 1"),
+         ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 0.01\n"
+          "[sweep]\naxis = optimizer.beta_spec\nvalues = schedule:1, schedule:100",
+          "optimizer.beta_spec=schedule:100: C * eta^(2/3) = 4.641588833612779 must be < 1")],
+        ids=("batch-0", "batch-above-n", "label-noise", "no-samples", "negative-samples", "negative-features",
+             "no-features", "negative-data-seed", "empty-file", "header-only", "labels-only", "sweep-no-features",
+             "schedule-eta-0", "schedule-beta-below-0", "sweep-schedule-beta-below-0"),
     )
-    def test_a_problem_it_cannot_build_exits_2_and_writes_nothing(self, tmp_path, capsys, problem, message):
+    def test_a_problem_it_cannot_build_exits_2_and_writes_nothing(self, tmp_path, capsys, started, problem, message):
+        """Each config exits 2 while config.conditions resolves it: no seed runs, and nothing is written."""
         (tmp_path / "empty.csv").write_text("", encoding="utf-8")
         (tmp_path / "header.csv").write_text("x_0,x_1,label\n", encoding="utf-8")
-        text = (f"[problem]\n{problem.format(tmp=tmp_path)}\n"
-                "[optimizer]\nalgorithm = sgd\neta = 0.01\n[run]\nseeds = 0\nt = 3\n")
+        (tmp_path / "labels.csv").write_text("label\n1\n0\n", encoding="utf-8")
+        optimizer = "" if "[optimizer]" in problem else "[optimizer]\nalgorithm = sgd\neta = 0.01\n"
+        text = f"[run]\nseeds = 0\nt = 3\n{optimizer}[problem]\n{problem.format(tmp=tmp_path)}\n"
         out = tmp_path / "o"
-        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
-        assert f"error: {message}" in capsys.readouterr().err.replace(f"{tmp_path}/", "")
-        assert not out.exists()
+        command = "sweep" if "[sweep]" in problem else "run"
+        assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err.replace(f"{tmp_path}/", "") == f"error: {message}\n"
+        assert started == [] and not out.exists()
 
     @pytest.mark.parametrize("n, batch", [(50, 50), (200, 100)])
     def test_the_default_batch_is_100_or_every_sample(self, tmp_path, n, batch):

@@ -33,10 +33,6 @@ UNREACHED = {
     "cli._before_subcommand": "a usage error (a flag before the subcommand); tests/test_cli.py runs it",
     "problems.load_dataset_csv": "logistic_csv reads a file, which no golden config ships; tests/test_cli.py runs it",
     **dict.fromkeys(
-        ("problems.StochasticProblem.sample_grad_batch", "problems.SaddleProblem2D.sample_grad_batch",
-         "problems.CounterexampleProblem.sample_grad_batch", "problems.QuadraticGaussianProblem.sample_grad_batch"),
-        "Monte-Carlo draws at one point for the estimators and tests; a run draws one sample per seed"),
-    **dict.fromkeys(
         ("estimation.EstimationBoundInputs.__post_init__", "estimation.estimation_error_bound",
          "estimation.estimate_sigma_max", "precond.constants", "precond.second_order_complexity_factor",
          "precond.estimate_m_bound", "optimizer.check_stationarity", "optimizer.hessian_tolerance",

@@ -486,7 +486,7 @@ def test_one_step_descent_lemma_monte_carlo():
         e *= mu / np.max(np.abs(np.linalg.eigvalsh(e)))
         a_hat = a + e
 
-        gs = p.sample_grad_batch(x0, n_mc, rng)
+        gs = p.sample_grad(x0, rng, n_mc)
         x1 = x0[None, :] - eta * gs @ a_hat.T
         f1 = 0.5 * np.einsum("ij,jk,ik->i", x1, h, x1)
         grad_sq = float(np.linalg.norm(p.grad(x0)) ** 2)

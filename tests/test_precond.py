@@ -361,8 +361,8 @@ def test_covariance_rank_one_estimator_unbiased():
     x = np.array([0.5, -0.2])
     rng = rng_for(34)
     n = 100_000
-    g1 = p.sample_grad_batch(x, n, rng)
-    g2 = p.sample_grad_batch(x, n, rng)
+    g1 = p.sample_grad(x, rng, n)
+    g2 = p.sample_grad(x, rng, n)
     v = (g1 - g2) / np.sqrt(2.0)
     emp = v.T @ v / n
     sigma = np.diag([1.0, 0.01])

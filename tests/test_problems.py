@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -53,14 +54,14 @@ class TestSaddleProblem:
 
     def test_sample_mean_near_zero_at_origin(self):
         p = SaddleProblem2D()
-        gs = p.sample_grad_batch(np.zeros(2), 100_000, rng_for(12))
+        gs = p.sample_grad(np.zeros(2), rng_for(12), 100_000)
         mean = gs.mean(axis=0)
         se = gs.std(axis=0, ddof=1) / np.sqrt(gs.shape[0])
         assert np.all(np.abs(mean) <= 3.0 * se)
 
     def test_empirical_covariance_at_origin(self):
         p = SaddleProblem2D()
-        gs = p.sample_grad_batch(np.zeros(2), 100_000, rng_for(13))
+        gs = p.sample_grad(np.zeros(2), rng_for(13), 100_000)
         emp = gs.T @ gs / gs.shape[0]
         true = np.diag([1.0, 0.01])
         scale = np.sqrt(np.outer(np.diag(true), np.diag(true)))
@@ -88,7 +89,7 @@ class TestCounterexample:
 
     def test_empirical_second_moment(self):
         p = CounterexampleProblem(C=10.0, zeta=0.05)
-        g = p.sample_grad_batch(np.array([0.0]), 100_000, rng_for(14))[:, 0]
+        g = p.sample_grad(np.array([0.0]), rng_for(14), 100_000)[:, 0]
         target = 10.0 * 1.05 - 0.05
         se = np.std(g**2, ddof=1) / np.sqrt(len(g))
         assert abs(np.mean(g**2) - target) <= 3.0 * se
@@ -128,6 +129,11 @@ class TestQuadraticGaussian:
         g = p.sample_grad(np.ones(2), rng_for(16))
         assert np.array_equal(g, np.ones(2))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_a_dimension_below_1_raises(self, dim):
+        with pytest.raises(InvalidParamError, match="dim must be >= 1"):
+            QuadraticGaussianProblem(dim, np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_noise_cov_must_be_psd(self):
         with pytest.raises(InvalidParamError):
             QuadraticGaussianProblem(2, np.eye(2), np.diag([1.0, -0.5]))
@@ -143,7 +149,7 @@ def test_unbiasedness_all_oracle_problems():
     for p, dim in problems:
         for _ in range(5):
             x = rng.uniform(-0.8, 0.8, size=dim)
-            gs = p.sample_grad_batch(x, 100_000, rng)
+            gs = p.sample_grad(x, rng, 100_000)
             se = gs.std(axis=0, ddof=1) / np.sqrt(gs.shape[0])
             assert np.all(np.abs(gs.mean(axis=0) - p.grad(x)) <= 4.0 * se + 1e-12)
 
@@ -194,9 +200,19 @@ class TestLogisticRegression:
         y = (rng.random(50) < 0.5).astype(float)
         p = LogisticRegressionProblem(X, y, batch=10)
         w = rng.standard_normal(3)
-        gs = p.sample_grad_batch(w, 40_000, rng)
+        gs = p.sample_grad(w, rng, 40_000)
         se = gs.std(axis=0, ddof=1) / np.sqrt(gs.shape[0])
         assert np.all(np.abs(gs.mean(axis=0) - p.grad(w)) <= 4.0 * se)
+
+    def test_a_minibatch_repeats_no_sample(self):
+        """With 3 samples and batch 2, each draw is the mean gradient of two distinct samples, never of one twice."""
+        rng = rng_for(23)
+        X = rng.standard_normal((3, 2))
+        p = LogisticRegressionProblem(X, np.array([0.0, 1.0, 1.0]), batch=2)
+        w = rng.standard_normal(2)
+        pairs = [p._batch_grad(w, list(pair)) for pair in itertools.combinations(range(3), 2)]
+        for g in p.sample_grad(w, rng, 100):
+            assert sum(np.allclose(g, pair, rtol=1e-12, atol=0.0) for pair in pairs) == 1
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DataFormatError):
@@ -384,6 +400,10 @@ def test_a_non_finite_second_moment_names_the_failing_points():
 
 
 def test_cached_arrays_are_read_only():
+    # The saddle's class arrays, which every instance shares.
+    for shared in (SaddleProblem2D.H_DIAG, SaddleProblem2D.B_SUPPORT, SaddleProblem2D.NOISE_COV):
+        with pytest.raises(ValueError):
+            shared[0, ...] = 5.0
     with pytest.raises(ValueError):
         CounterexampleProblem(3.0, 0.5).exact_G(np.zeros(1))[0, 0] = 1.0
     p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
@@ -434,6 +454,17 @@ def test_sigmoid_has_the_bits_of_the_masked_formula():
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_PROBLEMS))
+def test_a_point_of_the_wrong_shape_raises(name):
+    """Every oracle takes a point (d,) or a stack (B, d), and refuses any other shape."""
+    p = STACKED_PROBLEMS[name]()
+    oracles = [p.eval_f, p.grad, p.hessian, lambda x: p.sample_grad(x, rng_for(0))]
+    for oracle in oracles + [p.exact_G] * p.has_exact_g:
+        for bad in (np.zeros(p.dim + 1), np.zeros((2, p.dim - 1)), np.zeros((2, 2, p.dim)), 0.0):
+            with pytest.raises(InvalidParamError, match="expected a point of shape"):
+                oracle(bad)
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_PROBLEMS))
 def test_an_oracle_exists_when_the_class_defines_it(name):
     """has_exact_g/has_hessian follow the class, also when an instance's oracle is replaced (as a tracer does)."""
     p = STACKED_PROBLEMS[name]()
@@ -456,16 +487,20 @@ SAMPLED_PROBLEMS = {
     "saddle": SaddleProblem2D,
     "counterexample": lambda: CounterexampleProblem(3.0, 0.5),
     **{f"quadratic-d{d}": functools.partial(non_diagonal_quadratic, d) for d in (1, 2, 3, 5, 10, 20, 64, 200)},
+    "logistic": lambda: make_synthetic_logistic(60, 4, seed=3, batch=10),
+    "logistic-full-batch": lambda: make_synthetic_logistic(12, 3, seed=4),
 }
 
 
 @pytest.mark.parametrize("name", SAMPLED_PROBLEMS)
 @settings(PROPERTY, max_examples=20)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40))
 def test_a_batch_of_samples_has_the_bits_of_one_call_per_sample(name, seed, n):
+    """sample_grad(x, rng, n) is the (n, d) stack of n single calls on the same stream, and leaves it where they do."""
     p = SAMPLED_PROBLEMS[name]()
     x = rng_for(seed).uniform(-1.0, 1.0, size=p.dim)
     batch_rng, single_rng = rng_for(seed + 1), rng_for(seed + 1)
-    batch = p.sample_grad_batch(x, n, batch_rng)
-    singles = np.stack([p.sample_grad(x, single_rng) for _ in range(n)])
+    batch = p.sample_grad(x, batch_rng, n)
+    singles = np.array([p.sample_grad(x, single_rng) for _ in range(n)]).reshape(n, p.dim)
     assert same_bits(batch, singles)
+    assert batch_rng.random() == single_rng.random()
