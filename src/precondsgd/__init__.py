@@ -5,10 +5,10 @@ G(x) = E[g g^T] as a (d, d) array and lambda_min of the Hessian as a
 number, one per point of a stack. ``precond`` holds the one
 ``Preconditioner`` and ``constants``, the theorems' constants of a
 ``PreconditionerKind``; ``optimizer`` the one run loop ``run_sgd``, the
-``Run`` it runs and the calculators; ``config`` what a config file means,
-its conditions and their ``Run``s, each resolved once before the first
-seed runs; ``runner`` the experiments; ``linalg`` the one way into
-LAPACK. The lemma oracles are in ``tests/lemmas.py``.
+flat ``Run`` record it runs and the calculators; ``config`` what a config
+file means, its conditions and their ``Run``s, each resolved once before
+the first seed runs; ``runner`` the experiments; ``linalg`` the one way
+into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
 """
 
 from .errors import (
@@ -55,7 +55,6 @@ from .estimation import (
     hallucination_count,
 )
 from .optimizer import (
-    HyperParams,
     Run,
     StationarityReport,
     Trajectory,

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, PrecondSgdError
 from .estimation import beta_schedule, burn_in_length, hallucination_count
-from .optimizer import ETA_DECAYS, HyperParams, Run, first_order_params, second_order_params
+from .optimizer import ETA_DECAYS, Run, first_order_params, second_order_params
 from .precond import SOURCES, VARIANTS, PreconditionerConstants, PreconditionerKind, estimates
 from .problems import PROBLEMS
 
@@ -121,9 +121,9 @@ _parse_int_list = functools.partial(_parse_list, parse_item=_parse_int, what="in
 def parse_beta_spec(s):
     """'0.99' -> ('fixed', 0.99); 'schedule' / 'schedule:C' -> ('schedule', C)."""
     s = s.strip()
-    if s.startswith("schedule"):
-        _, _, rest = s.partition(":")
-        c = _parse_float(rest) if rest else 1.0
+    head, colon, rest = s.partition(":")
+    if head.rstrip() == "schedule":
+        c = _parse_float(rest) if colon else 1.0
         if c <= 0.0:
             raise ConfigError("beta schedule constant must be positive")
         return ("schedule", c)
@@ -410,9 +410,9 @@ def _scaling_conditions(cfg: ExperimentConfig):
 def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     """The run a condition asks for, each setting read once and checked by ``Run``.
 
-    ``hp`` holds only what the algorithm runs: W only with burn-in, r and
-    t_thresh only for ``large_step``, S only when it hallucinates, beta or
-    beta_c only when estimating; plus the f_thresh/g_thresh of
+    The ``Run`` sets only what the algorithm runs: W only with burn-in, r
+    and t_thresh only for ``large_step``, S only when it hallucinates, beta
+    or beta_c only when estimating; plus the f_thresh/g_thresh of
     ``auto = second_order``. Under ``optimizer.auto``, setting a key its
     mode computes (``AUTO_MODES``; second_order also computes a fixed
     beta) or an auto key the mode does not read, or leaving out one it
@@ -489,8 +489,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
             **burn_in_c,
             **({"beta_c": beta_c} if beta_c is not None else {}),
         )
-        eta, beta, beta_c, r, t_thresh = found.eta, found.beta, found.beta_c, found.r, found.t_thresh
-        W, S, f_thresh, g_thresh = found.W, found.S, found.f_thresh, found.g_thresh
+        eta, beta, beta_c, r, t_thresh = found["eta"], found["beta"], None, found["r"], found["t_thresh"]
+        W, S, f_thresh, g_thresh = found["W"], found["S"], found["f_thresh"], found["g_thresh"]
     if eta is None:
         raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
 
@@ -517,11 +517,9 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         kind=kind,
         source=source,
         bias_corrected=ocfg.get("bias_corrected", False),
-        hp=HyperParams(
-            eta=eta, eta_decay=ocfg.get("eta_decay", "none"), beta=beta, beta_c=beta_c, r=r, t_thresh=t_thresh,
-            W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh,
-        ),
         T=T,
+        eta=eta, eta_decay=ocfg.get("eta_decay", "none"), beta=beta, beta_c=beta_c, r=r, t_thresh=t_thresh,
+        W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh,
         x0=x0,
         log_every=rcfg.get("log_every", 1),
         track_est_error=track_est_error,

@@ -18,8 +18,8 @@ LAPACK call. Each seed draws from its own caller-owned RNG stream, one
 ``sample_grad`` call per seed and sample in program order, and every
 stacked operation gives each row the bits of its own single-seed
 computation. So a seed's trajectory is bitwise identical whichever seeds
-run beside it, and identical (problem, hyperparameters, seed) triples
-produce bitwise-identical trajectories. A seed that fails (divergence, a
+run beside it, and identical (problem, Run, seed) triples produce
+bitwise-identical trajectories. A seed that fails (divergence, a
 singular matrix, a failing oracle) stops at its first failing check, in
 the order a logged event makes them: the divergence guard, lambda_min(H),
 ||grad f||, Ahat's spectrum, est_error's reference side. The others run
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -66,20 +66,30 @@ ETA_DECAYS = ("none", "inv_sqrt")
 
 
 @dataclass
-class HyperParams:
-    """The stepsizes, EMA and phases of a ``Run``, each in one place; plain data.
+class Run:
+    """Everything ``run_sgd`` executes, checked once: plain data that pickles.
 
-    eta is the base stepsize; with eta_decay "inv_sqrt" step t takes
-    eta_t = eta / sqrt(t + 1), with "none" eta_t = eta. An estimating
-    preconditioner's EMA uses the fixed beta or, with beta_c, the schedule
-    beta(eta_t) = 1 - beta_c eta_t^(2/3). W estimate-only samples at x0
-    (burn-in) precede the run. When t_thresh is set, every t_thresh-th
-    step has stepsize r and an estimating preconditioner then observes S+1
-    samples along it. The run does not read f_thresh/g_thresh, the
-    second-order calculator's outputs.
+    ``kind`` and ``source`` pick the Preconditioner (``bias_corrected`` its
+    EMA correction); T optimization steps from x0, held as a tuple of
+    floats (None: the origin). eta is the base stepsize; with eta_decay
+    "inv_sqrt" step t takes eta_t = eta / sqrt(t + 1), with "none"
+    eta_t = eta. An estimating preconditioner's EMA uses the fixed beta
+    or, with beta_c, the schedule beta(eta_t) = 1 - beta_c eta_t^(2/3). W
+    estimate-only samples at x0 (burn-in) precede the run. When t_thresh
+    is set, every t_thresh-th step has stepsize r and an estimating
+    preconditioner then observes S+1 samples along it. The run does not
+    read f_thresh/g_thresh, the second-order calculator's outputs. Every
+    log_every-th event is logged, with lambda_min(H) at every
+    lambda_min_every-th step (0: never) and, if track_est_error and
+    estimating, ||Ahat - A(x)||.
     """
 
+    kind: PreconditionerKind
+    source: str
+    bias_corrected: bool
+    T: int
     eta: float
+    _: KW_ONLY
     eta_decay: str = "none"
     beta: float | None = None
     beta_c: float | None = None
@@ -89,8 +99,14 @@ class HyperParams:
     S: int | None = None
     f_thresh: float | None = None
     g_thresh: float | None = None
+    x0: tuple[float, ...] | None = None
+    log_every: int = 1
+    track_est_error: bool = False
+    lambda_min_every: int = 0
 
     def __post_init__(self):
+        if self.x0 is not None:
+            self.x0 = tuple(map(float, self.x0))
         # eta = 0 is allowed as a degenerate run (the trajectory stays put).
         if self.eta < 0.0:
             raise InvalidParamError("eta must be nonnegative")
@@ -106,47 +122,29 @@ class HyperParams:
             raise InvalidParamError("W must be >= 0")
         if self.S is not None and self.S < 1:
             raise InvalidParamError("S must be >= 1")
-
-
-@dataclass
-class Run:
-    """Everything ``run_sgd`` executes, checked once: plain data that pickles.
-
-    ``kind`` and ``source`` pick the Preconditioner (``bias_corrected`` its
-    EMA correction), ``hp`` the steps; T optimization steps from x0, held
-    as a tuple of floats (None: the origin). Every log_every-th event is
-    logged, with lambda_min(H) at every lambda_min_every-th step (0: never)
-    and, if track_est_error and estimating, ||Ahat - A(x)||.
-    """
-
-    kind: PreconditionerKind
-    source: str
-    bias_corrected: bool
-    hp: HyperParams
-    T: int
-    x0: tuple[float, ...] | None = None
-    log_every: int = 1
-    track_est_error: bool = False
-    lambda_min_every: int = 0
-
-    def __post_init__(self):
-        if self.x0 is not None:
-            self.x0 = tuple(map(float, self.x0))
         if self.T < 1:
             raise InvalidParamError("T must be >= 1")
         if self.log_every < 1:
             raise InvalidParamError("log_every must be >= 1")
         if self.lambda_min_every < 0:
             raise InvalidParamError("lambda_min_every must be >= 0")
-        hp, estimating = self.hp, estimates(self.kind, self.source)
-        if estimating and hp.beta is None and hp.beta_c is None:
+        estimating = estimates(self.kind, self.source)
+        if estimating and self.beta is None and self.beta_c is None:
             raise InvalidParamError("estimated preconditioning needs beta or a beta schedule")
-        if estimating and hp.beta_c is not None:
-            beta_schedule(hp.eta, hp.beta_c)  # each step's eta_t is in (0, eta], so its beta(eta_t) is in (0, 1) too
-        if hp.t_thresh is not None and (hp.r is None or hp.r < hp.eta):
+        if estimating and self.beta_c is not None:
+            # Each step's eta_t is in (0, eta], so its beta(eta_t) is in (0, 1) too.
+            beta_schedule(self.eta, self.beta_c)
+        if self.t_thresh is not None and (self.r is None or self.r < self.eta):
             raise InvalidParamError("large-step mode needs r >= eta")
-        if hp.t_thresh is not None and estimating and hp.S is None:
+        if self.t_thresh is not None and estimating and self.S is None:
             raise InvalidParamError("estimated large-step mode needs S >= 1")
+
+    @property
+    def events(self) -> int:
+        """The events the run makes: W burn-in samples, T steps and, when it
+        hallucinates (t_thresh set and estimating), S+1 samples per large step."""
+        hallucinating = self.t_thresh is not None and estimates(self.kind, self.source)
+        return self.W + self.T + (((self.T - 1) // self.t_thresh + 1) * (self.S + 1) if hallucinating else 0)
 
 
 @dataclass
@@ -224,15 +222,15 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     burn-in, of a step, or hallucinated) is one event: drawn, observed and
     logged if due. A is one Preconditioner for all seeds: an estimating
     one observes each sample before preconditioning it, with the EMA
-    parameter hp.beta or, with hp.beta_c, beta(eta_t), where eta_t is
-    hp.eta or, with hp.eta_decay "inv_sqrt", hp.eta / sqrt(t + 1). hp.W
-    estimate-only samples at x0 precede the loop. When hp.t_thresh is set
-    the stepsize is hp.r every hp.t_thresh steps, and an estimating
-    preconditioner then observes hp.S+1 hallucinated samples interpolated
-    between the step's endpoints. A seed whose objective passes
-    DIVERGENCE_F_LIMIT, whose iterate stops being finite or whose matrix
-    power fails stops with the error in its Trajectory; the other seeds
-    run on.
+    parameter run.beta or, with run.beta_c, beta(eta_t), where eta_t is
+    run.eta or, with run.eta_decay "inv_sqrt", run.eta / sqrt(t + 1).
+    run.W estimate-only samples at x0 precede the loop. When run.t_thresh
+    is set the stepsize is run.r every run.t_thresh steps, and an
+    estimating preconditioner then observes run.S+1 hallucinated samples
+    interpolated between the step's endpoints; the log holds run.events
+    events at most. A seed whose objective passes DIVERGENCE_F_LIMIT,
+    whose iterate stops being finite or whose matrix power fails stops
+    with the error in its Trajectory; the other seeds run on.
 
     A logged event evaluates f at once, for the divergence guard, and
     keeps its iterate and, when est_error is tracked, Ahat's spectrum
@@ -259,18 +257,17 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         raise InvalidParamError("x0 must be a finite point of the problem dimension")
 
     pre = Preconditioner(run.kind, dim, run.source, run.bias_corrected, batch=n_seeds)
-    hp, T, log_every, lambda_min_every = run.hp, run.T, run.log_every, run.lambda_min_every
+    T, log_every, lambda_min_every = run.T, run.log_every, run.lambda_min_every
     estimating = pre.estimating
     covariance = estimating and run.kind.variant == COVARIANCE_FULL_MATRIX
-    large_steps = hp.t_thresh is not None
+    large_steps = run.t_thresh is not None
     hallucinating = large_steps and estimating
-    decaying = hp.eta_decay == "inv_sqrt"
+    decaying = run.eta_decay == "inv_sqrt"
     tracking = run.track_est_error and estimating
     hessian_logged = lambda_min_every > 0 and problem.has_hessian
 
     # Columns for every seed, one slot per event that can be logged.
-    n_events = hp.W + T + (((T - 1) // hp.t_thresh + 1) * (hp.S + 1) if hallucinating else 0)
-    capacity = (n_events - 1) // log_every + 2
+    capacity = (run.events - 1) // log_every + 2
     iteration = np.empty(capacity, dtype=np.int64)
     step_kind = np.empty(capacity, dtype=object)
     hessian_due = np.zeros(capacity, dtype=bool)
@@ -280,7 +277,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     error_col = np.full((n_seeds, capacity), np.nan)
     x_col = np.empty((n_seeds, capacity, dim))
     logged = flushed = 0
-    ev = -hp.W  # the current event's index: burn-in takes -W..-1
+    ev = -run.W  # the current event's index: burn-in takes -W..-1
     # Each seed's first failing check as _CHECKS * slot + check, and its error.
     stop = np.full(n_seeds, _RUNNING, dtype=np.int64)
     errors: list[NumericError | None] = [None] * n_seeds
@@ -398,7 +395,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         nonlocal ev
         g, upd = draw_sample(rows[at])  # drawn whether or not it is observed, so streams stay aligned
         if estimating:
-            pre.observe(upd, beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta)
+            pre.observe(upd, beta_schedule(eta_t, run.beta_c) if run.beta_c is not None else run.beta)
         if t is not None:
             rows["g"] = g
             rows["direction"] = attempt(lambda b, s: pre.direction(problem, rows["x"], rows["g"]), live, logged, _GUARD)
@@ -407,22 +404,22 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         ev += 1
 
     # Burn-in: update the estimate at x0 without moving x.
-    for _ in range(hp.W):
+    for _ in range(run.W):
         if not live.size:
             break
-        event("x", STEP_BURNIN, hp.eta)
+        event("x", STEP_BURNIN, run.eta)
 
     for t in range(T):
         if not live.size:
             break
-        eta_t = hp.eta / math.sqrt(t + 1.0) if decaying else hp.eta
-        is_large = large_steps and t % hp.t_thresh == 0
+        eta_t = run.eta / math.sqrt(t + 1.0) if decaying else run.eta
+        is_large = large_steps and t % run.t_thresh == 0
         event("x", STEP_LARGE if is_large else STEP_NORMAL, eta_t, t)
         if not live.size:
             break
 
         rows["x_start"] = rows["x"]
-        x_new = rows["x"] - (hp.r if is_large else eta_t) * rows["direction"]
+        x_new = rows["x"] - (run.r if is_large else eta_t) * rows["direction"]
         if problem.clip_bounds is not None:
             x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
         rows["x"] = x_new
@@ -433,10 +430,10 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         if is_large and hallucinating:
             # Hallucinate S+1 interpolated samples so the estimate keeps
             # up despite the large displacement (per-sample move <= r/S).
-            for s in range(hp.S + 1):
+            for s in range(run.S + 1):
                 if not live.size:
                     break
-                rows["xs"] = rows["x_start"] + (s / hp.S) * (rows["x"] - rows["x_start"])
+                rows["xs"] = rows["x_start"] + (s / run.S) * (rows["x"] - rows["x_start"])
                 event("xs", STEP_HALLUCINATED, eta_t)
 
     flush()
@@ -501,11 +498,12 @@ def second_order_params(
     k_const: float = 0.125,
     c_w: float = 1.0,
     beta_c: float | None = 1.0,
-) -> HyperParams:
-    """The second-order theorem's run (r, eta, t_thresh, W, S, beta) and thresholds.
+) -> dict:
+    """The ``Run`` fields of the second-order theorem: eta, beta, r, t_thresh, W, S, f_thresh and g_thresh.
 
-    It runs as it stands: with an estimating preconditioner, ``run_sgd``
-    takes the burn-in, the large steps and the hallucinated samples. beta
+    ``Run(kind, "estimated", False, T, **params)`` runs the theorem as it
+    stands: ``run_sgd`` takes the burn-in, the large steps and the
+    hallucinated samples. beta
     is beta(eta) of the schedule with constant ``beta_c`` (None: no beta).
     L and rho, the gradient- and Hessian-Lipschitz constants, are plain
     numbers that must be finite and positive, as must tau, delta_prob and
@@ -551,16 +549,16 @@ def second_order_params(
         )
     t_thresh = max(1, _ceil_int(omega / (eta * gamma)))
     beta = beta_schedule(eta, beta_c) if beta_c is not None else None
-    return HyperParams(
-        eta=eta,
-        beta=beta,
-        r=r,
-        t_thresh=t_thresh,
-        W=burn_in_length(eta, c_w),
-        S=hallucination_count(r, eta),
-        f_thresh=f_thresh,
-        g_thresh=f_thresh / t_thresh,
-    )
+    return {
+        "eta": eta,
+        "beta": beta,
+        "r": r,
+        "t_thresh": t_thresh,
+        "W": burn_in_length(eta, c_w),
+        "S": hallucination_count(r, eta),
+        "f_thresh": f_thresh,
+        "g_thresh": f_thresh / t_thresh,
+    }
 
 
 def check_stationarity(problem, x, tau_g: float, tau_h: float) -> StationarityReport:

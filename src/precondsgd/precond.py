@@ -113,7 +113,6 @@ class Preconditioner:
         self.kind = kind
         self.dim = dim
         self.source = source
-        self.batch = batch
         self.estimating = estimates(kind, source)
         self.bias_corrected = bias_corrected
         self.diagonal = kind.variant == DIAGONAL or dim == 1
@@ -145,8 +144,7 @@ class Preconditioner:
         if self._spectrum_cache is not None:
             a, v = self._spectrum_cache
             self._spectrum_cache = (a[rows], None if v is None else v[rows])
-        self.batch = int(np.count_nonzero(rows))
-        self._point_shape = (self.batch, self.dim)
+        self._point_shape = (int(np.count_nonzero(rows)), self.dim)
 
     def direction(self, problem, x, g):
         """The preconditioned direction A g, for a vector g or a stack of them."""

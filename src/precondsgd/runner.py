@@ -211,7 +211,7 @@ def run_group(run_id: str, cfg: ExperimentConfig, run, seeds, out_dir: str) -> l
 def _scaling_group(run_id: str, cfg: ExperimentConfig, run, seeds) -> list:
     """Run a seed group of a scaling study's eta; return per seed its scaling.csv row or its NumericError."""
     return [traj.error if traj.error is not None else {
-        "eta": run.hp.eta, "beta": run.hp.beta, "T": run.T, "W": run.hp.W,
+        "eta": run.eta, "beta": run.beta, "T": run.T, "W": run.W,
         "sup_error": float(traj.est_error[traj.steps()].max()),
         "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()), "seed": seed,
     } for seed, traj in zip(seeds, execute_records(cfg, run, seeds))]

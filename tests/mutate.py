@@ -9,7 +9,8 @@ collect this file)::
 under the repository root and may be repeated; the default is
 ``src/precondsgd/optimizer.py:run_sgd``. Each mutant makes one change in
 the body of one target: ``<`` and ``<=`` swap, ``>`` and ``>=``, ``==``
-and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``; ``True`` and
+and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``; ``+`` and ``-``
+swap, in an expression ``a + b`` or an update ``a += b``; ``True`` and
 ``False`` swap; or an integer constant moves by +1 or -1. The mutated
 module is written into a copy of ``src``, ``tests`` and
 ``pyproject.toml`` in a temporary directory, so the checkout is never
@@ -33,9 +34,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_TARGET = "src/precondsgd/optimizer.py:run_sgd"
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
-         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.Add: ast.Sub, ast.Sub: ast.Add}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.In: "in",
-           ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not"}
+           ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not", ast.Add: "+", ast.Sub: "-"}
 
 
 def find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -55,6 +56,8 @@ def sites(tree: ast.Module, function: str) -> list[tuple[ast.AST, int, str]]:
             for j, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     found.append((node, j, f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            found.append((node, 0, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[SWAPS[type(node.op)]]}"))
         elif isinstance(node, ast.Constant) and type(node.value) is bool:
             found.append((node, 0, f"{node.value} -> {not node.value}"))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
@@ -68,6 +71,8 @@ def mutant(source: str, function: str, k: int) -> tuple[str, str, str]:
     node, change, what = sites(tree, function)[k]
     if isinstance(node, ast.Compare):
         node.ops[change] = SWAPS[type(node.ops[change])]()
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+        node.op = SWAPS[type(node.op)]()
     elif type(node.value) is bool:
         node.value = not node.value
     else:

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from lemmas import PROPERTY, rng_for
 from precondsgd import (
-    HyperParams,
     NonFiniteError,
     Preconditioner,
     PreconditionerKind,
@@ -86,8 +85,7 @@ class FailingPastProblem(StochasticProblem):
 
 def tracked_run(log_every, epsilon=1e-3):
     """Full-matrix RMSProp with burn-in, est_error tracked, lambda_min(H) at every second step."""
-    hp = HyperParams(eta=0.05, beta=0.9, W=3)
-    return Run(PreconditionerKind("full_matrix", epsilon), "estimated", False, hp, 120, (0.0, 0.5),
+    return Run(PreconditionerKind("full_matrix", epsilon), "estimated", False, 120, 0.05, beta=0.9, W=3, x0=(0.0, 0.5),
                log_every=log_every, track_est_error=True, lambda_min_every=2)
 
 
@@ -181,7 +179,7 @@ def test_a_failing_logged_oracle_stops_its_seed_at_that_event(case, log_every):
     run = tracked_run(log_every)
     healthy = run_sgd(FailingPastProblem(), run, [rng_for(s) for s in SEEDS])
     failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
-    assert len(SEEDS) * 2 * 2 * 8 * (run.hp.W + run.T) <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
+    assert len(SEEDS) * 2 * 2 * 8 * run.events <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
     assert sum(expected_stop(h, problem) is not None for h in healthy) >= 2
     assert_stops_as_expected(healthy, failing, problem)
     assert digest(failing) == DIGESTS[case, log_every]
@@ -250,8 +248,7 @@ class InfiniteSamplePastProblem(FailingPastProblem):
 def test_a_non_finite_iterate_stops_its_seed_after_the_event_of_its_step(log_every):
     """With SGD, a seed whose sample at step t is infinite keeps the events logged up to step t's."""
     def sgd(every):
-        return Run(PreconditionerKind("identity"), "idealized", False, HyperParams(eta=0.05), 120, (0.0, 0.5),
-                   log_every=every)
+        return Run(PreconditionerKind("identity"), "idealized", False, 120, 0.05, x0=(0.0, 0.5), log_every=every)
 
     problem = InfiniteSamplePastProblem(g_at=6.0)
     every_step = run_sgd(FailingPastProblem(), sgd(1), [rng_for(s) for s in SEEDS])
@@ -292,14 +289,14 @@ class JumpedBandProblem(FailingPastProblem):
 def test_seeds_that_all_stop_inside_a_large_steps_hallucinated_samples_end_the_run():
     """Estimated large steps, every event logged: each seed stops at its first hallucinated point inside the
     band, so its trajectory ends at the hallucinated event before it, and no sample is drawn after."""
-    hp = HyperParams(eta=0.01, beta=0.9, r=0.1, t_thresh=10, W=3, S=10)
-    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, hp, 20, (0.0, 0.5))
+    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, 20, 0.01, beta=0.9, r=0.1, t_thresh=10, W=3,
+              S=10, x0=(0.0, 0.5))
     healthy = run_sgd(JumpedBandProblem(band=0.0), run, [rng_for(s) for s in SEEDS])
     problem = JumpedBandProblem()
     draws, sample = [], problem.sample_grad
     problem.sample_grad = lambda x, rng: draws.append(1) or sample(x, rng)
     failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
-    n = hp.W + 2  # the burn-in, step 0 (a large step) and its first hallucinated sample, all at x_0 = 0
+    n = run.W + 2  # the burn-in, step 0 (a large step) and its first hallucinated sample, all at x_0 = 0
     for twin, traj in zip(healthy, failing, strict=True):
         assert twin.step_kind[n] == STEP_HALLUCINATED and 0.0 < twin.x[n, 0] < problem.band < twin.x[-1, 0]
         assert len(traj) == n and traj.step_kind[-1] == STEP_HALLUCINATED
@@ -358,7 +355,7 @@ def test_columns_over_many_chunks_have_the_bits_of_a_per_event_evaluation(varian
     diagonal = np.geomspace(1.0, 0.1, dim)
     problem = QuadraticGaussianProblem(dim, np.diag(diagonal), np.diag(diagonal))
     kind = PreconditionerKind(variant, 1e-8)
-    run = Run(kind, "estimated", False, HyperParams(eta=0.01, beta=beta, W=20), 300, tuple(np.linspace(1.0, -1.0, dim)),
+    run = Run(kind, "estimated", False, 300, 0.01, beta=beta, W=20, x0=tuple(np.linspace(1.0, -1.0, dim)),
               track_est_error=True, lambda_min_every=3)
     together = run_sgd(problem, run, [rng_for(s) for s in (3, 4, 5)])
     assert LOG_CHUNK_BYTES // (3 * dim * dim * 8) == 27 and LOG_CHUNK_BYTES // (dim * dim * 8) == 81
@@ -436,8 +433,8 @@ def test_the_logged_oracles_are_called_once_per_chunk_not_once_per_event(monkeyp
     """
     problem = QuadraticGaussianProblem(3, np.diag([1.0, 0.5, 0.2]), np.diag([1.0, 0.3, 0.1]))
     calls = count_calls(monkeypatch, problem)
-    run = Run(PreconditionerKind("full_matrix", 1e-3), "estimated", False, HyperParams(eta=0.01, beta=0.9, W=5), T,
-              (1.0, -1.0, 0.5), track_est_error=tracked, lambda_min_every=1)
+    run = Run(PreconditionerKind("full_matrix", 1e-3), "estimated", False, T, 0.01, beta=0.9, W=5, x0=(1.0, -1.0, 0.5),
+              track_est_error=tracked, lambda_min_every=1)
     trajectories = run_sgd(problem, run, [rng_for(7), rng_for(8)])
     assert [len(traj) for traj in trajectories] == [T + 5, T + 5]
     assert LOG_CHUNK_BYTES // (2 * 3 * 3 * 8) == 455
@@ -472,8 +469,7 @@ def test_the_saddle_logs_lambda_min_once_per_chunk(monkeypatch):
     """Eight seeds at d = 2 log in chunks of 256 events."""
     problem = SaddleProblem2D()
     calls = count_calls(monkeypatch, problem)
-    run = Run(PreconditionerKind("full_matrix", 1e-8), "estimated", False, HyperParams(eta=0.01, beta=0.99), 600,
-              lambda_min_every=1)
+    run = Run(PreconditionerKind("full_matrix", 1e-8), "estimated", False, 600, 0.01, beta=0.99, lambda_min_every=1)
     run_sgd(problem, run, [rng_for(s) for s in range(8)])
     assert calls == Counter(sample_grad=8 * 600, eval_f=600, grad=3, hessian=3)
 
@@ -502,8 +498,9 @@ def test_a_run_ending_in_a_large_step_logs_every_due_event(W, log_every):
     run's event count, and with it the slots it allocates, must count them. At log_every = 3 every slot is
     used: the due events fill (n_events - 1) // 3 + 1 slots, and the last step, between two of them, one more."""
     T, t_thresh, S = 5, 4, 3
-    hp = HyperParams(eta=0.01, beta=0.9, r=0.05, t_thresh=t_thresh, W=W, S=S)
-    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, hp, T, (0.3, -0.2), log_every=log_every)
+    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, T, 0.01, beta=0.9, r=0.05, t_thresh=t_thresh,
+              W=W, S=S, x0=(0.3, -0.2), log_every=log_every)
+    assert run.events == len(due_events(W, T, t_thresh, S, 1))
     problem = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.2]))
     for traj in run_sgd(problem, run, [rng_for(s) for s in SEEDS[:2]]):
         assert traj.error is None

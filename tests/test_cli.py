@@ -92,9 +92,15 @@ class TestConfigParsing:
     def test_beta_spec_forms(self):
         assert parse_beta_spec("0.97") == ("fixed", 0.97)
         assert parse_beta_spec("schedule") == ("schedule", 1.0)
-        assert parse_beta_spec("schedule:0.3") == ("schedule", 0.3)
+        assert parse_beta_spec("schedule:0.3") == parse_beta_spec(" schedule : 0.3 ") == ("schedule", 0.3)
         with pytest.raises(ConfigError):
             parse_beta_spec("1.5")
+        # without its colon a constant is no schedule: the text goes to the number parser
+        for text in ("schedule2", "schedulexyz", "schedule0.5"):
+            with pytest.raises(ConfigError, match=f"expected a number, got '{text}'"):
+                parse_beta_spec(text)
+        with pytest.raises(ConfigError, match="expected a number, got ''"):
+            parse_beta_spec("schedule:")
 
     def test_missing_required_key(self, tmp_path):
         bad = SADDLE_CFG.replace("t = 200", "")
@@ -122,10 +128,11 @@ class TestConfigParsing:
             ("[run]", "[bogus]\nkey = 1\n[run]", "unknown section [bogus]"),
             ("t = 200", "t = 200\na line with no value", "Source contains parsing errors"),
             ("beta_spec = 0.9", "beta_spec = schedule:0", "optimizer.beta_spec: beta schedule constant must be positive"),
+            ("beta_spec = 0.9", "beta_spec = schedule2", "optimizer.beta_spec: expected a number, got 'schedule2'"),
             ("x0 = 0,0", "x0 = ,", "problem.x0: expected a comma-separated list of numbers"),
         ],
         ids=("number", "integer", "boolean", "empty-list", "unknown-section", "unparsable-line", "beta-schedule-zero",
-             "empty-number-list"),
+             "beta-schedule-no-colon", "empty-number-list"),
     )
     def test_a_value_its_parser_rejects_exits_2_naming_the_key(self, tmp_path, capsys, old, new, message):
         out = tmp_path / "o"
@@ -1016,9 +1023,9 @@ class TestResolveRun:
         monkeypatch.setattr(runner, "build_problem", counting_build)
         run = the_run(cfg)
         (traj,) = runner.execute_records(cfg, run, [0])
-        assert run.hp.S == 7
+        assert run.S == 7
         W = burn_in_length(0.01)
-        assert run.hp.W == W
+        assert run.W == W
         large_steps = 4  # t = 0, 10, 20, 30
         assert len(calls) == 40 + W + large_steps * (7 + 1)
         assert np.count_nonzero(traj.step_kind == "hallucinated") == large_steps * (7 + 1)
@@ -1069,42 +1076,42 @@ epsilon = 1e-8
     return load_config(write_config(tmp_path / "cfg.ini", text))
 
 
-class TestHyperParamsIsTheRun:
+class TestTheResolvedRunIsWhatRuns:
     @pytest.mark.parametrize("auto", [False, True], ids=["explicit", "auto"])
     @pytest.mark.parametrize("algorithm, source", ALGORITHM_SOURCES)
-    def test_resolved_hp_matches_the_trajectory(self, tmp_path, algorithm, source, auto):
+    def test_the_resolved_run_matches_the_trajectory(self, tmp_path, algorithm, source, auto):
         cfg = resolved_config(tmp_path, algorithm, source, auto)
         run = the_run(cfg)
         trajectories = execute_records(cfg, run, [0, 1])
-        hp = run.hp
         estimating = run.source == "estimated" and run.kind.variant != "identity"
-        assert (hp.beta is not None or hp.beta_c is not None) == estimating
-        assert (hp.f_thresh is not None) == (hp.g_thresh is not None) == auto
+        assert (run.beta is not None or run.beta_c is not None) == estimating
+        assert (run.f_thresh is not None) == (run.g_thresh is not None) == auto
         for traj in trajectories:
             assert traj.error is None
             count = {kind: np.count_nonzero(traj.step_kind == kind)
                      for kind in (STEP_BURNIN, STEP_LARGE, STEP_HALLUCINATED, STEP_NORMAL)}
-            assert count[STEP_BURNIN] == hp.W
-            assert (count[STEP_LARGE] > 0) == (hp.t_thresh is not None)
-            if hp.t_thresh is not None:
-                assert count[STEP_LARGE] == -(-run.T // hp.t_thresh)
-            assert (hp.S is not None) == (count[STEP_HALLUCINATED] > 0)
+            assert count[STEP_BURNIN] == run.W
+            assert (count[STEP_LARGE] > 0) == (run.t_thresh is not None)
+            if run.t_thresh is not None:
+                assert count[STEP_LARGE] == -(-run.T // run.t_thresh)
+            assert (run.S is not None) == (count[STEP_HALLUCINATED] > 0)
             if estimating:
-                assert count[STEP_HALLUCINATED] == count[STEP_LARGE] * ((hp.S or 0) + 1)
+                assert count[STEP_HALLUCINATED] == count[STEP_LARGE] * ((run.S or 0) + 1)
             assert count[STEP_LARGE] + count[STEP_NORMAL] == run.T
+            assert len(traj) == run.events  # every event logged
 
     def test_rmsprop_with_second_order_auto_has_no_burn_in_or_large_steps(self, tmp_path):
-        def resolved_hp(algorithm):
+        def resolved_run(algorithm):
             cfg = resolved_config(tmp_path, algorithm, None, True)
-            return resolve_run(cfg, build_problem(cfg.problem)).hp
+            return resolve_run(cfg, build_problem(cfg.problem))
 
-        hp = resolved_hp("rmsprop")
-        assert hp.W == 0 and hp.r is None and hp.t_thresh is None and hp.S is None
+        run = resolved_run("rmsprop")
+        assert run.W == 0 and run.r is None and run.t_thresh is None and run.S is None
         # the calculator's thresholds are carried through
-        large = resolved_hp("large_step")
+        large = resolved_run("large_step")
         assert (large.W, large.t_thresh, large.S) == (36, 43, 3)
-        assert hp.f_thresh == large.f_thresh > 0.0
-        assert hp.g_thresh == large.g_thresh == large.f_thresh / 43
+        assert run.f_thresh == large.f_thresh > 0.0
+        assert run.g_thresh == large.g_thresh == large.f_thresh / 43
 
 
 FIRST_ORDER_KEYS = "l = 1\nc3 = 1\nlambda_minus = 1\ndelta_f = 1\ntau = 0.3\n"
@@ -1137,13 +1144,13 @@ class TestWhatAConfigLeavesOutOrPicks:
         cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG))
         run = resolve_run(cfg, build_problem(cfg.problem))
         assert (run.log_every, run.lambda_min_every, run.track_est_error, run.bias_corrected) == (1, 0, False, False)
-        assert (run.hp.eta_decay, run.hp.W, run.kind.exponent) == ("none", 0, -0.5)
+        assert (run.eta_decay, run.W, run.kind.exponent) == ("none", 0, -0.5)
 
     @pytest.mark.parametrize("auto, exact", [("first_order_exact", True), ("first_order_inexact", False)])
     def test_each_first_order_mode_runs_its_own_calculator(self, tmp_path, auto, exact):
         cfg = load_config(auto_config(tmp_path, auto))
         run = resolve_run(cfg, build_problem(cfg.problem))
-        assert (run.hp.eta, run.T) == first_order_params(1.0, 1.0, 1.0, 1.0, 0.3, exact=exact)
+        assert (run.eta, run.T) == first_order_params(1.0, 1.0, 1.0, 1.0, 0.3, exact=exact)
 
     def test_of_two_repeated_seeds_the_smaller_is_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 4, 3, 4, 3"))
@@ -1210,8 +1217,8 @@ class TestAutoLeavesNoKeyUnread:
         assert main(["run", fixed, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert "optimizer.beta_spec: a fixed beta is computed by optimizer.auto=second_order" in capsys.readouterr().err
         loaded = load_config(cfg)
-        hp = resolve_run(loaded, build_problem(loaded.problem)).hp
-        assert hp.beta == beta_schedule(hp.eta, 0.5)
+        run = resolve_run(loaded, build_problem(loaded.problem))
+        assert run.beta == beta_schedule(run.eta, 0.5)
 
 
 LOGISTIC_CFG = """
@@ -1692,7 +1699,7 @@ class TestResolvedRunIsPlainData:
             extra += "r = 0.2\nt_thresh = 15\n" + ("eta = 0.005\n" if auto is None else "")
         cfg = load_config(auto_config(tmp_path, auto, algorithm="large_step", extra=extra))
         run = resolve_run(cfg, build_problem(cfg.problem))
-        assert asdict(run.hp)["eta_decay"] == (decay or "none")
+        assert asdict(run)["eta_decay"] == (decay or "none")
         back = pickle.loads(pickle.dumps(run))
         for field in fields(Run):
             np.testing.assert_equal(getattr(back, field.name), getattr(run, field.name), err_msg=field.name)
@@ -1703,13 +1710,13 @@ class TestResolvedRunIsPlainData:
         trajectories = execute_records(cfg, run, [0, 1])
         back = pickle.loads(pickle.dumps(run))
 
-        def rerun(hp):
-            return run_sgd(build_problem(cfg.problem), replace(back, hp=hp), [make_rng(0), make_rng(1)])
+        def rerun(run):
+            return run_sgd(build_problem(cfg.problem), run, [make_rng(0), make_rng(1)])
 
-        for traj, again in zip(trajectories, rerun(back.hp)):
+        for traj, again in zip(trajectories, rerun(back)):
             np.testing.assert_array_equal(traj.x, again.x)
-        # the decay came through hp: without it the run differs
-        assert not np.array_equal(trajectories[0].x, rerun(replace(back.hp, eta_decay="none"))[0].x)
+        # the decay came through the run: without it the run differs
+        assert not np.array_equal(trajectories[0].x, rerun(replace(back, eta_decay="none"))[0].x)
 
 
 def csv_writer_trajectory(traj, dim) -> str:

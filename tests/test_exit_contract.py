@@ -79,7 +79,7 @@ VALUES = {
     "optimizer.eta": (("0.01", "0.05"), ("0", "-0.01", "1e6", *BAD_NUMBER)),
     "optimizer.eta_decay": (("none", "inv_sqrt"), ("bogus",)),
     "optimizer.beta_spec": (("0.9", "schedule", "schedule:0.5"),
-                            ("0", "1", "-0.1", "schedule:0", "schedule:100", "schedule:x", "nan")),
+                            ("0", "1", "-0.1", "schedule:0", "schedule:100", "schedule:x", "schedule2", "nan")),
     "optimizer.epsilon": (("1e-8", "0.1"), ("0", "-1", "nan")),
     "optimizer.exponent": (("-0.5", "-1"), ("0", "2")),
     "optimizer.r": (("0.05", "0.1"), ("0", "-0.1")),
@@ -217,10 +217,7 @@ def planned(path, command):
         return None
     seeds = cfg.run["seeds"]
     for run_id, _, run in runs:
-        hp = run.hp
-        large = (run.T - 1) // hp.t_thresh + 1 if hp.t_thresh else 0
-        events = hp.W + run.T + large * ((hp.S or 0) + 1)
-        assert events * len(seeds) * len(runs) <= MAX_EVENTS, f"{run_id}: {events} events per seed"
+        assert run.events * len(seeds) * len(runs) <= MAX_EVENTS, f"{run_id}: {run.events} events per seed"
     return [(run_id, seeds) for run_id, _, _ in runs]
 
 

@@ -8,7 +8,6 @@ import pytest
 from lemmas import dense, rng_for
 from precondsgd import (
     CounterexampleProblem,
-    HyperParams,
     InvalidParamError,
     NonFiniteError,
     Preconditioner,
@@ -42,8 +41,8 @@ def estimated(kind=None):
 
 
 def run1(problem, make_run, hp, T, rng, **options):
-    """The one Trajectory of a single-seed run of make_run(hp=hp, T=T, **options)."""
-    return run_sgd(problem, make_run(hp=hp, T=T, **options), [rng])[0]
+    """The one Trajectory of a single-seed run of make_run(T, **hp, **options)."""
+    return run_sgd(problem, make_run(T, **hp, **options), [rng])[0]
 
 
 class ConstantGradientProblem(StochasticProblem):
@@ -71,68 +70,60 @@ class ConstantGradientProblem(StochasticProblem):
         return 0.0
 
 
-def test_hyperparams_rejects_an_unknown_eta_decay():
-    assert HyperParams(eta=0.1, eta_decay="inv_sqrt").eta_decay == "inv_sqrt"
+def test_a_run_rejects_an_unknown_eta_decay():
+    sgd = partial(Run, PreconditionerKind("identity"), "idealized", False, 10, 0.1)
+    assert sgd(eta_decay="inv_sqrt").eta_decay == "inv_sqrt"
     with pytest.raises(InvalidParamError, match="eta_decay"):
-        HyperParams(eta=0.1, eta_decay="inv_square")
+        sgd(eta_decay="inv_square")
 
 
 @pytest.mark.parametrize(
-    "source, hp, fields, message",
+    "source, fields, message",
     [
-        ("idealized", dict(eta=0.1), dict(T=0), "T must be >= 1"),
-        ("idealized", dict(eta=0.1), dict(log_every=0), "log_every must be >= 1"),
-        ("idealized", dict(eta=0.1), dict(lambda_min_every=-3), "lambda_min_every must be >= 0"),
-        ("estimated", dict(eta=0.1), {}, "needs beta or a beta schedule"),
-        ("idealized", dict(eta=0.1, r=0.05, t_thresh=5), {}, "large-step mode needs r >= eta"),
-        ("estimated", dict(eta=0.1, beta=0.9, r=0.5, t_thresh=5), {}, "estimated large-step mode needs S"),
+        ("idealized", dict(T=0), "T must be >= 1"),
+        ("idealized", dict(log_every=0), "log_every must be >= 1"),
+        ("idealized", dict(lambda_min_every=-3), "lambda_min_every must be >= 0"),
+        ("estimated", {}, "needs beta or a beta schedule"),
+        ("idealized", dict(r=0.05, t_thresh=5), "large-step mode needs r >= eta"),
+        ("estimated", dict(beta=0.9, r=0.5, t_thresh=5), "estimated large-step mode needs S"),
+        ("idealized", dict(eta=-0.1), "eta must be nonnegative"),
+        ("idealized", dict(beta=1.0), r"beta must be in \[0, 1\)"),
+        ("idealized", dict(beta=-0.1), r"beta must be in \[0, 1\)"),
+        ("idealized", dict(beta=0.9, beta_c=1.0), "set beta or beta_c, not both"),
+        ("idealized", dict(r=0.2, t_thresh=0), "t_thresh must be >= 1"),
+        ("idealized", dict(W=-1), "W must be >= 0"),
+        ("idealized", dict(S=0), "S must be >= 1"),
     ],
+    ids=("T", "log_every", "lambda_min_every", "no-beta", "r-below-eta", "no-S",
+         "eta", "beta-1", "beta-negative", "beta-and-beta_c", "t_thresh", "W", "S"),
 )
-def test_a_run_is_checked_when_it_is_built(source, hp, fields, message):
+def test_a_run_is_checked_when_it_is_built(source, fields, message):
     with pytest.raises(InvalidParamError, match=message):
-        Run(PreconditionerKind(variant="diagonal"), source, False, HyperParams(**hp), **{"T": 10, **fields})
+        Run(PreconditionerKind(variant="diagonal"), source, False, **{"T": 10, "eta": 0.1, **fields})
 
 
-@pytest.mark.parametrize(
-    "hp, message",
-    [
-        (dict(eta=-0.1), "eta must be nonnegative"),
-        (dict(eta=0.1, beta=1.0), r"beta must be in \[0, 1\)"),
-        (dict(eta=0.1, beta=-0.1), r"beta must be in \[0, 1\)"),
-        (dict(eta=0.1, beta=0.9, beta_c=1.0), "set beta or beta_c, not both"),
-        (dict(eta=0.1, r=0.2, t_thresh=0), "t_thresh must be >= 1"),
-        (dict(eta=0.1, W=-1), "W must be >= 0"),
-        (dict(eta=0.1, S=0), "S must be >= 1"),
-    ],
-    ids=("eta", "beta-1", "beta-negative", "beta-and-beta_c", "t_thresh", "W", "S"),
-)
-def test_hyperparams_refuse_a_value_outside_its_domain(hp, message):
-    with pytest.raises(InvalidParamError, match=message):
-        HyperParams(**hp)
-
-
-def test_hyperparams_take_each_domain_boundary():
-    hp = HyperParams(eta=0.0, beta=0.0, r=0.1, t_thresh=1, W=0, S=1)
-    assert (hp.eta, hp.beta, hp.t_thresh, hp.W, hp.S) == (0.0, 0.0, 1, 0, 1)
+def test_a_run_takes_each_domain_boundary():
+    run = Run(PreconditionerKind(), "estimated", False, 1, 0.0, beta=0.0, r=0.1, t_thresh=1, W=0, S=1)
+    assert (run.T, run.eta, run.beta, run.t_thresh, run.W, run.S, run.lambda_min_every) == (1, 0.0, 0.0, 1, 0, 1, 0)
 
 
 @pytest.mark.parametrize("x0", [(0.0,), (0.0, 0.0, 0.0), (math.nan, 0.0), (0.0, -math.inf)],
                          ids=("short", "long", "nan", "inf"))
 def test_run_sgd_refuses_an_x0_that_is_not_a_finite_point_of_the_problem(x0):
-    run = Run(PreconditionerKind("identity"), "idealized", False, HyperParams(eta=0.1), 5, x0)
+    run = Run(PreconditionerKind("identity"), "idealized", False, 5, 0.1, x0=x0)
     with pytest.raises(InvalidParamError, match="x0 must be a finite point of the problem dimension"):
         run_sgd(SaddleProblem2D(), run, [rng_for(0)])
 
 
 def test_run_sgd_needs_an_rng_stream():
-    run = Run(PreconditionerKind("identity"), "idealized", False, HyperParams(eta=0.1), 5)
+    run = Run(PreconditionerKind("identity"), "idealized", False, 5, 0.1)
     with pytest.raises(InvalidParamError, match="at least one RNG stream"):
         run_sgd(SaddleProblem2D(), run, [])
 
 
 def test_equal_runs_compare_equal_and_hold_plain_data():
     def run(x0):
-        return Run(PreconditionerKind(), "estimated", False, HyperParams(eta=0.1, beta=0.9), 10, x0=x0)
+        return Run(PreconditionerKind(), "estimated", False, 10, 0.1, beta=0.9, x0=x0)
 
     assert run(np.zeros(2)) == run(np.zeros(2)) == run([0.0, 0.0])
     assert run(np.zeros(2)) != run(np.array([0.0, 1.0])) != replace(run(None), x0=(0.0, 1.0, 2.0))
@@ -143,14 +134,14 @@ def test_equal_runs_compare_equal_and_hold_plain_data():
 class TestPreconditionedSgd:
     def test_identity_noiseless_geometric_decay(self):
         p = QuadraticGaussianProblem(2, np.eye(2), np.zeros((2, 2)))
-        traj = run1(p, identity_source(), HyperParams(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0])
+        traj = run1(p, identity_source(), dict(eta=0.1), 15, rng_for(0), x0=[1.0, 0.0])
         assert np.array_equal(traj.iteration, np.arange(15))
         for t, x in enumerate(traj.x):
             assert np.allclose(x, [0.9**t, 0.0], rtol=1e-10)
 
     def test_zero_stepsize_stays_put(self):
         p = QuadraticGaussianProblem(2, np.eye(2), np.eye(2))
-        traj = run1(p, identity_source(), HyperParams(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2])
+        traj = run1(p, identity_source(), dict(eta=0.0), 20, rng_for(1), x0=[0.4, -0.2])
         assert len(traj) == 20
         for x in traj.x:
             assert np.array_equal(x, [0.4, -0.2])
@@ -160,19 +151,19 @@ class TestPreconditionedSgd:
         # and drifts to the boundary -1
         p = CounterexampleProblem(C=2.0, zeta=0.1)
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
-        hp = HyperParams(eta=0.005)
+        hp = dict(eta=0.005)
         xs = run1(p, idealized(kind), hp, 8000, rng_for(2), x0=[0.0]).x[:, 0]
         scale = 1.0 / math.sqrt(2.1)
         moves = np.diff(xs)
         away = moves[moves > 0]
         # every unclipped move away from -1 is the -1-gradient step eta * A
-        assert away.size and np.all(np.abs(away - hp.eta * scale) <= 1e-12)
+        assert away.size and np.all(np.abs(away - hp["eta"] * scale) <= 1e-12)
         assert np.all((-1.0 <= xs) & (xs <= 1.0))
         assert xs[-1] <= -0.9
 
     def test_determinism_bitwise(self):
         p = SaddleProblem2D()
-        hp = HyperParams(eta=0.01, beta=0.95)
+        hp = dict(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
         a = run1(p, estimated(kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
         b = run1(p, estimated(kind), hp, 300, rng_for(7), x0=[0.1, 0.1])
@@ -182,7 +173,7 @@ class TestPreconditionedSgd:
 
     def test_estimated_identity_matches_idealized_identity(self):
         p = SaddleProblem2D()
-        hp = HyperParams(eta=0.01)
+        hp = dict(eta=0.01)
         a = run1(p, identity_source(), hp, 100, rng_for(8), x0=[0.2, 0.0])
         src = estimated(PreconditionerKind(variant="identity"))
         b = run1(p, src, hp, 100, rng_for(8), x0=[0.2, 0.0])
@@ -192,30 +183,30 @@ class TestPreconditionedSgd:
 class TestRmsprop:
     def test_beta_zero_is_sign_sgd(self):
         p = QuadraticGaussianProblem(1, np.eye(1), np.eye(1))
-        hp = HyperParams(eta=0.01, beta=0.0)
+        hp = dict(eta=0.01, beta=0.0)
         traj = run1(p, estimated(PreconditionerKind(epsilon=0.0)), hp, 50, rng_for(3), x0=[2.0])
-        assert np.allclose(np.abs(np.diff(traj.x[:, 0])), hp.eta, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(np.diff(traj.x[:, 0])), hp["eta"], rtol=1e-12, atol=0.0)
 
     def test_constant_gradient_approaches_normalized_step(self):
         p = ConstantGradientProblem(c=3.0)
-        hp = HyperParams(eta=0.05, beta=0.9)
+        hp = dict(eta=0.05, beta=0.9)
         traj = run1(p, estimated(PreconditionerKind(epsilon=0.0)), hp, 120, rng_for(4), x0=[0.0])
         late = np.abs(np.diff(traj.x[-21:, 0]))
-        assert np.allclose(late, hp.eta, rtol=1e-4, atol=0.0)
+        assert np.allclose(late, hp["eta"], rtol=1e-4, atol=0.0)
 
     def test_exponent_minus_one_step_blows_past_ten_eta(self):
         # near stationarity the -1 exponent takes steps eta/|grad| >> eta
         p = QuadraticGaussianProblem(1, np.eye(1), np.zeros((1, 1)))
-        hp = HyperParams(eta=1e-3, beta=0.0)
+        hp = dict(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         traj = run1(p, estimated(kind), hp, 3, rng_for(5), x0=[5e-5])
-        assert traj.grad_norm[0] < 0.1 * hp.eta
+        assert traj.grad_norm[0] < 0.1 * hp["eta"]
         step = abs(traj.x[1, 0] - traj.x[0, 0])
-        assert step > 10.0 * hp.eta
+        assert step > 10.0 * hp["eta"]
 
     def test_exponent_minus_one_near_stationary_start_diverges(self):
         p = QuadraticGaussianProblem(1, np.eye(1), np.zeros((1, 1)))
-        hp = HyperParams(eta=1e-3, beta=0.0)
+        hp = dict(eta=1e-3, beta=0.0)
         kind = PreconditionerKind(epsilon=0.0, exponent=-1.0)
         traj = run1(p, estimated(kind), hp, 10, rng_for(6), x0=[1e-60])
         assert isinstance(traj.error, NonFiniteError)
@@ -225,7 +216,7 @@ class TestRmsprop:
         # Sigma^(-1/2) preconditioning: stable on the quadratic where the
         # noise covariance is constant (its intended near-stationary use)
         p = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.1]))
-        hp = HyperParams(eta=0.01, beta=0.95)
+        hp = dict(eta=0.01, beta=0.95)
         kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=1e-6)
         traj = run1(p, estimated(kind), hp, 1500, rng_for(9), x0=[2.0, -2.0])
         assert len(traj) == 1500
@@ -236,13 +227,13 @@ class TestBurnIn:
     def test_w_zero_identical_to_plain_rmsprop(self):
         p = SaddleProblem2D()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        a = run1(p, estimated(kind), HyperParams(eta=0.005, beta=0.9), 200, rng_for(10))
-        b = run1(p, estimated(kind), HyperParams(eta=0.005, beta=0.9, W=0), 200, rng_for(10))
+        a = run1(p, estimated(kind), dict(eta=0.005, beta=0.9), 200, rng_for(10))
+        b = run1(p, estimated(kind), dict(eta=0.005, beta=0.9, W=0), 200, rng_for(10))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
     def test_burnin_records_precede_iteration_zero(self):
         p = SaddleProblem2D()
-        hp = HyperParams(eta=0.005, beta=0.9, W=25)
+        hp = dict(eta=0.005, beta=0.9, W=25)
         traj = run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 50, rng_for(11))
         burn = traj.step_kind == "burnin"
         assert np.count_nonzero(burn) == 25
@@ -257,7 +248,7 @@ class TestBurnIn:
         eta, c_w = 0.01, 5.0
         W = burn_in_length(eta, c_w)
         beta = beta_schedule(eta, 1.0)
-        hp = HyperParams(eta=eta, beta=beta, W=W)
+        hp = dict(eta=eta, beta=beta, W=W)
         traj = run1(
             p, estimated(PreconditionerKind(epsilon=0.5)), hp, 1, rng_for(12),
             x0=x0, track_est_error=True,
@@ -285,8 +276,8 @@ class TestLargeStep:
     def test_degenerate_schedule_matches_plain_run(self):
         p = SaddleProblem2D()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
-        hp = HyperParams(eta=0.01, r=0.01, t_thresh=1)
-        a = run1(p, idealized(kind), HyperParams(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
+        hp = dict(eta=0.01, r=0.01, t_thresh=1)
+        a = run1(p, idealized(kind), dict(eta=0.01), 150, rng_for(13), x0=[0.3, 0.1])
         b = run1(p, idealized(kind), hp, 150, rng_for(13), x0=[0.3, 0.1])
         assert np.all(b.step_kind == "large")
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
@@ -294,14 +285,14 @@ class TestLargeStep:
     def test_large_step_cadence(self):
         p = SaddleProblem2D()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
-        hp = HyperParams(eta=0.001, r=0.01, t_thresh=40)
+        hp = dict(eta=0.001, r=0.01, t_thresh=40)
         traj = run1(p, idealized(kind), hp, 200, rng_for(14), x0=[0.0, 0.0])
         assert traj.iteration[traj.step_kind == "large"].tolist() == [0, 40, 80, 120, 160]
 
     def test_hallucination_s_one_samples_both_endpoints(self):
         p = SaddleProblem2D()
         kind = PreconditionerKind(variant="diagonal", epsilon=1e-8)
-        hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
+        hp = dict(eta=0.001, beta=0.9, r=0.01, t_thresh=50, S=1, W=0)
         traj = run1(p, estimated(kind), hp, 120, rng_for(15), x0=[0.0, 0.0])
         larges = np.flatnonzero(traj.step_kind == "large")
         # 3 large steps in 120 iterations at cadence 50, each hallucinating S+1 = 2
@@ -318,14 +309,14 @@ class TestLargeStep:
 
     def test_estimated_mode_requires_s(self):
         p = SaddleProblem2D()
-        hp = HyperParams(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
+        hp = dict(eta=0.001, beta=0.9, r=0.01, t_thresh=10)
         with pytest.raises(InvalidParamError):
             run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 20, rng_for(16))
 
     def test_escape_acceleration_over_identity(self):
         p = SaddleProblem2D()
         kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
-        hp = HyperParams(eta=1e-3, r=1e-2, t_thresh=100)
+        hp = dict(eta=1e-3, r=1e-2, t_thresh=100)
 
         def escape_time(traj, level=-0.01):
             hit = np.flatnonzero(traj.f <= level)
@@ -337,7 +328,7 @@ class TestLargeStep:
             for s in seeds
         ]
         ident = [
-            escape_time(run1(p, identity_source(), HyperParams(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
+            escape_time(run1(p, identity_source(), dict(eta=1e-3), T, rng_for(100 + s), x0=[0.0, 0.0]))
             for s in seeds
         ]
         assert np.median(fm) < np.median(ident)
@@ -348,7 +339,7 @@ class TestLargeStep:
 class TestProjection:
     def test_counterexample_iterates_stay_in_box(self):
         p = CounterexampleProblem(C=10.0, zeta=0.05)
-        hp = HyperParams(eta=0.05, beta=0.9)
+        hp = dict(eta=0.05, beta=0.9)
         xs = run1(p, estimated(PreconditionerKind(epsilon=1e-8)), hp, 2000, rng_for(17), x0=[0.0]).x
         assert len(xs) == 2000
         assert np.all((-1.0 <= xs) & (xs <= 1.0))
@@ -385,20 +376,20 @@ class TestSecondOrderParams:
             unit_constants(), 1.0, 1.0, tau=1.0,
             delta_prob=1.0, omega=1.0, k_const=0.125,
         )
-        assert hp.r == pytest.approx((1.0 / 8.0) / 54.0, rel=1e-12)
-        assert hp.eta == pytest.approx((1.0 / 64.0) / 324.0, rel=1e-12)
-        assert hp.f_thresh == pytest.approx((1.0 / 64.0) / 648.0, rel=1e-12)
-        assert hp.t_thresh == math.ceil(1.0 / (hp.eta * 1.0) - 1e-9)
-        assert hp.g_thresh == pytest.approx(hp.f_thresh / hp.t_thresh)
-        assert hp.S == math.ceil(hp.r / hp.eta - 1e-6)
-        assert hp.W == burn_in_length(hp.eta, 1.0)
+        assert hp["r"] == pytest.approx((1.0 / 8.0) / 54.0, rel=1e-12)
+        assert hp["eta"] == pytest.approx((1.0 / 64.0) / 324.0, rel=1e-12)
+        assert hp["f_thresh"] == pytest.approx((1.0 / 64.0) / 648.0, rel=1e-12)
+        assert hp["t_thresh"] == math.ceil(1.0 / (hp["eta"] * 1.0) - 1e-9)
+        assert hp["g_thresh"] == pytest.approx(hp["f_thresh"] / hp["t_thresh"])
+        assert hp["S"] == math.ceil(hp["r"] / hp["eta"] - 1e-6)
+        assert hp["W"] == burn_in_length(hp["eta"], 1.0)
 
     def test_gamma_fifth_power_scaling(self):
         k = unit_constants()
         hp1 = second_order_params(k, 1.0, 1.0, tau=0.4, delta_prob=0.5)
         hp2 = second_order_params(k, 1.0, 1.0, tau=0.1, delta_prob=0.5)
-        assert hp2.eta / hp1.eta == pytest.approx(1.0 / 32.0, rel=1e-9)
-        assert hp2.r / hp1.r == pytest.approx(1.0 / 4.0, rel=1e-9)
+        assert hp2["eta"] / hp1["eta"] == pytest.approx(1.0 / 32.0, rel=1e-9)
+        assert hp2["r"] / hp1["r"] == pytest.approx(1.0 / 4.0, rel=1e-9)
 
     def test_amortized_increase_identity(self):
         rng = rng_for(18)
@@ -414,16 +405,16 @@ class TestSecondOrderParams:
             L, rho = float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0))
             delta_prob = float(rng.uniform(0.05, 1.0))
             hp = second_order_params(k, L, rho, tau=float(rng.uniform(0.05, 1.0)), delta_prob=delta_prob)
-            lhs = 9.0 * L * k.c3 / 8.0 * hp.r**2
-            rhs = delta_prob * hp.f_thresh / 4.0
+            lhs = 9.0 * L * k.c3 / 8.0 * hp["r"]**2
+            rhs = delta_prob * hp["f_thresh"] / 4.0
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_its_hyperparams_run_burn_in_and_large_steps_as_they_stand(self):
+    def test_its_fields_run_burn_in_and_large_steps_as_they_stand(self):
         k = PreconditionerConstants(nu1=1.0, nu2=1.0, c3=2.0, c4=0.5, lambda_minus=0.5, M_bound=math.sqrt(2.0))
         hp = second_order_params(k, 1.0, 1.0, tau=100.0, delta_prob=1.0, omega=1.0)
-        assert (hp.W, hp.t_thresh, hp.S) == (36, 43, 3)
+        assert (hp["W"], hp["t_thresh"], hp["S"]) == (36, 43, 3)
         p = SaddleProblem2D()
-        run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, hp, 100)
+        run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, 100, **hp)
         for traj in run_sgd(p, run, [rng_for(60), rng_for(61)]):
             kinds = traj.step_kind.tolist()
             assert traj.error is None
@@ -504,8 +495,8 @@ def test_large_step_amortized_increase_bound():
     k = constants(p, x0, PreconditionerKind(epsilon=0.0))
     L = 1.0  # the largest eigenvalue of H
     hp = second_order_params(k, L, 1.0, tau=0.15, delta_prob=0.5, omega=2.0)
-    t_thresh = min(hp.t_thresh, 40)  # keep the run short but with many large steps
-    hp = HyperParams(eta=hp.eta, r=hp.r, t_thresh=t_thresh)
+    t_thresh = min(hp["t_thresh"], 40)  # keep the run short but with many large steps
+    hp = dict(eta=hp["eta"], r=hp["r"], t_thresh=t_thresh)
     kind = PreconditionerKind(epsilon=0.0)
     deltas = []
     for s in range(25):
@@ -514,7 +505,7 @@ def test_large_step_amortized_increase_bound():
         deltas += (traj.f[large + 1] - traj.f[large]).tolist()
     deltas = np.asarray(deltas)
     se = deltas.std(ddof=1) / math.sqrt(len(deltas))
-    assert deltas.mean() <= 9.0 * L * k.c3 * hp.r**2 / 8.0 + 4.0 * se
+    assert deltas.mean() <= 9.0 * L * k.c3 * hp["r"]**2 / 8.0 + 4.0 * se
 
 
 def reference_power(G, kind, diagonal):
@@ -525,7 +516,7 @@ def reference_power(G, kind, diagonal):
     return (v * w**kind.exponent) @ v.T
 
 
-# name -> (source, HyperParams fields, bias_corrected)
+# name -> (source, Run fields from eta on, bias_corrected)
 PARITY_CASES = {
     "idealized": ("idealized", dict(eta=0.05), False),
     "fixed-beta": ("estimated", dict(eta=0.05, beta=0.8), False),
@@ -556,13 +547,12 @@ def test_run_matches_numpy_reference(case, n_seeds, variant, dim):
     seeds in lockstep, each seed's trajectory also equals, bit for bit,
     its own single-seed run.
     """
-    source, hp_fields, bias_corrected = PARITY_CASES[case]
+    source, hp, bias_corrected = PARITY_CASES[case]
     p = QuadraticGaussianProblem(dim, PARITY_H[:dim, :dim], PARITY_COV[:dim, :dim])
     kind = PreconditionerKind(variant=variant, epsilon=0.05)
-    hp = HyperParams(**hp_fields)
     x0 = np.linspace(1.0, -0.5, dim)
     seeds = [21 + i for i in range(n_seeds)]
-    run = Run(kind, source, bias_corrected, hp, 30, x0)
+    run = Run(kind, source, bias_corrected, 30, **hp, x0=x0)
     trajectories = run_sgd(p, run, [rng_for(s) for s in seeds])
     assert len(trajectories) == n_seeds
     for seed, traj in zip(seeds, trajectories):
@@ -570,12 +560,12 @@ def test_run_matches_numpy_reference(case, n_seeds, variant, dim):
             (alone,) = run_sgd(p, run, [rng_for(seed)])
             for column in TRAJECTORY_COLUMNS:
                 np.testing.assert_array_equal(getattr(traj, column), getattr(alone, column), err_msg=column)
-        check_against_numpy_replay(p, traj, rng_for(seed), kind, hp, source, bias_corrected)
+        check_against_numpy_replay(p, traj, rng_for(seed), run)
 
 
-def check_against_numpy_replay(p, traj, rng, kind, hp, source, bias_corrected):
-    variant, dim = kind.variant, p.dim
-    estimating = source == "estimated" and variant != "identity"
+def check_against_numpy_replay(p, traj, rng, run):
+    kind, variant, dim = run.kind, run.kind.variant, p.dim
+    estimating = run.source == "estimated" and variant != "identity"
     covariance = variant == "covariance_full_matrix"
     diagonal = variant == "diagonal"
     g_hat, beta_prod, t = np.zeros((dim, dim)), 1.0, -1
@@ -586,9 +576,9 @@ def check_against_numpy_replay(p, traj, rng, kind, hp, source, bias_corrected):
         if estimating and covariance:
             upd = (g - p.sample_grad(x, rng)) / math.sqrt(2.0)
         t += kind_label in ("normal", "large")
-        eta_t = hp.eta / math.sqrt(t + 1.0) if hp.eta_decay == "inv_sqrt" and kind_label != "burnin" else hp.eta
+        eta_t = run.eta / math.sqrt(t + 1.0) if run.eta_decay == "inv_sqrt" and kind_label != "burnin" else run.eta
         if estimating:
-            beta = beta_schedule(eta_t, hp.beta_c) if hp.beta_c is not None else hp.beta
+            beta = beta_schedule(eta_t, run.beta_c) if run.beta_c is not None else run.beta
             g_hat = beta * g_hat + (1.0 - beta) * np.outer(upd, upd)
             beta_prod *= beta
         if i not in steps or i == steps[-1]:
@@ -596,17 +586,17 @@ def check_against_numpy_replay(p, traj, rng, kind, hp, source, bias_corrected):
         if variant == "identity":
             a = np.eye(dim)
         elif estimating:
-            a = reference_power(g_hat / (1.0 - beta_prod) if bias_corrected else g_hat, kind, diagonal)
+            a = reference_power(g_hat / (1.0 - beta_prod) if run.bias_corrected else g_hat, kind, diagonal)
         else:
             G = p.exact_G(x)
             if covariance:
                 G = G - np.outer(p.grad(x), p.grad(x))
             a = reference_power(G, kind, diagonal)
-        step = hp.r if kind_label == "large" else eta_t
+        step = run.r if kind_label == "large" else eta_t
         following = traj.x[steps[steps.index(i) + 1]]
         np.testing.assert_allclose(x - step * a @ g, following, rtol=1e-10, atol=1e-12)
     hallucinated = np.count_nonzero(traj.step_kind == "hallucinated")
-    assert hallucinated == (32 if estimating and hp.S is not None else 0)
+    assert hallucinated == (32 if estimating and run.S is not None else 0)
 
 
 class SingularPastOneProblem(StochasticProblem):
@@ -637,9 +627,9 @@ class SingularPastOneProblem(StochasticProblem):
 def test_a_seed_that_fails_stops_alone_with_the_bits_of_its_own_run():
     p = SingularPastOneProblem()
     kind = PreconditionerKind(variant="full_matrix", epsilon=0.0)
-    hp = HyperParams(eta=0.05)
+    hp = dict(eta=0.05)
     seeds = range(50, 56)
-    together = run_sgd(p, Run(kind, "idealized", False, hp, 30), [rng_for(s) for s in seeds])
+    together = run_sgd(p, Run(kind, "idealized", False, 30, **hp), [rng_for(s) for s in seeds])
     failed = [t.error is not None for t in together]
     assert any(failed) and not all(failed)
     for seed, traj in zip(seeds, together):

@@ -89,6 +89,13 @@ class TestIdealizedA:
             a = idealized_A(p, kind, x)
             assert np.allclose(a, np.diag([1.0, 10.0]), rtol=1e-10)
 
+    def test_covariance_kind_at_one_dimension_removes_the_squared_gradient(self):
+        # At d = 1 the covariance form is diagonal: G(x) - grad(x)^2 = (1.5 x)^2 + 0.25 - (1.5 x)^2, so A = 2.
+        p = QuadraticGaussianProblem(1, np.array([[1.5]]), np.array([[0.25]]))
+        kind = PreconditionerKind(variant="covariance_full_matrix", epsilon=0.0)
+        for x in (0.0, 2.0):
+            assert idealized_A(p, kind, np.array([x]))[0, 0] == pytest.approx(2.0, rel=1e-12)
+
     def test_missing_oracle(self):
         from precondsgd import make_synthetic_logistic
 
@@ -185,15 +192,36 @@ class TestEstimatedA:
         with pytest.raises(SingularMatrixError):
             pre.spectrum(None, None)
 
-    @pytest.mark.parametrize("variant, bad", [("full_matrix", np.inf), ("diagonal", np.nan)])
-    def test_a_nan_eigenvalue_marks_only_its_seed(self, variant, bad):
-        """An inf in one seed's full-matrix Ghat makes eigh return NaN eigenvalues, and a NaN sample a NaN
-        diagonal: NaN is not positive, so only that seed's row is marked."""
-        pre = Preconditioner(PreconditionerKind(variant, epsilon=1e-8), 2, "estimated", batch=3)
+    @pytest.mark.parametrize("variant, bad, epsilon",
+                             [("full_matrix", np.inf, 1e-8), ("diagonal", np.nan, 1e-8), ("diagonal", 0.0, 0.0)])
+    def test_an_eigenvalue_that_is_not_positive_marks_only_its_seed(self, variant, bad, epsilon):
+        """An inf in one seed's full-matrix Ghat makes eigh return NaN eigenvalues, a NaN sample a NaN
+        diagonal, and a zero sample without eps a zero one: none is positive, so only that seed's row is marked."""
+        pre = Preconditioner(PreconditionerKind(variant, epsilon=epsilon), 2, "estimated", batch=3)
         pre.observe(np.array([[1.0, 0.5], [bad, 1.0], [0.3, -2.0]]), 0.5)
         with pytest.raises(SingularMatrixError, match=r"lambda_min\(Ghat\) \+ eps not positive") as info:
             pre.spectrum(None, None)
         assert info.value.rows.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("variant", ["full_matrix", "diagonal"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_keep_drops_seeds_from_the_estimate_and_its_cached_spectrum(self, variant, cached):
+        rng = rng_for(38)
+        kind = PreconditionerKind(variant, epsilon=0.1)
+        samples, g = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+
+        def observed():
+            pre = Preconditioner(kind, 2, "estimated", batch=3)
+            pre.observe(samples, 0.5)
+            return pre
+
+        expected = observed().direction(None, None, g)[[0, 2]]
+        pre = observed()
+        if cached:
+            pre.spectrum(None, None)
+        pre.keep(np.array([True, False, True]))
+        assert np.array_equal(pre.direction(None, None, g[[0, 2]]), expected)
+        pre.observe(samples[[0, 2]], 0.5)  # the kept seeds are the batch now
 
     def test_bias_correction_rescales(self):
         g = np.array([1.0, 2.0])
@@ -215,6 +243,30 @@ class TestEstimatedA:
         recovered = np.linalg.inv(dense(pre, None, None)) - np.eye(2)
         expected = np.outer(g, g) if variant == "full_matrix" else np.diag(g * g)
         assert np.allclose(recovered, expected, rtol=1e-12, atol=1e-14)
+
+
+class TestEstimationError:
+    @pytest.mark.parametrize("variant", ["full_matrix", "diagonal"])
+    def test_it_is_the_norm_of_the_difference_not_of_the_spectra(self, variant):
+        # Ghat = diag(4, 1) and G(x) = diag(1, 4) share a spectrum, but Ahat = diag(1/2, 1) and
+        # A(x) = diag(1, 1/2) differ by diag(-1/2, 1/2).
+        pre = estimated_with(np.diag([4.0, 1.0]), PreconditionerKind(variant, epsilon=0.0))
+        assert pre.est_error(problem_with_g(np.diag([1.0, 4.0])), np.zeros(2)) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["full_matrix", "diagonal"])
+    def test_a_batch_gets_each_seeds_own_est_error(self, variant):
+        rng = rng_for(37)
+        p = QuadraticGaussianProblem(2, random_spd(rng, 2), random_spd(rng, 2))
+        kind = PreconditionerKind(variant, epsilon=0.1)
+        samples, xs = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        together = Preconditioner(kind, 2, "estimated", batch=3)
+        together.observe(samples, 0.5)
+        errors = together.est_error(p, xs)
+        assert errors.shape == (3,)
+        for sample, x, error in zip(samples, xs, errors):
+            alone = Preconditioner(kind, 2, "estimated")
+            alone.observe(sample, 0.5)
+            assert error == alone.est_error(p, x)
 
 
 IDENTITY_KIND = PreconditionerKind("identity")
