@@ -17,11 +17,13 @@ the [problem] keys each name requires, come from ``problems.PROBLEMS``.
 Every number must be finite: nan and inf are refused where they are read.
 
 A known key that the chosen algorithm or kind does not run is dropped,
-not refused: ``source`` on ``rmsprop``, ``r``, ``t_thresh`` and ``s``
-outside ``large_step``, ``w`` without burn-in, or ``beta_spec`` under
+not refused: ``source`` on ``rmsprop``, ``r`` and ``t_thresh`` outside
+``large_step``, ``run.burn_in_c`` without burn-in, or ``beta_spec`` under
 ``kind = identity``. That lets one config serve a sweep over
 ``optimizer.kind`` or ``optimizer.algorithm``; ``resolve_run`` leaves
-each dropped key unset.
+each dropped key unset. No key sets the burn-in length W or the
+hallucination count S: they follow from eta (``burn_in_length``, scaled
+by ``run.burn_in_c``, and ``hallucination_count``).
 """
 
 from __future__ import annotations
@@ -64,13 +66,14 @@ class AutoMode(NamedTuple):
 
 
 # The optimizer.auto modes: optimizer.first_order_params (exact or inexact)
-# and optimizer.second_order_params, by the config keys each takes.
+# and optimizer.second_order_params, by the config keys each takes. As in
+# any run, second_order's W and S follow from the eta and r it computes.
 _FIRST_ORDER = AutoMode(("l", "c3", "lambda_minus", "delta_f", "tau"), (), ("eta",))
 AUTO_MODES = {
     "first_order_exact": _FIRST_ORDER,
     "first_order_inexact": _FIRST_ORDER,
     "second_order": AutoMode(("l", "rho", "c3", "c4", "lambda_minus", "tau", "delta"),
-                             ("nu1", "nu2", "m_bound", "omega", "k_const"), ("eta", "r", "t_thresh", "w", "s")),
+                             ("nu1", "nu2", "m_bound", "omega", "k_const"), ("eta", "r", "t_thresh")),
 }
 
 # The optimizer keys that only the optimizer.auto calculators read.
@@ -160,8 +163,6 @@ _SCHEMAS = {
         "exponent": _parse_float,
         "r": _parse_float,
         "t_thresh": _parse_int,
-        "w": _parse_int,
-        "s": _parse_int,
         "bias_corrected": _parse_bool,
         "auto": _parse_str,
         **dict.fromkeys(AUTO_KEYS, _parse_float),  # every calculator input is a number
@@ -210,15 +211,6 @@ class ExperimentConfig:
 
     def clone(self) -> "ExperimentConfig":
         return copy.deepcopy(self)
-
-    def set_axis_value(self, axis: str, raw_value: str) -> None:
-        """Set a sweep axis to one of its values; the result is validated like a loaded config."""
-        section, key, parser = resolve_axis(axis)
-        try:
-            getattr(self, section)[key] = parser(raw_value)
-        except ConfigError as exc:
-            raise ConfigError(f"{axis}: {exc}") from exc
-        validate_config(self)
 
 
 def resolve_axis(axis: str):
@@ -346,12 +338,16 @@ def _sweep_conditions(cfg: ExperimentConfig):
         if key not in cfg.sweep:
             raise ConfigError(f"sweep.{key}: required for sweep")
     axis = cfg.sweep["axis"]
-    section, key, _ = resolve_axis(axis)
+    section, key, parse = resolve_axis(axis)
     _seeds(cfg)
     done = []
     for value in cfg.sweep["values"]:
         sub = cfg.clone()
-        sub.set_axis_value(axis, value)
+        try:
+            getattr(sub, section)[key] = parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{axis}: {exc}") from exc
+        validate_config(sub)  # the value is checked like a loaded config
         if any(getattr(sub, section)[key] == getattr(other, section)[key] for _, other in done):
             raise ConfigError(f"sweep.values: {axis} value {value} occurs more than once")
         name = _safe_name(f"{axis}={value}")
@@ -365,16 +361,16 @@ def _sweep_conditions(cfg: ExperimentConfig):
 def _scaling_conditions(cfg: ExperimentConfig):
     """The estimation-scaling study's conditions: one per eta of run.etas, largest first.
 
-    Each runs RMSProp with burn-in under the fixed beta(eta) = 1 - C
-    eta^(2/3), C from optimizer.beta_spec = schedule:C (1 if unset),
-    tracking ||Ahat_t - A(x_t)|| over ~est_window_factor EMA time
-    constants: it replaces optimizer.algorithm, eta and beta_spec, and
-    run.t (by the window, if longer), track_est_error and log_every. A
-    fixed beta_spec (one beta cannot serve several etas), kind = identity
-    (no estimate), optimizer.auto (which would set eta), an eta_decay
-    other than none (each row is fitted against its constant eta), an eta
-    that repeats or has no beta(eta) in (0, 1), and more than one seed are
-    ConfigErrors.
+    Each runs RMSProp with burn-in, W = ceil(c_w eta^(-2/3)) with c_w
+    from run.burn_in_c, under the fixed beta(eta) = 1 - C eta^(2/3), C
+    from optimizer.beta_spec = schedule:C (1 if unset), tracking
+    ||Ahat_t - A(x_t)|| over ~est_window_factor EMA time constants: it
+    replaces optimizer.algorithm, eta and beta_spec, and run.t (by the
+    window, if longer), track_est_error and log_every. A fixed beta_spec
+    (one beta cannot serve several etas), kind = identity (no estimate),
+    optimizer.auto (which would set eta), an eta_decay other than none
+    (each row is fitted against its constant eta), an eta that repeats or
+    has no beta(eta) in (0, 1), and more than one seed are ConfigErrors.
     """
     etas = cfg.run.get("etas")
     if not etas or len(etas) < 2:
@@ -410,15 +406,16 @@ def _scaling_conditions(cfg: ExperimentConfig):
 def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     """The run a condition asks for, each setting read once and checked by ``Run``.
 
-    The ``Run`` sets only what the algorithm runs: W only with burn-in, r
-    and t_thresh only for ``large_step``, S only when it hallucinates, beta
-    or beta_c only when estimating; plus the f_thresh/g_thresh of
-    ``auto = second_order``. Under ``optimizer.auto``, setting a key its
-    mode computes (``AUTO_MODES``; second_order also computes a fixed
-    beta) or an auto key the mode does not read, or leaving out one it
-    requires, or one outside (0, inf) ((0, 1) for k_const, (0, 1] for the
-    probability delta), is a ConfigError; so is a run needing the exact_G
-    oracle the problem lacks.
+    The ``Run`` sets only what the algorithm runs: W = ``burn_in_length``
+    (eta, run.burn_in_c) only with burn-in, r and t_thresh only for
+    ``large_step``, S = ``hallucination_count`` (r, eta) only when it
+    hallucinates, beta or beta_c only when estimating; plus the
+    f_thresh/g_thresh of ``auto = second_order``. Under ``optimizer.auto``,
+    setting a key its mode computes (``AUTO_MODES``; second_order also
+    computes a fixed beta) or an auto key the mode does not read, or
+    leaving out one it requires, or one outside (0, inf) ((0, 1) for
+    k_const, (0, 1] for the probability delta), is a ConfigError; so is a
+    run needing the exact_G oracle the problem lacks.
     """
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
@@ -442,7 +439,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     elif estimating:
         raise ConfigError("optimizer.beta_spec: required for estimated preconditioning")
 
-    eta, r, t_thresh, W, S = (ocfg.get(key) for key in ("eta", "r", "t_thresh", "w", "s"))
+    eta, r, t_thresh = (ocfg.get(key) for key in ("eta", "r", "t_thresh"))
     T = rcfg["t"]
     # The calculators' optional constants, passed only when set: each default is the calculator's own.
     burn_in_c = {"c_w": rcfg["burn_in_c"]} if "burn_in_c" in rcfg else {}
@@ -486,26 +483,19 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         found = second_order_params(
             consts, ocfg["l"], ocfg["rho"], ocfg["tau"], ocfg["delta"],
             **{key: ocfg[key] for key in ("omega", "k_const") if key in ocfg},
-            **burn_in_c,
             **({"beta_c": beta_c} if beta_c is not None else {}),
         )
         eta, beta, beta_c, r, t_thresh = found["eta"], found["beta"], None, found["r"], found["t_thresh"]
-        W, S, f_thresh, g_thresh = found["W"], found["S"], found["f_thresh"], found["g_thresh"]
+        f_thresh, g_thresh = found["f_thresh"], found["g_thresh"]
     if eta is None:
         raise ConfigError("optimizer.eta: required (or supply optimizer.auto)")
 
-    if not (spec.burn_in and source == "estimated"):
-        W = 0
-    elif W is None:
-        W = burn_in_length(eta, **burn_in_c)
+    W = burn_in_length(eta, **burn_in_c) if spec.burn_in and source == "estimated" else 0
     if not spec.large_steps:
         r = t_thresh = None
     elif r is None or t_thresh is None:
         raise ConfigError("optimizer.r and optimizer.t_thresh: required for large_step")
-    if not (spec.large_steps and estimating):
-        S = None
-    elif S is None:
-        S = hallucination_count(r, eta)
+    S = hallucination_count(r, eta) if spec.large_steps and estimating else None
     if not estimating:
         beta = beta_c = None
 

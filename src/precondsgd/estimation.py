@@ -28,14 +28,13 @@ def _ceil_int(x: float) -> int:
 class EstimationBoundInputs:
     """Inputs of the moving-sequence estimation bound.
 
-    sigma_max bounds the conditional per-sample variance, R the
-    per-sample deviation, M_step the per-step movement ||x_t - x_{t-1}||
-    / eta, L_G the Lipschitz constant of x -> G(x); d is the matrix
-    dimension and delta_prob the failure probability.
+    sigma_max bounds the conditional per-sample variance, M_step the
+    per-step movement ||x_t - x_{t-1}|| / eta, L_G the Lipschitz constant
+    of x -> G(x); d is the matrix dimension and delta_prob the failure
+    probability.
     """
 
     sigma_max: float
-    R: float
     M_step: float
     L_G: float
     eta: float
@@ -49,8 +48,8 @@ class EstimationBoundInputs:
             raise InvalidParamError("beta must be in (0, 1)")
         if not 0.0 < self.delta_prob < 1.0:
             raise InvalidParamError("delta_prob must be in (0, 1)")
-        if self.sigma_max < 0 or self.R < 0 or self.M_step < 0 or self.L_G < 0 or self.eta < 0:
-            raise InvalidParamError("sigma_max, R, M_step, L_G, eta must be nonnegative")
+        if self.sigma_max < 0 or self.M_step < 0 or self.L_G < 0 or self.eta < 0:
+            raise InvalidParamError("sigma_max, M_step, L_G, eta must be nonnegative")
         if self.d < 1 or self.T < 1:
             raise InvalidParamError("d and T must be >= 1")
 

@@ -41,7 +41,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .errors import InvalidParamError, NonFiniteError, NumericError
-from .estimation import _ceil_int, beta_schedule, burn_in_length, hallucination_count
+from .estimation import _ceil_int, beta_schedule
 from .linalg import eigvalsh
 from .precond import (
     COVARIANCE_FULL_MATRIX,
@@ -496,24 +496,21 @@ def second_order_params(
     delta_prob: float,
     omega: float = 5.0,
     k_const: float = 0.125,
-    c_w: float = 1.0,
     beta_c: float | None = 1.0,
 ) -> dict:
-    """The ``Run`` fields of the second-order theorem: eta, beta, r, t_thresh, W, S, f_thresh and g_thresh.
+    """The ``Run`` fields of the second-order theorem: eta, beta, r, t_thresh, f_thresh and g_thresh.
 
-    ``Run(kind, "estimated", False, T, **params)`` runs the theorem as it
-    stands: ``run_sgd`` takes the burn-in, the large steps and the
-    hallucinated samples. beta
-    is beta(eta) of the schedule with constant ``beta_c`` (None: no beta).
+    W and S follow from eta and r (``estimation.burn_in_length`` and
+    ``hallucination_count``), and ``config.resolve_run`` derives them for
+    every run. beta is beta(eta) of the schedule with constant ``beta_c``
+    (None: no beta).
     L and rho, the gradient- and Hessian-Lipschitz constants, are plain
     numbers that must be finite and positive, as must tau, delta_prob and
     omega. With gamma = lambda_- sqrt(rho tau):
       r        = gamma^2 delta c4 K / (54 nu1 nu2 c3 L rho M)
       eta      = gamma^5 delta^2 c4^2 K^2 / (324 M^2 L^2 nu1^2 nu2^2 c3^2 rho^2 omega)
       f_thresh = gamma^4 delta c4^2 K^2 / (54*12 nu1^2 nu2^2 c3 L rho^2 M^2)
-    plus t_thresh = ceil(omega/(eta gamma)), g_thresh = f_thresh/t_thresh,
-    W = ceil(c_w eta^-2/3) and S = ceil(r/eta) so each hallucinated
-    sample moves at most eta.
+    plus t_thresh = ceil(omega/(eta gamma)) and g_thresh = f_thresh/t_thresh.
     """
     for name, v in (("L", L), ("rho", rho), ("tau", tau), ("delta_prob", delta_prob), ("omega", omega)):
         if not 0.0 < v < math.inf:
@@ -554,8 +551,6 @@ def second_order_params(
         "beta": beta,
         "r": r,
         "t_thresh": t_thresh,
-        "W": burn_in_length(eta, c_w),
-        "S": hallucination_count(r, eta),
         "f_thresh": f_thresh,
         "g_thresh": f_thresh / t_thresh,
     }

@@ -165,10 +165,9 @@ def read_trajectory(path) -> Trajectory:
 
 def summarize(traj: Trajectory, run_id: str, seed: int, escape_level: float, f_threshold, trajectory: str) -> dict:
     """Summary of one trajectory; derived only from logged columns, so the
-    summary is exactly recomputable from the trajectory CSV."""
+    summary is exactly recomputable from the trajectory CSV. The trajectory
+    is one that ran without error, so it logged its last step (t = T - 1)."""
     steps = traj.steps()
-    if not steps.any():
-        raise ConfigError("trajectory contains no optimization steps")
     fs = traj.f[steps]
     iters = traj.iteration[steps]
 

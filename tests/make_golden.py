@@ -230,8 +230,8 @@ beta_spec = 0.9
 epsilon = 1e-6
 r = 0.04
 t_thresh = 8
-w = 5
 [run]
+burn_in_c = 0.2
 seeds = 15
 t = 40
 log_every = 7
@@ -357,8 +357,8 @@ beta_spec = 0.9
 epsilon = 1e-6
 r = 0.04
 t_thresh = 8
-w = 5
 [run]
+burn_in_c = 0.2
 seeds = 36,37,38
 t = 40
 log_every = 3

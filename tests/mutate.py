@@ -10,7 +10,8 @@ under the repository root and may be repeated; the default is
 ``src/precondsgd/optimizer.py:run_sgd``. Each mutant makes one change in
 the body of one target: ``<`` and ``<=`` swap, ``>`` and ``>=``, ``==``
 and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``; ``+`` and ``-``
-swap, in an expression ``a + b`` or an update ``a += b``; ``True`` and
+swap, in an expression ``a + b`` or an update ``a += b``; a unary minus
+drops (``-x`` becomes ``+x``, so ``-1`` becomes ``1``); ``True`` and
 ``False`` swap; or an integer constant moves by +1 or -1. The mutated
 module is written into a copy of ``src``, ``tests`` and
 ``pyproject.toml`` in a temporary directory, so the checkout is never
@@ -58,6 +59,8 @@ def sites(tree: ast.Module, function: str) -> list[tuple[ast.AST, int, str]]:
                     found.append((node, j, f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
             found.append((node, 0, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[SWAPS[type(node.op)]]}"))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            found.append((node, 0, "-x -> +x"))
         elif isinstance(node, ast.Constant) and type(node.value) is bool:
             found.append((node, 0, f"{node.value} -> {not node.value}"))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
@@ -73,6 +76,8 @@ def mutant(source: str, function: str, k: int) -> tuple[str, str, str]:
         node.ops[change] = SWAPS[type(node.ops[change])]()
     elif isinstance(node, (ast.BinOp, ast.AugAssign)):
         node.op = SWAPS[type(node.op)]()
+    elif isinstance(node, ast.UnaryOp):
+        node.op = ast.UAdd()
     elif type(node.value) is bool:
         node.value = not node.value
     else:

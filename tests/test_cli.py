@@ -18,7 +18,7 @@ import pytest
 from precondsgd import ConfigError, StochasticProblem, cli, config, errors, problems, runner
 from precondsgd.cli import build_parser, main
 from precondsgd.config import AUTO_KEYS, AUTO_MODES, load_config, parse_beta_spec, resolve_run
-from precondsgd.estimation import beta_schedule
+from precondsgd.estimation import beta_schedule, burn_in_length
 from precondsgd.optimizer import (
     STEP_BURNIN, STEP_HALLUCINATED, STEP_LARGE, STEP_NORMAL, Run, Trajectory, first_order_params, run_sgd,
 )
@@ -627,11 +627,7 @@ def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_pat
         assert not out.exists()
         return
     assert main(argv) == 0
-    runs = []
-    for value in values.split(","):
-        sub = base.clone()
-        sub.set_axis_value(axis, value)
-        runs.append(resolve_run(sub, build_problem(sub.problem)))
+    runs = [run for _, _, run in config.conditions(base, "sweep")]
     _, rows = read_summary(out / "summary.csv")
     labels = ("axis", "axis_value", "run_id", "trajectory")
     summaries = [{k: v for k, v in row.items() if k not in labels} for row in rows]
@@ -760,17 +756,22 @@ etas = 0.01,0.003
         assert "e.ini: unknown key run.beta_c" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("beta_spec, c", [(None, 1.0), ("schedule", 1.0), ("schedule:0.5", 0.5)])
-    def test_the_beta_schedule_constant_comes_from_beta_spec(self, tmp_path, beta_spec, c):
+    @pytest.mark.parametrize("beta_spec, c, c_w", [
+        (None, 1.0, None), ("schedule", 1.0, None), ("schedule:0.5", 0.5, 0.2), (None, 1.0, 3.0)])
+    def test_each_eta_takes_its_beta_from_beta_spec_and_its_burn_in_from_burn_in_c(
+            self, tmp_path, beta_spec, c, c_w):
         # The golden config estimation-scaling-diagonal-constants pins the bytes of schedule:0.5.
         text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
         if beta_spec is not None:
             text = text.replace("[optimizer]\n", f"[optimizer]\nbeta_spec = {beta_spec}\n")
+        if c_w is not None:
+            text += f"burn_in_c = {c_w}\n"
         out = tmp_path / "o"
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 0
         _, rows = read_summary(out / "scaling.csv")
-        assert [(r["eta"], r["beta"]) for r in rows] == [
-            (repr(eta), repr(beta_schedule(eta, c))) for eta in (0.01, 0.003)]
+        burn_in_c = {} if c_w is None else {"c_w": c_w}
+        assert [(r["eta"], r["beta"], r["W"]) for r in rows] == [
+            (repr(eta), repr(beta_schedule(eta, c)), str(burn_in_length(eta, **burn_in_c))) for eta in (0.01, 0.003)]
 
     def test_more_than_one_seed_exits_2_naming_run_seeds(self, tmp_path, capsys):
         text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace("seeds = 5", "seeds = 17,18,19")
@@ -1004,9 +1005,9 @@ t = 40
 
 
 class TestResolveRun:
-    def test_hallucination_divisor_rounds_like_second_order_params(self, tmp_path, monkeypatch):
+    def test_hallucination_divisor_rounds_like_hallucination_count(self, tmp_path, monkeypatch):
         # 0.07 / 0.01 is 7.000000000000001 in floats: S = ceil(r/eta) must
-        # still be 7, as second_order_params computes it
+        # still be 7, as estimation.hallucination_count computes it
         from precondsgd import runner
         from precondsgd.estimation import burn_in_length
 
@@ -1071,8 +1072,8 @@ epsilon = 1e-8
     if auto:
         text += SECOND_ORDER_KEYS
     else:
-        text += "eta = 0.005\nr = 0.02\nt_thresh = 15\nw = 7\ns = 2\n"
-    text += "[run]\nseeds = 0,1\nt = 100\n"
+        text += "eta = 0.005\nr = 0.02\nt_thresh = 15\n"
+    text += "[run]\nseeds = 0,1\nt = 100\n" + ("" if auto else "burn_in_c = 0.2\n")
     return load_config(write_config(tmp_path / "cfg.ini", text))
 
 
@@ -1162,7 +1163,7 @@ class TestAutoLeavesNoKeyUnread:
     @pytest.mark.parametrize(
         "auto, key, value",
         [("second_order", key, value) for key, value in
-         (("eta", "0.005"), ("r", "0.02"), ("t_thresh", "15"), ("w", "7"), ("s", "2"))]
+         (("eta", "0.005"), ("r", "0.02"), ("t_thresh", "15"))]
         + [("first_order_exact", "eta", "0.005"), ("first_order_inexact", "eta", "0.005")],
     )
     def test_a_key_auto_computes_exits_2_naming_it(self, tmp_path, capsys, auto, key, value):
@@ -1367,9 +1368,20 @@ class TestConfigErrorsBeforeAnyRun:
         assert not out.exists()
 
     def test_large_steps_with_a_zero_eta_exit_2(self, tmp_path, capsys):
-        text = LARGE_STEP_CFG.replace("eta = 0.01", "eta = 0\nw = 3")
+        text = LARGE_STEP_CFG.replace("eta = 0.01", "eta = 0")
         assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]) == 2
-        assert "r and eta must be positive" in capsys.readouterr().err
+        assert "eta and c_w must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "estimation-scaling"])
+    @pytest.mark.parametrize("key, value", [("w", "5"), ("s", "2")])
+    def test_w_and_s_are_unknown_keys(self, tmp_path, capsys, started, command, key, value):
+        """W and S follow from eta (and run.burn_in_c), so no file sets them."""
+        text = LARGE_STEP_CFG if command == "run" else ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
+        text = text.replace("[optimizer]\n", f"[optimizer]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out)]) == 2
+        assert f"c.ini: unknown key optimizer.{key}" in capsys.readouterr().err
+        assert started == [] and not out.exists()
 
 
 @pytest.fixture

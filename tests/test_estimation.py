@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from precondsgd import (
 
 
 def bound_inputs(**kw):
-    base = dict(sigma_max=1.0, R=1.0, M_step=1.0, L_G=1.0, eta=0.01, beta=0.9, T=1000, d=4, delta_prob=0.05)
+    base = dict(sigma_max=1.0, M_step=1.0, L_G=1.0, eta=0.01, beta=0.9, T=1000, d=4, delta_prob=0.05)
     base.update(kw)
     return EstimationBoundInputs(**base)
 
@@ -75,6 +76,14 @@ class TestEstimationErrorBound:
         with pytest.raises(PreconditionViolatedError):
             estimation_error_bound(bound_inputs(beta=0.999, T=100))
 
+    def test_a_short_run_divides_by_its_total_weight(self):
+        inp = bound_inputs(sigma_max=0.0, M_step=1.0, L_G=1.0, eta=0.01, beta=0.5, T=9)  # the first T > 4/(1-beta)
+        assert estimation_error_bound(inp) == pytest.approx(0.01 / 0.5 / (1.0 - 0.5**9), rel=1e-12)
+
+    def test_each_input_takes_its_boundary(self):
+        inp = bound_inputs(sigma_max=0.0, M_step=0.0, L_G=0.0, eta=0.0, d=1, T=1)
+        assert (inp.sigma_max, inp.M_step, inp.L_G, inp.eta, inp.d, inp.T) == (0.0, 0.0, 0.0, 0.0, 1, 1)
+
     def test_optimized_bound_scales_as_eta_one_third(self):
         def optimized(eta):
             betas = 1.0 - np.exp(np.linspace(np.log(1e-5), np.log(0.9), 20_000))
@@ -93,10 +102,7 @@ class TestBurnInLength:
         assert burn_in_length(0.001, 1.0) == 100
         assert burn_in_length(1.0, 1.0) == 1
         assert burn_in_length(0.008, 2.0) == 50
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParamError):
-            burn_in_length(0.0)
+        assert burn_in_length(1e30) == 1  # at least one sample, however large eta
 
 
 class TestHallucinationCount:
@@ -107,11 +113,36 @@ class TestHallucinationCount:
         assert hallucination_count(0.3, 0.1) == 3
         assert hallucination_count(0.015, 0.01) == 2
         assert hallucination_count(0.001, 0.01) == 1
+        assert hallucination_count(1e-30, 1.0) == 1
+        # a ratio within a relative 1e-9 above an integer counts as that integer; 1e-8 above, as the next
+        assert hallucination_count(5.0 * (1.0 + 1e-9), 1.0) == 5
+        assert hallucination_count(5.0 * (1.0 + 1e-8), 1.0) == 6
 
-    @pytest.mark.parametrize("r, eta", [(0.1, 0.0), (0.0, 0.1), (-0.1, 0.1)])
-    def test_rejects_nonpositive(self, r, eta):
-        with pytest.raises(InvalidParamError, match="r and eta must be positive"):
-            hallucination_count(r, eta)
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        *((partial(bound_inputs, beta=beta), InvalidParamError, "beta must be in (0, 1)") for beta in (0.0, 1.0)),
+        *((partial(bound_inputs, delta_prob=p), InvalidParamError, "delta_prob must be in (0, 1)") for p in (0.0, 1.0)),
+        *((partial(bound_inputs, **{key: -0.5}), InvalidParamError, "sigma_max, M_step, L_G, eta must be nonnegative")
+          for key in ("sigma_max", "M_step", "L_G", "eta")),
+        *((partial(bound_inputs, **{key: 0}), InvalidParamError, "d and T must be >= 1") for key in ("d", "T")),
+        (lambda: estimation_error_bound(bound_inputs(beta=0.5, T=8)), PreconditionViolatedError,
+         "need T > 4/(1-beta) = 8.0, got T=8"),
+        (partial(beta_schedule, 0.0), InvalidParamError, "eta and C must be positive"),
+        (partial(beta_schedule, 0.01, 0.0), InvalidParamError, "eta and C must be positive"),
+        (partial(burn_in_length, 0.0), InvalidParamError, "eta and c_w must be positive"),
+        (partial(burn_in_length, 0.01, 0.0), InvalidParamError, "eta and c_w must be positive"),
+        *((partial(hallucination_count, r, eta), InvalidParamError, "r and eta must be positive")
+          for r, eta in ((0.1, 0.0), (0.0, 0.1), (-0.1, 0.1))),
+        (partial(estimate_sigma_max, SaddleProblem2D(), np.zeros(2), 1, None), InvalidParamError,
+         "n_samples must be >= 2"),
+    ],
+)
+def test_a_refused_input_raises_its_class_and_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_bias_chain_bound_deterministic():
@@ -201,7 +232,7 @@ class TestMeasureEstimationError:
 
         phi = estimation_error_bound(
             EstimationBoundInputs(
-                sigma_max=sigma_max, R=1.0, M_step=0.0, L_G=0.0, eta=0.0,
+                sigma_max=sigma_max, M_step=0.0, L_G=0.0, eta=0.0,
                 beta=beta, T=T, d=2, delta_prob=0.05,
             )
         )
@@ -224,6 +255,7 @@ class TestMeasureEstimationError:
         exact = math.sqrt(op_norm(acc))
         mc = estimate_sigma_max(p, x, 60_000, rng_for(44))
         assert mc == pytest.approx(exact, rel=0.05)
+        assert 0.0 <= estimate_sigma_max(p, x, 2, rng_for(45)) < math.inf  # the fewest samples it takes
 
 
 def test_moving_sequence_sup_error_scales_eta_one_third():

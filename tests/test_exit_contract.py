@@ -84,8 +84,6 @@ VALUES = {
     "optimizer.exponent": (("-0.5", "-1"), ("0", "2")),
     "optimizer.r": (("0.05", "0.1"), ("0", "-0.1")),
     "optimizer.t_thresh": (("1", "5"), ("0", "-1")),
-    "optimizer.w": (("0", "3"), ("-1",)),
-    "optimizer.s": (("1", "3"), ("0", "-1")),
     "optimizer.bias_corrected": (("true", "false"), ("maybe",)),
     "optimizer.auto": ((), ("bogus",)),
     **{f"optimizer.{key}": ((), ("0", "-1", "1.5" if key in ("delta", "k_const") else "inf")) for key in AUTO_KEYS},

@@ -19,15 +19,27 @@ from precondsgd import (
 from precondsgd.linalg import eigh
 
 
-def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants():
+def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants(monkeypatch):
+    calls, numpy_eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.size) or numpy_eigh(a))
     rng = np.random.default_rng(0)
-    for _ in range(20):
+    for k in range(20 + 3):  # 20 stacks of 3 matrices, then stacks of 0, 1 and 2
         dim = int(rng.integers(1, 9))
-        stack = np.array([random_sym_with_norm(rng, dim, rng.uniform(0.1, 10.0)) for _ in range(3)])
+        size = 3 if k < 20 else k - 20
+        stack = np.array([random_sym_with_norm(rng, dim, rng.uniform(0.1, 10.0)) for _ in range(size)])
+        stack = stack.reshape(len(stack), dim, dim)
+        calls.clear()
         w, v = eigh(stack)
+        assert calls == [dim * dim] * len(stack)  # each call decomposes one matrix
+        assert (w.shape, v.shape) == (stack.shape[:2], stack.shape)
         for m, wb, vb in zip(stack, w, v):
-            single = np.linalg.eigh(m)
-            assert wb.tobytes() == single.eigenvalues.tobytes() and vb.tobytes() == single.eigenvectors.tobytes()
+            calls.clear()
+            single = eigh(m)  # one (d, d) matrix, in one call
+            assert calls == [dim * dim]
+            reference = numpy_eigh(m)
+            for got_w, got_v in ((wb, vb), single):
+                assert got_w.tobytes() == reference.eigenvalues.tobytes()
+                assert got_v.tobytes() == reference.eigenvectors.tobytes()
             assert np.all(np.diff(wb) >= 0)
             scale = max(1.0, op_norm(m))
             assert op_norm((vb * wb) @ vb.T - m) <= 1e-10 * scale
@@ -175,6 +187,34 @@ class TestPerturbationBounds:
         gap = abs((h - eps) ** -0.5 - h**-0.5)
         assert gap > eps / (2.0 * h**1.5)
         assert gap <= invsqrt_preconditioner_bound(h, 0.0, eps)
+
+
+@pytest.mark.parametrize(
+    "bound, args, error, message",
+    [
+        (inv_perturbation_bound, (0.0, 0.1), InvalidParamError, "lambda_min_g must be positive"),
+        (inv_perturbation_bound, (1.0, -0.1), InvalidParamError, "eps must be nonnegative"),
+        (inv_perturbation_bound, (1.0, 0.5), PreconditionViolatedError,
+         "need eps < lambda_min/2, got eps=0.5, lambda_min=1.0"),
+        (sqrt_perturbation_bound, (0.0, 0.1), InvalidParamError, "lambda_min_g must be positive"),
+        (sqrt_perturbation_bound, (-1.0, 0.1), InvalidParamError, "lambda_min_g must be positive"),
+        (sqrt_perturbation_bound, (1.0, -0.1), InvalidParamError, "eps must be nonnegative"),
+        (sqrt_perturbation_bound, (1.0, 0.75), PreconditionViolatedError,
+         "need eps < 3/4 lambda_min, got eps=0.75, lambda_min=1.0"),
+        (invsqrt_preconditioner_bound, (-0.1, 1.0, 0.1), InvalidParamError,
+         "lambda_min_g and delta_reg must be nonnegative"),
+        (invsqrt_preconditioner_bound, (1.0, -0.1, 0.1), InvalidParamError,
+         "lambda_min_g and delta_reg must be nonnegative"),
+        (invsqrt_preconditioner_bound, (1.0, 0.0, -0.1), InvalidParamError, "eps must be nonnegative"),
+        (invsqrt_preconditioner_bound, (0.0, 0.0, 0.1), InvalidParamError, "delta_reg + lambda_min_g must be positive"),
+        (invsqrt_preconditioner_bound, (0.5, 0.5, 0.5), PreconditionViolatedError,
+         "need eps < (delta_reg + lambda_min)/2, got eps=0.5, floor=1.0"),
+    ],
+)
+def test_a_bound_refuses_an_input_outside_its_domain(bound, args, error, message):
+    with pytest.raises(error) as raised:
+        bound(*args)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def perturbation_bound_cases(n_cases, seed):

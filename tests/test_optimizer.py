@@ -25,7 +25,13 @@ from precondsgd import (
     run_sgd,
     second_order_params,
 )
-from precondsgd.estimation import EstimationBoundInputs, beta_schedule, burn_in_length, estimation_error_bound
+from precondsgd.estimation import (
+    EstimationBoundInputs,
+    beta_schedule,
+    burn_in_length,
+    estimation_error_bound,
+    hallucination_count,
+)
 
 
 def identity_source():
@@ -265,7 +271,7 @@ class TestBurnIn:
         sigma_max = math.sqrt(np.max(np.abs(np.linalg.eigvalsh(acc))))
         phi = estimation_error_bound(
             EstimationBoundInputs(
-                sigma_max=sigma_max, R=1.0, M_step=0.0, L_G=0.0, eta=0.0,
+                sigma_max=sigma_max, M_step=0.0, L_G=0.0, eta=0.0,
                 beta=beta, T=W, d=2, delta_prob=0.05,
             )
         )
@@ -381,8 +387,6 @@ class TestSecondOrderParams:
         assert hp["f_thresh"] == pytest.approx((1.0 / 64.0) / 648.0, rel=1e-12)
         assert hp["t_thresh"] == math.ceil(1.0 / (hp["eta"] * 1.0) - 1e-9)
         assert hp["g_thresh"] == pytest.approx(hp["f_thresh"] / hp["t_thresh"])
-        assert hp["S"] == math.ceil(hp["r"] / hp["eta"] - 1e-6)
-        assert hp["W"] == burn_in_length(hp["eta"], 1.0)
 
     def test_gamma_fifth_power_scaling(self):
         k = unit_constants()
@@ -412,9 +416,10 @@ class TestSecondOrderParams:
     def test_its_fields_run_burn_in_and_large_steps_as_they_stand(self):
         k = PreconditionerConstants(nu1=1.0, nu2=1.0, c3=2.0, c4=0.5, lambda_minus=0.5, M_bound=math.sqrt(2.0))
         hp = second_order_params(k, 1.0, 1.0, tau=100.0, delta_prob=1.0, omega=1.0)
-        assert (hp["W"], hp["t_thresh"], hp["S"]) == (36, 43, 3)
+        W, S = burn_in_length(hp["eta"]), hallucination_count(hp["r"], hp["eta"])
+        assert (W, hp["t_thresh"], S) == (36, 43, 3)
         p = SaddleProblem2D()
-        run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, 100, **hp)
+        run = Run(PreconditionerKind(variant="diagonal", epsilon=1e-8), "estimated", False, 100, W=W, S=S, **hp)
         for traj in run_sgd(p, run, [rng_for(60), rng_for(61)]):
             kinds = traj.step_kind.tolist()
             assert traj.error is None
@@ -455,6 +460,25 @@ class TestStationarity:
 
     def test_tau_h_helper(self):
         assert hessian_tolerance(4.0, 0.01) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hessian_tolerance(-1.0, 0.01), "rho and tau_g must be nonnegative"),
+        (lambda: hessian_tolerance(1.0, -0.01), "rho and tau_g must be nonnegative"),
+        *((lambda k_const=k_const: second_order_params(unit_constants(), 1.0, 1.0, 1.0, 0.5, k_const=k_const),
+           "k_const must be in (0, 1)") for k_const in (0.0, 1.0)),
+        *((lambda name=name: second_order_params(replace(unit_constants(), **{name: 0.0}), 1.0, 1.0, 1.0, 0.5),
+           f"constant {name} must be positive") for name in ("nu1", "nu2", "c3", "c4", "lambda_minus", "M_bound")),
+        *((lambda tau_g=tau_g, tau_h=tau_h: check_stationarity(SaddleProblem2D(), np.zeros(2), tau_g, tau_h),
+           "tolerances must be positive") for tau_g, tau_h in ((0.0, 0.1), (0.1, 0.0))),
+    ],
+)
+def test_a_calculator_refuses_an_input_outside_its_domain(call, message):
+    with pytest.raises(InvalidParamError) as raised:
+        call()
+    assert type(raised.value) is InvalidParamError and str(raised.value) == message
 
 
 def test_one_step_descent_lemma_monte_carlo():

@@ -440,3 +440,21 @@ def test_a_preconditioner_refuses_a_source_dim_or_batch_outside_its_domain(args,
     with pytest.raises(InvalidParamError, match=message):
         Preconditioner(PreconditionerKind(), **args)
     assert Preconditioner(PreconditionerKind(), 1, "estimated", batch=1).dim == 1  # the smallest that builds
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: constants(problem_with_g(np.diag([1.0, 0.0])), np.zeros(2), DIAGONAL_KIND), SingularMatrixError,
+         "diagonal entries of G must be positive"),
+        (lambda: constants(problem_with_g(np.diag([1.0, 0.0])), np.zeros(2), FULL_KIND), SingularMatrixError,
+         "lambda_min(G) + eps must be positive"),  # FULL_KIND has eps = 0
+        (lambda: estimate_m_bound(problem_with_g(np.eye(2)), FULL_KIND, np.zeros(2), 0, rng_for(36)),
+         InvalidParamError, "n_samples must be >= 1"),
+    ],
+    ids=("constants-diagonal", "constants-full", "m-bound-samples"),
+)
+def test_a_calculator_refuses_an_input_outside_its_domain(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
