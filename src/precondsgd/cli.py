@@ -11,14 +11,17 @@ goes (``--out``, every subcommand) and how to run (``--jobs``, at least
 before the subcommand, and ``--jobs`` below 1 are usage errors (exit 2)
 that name the flag. Exit codes, by the error's class: 0 ok, 3 a numeric
 failure (``NumericError``: divergence, singularity) or a
-``PreconditionViolatedError``, 2 any other package error (a bad config,
-negative or repeated seeds included) or ``OSError``. Every config check,
-and the check that ``--out`` is, or can be made, a directory (it is not
-a file and lies under none), comes before anything runs: an exit 2 of
-``run``, ``sweep`` or ``estimation-scaling`` runs no seed and writes
-nothing. On a numeric failure of ``run`` or ``sweep`` every seed's
-trajectory is still written, partial for the seeds that failed, and no
-summary is."""
+``PreconditionViolatedError``, 2 any other package error or ``OSError``.
+A config error reads ``<path>: section.key: ...`` for a value its key's
+parser refuses, ``<axis>: ...`` for such a sweep value,
+``<axis>=<value>: ...`` for a sweep value whose problem or run cannot be
+made, and ``section.key: ...`` for a rule on keys together; the problem
+and run constructors name no key (``eta must be nonnegative``). Every
+config check, and the check that ``--out`` is, or can be made, a
+directory, comes before anything runs: an exit 2 of ``run``, ``sweep``
+or ``estimation-scaling`` runs no seed and writes nothing. On a numeric
+failure of ``run`` or ``sweep`` every seed's trajectory is still
+written, partial for the seeds that failed, and no summary is."""
 
 from __future__ import annotations
 
@@ -49,7 +52,8 @@ _COMMON_FLAGS = {
     "--jobs": dict(type=_jobs, default=os.cpu_count() or 1,
                    help="at least 1: split each condition's seeds (a sweep value's, an eta's) into this many "
                    "lockstep groups, run in up to as many worker processes; what runs, and so the output, comes "
-                   "from the config alone (default: CPU count)"),
+                   "from the config alone. Each worker is a fresh process that takes about 0.3 s to start, so a "
+                   "light run is faster with --jobs 1 (default: CPU count)"),
 }
 
 

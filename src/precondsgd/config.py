@@ -1,20 +1,22 @@
 """Experiment configuration files: what a config may say and what it means.
 
-A config is read, checked and resolved here and nowhere else:
-``load_config`` reads and checks a flat INI file ([problem], [optimizer],
-[run] and an optional [sweep], the only home of a sweep's axis and
-values), and ``conditions`` turns it into a subcommand's (run_id, cfg,
-run) conditions: it builds each condition's problem and resolves its
-``optimizer.Run`` (``resolve_run``) once, all before ``runner`` runs the
-first seed, so a config that exits 2 runs nothing. A subcommand refuses
-what only another one reads (``_READERS``). Every key is typed against a
-per-section schema and unknown keys are errors, not warnings: a silently
-misspelled key would corrupt a sweep. So is a key only ``optimizer.auto``
-reads, without it or under a mode that does not read it, and one the mode
-computes, beside it (``AUTO_MODES``); except the required ``run.t``,
-which the first-order modes replace with their T. The problem names, and
-the [problem] keys each name requires, come from ``problems.PROBLEMS``.
-Every number must be finite: nan and inf are refused where they are read.
+A config is a flat INI file of [problem], [optimizer], [run] and an
+optional [sweep] (a sweep's axis and values), read, checked and resolved
+here and nowhere else. Each rule has one home, by what it reads:
+
+- one key's value alone: that key's parser in ``_SCHEMAS`` (its type,
+  finite numbers, allowed names and bounds), which refuses a value in
+  the file as ``<path>: section.key: ...`` and a sweep value as
+  ``<axis>: ...``. Unknown sections and keys are refused too: a
+  misspelled key would silently corrupt a sweep;
+- what a subcommand reads (``_READERS``) and how its conditions are
+  drawn, the [problem] keys problem.name requires included:
+  ``conditions``;
+- the settings of one run together, the keys ``optimizer.auto`` reads
+  or computes included (``AUTO_MODES``): ``resolve_run``.
+
+``conditions`` resolves every condition before ``runner`` runs the first
+seed, so a config that exits 2 runs nothing.
 
 A known key that the chosen algorithm or kind does not run is dropped,
 not refused: ``source`` on ``rmsprop``, ``r`` and ``t_thresh`` outside
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import configparser
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ConfigError, PrecondSgdError
@@ -117,8 +119,8 @@ def _parse_list(s, parse_item=_parse_str, what="values"):
     return [parse_item(v) for v in items]
 
 
-_parse_float_list = functools.partial(_parse_list, parse_item=_parse_float, what="numbers")
-_parse_int_list = functools.partial(_parse_list, parse_item=_parse_int, what="integers")
+_parse_float_list = partial(_parse_list, parse_item=_parse_float, what="numbers")
+_parse_int_list = partial(_parse_list, parse_item=_parse_int, what="integers")
 
 
 def parse_beta_spec(s):
@@ -136,9 +138,42 @@ def parse_beta_spec(s):
     return ("fixed", v)
 
 
+def _checked(parse, ok, refusal, s):
+    """``parse(s)``, refused with ``refusal.format(value)`` unless ``ok(value)``; bound by ``partial`` in ``_SCHEMAS``."""
+    value = parse(s)
+    if not ok(value):
+        raise ConfigError(refusal.format(value))
+    return value
+
+
+def _parse_seeds(s):
+    """run.seeds: each >= 0 and occurring once."""
+    seeds = _parse_int_list(s)
+    if min(seeds) < 0:
+        raise ConfigError(f"seed {min(seeds)} is negative")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} occurs more than once")
+    return seeds
+
+
+def _parse_etas(s):
+    """run.etas: at least two stepsizes, each positive and occurring once."""
+    etas = _parse_float_list(s)
+    if len(etas) < 2:
+        raise ConfigError("estimation scaling needs at least two stepsizes")
+    for eta in etas:
+        if etas.count(eta) > 1:
+            raise ConfigError(f"eta {eta} occurs more than once")
+        if not eta > 0.0:
+            raise ConfigError(f"eta {eta} must be positive")
+    return etas
+
+
 _SCHEMAS = {
     "problem": {
-        "name": _parse_str,
+        "name": partial(_checked, _parse_str, PROBLEMS.__contains__,
+                        f"unknown problem {{!r}} (expected one of {tuple(PROBLEMS)})"),
         "c": _parse_float,
         "zeta": _parse_float,
         "dim": _parse_int,
@@ -153,31 +188,33 @@ _SCHEMAS = {
         "path": _parse_str,
     },
     "optimizer": {
-        "algorithm": _parse_str,
-        "kind": _parse_str,
-        "source": _parse_str,
+        "algorithm": partial(_checked, _parse_str, ALGORITHMS.__contains__, "unknown algorithm {!r}"),
+        "kind": partial(_checked, _parse_str, VARIANTS.__contains__, "unknown kind {!r}"),
+        "source": partial(_checked, _parse_str, SOURCES.__contains__, "unknown source {!r}"),
         "eta": _parse_float,
-        "eta_decay": _parse_str,
+        "eta_decay": partial(_checked, _parse_str, ETA_DECAYS.__contains__, "unknown schedule {!r}"),
         "beta_spec": parse_beta_spec,
         "epsilon": _parse_float,
         "exponent": _parse_float,
         "r": _parse_float,
         "t_thresh": _parse_int,
         "bias_corrected": _parse_bool,
-        "auto": _parse_str,
-        **dict.fromkeys(AUTO_KEYS, _parse_float),  # every calculator input is a number
+        "auto": partial(_checked, _parse_str, AUTO_MODES.__contains__, "unknown mode {!r}"),
+        # Every calculator input is a positive constant; k_const is also below 1, the probability delta at most 1.
+        **dict.fromkeys(AUTO_KEYS, partial(_checked, _parse_float, lambda v: v > 0.0, "must be in (0, inf), got {}")),
+        "k_const": partial(_checked, _parse_float, lambda v: 0.0 < v < 1.0, "must be in (0, 1.0), got {}"),
+        "delta": partial(_checked, _parse_float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1.0], got {}"),
     },
     "run": {
-        "seeds": _parse_int_list,
-        "t": _parse_int,
-        "log_every": _parse_int,
+        "seeds": _parse_seeds,
+        **dict.fromkeys(("t", "log_every"), partial(_checked, _parse_int, lambda v: v >= 1, "must be >= 1")),
         "track_est_error": _parse_bool,
-        "lambda_min_every": _parse_int,
+        "lambda_min_every": partial(_checked, _parse_int, lambda v: v >= 0, "must be >= 0"),
         "escape_level": _parse_float,
         "f_threshold": _parse_float,
-        "etas": _parse_float_list,
-        "est_window_factor": _parse_float,
-        "burn_in_c": _parse_float,
+        "etas": _parse_etas,
+        **dict.fromkeys(("est_window_factor", "burn_in_c"),
+                        partial(_checked, _parse_float, lambda v: v > 0.0, "must be positive, got {}")),
     },
     "sweep": {
         "axis": _parse_str,
@@ -253,49 +290,30 @@ def load_config(path) -> ExperimentConfig:
         for key in keys:
             if key not in getattr(cfg, section):
                 raise ConfigError(f"{path}: missing required key {section}.{key}")
-    validate_config(cfg)
     return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    name = cfg.problem.get("name")
-    if name not in PROBLEMS:
-        raise ConfigError(f"problem.name: unknown problem {name!r} (expected one of {tuple(PROBLEMS)})")
-    for key in PROBLEMS[name].requires:
-        if key not in cfg.problem:
-            raise ConfigError(f"problem.{key}: required for {name}")
-    for key, default, allowed, noun in (
-        ("algorithm", None, ALGORITHMS, "algorithm"), ("kind", "full_matrix", VARIANTS, "kind"),
-        ("source", "estimated", SOURCES, "source"), ("eta_decay", "none", ETA_DECAYS, "schedule"),
-        ("auto", None, (None, *AUTO_MODES), "mode"),
-    ):
-        value = cfg.optimizer.get(key, default)
-        if value not in allowed:
-            raise ConfigError(f"optimizer.{key}: unknown {noun} {value!r}")
-    for key in AUTO_KEYS:
-        if key in cfg.optimizer and "auto" not in cfg.optimizer:
-            raise ConfigError(f"optimizer.{key}: read only by optimizer.auto, which is not set")
-    for key, least in (("t", 1), ("log_every", 1), ("lambda_min_every", 0)):
-        if cfg.run.get(key, least) < least:
-            raise ConfigError(f"run.{key}: must be >= {least}")
-    for key in ("est_window_factor", "burn_in_c"):
-        if key in cfg.run and not cfg.run[key] > 0.0:
-            raise ConfigError(f"run.{key}: must be positive, got {cfg.run[key]}")
 
 
 def _safe_name(value: str) -> str:
     return "".join(c if (c.isalnum() or c in "._=-") else "-" for c in value)
 
 
-def _seeds(cfg: ExperimentConfig) -> list[int]:
-    """The configured seeds: each must be >= 0 and occur once."""
-    seeds = cfg.run["seeds"]
-    if min(seeds) < 0:
-        raise ConfigError(f"run.seeds: seed {min(seeds)} is negative")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ConfigError(f"run.seeds: seed {repeated[0]} occurs more than once")
-    return seeds
+def _problem_entry(problem: dict):
+    """The ``problems.PROBLEMS`` entry of problem.name; a [problem] key it requires that is unset is a ConfigError."""
+    name = problem["name"]
+    for key in PROBLEMS[name].requires:
+        if key not in problem:
+            raise ConfigError(f"problem.{key}: required for {name}")
+    return PROBLEMS[name]
+
+
+def _auto_mode(optimizer: dict):
+    """optimizer.auto, or None; an auto input set without it is a ConfigError."""
+    auto = optimizer.get("auto")
+    if auto is None:
+        for key in AUTO_KEYS:
+            if key in optimizer:
+                raise ConfigError(f"optimizer.{key}: read only by optimizer.auto, which is not set")
+    return auto
 
 
 def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, ExperimentConfig, Run]]:
@@ -303,12 +321,16 @@ def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, Experimen
 
     ``run`` runs cfg as "run", ``sweep`` one "<axis>=<value>" per value of
     [sweep] as written, and ``estimation-scaling`` one "eta <eta>" per eta
-    (``_scaling_conditions``). A part that only another subcommand reads
-    (section.key or [section]) is refused first; then each condition is
-    drawn and resolved against its own problem, in turn, so every error
-    of the config comes before the first seed runs. An error of a sweep
-    value's problem or run is prefixed with its "<axis>=<value>".
+    (``_scaling_conditions``). The config as written must pass the rules on
+    keys together (a sweep value cannot make up what it lacks), then a
+    part that only another subcommand reads (section.key or [section]) is
+    refused; then each condition is drawn and resolved against its own
+    problem, in turn, so every error of the config comes before the first
+    seed runs. An error of a sweep value's problem or run is prefixed with
+    its "<axis>=<value>".
     """
+    _problem_entry(cfg.problem)
+    _auto_mode(cfg.optimizer)
     for part, (readers, _) in _READERS.items():
         section, _, key = part.strip("[]").partition(".")
         if command not in readers and (key in getattr(cfg, section) if key else getattr(cfg, section)):
@@ -318,12 +340,11 @@ def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, Experimen
     elif command == "sweep":
         drawn = _sweep_conditions(cfg)
     else:
-        _seeds(cfg)
         drawn = [("run", cfg)]
 
     def resolved(run_id, sub):
         try:
-            return resolve_run(sub, PROBLEMS[sub.problem["name"]].build(sub.problem))
+            return resolve_run(sub, _problem_entry(sub.problem).build(sub.problem))
         except (PrecondSgdError, OSError) as exc:
             if command != "sweep":
                 raise
@@ -339,7 +360,6 @@ def _sweep_conditions(cfg: ExperimentConfig):
             raise ConfigError(f"sweep.{key}: required for sweep")
     axis = cfg.sweep["axis"]
     section, key, parse = resolve_axis(axis)
-    _seeds(cfg)
     done = []
     for value in cfg.sweep["values"]:
         sub = cfg.clone()
@@ -347,7 +367,6 @@ def _sweep_conditions(cfg: ExperimentConfig):
             getattr(sub, section)[key] = parse(value)
         except ConfigError as exc:
             raise ConfigError(f"{axis}: {exc}") from exc
-        validate_config(sub)  # the value is checked like a loaded config
         if any(getattr(sub, section)[key] == getattr(other, section)[key] for _, other in done):
             raise ConfigError(f"sweep.values: {axis} value {value} occurs more than once")
         name = _safe_name(f"{axis}={value}")
@@ -369,19 +388,17 @@ def _scaling_conditions(cfg: ExperimentConfig):
     window, if longer), track_est_error and log_every. A fixed beta_spec
     (one beta cannot serve several etas), kind = identity (no estimate),
     optimizer.auto (which would set eta), an eta_decay other than none
-    (each row is fitted against its constant eta), an eta that repeats or
-    has no beta(eta) in (0, 1), and more than one seed are ConfigErrors.
+    (each row is fitted against its constant eta), no run.etas, an eta
+    with no beta(eta) in (0, 1), and more than one seed are ConfigErrors.
     """
-    etas = cfg.run.get("etas")
-    if not etas or len(etas) < 2:
+    if "etas" not in cfg.run:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
+    etas = cfg.run["etas"]
     mode, c_sched = cfg.optimizer.get("beta_spec", ("schedule", 1.0))
     if mode == "fixed":
         raise ConfigError("optimizer.beta_spec: one fixed beta cannot serve several etas; set schedule:C or nothing")
     for eta in etas:
-        if etas.count(eta) > 1:
-            raise ConfigError(f"run.etas: eta {eta} occurs more than once")
-        if not eta > 0.0 or not 0.0 < 1.0 - c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) in (0, 1) once rounded
+        if not 0.0 < 1.0 - c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) in (0, 1) once rounded
             raise ConfigError(f"run.etas: eta {eta} must be positive with beta = 1 - C eta^(2/3) in (0, 1), "
                               f"C = {c_sched}")
     if cfg.optimizer.get("kind") == "identity":
@@ -390,9 +407,8 @@ def _scaling_conditions(cfg: ExperimentConfig):
         raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
     if cfg.optimizer.get("eta_decay", "none") != "none":
         raise ConfigError("optimizer.eta_decay: estimation scaling runs each eta as a constant stepsize")
-    seeds = _seeds(cfg)
-    if len(seeds) > 1:
-        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(seeds)}")
+    if len(cfg.run["seeds"]) > 1:
+        raise ConfigError(f"run.seeds: estimation scaling runs one seed, got {len(cfg.run['seeds'])}")
     factor = cfg.run.get("est_window_factor", 40.0)
 
     for eta in sorted(etas, reverse=True):
@@ -410,12 +426,12 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     (eta, run.burn_in_c) only with burn-in, r and t_thresh only for
     ``large_step``, S = ``hallucination_count`` (r, eta) only when it
     hallucinates, beta or beta_c only when estimating; plus the
-    f_thresh/g_thresh of ``auto = second_order``. Under ``optimizer.auto``,
-    setting a key its mode computes (``AUTO_MODES``; second_order also
-    computes a fixed beta) or an auto key the mode does not read, or
-    leaving out one it requires, or one outside (0, inf) ((0, 1) for
-    k_const, (0, 1] for the probability delta), is a ConfigError; so is a
-    run needing the exact_G oracle the problem lacks.
+    f_thresh/g_thresh of ``auto = second_order``. An auto input set
+    without ``optimizer.auto`` is a ConfigError; under it, so is setting a
+    key its mode computes (``AUTO_MODES``; second_order also computes a
+    fixed beta, and the first-order modes replace the required run.t with
+    their T) or an auto input the mode does not read, or leaving out one
+    it requires; so is a run needing the exact_G oracle the problem lacks.
     """
     ocfg, rcfg = cfg.optimizer, cfg.run
     algo = ocfg["algorithm"]
@@ -429,15 +445,10 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         needs = "idealized preconditioning" if source == "idealized" else "est_error tracking"
         raise ConfigError(f"problem.name: {cfg.problem['name']} has no exact_G oracle, which {needs} needs")
 
-    beta, beta_c = None, None
-    if "beta_spec" in ocfg:
-        mode, value = ocfg["beta_spec"]
-        if mode == "fixed":
-            beta = value
-        else:
-            beta_c = value
-    elif estimating:
+    mode, value = ocfg.get("beta_spec", (None, None))
+    if mode is None and estimating:
         raise ConfigError("optimizer.beta_spec: required for estimated preconditioning")
+    beta, beta_c = (value, None) if mode == "fixed" else (None, value)
 
     eta, r, t_thresh = (ocfg.get(key) for key in ("eta", "r", "t_thresh"))
     T = rcfg["t"]
@@ -445,7 +456,7 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
     burn_in_c = {"c_w": rcfg["burn_in_c"]} if "burn_in_c" in rcfg else {}
     f_thresh = g_thresh = None
 
-    auto = ocfg.get("auto")
+    auto = _auto_mode(ocfg)
     if auto is not None:
         calc = AUTO_MODES[auto]
         for key in calc.computes:
@@ -460,12 +471,6 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         for key in calc.requires:
             if key not in ocfg:
                 raise ConfigError(f"optimizer.{key}: required for auto={auto}")
-        for key in calc.requires + calc.reads:
-            # Every calculator input is a positive constant; k_const is also below 1, the probability delta at most 1.
-            top, closed = {"k_const": (1.0, False), "delta": (1.0, True)}.get(key, (math.inf, False))
-            if key in ocfg and not (0.0 < ocfg[key] < top or closed and ocfg[key] == top):
-                raise ConfigError(f"optimizer.{key}: must be in (0, {top}{']' if closed else ')'} for auto={auto}, "
-                                  f"got {ocfg[key]}")
     if auto in ("first_order_exact", "first_order_inexact"):
         eta, T = first_order_params(
             ocfg["l"], ocfg["c3"], ocfg["lambda_minus"], ocfg["delta_f"], ocfg["tau"],
@@ -473,12 +478,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         )
     elif auto == "second_order":
         consts = PreconditionerConstants(
-            nu1=ocfg.get("nu1", 1.0),
-            nu2=ocfg.get("nu2", 1.0),
-            c3=ocfg["c3"],
-            c4=ocfg["c4"],
-            lambda_minus=ocfg["lambda_minus"],
-            M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
+            nu1=ocfg.get("nu1", 1.0), nu2=ocfg.get("nu2", 1.0), c3=ocfg["c3"], c4=ocfg["c4"],
+            lambda_minus=ocfg["lambda_minus"], M_bound=ocfg.get("m_bound", math.sqrt(ocfg["c3"])),
         )
         found = second_order_params(
             consts, ocfg["l"], ocfg["rho"], ocfg["tau"], ocfg["delta"],
@@ -504,14 +505,8 @@ def resolve_run(cfg: ExperimentConfig, problem) -> Run:
         raise ConfigError("problem.x0: length must equal the problem dimension")
 
     return Run(
-        kind=kind,
-        source=source,
-        bias_corrected=ocfg.get("bias_corrected", False),
-        T=T,
+        kind=kind, source=source, bias_corrected=ocfg.get("bias_corrected", False), T=T,
         eta=eta, eta_decay=ocfg.get("eta_decay", "none"), beta=beta, beta_c=beta_c, r=r, t_thresh=t_thresh,
-        W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh,
-        x0=x0,
-        log_every=rcfg.get("log_every", 1),
-        track_est_error=track_est_error,
-        lambda_min_every=rcfg.get("lambda_min_every", 0),
+        W=W, S=S, f_thresh=f_thresh, g_thresh=g_thresh, x0=x0, log_every=rcfg.get("log_every", 1),
+        track_est_error=track_est_error, lambda_min_every=rcfg.get("lambda_min_every", 0),
     )

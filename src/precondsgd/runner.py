@@ -90,8 +90,6 @@ def make_rng(seed: int):
 
 def build_problem(pcfg: dict):
     """The problem a [problem] dict names, built by its ``problems.PROBLEMS`` entry."""
-    if pcfg["name"] not in PROBLEMS:
-        raise ConfigError(f"problem.name: unknown problem {pcfg['name']!r}")
     return PROBLEMS[pcfg["name"]].build(pcfg)
 
 

@@ -5,14 +5,19 @@ collect this file)::
 
     python tests/mutate.py [--target PATH:FUNCTION ...] [--tests tests/test_bulk_logging.py ...] [--timeout 20]
 
-``--target`` names a top-level function (or ``Class.method``) of a module
-under the repository root and may be repeated; the default is
+``--target`` names a top-level function (or ``Class.method``, or a
+module-level assignment such as ``_SCHEMAS``) of a module under the
+repository root and may be repeated; the default is
 ``src/precondsgd/optimizer.py:run_sgd``. Each mutant makes one change in
 the body of one target: ``<`` and ``<=`` swap, ``>`` and ``>=``, ``==``
 and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``; ``+`` and ``-``
 swap, in an expression ``a + b`` or an update ``a += b``; a unary minus
 drops (``-x`` becomes ``+x``, so ``-1`` becomes ``1``); ``True`` and
-``False`` swap; or an integer constant moves by +1 or -1. The mutated
+``False`` swap; an integer constant moves by +1 or -1; a subscript's
+index that is no constant or slice (each one of a tuple index) moves by
++1 or -1 (``a[i]`` becomes ``a[i + 1]``; the index may be no integer, and
+then the mutant fails at once); or a call statement of ``keep`` or
+``halt`` (a function or a method, ``DROPPED_CALLS``) is dropped. The mutated
 module is written into a copy of ``src``, ``tests`` and
 ``pyproject.toml`` in a temporary directory, so the checkout is never
 changed, and pytest runs the focused tests there with ``-x``. A mutant is
@@ -36,23 +41,43 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_TARGET = "src/precondsgd/optimizer.py:run_sgd"
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
          ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.Add: ast.Sub, ast.Sub: ast.Add}
+DROPPED_CALLS = ("keep", "halt")
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.In: "in",
            ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not", ast.Add: "+", ast.Sub: "-"}
 
 
-def find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
-    """The function ``name`` (``Class.method`` for a method) defined at the top of the module."""
+def find_function(tree: ast.Module, name: str) -> ast.AST:
+    """The function ``name`` (``Class.method`` for a method), or the assignment of ``name``, at the top of the module."""
     scope = tree
     for part in name.split("."):
         scope = next(n for n in scope.body
-                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+                     or isinstance(n, ast.Assign) and any(getattr(t, "id", None) == part for t in n.targets))
     return scope
+
+
+def indices(node: ast.Subscript) -> list[ast.AST]:
+    """The index expressions of a subscript: each element of a tuple index, else the one index."""
+    return node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+
+
+def called(node: ast.AST) -> str | None:
+    """The name of the function or method that a call statement calls, else None."""
+    if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+        return None
+    func = node.value.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def sites(tree: ast.Module, function: str) -> list[tuple[ast.AST, int, str]]:
     """(node, operator index or constant delta, description) of every mutation in ``function``, in walk order."""
     found = []
-    for node in ast.walk(find_function(tree, function)):
+    target = find_function(tree, function)
+    annotations = {id(part) for node in ast.walk(target) for top in (getattr(node, "annotation", None),
+                   getattr(node, "returns", None)) if top is not None for part in ast.walk(top)}
+    for node in ast.walk(target):
+        if id(node) in annotations:  # not evaluated under ``from __future__ import annotations``
+            continue
         if isinstance(node, ast.Compare):
             for j, op in enumerate(node.ops):
                 if type(op) in SWAPS:
@@ -65,6 +90,12 @@ def sites(tree: ast.Module, function: str) -> list[tuple[ast.AST, int, str]]:
             found.append((node, 0, f"{node.value} -> {not node.value}"))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found += [(node, delta, f"{node.value} -> {node.value + delta}") for delta in (1, -1)]
+        elif isinstance(node, ast.Subscript):
+            found += [(node, (j, delta), f"[{ast.unparse(index)}] -> [{ast.unparse(index)} {'+-'[delta < 0]} 1]")
+                      for j, index in enumerate(indices(node)) if not isinstance(index, (ast.Constant, ast.Slice))
+                      for delta in (1, -1)]
+        elif called(node) in DROPPED_CALLS:
+            found.append((node, 0, f"{called(node)}(...) dropped"))
     return found
 
 
@@ -78,6 +109,16 @@ def mutant(source: str, function: str, k: int) -> tuple[str, str, str]:
         node.op = SWAPS[type(node.op)]()
     elif isinstance(node, ast.UnaryOp):
         node.op = ast.UAdd()
+    elif isinstance(node, ast.Subscript):
+        j, delta = change
+        index = indices(node)[j]
+        shifted = ast.BinOp(index, ast.Add() if delta > 0 else ast.Sub(), ast.Constant(1))
+        if isinstance(node.slice, ast.Tuple):
+            node.slice.elts[j] = shifted
+        else:
+            node.slice = shifted
+    elif isinstance(node, ast.Expr):
+        node.value = ast.Constant(None)  # the call statement becomes the no-op statement None
     elif type(node.value) is bool:
         node.value = not node.value
     else:

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmas import PROPERTY, rng_for
@@ -195,11 +195,17 @@ THRESHOLD = st.one_of(st.floats(3.0, 4.5), st.just(math.inf))
 
 @settings(PROPERTY, max_examples=60)
 @given(g_at=THRESHOLD, h_at=THRESHOLD, f_at=THRESHOLD, log_every=st.integers(1, 9), chunk=st.integers(1, 60))
+@example(g_at=math.inf, h_at=0.09, f_at=0.2, log_every=1, chunk=4)
+@example(g_at=3.9, h_at=3.7, f_at=3.8, log_every=1, chunk=0)
 def test_every_seed_stops_at_its_first_failing_check(g_at, h_at, f_at, log_every, chunk):
     """Any thresholds and log_every, in chunks of 1 to 60 logged events.
 
     With chunks shorter than the run, a deferred failure also stops a seed
-    that still runs, and the flushes after it skip that seed.
+    that still runs, and the flushes after it skip that seed. In the first
+    example, a seed's first row of a chunk's stacked lambda_min(H) call
+    fails, and its guard stopped it later in that chunk: the failure must
+    replace that stop, whatever the row before it holds. In the second,
+    one event's columns exceed the byte budget, so each chunk holds one.
     """
     problem = FailingPastProblem(g_at=g_at, h_at=h_at, f_at=f_at)
     with mock.patch.object(optimizer, "LOG_CHUNK_BYTES", chunk * len(SEEDS) * 2 * 2 * 8):

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import inspect
 import io
@@ -83,11 +84,6 @@ class TestConfigParsing:
         bad = SADDLE_CFG + "\n[sweep]\nbogus = 1\n"
         with pytest.raises(ConfigError, match="sweep.bogus"):
             load_config(write_config(tmp_path / "b.ini", bad))
-
-    def test_unknown_problem_names_the_field(self, tmp_path):
-        bad = SADDLE_CFG.replace("name = saddle", "name = nosuch")
-        with pytest.raises(ConfigError, match="problem.name"):
-            load_config(write_config(tmp_path / "c.ini", bad))
 
     def test_beta_spec_forms(self):
         assert parse_beta_spec("0.97") == ("fixed", 0.97)
@@ -300,18 +296,11 @@ t = 10
     @pytest.mark.parametrize(
         "old, new, message",
         [("x0 = 0,0", "x0 = 0,0,0", "problem.x0: length must equal the problem dimension"),
-         ("t = 200", "t = 0", "run.t: must be >= 1"),
-         ("algorithm = rmsprop", "algorithm = adam", "optimizer.algorithm: unknown algorithm 'adam'"),
-         ("kind = diagonal", "kind = lowrank", "optimizer.kind: unknown kind 'lowrank'"),
-         ("kind = diagonal", "kind = diagonal\nsource = guessed", "optimizer.source: unknown source 'guessed'"),
-         ("eta = 0.01", "eta = 0.01\neta_decay = cosine", "optimizer.eta_decay: unknown schedule 'cosine'"),
-         ("eta = 0.01", "eta = 0.01\nauto = guess", "optimizer.auto: unknown mode 'guess'"),
          ("beta_spec = 0.9\n", "", "optimizer.beta_spec: required for estimated preconditioning"),
          ("eta = 0.01\n", "", "optimizer.eta: required (or supply optimizer.auto)"),
          ("eta = 0.01", "auto = first_order_exact\nl = 1\nc3 = 1\nlambda_minus = 1\ndelta_f = 1",
           "optimizer.tau: required for auto=first_order_exact")],
-        ids=("x0-length", "t-zero", "algorithm", "kind", "source", "eta-decay", "auto", "no-beta-spec", "no-eta",
-             "auto-without-tau"),
+        ids=("x0-length", "no-beta-spec", "no-eta", "auto-without-tau"),
     )
     def test_a_run_the_config_cannot_describe_exits_2_naming_the_key(self, tmp_path, capsys, old, new, message):
         out = tmp_path / "out"
@@ -501,29 +490,6 @@ class TestNumericFailures:
         assert sorted(p.name for p in out.iterdir()) == ["run_seed0.csv", "run_seed1.csv"]
         for p in out.iterdir():
             assert len(read_trajectory(p)) == 0  # the failure came before the first logged event
-
-    @pytest.mark.parametrize(
-        "command, seeds, message",
-        [
-            ("run", "-1, 2", "seed -1 is negative"),
-            ("run", "3, 3", "seed 3 occurs more than once"),
-            ("sweep", "4, 2, 4", "seed 4 occurs more than once"),
-            ("sweep", "5, -3", "seed -3 is negative"),
-            ("estimation-scaling", "-2", "seed -2 is negative"),
-            ("estimation-scaling", "6, 6", "seed 6 occurs more than once"),
-        ],
-    )
-    def test_negative_or_repeated_seeds_exit_2(self, tmp_path, capsys, command, seeds, message):
-        if command == "estimation-scaling":
-            text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01, 0.001").replace("seeds = 5", f"seeds = {seeds}")
-        else:
-            text = SADDLE_CFG.replace("seeds = 0,1,2", f"seeds = {seeds}")
-            if command == "sweep":
-                text = with_sweep(text, "optimizer.eta", "0.01")
-        out = tmp_path / "out"
-        assert main([command, write_config(tmp_path / "cfg.ini", text), "--out", str(out), "--jobs", "1"]) == 2
-        assert f"error: run.seeds: {message}" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestSweep:
@@ -724,10 +690,6 @@ etas = 0.01,0.003
     @pytest.mark.parametrize(
         "etas, beta_spec, message",
         [
-            ("0.01, 0.01", "", "run.etas: eta 0.01 occurs more than once"),
-            ("0.01, 0.003, 0.010", "", "run.etas: eta 0.01 occurs more than once"),
-            ("0.01, -0.01", "", "run.etas: eta -0.01 must be positive"),
-            ("0, 0.01", "", "run.etas: eta 0.0 must be positive"),
             ("0.01, 1.0", "", "run.etas: eta 1.0 must be positive with beta = 1 - C eta^(2/3) in (0, 1), C = 1.0"),
             ("0.01, 0.1", "schedule:5", "run.etas: eta 0.1 must be positive with beta = 1 - C eta^(2/3) in (0, 1), "
              "C = 5.0"),
@@ -736,8 +698,7 @@ etas = 0.01,0.003
             ("0.01, 0.1", "schedule:0", "optimizer.beta_spec: beta schedule constant must be positive"),
             ("0.01, 0.1", "0.9", "optimizer.beta_spec: one fixed beta cannot serve several etas"),
         ],
-        ids=("repeated", "repeated-spelled-apart", "negative", "zero", "beta-not-positive", "beta-c-too-large",
-             "beta-rounds-to-1", "beta-c-zero", "fixed-beta"),
+        ids=("beta-not-positive", "beta-c-too-large", "beta-rounds-to-1", "beta-c-zero", "fixed-beta"),
     )
     def test_bad_etas_exit_2_name_the_key_and_write_nothing(self, tmp_path, capsys, etas, beta_spec, message):
         text = ESTIMATION_CFG.format(noise="1,0.5", etas=etas)
@@ -747,6 +708,13 @@ etas = 0.01,0.003
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err  # a value the loader refuses follows the file name
+        assert not out.exists()
+
+    def test_no_etas_exit_2_naming_run_etas_and_write_nothing(self, tmp_path, capsys):
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01").replace("etas = 0.1,0.01\n", "")
+        out = tmp_path / "o"
+        assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: run.etas: estimation scaling needs at least two stepsizes\n"
         assert not out.exists()
 
     def test_run_beta_c_is_an_unknown_key(self, tmp_path, capsys):
@@ -801,10 +769,6 @@ etas = 0.01,0.003
             assert run == resolve_run(sub, build_problem(sub.problem))
         assert cfg == before
 
-    def test_single_eta_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="1,1", etas="0.01"))
-        assert main(["estimation-scaling", cfg, "--out", str(tmp_path / "o")]) == 2
-
     def test_noiseless_errors_vanish(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", ESTIMATION_CFG.format(noise="0,0", etas="0.1,0.01"))
         out = tmp_path / "o"
@@ -826,6 +790,11 @@ etas = 0.01,0.003
 
 
 class TestReport:
+    def test_no_summary_files_is_a_config_error_that_creates_nothing(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^report: no summary files given$"):
+            runner.cmd_report([], str(tmp_path / "o"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_bands_from_multi_seed_run(self, tmp_path):
         cfg = load_config(
             write_config(
@@ -1153,11 +1122,6 @@ class TestWhatAConfigLeavesOutOrPicks:
         run = resolve_run(cfg, build_problem(cfg.problem))
         assert (run.eta, run.T) == first_order_params(1.0, 1.0, 1.0, 1.0, 0.3, exact=exact)
 
-    def test_of_two_repeated_seeds_the_smaller_is_named(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 4, 3, 4, 3"))
-        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
-        assert "error: run.seeds: seed 3 occurs more than once" in capsys.readouterr().err
-
 
 class TestAutoLeavesNoKeyUnread:
     @pytest.mark.parametrize(
@@ -1179,38 +1143,10 @@ class TestAutoLeavesNoKeyUnread:
         + [("second_order", "delta_f")],
     )
     def test_a_key_of_another_mode_exits_2_naming_it(self, tmp_path, capsys, auto, key):
-        cfg = auto_config(tmp_path, auto, extra=f"{key} = 1\n")
+        cfg = auto_config(tmp_path, auto, extra=f"{key} = 0.5\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert f"optimizer.{key}: not read by optimizer.auto={auto}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "auto, key, value",
-        [(auto, f"optimizer.{key}", "0") for auto, mode in AUTO_MODES.items() for key in mode.requires + mode.reads]
-        + [("second_order", "optimizer.tau", "-1"), ("second_order", "optimizer.k_const", "1"),
-           ("second_order", "optimizer.delta", "7"), ("second_order", "optimizer.delta", "1.5"),
-           (None, "run.lambda_min_every", "-2"), (None, "run.log_every", "0")],
-    )
-    def test_a_number_out_of_range_exits_2_naming_its_key(self, tmp_path, capsys, auto, key, value):
-        """The calculators' refusals name the parameter; the CLI names the config key before any run."""
-        section, _, name = key.partition(".")
-        with open(auto_config(tmp_path, auto), encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.partition(" = ")[0] != name]
-        lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
-        out = tmp_path / "o"
-        assert main(["run", write_config(tmp_path / "c.ini", "\n".join(lines)), "--out", str(out), "--jobs", "1"]) == 2
-        assert f"error: {key}: must be" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_a_delta_above_1_exits_2_before_the_calculator_runs(self, tmp_path, capsys):
-        text = open(auto_config(tmp_path, "second_order", algorithm="large_step"), encoding="utf-8").read()
-        text = text.replace("delta = 1\n", "delta = 7\n").replace("schedule:0.5", "schedule")
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the calculator warns on such a delta; it must not be reached
-            assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
-        assert "error: optimizer.delta: must be in (0, 1.0] for auto=second_order, got 7.0" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_second_order_rejects_a_fixed_beta_and_reads_a_schedule(self, tmp_path, capsys):
         cfg = auto_config(tmp_path, "second_order")
@@ -1316,7 +1252,6 @@ class TestConfigErrorsBeforeAnyRun:
     @pytest.mark.parametrize(
         "axis, values, message",
         [("optimizer.eta", "0.01,0.5", "optimizer.eta=0.5: large-step mode needs r >= eta"),
-         ("run.log_every", "1,0", "run.log_every: must be >= 1"),
          ("eta", "0.01", "sweep axis must be 'section.key', got 'eta'")],
     )
     def test_a_sweep_condition_the_run_rejects_stops_the_sweep_before_any_runs(self, tmp_path, capsys, axis, values,
@@ -1324,20 +1259,6 @@ class TestConfigErrorsBeforeAnyRun:
         out = tmp_path / "o"
         text = with_sweep(LARGE_STEP_CFG, axis, values)
         argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
-        assert main(argv) == 2
-        assert f"error: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [("lambda_min_every = -3", "run.lambda_min_every: must be >= 0"),
-         ("est_window_factor = -5", "run.est_window_factor: must be positive"),
-         ("burn_in_c = -1", "run.burn_in_c: must be positive"),
-         ("burn_in_c = 0", "run.burn_in_c: must be positive")],
-    )
-    def test_a_run_number_out_of_range_exits_2_and_writes_nothing(self, tmp_path, capsys, line, message):
-        out = tmp_path / "o"
-        argv = ["run", write_config(tmp_path / "c.ini", LARGE_STEP_CFG + line + "\n"), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -1397,6 +1318,108 @@ def started(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     return started
+
+
+# Each rule on one config value alone, which its key's parser holds: (section.key, a value the test's base config
+# takes, which starts a sweep of the key, or None for a key that is no sweep axis; an edge value the rule refuses;
+# the refusal).
+AUTO_INPUTS = {"l": "1", "rho": "1", "c3": "2", "c4": "0.5", "lambda_minus": "0.5", "tau": "100", "delta": "1",
+               "omega": "1", "nu1": "1.2", "nu2": "0.9", "m_bound": "1.5", "k_const": "0.2", "delta_f": "1"}
+ONE_KEY_RULES = [
+    ("problem.name", "saddle", "nosuch", f"unknown problem 'nosuch' (expected one of {tuple(PROBLEMS)})"),
+    ("optimizer.algorithm", "rmsprop", "adam", "unknown algorithm 'adam'"),
+    ("optimizer.kind", "diagonal", "lowrank", "unknown kind 'lowrank'"),
+    ("optimizer.source", "estimated", "guessed", "unknown source 'guessed'"),
+    ("optimizer.eta_decay", "none", "cosine", "unknown schedule 'cosine'"),
+    ("optimizer.auto", "second_order", "guess", "unknown mode 'guess'"),
+    ("run.t", "200", "0", "must be >= 1"),
+    ("run.log_every", "1", "0", "must be >= 1"),
+    ("run.lambda_min_every", "0", "-1", "must be >= 0"),
+    ("run.burn_in_c", "2", "-1", "must be positive, got -1.0"),
+    ("run.burn_in_c", "2", "0", "must be positive, got 0.0"),
+    ("run.est_window_factor", None, "-5", "must be positive, got -5.0"),
+    *((f"optimizer.{key}", value, "0", f"must be in {dict(k_const='(0, 1.0)', delta='(0, 1.0]').get(key, '(0, inf)')}"
+       ", got 0.0") for key, value in AUTO_INPUTS.items()),
+    ("optimizer.tau", "100", "-1", "must be in (0, inf), got -1.0"),
+    ("optimizer.k_const", "0.2", "1", "must be in (0, 1.0), got 1.0"),
+    ("optimizer.delta", "1", "7", "must be in (0, 1.0], got 7.0"),
+    ("optimizer.delta", "1", "1.5", "must be in (0, 1.0], got 1.5"),
+    ("run.seeds", None, "-1, 2", "seed -1 is negative"),
+    ("run.seeds", None, "5, -3", "seed -3 is negative"),
+    ("run.seeds", None, "3, 3", "seed 3 occurs more than once"),
+    ("run.seeds", None, "4, 3, 4, 3", "seed 3 occurs more than once"),  # of two repeated seeds, the smaller
+    ("run.etas", None, "0.01", "estimation scaling needs at least two stepsizes"),
+    ("run.etas", None, "0.01, 0.01", "eta 0.01 occurs more than once"),
+    ("run.etas", None, "0.01, 0.003, 0.010", "eta 0.01 occurs more than once"),
+    ("run.etas", None, "0.01, -0.01", "eta -0.01 must be positive"),
+    ("run.etas", None, "0, 0.01", "eta 0.0 must be positive"),
+]
+
+
+def base_config(tmp_path, key):
+    """The subcommand that reads section.key ``key`` and a config it runs: a scaling study for the keys only it
+    reads, an ``optimizer.auto`` config for the calculators' keys (first order for ``delta_f``), else SADDLE_CFG."""
+    command = config._READERS.get(key, (("run",), True))[0][0]
+    name = key.partition(".")[2]
+    if command == "estimation-scaling":
+        return command, ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
+    if name in (*AUTO_KEYS, "auto"):
+        with open(auto_config(tmp_path, "first_order_exact" if name == "delta_f" else "second_order"),
+                  encoding="utf-8") as fh:
+            return command, fh.read()
+    return command, SADDLE_CFG
+
+
+class TestEachKeyRefusesItsEdgeValue:
+    @pytest.mark.parametrize("key, valid, edge, refusal, sweep", [
+        pytest.param(*rule, sweep, id=f"{rule[0]}={rule[2]}-{'sweep' if sweep else 'load'}")
+        for rule in ONE_KEY_RULES for sweep in (False, True)[:1 + (rule[1] is not None)]])
+    def test_at_load_naming_the_file_and_key_and_as_a_sweep_value_naming_the_axis(
+            self, tmp_path, capsys, started, key, valid, edge, refusal, sweep):
+        command, text = base_config(tmp_path, key)
+        if sweep:
+            command, text, where = "sweep", with_sweep(text, key, f"{valid}, {edge}"), key
+        else:
+            section, _, name = key.partition(".")
+            lines = [ln for ln in text.splitlines() if ln.partition(" = ")[0] != name]
+            lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {edge}")
+            text, where = "\n".join(lines) + "\n", f"{tmp_path / 'c.ini'}: {key}"
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a calculator warns on an input out of its range; it must not see one
+            assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {where}: {refusal}\n"
+        assert started == [] and not out.exists()
+
+    def test_every_key_whose_parser_checks_its_value_has_a_case(self):
+        checked = {f"{section}.{key}" for section, schema in config._SCHEMAS.items() for key, parse in schema.items()
+                   if getattr(parse, "func", None) is config._checked
+                   or parse in (config._parse_seeds, config._parse_etas)}
+        assert checked == {key for key, *_ in ONE_KEY_RULES}
+        axes = set()
+        for key in checked:
+            with contextlib.suppress(ConfigError):
+                config.resolve_axis(key)
+                axes.add(key)
+        assert {key for key, valid, *_ in ONE_KEY_RULES if valid is not None} == axes
+
+    @pytest.mark.parametrize("problem, optimizer, axis, values, message", [
+        ("name = counterexample\nzeta = 1\n", "", "problem.c", "3", "problem.c: required for counterexample"),
+        ("name = saddle\n", "", "problem.name", "saddle, counterexample",
+         "problem.name=counterexample: problem.c: required for counterexample"),
+        ("name = saddle\n", "tau = 0.3\n", "optimizer.auto", "first_order_exact",
+         "optimizer.tau: read only by optimizer.auto, which is not set"),
+        ("name = saddle\n", "", "optimizer.tau", "0.3", "optimizer.tau=0.3: optimizer.tau: read only by optimizer.auto, "
+         "which is not set"),
+    ], ids=("required-key", "required-key-of-a-value", "auto-input", "auto-input-of-a-value"))
+    def test_a_rule_on_keys_together_holds_for_the_config_as_written_and_for_each_sweep_value(
+            self, tmp_path, capsys, started, problem, optimizer, axis, values, message):
+        text = f"[problem]\n{problem}[optimizer]\nalgorithm = sgd\neta = 0.01\n{optimizer}[run]\nseeds = 0\nt = 3\n"
+        out = tmp_path / "o"
+        assert main(["sweep", write_config(tmp_path / "c.ini", with_sweep(text, axis, values)), "--out", str(out),
+                     "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert started == [] and not out.exists()
 
 
 class TestNothingRunsBeforeAnExit2:
@@ -1682,10 +1705,6 @@ class TestTheProblemTableAndTheSchemaAgree:
         assert read == set(config._SCHEMAS["problem"])
         classes = {c for c in vars(problems).values() if isinstance(c, type) and issubclass(c, StochasticProblem)}
         assert built == classes - {StochasticProblem}
-
-    def test_an_unvalidated_unknown_name_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="problem.name: unknown problem 'nosuch'"):
-            build_problem({"name": "nosuch"})
 
     def test_a_quadratic_whose_diagonals_miss_its_dim_exits_2(self, tmp_path, capsys):
         text = open(minimal_config(tmp_path, "quadratic_gaussian"), encoding="utf-8").read()
