@@ -9,7 +9,23 @@ flat ``Run`` record it runs and the calculators; ``config`` what a config
 file means, its conditions and their ``Run``s, each resolved once before
 the first seed runs; ``runner`` the experiments; ``linalg`` the one way
 into LAPACK. The lemma oracles are in ``tests/lemmas.py``.
+
+Importing ``precondsgd`` before numpy gives numpy one BLAS thread per
+call, unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS;
+``os.environ`` is left as it was. On such a BLAS, ``linalg.eigh``
+decomposes the matrices of a large stack at the same time, one per core.
 """
+
+import os as _os
+import sys as _sys
+
+from ._blas import one_thread as _one_thread
+
+# numpy's BLAS reads its thread count when numpy is first imported. When
+# that is this import, the count is one unless the user set it.
+_BLAS_ONE_THREAD = _os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in _sys.modules else "1") == "1"
+with _one_thread():
+    import numpy as _numpy  # noqa: F401
 
 from .errors import (
     ConfigError,
@@ -43,8 +59,6 @@ from .precond import (
     PreconditionerConstants,
     PreconditionerKind,
     constants,
-    estimate_m_bound,
-    second_order_complexity_factor,
 )
 from .estimation import (
     EstimationBoundInputs,
@@ -60,7 +74,6 @@ from .optimizer import (
     Trajectory,
     check_stationarity,
     first_order_params,
-    hessian_tolerance,
     run_sgd,
     second_order_params,
 )

@@ -31,6 +31,7 @@ import sys
 
 from .config import load_config
 from .errors import NumericError, PrecondSgdError, PreconditionViolatedError
+from .linalg import THREADS_MIN_DIM
 from .runner import cmd_estimation_scaling, cmd_report, cmd_run, cmd_sweep
 
 OUT_DIR_ENV = "PRECONDSGD_OUT"
@@ -53,7 +54,9 @@ _COMMON_FLAGS = {
                    help="at least 1: split each condition's seeds (a sweep value's, an eta's) into this many "
                    "lockstep groups, run in up to as many worker processes; what runs, and so the output, comes "
                    "from the config alone. Each worker is a fresh process that takes about 0.3 s to start, so a "
-                   "light run is faster with --jobs 1 (default: CPU count)"),
+                   "light run is faster with --jobs 1; and from d = "
+                   f"{THREADS_MIN_DIM} on, the seeds of one group already share the cores: their "
+                   "eigendecompositions run at the same time (default: CPU count)"),
 }
 
 

@@ -1,18 +1,21 @@
 """Dense symmetric-matrix numerics on plain arrays.
 
-The LAPACK entry points ``eigh`` and ``eigvalsh``, the operator norm of a
-symmetric (d, d) array (d <~ 200 in the package), and closed-form
-operator-norm bounds on how much the inverse, square root, and inverse
-square root of a positive matrix can move under a small symmetric
-perturbation.
+The LAPACK entry points ``eigh`` (which decomposes the matrices of a
+large stack at the same time, one per core) and ``eigvalsh``, the
+operator norm of a symmetric (d, d) array (d <~ 200 in the package), and
+closed-form operator-norm bounds on how much the inverse, square root,
+and inverse square root of a positive matrix can move under a small
+symmetric perturbation.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
+from . import _BLAS_ONE_THREAD
 from .errors import (
     InvalidParamError,
     NonFiniteError,
@@ -20,19 +23,70 @@ from .errors import (
 )
 
 
+# Stacks of matrices this size or larger are decomposed by several threads.
+# Two d x d ``eigh`` calls in two threads took, against one after the other
+# (2 shared cores, one BLAS thread each, median of 21 interleaved pairs in
+# each of two sweeps): 1.28-1.39 of the time at d = 16, 0.80-0.83 at 32,
+# 0.71-0.73 at 48, 0.83-0.93 at 64, 0.56-0.62 at 100 and 0.54-0.57 at 200.
+# While another process held the second core, 1.03-1.07 from d = 64 to 200;
+# so the threads start above the crossover, where the gain is sure.
+THREADS_MIN_DIM = 64
+
+# Threads besides the caller's that decompose a stack: one per further core
+# this process may run on when numpy's BLAS runs one thread per call (see
+# ``_blas``), else none, since the BLAS's own threads would contend with them.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = _CORES - 1 if _BLAS_ONE_THREAD else 0
+_pool = None  # (pid, ThreadPoolExecutor), started by the first stack that uses it
+
+
+def _executor():
+    """The worker threads of ``eigh``; a forked process, which has none of its parent's, starts its own."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # loaded only once a large stack arrives
+
+        _pool = os.getpid(), ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="precondsgd-eigh")
+    return _pool[1]
+
+
 def eigh(a):
     """``np.linalg.eigh`` of a (d, d) matrix or of each matrix of a (B, d, d) stack.
 
-    A stack is decomposed one matrix per call. A stacked call gives the
-    same bits; the per-call form keeps the work of every ``eigh`` call at
-    one d^3, which the traced split of ``perfbench`` counts per call.
+    A stack is decomposed one matrix per call: each result has the bits
+    of its own call, and each call does one d^3 of work, which the traced
+    split of ``perfbench`` counts per call. From d = ``THREADS_MIN_DIM``
+    on, the caller and up to ``_WORKERS`` threads take the matrices in
+    turn, so that their calls run at the same time: numpy releases the
+    GIL inside LAPACK, and at these sizes a core per call does more than
+    a second BLAS thread inside one call (see ``_blas``). When calls
+    fail, the exception of the first failing matrix is raised, as a loop
+    over the stack would raise it, once every thread is done.
     """
     if a.ndim == 2 or len(a) == 1:
         return np.linalg.eigh(a)
     w = np.empty(a.shape[:-1])
     v = np.empty(a.shape)
-    for b, m in enumerate(a):
-        w[b], v[b] = np.linalg.eigh(m)
+    todo = iter(range(len(a)))  # shared: each thread takes the next matrix left
+    failed = {}
+
+    def decompose():
+        for b in todo:
+            try:
+                w[b], v[b] = np.linalg.eigh(a[b])
+            except Exception as exc:
+                failed[b] = exc
+                return
+
+    workers = min(_WORKERS, len(a) - 1) if a.shape[-1] >= THREADS_MIN_DIM else 0
+    helping = [_executor().submit(decompose) for _ in range(workers)]
+    try:
+        decompose()
+    finally:
+        for future in helping:
+            future.result()
+    if failed:
+        raise failed[min(failed)]
     return w, v
 
 

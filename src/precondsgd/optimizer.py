@@ -14,16 +14,17 @@ names each algorithm and calculator mode a config may pick.
 A run advances B seeds in lockstep: iterates are a (B, d) stack, the
 preconditioner holds one estimate per seed, and the exact oracles take
 the whole stack at once; ``linalg.eigh`` still decomposes one matrix per
-LAPACK call. Each seed draws from its own caller-owned RNG stream, one
-``sample_grad`` call per seed and sample in program order, and every
-stacked operation gives each row the bits of its own single-seed
-computation. So a seed's trajectory is bitwise identical whichever seeds
-run beside it, and identical (problem, Run, seed) triples produce
-bitwise-identical trajectories. A seed that fails (divergence, a
-singular matrix, a failing oracle) stops at its first failing check, in
-the order a logged event makes them: the divergence guard, lambda_min(H),
-||grad f||, Ahat's spectrum, est_error's reference side. The others run
-on.
+LAPACK call, and from d = ``linalg.THREADS_MIN_DIM`` on it runs the
+seeds' calls at the same time on the cores. Each seed draws from its own
+caller-owned RNG stream, one ``sample_grad`` call per seed and sample in
+program order, and every stacked operation gives each row the bits of
+its own single-seed computation. So a seed's trajectory is bitwise
+identical whichever seeds run beside it, and identical (problem, Run,
+seed) triples produce bitwise-identical trajectories. A seed that fails
+(divergence, a singular matrix, a failing oracle) stops at its first
+failing check, in the order a logged event makes them: the divergence
+guard, lambda_min(H), ||grad f||, Ahat's spectrum, est_error's reference
+side. The others run on.
 
 Per logged event the loop evaluates only what its control reads: f, for
 the divergence guard. The columns it never reads back, ||grad f||,
@@ -188,13 +189,6 @@ class StationarityReport:
     is_stationary: bool
     grad_norm: float
     lambda_min_h: float
-
-
-def hessian_tolerance(rho: float, tau_g: float) -> float:
-    """The conventional second tolerance sqrt(rho * tau_g)."""
-    if rho < 0 or tau_g < 0:
-        raise InvalidParamError("rho and tau_g must be nonnegative")
-    return math.sqrt(rho * tau_g)
 
 
 # The logged columns that the loop never reads back are filled once per

@@ -62,7 +62,7 @@ class PreconditionerConstants:
     magnitude E||A g||^2, c4 lower-bounds lambda_min(A G A^T), lambda_-
     lower-bounds lambda_min(A). M_bound is the uniform step bound ||A g||,
     problem-specific; ``constants`` sets it to sqrt(c3), the scale it
-    should have (``estimate_m_bound`` measures it).
+    should have (``tests/lemmas.py::estimate_m_bound`` measures it).
     """
 
     nu1: float
@@ -255,26 +255,3 @@ def constants(problem, x, kind: PreconditionerKind) -> PreconditionerConstants:
     c4 = corr * lo / (lo + eps)
     lambda_minus = (hi + eps) ** -0.5
     return PreconditionerConstants(nu, nu, c3, c4, lambda_minus, math.sqrt(c3))
-
-
-def second_order_complexity_factor(k: PreconditionerConstants) -> float:
-    """The preconditioner-dependent factor nu1^4 nu2^4 c3^4 / (lambda_-^10 c4^4)."""
-    for name in ("nu1", "nu2", "c3", "c4", "lambda_minus"):
-        if getattr(k, name) <= 0.0:
-            raise InvalidParamError(f"constant {name} must be positive")
-    return (k.nu1**4 * k.nu2**4 * k.c3**4) / (k.lambda_minus**10 * k.c4**4)
-
-
-def estimate_m_bound(problem, kind: PreconditionerKind, x, n_samples: int, rng) -> float:
-    """Monte-Carlo estimate of the uniform step bound M = max ||A g||.
-
-    Returns the empirical maximum over ``n_samples`` draws of g at x,
-    with the idealized preconditioner at x. The theorems assume a
-    deterministic bound; for unbounded noise this is a working surrogate
-    on the same scale as sqrt(c3).
-    """
-    if n_samples < 1:
-        raise InvalidParamError("n_samples must be >= 1")
-    gs = problem.sample_grad(x, rng, n_samples)
-    steps = Preconditioner(kind, problem.dim).direction(problem, x, gs)
-    return float(np.max(np.linalg.norm(steps, axis=1)))

@@ -6,10 +6,12 @@ checked after them; both before the first seed runs, so whatever exits 2
 runs nothing. Each condition (a run, a sweep value, a scaling study's
 eta) runs in seed groups: contiguous runs of its seeds that advance in
 lockstep in one process (``jobs`` groups per condition, optionally in a
-pool of freshly started worker processes, each with one BLAS thread unless
-the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS). Writes one
-trajectory CSV per seed plus a merged summary CSV (or one scaling row per
-eta), and turns summaries back into quantile-band plot data. A seed's
+pool of freshly started worker processes). Every process runs one BLAS
+thread per LAPACK call unless the user set OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS (see ``_blas``); inside a process, ``linalg.eigh``
+spreads a group's large matrices over the cores. Writes one trajectory
+CSV per seed plus a merged summary CSV (or one scaling row per eta), and
+turns summaries back into quantile-band plot data. A seed's
 bytes do not depend on the group it ran in, so the output does not
 depend on ``jobs``. A seed that fails numerically still gets its partial
 trajectory; the other seeds finish, and the first failure in condition
@@ -27,6 +29,7 @@ import tempfile
 
 import numpy as np
 
+from ._blas import one_thread
 from .config import ExperimentConfig, _safe_name, conditions
 from .errors import ConfigError, DataFormatError, NumericError
 from .optimizer import Trajectory, run_sgd
@@ -261,17 +264,11 @@ def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Fresh workers, each with one BLAS thread unless the user chose a
-        # count: a forked one keeps this process's BLAS, a thread per core.
-        blas = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name not in os.environ}
-        os.environ.update(blas)
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
-                results = list(pool.map(group, *zip(*tasks)))
-        finally:
-            for name in blas:
-                del os.environ[name]
+        # Fresh workers, each loading its BLAS with one thread unless the user
+        # chose a count: a forked one would keep this process's BLAS.
+        with one_thread(), ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                               mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(group, *zip(*tasks)))
     rows = []
     for (run_id, _, _, seed_group), outcomes in zip(tasks, results):
         for seed, outcome in zip(seed_group, outcomes):

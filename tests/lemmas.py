@@ -1,7 +1,10 @@
 """Test helpers: seeded random instances and oracles for the paper's auxiliary lemmas.
 
 No run of the package uses anything here. The random-instance helpers
-and the property-test settings are declared once for every test module.
+and the property-test settings are declared once for every test module,
+with three calculators of the theorems' inputs that no run reads:
+``second_order_complexity_factor``, ``estimate_m_bound`` and
+``hessian_tolerance``.
 Each lemma oracle evaluates both sides of one inequality exactly (or by
 Monte Carlo where the statement is an expectation) and returns an
 InequalityCase, so tests can assert lhs <= rhs on randomized inputs.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from hypothesis import settings
 
-from precondsgd import InvalidParamError, SingularMatrixError
+from precondsgd import InvalidParamError, Preconditioner, SingularMatrixError
 
 # Relative slack for deterministic inequalities: rounding only.
 REL_SLACK = 1e-12
@@ -84,6 +87,36 @@ def sym_power(m: np.ndarray, p: float, clamp_floor: float = 0.0) -> np.ndarray:
             f"negative power {p} of a matrix with min clamped eigenvalue {lam.min()}"
         )
     return (v * lam**p) @ v.T
+
+
+def second_order_complexity_factor(k) -> float:
+    """The preconditioner-dependent factor nu1^4 nu2^4 c3^4 / (lambda_-^10 c4^4) of the constants k."""
+    for name in ("nu1", "nu2", "c3", "c4", "lambda_minus"):
+        if getattr(k, name) <= 0.0:
+            raise InvalidParamError(f"constant {name} must be positive")
+    return (k.nu1**4 * k.nu2**4 * k.c3**4) / (k.lambda_minus**10 * k.c4**4)
+
+
+def estimate_m_bound(problem, kind, x, n_samples: int, rng) -> float:
+    """Monte-Carlo estimate of the uniform step bound M = max ||A g||.
+
+    Returns the empirical maximum over ``n_samples`` draws of g at x,
+    with the idealized preconditioner of ``kind`` at x. The theorems
+    assume a deterministic bound; for unbounded noise this is a working
+    surrogate on the same scale as sqrt(c3).
+    """
+    if n_samples < 1:
+        raise InvalidParamError("n_samples must be >= 1")
+    gs = problem.sample_grad(x, rng, n_samples)
+    steps = Preconditioner(kind, problem.dim).direction(problem, x, gs)
+    return float(np.max(np.linalg.norm(steps, axis=1)))
+
+
+def hessian_tolerance(rho: float, tau_g: float) -> float:
+    """The conventional second tolerance sqrt(rho * tau_g)."""
+    if rho < 0 or tau_g < 0:
+        raise InvalidParamError("rho and tau_g must be nonnegative")
+    return math.sqrt(rho * tau_g)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ the summary levels, label noise and two runs that diverge (one through
 numpy overflow), and runs three or more seeds of a condition on each
 path where seeds share work (one sweep with ``--jobs 2``; every other
 config but a report, which takes no ``--jobs``, runs with ``--jobs 1``).
+One full-matrix run is at d = 80, where ``linalg.eigh`` decomposes the
+seeds' matrices in threads: the digests are made with those threads off,
+and ``tests/test_golden_cli.py`` checks them with the threads on.
 A numpy RuntimeWarning during a config is an error. Regenerate the file
 only for a change meant to alter the program's results, and say so with
 the change.
@@ -42,6 +45,12 @@ QUAD3 = (
     "noise_diag = 1.0,0.3,0.1\nx0 = 1.0,-1.0,0.5\n"
 )
 LOGISTIC = "[problem]\nname = logistic_synthetic\nn = 200\nd = 4\ndata_seed = 3\nbatch = 20\n"
+# d = 80 with the spectra 1.0, 0.99, ..., 0.21 and x0 = 1.
+SPECTRUM80 = ",".join(str((100 - i) / 100) for i in range(80))
+QUAD80 = (
+    f"[problem]\nname = quadratic_gaussian\ndim = 80\nh_diag = {SPECTRUM80}\n"
+    f"noise_diag = {SPECTRUM80}\nx0 = {','.join(['1.0'] * 80)}\n"
+)
 
 # name -> (subcommand, extra CLI arguments, config text); a "report" entry
 # instead names the config whose summary it reads, and has no text.
@@ -553,6 +562,18 @@ eta = 0.2
 seeds = 0,1,2
 t = 40
 """),
+    # Above linalg.THREADS_MIN_DIM: the two seeds' eigh calls run in threads.
+    "rmsprop-full-d80": ("run", (), QUAD80 + """
+[optimizer]
+algorithm = rmsprop
+kind = full_matrix
+eta = 0.01
+beta_spec = 0.9
+epsilon = 1e-8
+[run]
+seeds = 20,21
+t = 20
+"""),
     "diverges": ("run", (), """
 [problem]
 name = saddle
@@ -597,6 +618,9 @@ def run_config(name: str, work_dir: str) -> dict:
 
 
 def main() -> int:
+    from precondsgd import linalg
+
+    linalg._WORKERS = 0  # one eigh call after another: the reference the threaded runs must match
     with tempfile.TemporaryDirectory() as work:
         golden = {name: run_config(name, work) for name in CONFIGS}
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:

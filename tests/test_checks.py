@@ -7,15 +7,27 @@ from hypothesis import strategies as st
 
 from lemmas import (
     PROPERTY,
+    estimate_m_bound,
     exp_growth_bound,
+    hessian_tolerance,
     inexact_noise_amplification,
     isotropy_covariance_check,
     negative_eigenvalue_bound,
     quadratic_sqrt_bound,
+    random_spd,
     rng_for,
+    second_order_complexity_factor,
     series_bounds,
 )
-from precondsgd import InvalidParamError, QuadraticGaussianProblem, SaddleProblem2D, SingularMatrixError
+from precondsgd import (
+    InvalidParamError,
+    PreconditionerConstants,
+    PreconditionerKind,
+    QuadraticGaussianProblem,
+    SaddleProblem2D,
+    SingularMatrixError,
+    constants,
+)
 
 
 class TestSeriesBounds:
@@ -211,3 +223,72 @@ class TestIsotropyCovariance:
             x = rng.standard_normal(3)
             dev = isotropy_covariance_check(p, x, n, rng)
             assert dev <= 5.0 * math.sqrt(2.0 / n)
+
+
+def problem_with_g(g):
+    """Zero objective whose exact second moment is the given constant matrix."""
+    d = g.shape[0]
+    return QuadraticGaussianProblem(d, np.zeros((d, d)), g)
+
+
+class TestComplexityFactor:
+    def test_unit_constants(self):
+        k = PreconditionerConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert second_order_complexity_factor(k) == 1.0
+
+    def test_full_matrix_closed_form(self):
+        rng = rng_for(32)
+        for _ in range(10):
+            dim = int(rng.integers(2, 7))
+            g = random_spd(rng, dim, lam_lo=0.05)
+            lam = np.linalg.eigvalsh(g)
+            kappa = lam[-1] / lam[0]
+            k = constants(problem_with_g(g), np.zeros(dim), PreconditionerKind("full_matrix"))
+            closed = dim**4 * kappa**4 * lam[-1]
+            assert second_order_complexity_factor(k) == pytest.approx(closed, rel=1e-9)
+
+    def test_sgd_comparison_small_lambda_max(self):
+        # lambda_max(G) <= 1 regime: the full-matrix bound d^4 k^4 lambda_max
+        # beats the d^4 k^4 bound that caps the identity factor
+        g = np.diag([0.5, 0.005])
+        p = problem_with_g(g)
+        kappa = 0.5 / 0.005
+        sgd_bound = 2**4 * kappa**4
+        k_rms = constants(p, np.zeros(2), PreconditionerKind("full_matrix"))
+        rms_factor = second_order_complexity_factor(k_rms)
+        assert rms_factor == pytest.approx(2**4 * kappa**4 * 0.5, rel=1e-9)
+        assert rms_factor < sgd_bound
+        k_sgd = constants(p, np.zeros(2), PreconditionerKind("identity"))
+        assert second_order_complexity_factor(k_sgd) <= sgd_bound * (1 + 1e-12)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(InvalidParamError):
+            second_order_complexity_factor(PreconditionerConstants(1, 1, 0, 1, 1, 1))
+
+
+def test_estimate_m_bound_scale():
+    p = problem_with_g(np.eye(3))
+    m = estimate_m_bound(p, PreconditionerKind(epsilon=0.0), np.zeros(3), 2000, rng_for(35))
+    # ||A g|| with A = G^-1/2 is a standard 3-d Gaussian norm: max of 2000
+    # draws lands in a narrow band around 4-5
+    assert 3.0 <= m <= 7.0
+
+
+def test_tau_h_helper():
+    assert hessian_tolerance(4.0, 0.01) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: estimate_m_bound(problem_with_g(np.eye(2)), PreconditionerKind("full_matrix"), np.zeros(2), 0,
+                                  rng_for(36)), "n_samples must be >= 1"),
+        (lambda: hessian_tolerance(-1.0, 0.01), "rho and tau_g must be nonnegative"),
+        (lambda: hessian_tolerance(1.0, -0.01), "rho and tau_g must be nonnegative"),
+    ],
+    ids=("m-bound-samples", "hessian-rho", "hessian-tau-g"),
+)
+def test_a_calculator_refuses_an_input_outside_its_domain(call, message):
+    with pytest.raises(InvalidParamError) as raised:
+        call()
+    assert type(raised.value) is InvalidParamError and str(raised.value) == message

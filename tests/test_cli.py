@@ -1799,12 +1799,18 @@ def test_trajectory_csv_has_the_bytes_of_csv_writer(tmp_path, rows, dim):
     assert path.read_bytes() == csv_writer_trajectory(traj, dim).encode("utf-8")
 
 
-def test_importing_the_cli_leaves_out_the_process_pool():
+def test_importing_the_cli_leaves_out_the_process_pool(tmp_path):
+    """Nor does a serial d=2 run load a pool or start a thread: ``linalg.eigh`` starts its threads
+    only for a large stack."""
+    path = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("kind = diagonal", "kind = full_matrix"))
+    pools = "sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)"
     code = (
-        "import sys, precondsgd.cli\n"
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        f"import sys, threading, precondsgd.cli\nprint({pools})\n"
+        f"rc = precondsgd.cli.main(['run', {path!r}, '--out', {str(tmp_path / 'o')!r}, '--jobs', '1'])\n"
+        f"print(rc, {pools}, threading.active_count())"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    before, _, after = out.stdout.splitlines()  # the middle line is the summary's path
+    assert (before, after) == ("[]", "0 [] 1")

@@ -15,6 +15,7 @@ import pytest
 
 import precondsgd
 from make_golden import CONFIGS, GOLDEN_PATH, run_config
+from precondsgd import linalg
 
 with open(GOLDEN_PATH, encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
@@ -34,8 +35,7 @@ UNREACHED = {
     "problems.load_dataset_csv": "logistic_csv reads a file, which no golden config ships; tests/test_cli.py runs it",
     **dict.fromkeys(
         ("estimation.EstimationBoundInputs.__post_init__", "estimation.estimation_error_bound",
-         "estimation.estimate_sigma_max", "precond.constants", "precond.second_order_complexity_factor",
-         "precond.estimate_m_bound", "optimizer.check_stationarity", "optimizer.hessian_tolerance",
+         "estimation.estimate_sigma_max", "precond.constants", "optimizer.check_stationarity",
          "linalg.op_norm"),
         "a theorem calculator or its input: no run writes what it assumed yet (ROADMAP item 5)"),
     **dict.fromkeys(
@@ -92,6 +92,12 @@ def package_functions():
     return found
 
 
+@pytest.fixture(autouse=True)
+def eigh_threads(monkeypatch):
+    """Every golden run decomposes its large stacks in threads; ``make_golden`` made the digests without them."""
+    monkeypatch.setattr(linalg, "_WORKERS", max(1, linalg._WORKERS))
+
+
 def test_golden_covers_every_config():
     assert sorted(GOLDEN) == sorted(CONFIGS)
 
@@ -99,6 +105,13 @@ def test_golden_covers_every_config():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cli_output_matches_golden(name, tmp_path):
     assert profiled_run(name, str(tmp_path)) == GOLDEN[name]
+
+
+def test_the_threaded_config_writes_the_same_bytes_in_two_worker_processes(tmp_path, monkeypatch):
+    subcommand, extra, text = CONFIGS["rmsprop-full-d80"]
+    assert extra == ()  # run_config gives it --jobs 1
+    monkeypatch.setitem(CONFIGS, "rmsprop-full-d80", (subcommand, ("--jobs", "2"), text))
+    assert run_config("rmsprop-full-d80", str(tmp_path)) == GOLDEN["rmsprop-full-d80"]
 
 
 def test_every_package_function_is_reached_by_a_golden_config_or_listed(tmp_path):

@@ -1,3 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -16,7 +22,8 @@ from precondsgd import (
     op_norm,
     sqrt_perturbation_bound,
 )
-from precondsgd.linalg import eigh
+from precondsgd import linalg
+from precondsgd.linalg import THREADS_MIN_DIM, eigh
 
 
 def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants(monkeypatch):
@@ -44,6 +51,133 @@ def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants(
             scale = max(1.0, op_norm(m))
             assert op_norm((vb * wb) @ vb.T - m) <= 1e-10 * scale
             assert op_norm(vb.T @ vb - np.eye(dim)) <= 1e-10
+
+
+def _marked_stack(size, dim, seed):
+    """``size`` random SPD (dim, dim) matrices; matrix b holds b at [0, 1] and [1, 0], so a call can tell
+    which it decomposes."""
+    rng = rng_for(seed)
+    stack = np.array([random_spd(rng, dim) for _ in range(size)])
+    stack[:, 0, 1] = stack[:, 1, 0] = np.arange(size)
+    return stack
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim", [THREADS_MIN_DIM, 200])
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_a_stack_decomposed_by_threads_has_the_bits_of_one_call_per_matrix(monkeypatch, size, dim, workers):
+    monkeypatch.setattr(linalg, "_WORKERS", workers)
+    stack = _marked_stack(size, dim, 100 + size)
+    w, v = eigh(stack)
+    for m, wb, vb in zip(stack, w, v):
+        reference = np.linalg.eigh(m)
+        assert wb.tobytes() == reference.eigenvalues.tobytes()
+        assert vb.tobytes() == reference.eigenvectors.tobytes()
+
+
+def test_a_large_stack_runs_its_calls_at_the_same_time_and_a_small_one_in_the_caller(monkeypatch):
+    monkeypatch.setattr(linalg, "_WORKERS", 1)
+    numpy_eigh, callers = np.linalg.eigh, []
+    meet = threading.Barrier(2, timeout=20)
+
+    def meeting(m):  # returns once a call runs in another thread too; one after the other, it raises
+        callers.append(threading.get_ident())
+        meet.wait()
+        return numpy_eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", meeting)
+    eigh(_marked_stack(2, THREADS_MIN_DIM, 1))
+    assert len(set(callers)) == 2 and threading.get_ident() in callers
+
+    callers.clear()
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: callers.append(threading.get_ident()) or numpy_eigh(m))
+    eigh(_marked_stack(3, THREADS_MIN_DIM - 1, 2))
+    assert callers == [threading.get_ident()] * 3
+
+
+def test_the_threads_start_once_and_no_more_than_a_stack_can_use(monkeypatch):
+    monkeypatch.setattr(linalg, "_pool", None)
+    monkeypatch.setattr(linalg, "_WORKERS", 3)
+    eigh(_marked_stack(2, THREADS_MIN_DIM, 5))
+    pool = linalg._executor()
+    assert len(pool._threads) == 1  # the caller and one thread share two matrices
+    eigh(_marked_stack(4, THREADS_MIN_DIM, 6))
+    assert linalg._executor() is pool and pool._max_workers == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_process_starts_threads_of_its_own(monkeypatch):
+    monkeypatch.setattr(linalg, "_WORKERS", 1)
+    stack = _marked_stack(2, THREADS_MIN_DIM, 7)
+    w, _ = eigh(stack)
+    parent_pool = linalg._executor()
+    pid = os.fork()
+    if pid == 0:  # the child: its copy of the parent's pool has no threads, so a stack given to it would wait forever
+        ok = False
+        try:
+            signal.alarm(20)
+            ok = eigh(stack)[0].tobytes() == w.tobytes() and linalg._executor() is not parent_pool
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+@pytest.mark.parametrize("bad", [(1,), (0, 1)], ids=("matrix-1", "matrices-0-and-1"))
+def test_a_matrix_holding_inf_gives_the_loops_result(monkeypatch, bad):
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    stack = _marked_stack(5, THREADS_MIN_DIM, 3)
+    stack[list(bad), 2, 2] = np.inf
+    w, v = eigh(stack)
+    for m, wb, vb in zip(stack, w, v):
+        reference = np.linalg.eigh(m)
+        assert wb.tobytes() == reference.eigenvalues.tobytes()
+        assert vb.tobytes() == reference.eigenvectors.tobytes()
+    assert np.isnan(w[list(bad)]).all() and not np.isnan(np.delete(w, list(bad), axis=0)).any()
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=("loop", "threads"))
+@pytest.mark.parametrize("bad", [(1,), (0, 1)], ids=("matrix-1", "matrices-0-and-1"))
+def test_a_failing_call_raises_the_loops_exception_once_every_thread_is_done(monkeypatch, bad, workers):
+    monkeypatch.setattr(linalg, "_WORKERS", workers)
+    numpy_eigh, lock, running = np.linalg.eigh, threading.Lock(), [0]
+
+    def failing(m):
+        b = int(m[0, 1])
+        if b in bad:
+            raise np.linalg.LinAlgError(f"matrix {b}")
+        with lock:
+            running[0] += 1
+        time.sleep(0.05)  # still running when a failing call returns
+        try:
+            return numpy_eigh(m)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        eigh(_marked_stack(5, THREADS_MIN_DIM, 4))
+    assert str(raised.value) == f"matrix {bad[0]}" and running == [0]
+
+
+@pytest.mark.parametrize(
+    "first, blas, one_thread",
+    [("precondsgd", None, True), ("precondsgd", "2", False), ("numpy", None, False), ("numpy", "1", True)],
+    ids=("package-first", "package-first-user-count", "numpy-first", "numpy-first-user-one"),
+)
+def test_the_package_gives_numpy_one_blas_thread_when_it_loads_it_and_leaves_the_environment(first, blas, one_thread):
+    code = (
+        f"import os\nbefore = dict(os.environ)\nimport {first}\nimport precondsgd\nfrom precondsgd import linalg\n"
+        "assert dict(os.environ) == before\none = precondsgd._BLAS_ONE_THREAD\n"
+        "print(one, linalg._WORKERS == (linalg._CORES - 1 if one else 0))"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(one_thread), "True"]
 
 
 class TestSymPower:

@@ -21,7 +21,6 @@ from precondsgd import (
     check_stationarity,
     constants,
     first_order_params,
-    hessian_tolerance,
     run_sgd,
     second_order_params,
 )
@@ -458,15 +457,10 @@ class TestStationarity:
         assert rep.grad_norm == pytest.approx(1.0)
         assert not rep.is_stationary
 
-    def test_tau_h_helper(self):
-        assert hessian_tolerance(4.0, 0.01) == pytest.approx(0.2)
-
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: hessian_tolerance(-1.0, 0.01), "rho and tau_g must be nonnegative"),
-        (lambda: hessian_tolerance(1.0, -0.01), "rho and tau_g must be nonnegative"),
         *((lambda k_const=k_const: second_order_params(unit_constants(), 1.0, 1.0, 1.0, 0.5, k_const=k_const),
            "k_const must be in (0, 1)") for k_const in (0.0, 1.0)),
         *((lambda name=name: second_order_params(replace(unit_constants(), **{name: 0.0}), 1.0, 1.0, 1.0, 0.5),

@@ -8,15 +8,12 @@ from precondsgd import (
     InvalidParamError,
     MissingOracleError,
     Preconditioner,
-    PreconditionerConstants,
     PreconditionerKind,
     QuadraticGaussianProblem,
     SaddleProblem2D,
     SingularMatrixError,
     constants,
-    estimate_m_bound,
     op_norm,
-    second_order_complexity_factor,
 )
 
 
@@ -348,41 +345,6 @@ class TestConstants:
         assert k == constants(p, np.zeros(2), IDENTITY_KIND)
 
 
-class TestComplexityFactor:
-    def test_unit_constants(self):
-        k = PreconditionerConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        assert second_order_complexity_factor(k) == 1.0
-
-    def test_full_matrix_closed_form(self):
-        rng = rng_for(32)
-        for _ in range(10):
-            dim = int(rng.integers(2, 7))
-            g = random_spd(rng, dim, lam_lo=0.05)
-            lam = np.linalg.eigvalsh(g)
-            kappa = lam[-1] / lam[0]
-            k = constants(problem_with_g(g), np.zeros(dim), FULL_KIND)
-            closed = dim**4 * kappa**4 * lam[-1]
-            assert second_order_complexity_factor(k) == pytest.approx(closed, rel=1e-9)
-
-    def test_sgd_comparison_small_lambda_max(self):
-        # lambda_max(G) <= 1 regime: the full-matrix bound d^4 k^4 lambda_max
-        # beats the d^4 k^4 bound that caps the identity factor
-        g = np.diag([0.5, 0.005])
-        p = problem_with_g(g)
-        kappa = 0.5 / 0.005
-        sgd_bound = 2**4 * kappa**4
-        k_rms = constants(p, np.zeros(2), FULL_KIND)
-        rms_factor = second_order_complexity_factor(k_rms)
-        assert rms_factor == pytest.approx(2**4 * kappa**4 * 0.5, rel=1e-9)
-        assert rms_factor < sgd_bound
-        k_sgd = constants(p, np.zeros(2), IDENTITY_KIND)
-        assert second_order_complexity_factor(k_sgd) <= sgd_bound * (1 + 1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParamError):
-            second_order_complexity_factor(PreconditionerConstants(1, 1, 0, 1, 1, 1))
-
-
 def test_definitional_inequalities_hold():
     """The (nu1, c3, c4, lambda_-) inequalities hold for each calculator."""
     rng = rng_for(33)
@@ -422,14 +384,6 @@ def test_covariance_rank_one_estimator_unbiased():
     assert np.all(np.abs(emp - sigma) <= 0.08 * scale)
 
 
-def test_estimate_m_bound_scale():
-    p = problem_with_g(np.eye(3))
-    m = estimate_m_bound(p, PreconditionerKind(epsilon=0.0), np.zeros(3), 2000, rng_for(35))
-    # ||A g|| with A = G^-1/2 is a standard 3-d Gaussian norm: max of 2000
-    # draws lands in a narrow band around 4-5
-    assert 3.0 <= m <= 7.0
-
-
 @pytest.mark.parametrize(
     "args, message",
     [(dict(dim=2, source="guessed"), "unknown preconditioner source 'guessed'"), (dict(dim=0), "dim must be >= 1"),
@@ -449,10 +403,8 @@ def test_a_preconditioner_refuses_a_source_dim_or_batch_outside_its_domain(args,
          "diagonal entries of G must be positive"),
         (lambda: constants(problem_with_g(np.diag([1.0, 0.0])), np.zeros(2), FULL_KIND), SingularMatrixError,
          "lambda_min(G) + eps must be positive"),  # FULL_KIND has eps = 0
-        (lambda: estimate_m_bound(problem_with_g(np.eye(2)), FULL_KIND, np.zeros(2), 0, rng_for(36)),
-         InvalidParamError, "n_samples must be >= 1"),
     ],
-    ids=("constants-diagonal", "constants-full", "m-bound-samples"),
+    ids=("constants-diagonal", "constants-full"),
 )
 def test_a_calculator_refuses_an_input_outside_its_domain(call, error, message):
     with pytest.raises(error) as raised:
