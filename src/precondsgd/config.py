@@ -157,6 +157,18 @@ def _parse_seeds(s):
     return seeds
 
 
+def _parse_axis(s):
+    """sweep.axis: a 'section.key' that each condition of a sweep reads."""
+    axis = s.strip()
+    section, _, key = axis.partition(".")
+    if key not in _SCHEMAS.get(section, ()):
+        raise ConfigError(f"unknown sweep axis {axis!r} (expected 'section.key')")
+    readers, each_condition = _READERS.get(axis) or _READERS.get(f"[{section}]", (("sweep",), True))
+    if "sweep" not in readers or not each_condition:
+        raise ConfigError(f"{axis}: no condition of a sweep reads it, so it cannot be a sweep axis")
+    return axis
+
+
 def _parse_etas(s):
     """run.etas: at least two stepsizes, each positive and occurring once."""
     etas = _parse_float_list(s)
@@ -217,7 +229,7 @@ _SCHEMAS = {
                         partial(_checked, _parse_float, lambda v: v > 0.0, "must be positive, got {}")),
     },
     "sweep": {
-        "axis": _parse_str,
+        "axis": _parse_axis,
         "values": _parse_list,  # each value kept as written: it names its condition
     },
 }
@@ -248,20 +260,6 @@ class ExperimentConfig:
 
     def clone(self) -> "ExperimentConfig":
         return copy.deepcopy(self)
-
-
-def resolve_axis(axis: str):
-    """Validate a sweep axis 'section.key' and return its section, key and parser."""
-    section, _, key = axis.partition(".")
-    if section not in _SCHEMAS or not key:
-        raise ConfigError(f"sweep axis must be 'section.key', got {axis!r}")
-    schema = _SCHEMAS[section]
-    if key not in schema:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    readers, each_condition = _READERS.get(axis) or _READERS.get(f"[{section}]", (("sweep",), True))
-    if "sweep" not in readers or not each_condition:
-        raise ConfigError(f"{axis}: no condition of a sweep reads it, so it cannot be a sweep axis")
-    return section, key, schema[key]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -359,7 +357,8 @@ def _sweep_conditions(cfg: ExperimentConfig):
         if key not in cfg.sweep:
             raise ConfigError(f"sweep.{key}: required for sweep")
     axis = cfg.sweep["axis"]
-    section, key, parse = resolve_axis(axis)
+    section, _, key = axis.partition(".")
+    parse = _SCHEMAS[section][key]
     done = []
     for value in cfg.sweep["values"]:
         sub = cfg.clone()

@@ -26,18 +26,21 @@ failing check, in the order a logged event makes them: the divergence
 guard, lambda_min(H), ||grad f||, Ahat's spectrum, est_error's reference
 side. The others run on.
 
-Per logged event the loop evaluates only what its control reads: f, for
-the divergence guard. The columns it never reads back, ||grad f||,
-lambda_min(H) and the reference side of est_error, are filled after the
-event, once per chunk of logged events, from the iterates (and Ahat's
-spectra) kept for it; each row keeps the bits of its own per-event call.
+Logged events go into one chunk of rows, reused for the whole run, so
+memory stays flat however long it is. Per logged event the loop
+evaluates only what its control reads: f, for the divergence guard. The
+columns it never reads back, ||grad f||, lambda_min(H) and the reference
+side of est_error, are filled when the chunk is full (or the run ends),
+from the iterates (and Ahat's spectra) kept in it, and each row keeps the
+bits of its own per-event call. Every row of the chunk is then final, and
+each seed's rows go to the caller's sink before the chunk is reused.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, astuple, dataclass
 
 import numpy as np
 
@@ -140,13 +143,6 @@ class Run:
         if self.t_thresh is not None and estimating and self.S is None:
             raise InvalidParamError("estimated large-step mode needs S >= 1")
 
-    @property
-    def events(self) -> int:
-        """The events the run makes: W burn-in samples, T steps and, when it
-        hallucinates (t_thresh set and estimating), S+1 samples per large step."""
-        hallucinating = self.t_thresh is not None and estimates(self.kind, self.source)
-        return self.W + self.T + (((self.T - 1) // self.t_thresh + 1) * (self.S + 1) if hallucinating else 0)
-
 
 @dataclass
 class Trajectory:
@@ -191,10 +187,10 @@ class StationarityReport:
     lambda_min_h: float
 
 
-# The logged columns that the loop never reads back are filled once per
-# chunk of logged events. A chunk holds about this many bytes of (d, d)
-# matrices, one per seed and event: Ahat's captured spectra, and the
-# stacked G(x) and Hessians of the chunk's oracle calls.
+# The one unit of the log: a chunk of logged events is filled, checked and
+# handed to the sink at once, and the run keeps no other rows. It holds
+# about this many bytes of (d, d) matrices, one per seed and event: Ahat's
+# captured spectra, and the stacked G(x) and Hessians of its oracle calls.
 LOG_CHUNK_BYTES = 65536
 
 # The checks of a logged event in the order it makes them. A seed stops at
@@ -208,40 +204,49 @@ _RUNNING = np.iinfo(np.int64).max
 # finite-iterate check stop that seed and name the event, so numpy's
 # warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
-def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
+def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
     """Preconditioned SGD x <- x - eta A g: the one run loop of every algorithm.
 
     Runs ``run`` for one seed per RNG stream in ``rngs``, all from run.x0,
-    in lockstep, and returns one Trajectory per seed. Every sample (of
+    in lockstep. Once the rows of a chunk of logged events (see
+    LOG_CHUNK_BYTES) are final, sink(b, rows) gets those of each seed b that
+    has any there: a Trajectory without error, whose columns are views that
+    the next chunk overwrites. run_sgd then returns each seed's error (or
+    None); without a sink, one whole Trajectory per seed. Every sample (of
     burn-in, of a step, or hallucinated) is one event: drawn, observed and
-    logged if due. A is one Preconditioner for all seeds: an estimating
-    one observes each sample before preconditioning it, with the EMA
-    parameter run.beta or, with run.beta_c, beta(eta_t), where eta_t is
-    run.eta or, with run.eta_decay "inv_sqrt", run.eta / sqrt(t + 1).
-    run.W estimate-only samples at x0 precede the loop. When run.t_thresh
-    is set the stepsize is run.r every run.t_thresh steps, and an
-    estimating preconditioner then observes run.S+1 hallucinated samples
-    interpolated between the step's endpoints; the log holds run.events
-    events at most. A seed whose objective passes DIVERGENCE_F_LIMIT,
-    whose iterate stops being finite or whose matrix power fails stops
-    with the error in its Trajectory; the other seeds run on.
+    logged if due. A is one Preconditioner for all seeds: an estimating one
+    observes each sample before preconditioning it, with the EMA parameter
+    run.beta or, with run.beta_c, beta(eta_t), where eta_t is run.eta or,
+    with run.eta_decay "inv_sqrt", run.eta / sqrt(t + 1). run.W
+    estimate-only samples at x0 precede the loop. When run.t_thresh is set
+    the stepsize is run.r every run.t_thresh steps, and an estimating
+    preconditioner then observes run.S+1 hallucinated samples interpolated
+    between the step's endpoints. A seed whose objective passes
+    DIVERGENCE_F_LIMIT, whose iterate stops being finite or whose matrix
+    power fails stops with that error; the other seeds run on.
 
     A logged event evaluates f at once, for the divergence guard, and
     keeps its iterate and, when est_error is tracked, Ahat's spectrum
     there. ||grad f||, lambda_min(H) and est_error's reference side
     (G(x), its matrix power and the difference's eigenvalues) are filled
-    in after the event, for a chunk of logged events at a time (see
-    LOG_CHUNK_BYTES) and in one stacked call per oracle. A seed stops at
-    the first check that fails for it, in the order a logged event makes
-    them: the divergence guard (or, at a step, the direction before it and
-    the finite iterate after it), lambda_min(H), ||grad f||, Ahat's
-    spectrum, est_error's reference side. So a seed whose deferred oracle
-    fails at a logged event ends as it would had it been evaluated there:
-    stopped at that event, unlogged, with that error, in place of any
-    later stop, and at once if it still runs. A call that fails for some
-    rows reruns on the rows before every stop.
+    in after the event, for the chunk at a time, in one stacked call per
+    oracle. A seed stops at the first check that fails for it, in the
+    order a logged event makes them: the divergence guard (or, at a step,
+    the direction before it and the finite iterate after it),
+    lambda_min(H), ||grad f||, Ahat's spectrum, est_error's reference
+    side. So a seed whose deferred oracle fails at a logged event ends as
+    it would had it been evaluated there: stopped at that event, unlogged,
+    with that error, in place of any later stop, and at once if it still
+    runs. A call that fails for some rows reruns on the rows before every
+    stop.
     """
     rngs = list(rngs)
+    if sink is None:
+        # Each seed's chunks after an empty one (a seed may log no row); astuple copies them out of the buffers.
+        parts = [[(np.empty(0, np.int64), np.empty(0, object), *np.empty((4, 0)), np.empty((0, problem.dim)))]
+                 for _ in rngs]
+        errors = run_sgd(problem, run, rngs, lambda b, rows: parts[b].append(astuple(rows)[:-1]))
+        return [Trajectory(*map(np.concatenate, zip(*p)), error=e) for p, e in zip(parts, errors)]
     n_seeds = len(rngs)
     if n_seeds < 1:
         raise InvalidParamError("run_sgd needs at least one RNG stream")
@@ -260,25 +265,19 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
     tracking = run.track_est_error and estimating
     hessian_logged = lambda_min_every > 0 and problem.has_hessian
 
-    # Columns for every seed, one slot per event that can be logged.
-    capacity = (run.events - 1) // log_every + 2
-    iteration = np.empty(capacity, dtype=np.int64)
-    step_kind = np.empty(capacity, dtype=object)
-    hessian_due = np.zeros(capacity, dtype=bool)
-    f_col = np.empty((n_seeds, capacity))
-    grad_norm_col = np.empty((n_seeds, capacity))
-    lambda_col = np.full((n_seeds, capacity), np.nan)
-    error_col = np.full((n_seeds, capacity), np.nan)
-    x_col = np.empty((n_seeds, capacity, dim))
+    # The chunk's columns for every seed, by slot mod chunk (the slot counts logged events), and Ahat's
+    # spectrum at each of its logged events.
+    chunk = max(1, LOG_CHUNK_BYTES // (n_seeds * dim * dim * 8))
+    iteration = np.empty(chunk, dtype=np.int64)
+    step_kind = np.empty(chunk, dtype=object)
+    hessian_due = np.empty(chunk, dtype=bool)
+    f_col, grad_norm_col, lambda_col, error_col = np.full((4, n_seeds, chunk), np.nan)
+    x_col = np.empty((n_seeds, chunk, dim))
     logged = flushed = 0
     ev = -run.W  # the current event's index: burn-in takes -W..-1
     # Each seed's first failing check as _CHECKS * slot + check, and its error.
     stop = np.full(n_seeds, _RUNNING, dtype=np.int64)
     errors: list[NumericError | None] = [None] * n_seeds
-
-    # Logged events per chunk, and Ahat's spectrum at each logged event of
-    # the chunk, by slot mod chunk and seed.
-    chunk = max(1, LOG_CHUNK_BYTES // (n_seeds * dim * dim * 8))
     if tracking:
         a_kept = np.empty((chunk, n_seeds, dim))
         v_kept = None if pre.diagonal else np.empty((chunk, n_seeds, dim, dim))
@@ -327,35 +326,41 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
 
     def hessian(b, s) -> None:
         """lambda_min(H) at the logged (seed, slot) rows (b, s)."""
-        lambda_col[b, s] = problem.hessian(x_col[b, s])
+        lambda_col[b, s % chunk] = problem.hessian(x_col[b, s % chunk])
 
     def grad_norm(b, s) -> None:
         """||grad f|| at the logged rows (b, s)."""
-        g = problem.grad(x_col[b, s])
-        grad_norm_col[b, s] = np.sqrt(np.vecdot(g, g))
+        g = problem.grad(x_col[b, s % chunk])
+        grad_norm_col[b, s % chunk] = np.sqrt(np.vecdot(g, g))
 
     def reference(b, s) -> None:
         """est_error at the logged rows (b, s), from Ahat's spectra kept there: for the full
         matrix, the largest |eigenvalue| of Ahat - _defect_reference."""
-        a, points = a_kept[s % chunk, b], x_col[b, s]
+        a, points = a_kept[s % chunk, b], x_col[b, s % chunk]
         if v_kept is None:
-            error_col[b, s] = pre.est_error(problem, points, (a, None))
+            error_col[b, s % chunk] = pre.est_error(problem, points, (a, None))
             return
         diff = _dense(a, v_kept[s % chunk, b])
         diff -= _defect_reference(*pre._ideal_spectrum(problem, points))
-        error_col[b, s] = np.abs(eigvalsh(diff)).max(axis=-1)
+        error_col[b, s % chunk] = np.abs(eigvalsh(diff)).max(axis=-1)
 
     def flush() -> None:
-        """Fill the deferred columns of the slots logged since the last flush, in one call per oracle."""
+        """Fill the deferred columns of the slots logged since the last flush, in one call per oracle; then
+        every row of the chunk is final, and each seed's rows go to the sink."""
         nonlocal flushed
         first, flushed = flushed, logged
         slots = np.arange(first, logged)
-        ops = [(_HESSIAN, hessian, slots[hessian_due[first:logged]]), (_GRAD, grad_norm, slots)]
+        ops = [(_HESSIAN, hessian, slots[hessian_due[:logged - first]]), (_GRAD, grad_norm, slots)]
         if tracking:
             ops.append((_REFERENCE, reference, slots))
         for check, op, due in ops:
             b, i = np.nonzero(_CHECKS * due + check < stop[:, None])
             attempt(op, b, due[i], check)
+        for b, n in enumerate((np.minimum(stop // _CHECKS, logged) - first).tolist()):
+            if n > 0:
+                sink(b, Trajectory(iteration[:n], step_kind[:n], f_col[b, :n], grad_norm_col[b, :n],
+                                   lambda_col[b, :n], error_col[b, :n], x_col[b, :n]))
+        lambda_col[:] = error_col[:] = np.nan
 
     def log(at: str, kind_label: str, t: int | None) -> None:
         """Log the current event ev at the points rows[at] of the live seeds."""
@@ -367,18 +372,19 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
         if not live.size:
             return
         seeds = slice(None) if live.size == n_seeds else live
-        iteration[logged] = ev
-        step_kind[logged] = kind_label
-        hessian_due[logged] = hessian_logged and t is not None and t % lambda_min_every == 0
-        f_col[seeds, logged] = rows["f"]
-        x_col[seeds, logged] = rows[at]
+        slot = logged % chunk
+        iteration[slot] = ev
+        step_kind[slot] = kind_label
+        hessian_due[slot] = hessian_logged and t is not None and t % lambda_min_every == 0
+        f_col[seeds, slot] = rows["f"]
+        x_col[seeds, slot] = rows[at]
         if tracking:
             spectrum = attempt(lambda b, s: pre.spectrum(problem, rows[at]), live, logged, _SPECTRUM)
             if spectrum is not None:
                 seeds = slice(None) if live.size == n_seeds else live
-                a_kept[logged % chunk, seeds] = spectrum[0]
+                a_kept[slot, seeds] = spectrum[0]
                 if v_kept is not None:
-                    v_kept[logged % chunk, seeds] = spectrum[1]
+                    v_kept[slot, seeds] = spectrum[1]
         logged += 1
         if logged - flushed == chunk:
             flush()
@@ -431,20 +437,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs) -> list[Trajectory]:
                 event("xs", STEP_HALLUCINATED, eta_t)
 
     flush()
-    lengths = np.minimum(stop, _CHECKS * logged) // _CHECKS
-    return [
-        Trajectory(
-            iteration=iteration[:n],
-            step_kind=step_kind[:n],
-            f=f_col[b, :n],
-            grad_norm=grad_norm_col[b, :n],
-            lambda_min_h=lambda_col[b, :n],
-            est_error=error_col[b, :n],
-            x=x_col[b, :n],
-            error=errors[b],
-        )
-        for b, n in enumerate(lengths)
-    ]
+    return errors
 
 
 def _defect_reference(a, v):

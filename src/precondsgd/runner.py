@@ -11,9 +11,12 @@ thread per LAPACK call unless the user set OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS (see ``_blas``); inside a process, ``linalg.eigh``
 spreads a group's large matrices over the cores. Writes one trajectory
 CSV per seed plus a merged summary CSV (or one scaling row per eta), and
-turns summaries back into quantile-band plot data. A seed's
-bytes do not depend on the group it ran in, so the output does not
-depend on ``jobs``. A seed that fails numerically still gets its partial
+turns summaries back into quantile-band plot data. Each chunk of rows
+that ``optimizer.run_sgd`` hands over goes, a seed at a time, to that
+seed's trajectory file and into its running ``Summary``, and is then
+dropped, so memory stays flat however long the run. A seed's bytes do
+not depend on the group it ran in, so the output does not depend on
+``jobs``. A seed that fails numerically still gets its partial
 trajectory; the other seeds finish, and the first failure in condition
 and seed order is raised once everything is written (without a summary).
 All files are written atomically (temp + rename) and floats are
@@ -22,6 +25,7 @@ a config reproduces byte-identical output."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import os
@@ -63,22 +67,22 @@ def _fmt(value) -> str:
 
 def write_csv(path, columns, rows) -> None:
     """A header of ``columns``, then one line per row dict, each value as ``_fmt`` gives it (absent: empty)."""
-
-    def write(fh):
+    with _atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
 
-    _atomic_write(path, write)
 
-
-def _atomic_write(path, write_fn) -> None:
+@contextlib.contextmanager
+def _atomic_write(path):
+    """A temp file beside ``path`` to write in the block, renamed to ``path`` when the block ends; an
+    exception in the block removes it and leaves ``path`` as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            write_fn(fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -96,9 +100,10 @@ def build_problem(pcfg: dict):
     return PROBLEMS[pcfg["name"]].build(pcfg)
 
 
-def execute_records(cfg: ExperimentConfig, run, seeds) -> list[Trajectory]:
-    """Run a group of seeds of one condition (its cfg and resolved run) in lockstep; one Trajectory per seed."""
-    return run_sgd(build_problem(cfg.problem), run, [make_rng(seed) for seed in seeds])
+def execute_records(cfg: ExperimentConfig, run, seeds, sink=None) -> list:
+    """Run a group of seeds of one condition (its cfg and resolved run) in lockstep: ``optimizer.run_sgd``'s one
+    Trajectory per seed or, with a sink, each seed's error."""
+    return run_sgd(build_problem(cfg.problem), run, [make_rng(seed) for seed in seeds], sink)
 
 
 def trajectory_columns(dim: int) -> list[str]:
@@ -106,11 +111,6 @@ def trajectory_columns(dim: int) -> list[str]:
     if dim <= 8:
         cols += [f"x_{i}" for i in range(dim)]
     return cols
-
-
-# Trajectory rows formatted and written at a time: memory stays flat
-# however long the run.
-TRAJECTORY_CHUNK_ROWS = 256
 
 
 def _reprs(column, blank_nan: bool = False) -> list[str]:
@@ -124,27 +124,20 @@ def _reprs(column, blank_nan: bool = False) -> list[str]:
     return (text.replace("nan", "") if blank_nan else text).split(", ")
 
 
-def write_trajectory(path, traj: Trajectory, dim: int) -> None:
-    """One CSV row per logged event. No field needs quoting: they are numbers
-    and the STEP_* names."""
-    x_columns = traj.x.T if dim <= 8 else ()
-
-    def write(fh):
-        fh.write(",".join(trajectory_columns(dim)) + "\n")
-        for start in range(0, len(traj), TRAJECTORY_CHUNK_ROWS):
-            rows = slice(start, start + TRAJECTORY_CHUNK_ROWS)
-            fields = [
-                _reprs(traj.iteration[rows]),
-                traj.step_kind[rows].tolist(),
-                _reprs(traj.f[rows]),
-                _reprs(traj.grad_norm[rows]),
-                _reprs(traj.lambda_min_h[rows], blank_nan=True),
-                _reprs(traj.est_error[rows], blank_nan=True),
-                *(_reprs(x[rows]) for x in x_columns),
-            ]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-    _atomic_write(path, write)
+def write_trajectory(fh, rows: Trajectory) -> None:
+    """Append one CSV row per logged event of ``rows`` to the trajectory file ``fh``, whose header
+    ``trajectory_columns`` gives. No field needs quoting: they are numbers and the STEP_* names."""
+    if len(rows):
+        fields = [
+            _reprs(rows.iteration),
+            rows.step_kind.tolist(),
+            _reprs(rows.f),
+            _reprs(rows.grad_norm),
+            _reprs(rows.lambda_min_h, blank_nan=True),
+            _reprs(rows.est_error, blank_nan=True),
+            *(_reprs(x) for x in (rows.x.T if rows.x.shape[1] <= 8 else ())),
+        ]
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def read_trajectory(path) -> Trajectory:
@@ -164,57 +157,72 @@ def read_trajectory(path) -> Trajectory:
     )
 
 
-def summarize(traj: Trajectory, run_id: str, seed: int, escape_level: float, f_threshold, trajectory: str) -> dict:
-    """Summary of one trajectory; derived only from logged columns, so the
-    summary is exactly recomputable from the trajectory CSV. The trajectory
-    is one that ran without error, so it logged its last step (t = T - 1)."""
-    steps = traj.steps()
-    fs = traj.f[steps]
-    iters = traj.iteration[steps]
+class Summary:
+    """One seed's summary, folded from its rows a chunk at a time, with the bits of the same formulas
+    over the whole trajectory. It reads only logged columns, so a summary.csv row is exactly recomputable
+    from the trajectory CSV. Over the steps (normal and large events): the last and least f, the first
+    iteration at or below each of ``levels`` (None: not set, or not reached), the mean of the last 1,000
+    f's, and the sup of est_error, without NaN (``sup_est_error``) or with it (``sup_error``); over all
+    rows, the sup of ||x|| (``max_x_norm``)."""
 
-    def first_iter_at_or_below(level):
-        hit = np.flatnonzero(fs <= level)
-        return int(iters[hit[0]]) if hit.size else None
+    def __init__(self, levels=()):
+        self.levels, self.hits = levels, [None] * len(levels)
+        self.final_f, self.min_f, self.last_fs = None, np.inf, np.empty(0)
+        self.sup_est_error, self.sup_error, self.max_x_norm = np.nan, -np.inf, -np.inf
 
-    est_errors = traj.est_error[steps]
-    est_errors = est_errors[~np.isnan(est_errors)]
-    return {
-        "run_id": run_id,
-        "seed": seed,
-        "final_f": float(fs[-1]),
-        "min_f": float(fs.min()),
-        "iters_to_threshold": None if f_threshold is None else first_iter_at_or_below(f_threshold),
-        "escape_time": first_iter_at_or_below(escape_level),
-        "mean_last_1000_f": float(fs[-min(1000, len(fs)):].mean()),
-        "sup_est_error": float(est_errors.max()) if est_errors.size else None,
-        "trajectory": trajectory,
-    }
+    def add(self, rows: Trajectory) -> None:
+        steps = rows.steps()
+        fs, iters, errors = rows.f[steps], rows.iteration[steps], rows.est_error[steps]
+        self.final_f = fs[-1] if fs.size else self.final_f
+        self.min_f = np.minimum.reduce(fs, initial=self.min_f)
+        self.last_fs = np.concatenate((self.last_fs, fs))[-1000:]
+        self.sup_est_error = np.fmax.reduce(errors, initial=self.sup_est_error)  # fmax passes over NaN
+        self.sup_error = np.maximum.reduce(errors, initial=self.sup_error)
+        self.max_x_norm = np.maximum.reduce(np.sqrt(np.vecdot(rows.x, rows.x)), initial=self.max_x_norm)
+        for i, level in enumerate(self.levels):
+            hit = iters[fs <= level] if self.hits[i] is None and level is not None else ()
+            self.hits[i] = int(hit[0]) if len(hit) else self.hits[i]
+
+    def row(self, run_id: str, seed: int, trajectory: str) -> dict:
+        """The summary.csv row of a seed that ran without error, so logged its last step, with levels
+        (f_threshold, escape_level)."""
+        return {"run_id": run_id, "seed": seed, "final_f": float(self.final_f), "min_f": float(self.min_f),
+                "iters_to_threshold": self.hits[0], "escape_time": self.hits[1],
+                "mean_last_1000_f": float(self.last_fs.mean()),
+                "sup_est_error": None if np.isnan(self.sup_est_error) else float(self.sup_est_error),
+                "trajectory": trajectory}
 
 
 def run_group(run_id: str, cfg: ExperimentConfig, run, seeds, out_dir: str) -> list:
-    """Run a seed group in lockstep and write one trajectory per seed.
+    """Run a seed group in lockstep, each seed's rows streamed to its trajectory file and its Summary.
 
     Returns, per seed, its summary row or, if it failed numerically, its
     error; a failed seed's trajectory holds the events logged before its
     failure.
     """
-    outcomes = []
-    for seed, traj in zip(seeds, execute_records(cfg, run, seeds)):
-        traj_name = f"{_safe_name(run_id)}_seed{seed}.csv"
-        write_trajectory(os.path.join(out_dir, traj_name), traj, traj.x.shape[1])
-        outcomes.append(traj.error if traj.error is not None else summarize(
-            traj, run_id, seed, cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL), cfg.run.get("f_threshold"),
-            traj_name))
-    return outcomes
+    names = [f"{_safe_name(run_id)}_seed{seed}.csv" for seed in seeds]
+    summaries = [Summary((cfg.run.get("f_threshold"), cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL)))
+                 for _ in seeds]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_atomic_write(os.path.join(out_dir, name))) for name in names]
+        for fh in files:
+            fh.write(",".join(trajectory_columns(len(run.x0))) + "\n")  # a resolved run's x0 sets the dimension
+
+        def sink(b, rows):
+            write_trajectory(files[b], rows)
+            summaries[b].add(rows)
+
+        errors = execute_records(cfg, run, seeds, sink)
+    return [error or s.row(run_id, seed, name) for error, s, seed, name in zip(errors, summaries, seeds, names)]
 
 
 def _scaling_group(run_id: str, cfg: ExperimentConfig, run, seeds) -> list:
     """Run a seed group of a scaling study's eta; return per seed its scaling.csv row or its NumericError."""
-    return [traj.error if traj.error is not None else {
-        "eta": run.eta, "beta": run.beta, "T": run.T, "W": run.W,
-        "sup_error": float(traj.est_error[traj.steps()].max()),
-        "max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max()), "seed": seed,
-    } for seed, traj in zip(seeds, execute_records(cfg, run, seeds))]
+    summaries = [Summary() for _ in seeds]
+    errors = execute_records(cfg, run, seeds, lambda b, rows: summaries[b].add(rows))
+    return [error or {"eta": run.eta, "beta": run.beta, "T": run.T, "W": run.W, "sup_error": float(s.sup_error),
+                      "max_x_norm": float(s.max_x_norm), "seed": seed}
+            for error, s, seed in zip(errors, summaries, seeds)]
 
 
 def read_summary(path, required=()) -> tuple[list[str], list[dict]]:

@@ -10,6 +10,7 @@ oracles must not be called once per logged event.
 import functools
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -179,7 +180,7 @@ def test_a_failing_logged_oracle_stops_its_seed_at_that_event(case, log_every):
     run = tracked_run(log_every)
     healthy = run_sgd(FailingPastProblem(), run, [rng_for(s) for s in SEEDS])
     failing = run_sgd(problem, run, [rng_for(s) for s in SEEDS])
-    assert len(SEEDS) * 2 * 2 * 8 * run.events <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
+    assert len(SEEDS) * 2 * 2 * 8 * max(map(len, healthy)) <= LOG_CHUNK_BYTES  # B d^2 8 bytes per event: one chunk
     assert sum(expected_stop(h, problem) is not None for h in healthy) >= 2
     assert_stops_as_expected(healthy, failing, problem)
     assert digest(failing) == DIGESTS[case, log_every]
@@ -500,14 +501,32 @@ def due_events(W, T, t_thresh, S, log_every):
 @pytest.mark.parametrize("W", [0, 3])
 @pytest.mark.parametrize("log_every", [1, 2, 3])
 def test_a_run_ending_in_a_large_step_logs_every_due_event(W, log_every):
-    """(T - 1) % t_thresh == 0: the last step is large and its hallucinated samples come after it, so the
-    run's event count, and with it the slots it allocates, must count them. At log_every = 3 every slot is
-    used: the due events fill (n_events - 1) // 3 + 1 slots, and the last step, between two of them, one more."""
+    """(T - 1) % t_thresh == 0: the last step is large and its hallucinated samples come after it: each
+    due event is logged, and the last step, between two of them, too."""
     T, t_thresh, S = 5, 4, 3
     run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, T, 0.01, beta=0.9, r=0.05, t_thresh=t_thresh,
               W=W, S=S, x0=(0.3, -0.2), log_every=log_every)
-    assert run.events == len(due_events(W, T, t_thresh, S, 1))
     problem = QuadraticGaussianProblem(2, np.diag([1.0, 0.5]), np.diag([0.5, 0.2]))
     for traj in run_sgd(problem, run, [rng_for(s) for s in SEEDS[:2]]):
         assert traj.error is None
         assert list(zip(traj.iteration.tolist(), traj.step_kind.tolist())) == due_events(W, T, t_thresh, S, log_every)
+
+
+def test_the_peak_allocation_of_a_run_with_a_sink_does_not_grow_with_T():
+    """The run keeps one chunk of rows (256 here) and hands each to the sink: T = 20,000 peaks no higher than
+    T = 2,000. A few hundred bytes of the interpreter's own caches come and go between runs; a log of the whole
+    run would add about 60 bytes per step, a megabyte here."""
+    problem = QuadraticGaussianProblem(1, np.eye(1), np.eye(1))
+
+    def peak(T):
+        run = Run(PreconditionerKind("identity"), "idealized", False, T, 0.01, lambda_min_every=1)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(optimizer, "LOG_CHUNK_BYTES", 256 * 8):  # d = 1
+                assert run_sgd(problem, run, [rng_for(0)], lambda b, rows: None) == [None]
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(300)  # the first run's one-off allocations
+    assert peak(20_000) <= peak(2_000) + 1024

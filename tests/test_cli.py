@@ -8,6 +8,7 @@ import math
 import os
 import pickle
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,9 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from lemmas import PROPERTY
 
 from precondsgd import ConfigError, StochasticProblem, cli, config, errors, problems, runner
 from precondsgd.cli import build_parser, main
@@ -25,7 +29,7 @@ from precondsgd.optimizer import (
 )
 from precondsgd.problems import PROBLEMS
 from precondsgd.runner import (
-    TRAJECTORY_CHUNK_ROWS,
+    Summary,
     build_problem,
     cmd_run,
     cmd_sweep,
@@ -33,7 +37,6 @@ from precondsgd.runner import (
     make_rng,
     read_summary,
     read_trajectory,
-    summarize,
     trajectory_columns,
     write_trajectory,
 )
@@ -197,7 +200,7 @@ class TestCmdRun:
         header, rows = read_summary(cmd_run(cfg, str(out)))
         for row in rows:
             traj = read_trajectory(out / row["trajectory"])
-            redo = summarize(traj, row["run_id"], int(row["seed"]), -0.01, None, row["trajectory"])
+            redo = whole_summary(traj, None, -0.01)
             assert repr(redo["final_f"]) == row["final_f"]
             assert repr(redo["min_f"]) == row["min_f"]
             assert repr(redo["mean_last_1000_f"]) == row["mean_last_1000_f"]
@@ -374,12 +377,9 @@ t = 10
         path = tmp_path / "summary.csv"
         path.write_bytes(b"old,bytes\n")
 
-        def write(fh):
+        with pytest.raises(error, match="the disk is full"), runner._atomic_write(str(path)) as fh:
             fh.write("half a row,")
             raise error("the disk is full")
-
-        with pytest.raises(error, match="the disk is full"):
-            runner._atomic_write(str(path), write)
         assert path.read_bytes() == b"old,bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
@@ -482,6 +482,42 @@ class TestNumericFailures:
             assert len(read_trajectory(out / name)) == 20
             assert files[1][name] == (tmp_path / "alone" / name).read_bytes()
 
+    def test_a_trillion_step_run_whose_seeds_diverge_exits_3_within_a_capped_address_space(self, tmp_path):
+        """The log is one chunk whatever run.t: SGD at eta = 100 on the saddle diverges at event 2, and with
+        run.t = 10**12 the run still exits 3 with each seed's partial trajectory, in a child process that may
+        map 1 GiB at most (a log of the whole run would ask for terabytes)."""
+        text = f"[problem]\nname = saddle\n[optimizer]\nalgorithm = sgd\neta = 100\n[run]\nseeds = 0,1,2\nt = {10**12}"
+        cfg = write_config(tmp_path / "c.ini", text + "\n")
+        out = tmp_path / "o"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "precondsgd.cli", "run", cfg, "--out", str(out), "--jobs", "1"],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr and "run seed 0: objective diverged" in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["run_seed0.csv", "run_seed1.csv", "run_seed2.csv"]
+        for p in out.iterdir():
+            assert read_trajectory(p).iteration.tolist() == [0, 1]
+
+    def test_an_error_while_streaming_leaves_the_old_files_and_no_temp_file(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path / "cfg.ini", SADDLE_CFG))
+        out = tmp_path / "out"
+        cmd_run(cfg, str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write, calls = runner.write_trajectory, []
+
+        def fail_on_the_third(fh, rows):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("the disk is full")
+            write(fh, rows)
+
+        monkeypatch.setattr(runner, "write_trajectory", fail_on_the_third)
+        with pytest.raises(OSError, match="the disk is full"):
+            cmd_run(cfg, str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_singular_estimate_flushes_every_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.ini", SINGULAR_AT_FIRST_STEP)
         out = tmp_path / "out"
@@ -509,8 +545,9 @@ class TestSweep:
     @pytest.mark.parametrize("axis, values, message", [
         ("optimizer.eta", "", "cfg.ini: sweep.values: expected a comma-separated list of values"),
         ("optimizer.eta", " , ", "cfg.ini: sweep.values: expected a comma-separated list of values"),
-        ("optimizer.nope", "1,2", "unknown sweep axis 'optimizer.nope'"),
-    ], ids=("empty-values", "blank-values", "unknown-axis"))
+        ("optimizer.nope", "1,2", "cfg.ini: sweep.axis: unknown sweep axis 'optimizer.nope' (expected 'section.key')"),
+        ("eta", "0.01", "cfg.ini: sweep.axis: unknown sweep axis 'eta' (expected 'section.key')"),
+    ], ids=("empty-values", "blank-values", "unknown-axis", "axis-without-section"))
     def test_a_sweep_section_it_cannot_run_exits_2_and_writes_nothing(self, tmp_path, capsys, axis, values, message):
         cfg = write_config(tmp_path / "cfg.ini", with_sweep(SADDLE_CFG, axis, values))
         out = tmp_path / "o"
@@ -584,14 +621,15 @@ SWEEP_AXES = {
 def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_path, capsys, axis):
     values = SWEEP_AXES[axis]  # a key added to the schema must be classified here
     text = SADDLE_CFG.replace("rmsprop", "rmsprop_burnin").replace("seeds = 0,1,2\nt = 200", "seeds = 0\nt = 30")
-    base = load_config(write_config(tmp_path / "c.ini", with_sweep(text, axis, values or "5,6")))
+    path = write_config(tmp_path / "c.ini", with_sweep(text, axis, values or "5,6"))
     out = tmp_path / "o"
-    argv = ["sweep", str(tmp_path / "c.ini"), "--out", str(out), "--jobs", "1"]
-    if values is None:
+    argv = ["sweep", path, "--out", str(out), "--jobs", "1"]
+    if values is None:  # refused at load, by the axis's parser
         assert main(argv) == 2
-        assert f"error: {axis}: no condition of a sweep reads it" in capsys.readouterr().err
+        assert f"error: {path}: sweep.axis: {axis}: no condition of a sweep reads it" in capsys.readouterr().err
         assert not out.exists()
         return
+    base = load_config(path)
     assert main(argv) == 0
     runs = [run for _, _, run in config.conditions(base, "sweep")]
     _, rows = read_summary(out / "summary.csv")
@@ -1068,7 +1106,7 @@ class TestTheResolvedRunIsWhatRuns:
             if estimating:
                 assert count[STEP_HALLUCINATED] == count[STEP_LARGE] * ((run.S or 0) + 1)
             assert count[STEP_LARGE] + count[STEP_NORMAL] == run.T
-            assert len(traj) == run.events  # every event logged
+            assert len(traj) == run.W + run.T + count[STEP_HALLUCINATED]  # every event logged
 
     def test_rmsprop_with_second_order_auto_has_no_burn_in_or_large_steps(self, tmp_path):
         def resolved_run(algorithm):
@@ -1250,10 +1288,7 @@ class TestConfigErrorsBeforeAnyRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "axis, values, message",
-        [("optimizer.eta", "0.01,0.5", "optimizer.eta=0.5: large-step mode needs r >= eta"),
-         ("eta", "0.01", "sweep axis must be 'section.key', got 'eta'")],
-    )
+        "axis, values, message", [("optimizer.eta", "0.01,0.5", "optimizer.eta=0.5: large-step mode needs r >= eta")])
     def test_a_sweep_condition_the_run_rejects_stops_the_sweep_before_any_runs(self, tmp_path, capsys, axis, values,
                                                                                message):
         out = tmp_path / "o"
@@ -1399,7 +1434,7 @@ class TestEachKeyRefusesItsEdgeValue:
         axes = set()
         for key in checked:
             with contextlib.suppress(ConfigError):
-                config.resolve_axis(key)
+                config._parse_axis(key)
                 axes.add(key)
         assert {key for key, valid, *_ in ONE_KEY_RULES if valid is not None} == axes
 
@@ -1770,8 +1805,9 @@ def csv_writer_trajectory(traj, dim) -> str:
 
 
 @pytest.mark.parametrize("dim", [1, 8, 9])
-@pytest.mark.parametrize("rows", [0, 1, TRAJECTORY_CHUNK_ROWS - 1, TRAJECTORY_CHUNK_ROWS, TRAJECTORY_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257])
 def test_trajectory_csv_has_the_bytes_of_csv_writer(tmp_path, rows, dim):
+    """Written a chunk of rows at a time, chunks of no rows among them: the bytes do not depend on the cuts."""
     rng = np.random.default_rng(rows * 10 + dim)
     # NaN is written "nan" in f, grad_norm and x, and empty in the two logged columns.
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-300, 0.1, 1e16])
@@ -1795,8 +1831,90 @@ def test_trajectory_csv_has_the_bytes_of_csv_writer(tmp_path, rows, dim):
         x=column((rows, dim)),
     )
     path = tmp_path / "t.csv"
-    write_trajectory(path, traj, dim)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(trajectory_columns(dim)) + "\n")
+        for chunk in chunked(traj, np.sort(rng.integers(0, rows + 1, size=4)).tolist()):
+            write_trajectory(fh, chunk)
     assert path.read_bytes() == csv_writer_trajectory(traj, dim).encode("utf-8")
+
+
+def whole_summary(traj, f_threshold, escape_level) -> dict:
+    """The summary fields of one trajectory by the formulas over its whole columns: the reference that
+    ``Summary``, fed the rows a chunk at a time, must give. A trajectory read back from CSV has no x, so
+    no max_x_norm."""
+    steps = traj.steps()
+    fs, iters = traj.f[steps], traj.iteration[steps]
+
+    def first_iter_at_or_below(level):
+        hit = np.flatnonzero(fs <= level)
+        return int(iters[hit[0]]) if hit.size else None
+
+    est_errors = traj.est_error[steps]
+    logged = est_errors[~np.isnan(est_errors)]
+    return {
+        "final_f": float(fs[-1]),
+        "min_f": float(fs.min()),
+        "iters_to_threshold": None if f_threshold is None else first_iter_at_or_below(f_threshold),
+        "escape_time": first_iter_at_or_below(escape_level),
+        "mean_last_1000_f": float(fs[-min(1000, len(fs)):].mean()),
+        "sup_est_error": float(logged.max()) if logged.size else None,
+        "sup_error": float(est_errors.max()),
+        **({} if traj.x is None else {"max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max())}),
+    }
+
+
+def chunked(traj, cuts):
+    """The rows of ``traj`` cut before each of the sorted row indices ``cuts`` (two equal cuts: a chunk of no rows)."""
+    bounds = [0, *cuts, len(traj)]
+    return [Trajectory(*(getattr(traj, f.name)[lo:hi] for f in fields(Trajectory)[:-1]))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(n=st.integers(0, 2500), seed=st.integers(0, 2**32 - 1), steps=st.sampled_from([0.0, 0.02, 0.6, 1.0]),
+       logged=st.sampled_from([0.0, 0.3, 1.0]), specials=st.booleans(), n_cuts=st.integers(0, 12),
+       threshold=st.none() | st.floats(0.0, 1.0), escape=st.floats(0.0, 1.0))
+@example(n=3000, seed=1, steps=0.6, logged=1.0, specials=False, n_cuts=12, threshold=0.5, escape=0.9)  # hits late
+@example(n=400, seed=2, steps=0.6, logged=0.0, specials=False, n_cuts=5, threshold=None, escape=0.0)  # all-NaN
+@example(n=40, seed=3, steps=0.0, logged=1.0, specials=True, n_cuts=3, threshold=0.5, escape=0.5)  # no steps
+@np.errstate(invalid="ignore")  # a mean of inf and -inf
+def test_the_running_summary_has_the_bits_of_the_whole_trajectory_formulas(n, seed, steps, logged, specials, n_cuts,
+                                                                          threshold, escape):
+    """A trajectory, or a failed seed's partial rows, cut into chunks at random rows (some chunks with no steps or
+    no rows), some of them specials (NaN, +-inf, +-0): each field has the repr of the whole-array formula's. Only
+    min_f is compared by value: of a tie of 0.0 and -0.0, numpy's whole-array min returns either by its vector
+    lanes. f falls as it goes, so the first hit of a level may be in any chunk; a level is a quantile of f."""
+    rng = np.random.default_rng(seed)
+    kinds = np.array([STEP_BURNIN, STEP_HALLUCINATED, STEP_NORMAL, STEP_LARGE], dtype=object)
+    is_step = rng.random(n) < steps
+    f = 1.0 - np.cumsum(rng.exponential(size=n)) / max(n, 1) + 0.05 * rng.standard_normal(n)
+    est_error = np.where(rng.random(n) < logged, rng.exponential(size=n), np.nan)
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+    if specials:
+        for column in (f, est_error, x[:, 0]):
+            at = rng.random(n) < 0.1
+            column[at] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=at.sum())
+        est_error[est_error < 0.0] = np.nan  # est_error is a norm: NaN (not evaluated), +0 or positive
+        np.abs(est_error, out=est_error)
+    traj = Trajectory(np.arange(n) - n // 4, kinds[2 * is_step + rng.integers(0, 2, size=n)], f, rng.random(n),
+                      np.full(n, np.nan), est_error, x)
+    finite = f[np.isfinite(f)] if np.isfinite(f).any() else np.zeros(1)
+    levels = [None if q is None else float(np.quantile(finite, q)) for q in (threshold, escape)]
+    summary = Summary(tuple(levels))
+    for rows in chunked(traj, np.sort(rng.integers(0, n + 1, size=n_cuts)).tolist()):
+        summary.add(rows)
+    if not is_step.any():  # a failed seed's rows before its first step: folded, but no summary row
+        assert summary.final_f is None and summary.hits == [None, None] and np.isnan(summary.sup_est_error)
+        assert repr(float(summary.max_x_norm)) == repr(float(np.sqrt(np.vecdot(x, x)).max(initial=-np.inf)))
+        return
+    row = summary.row("r", 0, "t.csv")
+    got = {**{key: row[key] for key in ("final_f", "iters_to_threshold", "escape_time", "mean_last_1000_f",
+                                        "sup_est_error")},
+           "sup_error": float(summary.sup_error), "max_x_norm": float(summary.max_x_norm)}
+    want = whole_summary(traj, *levels)
+    min_f = want.pop("min_f")
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+    assert row["min_f"] == min_f or (math.isnan(row["min_f"]) and math.isnan(min_f))
 
 
 def test_importing_the_cli_leaves_out_the_process_pool(tmp_path):

@@ -16,10 +16,9 @@ through ``cli.main`` in this process with ``--jobs 1``, and:
 Every size a drawn config implies is kept small: ``run.t``, ``w``, ``s``,
 r/eta, ``n``, ``d``, the seeds, the T and W the ``run.etas`` imply, and the
 T, W and S of each ``optimizer.auto`` mode (the calculators' inputs come
-from the golden configs). A large size allocates before it can fail:
-``run.t = 10**12`` asks for terabytes of log columns at once, so it is not
-drawn, and each example checks the events its conditions imply before it
-runs.
+from the golden configs). A large size runs for long before it can fail:
+a run of ``run.t = 10**12`` steps takes days, so it is not drawn, and each
+example checks the events its conditions imply before it runs.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from hypothesis import strategies as st
 from lemmas import PROPERTY
 from precondsgd import ConfigError, PrecondSgdError, cli, config
 from precondsgd.config import _READERS, _SCHEMAS, ALGORITHMS, AUTO_KEYS, AUTO_MODES, _safe_name
-from precondsgd.precond import VARIANTS
+from precondsgd.precond import VARIANTS, estimates
 from precondsgd.problems import PROBLEMS
 
 COMMANDS = ("run", "sweep", "estimation-scaling")
@@ -104,7 +103,7 @@ VALUES = {
 
 def is_axis(part):
     try:
-        config.resolve_axis(part)
+        config._parse_axis(part)
     except ConfigError:
         return False
     return True
@@ -206,6 +205,13 @@ def ini_text(ini, tmp):
                    for section, keys in ini.items())
 
 
+def events(run):
+    """The events a run makes: W burn-in samples, T steps and, when it hallucinates (t_thresh set and
+    estimating), S+1 samples per large step."""
+    hallucinating = run.t_thresh is not None and estimates(run.kind, run.source)
+    return run.W + run.T + (-(-run.T // run.t_thresh) * (run.S + 1) if hallucinating else 0)
+
+
 def planned(path, command):
     """The (run_id, seeds) of each condition that ``command`` would run, or None if the config cannot run."""
     try:
@@ -215,7 +221,7 @@ def planned(path, command):
         return None
     seeds = cfg.run["seeds"]
     for run_id, _, run in runs:
-        assert run.events * len(seeds) * len(runs) <= MAX_EVENTS, f"{run_id}: {run.events} events per seed"
+        assert events(run) * len(seeds) * len(runs) <= MAX_EVENTS, f"{run_id}: {events(run)} events per seed"
     return [(run_id, seeds) for run_id, _, _ in runs]
 
 
