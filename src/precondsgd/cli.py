@@ -11,7 +11,12 @@ goes (``--out``, every subcommand) and how to run (``--jobs``, at least
 before the subcommand, and ``--jobs`` below 1 are usage errors (exit 2)
 that name the flag. Exit codes, by the error's class: 0 ok, 3 a numeric
 failure (``NumericError``: divergence, singularity) or a
-``PreconditionViolatedError``, 2 any other package error or ``OSError``.
+``PreconditionViolatedError``, 2 any other package error or ``OSError``,
+and 143 (128 + SIGTERM, as a shell reports a process that SIGTERM ended)
+when SIGTERM stops a subcommand: it unwinds as Ctrl-C does, so each temp
+file is removed, every file from an earlier run is as it was, and it
+prints one line, no traceback. (With ``--jobs`` above 1, the seed groups
+already handed to worker processes finish first, and their files stay.)
 A config error reads ``<path>: section.key: ...`` for a value its key's
 parser refuses, ``<axis>: ...`` for such a sweep value,
 ``<axis>=<value>: ...`` for a sweep value whose problem or run cannot be
@@ -26,8 +31,11 @@ written, partial for the seeds that failed, and no summary is."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import signal
 import sys
+import threading
 
 from .config import load_config
 from .errors import NumericError, PrecondSgdError, PreconditionViolatedError
@@ -39,6 +47,29 @@ OUT_DIR_ENV = "PRECONDSGD_OUT"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_TERMINATED = 128 + signal.SIGTERM
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread: like KeyboardInterrupt, no handler of Exception stops it."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """In the block, SIGTERM raises _Terminated (in the main thread, the one a handler can run in); after it,
+    SIGTERM's handler is as it was."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 def _jobs(value: str) -> int:
@@ -89,12 +120,16 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "results"
 
     try:
-        if args.command == "report":
-            path = cmd_report(args.summaries, out_dir)
-        else:
-            command = {"run": cmd_run, "sweep": cmd_sweep, "estimation-scaling": cmd_estimation_scaling}
-            path = command[args.command](load_config(args.config), out_dir, jobs=args.jobs)
+        with _sigterm_unwinds():
+            if args.command == "report":
+                path = cmd_report(args.summaries, out_dir)
+            else:
+                command = {"run": cmd_run, "sweep": cmd_sweep, "estimation-scaling": cmd_estimation_scaling}
+                path = command[args.command](load_config(args.config), out_dir, jobs=args.jobs)
         print(path)
+    except _Terminated:
+        print("terminated by SIGTERM", file=sys.stderr)
+        return EXIT_TERMINATED
     except (NumericError, PreconditionViolatedError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

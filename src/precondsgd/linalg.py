@@ -1,7 +1,7 @@
 """Dense symmetric-matrix numerics on plain arrays.
 
-The LAPACK entry points ``eigh`` (which decomposes the matrices of a
-large stack at the same time, one per core) and ``eigvalsh``, the
+The LAPACK entry points ``eigh`` (one call per seed of a stack, and the
+seeds of a large stack at the same time, one per core) and ``eigvalsh``, the
 operator norm of a symmetric (d, d) array (d <~ 200 in the package), and
 closed-form operator-norm bounds on how much the inverse, square root,
 and inverse square root of a positive matrix can move under a small
@@ -51,17 +51,20 @@ def _executor():
 
 
 def eigh(a):
-    """``np.linalg.eigh`` of a (d, d) matrix or of each matrix of a (B, d, d) stack.
+    """``np.linalg.eigh`` of a (d, d) matrix, or of a stack whose leading axis is the seeds.
 
-    A stack is decomposed one matrix per call: each result has the bits
-    of its own call, and each call does one d^3 of work, which the traced
-    split of ``perfbench`` counts per call. From d = ``THREADS_MIN_DIM``
-    on, the caller and up to ``_WORKERS`` threads take the matrices in
-    turn, so that their calls run at the same time: numpy releases the
-    GIL inside LAPACK, and at these sizes a core per call does more than
-    a second BLAS thread inside one call (see ``_blas``). When calls
-    fail, the exception of the first failing matrix is raised, as a loop
-    over the stack would raise it, once every thread is done.
+    One rule: each seed's matrices go to LAPACK in one call. A (B, d, d)
+    stack holds one matrix per seed, so it makes B calls of one matrix
+    each, and a (B, n, d, d) stack makes B calls of n matrices each. Every
+    matrix has the bits of its own call (numpy decomposes a stack one
+    matrix after another), and ``perfbench``'s traced split counts each
+    call's n d^3 of work. From d = ``THREADS_MIN_DIM`` on, the caller and
+    up to ``_WORKERS`` threads take the seeds in turn, so that their calls
+    run at the same time: numpy releases the GIL inside LAPACK, and at
+    these sizes a core per call does more than a second BLAS thread inside
+    one call (see ``_blas``). When calls fail, the exception of the first
+    failing seed is raised, as a loop over the stack would raise it, once
+    every thread is done.
     """
     if a.ndim == 2 or len(a) == 1:
         return np.linalg.eigh(a)

@@ -13,9 +13,10 @@ names each algorithm and calculator mode a config may pick.
 
 A run advances B seeds in lockstep: iterates are a (B, d) stack, the
 preconditioner holds one estimate per seed, and the exact oracles take
-the whole stack at once; ``linalg.eigh`` still decomposes one matrix per
-LAPACK call, and from d = ``linalg.THREADS_MIN_DIM`` on it runs the
-seeds' calls at the same time on the cores. Each seed draws from its own
+the whole stack at once; ``linalg.eigh`` makes one LAPACK call per seed,
+on that seed's one estimate or on its deferred G(x) of a batch of logged
+events, and from d = ``linalg.THREADS_MIN_DIM`` on it runs the seeds'
+calls at the same time on the cores. Each seed draws from its own
 caller-owned RNG stream, one ``sample_grad`` call per seed and sample in
 program order, and every stacked operation gives each row the bits of
 its own single-seed computation. So a seed's trajectory is bitwise
@@ -30,10 +31,11 @@ Logged events go into one chunk of rows, reused for the whole run, so
 memory stays flat however long it is. Per logged event the loop
 evaluates only what its control reads: f, for the divergence guard. The
 columns it never reads back, ||grad f||, lambda_min(H) and the reference
-side of est_error, are filled when the chunk is full (or the run ends),
-from the iterates (and Ahat's spectra) kept in it, and each row keeps the
-bits of its own per-event call. Every row of the chunk is then final, and
-each seed's rows go to the caller's sink before the chunk is reused.
+side of est_error, are filled a batch of events at a time (and when the
+run ends), from the iterates (and Ahat's spectra) kept, and each row
+keeps the bits of its own per-event call. Once the chunk is full, every
+row of it is final, and each seed's rows go to the caller's sink before
+the chunk is reused.
 """
 
 from __future__ import annotations
@@ -188,9 +190,13 @@ class StationarityReport:
 
 
 # The one unit of the log: a chunk of logged events is filled, checked and
-# handed to the sink at once, and the run keeps no other rows. It holds
-# about this many bytes of (d, d) matrices, one per seed and event: Ahat's
-# captured spectra, and the stacked G(x) and Hessians of its oracle calls.
+# handed to the sink at once, and the run keeps no other rows. Its deferred
+# oracles take it a batch of events at a time, each batch holding about this
+# many bytes of (d, d) matrices, one per seed and event: Ahat's captured
+# spectra, and the stacked G(x) and Hessians of its oracle calls. The chunk
+# holds as many batches as fit about this many bytes of rows, d + 6 floats
+# per seed and event, and at least one; so from d = 23 with 8 seeds, where a
+# batch is one event, a sink call still takes several rows.
 LOG_CHUNK_BYTES = 65536
 
 # The checks of a logged event in the order it makes them. A seed stops at
@@ -209,7 +215,8 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
 
     Runs ``run`` for one seed per RNG stream in ``rngs``, all from run.x0,
     in lockstep. Once the rows of a chunk of logged events (see
-    LOG_CHUNK_BYTES) are final, sink(b, rows) gets those of each seed b that
+    LOG_CHUNK_BYTES: as many batches of the deferred oracles as fit its
+    bytes of rows) are final, sink(b, rows) gets those of each seed b that
     has any there: a Trajectory without error, whose columns are views that
     the next chunk overwrites. run_sgd then returns each seed's error (or
     None); without a sink, one whole Trajectory per seed. Every sample (of
@@ -229,10 +236,11 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
     keeps its iterate and, when est_error is tracked, Ahat's spectrum
     there. ||grad f||, lambda_min(H) and est_error's reference side
     (G(x), its matrix power and the difference's eigenvalues) are filled
-    in after the event, for the chunk at a time, in one stacked call per
-    oracle. A seed stops at the first check that fails for it, in the
-    order a logged event makes them: the divergence guard (or, at a step,
-    the direction before it and the finite iterate after it),
+    in after the event, for a batch of logged events at a time, in one
+    stacked call per oracle (and one LAPACK call per seed for G(x)'s
+    eigendecompositions). A seed stops at the first check that fails for
+    it, in the order a logged event makes them: the divergence guard (or,
+    at a step, the direction before it and the finite iterate after it),
     lambda_min(H), ||grad f||, Ahat's spectrum, est_error's reference
     side. So a seed whose deferred oracle fails at a logged event ends as
     it would had it been evaluated there: stopped at that event, unlogged,
@@ -262,25 +270,28 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
     large_steps = run.t_thresh is not None
     hallucinating = large_steps and estimating
     decaying = run.eta_decay == "inv_sqrt"
+    scheduled = estimating and run.beta_c is not None
     tracking = run.track_est_error and estimating
     hessian_logged = lambda_min_every > 0 and problem.has_hessian
 
-    # The chunk's columns for every seed, by slot mod chunk (the slot counts logged events), and Ahat's
-    # spectrum at each of its logged events.
-    chunk = max(1, LOG_CHUNK_BYTES // (n_seeds * dim * dim * 8))
+    # The chunk's columns for every seed, by slot mod chunk (the slot counts logged events), and for the
+    # batch of events its oracles take next, by slot mod batch, whether lambda_min(H) is due and Ahat's
+    # spectrum.
+    batch = max(1, LOG_CHUNK_BYTES // (n_seeds * dim * dim * 8))
+    chunk = batch * max(1, LOG_CHUNK_BYTES // (n_seeds * (dim + 6) * 8 * batch))
     iteration = np.empty(chunk, dtype=np.int64)
     step_kind = np.empty(chunk, dtype=object)
-    hessian_due = np.empty(chunk, dtype=bool)
+    hessian_due = np.empty(batch, dtype=bool)
     f_col, grad_norm_col, lambda_col, error_col = np.full((4, n_seeds, chunk), np.nan)
     x_col = np.empty((n_seeds, chunk, dim))
-    logged = flushed = 0
+    logged = flushed = sent = 0  # slots logged, filled and handed to the sink
     ev = -run.W  # the current event's index: burn-in takes -W..-1
     # Each seed's first failing check as _CHECKS * slot + check, and its error.
     stop = np.full(n_seeds, _RUNNING, dtype=np.int64)
     errors: list[NumericError | None] = [None] * n_seeds
     if tracking:
-        a_kept = np.empty((chunk, n_seeds, dim))
-        v_kept = None if pre.diagonal else np.empty((chunk, n_seeds, dim, dim))
+        a_kept = np.empty((batch, n_seeds, dim))
+        v_kept = None if pre.diagonal else np.empty((batch, n_seeds, dim, dim))
 
     # The seeds still running: their positions in rngs and their rows of
     # every per-seed array in flight ("x" the iterates).
@@ -317,12 +328,16 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
                 b, s = b[before], s if np.ndim(s) == 0 else s[before]
         return None
 
-    def draw_sample(at):
-        g = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
-        if covariance:
-            g2 = np.array([problem.sample_grad(x_i, rng) for x_i, rng in zip(at, rngs)])
-            return g, (g - g2) / math.sqrt(2.0)
-        return g, g
+    def draws(at):
+        """One sample_grad call per live seed at its row of the points at."""
+        g = np.empty(at.shape)
+        for i, rng in enumerate(rngs):
+            g[i] = problem.sample_grad(at[i], rng)
+        return g
+
+    def direction(b, s):
+        """A g at the live seeds' iterates and samples."""
+        return pre.direction(problem, rows["x"], rows["g"])
 
     def hessian(b, s) -> None:
         """lambda_min(H) at the logged (seed, slot) rows (b, s)."""
@@ -335,19 +350,21 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
 
     def reference(b, s) -> None:
         """est_error at the logged rows (b, s), from Ahat's spectra kept there: for the full
-        matrix, the largest |eigenvalue| of Ahat - _defect_reference."""
-        a, points = a_kept[s % chunk, b], x_col[b, s % chunk]
+        matrix, the largest |eigenvalue| of Ahat - _defect_reference, whose G(x) has one LAPACK
+        call per seed."""
+        a, points = a_kept[s % batch, b], x_col[b, s % chunk]
         if v_kept is None:
             error_col[b, s % chunk] = pre.est_error(problem, points, (a, None))
             return
-        diff = _dense(a, v_kept[s % chunk, b])
-        diff -= _defect_reference(*pre._ideal_spectrum(problem, points))
+        diff = _dense(a, v_kept[s % batch, b])
+        diff -= _defect_reference(*pre._ideal_spectrum(problem, points, b))
         error_col[b, s % chunk] = np.abs(eigvalsh(diff)).max(axis=-1)
 
-    def flush() -> None:
-        """Fill the deferred columns of the slots logged since the last flush, in one call per oracle; then
-        every row of the chunk is final, and each seed's rows go to the sink."""
-        nonlocal flushed
+    def flush(end=False) -> None:
+        """Fill the deferred columns of the batch of slots logged since the last flush, in one call per
+        oracle. When that fills the chunk, or at the end, every row of the chunk is final, and each seed's
+        rows go to the sink."""
+        nonlocal flushed, sent
         first, flushed = flushed, logged
         slots = np.arange(first, logged)
         ops = [(_HESSIAN, hessian, slots[hessian_due[:logged - first]]), (_GRAD, grad_norm, slots)]
@@ -356,6 +373,9 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
         for check, op, due in ops:
             b, i = np.nonzero(_CHECKS * due + check < stop[:, None])
             attempt(op, b, due[i], check)
+        if not end and logged - sent < chunk:
+            return
+        first, sent = sent, logged
         for b, n in enumerate((np.minimum(stop // _CHECKS, logged) - first).tolist()):
             if n > 0:
                 sink(b, Trajectory(iteration[:n], step_kind[:n], f_col[b, :n], grad_norm_col[b, :n],
@@ -375,46 +395,52 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
         slot = logged % chunk
         iteration[slot] = ev
         step_kind[slot] = kind_label
-        hessian_due[slot] = hessian_logged and t is not None and t % lambda_min_every == 0
+        hessian_due[logged % batch] = hessian_logged and t is not None and t % lambda_min_every == 0
         f_col[seeds, slot] = rows["f"]
         x_col[seeds, slot] = rows[at]
         if tracking:
             spectrum = attempt(lambda b, s: pre.spectrum(problem, rows[at]), live, logged, _SPECTRUM)
             if spectrum is not None:
                 seeds = slice(None) if live.size == n_seeds else live
-                a_kept[slot, seeds] = spectrum[0]
+                a_kept[logged % batch, seeds] = spectrum[0]
                 if v_kept is not None:
-                    v_kept[slot, seeds] = spectrum[1]
+                    v_kept[logged % batch, seeds] = spectrum[1]
         logged += 1
-        if logged - flushed == chunk:
+        if logged - flushed == batch:
             flush()
 
-    def event(at: str, kind_label: str, eta_t: float, t: int | None = None) -> None:
-        """One event at rows[at]: draw, observe, and at step t keep the sample
+    def event(at: str, kind_label: str, beta: float | None, t: int | None = None) -> None:
+        """One event at rows[at]: draw, observe with EMA parameter beta, and at step t keep the sample
         and its direction; log if due; advance ev."""
         nonlocal ev
-        g, upd = draw_sample(rows[at])  # drawn whether or not it is observed, so streams stay aligned
-        if estimating:
-            pre.observe(upd, beta_schedule(eta_t, run.beta_c) if run.beta_c is not None else run.beta)
+        g = draws(rows[at])  # drawn whether or not it is observed, so streams stay aligned
+        if estimating:  # the covariance variant observes the difference of two draws, over sqrt(2)
+            pre.observe((g - draws(rows[at])) / math.sqrt(2.0) if covariance else g, beta)
         if t is not None:
             rows["g"] = g
-            rows["direction"] = attempt(lambda b, s: pre.direction(problem, rows["x"], rows["g"]), live, logged, _GUARD)
+            rows["direction"] = attempt(direction, live, logged, _GUARD)
         if live.size and (ev % log_every == 0 or t == T - 1):
             log(at, kind_label, t)
         ev += 1
 
+    def beta_at(eta_t: float) -> float | None:
+        """The EMA parameter of the events of a step of stepsize eta_t."""
+        return beta_schedule(eta_t, run.beta_c) if scheduled else run.beta
+
     # Burn-in: update the estimate at x0 without moving x.
+    beta = beta_at(run.eta)
     for _ in range(run.W):
         if not live.size:
             break
-        event("x", STEP_BURNIN, run.eta)
+        event("x", STEP_BURNIN, beta)
 
     for t in range(T):
         if not live.size:
             break
         eta_t = run.eta / math.sqrt(t + 1.0) if decaying else run.eta
+        beta = beta_at(eta_t) if decaying else beta
         is_large = large_steps and t % run.t_thresh == 0
-        event("x", STEP_LARGE if is_large else STEP_NORMAL, eta_t, t)
+        event("x", STEP_LARGE if is_large else STEP_NORMAL, beta, t)
         if not live.size:
             break
 
@@ -423,7 +449,9 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
         if problem.clip_bounds is not None:
             x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
         rows["x"] = x_new
-        if not np.isfinite(x_new).all():  # a check of the next logged event
+        # A check of the next logged event. A non-finite entry makes the sum non-finite; a sum that
+        # overflows from finite entries finds no row to stop.
+        if not math.isfinite(x_new.sum()):
             halt(~np.isfinite(x_new).all(axis=1), live, _CHECKS * logged + _GUARD,
                  lambda i: NonFiniteError(f"iterate diverged at step {t}"))
 
@@ -434,9 +462,9 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
                 if not live.size:
                     break
                 rows["xs"] = rows["x_start"] + (s / run.S) * (rows["x"] - rows["x_start"])
-                event("xs", STEP_HALLUCINATED, eta_t)
+                event("xs", STEP_HALLUCINATED, beta)
 
-    flush()
+    flush(end=True)
     return errors
 
 

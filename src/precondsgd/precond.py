@@ -118,6 +118,7 @@ class Preconditioner:
         self.diagonal = kind.variant == DIAGONAL or dim == 1
         self._point_shape = (dim,) if batch is None else (batch, dim)
         self._g_hat = np.zeros(self._point_shape if self.diagonal else self._point_shape + (dim,))
+        self._update = np.empty_like(self._g_hat)  # observe's (1 - beta) g g^T
         self._beta_prod = 1.0
         self._spectrum_cache = None
 
@@ -130,17 +131,20 @@ class Preconditioner:
         if self.bias_corrected:
             self._beta_prod *= beta
         self._g_hat *= beta
+        update = self._update
         if self.diagonal:
-            self._g_hat += (1.0 - beta) * g * g
+            np.multiply(1.0 - beta, g, out=update)
+            update *= g
         else:
-            update = g[..., :, None] * g[..., None, :]
+            np.multiply(g[..., :, None], g[..., None, :], out=update)
             update *= 1.0 - beta
-            self._g_hat += update
+        self._g_hat += update
         self._spectrum_cache = None
 
     def keep(self, rows) -> None:
         """Keep only the seeds marked in the boolean mask ``rows`` (batched form)."""
         self._g_hat = self._g_hat[rows]
+        self._update = np.empty_like(self._g_hat)
         if self._spectrum_cache is not None:
             a, v = self._spectrum_cache
             self._spectrum_cache = (a[rows], None if v is None else v[rows])
@@ -181,7 +185,8 @@ class Preconditioner:
             self._spectrum_cache = self._power(g_hat, "Ghat")
         return self._spectrum_cache
 
-    def _ideal_spectrum(self, problem, x):
+    def _ideal_spectrum(self, problem, x, seeds=None):
+        """The (a, V) of A(x) from the oracle G(x); ``seeds`` as in ``_power``."""
         G = problem.exact_G(x)
         covariance = self.kind.variant == COVARIANCE_FULL_MATRIX
         if self.diagonal:
@@ -193,20 +198,36 @@ class Preconditioner:
             if covariance:
                 gr = problem.grad(x)
                 base = base - gr[..., :, None] * gr[..., None, :]
-        return self._power(base, "G")
+        return self._power(base, "G", seeds)
 
-    def _power(self, base, name: str):
+    def _power(self, base, name: str, seeds=None):
         """(lambda^exponent, V) for the eigenpairs of base + eps I; V is None when diagonal. A lambda that
-        is not positive, NaN included, raises a SingularMatrixError that marks its rows."""
+        is not positive, NaN included, raises a SingularMatrixError that marks its rows. A stack is one
+        matrix per seed or, with ``seeds`` (the seed of each matrix, a seed's matrices adjacent), each
+        seed's matrices go to LAPACK in one call."""
         if self.diagonal:
             lam, v = base + self.kind.epsilon, None
         else:
-            w, v = eigh(base)
-            lam = w + self.kind.epsilon
-        if not (lam > 0.0).all():
+            lam, v = eigh(base) if seeds is None else _eigh_by_seed(base, seeds)
+            lam += self.kind.epsilon
+        if not lam.min() > 0.0:  # also when NaN, which min propagates
             bad = ~(lam > 0.0).all(axis=-1)
             raise SingularMatrixError(f"lambda_min({name}) + eps not positive", rows=bad if bad.ndim else None)
-        return lam**self.kind.exponent, v
+        lam **= self.kind.exponent
+        return lam, v
+
+
+def _eigh_by_seed(base, seeds):
+    """``eigh`` of the (m, d, d) stack base, whose matrix i belongs to seeds[i], a seed's matrices adjacent:
+    each seed's block is one LAPACK call. When every seed has n matrices, the blocks are one (B, n, d, d)
+    stack, so ``eigh`` can spread them over the cores."""
+    starts = np.flatnonzero(np.diff(seeds, prepend=seeds[0] - 1))
+    n = len(base) // len(starts)
+    if (np.diff(starts, append=len(base)) == n).all():
+        w, v = eigh(base.reshape(len(starts), n, *base.shape[1:]))
+        return w.reshape(base.shape[:-1]), v.reshape(base.shape)
+    blocks = [eigh(block[None]) for block in np.split(base, starts[1:])]
+    return np.concatenate([w[0] for w, _ in blocks]), np.concatenate([v[0] for _, v in blocks])
 
 
 def _dense(a, v):

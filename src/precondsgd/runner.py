@@ -75,18 +75,32 @@ def write_csv(path, columns, rows) -> None:
 
 @contextlib.contextmanager
 def _atomic_write(path):
-    """A temp file beside ``path`` to write in the block, renamed to ``path`` when the block ends; an
+    """A temp file beside ``path``, open to write in the block, renamed to ``path`` when the block ends; an
     exception in the block removes it and leaves ``path`` as it was."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    with _atomic_paths([path]) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
+@contextlib.contextmanager
+def _atomic_paths(paths):
+    """The paths of an empty, closed temp file beside each of ``paths``, for the block to write; each is
+    renamed to its path when the block ends. An exception in the block (Ctrl-C and SIGTERM in ``cli``
+    included) removes them and leaves every path as it was."""
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        for path in paths:
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            os.close(fd)
+            temps.append(tmp)
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -198,18 +212,21 @@ def run_group(run_id: str, cfg: ExperimentConfig, run, seeds, out_dir: str) -> l
 
     Returns, per seed, its summary row or, if it failed numerically, its
     error; a failed seed's trajectory holds the events logged before its
-    failure.
+    failure. At most one file is open at a time, however many the seeds:
+    each sink call appends to its seed's temp file.
     """
     names = [f"{_safe_name(run_id)}_seed{seed}.csv" for seed in seeds]
     summaries = [Summary((cfg.run.get("f_threshold"), cfg.run.get("escape_level", DEFAULT_ESCAPE_LEVEL)))
                  for _ in seeds]
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(_atomic_write(os.path.join(out_dir, name))) for name in names]
-        for fh in files:
-            fh.write(",".join(trajectory_columns(len(run.x0))) + "\n")  # a resolved run's x0 sets the dimension
+    header = ",".join(trajectory_columns(len(run.x0))) + "\n"  # a resolved run's x0 sets the dimension
+    with _atomic_paths([os.path.join(out_dir, name) for name in names]) as temps:
+        for tmp in temps:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(header)
 
         def sink(b, rows):
-            write_trajectory(files[b], rows)
+            with open(temps[b], "a", encoding="utf-8", newline="") as fh:
+                write_trajectory(fh, rows)
             summaries[b].add(rows)
 
         errors = execute_records(cfg, run, seeds, sink)

@@ -12,6 +12,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -388,6 +389,60 @@ def test_columns_over_many_chunks_have_the_bits_of_a_per_event_evaluation(varian
         assert traj.grad_norm[i].tobytes() == np.sqrt(np.vecdot(g, g)).tobytes()
         lam = problem.hessian(x) if t >= 0 and t % 3 == 0 else np.nan
         np.testing.assert_array_equal(traj.lambda_min_h[i], lam)
+
+
+def test_est_error_of_seeds_stopping_at_different_events_has_the_bits_of_a_per_row_computation():
+    """Six seeds share one batch; those whose G(x) fails stop at their own events, so the rerun hands
+    LAPACK one block per seed of unequal lengths. Each row is recomputed alone from the seed's replayed
+    samples, through _defect_reference."""
+    problem = FailingPastProblem(**CASES["exact_G"])
+    failing = run_sgd(problem, tracked_run(1), [rng_for(s) for s in SEEDS])
+    assert len({len(traj) for traj in failing}) >= 3 and all(len(traj) for traj in failing)
+    for seed, traj in zip(SEEDS, failing):
+        pre, rng = Preconditioner(PreconditionerKind("full_matrix", 1e-3), 2, "estimated", batch=1), rng_for(seed)
+        for i, x in enumerate(traj.x):
+            pre.observe(problem.sample_grad(x, rng)[None, :], 0.9)
+            at = x[None, :]
+            diff = _dense(*pre.spectrum(problem, at))
+            diff -= _defect_reference(*pre._ideal_spectrum(problem, at))
+            assert traj.est_error[i].tobytes() == np.abs(eigvalsh(diff)).max(axis=-1)[0].tobytes()
+
+
+def test_a_batchs_g_decompositions_are_one_lapack_call_per_seed(monkeypatch):
+    """123 logged events of six seeds in batches of 50: each seed's G(x) of a batch is one call on its rows,
+    and each Ahat one call on one matrix."""
+    numpy_eigh, calls = np.linalg.eigh, Counter()
+
+    def counted(a):
+        calls[a.ndim, a.size // 4] += 1
+        return numpy_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    with mock.patch.object(optimizer, "LOG_CHUNK_BYTES", 50 * len(SEEDS) * 2 * 2 * 8):
+        trajectories = run_sgd(FailingPastProblem(), tracked_run(1), [rng_for(s) for s in SEEDS])
+    assert [len(traj) for traj in trajectories] == [123] * len(SEEDS)
+    assert calls == Counter({(2, 1): 123 * len(SEEDS), (3, 50): 2 * len(SEEDS), (3, 23): len(SEEDS)})
+    healthy = healthy_twins(1)
+    for traj, twin in zip(trajectories, healthy, strict=True):
+        np.testing.assert_array_equal(traj.est_error, twin.est_error)
+
+
+@pytest.mark.parametrize("log_every, rows", [(1, [34, 34, 32]), (7, [16])])
+def test_the_sink_gets_as_many_oracle_batches_as_fit_the_row_bytes(monkeypatch, log_every, rows):
+    """At d = 24 with 8 seeds an oracle batch is one event (one (d, d) matrix per seed fills the bytes), and a
+    sink call takes 65536 // (8 * 30 * 8) = 34 rows: ||grad f|| is still one call per logged event."""
+    dim = 24
+    problem = QuadraticGaussianProblem(dim, np.eye(dim), np.eye(dim))
+    calls = count_calls(monkeypatch, problem)
+    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, 100, 0.01, beta=0.9, log_every=log_every)
+    sunk = [[] for _ in range(8)]
+    assert run_sgd(problem, run, [rng_for(s) for s in range(8)], lambda b, r: sunk[b].append(astuple(r))) == [None] * 8
+    assert [[len(part[0]) for part in parts] for parts in sunk] == [rows] * 8
+    assert calls["grad"] == sum(rows)
+    for seed, parts in zip(range(8), sunk):
+        (alone,) = run_sgd(problem, run, [rng_for(seed)])
+        for name, *columns in zip(COLUMNS, *parts):
+            np.testing.assert_array_equal(np.concatenate(columns), getattr(alone, name), err_msg=name)
 
 
 @pytest.mark.parametrize("n", [1, 7, 81, 4096])

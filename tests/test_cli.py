@@ -11,6 +11,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -526,6 +527,49 @@ class TestNumericFailures:
         assert sorted(p.name for p in out.iterdir()) == ["run_seed0.csv", "run_seed1.csv"]
         for p in out.iterdir():
             assert len(read_trajectory(p)) == 0  # the failure came before the first logged event
+
+
+def run_child(cfg, out, preexec_fn=None, **kwargs):
+    """``precondsgd run cfg --out out --jobs 1`` in a child process on this package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    return subprocess.Popen([sys.executable, "-m", "precondsgd.cli", "run", cfg, "--out", str(out), "--jobs", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            preexec_fn=preexec_fn, **kwargs)
+
+
+class TestStreamedFiles:
+    def test_a_group_of_more_seeds_than_the_open_file_limit_runs_with_the_same_bytes(self, tmp_path):
+        """100 seeds under a limit of 64 open files: one trajectory file is open at a time."""
+        text = SADDLE_CFG.replace("seeds = 0,1,2", "seeds = " + ",".join(map(str, range(100)))).replace("t = 200", "t = 30")
+        cfg = write_config(tmp_path / "c.ini", text)
+        files = {}
+        for limit in (None, 64):
+            out = tmp_path / f"limit{limit}"
+            limited = None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (limit, limit))
+            with run_child(cfg, out, limited) as proc:
+                _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            files[limit] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(files[64]) == 101 and files[64] == files[None]
+
+    def test_sigterm_exits_143_and_leaves_no_temp_file_and_the_old_files(self, tmp_path):
+        """SIGTERM, once the first rows of a long run are in its temp file, unwinds it as Ctrl-C would."""
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 20"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", f"t = {10**9}"))
+        header = len(",".join(trajectory_columns(2))) + 1
+        with run_child(cfg, out) as proc:
+            deadline = time.monotonic() + 60
+            while not any(p.stat().st_size > header for p in out.glob("*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.terminate()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == cli.EXIT_TERMINATED == 143
+        assert err == "terminated by SIGTERM\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweep:

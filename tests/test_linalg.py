@@ -53,6 +53,33 @@ def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants(
             assert op_norm(vb.T @ vb - np.eye(dim)) <= 1e-10
 
 
+@pytest.mark.parametrize("workers", [0, 1, 2])
+@pytest.mark.parametrize("dim", [5, THREADS_MIN_DIM])
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_each_seed_of_a_four_axis_stack_is_one_call_with_the_bits_of_one_call_per_matrix(monkeypatch, seeds, dim,
+                                                                                         workers):
+    """A (B, n, d, d) stack makes B calls, each on one seed's n matrices, below THREADS_MIN_DIM and at it."""
+    monkeypatch.setattr(linalg, "_WORKERS", workers)
+    numpy_eigh, lock, calls = np.linalg.eigh, threading.Lock(), []
+
+    def counted(a):
+        with lock:
+            calls.append(a.size // (dim * dim))  # the matrices it decomposes
+        return numpy_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    n = 4
+    stack = _marked_stack(seeds * n, dim, 10 + seeds).reshape(seeds, n, dim, dim)
+    w, v = eigh(stack)
+    assert calls == [n] * seeds
+    assert (w.shape, v.shape) == (stack.shape[:-1], stack.shape)
+    for b in range(seeds):
+        for i in range(n):
+            reference = numpy_eigh(stack[b, i])
+            assert w[b, i].tobytes() == reference.eigenvalues.tobytes()
+            assert v[b, i].tobytes() == reference.eigenvectors.tobytes()
+
+
 def _marked_stack(size, dim, seed):
     """``size`` random SPD (dim, dim) matrices; matrix b holds b at [0, 1] and [1, 0], so a call can tell
     which it decomposes."""
