@@ -221,10 +221,9 @@ def _eigh_by_seed(base, seeds):
     """``eigh`` of the (m, d, d) stack base, whose matrix i belongs to seeds[i], a seed's matrices adjacent:
     each seed's block is one LAPACK call. When every seed has n matrices, the blocks are one (B, n, d, d)
     stack, so ``eigh`` can spread them over the cores."""
-    starts = np.flatnonzero(np.diff(seeds, prepend=seeds[0] - 1))
-    n = len(base) // len(starts)
-    if (np.diff(starts, append=len(base)) == n).all():
-        w, v = eigh(base.reshape(len(starts), n, *base.shape[1:]))
+    _, starts, counts = np.unique(seeds, return_index=True, return_counts=True)
+    if (counts == counts[0]).all():
+        w, v = eigh(base.reshape(len(counts), counts[0], *base.shape[1:]))
         return w.reshape(base.shape[:-1]), v.reshape(base.shape)
     blocks = [eigh(block[None]) for block in np.split(base, starts[1:])]
     return np.concatenate([w[0] for w, _ in blocks]), np.concatenate([v[0] for _, v in blocks])

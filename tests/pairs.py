@@ -14,13 +14,16 @@ side. A workload is one ``cli.main([COMMAND, CONFIG, "--out", DIR,
 "--jobs", "1"])``: each of perfbench's configs at ``--seed`` (all four, or
 those ``--workload`` names; ``perfbench/workloads.py`` is read, not
 changed), and each ``--config`` given. A pair runs the base and this
-checkout in this process, one after the other, the base first in every
-other pair; each run is timed with ``time.process_time`` after a
-``gc.collect()``, and one untimed run of each side comes first. Per
-workload the script prints the pairs, the median and quartiles of the
-ratio checkout / base, how many pairs the checkout won, each side's
-median, and whether every run of both sides gave the same exit code and
-wrote the same bytes (a sha256 over the output files). ``--out`` writes
+checkout in this process, in the order A B B A, with the base as A in
+every other pair; each run is timed with ``time.process_time`` after a
+``gc.collect()``, and a side's time in the pair is the lesser of its two
+runs, so that a run another process slowed does not count and a steady
+drift of the machine's speed falls on both sides alike. One untimed run
+of each side comes first. Per workload the script prints the median and
+quartiles of the pairs' ratios checkout / base, how many pairs the
+checkout won, each side's median, and whether every run of both sides
+gave the same exit code and wrote the same bytes (a sha256 over the
+output files). ``--out`` writes
 all of it as JSON, with the environment: this checkout's commit, the
 base, Python, numpy, the BLAS and its threads, and the cores.
 
@@ -108,16 +111,17 @@ def run_once(cli, command: str, config: str, work: str) -> tuple[float, str]:
 
 
 def measure(sides: dict, command: str, config: str, n_pairs: int, work: str) -> dict:
-    """n_pairs interleaved pairs of the base and this checkout on one config, and their summary."""
+    """n_pairs interleaved pairs (A B B A) of the base and this checkout on one config, and their summary."""
     digests = {run_once(cli, command, config, work)[1] for cli in sides.values()}  # warm-up, untimed
     pairs = []
     for i in range(n_pairs):
-        order = ("base", "tree") if i % 2 == 0 else ("tree", "base")
-        pair = {"first": order[0]}
-        for side in order:
-            pair[f"{side}_s"], result = run_once(sides[side], command, config, work)
+        a, b = ("base", "tree") if i % 2 == 0 else ("tree", "base")
+        runs = {"base": [], "tree": []}
+        for side in (a, b, b, a):
+            seconds, result = run_once(sides[side], command, config, work)
+            runs[side].append(seconds)
             digests.add(result)
-        pairs.append(pair)
+        pairs.append({"first": a, "base_s": min(runs["base"]), "tree_s": min(runs["tree"]), "runs": runs})
     ratios = np.array([p["tree_s"] / p["base_s"] for p in pairs])
     q1, median, q3 = np.percentile(ratios, [25, 50, 75]).tolist()
     return {

@@ -391,13 +391,24 @@ def test_columns_over_many_chunks_have_the_bits_of_a_per_event_evaluation(varian
         np.testing.assert_array_equal(traj.lambda_min_h[i], lam)
 
 
-def test_est_error_of_seeds_stopping_at_different_events_has_the_bits_of_a_per_row_computation():
+def test_est_error_of_seeds_stopping_at_different_events_has_the_bits_of_a_per_row_computation(monkeypatch):
     """Six seeds share one batch; those whose G(x) fails stop at their own events, so the rerun hands
     LAPACK one block per seed of unequal lengths. Each row is recomputed alone from the seed's replayed
     samples, through _defect_reference."""
+    numpy_eigh, g_calls = np.linalg.eigh, []
+
+    def counted(a):  # each Ahat is one (2, 2) call; each block of G(x) rows a stack
+        if a.ndim > 2:
+            g_calls.append(a.size // 4)
+        return numpy_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     problem = FailingPastProblem(**CASES["exact_G"])
     failing = run_sgd(problem, tracked_run(1), [rng_for(s) for s in SEEDS])
+    monkeypatch.undo()
     assert len({len(traj) for traj in failing}) >= 3 and all(len(traj) for traj in failing)
+    # One call per seed on G(x) of its rows; the rerun on the rows before every stop, one per seed again.
+    assert g_calls == [123] * len(SEEDS) + [len(traj) for traj in failing]
     for seed, traj in zip(SEEDS, failing):
         pre, rng = Preconditioner(PreconditionerKind("full_matrix", 1e-3), 2, "estimated", batch=1), rng_for(seed)
         for i, x in enumerate(traj.x):

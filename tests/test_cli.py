@@ -9,6 +9,7 @@ import os
 import pickle
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -570,6 +571,18 @@ class TestStreamedFiles:
         assert proc.returncode == cli.EXIT_TERMINATED == 143
         assert err == "terminated by SIGTERM\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_main_leaves_the_sigterm_handler_it_found(self, tmp_path):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 5"))
+            assert main(["run", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestSweep:
