@@ -438,18 +438,19 @@ def test_a_batchs_g_decompositions_are_one_lapack_call_per_seed(monkeypatch):
         np.testing.assert_array_equal(traj.est_error, twin.est_error)
 
 
-@pytest.mark.parametrize("log_every, rows", [(1, [34, 34, 32]), (7, [16])])
-def test_the_sink_gets_as_many_oracle_batches_as_fit_the_row_bytes(monkeypatch, log_every, rows):
+@pytest.mark.parametrize("dim, T, log_every, rows, batches", [
+    (24, 100, 1, [34, 34, 32], 100), (24, 100, 7, [16], 16), (2, 600, 1, [256, 256, 88], 3)])
+def test_the_sink_gets_as_many_oracle_batches_as_fit_the_row_bytes(monkeypatch, dim, T, log_every, rows, batches):
     """At d = 24 with 8 seeds an oracle batch is one event (one (d, d) matrix per seed fills the bytes), and a
-    sink call takes 65536 // (8 * 30 * 8) = 34 rows: ||grad f|| is still one call per logged event."""
-    dim = 24
+    sink call takes 65536 // (8 * 30 * 8) = 34 rows; ||grad f|| is still one call per logged event. At d = 2
+    a batch is 256 events, more than the 128 rows the bytes hold, and a sink call takes one batch."""
     problem = QuadraticGaussianProblem(dim, np.eye(dim), np.eye(dim))
     calls = count_calls(monkeypatch, problem)
-    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, 100, 0.01, beta=0.9, log_every=log_every)
+    run = Run(PreconditionerKind("diagonal", 1e-8), "estimated", False, T, 0.01, beta=0.9, log_every=log_every)
     sunk = [[] for _ in range(8)]
     assert run_sgd(problem, run, [rng_for(s) for s in range(8)], lambda b, r: sunk[b].append(astuple(r))) == [None] * 8
     assert [[len(part[0]) for part in parts] for parts in sunk] == [rows] * 8
-    assert calls["grad"] == sum(rows)
+    assert calls["grad"] == batches
     for seed, parts in zip(range(8), sunk):
         (alone,) = run_sgd(problem, run, [rng_for(seed)])
         for name, *columns in zip(COLUMNS, *parts):
