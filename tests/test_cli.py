@@ -12,6 +12,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import asdict, fields, replace
@@ -571,6 +572,32 @@ class TestStreamedFiles:
         assert proc.returncode == cli.EXIT_TERMINATED == 143
         assert err == "terminated by SIGTERM\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_sigterm_in_this_process_returns_143_and_restores_the_handler(self, tmp_path, monkeypatch, capsys):
+        caught = []
+
+        def net(signum, frame):  # catches the signal should main not handle it, so that pytest lives on
+            caught.append(signum)
+
+        previous = signal.signal(signal.SIGTERM, net)
+        try:
+            monkeypatch.setattr(cli, "cmd_run", lambda cfg, out_dir, jobs: signal.raise_signal(signal.SIGTERM))
+            cfg = write_config(tmp_path / "c.ini", SADDLE_CFG)
+            assert main(["run", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]) == cli.EXIT_TERMINATED
+            assert caught == [] and signal.getsignal(signal.SIGTERM) is net
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert capsys.readouterr().err == "terminated by SIGTERM\n"
+
+    def test_main_runs_in_another_thread_and_leaves_sigterm_alone_there(self, tmp_path):
+        """Only the main thread may set a signal handler."""
+        cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 5"))
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(["run", cfg, "--out", str(tmp_path / "o"),
+                                                                    "--jobs", "1"])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [0]
 
     def test_main_leaves_the_sigterm_handler_it_found(self, tmp_path):
         def handler(signum, frame):
