@@ -15,8 +15,10 @@ failure (``NumericError``: divergence, singularity) or a
 and 143 (128 + SIGTERM, as a shell reports a process that SIGTERM ended)
 when SIGTERM stops a subcommand: it unwinds as Ctrl-C does, so each temp
 file is removed, every file from an earlier run is as it was, and it
-prints one line, no traceback. (With ``--jobs`` above 1, the seed groups
-already handed to worker processes finish first, and their files stay.)
+prints one line, no traceback. With ``--jobs`` above 1 it also stops the
+worker processes, which unwind the groups they run in the same way (a
+SIGTERM to one worker ends the subcommand so too), and it exits once they
+are gone; a group that finished keeps its files.
 A config error reads ``<path>: section.key: ...`` for a value its key's
 parser refuses, ``<axis>: ...`` for such a sweep value,
 ``<axis>=<value>: ...`` for a sweep value whose problem or run cannot be
@@ -38,7 +40,7 @@ import sys
 import threading
 
 from .config import load_config
-from .errors import NumericError, PrecondSgdError, PreconditionViolatedError
+from .errors import NumericError, PrecondSgdError, PreconditionViolatedError, Terminated
 from .linalg import THREADS_MIN_DIM
 from .runner import cmd_estimation_scaling, cmd_report, cmd_run, cmd_sweep
 
@@ -50,17 +52,13 @@ EXIT_NUMERIC = 3
 EXIT_TERMINATED = 128 + signal.SIGTERM
 
 
-class _Terminated(BaseException):
-    """SIGTERM, raised in the main thread: like KeyboardInterrupt, no handler of Exception stops it."""
-
-
 def _terminate(signum, frame):
-    raise _Terminated
+    raise Terminated
 
 
 @contextlib.contextmanager
 def _sigterm_unwinds():
-    """In the block, SIGTERM raises _Terminated (in the main thread, the one a handler can run in); after it,
+    """In the block, SIGTERM raises Terminated (in the main thread, the one a handler can run in); after it,
     SIGTERM's handler is as it was."""
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -127,7 +125,7 @@ def main(argv=None) -> int:
                 command = {"run": cmd_run, "sweep": cmd_sweep, "estimation-scaling": cmd_estimation_scaling}
                 path = command[args.command](load_config(args.config), out_dir, jobs=args.jobs)
         print(path)
-    except _Terminated:
+    except Terminated:
         print("terminated by SIGTERM", file=sys.stderr)
         return EXIT_TERMINATED
     except (NumericError, PreconditionViolatedError) as err:

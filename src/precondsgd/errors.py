@@ -25,6 +25,11 @@ class SingularMatrixError(NumericError):
     """A negative matrix power was requested of a singular matrix."""
 
 
+class Terminated(BaseException):
+    """SIGTERM, raised by the handler of ``cli.main`` or of a ``--jobs`` worker process: like
+    KeyboardInterrupt, no handler of Exception stops it, so it unwinds and each temp file is removed."""
+
+
 class PreconditionViolatedError(PrecondSgdError):
     """Inputs are outside the validity region of a bound."""
 

@@ -270,7 +270,6 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
     large_steps = run.t_thresh is not None
     hallucinating = large_steps and estimating
     decaying = run.eta_decay == "inv_sqrt"
-    scheduled = estimating and run.beta_c is not None
     tracking = run.track_est_error and estimating
     hessian_logged = lambda_min_every > 0 and problem.has_hessian
 
@@ -334,10 +333,6 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
         for i, rng in enumerate(rngs):
             g[i] = problem.sample_grad(at[i], rng)
         return g
-
-    def direction(b, s):
-        """A g at the live seeds' iterates and samples."""
-        return pre.direction(problem, rows["x"], rows["g"])
 
     def hessian(b, s) -> None:
         """lambda_min(H) at the logged (seed, slot) rows (b, s)."""
@@ -409,38 +404,33 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
         if logged - flushed == batch:
             flush()
 
-    def event(at: str, kind_label: str, beta: float | None, t: int | None = None) -> None:
-        """One event at rows[at]: draw, observe with EMA parameter beta, and at step t keep the sample
+    def event(at: str, kind_label: str, eta_t: float, t: int | None = None) -> None:
+        """One event at rows[at]: draw, observe, and at step t keep the sample
         and its direction; log if due; advance ev."""
         nonlocal ev
         g = draws(rows[at])  # drawn whether or not it is observed, so streams stay aligned
         if estimating:  # the covariance variant observes the difference of two draws, over sqrt(2)
-            pre.observe((g - draws(rows[at])) / math.sqrt(2.0) if covariance else g, beta)
+            pre.observe((g - draws(rows[at])) / math.sqrt(2.0) if covariance else g,
+                        beta_schedule(eta_t, run.beta_c) if run.beta_c is not None else run.beta)
         if t is not None:
             rows["g"] = g
-            rows["direction"] = attempt(direction, live, logged, _GUARD)
+            rows["direction"] = attempt(lambda b, s: pre.direction(problem, rows["x"], rows["g"]), live, logged, _GUARD)
         if live.size and (ev % log_every == 0 or t == T - 1):
             log(at, kind_label, t)
         ev += 1
 
-    def beta_at(eta_t: float) -> float | None:
-        """The EMA parameter of the events of a step of stepsize eta_t."""
-        return beta_schedule(eta_t, run.beta_c) if scheduled else run.beta
-
     # Burn-in: update the estimate at x0 without moving x.
-    beta = beta_at(run.eta)
     for _ in range(run.W):
         if not live.size:
             break
-        event("x", STEP_BURNIN, beta)
+        event("x", STEP_BURNIN, run.eta)
 
     for t in range(T):
         if not live.size:
             break
         eta_t = run.eta / math.sqrt(t + 1.0) if decaying else run.eta
-        beta = beta_at(eta_t) if decaying else beta
         is_large = large_steps and t % run.t_thresh == 0
-        event("x", STEP_LARGE if is_large else STEP_NORMAL, beta, t)
+        event("x", STEP_LARGE if is_large else STEP_NORMAL, eta_t, t)
         if not live.size:
             break
 
@@ -449,9 +439,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
         if problem.clip_bounds is not None:
             x_new = np.clip(x_new, problem.clip_bounds[0], problem.clip_bounds[1])
         rows["x"] = x_new
-        # A check of the next logged event. A non-finite entry makes the sum non-finite; a sum that
-        # overflows from finite entries finds no row to stop.
-        if not math.isfinite(x_new.sum()):
+        if not np.isfinite(x_new).all():  # a check of the next logged event
             halt(~np.isfinite(x_new).all(axis=1), live, _CHECKS * logged + _GUARD,
                  lambda i: NonFiniteError(f"iterate diverged at step {t}"))
 
@@ -462,7 +450,7 @@ def run_sgd(problem: StochasticProblem, run: Run, rngs, sink=None) -> list:
                 if not live.size:
                     break
                 rows["xs"] = rows["x_start"] + (s / run.S) * (rows["x"] - rows["x_start"])
-                event("xs", STEP_HALLUCINATED, beta)
+                event("xs", STEP_HALLUCINATED, eta_t)
 
     flush(end=True)
     return errors

@@ -118,7 +118,6 @@ class Preconditioner:
         self.diagonal = kind.variant == DIAGONAL or dim == 1
         self._point_shape = (dim,) if batch is None else (batch, dim)
         self._g_hat = np.zeros(self._point_shape if self.diagonal else self._point_shape + (dim,))
-        self._update = np.empty_like(self._g_hat)  # observe's (1 - beta) g g^T
         self._beta_prod = 1.0
         self._spectrum_cache = None
 
@@ -131,20 +130,17 @@ class Preconditioner:
         if self.bias_corrected:
             self._beta_prod *= beta
         self._g_hat *= beta
-        update = self._update
         if self.diagonal:
-            np.multiply(1.0 - beta, g, out=update)
-            update *= g
+            self._g_hat += (1.0 - beta) * g * g
         else:
-            np.multiply(g[..., :, None], g[..., None, :], out=update)
+            update = g[..., :, None] * g[..., None, :]
             update *= 1.0 - beta
-        self._g_hat += update
+            self._g_hat += update
         self._spectrum_cache = None
 
     def keep(self, rows) -> None:
         """Keep only the seeds marked in the boolean mask ``rows`` (batched form)."""
         self._g_hat = self._g_hat[rows]
-        self._update = np.empty_like(self._g_hat)
         if self._spectrum_cache is not None:
             a, v = self._spectrum_cache
             self._spectrum_cache = (a[rows], None if v is None else v[rows])
@@ -208,13 +204,12 @@ class Preconditioner:
         if self.diagonal:
             lam, v = base + self.kind.epsilon, None
         else:
-            lam, v = eigh(base) if seeds is None else _eigh_by_seed(base, seeds)
-            lam += self.kind.epsilon
-        if not lam.min() > 0.0:  # also when NaN, which min propagates
+            w, v = eigh(base) if seeds is None else _eigh_by_seed(base, seeds)
+            lam = w + self.kind.epsilon
+        if not (lam > 0.0).all():
             bad = ~(lam > 0.0).all(axis=-1)
             raise SingularMatrixError(f"lambda_min({name}) + eps not positive", rows=bad if bad.ndim else None)
-        lam **= self.kind.exponent
-        return lam, v
+        return lam**self.kind.exponent, v
 
 
 def _eigh_by_seed(base, seeds):

@@ -29,13 +29,14 @@ import contextlib
 import csv
 import functools
 import os
+import signal
 import tempfile
 
 import numpy as np
 
 from ._blas import one_thread
 from .config import ExperimentConfig, _safe_name, conditions
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError, Terminated
 from .optimizer import Trajectory, run_sgd
 from .problems import PROBLEMS
 
@@ -265,6 +266,33 @@ def _column(path, rows, name, parse=str) -> list:
     return values
 
 
+# A pool worker's state: whether it runs a group, and whether SIGTERM came.
+_worker = {"running": False, "terminated": False}
+
+
+def _worker_start() -> None:
+    """A pool worker's initializer: SIGTERM unwinds the group it runs, as in ``cli.main``, so that the group's
+    temp files are removed, and the worker runs no group after it."""
+    signal.signal(signal.SIGTERM, _worker_sigterm)
+
+
+def _worker_sigterm(signum, frame):
+    _worker["terminated"] = True
+    if _worker["running"]:  # between groups, the worker is in the pool's own code: the next group raises
+        raise Terminated
+
+
+def _worker_group(group, *task):
+    """``group(*task)`` in a pool worker, unless SIGTERM came."""
+    try:
+        _worker["running"] = True
+        if _worker["terminated"]:
+            raise Terminated
+        return group(*task)
+    finally:
+        _worker["running"] = False
+
+
 def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -> list[dict]:
     """Resolve ``command``'s conditions and check out_dir, then run each with ``group``; return the rows.
 
@@ -291,9 +319,18 @@ def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str
 
         # Fresh workers, each loading its BLAS with one thread unless the user
         # chose a count: a forked one would keep this process's BLAS.
-        with one_thread(), ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+        children = set(multiprocessing.active_children())
+        with one_thread(), ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_worker_start,
                                                mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(group, *zip(*tasks)))
+            try:
+                results = list(pool.map(functools.partial(_worker_group, group), *zip(*tasks)))
+            except (Terminated, KeyboardInterrupt):
+                # Stop now, not once the running groups end: cancel the groups not handed out and
+                # SIGTERM the workers, which unwind theirs; leaving the block waits for them.
+                pool.shutdown(wait=False, cancel_futures=True)
+                for worker in set(multiprocessing.active_children()) - children:
+                    worker.terminate()
+                raise
     rows = []
     for (run_id, _, _, seed_group), outcomes in zip(tasks, results):
         for seed, outcome in zip(seed_group, outcomes):

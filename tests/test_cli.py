@@ -531,12 +531,49 @@ class TestNumericFailures:
             assert len(read_trajectory(p)) == 0  # the failure came before the first logged event
 
 
-def run_child(cfg, out, preexec_fn=None, **kwargs):
-    """``precondsgd run cfg --out out --jobs 1`` in a child process on this package."""
+def run_child(cfg, out, preexec_fn=None, command="run", jobs=1):
+    """``precondsgd command cfg --out out --jobs jobs`` in a child process on this package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    return subprocess.Popen([sys.executable, "-m", "precondsgd.cli", "run", cfg, "--out", str(out), "--jobs", "1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-                            preexec_fn=preexec_fn, **kwargs)
+    argv = [sys.executable, "-m", "precondsgd.cli", command, cfg, "--out", str(out), "--jobs", str(jobs)]
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            preexec_fn=preexec_fn)
+
+
+def pool_workers(pid):
+    """The pids of the pool worker processes of the process pid (not its resource tracker), from /proc."""
+    workers = []
+    for stat in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{stat}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{stat}/cmdline") as fh:
+                spawned = "spawn_main" in fh.read()
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid and spawned:
+            workers.append(int(stat))
+    return workers
+
+
+def ended(proc, timeout, workers=()):
+    """proc's stderr once it exits within timeout seconds; else it and its workers are killed, and the
+    wait fails."""
+    try:
+        return proc.communicate(timeout=timeout)[1]
+    except subprocess.TimeoutExpired:
+        for pid in [*workers, proc.pid]:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        raise
+
+
+def wait_for_rows(proc, out, files, dim=2):
+    """Wait until ``files`` temp files in out hold rows (past the header) while proc runs."""
+    header = len(",".join(trajectory_columns(dim))) + 1
+    deadline = time.monotonic() + 60
+    while sum(p.stat().st_size > header for p in out.glob("*.tmp")) < files:
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
 
 
 class TestStreamedFiles:
@@ -561,17 +598,32 @@ class TestStreamedFiles:
         assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", f"t = {10**9}"))
-        header = len(",".join(trajectory_columns(2))) + 1
         with run_child(cfg, out) as proc:
-            deadline = time.monotonic() + 60
-            while not any(p.stat().st_size > header for p in out.glob("*.tmp")):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
+            wait_for_rows(proc, out, 1)
             proc.terminate()
-            _, err = proc.communicate(timeout=60)
+            err = ended(proc, 60)
         assert proc.returncode == cli.EXIT_TERMINATED == 143
         assert err == "terminated by SIGTERM\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists the workers from /proc")
+    @pytest.mark.parametrize("target", ["parent", "worker"])
+    def test_sigterm_stops_a_sweep_with_jobs_2_at_once_and_leaves_no_temp_file(self, tmp_path, target):
+        """SIGTERM to the parent, or to one pool worker, while both workers run a group that would not end:
+        each worker unwinds its group and the sweep exits 143 within seconds, with no worker left."""
+        text = with_sweep(SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 0,1,2,3").replace("t = 200", f"t = {10**9}"),
+                          "optimizer.eta", "0.01, 0.003, 0.001, 0.0003")
+        out = tmp_path / "out"
+        with run_child(write_config(tmp_path / "c.ini", text), out, command="sweep", jobs=2) as proc:
+            wait_for_rows(proc, out, 4)  # two seeds in each worker's group
+            workers = pool_workers(proc.pid)
+            assert len(workers) == 2
+            os.kill(proc.pid if target == "parent" else workers[0], signal.SIGTERM)
+            err = ended(proc, 20, workers)
+        assert proc.returncode == 143
+        assert err == "terminated by SIGTERM\n"
+        assert list(out.iterdir()) == []
+        assert not [pid for pid in workers if os.path.exists(f"/proc/{pid}")]
 
     def test_sigterm_in_this_process_returns_143_and_restores_the_handler(self, tmp_path, monkeypatch, capsys):
         caught = []
@@ -788,7 +840,8 @@ etas = 0.01,0.003
             files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert [pool["max_workers"] for pool in pools] == [2, 3]  # no more workers than etas
         assert [pool["mp_context"].get_start_method() for pool in pools] == ["spawn", "spawn"]
-        assert sorted(pools[0]) == ["max_workers", "mp_context"]
+        assert sorted(pools[0]) == ["initializer", "max_workers", "mp_context"]
+        assert [pool["initializer"] for pool in pools] == [runner._worker_start] * 2  # SIGTERM unwinds a worker's group
         assert sorted(files["1"]) == ["scaling.csv", "scaling_fit.csv"]
         assert files["1"] == files["2"] == files["5"]
 

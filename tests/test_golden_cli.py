@@ -33,6 +33,9 @@ UNREACHED = {
         "raises MissingOracleError; config.resolve_run refuses such a run from has_exact_g/has_hessian first"),
     "cli._before_subcommand": "a usage error (a flag before the subcommand); tests/test_cli.py runs it",
     "cli._terminate": "the SIGTERM handler: a signal, which no config sends; tests/test_cli.py sends it",
+    **dict.fromkeys(
+        ("runner._worker_start", "runner._worker_group", "runner._worker_sigterm"),
+        "runs in a --jobs worker process, which the profile does not follow; tests/test_cli.py sends its SIGTERM"),
     "problems.load_dataset_csv": "logistic_csv reads a file, which no golden config ships; tests/test_cli.py runs it",
     **dict.fromkeys(
         ("estimation.EstimationBoundInputs.__post_init__", "estimation.estimation_error_bound",
