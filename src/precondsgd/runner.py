@@ -315,7 +315,7 @@ def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str
     else:
         # Imported here: a serial run need not load multiprocessing.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         # Fresh workers, each loading its BLAS with one thread unless the user
         # chose a count: a forked one would keep this process's BLAS.
@@ -323,7 +323,11 @@ def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str
         with one_thread(), ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_worker_start,
                                                mp_context=multiprocessing.get_context("spawn")) as pool:
             try:
-                results = list(pool.map(functools.partial(_worker_group, group), *zip(*tasks)))
+                futures = [pool.submit(_worker_group, group, *task) for task in tasks]
+                for done in as_completed(futures):  # a worker's SIGTERM, whichever group it stopped
+                    if isinstance(done.exception(), Terminated):
+                        raise done.exception()
+                results = [future.result() for future in futures]
             except (Terminated, KeyboardInterrupt):
                 # Stop now, not once the running groups end: cancel the groups not handed out and
                 # SIGTERM the workers, which unwind theirs; leaving the block waits for them.
