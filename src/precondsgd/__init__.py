@@ -16,17 +16,13 @@ call, unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS;
 decomposes the matrices of a large stack at the same time, one per core.
 """
 
-import os as _os
-import sys as _sys
-
-from ._blas import one_thread as _one_thread
-
-# numpy's BLAS reads its thread count when numpy is first imported. When
-# that is this import, the count is one unless the user set it.
-_BLAS_ONE_THREAD = _os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in _sys.modules else "1") == "1"
-with _one_thread():
-    import numpy as _numpy  # noqa: F401
-
+# First, so that numpy's first import, which sets its BLAS threads, is linalg's.
+from .linalg import (
+    inv_perturbation_bound,
+    invsqrt_preconditioner_bound,
+    op_norm,
+    sqrt_perturbation_bound,
+)
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -38,12 +34,6 @@ from .errors import (
     PrecondSgdError,
     PreconditionViolatedError,
     SingularMatrixError,
-)
-from .linalg import (
-    inv_perturbation_bound,
-    invsqrt_preconditioner_bound,
-    op_norm,
-    sqrt_perturbation_bound,
 )
 from .problems import (
     CounterexampleProblem,

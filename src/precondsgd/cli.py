@@ -41,7 +41,7 @@ import threading
 
 from .config import load_config
 from .errors import NumericError, PrecondSgdError, PreconditionViolatedError, Terminated
-from .linalg import THREADS_MIN_DIM
+from .linalg import _CORES, THREADS_MIN_DIM
 from .runner import cmd_estimation_scaling, cmd_report, cmd_run, cmd_sweep
 
 OUT_DIR_ENV = "PRECONDSGD_OUT"
@@ -79,13 +79,13 @@ def _jobs(value: str) -> int:
 
 _COMMON_FLAGS = {
     "--out": dict(help="output directory (default: $PRECONDSGD_OUT or ./results)"),
-    "--jobs": dict(type=_jobs, default=os.cpu_count() or 1,
+    "--jobs": dict(type=_jobs, default=_CORES,
                    help="at least 1: split each condition's seeds (a sweep value's, an eta's) into this many "
                    "lockstep groups, run in up to as many worker processes; what runs, and so the output, comes "
                    "from the config alone. Each worker is a fresh process that takes about 0.3 s to start, so a "
                    "light run is faster with --jobs 1; and from d = "
                    f"{THREADS_MIN_DIM} on, the seeds of one group already share the cores: their "
-                   "eigendecompositions run at the same time (default: CPU count)"),
+                   "eigendecompositions run at the same time (default: the number of CPUs this process may run on)"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Dense symmetric-matrix numerics on plain arrays.
+"""Dense symmetric-matrix numerics on plain arrays, and how they reach LAPACK.
 
 The LAPACK entry points ``eigh`` (one call per seed of a stack, and the
 seeds of a large stack at the same time, one per core) and ``eigvalsh``, the
@@ -6,21 +6,42 @@ operator norm of a symmetric (d, d) array (d <~ 200 in the package), and
 closed-form operator-norm bounds on how much the inverse, square root,
 and inverse square root of a positive matrix can move under a small
 symmetric perturbation.
+
+Imported first by the package, this module loads numpy with one BLAS
+thread per call unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+(OpenBLAS reads the count once, when it loads; so ``runner`` starts its
+worker processes inside ``one_thread``). At the package's sizes (d <= 200) a
+second BLAS thread inside one call gains little or nothing, and it contends
+with the threads of ``eigh`` and with the other processes of a ``--jobs`` run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
 
-import numpy as np
+from .errors import InvalidParamError, NonFiniteError, PreconditionViolatedError
 
-from . import _BLAS_ONE_THREAD
-from .errors import (
-    InvalidParamError,
-    NonFiniteError,
-    PreconditionViolatedError,
-)
+
+@contextlib.contextmanager
+def one_thread():
+    """Within the body, OPENBLAS_NUM_THREADS and OMP_NUM_THREADS read 1 if the user left them unset; after it,
+    os.environ is as it was."""
+    added = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
+# When this import is numpy's first, its BLAS runs one thread per call unless the user set a count.
+_BLAS_ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in sys.modules else "1") == "1"
+with one_thread():
+    import numpy as np
 
 
 # Stacks of matrices this size or larger are decomposed by several threads.
@@ -32,9 +53,10 @@ from .errors import (
 # so the threads start above the crossover, where the gain is sure.
 THREADS_MIN_DIM = 64
 
-# Threads besides the caller's that decompose a stack: one per further core
-# this process may run on when numpy's BLAS runs one thread per call (see
-# ``_blas``), else none, since the BLAS's own threads would contend with them.
+# The cores this process may run on (the default of ``--jobs``), and the
+# threads besides the caller's that decompose a stack: one per further core
+# when numpy's BLAS runs one thread per call, else none, since the BLAS's
+# own threads would contend with them.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WORKERS = _CORES - 1 if _BLAS_ONE_THREAD else 0
 _pool = None  # (pid, ThreadPoolExecutor), started by the first stack that uses it
@@ -50,38 +72,44 @@ def _executor():
     return _pool[1]
 
 
-def eigh(a):
-    """``np.linalg.eigh`` of a (d, d) matrix, or of a stack whose leading axis is the seeds.
+def eigh(a, seeds=None):
+    """``np.linalg.eigh`` of a (d, d) matrix, or of an (m, d, d) stack whose matrix i belongs to seeds[i].
 
-    One rule: each seed's matrices go to LAPACK in one call. A (B, d, d)
-    stack holds one matrix per seed, so it makes B calls of one matrix
-    each, and a (B, n, d, d) stack makes B calls of n matrices each. Every
-    matrix has the bits of its own call (numpy decomposes a stack one
-    matrix after another), and ``perfbench``'s traced split counts each
-    call's n d^3 of work. From d = ``THREADS_MIN_DIM`` on, the caller and
-    up to ``_WORKERS`` threads take the seeds in turn, so that their calls
-    run at the same time: numpy releases the GIL inside LAPACK, and at
-    these sizes a core per call does more than a second BLAS thread inside
-    one call (see ``_blas``). When calls fail, the exception of the first
-    failing seed is raised, as a loop over the stack would raise it, once
-    every thread is done.
+    One rule: each run of adjacent matrices of one seed goes to LAPACK in
+    one call; ``seeds`` None gives each matrix a seed of its own, so a
+    (B, d, d) stack of one matrix per seed makes B calls. Every matrix has
+    the bits of its own call (numpy decomposes a stack one matrix after
+    another), and ``perfbench``'s traced split counts each call's n d^3 of
+    work. From d = ``THREADS_MIN_DIM`` on, the caller and up to
+    ``_WORKERS`` threads take the runs in turn, so that their calls run at
+    the same time: numpy releases the GIL inside LAPACK, and at these sizes
+    a core per call does more than a second BLAS thread inside one call.
+    When calls fail, the exception of the first failing run is raised, as a
+    loop over the stack would raise it, once every thread is done.
     """
-    if a.ndim == 2 or len(a) == 1:
+    if a.ndim == 2:
+        return np.linalg.eigh(a)
+    if seeds is None:
+        runs = range(len(a))
+    else:
+        bounds = [0, *(np.flatnonzero(np.diff(seeds)) + 1).tolist(), len(a)]
+        runs = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if len(runs) == 1:
         return np.linalg.eigh(a)
     w = np.empty(a.shape[:-1])
     v = np.empty(a.shape)
-    todo = iter(range(len(a)))  # shared: each thread takes the next matrix left
+    todo = iter(enumerate(runs))  # shared: each thread takes the next run left
     failed = {}
 
     def decompose():
-        for b in todo:
+        for i, run in todo:
             try:
-                w[b], v[b] = np.linalg.eigh(a[b])
+                w[run], v[run] = np.linalg.eigh(a[run])
             except Exception as exc:
-                failed[b] = exc
+                failed[i] = exc
                 return
 
-    workers = min(_WORKERS, len(a) - 1) if a.shape[-1] >= THREADS_MIN_DIM else 0
+    workers = min(_WORKERS, len(runs) - 1) if a.shape[-1] >= THREADS_MIN_DIM else 0
     helping = [_executor().submit(decompose) for _ in range(workers)]
     try:
         decompose()

@@ -199,29 +199,16 @@ class Preconditioner:
     def _power(self, base, name: str, seeds=None):
         """(lambda^exponent, V) for the eigenpairs of base + eps I; V is None when diagonal. A lambda that
         is not positive, NaN included, raises a SingularMatrixError that marks its rows. A stack is one
-        matrix per seed or, with ``seeds`` (the seed of each matrix, a seed's matrices adjacent), each
-        seed's matrices go to LAPACK in one call."""
+        matrix per seed or, with ``seeds``, matrix i is seed seeds[i]'s, as ``linalg.eigh`` takes it."""
         if self.diagonal:
             lam, v = base + self.kind.epsilon, None
         else:
-            w, v = eigh(base) if seeds is None else _eigh_by_seed(base, seeds)
+            w, v = eigh(base, seeds)
             lam = w + self.kind.epsilon
         if not (lam > 0.0).all():
             bad = ~(lam > 0.0).all(axis=-1)
             raise SingularMatrixError(f"lambda_min({name}) + eps not positive", rows=bad if bad.ndim else None)
         return lam**self.kind.exponent, v
-
-
-def _eigh_by_seed(base, seeds):
-    """``eigh`` of the (m, d, d) stack base, whose matrix i belongs to seeds[i], a seed's matrices adjacent:
-    each seed's block is one LAPACK call. When every seed has n matrices, the blocks are one (B, n, d, d)
-    stack, so ``eigh`` can spread them over the cores."""
-    _, starts, counts = np.unique(seeds, return_index=True, return_counts=True)
-    if (counts == counts[0]).all():
-        w, v = eigh(base.reshape(len(counts), counts[0], *base.shape[1:]))
-        return w.reshape(base.shape[:-1]), v.reshape(base.shape)
-    blocks = [eigh(block[None]) for block in np.split(base, starts[1:])]
-    return np.concatenate([w[0] for w, _ in blocks]), np.concatenate([v[0] for _, v in blocks])
 
 
 def _dense(a, v):

@@ -8,7 +8,7 @@ eta) runs in seed groups: contiguous runs of its seeds that advance in
 lockstep in one process (``jobs`` groups per condition, optionally in a
 pool of freshly started worker processes). Every process runs one BLAS
 thread per LAPACK call unless the user set OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS (see ``_blas``); inside a process, ``linalg.eigh``
+OMP_NUM_THREADS (see ``linalg``); inside a process, ``linalg.eigh``
 spreads a group's large matrices over the cores. Writes one trajectory
 CSV per seed plus a merged summary CSV (or one scaling row per eta), and
 turns summaries back into quantile-band plot data. Each chunk of rows
@@ -30,19 +30,21 @@ import csv
 import functools
 import os
 import signal
-import tempfile
 
 import numpy as np
 
-from ._blas import one_thread
 from .config import ExperimentConfig, _safe_name, conditions
 from .errors import ConfigError, DataFormatError, NumericError, Terminated
+from .linalg import one_thread
 from .optimizer import Trajectory, run_sgd
 from .problems import PROBLEMS
 
 # The paper-scale escape level (-0.1) is below the saddle problem's global
 # minimum (~ -0.01265), so escape is declared at -0.01 instead.
 DEFAULT_ESCAPE_LEVEL = -0.01
+
+# A trajectory has columns x_0, x_1, ... of the iterate up to this dimension.
+X_COLUMNS_MAX_DIM = 8
 
 
 SUMMARY_COLUMNS = (
@@ -92,8 +94,8 @@ def _atomic_paths(paths):
         for path in paths:
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            os.close(fd)
+            tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # mode 0666 less the umask
             temps.append(tmp)
         yield temps
         for tmp, path in zip(temps, paths):
@@ -123,7 +125,7 @@ def execute_records(cfg: ExperimentConfig, run, seeds, sink=None) -> list:
 
 def trajectory_columns(dim: int) -> list[str]:
     cols = ["iter", "step_kind", "f", "grad_norm", "lambda_min_H", "est_error"]
-    if dim <= 8:
+    if dim <= X_COLUMNS_MAX_DIM:
         cols += [f"x_{i}" for i in range(dim)]
     return cols
 
@@ -150,7 +152,7 @@ def write_trajectory(fh, rows: Trajectory) -> None:
             _reprs(rows.grad_norm),
             _reprs(rows.lambda_min_h, blank_nan=True),
             _reprs(rows.est_error, blank_nan=True),
-            *(_reprs(x) for x in (rows.x.T if rows.x.shape[1] <= 8 else ())),
+            *(_reprs(x) for x in (rows.x.T if rows.x.shape[1] <= X_COLUMNS_MAX_DIM else ())),
         ]
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 

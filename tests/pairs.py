@@ -4,7 +4,7 @@ Run from the repository root (standard library plus numpy; pytest does not
 collect this file)::
 
     python tests/pairs.py [--base REV|DIR] [--pairs 30] [--workload NAME ...]
-                          [--config COMMAND FILE ...] [--seed 1] [--out FILE.json]
+                          [--config COMMAND FILE] ... [--seed 1] [--out FILE.json]
 
 ``--base`` is a git revision, extracted with ``git archive`` (default:
 HEAD), or a directory that holds ``src/precondsgd``. Its package is
@@ -13,7 +13,8 @@ package imports itself only relatively, so the two copies load side by
 side. A workload is one ``cli.main([COMMAND, CONFIG, "--out", DIR,
 "--jobs", "1"])``: each of perfbench's configs at ``--seed`` (all four, or
 those ``--workload`` names; ``perfbench/workloads.py`` is read, not
-changed), and each ``--config`` given. A pair runs the base and this
+changed), and each ``--config`` given (the flag takes one COMMAND FILE
+pair, and may be repeated). A pair runs the base and this
 checkout in this process, in the order A B B A, with the base as A in
 every other pair; each run is timed with ``time.process_time`` after a
 ``gc.collect()``, and a side's time in the pair is the lesser of its two
@@ -24,8 +25,9 @@ quartiles of the pairs' ratios checkout / base, how many pairs the
 checkout won, each side's median, and whether every run of both sides
 gave the same exit code and wrote the same bytes (a sha256 over the
 output files). ``--out`` writes all of it as JSON, with the
-environment: this checkout's commit, the base, Python, numpy, the BLAS
-and its threads, and the cores.
+environment: this checkout's commit, whether its ``src`` differs from it
+(``dirty``; null outside a git work tree), the base, Python, numpy, the
+BLAS and its threads, and the cores.
 
 What it cannot see: set-up, process start and peak RSS stay perfbench's
 metrics, and both sides share process-wide state, such as the BLAS
@@ -68,6 +70,14 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def dirty():
+    """Whether ``src`` differs from the checkout's commit; None outside a git work tree."""
+    try:
+        return bool(git("status", "--porcelain", "src"))
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def import_base(base: str, work: str):
@@ -141,8 +151,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="a git revision or a checkout directory (default: HEAD)")
     parser.add_argument("--pairs", type=int, default=30, help="pairs per workload (default: 30)")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="a perfbench workload; repeatable (default: all four, unless --config is given)")
+    parser.add_argument("--workload", nargs="+", action="extend", choices=sorted(WORKLOADS),
+                        help="perfbench workloads; repeatable (default: all four, unless --config is given)")
     parser.add_argument("--config", nargs=2, action="append", default=[], metavar=("COMMAND", "FILE"),
                         help="a CLI subcommand and config file to run as a workload; repeatable")
     parser.add_argument("--seed", type=int, default=1, help="the seed of perfbench's configs (default: 1)")
@@ -159,7 +169,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="pairs-") as work:
         base_cli, base = import_base(args.base, work)
         sides = {"base": base_cli, "tree": cli}
-        report["environment"] = {**environment(args.seed), "dirty": bool(git("status", "--porcelain", "src")),
+        report["environment"] = {**environment(args.seed), "dirty": dirty(),
                                  "base": base}
         workloads = []
         for name in names:

@@ -10,6 +10,7 @@ import pickle
 import re
 import resource
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -531,11 +532,15 @@ class TestNumericFailures:
             assert len(read_trajectory(p)) == 0  # the failure came before the first logged event
 
 
+def child_env():
+    """The environment of a child process that imports this package."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+
 def run_child(cfg, out, preexec_fn=None, command="run", jobs=1):
     """``precondsgd command cfg --out out --jobs jobs`` in a child process on this package."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     argv = [sys.executable, "-m", "precondsgd.cli", command, cfg, "--out", str(out), "--jobs", str(jobs)]
-    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
                             preexec_fn=preexec_fn)
 
 
@@ -1723,6 +1728,27 @@ def test_a_pool_worker_runs_one_blas_thread_unless_the_user_chose(tmp_path, monk
     rows = runner._execute_conditions(_blas_threads, cfg, "run", str(tmp_path / "o"), 2)
     assert rows == [{"OPENBLAS_NUM_THREADS": user or "1", "OMP_NUM_THREADS": "1"}] * 3
     assert os.environ.get("OPENBLAS_NUM_THREADS") == user and "OMP_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=("umask-022", "umask-077"))
+def test_every_file_a_run_writes_has_mode_0666_less_the_umask(tmp_path, umask, mode):
+    cfg = write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 5"))
+    out = tmp_path / "o"
+    argv = [sys.executable, "-m", "precondsgd.cli", "run", cfg, "--out", str(out), "--jobs", "1"]
+    child = subprocess.run(argv, capture_output=True, text=True, env=child_env(), umask=umask, timeout=60)
+    assert child.returncode == 0, child.stderr
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert len(modes) == 4 and set(modes.values()) == {mode}  # three trajectories and the summary
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity on this platform")
+def test_the_default_jobs_counts_the_cpus_this_process_may_run_on():
+    code = ("import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from precondsgd import cli, linalg\n"
+            "print(cli.build_parser().parse_args(['run', 'c.ini']).jobs, linalg._CORES)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1", "1"]
 
 
 LOGISTIC_RUN_CFG = """

@@ -39,6 +39,10 @@ def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants(
         w, v = eigh(stack)
         assert calls == [dim * dim] * len(stack)  # each call decomposes one matrix
         assert (w.shape, v.shape) == (stack.shape[:2], stack.shape)
+        calls.clear()
+        by_seed = eigh(stack, np.arange(size))  # each matrix its own seed: the same calls and bits
+        assert calls == [dim * dim] * len(stack)
+        assert (by_seed[0].tobytes(), by_seed[1].tobytes()) == (w.tobytes(), v.tobytes())
         for m, wb, vb in zip(stack, w, v):
             calls.clear()
             single = eigh(m)  # one (d, d) matrix, in one call
@@ -55,29 +59,30 @@ def test_eigh_of_a_stack_has_the_bits_of_one_call_per_matrix_and_its_invariants(
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
 @pytest.mark.parametrize("dim", [5, THREADS_MIN_DIM])
-@pytest.mark.parametrize("seeds", [1, 3])
-def test_each_seed_of_a_four_axis_stack_is_one_call_with_the_bits_of_one_call_per_matrix(monkeypatch, seeds, dim,
-                                                                                         workers):
-    """A (B, n, d, d) stack makes B calls, each on one seed's n matrices, below THREADS_MIN_DIM and at it."""
+@pytest.mark.parametrize("counts", [(4, 4, 4), (3, 1, 4, 2)], ids=("equal", "ragged"))
+def test_each_run_of_a_seeds_matrices_is_one_call_with_the_bits_of_one_call_per_matrix(monkeypatch, counts, dim,
+                                                                                      workers):
+    """eigh(a, seeds) makes one call per run of adjacent matrices of one seed, below THREADS_MIN_DIM and at it;
+    the ragged stack's seed 7 has two runs, apart."""
     monkeypatch.setattr(linalg, "_WORKERS", workers)
     numpy_eigh, lock, calls = np.linalg.eigh, threading.Lock(), []
 
     def counted(a):
         with lock:
-            calls.append(a.size // (dim * dim))  # the matrices it decomposes
+            calls.append(a[:, 0, 1].astype(int).tolist())  # the matrices it decomposes
         return numpy_eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    n = 4
-    stack = _marked_stack(seeds * n, dim, 10 + seeds).reshape(seeds, n, dim, dim)
-    w, v = eigh(stack)
-    assert calls == [n] * seeds
+    seeds = np.repeat([7, 2, 7, 4][:len(counts)], counts)
+    stack = _marked_stack(len(seeds), dim, 10 + len(counts))
+    w, v = eigh(stack, seeds)
+    bounds = np.cumsum((0, *counts)).tolist()
+    assert sorted(calls) == [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     assert (w.shape, v.shape) == (stack.shape[:-1], stack.shape)
-    for b in range(seeds):
-        for i in range(n):
-            reference = numpy_eigh(stack[b, i])
-            assert w[b, i].tobytes() == reference.eigenvalues.tobytes()
-            assert v[b, i].tobytes() == reference.eigenvectors.tobytes()
+    for m, wb, vb in zip(stack, w, v):
+        reference = numpy_eigh(m)
+        assert wb.tobytes() == reference.eigenvalues.tobytes()
+        assert vb.tobytes() == reference.eigenvectors.tobytes()
 
 
 def _marked_stack(size, dim, seed):
@@ -102,7 +107,8 @@ def test_a_stack_decomposed_by_threads_has_the_bits_of_one_call_per_matrix(monke
         assert vb.tobytes() == reference.eigenvectors.tobytes()
 
 
-def test_a_large_stack_runs_its_calls_at_the_same_time_and_a_small_one_in_the_caller(monkeypatch):
+@pytest.mark.parametrize("seeds", [None, [0, 0, 0, 1]], ids=("one-per-matrix", "ragged"))
+def test_a_large_stack_runs_its_calls_at_the_same_time_and_a_small_one_in_the_caller(monkeypatch, seeds):
     monkeypatch.setattr(linalg, "_WORKERS", 1)
     numpy_eigh, callers = np.linalg.eigh, []
     meet = threading.Barrier(2, timeout=20)
@@ -113,8 +119,8 @@ def test_a_large_stack_runs_its_calls_at_the_same_time_and_a_small_one_in_the_ca
         return numpy_eigh(m)
 
     monkeypatch.setattr(np.linalg, "eigh", meeting)
-    eigh(_marked_stack(2, THREADS_MIN_DIM, 1))
-    assert len(set(callers)) == 2 and threading.get_ident() in callers
+    eigh(_marked_stack(2 if seeds is None else len(seeds), THREADS_MIN_DIM, 1), seeds)
+    assert len(callers) == 2 and len(set(callers)) == 2 and threading.get_ident() in callers
 
     callers.clear()
     monkeypatch.setattr(np.linalg, "eigh", lambda m: callers.append(threading.get_ident()) or numpy_eigh(m))
@@ -187,6 +193,32 @@ def test_a_failing_call_raises_the_loops_exception_once_every_thread_is_done(mon
     assert str(raised.value) == f"matrix {bad[0]}" and running == [0]
 
 
+@pytest.mark.parametrize("workers", [0, 2], ids=("loop", "threads"))
+def test_a_ragged_stack_failing_on_two_seeds_raises_the_first_ones_error_once_every_thread_is_done(monkeypatch,
+                                                                                                   workers):
+    monkeypatch.setattr(linalg, "_WORKERS", workers)
+    numpy_eigh, lock, running = np.linalg.eigh, threading.Lock(), [0]
+    seeds = np.repeat([0, 1, 2, 3], [2, 1, 3, 2])
+
+    def failing(a):
+        seed = seeds[int(a[0, 0, 1])]
+        if seed in (1, 3):
+            raise np.linalg.LinAlgError(f"seed {seed}")
+        with lock:
+            running[0] += 1
+        time.sleep(0.05)  # still running when a failing call returns
+        try:
+            return numpy_eigh(a)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        eigh(_marked_stack(len(seeds), THREADS_MIN_DIM, 4), seeds)
+    assert str(raised.value) == "seed 1" and running == [0]
+
+
 @pytest.mark.parametrize(
     "first, blas, one_thread",
     [("precondsgd", None, True), ("precondsgd", "2", False), ("numpy", None, False), ("numpy", "1", True)],
@@ -195,7 +227,7 @@ def test_a_failing_call_raises_the_loops_exception_once_every_thread_is_done(mon
 def test_the_package_gives_numpy_one_blas_thread_when_it_loads_it_and_leaves_the_environment(first, blas, one_thread):
     code = (
         f"import os\nbefore = dict(os.environ)\nimport {first}\nimport precondsgd\nfrom precondsgd import linalg\n"
-        "assert dict(os.environ) == before\none = precondsgd._BLAS_ONE_THREAD\n"
+        "assert dict(os.environ) == before\none = linalg._BLAS_ONE_THREAD\n"
         "print(one, linalg._WORKERS == (linalg._CORES - 1 if one else 0))"
     )
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
