@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .errors import ConfigError, PrecondSgdError
+from .errors import ConfigError, InvalidParamError, PrecondSgdError
 from .estimation import beta_schedule, burn_in_length, hallucination_count
 from .optimizer import ETA_DECAYS, Run, first_order_params, second_order_params
 from .precond import SOURCES, VARIANTS, PreconditionerConstants, PreconditionerKind, estimates
@@ -396,10 +396,13 @@ def _scaling_conditions(cfg: ExperimentConfig):
     mode, c_sched = cfg.optimizer.get("beta_spec", ("schedule", 1.0))
     if mode == "fixed":
         raise ConfigError("optimizer.beta_spec: one fixed beta cannot serve several etas; set schedule:C or nothing")
+    betas = {}
     for eta in etas:
-        if not 0.0 < 1.0 - c_sched * eta ** (2.0 / 3.0) < 1.0:  # beta(eta) in (0, 1) once rounded
+        try:
+            betas[eta] = beta_schedule(eta, c_sched)
+        except InvalidParamError:
             raise ConfigError(f"run.etas: eta {eta} must be positive with beta = 1 - C eta^(2/3) in (0, 1), "
-                              f"C = {c_sched}")
+                              f"C = {c_sched}") from None
     if cfg.optimizer.get("kind") == "identity":
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
     if "auto" in cfg.optimizer:
@@ -411,7 +414,7 @@ def _scaling_conditions(cfg: ExperimentConfig):
     factor = cfg.run.get("est_window_factor", 40.0)
 
     for eta in sorted(etas, reverse=True):
-        beta = beta_schedule(eta, c_sched)
+        beta = betas[eta]
         sub = cfg.clone()
         sub.optimizer.update(algorithm="rmsprop_burnin", eta=eta, beta_spec=("fixed", beta))
         sub.run.update(t=max(cfg.run["t"], math.ceil(factor / (1.0 - beta))), track_est_error=True, log_every=1)

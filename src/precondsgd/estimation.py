@@ -55,13 +55,20 @@ class EstimationBoundInputs:
 
 
 def beta_schedule(eta: float, C: float = 1.0) -> float:
-    """The EMA parameter beta = 1 - C eta^(2/3) that balances bias and variance."""
+    """The EMA parameter beta = 1 - C eta^(2/3) that balances bias and variance.
+
+    It must lie in (0, 1) once rounded: a beta that rounds to 1 would
+    freeze the estimate, so a C eta^(2/3) that small raises too.
+    """
     if eta <= 0.0 or C <= 0.0:
         raise InvalidParamError("eta and C must be positive")
     step = C * eta ** (2.0 / 3.0)
     if step >= 1.0:
         raise InvalidParamError(f"C * eta^(2/3) = {step} must be < 1")
-    return 1.0 - step
+    beta = 1.0 - step
+    if beta == 1.0:
+        raise InvalidParamError(f"C * eta^(2/3) = {step} is too small: beta = 1 - C eta^(2/3) rounds to 1")
+    return beta
 
 
 def estimation_error_bound(inputs: EstimationBoundInputs) -> float:

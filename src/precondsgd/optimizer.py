@@ -138,8 +138,14 @@ class Run:
         if estimating and self.beta is None and self.beta_c is None:
             raise InvalidParamError("estimated preconditioning needs beta or a beta schedule")
         if estimating and self.beta_c is not None:
-            # Each step's eta_t is in (0, eta], so its beta(eta_t) is in (0, 1) too.
+            # beta(eta_t) grows as eta_t falls: eta gives the least beta, and the last step's eta_t the greatest.
             beta_schedule(self.eta, self.beta_c)
+            if self.eta_decay == "inv_sqrt":
+                eta_last = self.eta / math.sqrt(self.T)
+                try:
+                    beta_schedule(eta_last, self.beta_c)
+                except InvalidParamError as exc:
+                    raise InvalidParamError(f"the last step's eta / sqrt(T) = {eta_last}: {exc}") from None
         if self.t_thresh is not None and (self.r is None or self.r < self.eta):
             raise InvalidParamError("large-step mode needs r >= eta")
         if self.t_thresh is not None and estimating and self.S is None:

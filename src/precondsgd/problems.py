@@ -241,9 +241,23 @@ class QuadraticGaussianProblem(StochasticProblem):
 
 
 def _sigmoid(z):
-    """1/(1 + e^-z), computed as e^z/(1 + e^z) for z < 0 so that no exp overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """1/(1 + e^-z), computed as e^min(z, 0)/(1 + e^-|z|) so that no exp overflows.
+
+    The numerator is exactly 1 where z >= 0 and e^z = e^-|z| elsewhere,
+    the bits of where(z >= 0, 1, e^-|z|) / (1 + e^-|z|). It takes ``fmin``,
+    which gives 0 where z is NaN: the NaN result then comes from the
+    denominator, with the sign bit that -|z| sets, as in the where form,
+    while ``minimum`` would pass on z's NaN with z's sign. z is left as it
+    is; the temporaries are updated in place.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    s = np.fmin(z, 0.0)
+    np.exp(s, out=s)
+    s /= e
+    return s
 
 
 class LogisticRegressionProblem(StochasticProblem):
@@ -266,6 +280,10 @@ class LogisticRegressionProblem(StochasticProblem):
             raise DataFormatError("dataset has no feature columns")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DataFormatError("labels must be 0/1")
+        finite = np.isfinite(X)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DataFormatError(f"features must be finite: row {row} (counting from 0) holds {X[row, col]}")
         batch = X.shape[0] if batch is None else batch
         if not 1 <= batch <= X.shape[0]:
             raise InvalidParamError(f"batch must be in [1, {X.shape[0]}]")
@@ -290,14 +308,16 @@ class LogisticRegressionProblem(StochasticProblem):
         x = self._check_dim(x)
         if x.ndim == 2:
             return np.array([self.grad(row) for row in x])
-        return self._batch_grad(x, slice(None))
+        return self._batch_grad(x, None)
 
     def _batch_grad(self, x, idx) -> np.ndarray:
-        """The mean gradient over the rows ``idx`` selects."""
-        Xb = self._X[idx]
+        """The mean gradient over the rows of the indices ``idx``, or over every row if idx is None."""
+        Xb, yb = (self._X, self._y) if idx is None else (self._X.take(idx, axis=0), self._y.take(idx))
         residual = _sigmoid(Xb @ x)
-        residual -= self._y[idx]
-        return Xb.T @ residual / len(Xb)
+        residual -= yb
+        g = Xb.T @ residual
+        g /= len(Xb)
+        return g
 
     def sample_grad(self, x, rng, n=None) -> np.ndarray:
         x = self._check_dim(x)

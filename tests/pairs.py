@@ -22,9 +22,11 @@ runs, so that a run another process slowed does not count and a steady
 drift of the machine's speed falls on both sides alike. One untimed run
 of each side comes first. Per workload the script prints the median and
 quartiles of the pairs' ratios checkout / base, how many pairs the
-checkout won, each side's median, and whether every run of both sides
-gave the same exit code and wrote the same bytes (a sha256 over the
-output files). ``--out`` writes all of it as JSON, with the
+checkout won, each side's median, whether the checkout won at least 9
+pairs in 10, whether its median is below the base's by more than the
+quartile distance of the base's own times (``base_iqr``; a side's time
+in a pair, as above), and whether every run of both sides gave the same
+exit code and wrote the same bytes (a sha256 over the output files). ``--out`` writes all of it as JSON, with the
 environment: this checkout's commit, whether its ``src`` differs from it
 (``dirty``; null outside a git work tree), the base, Python, numpy, the
 BLAS and its threads, and the cores.
@@ -136,13 +138,23 @@ def measure(sides: dict, command: str, config: str, n_pairs: int, work: str) -> 
         pairs.append({"first": a, "base_s": min(runs["base"]), "tree_s": min(runs["tree"]), "runs": runs})
     ratios = np.array([p["tree_s"] / p["base_s"] for p in pairs])
     q1, median, q3 = np.percentile(ratios, [25, 50, 75]).tolist()
+    base_s, tree_s = np.array([p["base_s"] for p in pairs]), np.array([p["tree_s"] for p in pairs])
+    base_q1, base_q3 = np.percentile(base_s, [25, 75]).tolist()
+    won = int(np.count_nonzero(ratios < 1.0))
+    gap = float(np.median(base_s) - np.median(tree_s))
     return {
         "command": command,
         "pairs": pairs,
         "ratio": {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1},
-        "tree_won": int(np.count_nonzero(ratios < 1.0)),
-        "base_median_s": float(np.median([p["base_s"] for p in pairs])),
-        "tree_median_s": float(np.median([p["tree_s"] for p in pairs])),
+        "tree_won": won,
+        "base_median_s": float(np.median(base_s)),
+        "tree_median_s": float(np.median(tree_s)),
+        # A gain stands out when the checkout wins at least 9 pairs in 10 and its median time is lower than the
+        # base's by more than the quartile distance of the base's own times.
+        "won_9_of_10": 10 * won >= 9 * n_pairs,
+        "median_gap_s": gap,
+        "base_iqr_s": base_q3 - base_q1,
+        "gap_beyond_base_iqr": gap > base_q3 - base_q1,
         "same_bytes": len(digests) == 1,
     }
 
@@ -181,12 +193,13 @@ def main(argv=None) -> int:
 
         print(f"base {base}; checkout {report['environment']['git_commit']}; ratio = checkout / base process time")
         print(f"{'workload':<22} {'pairs':>5} {'q1':>6} {'median':>6} {'q3':>6} {'iqr':>6} {'won':>5} "
-              f"{'base_s':>8} {'tree_s':>8}  same_bytes")
+              f"{'base_s':>8} {'tree_s':>8} {'base_iqr':>8} {'9/10':>5} {'gap>iqr':>7}  same_bytes")
         for name, command, path in workloads:
             result = report["workloads"][name] = measure(sides, command, path, args.pairs, work)
             r = result["ratio"]
             print(f"{name:<22} {args.pairs:>5} {r['q1']:>6.3f} {r['median']:>6.3f} {r['q3']:>6.3f} {r['iqr']:>6.3f} "
-                  f"{result['tree_won']:>5} {result['base_median_s']:>8.4f} {result['tree_median_s']:>8.4f}  "
+                  f"{result['tree_won']:>5} {result['base_median_s']:>8.4f} {result['tree_median_s']:>8.4f} "
+                  f"{result['base_iqr_s']:>8.4f} {result['won_9_of_10']!s:>5} {result['gap_beyond_base_iqr']!s:>7}  "
                   f"{result['same_bytes']}", flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1807,6 +1807,8 @@ class TestProblemsAsConfigured:
          ("name = logistic_csv\npath = {tmp}/empty.csv", "empty.csv: empty file"),
          ("name = logistic_csv\npath = {tmp}/header.csv", "header.csv: no data rows"),
          ("name = logistic_csv\npath = {tmp}/labels.csv", "dataset has no feature columns"),
+         ("name = logistic_csv\npath = {tmp}/nan.csv", "features must be finite: row 1 (counting from 0) holds nan"),
+         ("name = logistic_csv\npath = {tmp}/inf.csv", "features must be finite: row 0 (counting from 0) holds -inf"),
          ("name = logistic_synthetic\nn = 20\nd = 2\ndata_seed = 0\n[sweep]\naxis = problem.d\nvalues = 3, 0",
           "problem.d=0: dataset has no feature columns"),
          # a beta schedule with no beta(eta_t) in (0, 1) is refused when its run resolves
@@ -1814,18 +1816,29 @@ class TestProblemsAsConfigured:
           "eta and C must be positive"),
          ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 0.01\nbeta_spec = schedule:100",
           "C * eta^(2/3) = 4.641588833612779 must be < 1"),
+         # 1 - 2.2e-17 rounds to 1, which would freeze the EMA
+         ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 1e-25\nbeta_spec = schedule",
+          "C * eta^(2/3) = 2.1544346900318883e-17 is too small: beta = 1 - C eta^(2/3) rounds to 1"),
+         # beta(0.5) is below 1, but the last of 3 steps' beta(0.5 / sqrt(3)) rounds to 1
+         ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 0.5\nbeta_spec = schedule:1e-16\n"
+          "eta_decay = inv_sqrt",
+          "the last step's eta / sqrt(T) = 0.2886751345948129: C * eta^(2/3) = 4.367902323681495e-17 is too small: "
+          "beta = 1 - C eta^(2/3) rounds to 1"),
          ("name = saddle\n[optimizer]\nalgorithm = rmsprop\neta = 0.01\n"
           "[sweep]\naxis = optimizer.beta_spec\nvalues = schedule:1, schedule:100",
           "optimizer.beta_spec=schedule:100: C * eta^(2/3) = 4.641588833612779 must be < 1")],
         ids=("batch-0", "batch-above-n", "label-noise", "no-samples", "negative-samples", "negative-features",
-             "no-features", "negative-data-seed", "empty-file", "header-only", "labels-only", "sweep-no-features",
-             "schedule-eta-0", "schedule-beta-below-0", "sweep-schedule-beta-below-0"),
+             "no-features", "negative-data-seed", "empty-file", "header-only", "labels-only", "nan-feature",
+             "inf-feature", "sweep-no-features", "schedule-eta-0", "schedule-beta-below-0", "schedule-beta-rounds-to-1",
+             "decayed-schedule-beta-rounds-to-1", "sweep-schedule-beta-below-0"),
     )
     def test_a_problem_it_cannot_build_exits_2_and_writes_nothing(self, tmp_path, capsys, started, problem, message):
         """Each config exits 2 while config.conditions resolves it: no seed runs, and nothing is written."""
         (tmp_path / "empty.csv").write_text("", encoding="utf-8")
         (tmp_path / "header.csv").write_text("x_0,x_1,label\n", encoding="utf-8")
         (tmp_path / "labels.csv").write_text("label\n1\n0\n", encoding="utf-8")
+        (tmp_path / "nan.csv").write_text("x_0,x_1,label\n1.0,2.0,1\n3.0,nan,0\ninf,4.0,1\n", encoding="utf-8")
+        (tmp_path / "inf.csv").write_text("x_0,x_1,label\n-inf,2.0,1\n", encoding="utf-8")
         optimizer = "" if "[optimizer]" in problem else "[optimizer]\nalgorithm = sgd\neta = 0.01\n"
         text = f"[run]\nseeds = 0\nt = 3\n{optimizer}[problem]\n{problem.format(tmp=tmp_path)}\n"
         out = tmp_path / "o"

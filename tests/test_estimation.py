@@ -56,6 +56,17 @@ class TestBetaSchedule:
         with pytest.raises(InvalidParamError):
             beta_schedule(8.0, 0.5)
 
+    @pytest.mark.parametrize("eta, C", [(1e-25, 1.0), (1e-300, 1.0), (0.5, 1e-17), (1e-3, 5e-15)])
+    def test_a_beta_that_rounds_to_1_is_refused(self, eta, C):
+        """1 - C eta^(2/3) == 1.0 once C eta^(2/3) <= 2^-54, half the gap below 1: the EMA would never move."""
+        assert 1.0 - C * eta ** (2.0 / 3.0) == 1.0
+        with pytest.raises(InvalidParamError, match="rounds to 1$"):
+            beta_schedule(eta, C)
+
+    def test_a_step_of_one_ulp_below_1_is_kept(self):
+        """C eta^(2/3) = 2^-53 is one ulp of 1 from below: beta is 1 - 2^-53, the greatest float below 1."""
+        assert beta_schedule(1.0, 2.0**-53) == 1.0 - 2.0**-53 == np.nextafter(1.0, 0.0)
+
     def test_arithmetic(self):
         assert beta_schedule(0.008, 0.5) == pytest.approx(0.98, abs=1e-12)
 

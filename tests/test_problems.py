@@ -220,6 +220,14 @@ class TestLogisticRegression:
         with pytest.raises(DataFormatError):
             LogisticRegressionProblem(np.ones((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_feature_that_is_not_finite_is_refused_by_its_row(self, bad):
+        X = np.ones((4, 2))
+        X[2, 1] = bad
+        X[3, 0] = np.nan
+        with pytest.raises(DataFormatError, match=rf"^features must be finite: row 2 \(counting from 0\) holds {bad}$"):
+            LogisticRegressionProblem(X, np.array([0.0, 1.0, 1.0, 0.0]), 2)
+
     def test_synthetic_generator_deterministic(self):
         p1 = make_synthetic_logistic(100, 5, seed=42, label_noise=0.1, batch=10)
         p2 = make_synthetic_logistic(100, 5, seed=42, label_noise=0.1, batch=10)
@@ -451,6 +459,63 @@ def test_sigmoid_has_the_bits_of_the_masked_formula():
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def where_sigmoid(z):
+    """The reference logistic function: np.where(z >= 0, 1, e^-|z|) / (1 + e^-|z|), in numpy's own ufuncs."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def where_batch_grad(X, y, x, idx):
+    """The reference minibatch gradient: rows by fancy indexing, residual from where_sigmoid, mean by division."""
+    Xb = X[idx]
+    residual = where_sigmoid(Xb @ x)
+    residual -= y[idx]
+    return Xb.T @ residual / len(Xb)
+
+
+# Signed zeros and infinities, a NaN of each sign, subnormals and normals at the edges of exp's range.
+SIGMOID_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                          709.0, -709.0, 745.2, -745.2, 1e308, -1e308])
+
+
+def test_sigmoid_has_the_bits_of_the_where_formula_nans_included():
+    """Every bit, the sign of a NaN included, on the edge values and on each length from 1 to 4,099; z is kept."""
+    from precondsgd.problems import _sigmoid
+
+    assert np.signbit(SIGMOID_EDGES[5]) and not np.signbit(SIGMOID_EDGES[4])
+    kept = SIGMOID_EDGES.copy()
+    assert same_bits(_sigmoid(SIGMOID_EDGES), where_sigmoid(SIGMOID_EDGES))
+    assert same_bits(SIGMOID_EDGES, kept)
+    rng = rng_for(47)
+    for n in range(1, 4100):
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        z[rng.integers(0, n, size=2)] = rng.choice(SIGMOID_EDGES, size=2)
+        assert same_bits(_sigmoid(z), where_sigmoid(z)), n
+
+
+@pytest.mark.parametrize("batch", [1, 10, 60])
+def test_logistic_oracles_have_the_bits_of_the_where_formula(batch):
+    """sample_grad (on the same stream), grad and the Hessian at points of scale 1e-3 to 1e3, some not finite."""
+    p = make_synthetic_logistic(60, 4, seed=5, batch=batch)
+    X, y = p._X, p._y
+    rng = rng_for(48)
+    for i in range(300):
+        x = rng.standard_normal(4) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if i % 10 == 0:
+            x[rng.integers(4)] = rng.choice([np.nan, -np.nan, np.inf, -np.inf])
+        draws, ref_draws = rng_for(i), rng_for(i)
+        with np.errstate(all="ignore"):
+            idx = slice(None) if batch == 60 else ref_draws.choice(60, size=batch, replace=False)
+            assert same_bits(p.sample_grad(x, draws), where_batch_grad(X, y, x, idx))
+            assert draws.random() == ref_draws.random()
+            assert same_bits(p.grad(x), where_batch_grad(X, y, x, slice(None)))
+            s = where_sigmoid(X @ x)
+            h = (X.T * (s * (1.0 - s))) @ X / 60
+            assert same_bits(p._hessian_entries(x), h)
+        if np.isfinite(x).all():
+            assert same_bits(p.hessian(x), float(np.linalg.eigh((h + h.T) / 2.0).eigenvalues[0]))
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_PROBLEMS))
