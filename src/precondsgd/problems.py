@@ -244,14 +244,14 @@ def _sigmoid(z):
     """1/(1 + e^-z), computed as e^min(z, 0)/(1 + e^-|z|) so that no exp overflows.
 
     The numerator is exactly 1 where z >= 0 and e^z = e^-|z| elsewhere,
-    the bits of where(z >= 0, 1, e^-|z|) / (1 + e^-|z|). It takes ``fmin``,
-    which gives 0 where z is NaN: the NaN result then comes from the
-    denominator, with the sign bit that -|z| sets, as in the where form,
-    while ``minimum`` would pass on z's NaN with z's sign. z is left as it
-    is; the temporaries are updated in place.
+    the bits of where(z >= 0, 1, e^-|z|) / (1 + e^-|z|) for every z but a
+    signaling NaN, which no product X @ x holds. ``copysign(z, -1)`` is
+    -|z| bit for bit. ``fmin`` gives 0 where z is NaN: the NaN result then
+    comes from the denominator, with the sign bit of -|z|, as in the where
+    form, while ``minimum`` would pass on z's NaN with z's sign. z is left
+    as it is; the temporaries are updated in place.
     """
-    e = np.abs(z)
-    np.negative(e, out=e)
+    e = np.copysign(z, -1.0)
     np.exp(e, out=e)
     e += 1.0
     s = np.fmin(z, 0.0)

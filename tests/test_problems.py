@@ -475,9 +475,13 @@ def where_batch_grad(X, y, x, idx):
     return Xb.T @ residual / len(Xb)
 
 
-# Signed zeros and infinities, a NaN of each sign, subnormals and normals at the edges of exp's range.
-SIGMOID_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
-                          709.0, -709.0, 745.2, -745.2, 1e308, -1e308])
+# Signed zeros and infinities, a NaN of each sign (and two quiet NaNs with a payload), subnormals, and normals at
+# the edges of exp's range.
+SIGMOID_EDGES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.0, -709.0, 745.2, -745.2,
+     1e308, -1e308],
+    np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64),
+])
 
 
 def test_sigmoid_has_the_bits_of_the_where_formula_nans_included():
