@@ -265,7 +265,7 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:

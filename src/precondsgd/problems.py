@@ -371,32 +371,43 @@ def make_synthetic_logistic(
     return LogisticRegressionProblem(X, y, min(100, n_samples) if batch is None else batch)
 
 
-def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a (features, labels) pair from CSV.
-
-    Expected format: UTF-8, header row, feature columns first, final
-    column named ``label``, decimal-point numbers.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
+def read_csv(path, required=()) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the (line, fields) rows of a UTF-8 CSV file, a byte-order mark allowed and blank lines
+    skipped. An empty file, a missing ``required`` column and a row whose field count is not the header's are
+    each a DataFormatError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if not header or header[-1] != "label":
-            raise DataFormatError(f"{path}: last column must be named 'label'")
-        n_cols = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
-                raise DataFormatError(f"{path}:{lineno}: expected {n_cols} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    (_, header), rows = rows[0], rows[1:]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise DataFormatError(f"{path}: no {missing[0]} column")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+    return header, rows
+
+
+def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Load a (features, labels) pair from CSV, as ``read_csv`` reads it.
+
+    Expected format: header row, feature columns first, final column
+    named ``label``, decimal-point numbers.
+    """
+    header, rows = read_csv(path)
+    if header[-1] != "label":
+        raise DataFormatError(f"{path}: last column must be named 'label'")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    data = []
+    for line, row in rows:
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{line}: {exc}") from None
+    data = np.asarray(data, dtype=np.float64)
     return data[:, :-1], data[:, -1]
 
 

@@ -37,7 +37,7 @@ from .config import ExperimentConfig, _safe_name, conditions
 from .errors import ConfigError, DataFormatError, NumericError, Terminated
 from .linalg import one_thread
 from .optimizer import Trajectory, run_sgd
-from .problems import PROBLEMS
+from .problems import PROBLEMS, read_csv
 
 # The paper-scale escape level (-0.1) is below the saddle problem's global
 # minimum (~ -0.01265), so escape is declared at -0.01 instead.
@@ -69,19 +69,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
-    """A header of ``columns``, then one line per row dict, each value as ``_fmt`` gives it (absent: empty)."""
-    with _atomic_write(path) as fh:
+    """A header of ``columns``, then one line per row dict, each value as ``_fmt`` gives it (absent: empty),
+    written to a temp file beside ``path`` that is renamed to it (see ``_atomic_paths``)."""
+    with _atomic_paths([path]) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
-
-
-@contextlib.contextmanager
-def _atomic_write(path):
-    """A temp file beside ``path``, open to write in the block, renamed to ``path`` when the block ends; an
-    exception in the block removes it and leaves ``path`` as it was."""
-    with _atomic_paths([path]) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as fh:
-        yield fh
 
 
 @contextlib.contextmanager
@@ -159,14 +152,14 @@ def write_trajectory(fh, rows: Trajectory) -> None:
 
 def read_trajectory(path) -> Trajectory:
     """The logged columns of a trajectory CSV (without x)."""
-    _, raw = read_summary(path, trajectory_columns(0))
+    column = functools.partial(_column, path, *read_csv(path, trajectory_columns(0)))
 
     def floats(name):
-        return np.array(_column(path, raw, name, lambda v: float(v) if v else np.nan), dtype=np.float64)
+        return np.array(column(name, lambda v: float(v) if v else np.nan), dtype=np.float64)
 
     return Trajectory(
-        iteration=np.array(_column(path, raw, "iter", int), dtype=np.int64),
-        step_kind=np.array(_column(path, raw, "step_kind"), dtype=object),
+        iteration=np.array(column("iter", int), dtype=np.int64),
+        step_kind=np.array(column("step_kind"), dtype=object),
         f=floats("f"),
         grad_norm=floats("grad_norm"),
         lambda_min_h=floats("lambda_min_H"),
@@ -179,13 +172,13 @@ class Summary:
     over the whole trajectory. It reads only logged columns, so a summary.csv row is exactly recomputable
     from the trajectory CSV. Over the steps (normal and large events): the last and least f, the first
     iteration at or below each of ``levels`` (None: not set, or not reached), the mean of the last 1,000
-    f's, and the sup of est_error, without NaN (``sup_est_error``) or with it (``sup_error``); over all
-    rows, the sup of ||x|| (``max_x_norm``)."""
+    f's, and the sup of est_error, NaN (not evaluated) passed over; over all rows, the sup of ||x||
+    (``max_x_norm``)."""
 
     def __init__(self, levels=()):
         self.levels, self.hits = levels, [None] * len(levels)
         self.final_f, self.min_f, self.last_fs = None, np.inf, np.empty(0)
-        self.sup_est_error, self.sup_error, self.max_x_norm = np.nan, -np.inf, -np.inf
+        self.sup_est_error, self.max_x_norm = np.nan, -np.inf
 
     def add(self, rows: Trajectory) -> None:
         steps = rows.steps()
@@ -194,7 +187,6 @@ class Summary:
         self.min_f = np.minimum.reduce(fs, initial=self.min_f)
         self.last_fs = np.concatenate((self.last_fs, fs))[-1000:]
         self.sup_est_error = np.fmax.reduce(errors, initial=self.sup_est_error)  # fmax passes over NaN
-        self.sup_error = np.maximum.reduce(errors, initial=self.sup_error)
         self.max_x_norm = np.maximum.reduce(np.sqrt(np.vecdot(rows.x, rows.x)), initial=self.max_x_norm)
         for i, level in enumerate(self.levels):
             hit = iters[fs <= level] if self.hits[i] is None and level is not None else ()
@@ -237,34 +229,25 @@ def run_group(run_id: str, cfg: ExperimentConfig, run, seeds, out_dir: str) -> l
 
 
 def _scaling_group(run_id: str, cfg: ExperimentConfig, run, seeds) -> list:
-    """Run a seed group of a scaling study's eta; return per seed its scaling.csv row or its NumericError."""
+    """Run a seed group of a scaling study's eta; return per seed its scaling.csv row or its NumericError.
+    A seed that writes a row logged a finite est_error at every step, so its sup_error has no NaN to pass over."""
     summaries = [Summary() for _ in seeds]
     errors = execute_records(cfg, run, seeds, lambda b, rows: summaries[b].add(rows))
-    return [error or {"eta": run.eta, "beta": run.beta, "T": run.T, "W": run.W, "sup_error": float(s.sup_error),
-                      "max_x_norm": float(s.max_x_norm), "seed": seed}
+    return [error or {"eta": run.eta, "beta": run.beta, "T": run.T, "W": run.W,
+                      "sup_error": float(s.sup_est_error), "max_x_norm": float(s.max_x_norm), "seed": seed}
             for error, s, seed in zip(errors, summaries, seeds)]
 
 
-def read_summary(path, required=()) -> tuple[list[str], list[dict]]:
-    """The header and row dicts of a CSV file with the ``required`` columns; else a DataFormatError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name in required if name not in header]
-        if not header or missing:
-            raise DataFormatError(f"{path}: no {missing[0]} column" if missing else f"{path}: empty file")
-        rows = [dict(zip(header, row)) for row in reader]
-    return header, rows
-
-
-def _column(path, rows, name, parse=str) -> list:
-    """parse(row[name]) for the rows of the CSV file ``path``; a field it cannot parse is a DataFormatError."""
+def _column(path, header, rows, name, parse=str) -> list:
+    """parse() of column ``name`` (of ``header``) in each (line, fields) row ``read_csv`` read from ``path``;
+    a field it cannot parse is a DataFormatError naming its line."""
+    i = header.index(name)
     values = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         try:
-            values.append(parse(row[name]))
-        except (KeyError, ValueError):
-            raise DataFormatError(f"{path}:{line}: bad {name} field {row.get(name)!r}") from None
+            values.append(parse(row[i]))
+        except ValueError:
+            raise DataFormatError(f"{path}:{line}: bad {name} field {row[i]!r}") from None
     return values
 
 
@@ -407,14 +390,14 @@ def cmd_report(summary_paths, out_dir: str) -> str:
     header0 = None
     groups: dict[str, dict[int, tuple[str, str]]] = {}  # run_id -> seed -> (summary, trajectory)
     for path in summary_paths:
-        header, rows = read_summary(path, ("run_id", "seed", "trajectory"))
+        header, rows = read_csv(path, ("run_id", "seed", "trajectory"))
         if header0 is None:
             header0 = header
         elif header != header0:
             raise ConfigError(f"{path}: summary schema does not match {summary_paths[0]}")
         base = os.path.dirname(os.path.abspath(path))
-        seeds = _column(path, rows, "seed", int)
-        for run_id, seed, trajectory in zip(_column(path, rows, "run_id"), seeds, _column(path, rows, "trajectory")):
+        column = functools.partial(_column, path, header, rows)
+        for run_id, seed, trajectory in zip(column("run_id"), column("seed", int), column("trajectory")):
             condition = groups.setdefault(run_id, {})
             if seed in condition:
                 raise ConfigError(f"{path}: run_id {run_id!r} seed {seed} also occurs in {condition[seed][0]}")

@@ -39,7 +39,6 @@ from precondsgd.runner import (
     cmd_sweep,
     execute_records,
     make_rng,
-    read_summary,
     read_trajectory,
     trajectory_columns,
     write_trajectory,
@@ -49,6 +48,13 @@ from precondsgd.runner import (
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def read_summary(path):
+    """The header and row dicts of a CSV file the runner wrote."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
 
 
 def the_run(cfg):
@@ -86,6 +92,11 @@ class TestConfigParsing:
         assert cfg.problem["name"] == "saddle"
         assert cfg.optimizer["beta_spec"] == ("fixed", 0.9)
         assert cfg.run["seeds"] == [0, 1, 2]
+
+    def test_a_config_saved_with_a_byte_order_mark_runs_the_same_bytes(self, tmp_path):
+        text = SADDLE_CFG.replace("t = 200", "t = 20").lstrip()
+        plain = run_files(tmp_path, "plain", text)
+        assert run_files(tmp_path, "bom", "\ufeff" + text) == plain
 
     def test_unknown_key_is_an_error(self, tmp_path):
         bad = SADDLE_CFG + "\n[sweep]\nbogus = 1\n"
@@ -381,9 +392,12 @@ t = 10
         path = tmp_path / "summary.csv"
         path.write_bytes(b"old,bytes\n")
 
-        with pytest.raises(error, match="the disk is full"), runner._atomic_write(str(path)) as fh:
-            fh.write("half a row,")
+        def rows():
+            yield {"a": 1.5}
             raise error("the disk is full")
+
+        with pytest.raises(error, match="the disk is full"):
+            runner.write_csv(str(path), ("a",), rows())
         assert path.read_bytes() == b"old,bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
@@ -990,6 +1004,8 @@ class TestReport:
         with open(out / "bands.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60
+        traj = read_trajectory(out / "run_seed0.csv")
+        assert [int(r["iter"]) for r in rows] == traj.iteration[traj.steps()].tolist()
         for r in rows:
             assert float(r["f_p10"]) <= float(r["f_p50"]) <= float(r["f_p90"])
 
@@ -1012,7 +1028,7 @@ class TestReport:
             assert float(band["f_p50"]) == f
             assert float(band["f_p90"]) == f
 
-    def test_mixed_schema_exit_2(self, tmp_path):
+    def test_mixed_schema_exit_2(self, tmp_path, capsys):
         text = SADDLE_CFG.replace("t = 200", "t = 20")
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -1020,6 +1036,7 @@ class TestReport:
         sum_b = cmd_sweep(load_config(write_config(tmp_path / "sweep.ini", with_sweep(text, "optimizer.eta", "0.01"))),
                           str(out_b))
         assert main(["report", sum_a, sum_b, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {sum_b}: summary schema does not match {sum_a}\n"
 
     def test_differing_iteration_grids_exit_2_and_write_nothing(self, tmp_path, capsys):
         summaries = []
@@ -1032,15 +1049,17 @@ class TestReport:
         assert "iteration grid differs within condition 'run'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_a_seed_twice_in_one_condition_exits_2_naming_both_summaries(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds_b, twice", [("0,1", 0), ("1,2", 1)])
+    def test_a_seed_twice_in_one_condition_exits_2_naming_both_summaries(self, tmp_path, capsys, seeds_b, twice):
         summaries = []
-        for name, eta in (("ra", "0.01"), ("rb", "0.5")):
-            text = SADDLE_CFG.replace("eta = 0.01", f"eta = {eta}").replace("seeds = 0,1,2", "seeds = 0,1")
+        for name, eta, seeds in (("ra", "0.01", "0,1"), ("rb", "0.5", seeds_b)):
+            text = SADDLE_CFG.replace("eta = 0.01", f"eta = {eta}").replace("seeds = 0,1,2", f"seeds = {seeds}")
             cfg = load_config(write_config(tmp_path / f"{name}.ini", text.replace("t = 200", "t = 20")))
             summaries.append(cmd_run(cfg, str(tmp_path / name)))
         out = tmp_path / "rep"
         assert main(["report", *summaries, "--out", str(out)]) == 2
-        assert f"error: {summaries[1]}: run_id 'run' seed 0 also occurs in {summaries[0]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {summaries[1]}: run_id 'run' seed {twice} also occurs in {summaries[0]}" in err
         assert not out.exists()
 
     def test_shards_with_disjoint_seeds_merge_into_the_band_of_one_run(self, tmp_path):
@@ -1053,9 +1072,11 @@ class TestReport:
         shards = [run_seeds("shard0", "0,1"), run_seeds("shard2", "2,3")]  # two configs with disjoint seeds
         whole = run_seeds("whole", "0,1,2,3")
         assert main(["report", *shards, "--out", str(tmp_path / "rep_shards")]) == 0
+        assert main(["report", *shards[::-1], "--out", str(tmp_path / "rep_reversed")]) == 0
         assert main(["report", whole, "--out", str(tmp_path / "rep_whole")]) == 0
         merged = (tmp_path / "rep_shards" / "bands.csv").read_bytes()
         assert merged == (tmp_path / "rep_whole" / "bands.csv").read_bytes()
+        assert merged == (tmp_path / "rep_reversed" / "bands.csv").read_bytes()
         assert len(merged.splitlines()) == 1 + 20
 
     def test_a_file_that_is_no_summary_exits_2_naming_the_column(self, tmp_path, capsys):
@@ -1090,6 +1111,102 @@ class TestReport:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Edits a CSV file's lines (each with its newline) in ways its reader accepts: the file reads as before.
+ACCEPTED_CSV_EDITS = {
+    "trailing-blank-lines": lambda lines: [*lines, "\n", "\r\n"],
+    "blank-lines-between-rows": lambda lines: [lines[0], "\n", lines[1], "\n", "\n", *lines[2:]],
+    "byte-order-mark": lambda lines: ["\ufeff" + lines[0], *lines[1:]],
+}
+# Edits the reader refuses: each with the line its message names and the fields the row has beyond the header's.
+REFUSED_CSV_EDITS = {
+    "a-field-too-many": (lambda lines: [*lines[:2], lines[2].replace("\n", ",1\n"), *lines[3:]], 3, 1),
+    "a-field-too-few": (lambda lines: [*lines[:2], lines[2].rpartition(",")[0] + "\n", *lines[3:]], 3, -1),
+    "after-blank-lines": (lambda lines: [lines[0], "\n", lines[1], "\n", lines[2].replace("\n", ",1\n"),
+                                         *lines[3:]], 5, 1),
+}
+
+
+def edit_csv(path, edit):
+    """Rewrite the CSV file ``path`` with ``edit`` applied to its lines; return its header's field count."""
+    text = path.read_text(encoding="utf-8")
+    path.write_text("".join(edit(text.splitlines(keepends=True))), encoding="utf-8", newline="")
+    return text.partition("\n")[0].count(",") + 1
+
+
+class TestCsvReaders:
+    """A dataset, a summary given to report and a trajectory report reads all go through one reader: blank
+    lines are skipped, a byte-order mark is allowed, and a row whose field count is not the header's is
+    refused by its line."""
+
+    DATASET = "x_0,x_1,label\n1.0,0.5,1\n-0.5,2.0,0\n0.25,-1.0,1\n0.1,0.1,0\n"
+
+    def run_dataset(self, tmp_path, edit=None):
+        """Exit code and written files (None: none) of a run on the dataset, edited by ``edit`` if given."""
+        (tmp_path / "data.csv").write_text(self.DATASET, encoding="utf-8")
+        if edit is not None:
+            edit_csv(tmp_path / "data.csv", edit)
+        text = LOGISTIC_CSV_SWEEP.replace("path = unset", f"path = {tmp_path / 'data.csv'}")
+        out = tmp_path / ("edited" if edit else "plain")
+        code = main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"])
+        return code, {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+
+    def saddle_run(self, tmp_path, name):
+        """The summary path of a 3-seed, 5-step saddle run into tmp_path / name."""
+        return cmd_run(load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 5"))),
+                       str(tmp_path / name))
+
+    def report(self, tmp_path, edit=None, which="summary.csv"):
+        """Exit code and bands.csv of report on a 3-seed run whose summary or seed-1 trajectory is edited."""
+        out = tmp_path / ("edited" if edit else "plain")
+        summary = self.saddle_run(tmp_path, out.name)
+        if edit is not None:
+            edit_csv(out / which, edit)
+        code = main(["report", summary, "--out", str(out / "rep")])
+        return code, (out / "rep" / "bands.csv").read_bytes() if code == 0 else None
+
+    @pytest.mark.parametrize("edit", ACCEPTED_CSV_EDITS.values(), ids=ACCEPTED_CSV_EDITS)
+    def test_a_dataset_reads_as_before(self, tmp_path, edit):
+        plain = self.run_dataset(tmp_path)
+        assert plain[0] == 0 and self.run_dataset(tmp_path, edit) == plain
+
+    @pytest.mark.parametrize("which", ["summary.csv", "run_seed1.csv"], ids=("summary", "trajectory"))
+    @pytest.mark.parametrize("edit", ACCEPTED_CSV_EDITS.values(), ids=ACCEPTED_CSV_EDITS)
+    def test_a_report_reads_as_before(self, tmp_path, edit, which):
+        plain = self.report(tmp_path)
+        assert plain[0] == 0 and self.report(tmp_path, edit, which) == plain
+
+    @pytest.mark.parametrize("edit, line, extra", REFUSED_CSV_EDITS.values(), ids=REFUSED_CSV_EDITS)
+    def test_a_dataset_row_of_another_width_exits_2_naming_its_line(self, tmp_path, capsys, edit, line, extra):
+        assert self.run_dataset(tmp_path, edit) == (2, None)
+        path = tmp_path / "data.csv"
+        assert capsys.readouterr().err == f"error: {path}:{line}: expected 3 columns, got {3 + extra}\n"
+
+    @pytest.mark.parametrize("which", ["summary.csv", "run_seed1.csv"], ids=("summary", "trajectory"))
+    @pytest.mark.parametrize("edit, line, extra", REFUSED_CSV_EDITS.values(), ids=REFUSED_CSV_EDITS)
+    def test_a_report_row_of_another_width_exits_2_naming_its_line(self, tmp_path, capsys, edit, line, extra, which):
+        """Not cut to the header's width or padded out, as a reader of dicts would."""
+        summary = self.saddle_run(tmp_path, "edited")
+        out = tmp_path / "edited"
+        n = edit_csv(out / which, edit)
+        assert main(["report", summary, "--out", str(out / "rep")]) == 2
+        assert capsys.readouterr().err == f"error: {out / which}:{line}: expected {n} columns, got {n + extra}\n"
+        assert not (out / "rep").exists()
+
+    def test_a_bad_field_after_blank_lines_names_its_own_line(self, tmp_path, capsys):
+        summary = self.saddle_run(tmp_path, "run")
+        out = tmp_path / "run"
+        edit_csv(out / "summary.csv", lambda lines: [lines[0], "\n", "\n", lines[1].replace(",0,", ",x,", 1),
+                                                     *lines[2:]])
+        assert main(["report", summary, "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'summary.csv'}:4: bad seed field 'x'\n"
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\ufeff", "\ufeff\r\n"], ids=("empty", "blank", "bom", "bom-blank"))
+    def test_a_file_of_no_rows_is_empty(self, tmp_path, capsys, text):
+        (tmp_path / "summary.csv").write_text(text, encoding="utf-8", newline="")
+        assert main(["report", str(tmp_path / "summary.csv"), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'summary.csv'}: empty file\n"
 
 
 class TestEveryFlagIsRead:
@@ -2034,7 +2151,6 @@ def whole_summary(traj, f_threshold, escape_level) -> dict:
         "escape_time": first_iter_at_or_below(escape_level),
         "mean_last_1000_f": float(fs[-min(1000, len(fs)):].mean()),
         "sup_est_error": float(logged.max()) if logged.size else None,
-        "sup_error": float(est_errors.max()),
         **({} if traj.x is None else {"max_x_norm": float(np.sqrt(np.vecdot(traj.x, traj.x)).max())}),
     }
 
@@ -2086,7 +2202,7 @@ def test_the_running_summary_has_the_bits_of_the_whole_trajectory_formulas(n, se
     row = summary.row("r", 0, "t.csv")
     got = {**{key: row[key] for key in ("final_f", "iters_to_threshold", "escape_time", "mean_last_1000_f",
                                         "sup_est_error")},
-           "sup_error": float(summary.sup_error), "max_x_norm": float(summary.max_x_norm)}
+           "max_x_norm": float(summary.max_x_norm)}
     want = whole_summary(traj, *levels)
     min_f = want.pop("min_f")
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}

@@ -3,8 +3,10 @@
 The numpy floor admits every numpy name the package calls, and the test
 extra names every module that the tests and the benchmark import beyond
 the standard library, numpy and their own files. Also: ``linalg`` is the
-package's only caller of LAPACK's eigensolvers, and the base oracles of
-``problems.StochasticProblem`` are the only raisers of MissingOracleError.
+package's only caller of LAPACK's eigensolvers, the base oracles of
+``problems.StochasticProblem`` are the only raisers of MissingOracleError,
+``problems.read_csv`` is the one CSV reader and ``runner._atomic_paths``
+the one place a written file is renamed into place.
 """
 
 import ast
@@ -96,24 +98,49 @@ def test_only_linalg_calls_the_lapack_eigensolvers():
     assert callers == {"linalg.py"}
 
 
-def _raisers(tree, name, scope=()):
-    """The dotted scopes (class and function names) whose bodies raise ``name``."""
-    found = set()
+def _where(tree, match, scope=()):
+    """The dotted scope (class and function names) of each node of ``tree`` that ``match`` accepts, in order."""
+    found = []
     for node in ast.iter_child_nodes(tree):
+        if match(node):
+            found.append(".".join(scope))
         inner = scope + (node.name,) if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else scope
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == name:  # MissingOracleError or errors.MissingOracleError
-                found.add(".".join(scope))
-        found |= _raisers(node, name, inner)
+        found += _where(node, match, inner)
     return found
+
+
+def _package_where(match):
+    """``_where`` over each module of the package, each scope led by its module's name."""
+    return [f"{fname[:-3]}.{scope}" for fname in sorted(os.listdir(PACKAGE)) if fname.endswith(".py")
+            for scope in _where(ast.parse(_read(os.path.join(PACKAGE, fname))), match)]
+
+
+def _raises(name):
+    def match(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == name  # MissingOracleError or errors.MissingOracleError
+    return match
+
+
+def _calls(module, names):
+    """A match of a call of ``module.<name>`` for each of ``names``."""
+    def match(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in names
+                and getattr(node.func.value, "id", None) == module)
+    return match
 
 
 def test_only_the_base_oracles_raise_missing_oracle_error():
     """A problem has an oracle when it defines it: no caller restates that by a flag check of its own."""
-    raisers = {
-        f"{fname[:-3]}.{scope}"
-        for fname in sorted(os.listdir(PACKAGE)) if fname.endswith(".py")
-        for scope in _raisers(ast.parse(_read(os.path.join(PACKAGE, fname))), "MissingOracleError")
-    }
+    raisers = set(_package_where(_raises("MissingOracleError")))
     assert raisers == {"problems.StochasticProblem.exact_G", "problems.StochasticProblem.hessian"}
+
+
+def test_one_csv_reader_and_one_atomic_rename():
+    """Datasets, summaries and trajectories are read by one function, so each accepts and refuses the same
+    files; every file written is renamed into place by one function, so none is left half written."""
+    assert _package_where(_calls("csv", ("reader", "DictReader"))) == ["problems.read_csv"]
+    assert _package_where(_calls("os", ("replace", "rename"))) == ["runner._atomic_paths"]
+    assert _package_where(lambda node: isinstance(node, ast.ImportFrom) and node.module in ("csv", "os")) == []

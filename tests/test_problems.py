@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from precondsgd import (
     load_dataset_csv,
     make_synthetic_logistic,
 )
+from precondsgd.problems import read_csv
 
 
 def central_difference_grad(f, x, h=1e-6):
@@ -250,17 +252,47 @@ class TestCsvLoader:
         with pytest.raises(DataFormatError):
             load_dataset_csv(path)
 
-    def test_ragged_row(self, tmp_path):
+    @pytest.mark.parametrize("text, line, got", [("a,label\n1,2\n3\n", 3, 1), ("a,label\n1,2,3\n", 2, 3),
+                                                 ("\n\na,label\n\n1,2\n\n3,4,5\n", 7, 3)])
+    def test_ragged_row(self, tmp_path, text, line, got):
         path = tmp_path / "ragged.csv"
-        path.write_text("a,label\n1,2\n3\n", encoding="utf-8")
-        with pytest.raises(DataFormatError):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:{line}: expected 2 columns, got {got}$"):
             load_dataset_csv(path)
 
-    def test_non_numeric(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [("a,label\nx,1\n", 2), ("a,label\n\r\n1,0\n\n\nx,1\n", 6)])
+    def test_non_numeric(self, tmp_path, text, line):
         path = tmp_path / "nan.csv"
-        path.write_text("a,label\nx,1\n", encoding="utf-8")
-        with pytest.raises(DataFormatError):
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:{line}: could not convert"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize("text", ["\ufefff0,f1,label\n1.0,2.0,1\n-0.5,0.25,0\n",
+                                      "\n\nf0,f1,label\n\n1.0,2.0,1\n\n\n-0.5,0.25,0\n\n",
+                                      "\ufefff0,f1,label\r\n\r\n1.0,2.0,1\r\n-0.5,0.25,0\r\n\r\n"],
+                             ids=("byte-order-mark", "blank-lines", "both-crlf"))
+    def test_blank_lines_and_a_byte_order_mark_read_as_before(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        header, rows = read_csv(path)
+        assert header == ["f0", "f1", "label"]
+        assert [row for _, row in rows] == [["1.0", "2.0", "1"], ["-0.5", "0.25", "0"]]
+        X, y = load_dataset_csv(path)
+        assert np.array_equal(X, [[1.0, 2.0], [-0.5, 0.25]])
+        assert np.array_equal(y, [1.0, 0.0])
+
+    def test_read_csv_gives_each_row_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('\ufeffa,b\n\n1,"x\ny"\n\n2,\n', encoding="utf-8", newline="")
+        assert read_csv(path, ("b", "a")) == (["a", "b"], [(4, ["1", "x\ny"]), (6, ["2", ""])])
+
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("\n\r\n", "empty file"), ("\ufeff", "empty file"),
+                                               ("a,b\n1,2\n", "no c column"), ("\ufeffa,b\n", "no c column")])
+    def test_read_csv_refuses_a_file_without_the_required_columns(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_csv(path, ("a", "c"))
 
 
 STACKED_PROBLEMS = {
