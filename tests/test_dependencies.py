@@ -116,6 +116,7 @@ def _package_where(match):
 
 
 def _raises(name):
+    """A match of a ``raise`` of ``name`` or of a call of it."""
     def match(node):
         if not isinstance(node, ast.Raise) or node.exc is None:
             return False

