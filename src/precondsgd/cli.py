@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
-Subcommands: ``run`` (one condition x seeds), ``sweep`` (an axis of
-values x seeds), ``estimation-scaling`` (sup estimation error vs eta),
+Subcommands: ``run`` (one condition, or one per value of a [sweep]
+axis, x seeds), ``estimation-scaling`` (sup estimation error vs eta),
 and ``report`` (quantile-band plot data from summaries). The config file
 states the whole experiment: its seeds, a sweep's axis and values, a
 scaling study's etas and beta schedule; ``config`` reads, checks and
@@ -25,10 +25,11 @@ parser refuses, ``<axis>: ...`` for such a sweep value,
 made, and ``section.key: ...`` for a rule on keys together; the problem
 and run constructors name no key (``eta must be nonnegative``). Every
 config check, and the check that ``--out`` is, or can be made, a
-directory, comes before anything runs: an exit 2 of ``run``, ``sweep``
-or ``estimation-scaling`` runs no seed and writes nothing. On a numeric
-failure of ``run`` or ``sweep`` every seed's trajectory is still
-written, partial for the seeds that failed, and no summary is."""
+directory, comes before anything runs (``report`` checks ``--out``
+before it reads a summary): an exit 2 of ``run`` or
+``estimation-scaling`` runs no seed and writes nothing. On a numeric
+failure of ``run`` every seed's trajectory is still written, partial for
+the seeds that failed, and no summary is."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import threading
 from .config import load_config
 from .errors import NumericError, PrecondSgdError, PreconditionViolatedError, Terminated
 from .linalg import _CORES, THREADS_MIN_DIM
-from .runner import cmd_estimation_scaling, cmd_report, cmd_run, cmd_sweep
+from .runner import cmd_estimation_scaling, cmd_report, cmd_run
 
 OUT_DIR_ENV = "PRECONDSGD_OUT"
 
@@ -106,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_COMMON_FLAGS[flag])
         return p
 
-    subcommand("run", "run one configured condition").add_argument("config")
-    subcommand("sweep", "run the sweep of the config's [sweep] section").add_argument("config")
+    subcommand("run", "run the configured condition, or one per value of its [sweep] axis").add_argument("config")
     subcommand("estimation-scaling", "sup estimation error vs eta").add_argument("config")
     subcommand("report", "quantile bands from summary files", flags=("--out",)).add_argument("summaries", nargs="+")
     return parser
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
             if args.command == "report":
                 path = cmd_report(args.summaries, out_dir)
             else:
-                command = {"run": cmd_run, "sweep": cmd_sweep, "estimation-scaling": cmd_estimation_scaling}
+                command = {"run": cmd_run, "estimation-scaling": cmd_estimation_scaling}
                 path = command[args.command](load_config(args.config), out_dir, jobs=args.jobs)
         print(path)
     except Terminated:

@@ -158,13 +158,13 @@ def _parse_seeds(s):
 
 
 def _parse_axis(s):
-    """sweep.axis: a 'section.key' that each condition of a sweep reads."""
+    """sweep.axis: a 'section.key' that each condition of a run reads."""
     axis = s.strip()
     section, _, key = axis.partition(".")
     if key not in _SCHEMAS.get(section, ()):
         raise ConfigError(f"unknown sweep axis {axis!r} (expected 'section.key')")
-    readers, each_condition = _READERS.get(axis) or _READERS.get(f"[{section}]", (("sweep",), True))
-    if "sweep" not in readers or not each_condition:
+    readers, each_condition = _READERS.get(axis) or _READERS.get(f"[{section}]", (("run",), True))
+    if "run" not in readers or not each_condition:
         raise ConfigError(f"{axis}: no condition of a sweep reads it, so it cannot be a sweep axis")
     return axis
 
@@ -240,12 +240,12 @@ _REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds",
 # that read it, and whether each of their conditions reads it (else the
 # subcommand reads it once, for all its conditions). A subcommand refuses
 # a part it does not read, naming the first in this order; a sweep axis
-# must be a part that each condition of a sweep reads.
+# must be a part that each condition of a run reads.
 _READERS = {
     **dict.fromkeys(("run.etas", "run.est_window_factor"), (("estimation-scaling",), False)),
-    "[sweep]": (("sweep",), False),
-    **dict.fromkeys(("run.escape_level", "run.f_threshold", "run.lambda_min_every"), (("run", "sweep"), True)),
-    "run.seeds": (("run", "sweep", "estimation-scaling"), False),
+    "[sweep]": (("run",), False),
+    **dict.fromkeys(("run.escape_level", "run.f_threshold", "run.lambda_min_every"), (("run",), True)),
+    "run.seeds": (("run", "estimation-scaling"), False),
 }
 
 
@@ -317,15 +317,15 @@ def _auto_mode(optimizer: dict):
 def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, ExperimentConfig, Run]]:
     """The (run_id, cfg, run) conditions that ``command`` runs, each over all the seeds of cfg.run.
 
-    ``run`` runs cfg as "run", ``sweep`` one "<axis>=<value>" per value of
-    [sweep] as written, and ``estimation-scaling`` one "eta <eta>" per eta
-    (``_scaling_conditions``). The config as written must pass the rules on
-    keys together (a sweep value cannot make up what it lacks), then a
-    part that only another subcommand reads (section.key or [section]) is
-    refused; then each condition is drawn and resolved against its own
-    problem, in turn, so every error of the config comes before the first
-    seed runs. An error of a sweep value's problem or run is prefixed with
-    its "<axis>=<value>".
+    ``run`` runs cfg as "run" or, when [sweep] holds a key, one
+    "<axis>=<value>" per value of [sweep] as written; ``estimation-scaling``
+    runs one "eta <eta>" per eta (``_scaling_conditions``). The config as
+    written must pass the rules on keys together (a sweep value cannot make
+    up what it lacks), then a part that only another subcommand reads
+    (section.key or [section]) is refused; then each condition is drawn and
+    resolved against its own problem, in turn, so every error of the config
+    comes before the first seed runs. An error of a sweep value's problem or
+    run is prefixed with its "<axis>=<value>".
     """
     _problem_entry(cfg.problem)
     _auto_mode(cfg.optimizer)
@@ -335,7 +335,7 @@ def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, Experimen
             raise ConfigError(f"{part}: read only by {' and '.join(readers)}, not by {command}")
     if command == "estimation-scaling":
         drawn = _scaling_conditions(cfg)
-    elif command == "sweep":
+    elif cfg.sweep:
         drawn = _sweep_conditions(cfg)
     else:
         drawn = [("run", cfg)]
@@ -344,7 +344,7 @@ def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, Experimen
         try:
             return resolve_run(sub, _problem_entry(sub.problem).build(sub.problem))
         except (PrecondSgdError, OSError) as exc:
-            if command != "sweep":
+            if not cfg.sweep:
                 raise
             raise type(exc)(f"{run_id}: {exc}") from exc
 

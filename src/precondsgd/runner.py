@@ -278,6 +278,15 @@ def _worker_group(group, *task):
         _worker["running"] = False
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an ``out_dir`` that is not, and cannot be made, a directory: the first write makes it."""
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise NotADirectoryError(f"output directory {out_dir}: {path} is not a directory")
+        path = os.path.dirname(path)
+
+
 def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -> list[dict]:
     """Resolve ``command``'s conditions and check out_dir, then run each with ``group``; return the rows.
 
@@ -287,11 +296,7 @@ def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str
     before the first failure, in condition and seed order, is raised.
     """
     runs = conditions(cfg, command)
-    path = os.path.abspath(out_dir)
-    while not os.path.isdir(path):  # the first write makes it; a file on its path is refused now
-        if os.path.lexists(path):
-            raise NotADirectoryError(f"output directory {out_dir}: {path} is not a directory")
-        path = os.path.dirname(path)
+    _check_out_dir(out_dir)
     n_groups = max(1, min(jobs, len(cfg.run["seeds"])))
     groups = [g.tolist() for g in np.array_split(np.array(cfg.run["seeds"]), n_groups)]
     tasks = [(*condition, seed_group) for condition in runs for seed_group in groups]
@@ -330,18 +335,9 @@ def _execute_conditions(group, cfg: ExperimentConfig, command: str, out_dir: str
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
-    """One condition x all seeds; returns the summary path."""
-    return _cmd_summary(cfg, "run", out_dir, jobs)
-
-
-def cmd_sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> str:
-    """Cross-product of the values of sweep.axis (both from [sweep]) and the seeds, merged into one summary."""
-    return _cmd_summary(cfg, "sweep", out_dir, jobs)
-
-
-def _cmd_summary(cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -> str:
-    """Run the conditions of ``run`` or ``sweep`` and write the summary, by axis value (numbers first) and seed."""
-    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), cfg, command, out_dir, jobs)
+    """One condition, or one per value of the [sweep] axis, x all seeds; write the summary, by axis value
+    (numbers first) and seed, with the axis columns first for a sweep, and return its path."""
+    rows = _execute_conditions(functools.partial(run_group, out_dir=out_dir), cfg, "run", out_dir, jobs)
     for row in rows:
         row["axis"], row["axis_value"] = cfg.sweep.get("axis"), row["run_id"].partition("=")[2]
 
@@ -353,7 +349,7 @@ def _cmd_summary(cfg: ExperimentConfig, command: str, out_dir: str, jobs: int) -
 
     rows.sort(key=sort_key)
     path = os.path.join(out_dir, "summary.csv")
-    write_csv(path, (("axis", "axis_value") if command == "sweep" else ()) + SUMMARY_COLUMNS, rows)
+    write_csv(path, (("axis", "axis_value") if cfg.sweep else ()) + SUMMARY_COLUMNS, rows)
     return path
 
 
@@ -387,6 +383,7 @@ def cmd_report(summary_paths, out_dir: str) -> str:
     """
     if not summary_paths:
         raise ConfigError("report: no summary files given")
+    _check_out_dir(out_dir)
     header0 = None
     groups: dict[str, dict[int, tuple[str, str]]] = {}  # run_id -> seed -> (summary, trajectory)
     for path in summary_paths:

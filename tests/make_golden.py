@@ -8,9 +8,9 @@ sha256 of every file the command left in its output directory.
 ``tests/test_golden_cli.py`` re-runs the configs and compares. The
 configs cover each algorithm, each preconditioner kind (and d=1), both
 sources, bias correction, a beta schedule, the inv_sqrt eta decay,
-est_error tracking, lambda_min(H) logging, sweeps (each, like every
-sweep, reads its axis and values from its [sweep] section), a report on
-a sweep's summary, three estimation-scaling studies (one full-matrix at
+est_error tracking, lambda_min(H) logging, sweeps (each a ``run`` of a
+config whose [sweep] section holds its axis and values), a report on a
+sweep's summary, three estimation-scaling studies (one full-matrix at
 d=10 from the origin), each ``optimizer.auto`` mode
 (second-order with three algorithms, once with every optional constant),
 the summary levels, label noise and two runs that diverge (one through
@@ -245,7 +245,7 @@ seeds = 15
 t = 40
 log_every = 7
 """),
-    "sweep-kind": ("sweep", (), QUAD3 + """
+    "sweep-kind": ("run", (), QUAD3 + """
 [optimizer]
 algorithm = rmsprop
 eta = 0.02
@@ -386,7 +386,7 @@ t = 60
 track_est_error = true
 lambda_min_every = 7
 """),
-    "multi-sweep-eta-jobs2": ("sweep", ("--jobs", "2"), QUAD3 + """
+    "multi-sweep-eta-jobs2": ("run", ("--jobs", "2"), QUAD3 + """
 [optimizer]
 algorithm = rmsprop
 kind = full_matrix
@@ -535,7 +535,7 @@ est_window_factor = 0.5
 burn_in_c = 2
 """),
     # The axis and its values come from the [sweep] section alone.
-    "sweep-section-logistic-label-noise": ("sweep", (), LOGISTIC + """label_noise = 0.2
+    "sweep-section-logistic-label-noise": ("run", (), LOGISTIC + """label_noise = 0.2
 [optimizer]
 algorithm = rmsprop
 kind = diagonal

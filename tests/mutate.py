@@ -18,8 +18,8 @@ index that is no constant or slice (each one of a tuple index) moves by
 +1 or -1 (``a[i]`` becomes ``a[i + 1]``; the index may be no integer, and
 then the mutant fails at once); or a call statement of ``keep`` or
 ``halt`` (a function or a method, ``DROPPED_CALLS``) is dropped. The mutated
-module is written into a copy of ``src``, ``tests`` and
-``pyproject.toml`` in a temporary directory, so the checkout is never
+module is written into a copy of ``src``, ``tests``, ``pyproject.toml``
+and ``README.md`` in a temporary directory, so the checkout is never
 changed, and pytest runs the focused tests there with ``-x``. A mutant is
 killed when they fail or time out, and survives when they pass. Each
 target's unmutated module, rewritten the same way, must pass first. The
@@ -152,7 +152,8 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(work, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(os.path.join(ROOT, "pyproject.toml"), work)
+        for name in ("pyproject.toml", "README.md"):  # a test reads README's synopsis
+            shutil.copy(os.path.join(ROOT, name), work)
         for module, function in targets:
             with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
                 source = fh.read()

@@ -36,7 +36,6 @@ from precondsgd.runner import (
     Summary,
     build_problem,
     cmd_run,
-    cmd_sweep,
     execute_records,
     make_rng,
     read_trajectory,
@@ -66,6 +65,12 @@ def the_run(cfg):
 def with_sweep(text, axis, values):
     """A config's ``text`` with a [sweep] section of ``axis`` and ``values``."""
     return f"{text}\n[sweep]\naxis = {axis}\nvalues = {values}\n"
+
+
+def command_of(experiment):
+    """The subcommand that runs ``experiment`` ("run", "sweep" or "estimation-scaling"): a sweep is a run of a
+    config with a [sweep] section."""
+    return "estimation-scaling" if experiment == "estimation-scaling" else "run"
 
 
 SADDLE_CFG = """
@@ -166,7 +171,7 @@ class TestConfigParsing:
 
     def test_sweeping_an_auto_only_key_without_auto_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.ini", with_sweep(SADDLE_CFG, "optimizer.tau", "1,2"))
-        assert main(["sweep", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         assert "optimizer.tau: read only by optimizer.auto" in capsys.readouterr().err
 
 
@@ -327,15 +332,34 @@ t = 10
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, key", [("", "axis"), ("[sweep]\n", "axis"),
+    @pytest.mark.parametrize("section, key", [("[sweep]\nvalues = 0.01,0.02\n", "axis"),
                                               ("[sweep]\naxis = optimizer.eta\n", "values")],
-                             ids=("no-section", "empty-section", "no-values"))
+                             ids=("no-axis", "no-values"))
     def test_a_sweep_without_its_axis_or_values_exits_2_naming_the_key(self, tmp_path, capsys, section, key):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", SADDLE_CFG + section)
-        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
         assert f"error: sweep.{key}: required for sweep" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_empty_sweep_section_runs_the_one_condition(self, tmp_path):
+        text = SADDLE_CFG.replace("t = 200", "t = 5")
+        assert run_files(tmp_path, "empty", text + "[sweep]\n") == run_files(tmp_path, "none", text)
+
+    def test_sweep_is_no_subcommand(self, tmp_path, monkeypatch, capsys):
+        """A sweep is a run of a config with a [sweep] section."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PRECONDSGD_OUT", raising=False)
+        cfg = write_config(tmp_path / "c.ini", with_sweep(SADDLE_CFG.replace("t = 200", "t = 5"), "optimizer.eta",
+                                                          "0.01,0.02"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", cfg, "--out", str(out), "--jobs", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sweep' (choose from " in err
+        assert re.findall(r"'([a-z-]+)'", err.partition("choose from")[2]) == ["run", "estimation-scaling", "report"]
+        assert not out.exists() and not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("flags", [["--out", "X"], ["--jobs", "1"]])
     def test_a_flag_before_the_subcommand_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flags):
@@ -633,7 +657,7 @@ class TestStreamedFiles:
         text = with_sweep(SADDLE_CFG.replace("seeds = 0,1,2", "seeds = 0,1,2,3").replace("t = 200", f"t = {10**9}"),
                           "optimizer.eta", "0.01, 0.003, 0.001, 0.0003")
         out = tmp_path / "out"
-        with run_child(write_config(tmp_path / "c.ini", text), out, command="sweep", jobs=2) as proc:
+        with run_child(write_config(tmp_path / "c.ini", text), out, jobs=2) as proc:
             wait_for_rows(proc, out, 4)  # two seeds in each worker's group
             workers = pool_workers(proc.pid)
             assert len(workers) == 2
@@ -687,7 +711,7 @@ class TestSweep:
     def test_eta_sweep_merges_and_sorts(self, tmp_path):
         text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 50"), "optimizer.eta", "0.01, 0.003, 0.001")
         out = tmp_path / "out"
-        path = cmd_sweep(load_config(write_config(tmp_path / "cfg.ini", text)), str(out))
+        path = cmd_run(load_config(write_config(tmp_path / "cfg.ini", text)), str(out))
         header, rows = read_summary(path)
         assert header[:2] == ["axis", "axis_value"]
         assert len(rows) == 9
@@ -706,7 +730,7 @@ class TestSweep:
     def test_a_sweep_section_it_cannot_run_exits_2_and_writes_nothing(self, tmp_path, capsys, axis, values, message):
         cfg = write_config(tmp_path / "cfg.ini", with_sweep(SADDLE_CFG, axis, values))
         out = tmp_path / "o"
-        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -717,7 +741,7 @@ class TestSweep:
     )
     def test_a_repeated_value_exits_2_naming_sweep_values(self, tmp_path, capsys, axis, values, repeated):
         out = tmp_path / "o"
-        argv = ["sweep", write_config(tmp_path / "c.ini", with_sweep(SADDLE_CFG, axis, values)), "--out", str(out),
+        argv = ["run", write_config(tmp_path / "c.ini", with_sweep(SADDLE_CFG, axis, values)), "--out", str(out),
                 "--jobs", "1"]
         assert main(argv) == 2
         assert f"error: sweep.values: {axis} value {repeated} occurs more than once" in capsys.readouterr().err
@@ -726,7 +750,7 @@ class TestSweep:
     def test_two_values_naming_one_trajectory_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         text = with_sweep(SADDLE_CFG, "run.escape_level", "1e-2,1e+2")
-        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
+        argv = ["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert ("error: sweep.values: run.escape_level values 1e-2 and 1e+2 would both write "
                 "run.escape_level=1e-2_seed*.csv") in capsys.readouterr().err
@@ -740,7 +764,7 @@ class TestSweep:
                 "[run]\nseeds = 0\nt = 3\n")
         out = tmp_path / "o"
         cfg = write_config(tmp_path / "c.ini", with_sweep(text, "problem.path", f"{first}, {second}"))
-        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
         assert f"error: sweep.values: problem.path values {first} and {second} would both write" in err
         assert not out.exists()
@@ -748,7 +772,7 @@ class TestSweep:
     def test_beta_spec_axis_mixes_fixed_and_schedule(self, tmp_path):
         text = with_sweep(SADDLE_CFG.replace("t = 200", "t = 40"), "optimizer.beta_spec", "0.9, schedule:1")
         out = tmp_path / "out"
-        path = cmd_sweep(load_config(write_config(tmp_path / "c.ini", text)), str(out))
+        path = cmd_run(load_config(write_config(tmp_path / "c.ini", text)), str(out))
         _, rows = read_summary(path)
         assert {r["axis_value"] for r in rows} == {"0.9", "schedule:1"}
 
@@ -778,7 +802,7 @@ def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_pat
     text = SADDLE_CFG.replace("rmsprop", "rmsprop_burnin").replace("seeds = 0,1,2\nt = 200", "seeds = 0\nt = 30")
     path = write_config(tmp_path / "c.ini", with_sweep(text, axis, values or "5,6"))
     out = tmp_path / "o"
-    argv = ["sweep", path, "--out", str(out), "--jobs", "1"]
+    argv = ["run", path, "--out", str(out), "--jobs", "1"]
     if values is None:  # refused at load, by the axis's parser
         assert main(argv) == 2
         assert f"error: {path}: sweep.axis: {axis}: no condition of a sweep reads it" in capsys.readouterr().err
@@ -786,7 +810,7 @@ def test_every_run_and_sweep_key_changes_a_condition_or_is_no_sweep_axis(tmp_pat
         return
     base = load_config(path)
     assert main(argv) == 0
-    runs = [run for _, _, run in config.conditions(base, "sweep")]
+    runs = [run for _, _, run in config.conditions(base, "run")]
     _, rows = read_summary(out / "summary.csv")
     labels = ("axis", "axis_value", "run_id", "trajectory")
     summaries = [{k: v for k, v in row.items() if k not in labels} for row in rows]
@@ -1033,8 +1057,8 @@ class TestReport:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         sum_a = cmd_run(load_config(write_config(tmp_path / "run.ini", text)), str(out_a))
-        sum_b = cmd_sweep(load_config(write_config(tmp_path / "sweep.ini", with_sweep(text, "optimizer.eta", "0.01"))),
-                          str(out_b))
+        sum_b = cmd_run(load_config(write_config(tmp_path / "sweep.ini", with_sweep(text, "optimizer.eta", "0.01"))),
+                        str(out_b))
         assert main(["report", sum_a, sum_b, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {sum_b}: summary schema does not match {sum_a}\n"
 
@@ -1213,8 +1237,7 @@ class TestEveryFlagIsRead:
     # A flag and the keyword of the runner.cmd_* that reads it: where the output goes and how to run.
     KEYWORDS = {"--out": "out_dir", "--jobs": "jobs"}
     # Everything else an experiment is comes from its config.
-    FLAGS = {"run": {"--out", "--jobs"}, "sweep": {"--out", "--jobs"}, "estimation-scaling": {"--out", "--jobs"},
-             "report": {"--out"}}
+    FLAGS = {"run": {"--out", "--jobs"}, "estimation-scaling": {"--out", "--jobs"}, "report": {"--out"}}
 
     def test_each_subcommand_declares_only_the_flags_it_reads(self):
         parser = build_parser()
@@ -1228,15 +1251,28 @@ class TestEveryFlagIsRead:
             read = {flag for flag, keyword in self.KEYWORDS.items() if keyword in params}
             assert declared == read == self.FLAGS[command], command
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "estimation-scaling"])
+    def test_the_readme_synopsis_lists_each_subcommand_with_the_flags_it_declares(self):
+        """README's "Subcommands" block: one ``precondsgd COMMAND ...`` line per subcommand of the parser."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+            block = fh.read().partition("\n## Subcommands\n")[2].split("```")[1]
+        lines = block.strip().splitlines()
+        listed = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in lines}
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {command: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+                    for command, sub in subparsers.choices.items()}
+        assert all(line.split()[0] == "precondsgd" for line in lines) and len(listed) == len(lines)
+        assert listed == declared
+
+    @pytest.mark.parametrize("experiment", ["run", "sweep", "estimation-scaling"])
     @pytest.mark.parametrize("flag, value", [("--axis", "optimizer.epsilon"), ("--values", "0.1"),
                                              ("--seed-offset", "3")])
-    def test_a_flag_that_would_change_what_runs_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+    def test_a_flag_that_would_change_what_runs_is_a_usage_error(self, tmp_path, capsys, experiment, flag, value):
+        command = command_of(experiment)
         if command == "estimation-scaling":
             text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01")
         else:
             text = SADDLE_CFG.replace("t = 200", "t = 5")
-            if command == "sweep":
+            if experiment == "sweep":
                 text = with_sweep(text, "optimizer.eta", "0.01")
         cfg = write_config(tmp_path / "c.ini", text)
         out = tmp_path / "o"
@@ -1474,29 +1510,31 @@ t = 10
 
 class TestConfigErrorsBeforeAnyRun:
     @pytest.mark.parametrize(
-        "command, extra, message",
+        "experiment, extra, message",
         [
             ("run", "[run]\netas = 0.1,0.01\n", "run.etas: read only by estimation-scaling, not by run"),
             ("run", "[run]\nest_window_factor = 2\n",
              "run.est_window_factor: read only by estimation-scaling, not by run"),
-            ("run", "[sweep]\naxis = optimizer.eta\nvalues = 0.1,0.2\n", "[sweep]: read only by sweep, not by run"),
-            ("sweep", "[run]\netas = 0.1,0.01\n", "run.etas: read only by estimation-scaling, not by sweep"),
+            ("sweep", "[run]\netas = 0.1,0.01\n", "run.etas: read only by estimation-scaling, not by run"),
             ("sweep", "[run]\nest_window_factor = 2\n",
-             "run.est_window_factor: read only by estimation-scaling, not by sweep"),
+             "run.est_window_factor: read only by estimation-scaling, not by run"),
             ("estimation-scaling", "[sweep]\naxis = optimizer.epsilon\nvalues = 0.1,0.2\n",
-             "[sweep]: read only by sweep, not by estimation-scaling"),
+             "[sweep]: read only by run, not by estimation-scaling"),
             *(("estimation-scaling", f"[run]\n{key} = {value}\n",
-               f"run.{key}: read only by run and sweep, not by estimation-scaling")
+               f"run.{key}: read only by run, not by estimation-scaling")
               for key, value in (("escape_level", "0.5"), ("f_threshold", "-1"), ("lambda_min_every", "2"))),
         ],
-        ids=("run-etas", "run-window", "run-sweep", "sweep-etas", "sweep-window", "scaling-sweep",
+        ids=("run-etas", "run-window", "sweep-etas", "sweep-window", "scaling-sweep",
              "scaling-escape-level", "scaling-f-threshold", "scaling-lambda-min-every"),
     )
-    def test_a_part_the_subcommand_would_not_read_exits_2_naming_it(self, tmp_path, capsys, command, extra, message):
-        """A setting the subcommand would drop unread; estimation-scaling's own overrides stay allowed."""
+    def test_a_part_the_subcommand_would_not_read_exits_2_naming_it(self, tmp_path, capsys, experiment, extra,
+                                                                    message):
+        """A setting the subcommand would drop unread; estimation-scaling's own overrides stay allowed. A sweep
+        is a run config with a [sweep] section."""
+        command = command_of(experiment)
         if command == "estimation-scaling":
             text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
-        elif command == "sweep":
+        elif experiment == "sweep":
             text = with_sweep(SADDLE_CFG, "optimizer.eta", "0.01,0.02")
         else:
             text = SADDLE_CFG
@@ -1541,7 +1579,7 @@ class TestConfigErrorsBeforeAnyRun:
     def test_a_sweep_resolves_every_condition_before_running_one(self, tmp_path, capsys):
         out = tmp_path / "o"
         text = with_sweep(SADDLE_CFG, "optimizer.algorithm", "rmsprop,large_step")
-        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
+        argv = ["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert "optimizer.r and optimizer.t_thresh: required for large_step" in capsys.readouterr().err
         assert not out.exists()
@@ -1552,7 +1590,7 @@ class TestConfigErrorsBeforeAnyRun:
                                                                                message):
         out = tmp_path / "o"
         text = with_sweep(LARGE_STEP_CFG, axis, values)
-        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
+        argv = ["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -1577,7 +1615,7 @@ class TestConfigErrorsBeforeAnyRun:
                "[run]\nseeds = 0\nt = 5\n"
         out = tmp_path / "o"
         text = with_sweep(text, "problem.x0", "0.5,nan")
-        argv = ["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
+        argv = ["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert "error: problem.x0: expected a finite number, got 'nan'" in capsys.readouterr().err
         assert not out.exists()
@@ -1672,7 +1710,7 @@ class TestEachKeyRefusesItsEdgeValue:
             self, tmp_path, capsys, started, key, valid, edge, refusal, sweep):
         command, text = base_config(tmp_path, key)
         if sweep:
-            command, text, where = "sweep", with_sweep(text, key, f"{valid}, {edge}"), key
+            command, text, where = "run", with_sweep(text, key, f"{valid}, {edge}"), key
         else:
             section, _, name = key.partition(".")
             lines = [ln for ln in text.splitlines() if ln.partition(" = ")[0] != name]
@@ -1710,7 +1748,7 @@ class TestEachKeyRefusesItsEdgeValue:
             self, tmp_path, capsys, started, problem, optimizer, axis, values, message):
         text = f"[problem]\n{problem}[optimizer]\nalgorithm = sgd\neta = 0.01\n{optimizer}[run]\nseeds = 0\nt = 3\n"
         out = tmp_path / "o"
-        assert main(["sweep", write_config(tmp_path / "c.ini", with_sweep(text, axis, values)), "--out", str(out),
+        assert main(["run", write_config(tmp_path / "c.ini", with_sweep(text, axis, values)), "--out", str(out),
                      "--jobs", "1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == [] and not out.exists()
@@ -1725,7 +1763,7 @@ class TestNothingRunsBeforeAnExit2:
         "sweep": with_sweep(LARGE_STEP_CFG.replace("seeds = 0\n", "seeds = 0,1\n"), "optimizer.eta", "0.01,0.02,0.03"),
         "estimation-scaling": ESTIMATION_CFG.format(noise="1,0.5", etas="0.1,0.01,0.001"),
     }
-    # command -> its config with the last condition broken, and the error it exits 2 with.
+    # experiment -> its config with the last condition broken, and the error it exits 2 with.
     LAST_CONDITION_BROKEN = {
         "run": (CONFIGS["run"].replace("eta = 0.01", "eta = 0.5"), "error: large-step mode needs r >= eta"),
         "sweep": (CONFIGS["sweep"].replace("0.02,0.03", "0.02,0.5"),
@@ -1736,10 +1774,10 @@ class TestNothingRunsBeforeAnExit2:
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("command", CONFIGS)
-    def test_the_configs_run_and_the_spies_see_it(self, tmp_path, started, command, jobs):
-        cfg = write_config(tmp_path / "c.ini", self.CONFIGS[command])
-        assert main([command, cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 0
+    @pytest.mark.parametrize("experiment", CONFIGS)
+    def test_the_configs_run_and_the_spies_see_it(self, tmp_path, started, experiment, jobs):
+        cfg = write_config(tmp_path / "c.ini", self.CONFIGS[experiment])
+        assert main([command_of(experiment), cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 0
         assert started[0] == ("run_sgd" if jobs == "1" else "pool")
 
     def test_one_group_runs_in_this_process_whatever_jobs(self, tmp_path, started):
@@ -1748,19 +1786,21 @@ class TestNothingRunsBeforeAnExit2:
         assert started == ["run_sgd"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("command", CONFIGS)
-    def test_a_last_condition_that_cannot_resolve_runs_no_seed(self, tmp_path, capsys, started, command, jobs):
-        text, message = self.LAST_CONDITION_BROKEN[command]
+    @pytest.mark.parametrize("experiment", CONFIGS)
+    def test_a_last_condition_that_cannot_resolve_runs_no_seed(self, tmp_path, capsys, started, experiment, jobs):
+        text, message = self.LAST_CONDITION_BROKEN[experiment]
         out = tmp_path / "o"
-        assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", jobs]) == 2
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert main([command_of(experiment), cfg, "--out", str(out), "--jobs", jobs]) == 2
         assert message in capsys.readouterr().err
         assert started == [] and not out.exists()
 
-    @pytest.mark.parametrize("command", CONFIGS)
-    def test_each_condition_is_resolved_once_before_any_runs(self, tmp_path, monkeypatch, capsys, started, command):
+    @pytest.mark.parametrize("experiment", CONFIGS)
+    def test_each_condition_is_resolved_once_before_any_runs(self, tmp_path, monkeypatch, capsys, started, experiment):
         """A stand-in resolve_run fails on the last condition: the ones before it resolved once each, and none ran."""
-        resolved, resolve = [], config.resolve_run
-        conditions = config.conditions(load_config(write_config(tmp_path / "c.ini", self.CONFIGS[command])), command)
+        resolved, resolve, command = [], config.resolve_run, command_of(experiment)
+        cfg = load_config(write_config(tmp_path / "c.ini", self.CONFIGS[experiment]))
+        conditions = config.conditions(cfg, command)
 
         def resolve_but_the_last(cfg, problem):
             resolved.append(resolve(cfg, problem))
@@ -1776,15 +1816,30 @@ class TestNothingRunsBeforeAnExit2:
 
     @pytest.mark.parametrize("under", [False, True], ids=("a-file", "under-a-file"))
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("command", CONFIGS)
-    def test_an_out_that_is_or_lies_under_a_file_runs_no_seed(self, tmp_path, capsys, started, command, jobs, under):
+    @pytest.mark.parametrize("experiment", CONFIGS)
+    def test_an_out_that_is_or_lies_under_a_file_runs_no_seed(self, tmp_path, capsys, started, experiment, jobs,
+                                                              under):
         afile = tmp_path / "afile"
         afile.write_text("kept\n", encoding="utf-8")
         out = afile / "sub" if under else afile
-        cfg = write_config(tmp_path / "c.ini", self.CONFIGS[command])
-        assert main([command, cfg, "--out", str(out), "--jobs", jobs]) == 2
+        cfg = write_config(tmp_path / "c.ini", self.CONFIGS[experiment])
+        assert main([command_of(experiment), cfg, "--out", str(out), "--jobs", jobs]) == 2
         assert capsys.readouterr().err == f"error: output directory {out}: {afile} is not a directory\n"
         assert started == [] and afile.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("under", [False, True], ids=("a-file", "under-a-file"))
+    def test_report_refuses_an_out_that_is_or_lies_under_a_file_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                                               under):
+        summary = cmd_run(load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("t = 200", "t = 5"))),
+                          str(tmp_path / "r"))
+        read = []
+        monkeypatch.setattr(runner, "read_csv", lambda *args: read.append(args) or problems.read_csv(*args))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / "sub" if under else afile
+        assert main(["report", summary, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output directory {out}: {afile} is not a directory\n"
+        assert read == [] and afile.read_text(encoding="utf-8") == "kept\n"
 
     def test_the_out_check_makes_no_directory(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.ini", self.CONFIGS["run"]))
@@ -1796,7 +1851,7 @@ class TestASweepValueNamesItsError:
     def test_a_value_its_run_refuses_is_named(self, tmp_path, capsys):
         text = with_sweep(SADDLE_CFG.replace("kind = diagonal", "kind = full_matrix"), "optimizer.eta", "0.01, -0.01")
         out = tmp_path / "o"
-        assert main(["sweep", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
         assert capsys.readouterr().err == "error: optimizer.eta=-0.01: eta must be nonnegative\n"
         assert not out.exists()
 
@@ -1804,12 +1859,12 @@ class TestASweepValueNamesItsError:
         """So its exit code stays: an InvalidParamError of the run, a FileNotFoundError of the problem."""
         text = with_sweep(SADDLE_CFG, "optimizer.eta", "0.01, -0.01")
         with pytest.raises(errors.InvalidParamError, match=r"^optimizer\.eta=-0\.01: eta must be nonnegative$"):
-            config.conditions(load_config(write_config(tmp_path / "c.ini", text)), "sweep")
+            config.conditions(load_config(write_config(tmp_path / "c.ini", text)), "run")
         missing = tmp_path / "missing.csv"
         text = with_sweep(LOGISTIC_CSV_SWEEP, "problem.path", f"{tmp_path / 'data.csv'}, {missing}")
         (tmp_path / "data.csv").write_text("a,label\n1.0,1\n-1.0,0\n", encoding="utf-8")
         with pytest.raises(FileNotFoundError, match=f"^problem\\.path={re.escape(str(missing))}: "):
-            config.conditions(load_config(write_config(tmp_path / "c.ini", text)), "sweep")
+            config.conditions(load_config(write_config(tmp_path / "c.ini", text)), "run")
 
     def test_a_run_or_scaling_error_has_no_prefix(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.ini", SADDLE_CFG.replace("eta = 0.01", "eta = -0.01")))
@@ -1959,8 +2014,7 @@ class TestProblemsAsConfigured:
         optimizer = "" if "[optimizer]" in problem else "[optimizer]\nalgorithm = sgd\neta = 0.01\n"
         text = f"[run]\nseeds = 0\nt = 3\n{optimizer}[problem]\n{problem.format(tmp=tmp_path)}\n"
         out = tmp_path / "o"
-        command = "sweep" if "[sweep]" in problem else "run"
-        assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
+        assert main(["run", write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
         assert capsys.readouterr().err.replace(f"{tmp_path}/", "") == f"error: {message}\n"
         assert started == [] and not out.exists()
 

@@ -1,17 +1,18 @@
 """The CLI's exit-code contract, as a property of drawn configs.
 
 Each example is an INI config drawn key by key from ``config._SCHEMAS``:
-a coherent base that a run can take, a part of ``config._READERS`` given to
-the subcommand that reads it, and up to two edge values (0, negatives,
-nan, inf, text, empty and repeated lists, an unknown key or section, or a
-part of ``_READERS`` given to a subcommand that does not read it). Each
+a coherent base that a run can take (a ``run`` config with or without a
+[sweep] section), a part of ``config._READERS`` given to the subcommand
+that reads it, and up to two edge values (0, negatives, nan, inf, text,
+empty and repeated lists, an unknown key or section, or a part of
+``_READERS`` given to a subcommand that does not read it). Each
 algorithm x kind x ``optimizer.auto`` mode is its own test. The config runs
 through ``cli.main`` in this process with ``--jobs 1``, and:
 
 - the exit code is 0, 2 or 3, and no exception escapes;
 - on 2, the output directory does not exist;
-- on 3, ``run`` and ``sweep`` have written every seed's trajectory and no
-  summary, and ``estimation-scaling`` has written nothing.
+- on 3, ``run`` has written every seed's trajectory and no summary, and
+  ``estimation-scaling`` has written nothing.
 
 Every size a drawn config implies is kept small: ``run.t``, ``w``, ``s``,
 r/eta, ``n``, ``d``, the seeds, the T and W the ``run.etas`` imply, and the
@@ -39,7 +40,7 @@ from precondsgd.config import _READERS, _SCHEMAS, ALGORITHMS, AUTO_KEYS, AUTO_MO
 from precondsgd.precond import VARIANTS, estimates
 from precondsgd.problems import PROBLEMS
 
-COMMANDS = ("run", "sweep", "estimation-scaling")
+COMMANDS = ("run", "estimation-scaling")
 
 # The calculator inputs of each mode, from the golden configs: first order
 # derives T = 2 (32 inexact), second order eta ~ 0.005, so W, S and
@@ -182,7 +183,7 @@ def drawn_configs(draw, algorithm, kind, auto):
     ini["run"]["seeds"] = draw(st.sampled_from(VALUES["run.seeds"][0][:2 if command == "estimation-scaling" else 3]))
     if command == "estimation-scaling":
         ini["run"]["etas"] = draw(st.sampled_from(VALUES["run.etas"][0]))
-    elif command == "sweep":
+    elif draw(st.booleans()):  # a sweep: a run config with a [sweep] section
         axis = draw(st.sampled_from(AXES))
         values = draw(st.lists(st.sampled_from(valid_values(axis, auto, dim)), min_size=1, max_size=3, unique=True))
         ini["sweep"] = {"axis": axis, "values": ", ".join(values)}
