@@ -1799,8 +1799,8 @@ class TestNothingRunsBeforeAnExit2:
     def test_each_condition_is_resolved_once_before_any_runs(self, tmp_path, monkeypatch, capsys, started, experiment):
         """A stand-in resolve_run fails on the last condition: the ones before it resolved once each, and none ran."""
         resolved, resolve, command = [], config.resolve_run, command_of(experiment)
-        cfg = load_config(write_config(tmp_path / "c.ini", self.CONFIGS[experiment]))
-        conditions = config.conditions(cfg, command)
+        conditions = config.conditions(load_config(write_config(tmp_path / "c.ini", self.CONFIGS[experiment])),
+                                       command)
 
         def resolve_but_the_last(cfg, problem):
             resolved.append(resolve(cfg, problem))
