@@ -9,8 +9,10 @@ here and nowhere else. Each rule has one home, by what it reads:
   the file as ``<path>: section.key: ...`` and a sweep value as
   ``<axis>: ...``. Unknown sections and keys are refused too: a
   misspelled key would silently corrupt a sweep;
-- what a subcommand reads (``_READERS``) and how its conditions are
-  drawn, the [problem] keys problem.name requires included:
+- the keys a section requires, a [sweep] section's when the file has
+  one, empty or not: ``_REQUIRED`` alone, applied by ``load_config``;
+- what a subcommand reads (``_READERS`` alone) and how its conditions
+  are drawn, the [problem] keys problem.name requires included:
   ``conditions``;
 - the settings of one run together, the keys ``optimizer.auto`` reads
   or computes included (``AUTO_MODES``): ``resolve_run``.
@@ -234,7 +236,7 @@ _SCHEMAS = {
     },
 }
 
-_REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds", "t")}
+_REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds", "t"), "sweep": ("axis", "values")}
 
 # Each part of a config that not every condition reads: the subcommands
 # that read it, and whether each of their conditions reads it (else the
@@ -244,7 +246,8 @@ _REQUIRED = {"problem": ("name",), "optimizer": ("algorithm",), "run": ("seeds",
 _READERS = {
     **dict.fromkeys(("run.etas", "run.est_window_factor"), (("estimation-scaling",), False)),
     "[sweep]": (("run",), False),
-    **dict.fromkeys(("run.escape_level", "run.f_threshold", "run.lambda_min_every"), (("run",), True)),
+    **dict.fromkeys(("optimizer.auto", "run.escape_level", "run.f_threshold", "run.lambda_min_every",
+                     "run.log_every", "run.track_est_error"), (("run",), True)),
     "run.seeds": (("run", "estimation-scaling"), False),
 }
 
@@ -264,6 +267,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(dict.fromkeys(("problem", "optimizer", "run"), {}))  # every config has these; [sweep] may be absent
     try:
         read = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
@@ -284,8 +288,8 @@ def load_config(path) -> ExperimentConfig:
                 out[key] = schema[key](raw)
             except ConfigError as exc:
                 raise ConfigError(f"{path}: {section}.{key}: {exc}") from exc
-    for section, keys in _REQUIRED.items():
-        for key in keys:
+    for section in parser.sections():
+        for key in _REQUIRED[section]:
             if key not in getattr(cfg, section):
                 raise ConfigError(f"{path}: missing required key {section}.{key}")
     return cfg
@@ -353,9 +357,6 @@ def conditions(cfg: ExperimentConfig, command: str) -> list[tuple[str, Experimen
 
 def _sweep_conditions(cfg: ExperimentConfig):
     """One condition per value of sweep.axis; a value that repeats one before it, or writes its files, is a ConfigError."""
-    for key in ("axis", "values"):
-        if key not in cfg.sweep:
-            raise ConfigError(f"sweep.{key}: required for sweep")
     axis = cfg.sweep["axis"]
     section, _, key = axis.partition(".")
     parse = _SCHEMAS[section][key]
@@ -384,11 +385,12 @@ def _scaling_conditions(cfg: ExperimentConfig):
     from optimizer.beta_spec = schedule:C (1 if unset), tracking
     ||Ahat_t - A(x_t)|| over ~est_window_factor EMA time constants: it
     replaces optimizer.algorithm, eta and beta_spec, and run.t (by the
-    window, if longer), track_est_error and log_every. A fixed beta_spec
-    (one beta cannot serve several etas), kind = identity (no estimate),
-    optimizer.auto (which would set eta), an eta_decay other than none
-    (each row is fitted against its constant eta), no run.etas, an eta
-    with no beta(eta) in (0, 1), and more than one seed are ConfigErrors.
+    window, if longer), track_est_error and log_every (``_READERS`` keeps
+    these two and optimizer.auto out of its config). A fixed beta_spec
+    (one beta cannot serve several etas), kind = identity, an eta_decay
+    other than none (each row is fitted against its constant eta), no
+    run.etas, an eta with no beta(eta) in (0, 1), and more than one seed
+    are ConfigErrors.
     """
     if "etas" not in cfg.run:
         raise ConfigError("run.etas: estimation scaling needs at least two stepsizes")
@@ -405,8 +407,6 @@ def _scaling_conditions(cfg: ExperimentConfig):
                               f"C = {c_sched}") from None
     if cfg.optimizer.get("kind") == "identity":
         raise ConfigError("optimizer.kind: identity has no estimate for estimation scaling to measure")
-    if "auto" in cfg.optimizer:
-        raise ConfigError("optimizer.auto: estimation scaling takes each eta from run.etas, so auto may not be set")
     if cfg.optimizer.get("eta_decay", "none") != "none":
         raise ConfigError("optimizer.eta_decay: estimation scaling runs each eta as a constant stepsize")
     if len(cfg.run["seeds"]) > 1:

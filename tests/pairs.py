@@ -5,6 +5,7 @@ collect this file)::
 
     python tests/pairs.py [--base REV|DIR] [--pairs 30] [--workload NAME ...]
                           [--config COMMAND FILE] ... [--seed 1] [--out FILE.json]
+    python tests/pairs.py --a COMMAND FILE --b COMMAND FILE [--pairs 30] [--out FILE.json]
 
 ``--base`` is a git revision, extracted with ``git archive`` (default:
 HEAD), or a directory that holds ``src/precondsgd``. Its package is
@@ -30,6 +31,14 @@ exit code and wrote the same bytes (a sha256 over the output files). ``--out`` w
 environment: this checkout's commit, whether its ``src`` differs from it
 (``dirty``; null outside a git work tree), the base, Python, numpy, the
 BLAS and its threads, and the cores.
+
+The second form compares two configs, A and B (say, an option off and
+on), both run by this checkout's package; no base is imported. It runs
+the same A B B A pairs, with A in the base's place, and reports the same
+fields on one workload named ``A-FILE vs B-FILE``: the ratio is B / A,
+``tree_won`` counts the pairs B won, ``base_*`` are A's and ``tree_*``
+B's, and ``same_bytes`` says whether A and B wrote the same bytes. Two
+copies of one config (A/A) read the noise floor.
 
 What it cannot see: set-up, process start and peak RSS stay perfbench's
 metrics, and both sides share process-wide state, such as the BLAS
@@ -111,7 +120,7 @@ def digest(rc: int, out: str) -> str:
     return h.hexdigest()
 
 
-def run_once(cli, command: str, config: str, work: str) -> tuple[float, str]:
+def run_once(work: str, cli, command: str, config: str) -> tuple[float, str]:
     """(process seconds, output digest) of one in-process CLI run into a fresh directory, removed after."""
     out = tempfile.mkdtemp(dir=work)
     gc.collect()
@@ -124,15 +133,16 @@ def run_once(cli, command: str, config: str, work: str) -> tuple[float, str]:
     return seconds, result
 
 
-def measure(sides: dict, command: str, config: str, n_pairs: int, work: str) -> dict:
-    """n_pairs interleaved pairs (A B B A) of the base and this checkout on one config, and their summary."""
-    digests = {run_once(cli, command, config, work)[1] for cli in sides.values()}  # warm-up, untimed
+def measure(sides: dict, n_pairs: int, work: str) -> dict:
+    """n_pairs interleaved pairs (A B B A) of the base and the tree side, each a (cli, command, config), and
+    their summary: the ratios are tree / base."""
+    digests = {run_once(work, *side)[1] for side in sides.values()}  # warm-up, untimed
     pairs = []
     for i in range(n_pairs):
         a, b = ("base", "tree") if i % 2 == 0 else ("tree", "base")
         runs = {"base": [], "tree": []}
         for side in (a, b, b, a):
-            seconds, result = run_once(sides[side], command, config, work)
+            seconds, result = run_once(work, *sides[side])
             runs[side].append(seconds)
             digests.add(result)
         pairs.append({"first": a, "base_s": min(runs["base"]), "tree_s": min(runs["tree"]), "runs": runs})
@@ -143,7 +153,7 @@ def measure(sides: dict, command: str, config: str, n_pairs: int, work: str) -> 
     won = int(np.count_nonzero(ratios < 1.0))
     gap = float(np.median(base_s) - np.median(tree_s))
     return {
-        "command": command,
+        "command": sides["tree"][1],
         "pairs": pairs,
         "ratio": {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1},
         "tree_won": won,
@@ -161,41 +171,61 @@ def measure(sides: dict, command: str, config: str, n_pairs: int, work: str) -> 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", default="HEAD", help="a git revision or a checkout directory (default: HEAD)")
+    parser.add_argument("--base", help="a git revision or a checkout directory (default: HEAD)")
     parser.add_argument("--pairs", type=int, default=30, help="pairs per workload (default: 30)")
     parser.add_argument("--workload", nargs="+", action="extend", choices=sorted(WORKLOADS),
                         help="perfbench workloads; repeatable (default: all four, unless --config is given)")
     parser.add_argument("--config", nargs=2, action="append", default=[], metavar=("COMMAND", "FILE"),
                         help="a CLI subcommand and config file to run as a workload; repeatable")
+    parser.add_argument("--a", nargs=2, metavar=("COMMAND", "FILE"),
+                        help="with --b: compare two configs, both run by this checkout, instead of a base")
+    parser.add_argument("--b", nargs=2, metavar=("COMMAND", "FILE"), help="the config compared against --a")
     parser.add_argument("--seed", type=int, default=1, help="the seed of perfbench's configs (default: 1)")
     parser.add_argument("--out", help="write the environment and every pair to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    names = args.workload or ([] if args.config else sorted(WORKLOADS))
+    two_configs = bool(args.a or args.b)
+    if two_configs and not (args.a and args.b):
+        parser.error("--a and --b go together")
+    if two_configs and (args.base or args.workload or args.config):
+        parser.error("--a and --b take no --base, --workload or --config")
+    names = args.workload or ([] if args.config or two_configs else sorted(WORKLOADS))
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from precondsgd import cli
 
     report = {"workloads": {}}
     with tempfile.TemporaryDirectory(prefix="pairs-") as work:
-        base_cli, base = import_base(args.base, work)
-        sides = {"base": base_cli, "tree": cli}
-        report["environment"] = {**environment(args.seed), "dirty": dirty(),
-                                 "base": base}
-        workloads = []
-        for name in names:
-            path = os.path.join(work, f"{name}.ini")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(config_text(WORKLOADS[name].spec(args.seed)))
-            workloads.append((name, WORKLOADS[name].subcommand, path))
-        workloads += [(os.path.basename(path), command, os.path.abspath(path)) for command, path in args.config]
+        # Each workload: its name and its two sides, each a (cli module, command, config path).
+        if two_configs:
+            a, b = ([command, os.path.abspath(path)] for command, path in (args.a, args.b))
+            base = None
+            workloads = [(f"{os.path.basename(a[1])} vs {os.path.basename(b[1])}",
+                          {"base": (cli, *a), "tree": (cli, *b)})]
+        else:
+            base_cli, base = import_base(args.base or "HEAD", work)
+            configs = []
+            for name in names:
+                path = os.path.join(work, f"{name}.ini")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(config_text(WORKLOADS[name].spec(args.seed)))
+                configs.append((name, WORKLOADS[name].subcommand, path))
+            configs += [(os.path.basename(path), command, os.path.abspath(path)) for command, path in args.config]
+            workloads = [(name, {"base": (base_cli, command, path), "tree": (cli, command, path)})
+                         for name, command, path in configs]
+        report["environment"] = {**environment(args.seed), "dirty": dirty(), "base": base,
+                                 **({"a": a, "b": b} if two_configs else {})}
 
-        print(f"base {base}; checkout {report['environment']['git_commit']}; ratio = checkout / base process time")
+        if two_configs:
+            print(f"A {' '.join(a)}; B {' '.join(b)}; both run by checkout {report['environment']['git_commit']}; "
+                  "ratio = B / A process time, base = A, tree = B")
+        else:
+            print(f"base {base}; checkout {report['environment']['git_commit']}; ratio = checkout / base process time")
         print(f"{'workload':<22} {'pairs':>5} {'q1':>6} {'median':>6} {'q3':>6} {'iqr':>6} {'won':>5} "
               f"{'base_s':>8} {'tree_s':>8} {'base_iqr':>8} {'9/10':>5} {'gap>iqr':>7}  same_bytes")
-        for name, command, path in workloads:
-            result = report["workloads"][name] = measure(sides, command, path, args.pairs, work)
+        for name, sides in workloads:
+            result = report["workloads"][name] = measure(sides, args.pairs, work)
             r = result["ratio"]
             print(f"{name:<22} {args.pairs:>5} {r['q1']:>6.3f} {r['median']:>6.3f} {r['q3']:>6.3f} {r['iqr']:>6.3f} "
                   f"{result['tree_won']:>5} {result['base_median_s']:>8.4f} {result['tree_median_s']:>8.4f} "

@@ -333,18 +333,17 @@ t = 10
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("[sweep]\nvalues = 0.01,0.02\n", "axis"),
-                                              ("[sweep]\naxis = optimizer.eta\n", "values")],
-                             ids=("no-axis", "no-values"))
+                                              ("[sweep]\naxis = optimizer.eta\n", "values"),
+                                              ("[sweep]\n", "axis"),
+                                              ("[sweep]\n# axis = optimizer.eta\n# values = 0.01,0.02\n", "axis")],
+                             ids=("no-axis", "no-values", "empty", "commented-out"))
     def test_a_sweep_without_its_axis_or_values_exits_2_naming_the_key(self, tmp_path, capsys, section, key):
+        """A [sweep] header needs both keys: a run without them would silently run one condition."""
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", SADDLE_CFG + section)
         assert main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 2
-        assert f"error: sweep.{key}: required for sweep" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}: missing required key sweep.{key}\n"
         assert not out.exists()
-
-    def test_an_empty_sweep_section_runs_the_one_condition(self, tmp_path):
-        text = SADDLE_CFG.replace("t = 200", "t = 5")
-        assert run_files(tmp_path, "empty", text + "[sweep]\n") == run_files(tmp_path, "none", text)
 
     def test_sweep_is_no_subcommand(self, tmp_path, monkeypatch, capsys):
         """A sweep is a run of a config with a [sweep] section."""
@@ -974,7 +973,7 @@ etas = 0.01,0.003
         assert not out.exists()
 
     def test_each_eta_is_one_condition_with_its_six_keys_rewritten(self, tmp_path):
-        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.001, 0.01").replace("t = 1", "t = 1\nlog_every = 5")
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.001, 0.01")
         cfg = load_config(write_config(tmp_path / "e.ini", text))
         before = cfg.clone()
         conditions = config.conditions(cfg, "estimation-scaling")
@@ -1522,10 +1521,14 @@ class TestConfigErrorsBeforeAnyRun:
              "[sweep]: read only by run, not by estimation-scaling"),
             *(("estimation-scaling", f"[run]\n{key} = {value}\n",
                f"run.{key}: read only by run, not by estimation-scaling")
-              for key, value in (("escape_level", "0.5"), ("f_threshold", "-1"), ("lambda_min_every", "2"))),
+              for key, value in (("escape_level", "0.5"), ("f_threshold", "-1"), ("lambda_min_every", "2"),
+                                 ("log_every", "5"), ("track_est_error", "false"))),
+            ("estimation-scaling", "[optimizer]\nauto = first_order_exact\n",
+             "optimizer.auto: read only by run, not by estimation-scaling"),
         ],
         ids=("run-etas", "run-window", "sweep-etas", "sweep-window", "scaling-sweep",
-             "scaling-escape-level", "scaling-f-threshold", "scaling-lambda-min-every"),
+             "scaling-escape-level", "scaling-f-threshold", "scaling-lambda-min-every",
+             "scaling-log-every", "scaling-track-est-error", "scaling-auto"),
     )
     def test_a_part_the_subcommand_would_not_read_exits_2_naming_it(self, tmp_path, capsys, experiment, extra,
                                                                     message):
@@ -1542,13 +1545,13 @@ class TestConfigErrorsBeforeAnyRun:
         text = text.replace(section + "\n", section + "\n" + line) if section in text else text + extra
         out = tmp_path / "o"
         assert main([command, write_config(tmp_path / "c.ini", text), "--out", str(out), "--jobs", "1"]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_estimation_scaling_still_reads_the_keys_it_overrides(self, tmp_path):
-        """optimizer.eta, optimizer.algorithm, run.t, run.log_every and run.track_est_error, which each eta
-        replaces, are no unread keys."""
-        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003") + "log_every = 5\ntrack_est_error = false\n"
+        """optimizer.eta, optimizer.algorithm and run.t, which each eta replaces, are no unread keys: run.t is
+        the least length of each condition. run.log_every and run.track_est_error are refused (above)."""
+        text = ESTIMATION_CFG.format(noise="1,0.5", etas="0.01,0.003")
         assert all(line in text for line in ("algorithm = rmsprop\n", "eta = 0.01\n", "t = 1\n"))
         assert main(["estimation-scaling", write_config(tmp_path / "e.ini", text), "--out", str(tmp_path / "o"),
                      "--jobs", "1"]) == 0

@@ -14,6 +14,9 @@ through ``cli.main`` in this process with ``--jobs 1``, and:
 - on 3, ``run`` has written every seed's trajectory and no summary, and
   ``estimation-scaling`` has written nothing.
 
+A [sweep] section that holds only one of ``axis`` and ``values``, or
+neither, exits 2 naming the first it lacks, from either subcommand.
+
 Every size a drawn config implies is kept small: ``run.t``, ``w``, ``s``,
 r/eta, ``n``, ``d``, the seeds, the T and W the ``run.etas`` imply, and the
 T, W and S of each ``optimizer.auto`` mode (the calculators' inputs come
@@ -146,8 +149,8 @@ def valid_values(part, auto, dim):
 
 
 @st.composite
-def drawn_configs(draw, algorithm, kind, auto):
-    """(command, {section: {key: raw value}}) with a base a run can take, then up to two edge values."""
+def drawn_configs(draw, algorithm, kind, auto, edges=True):
+    """(command, {section: {key: raw value}}) with a base a run can take, then up to two edge values if ``edges``."""
     command = draw(st.sampled_from(COMMANDS))
     name = draw(st.sampled_from(tuple(PROBLEMS)))
     problem = {"name": name}
@@ -189,8 +192,8 @@ def drawn_configs(draw, algorithm, kind, auto):
         ini["sweep"] = {"axis": axis, "values": ", ".join(values)}
     # Up to two edge values: of a key the config sets, and of any key, or an unknown key or section.
     present = tuple(f"{section}.{key}" for section, keys in ini.items() for key in keys)
-    for part in draw(st.lists(st.sampled_from(present), max_size=1)) + draw(
-            st.lists(st.sampled_from((*VALUES, "unknown key", "unknown section")), max_size=1)):
+    for part in draw(st.lists(st.sampled_from(present), max_size=edges)) + draw(
+            st.lists(st.sampled_from((*VALUES, "unknown key", "unknown section")), max_size=edges)):
         section, _, key = part.partition(".")
         if part == "unknown key":
             ini[draw(st.sampled_from(tuple(ini)))]["bogus"] = "1"
@@ -234,7 +237,8 @@ def write_data_files(tmp):
 
 
 def check_the_contract(command, ini):
-    """Run the config ``ini`` with ``command`` in a fresh directory and check the exit-code contract."""
+    """Run the config ``ini`` with ``command`` in a fresh directory, check the exit-code contract, and return
+    the exit code, the standard error and the config's path."""
     with tempfile.TemporaryDirectory() as tmp:
         write_data_files(tmp)
         path = os.path.join(tmp, "c.ini")
@@ -254,6 +258,7 @@ def check_the_contract(command, ini):
             for run_id, seeds in plan:
                 assert {f"{_safe_name(run_id)}_seed{seed}.csv" for seed in seeds} <= written, err.getvalue()
             assert ("summary.csv" in written) == (code == 0), err.getvalue()
+    return code, err.getvalue(), path
 
 
 @pytest.mark.parametrize("auto", AUTO_VALUES)
@@ -268,3 +273,24 @@ def test_a_config_exits_0_2_or_3_and_an_exit_2_writes_nothing(algorithm, kind, a
         check_the_contract(*drawn)
 
     check()
+
+
+@st.composite
+def incomplete_sweeps(draw):
+    """A [sweep] section without ``axis``, without ``values``, or empty; each key it holds parses."""
+    axis = draw(st.sampled_from(AXES))
+    values = ", ".join(draw(st.lists(st.sampled_from([v for v in VALUES[axis][0] + VALUES[axis][1] if v.strip()]),
+                                     min_size=1, max_size=3)))
+    kept = draw(st.sampled_from(((), ("axis",), ("values",))))
+    return {key: value for key, value in (("axis", axis), ("values", values)) if key in kept}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(drawn=st.tuples(st.sampled_from(tuple(ALGORITHMS)), st.sampled_from(VARIANTS), st.sampled_from(tuple(AUTO_VALUES)))
+       .flatmap(lambda args: drawn_configs(*args, edges=False)), sweep=incomplete_sweeps())
+def test_a_sweep_section_without_axis_or_values_exits_2_naming_the_key(drawn, sweep):
+    command, ini = drawn
+    ini["sweep"] = sweep
+    missing = "values" if "axis" in sweep else "axis"
+    code, err, path = check_the_contract(command, ini)
+    assert (code, err) == (2, f"error: {path}: missing required key sweep.{missing}\n")
