@@ -267,7 +267,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(dict.fromkeys(("problem", "optimizer", "run"), {}))  # every config has these; [sweep] may be absent
+    parser.read_dict(dict.fromkeys(("problem", "optimizer", "run"), {}))  # always; [sweep] only when the file has it
     try:
         read = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:

@@ -44,8 +44,9 @@ What it cannot see: set-up, process start and peak RSS stay perfbench's
 metrics, and both sides share process-wide state, such as the BLAS
 thread count. On 2 shared cores, two copies of one commit gave, over 30
 pairs, medians from 1.003 to 1.021 and IQRs from 0.034 to 0.067 on
-perfbench's four configs; an unused (10, 10) product per ``observe``
-read 1.033 on ``est-scaling-d10``.
+perfbench's four configs, and two copies of ``saddle-8seed``'s config in
+the second form a median of 1.002 and an IQR of 0.064; an unused (10, 10)
+product per ``observe`` read 1.033 on ``est-scaling-d10``.
 """
 
 from __future__ import annotations
@@ -195,16 +196,20 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from precondsgd import cli
 
-    report = {"workloads": {}}
+    report = {"workloads": {}, "environment": {**environment(args.seed), "dirty": dirty()}}
+    commit = report["environment"]["git_commit"]
     with tempfile.TemporaryDirectory(prefix="pairs-") as work:
         # Each workload: its name and its two sides, each a (cli module, command, config path).
         if two_configs:
             a, b = ([command, os.path.abspath(path)] for command, path in (args.a, args.b))
-            base = None
+            report["environment"].update(base=None, a=a, b=b)
             workloads = [(f"{os.path.basename(a[1])} vs {os.path.basename(b[1])}",
                           {"base": (cli, *a), "tree": (cli, *b)})]
+            print(f"A {' '.join(a)}; B {' '.join(b)}; both run by checkout {commit}; "
+                  "ratio = B / A process time, base = A, tree = B")
         else:
             base_cli, base = import_base(args.base or "HEAD", work)
+            report["environment"]["base"] = base
             configs = []
             for name in names:
                 path = os.path.join(work, f"{name}.ini")
@@ -214,14 +219,7 @@ def main(argv=None) -> int:
             configs += [(os.path.basename(path), command, os.path.abspath(path)) for command, path in args.config]
             workloads = [(name, {"base": (base_cli, command, path), "tree": (cli, command, path)})
                          for name, command, path in configs]
-        report["environment"] = {**environment(args.seed), "dirty": dirty(), "base": base,
-                                 **({"a": a, "b": b} if two_configs else {})}
-
-        if two_configs:
-            print(f"A {' '.join(a)}; B {' '.join(b)}; both run by checkout {report['environment']['git_commit']}; "
-                  "ratio = B / A process time, base = A, tree = B")
-        else:
-            print(f"base {base}; checkout {report['environment']['git_commit']}; ratio = checkout / base process time")
+            print(f"base {base}; checkout {commit}; ratio = checkout / base process time")
         print(f"{'workload':<22} {'pairs':>5} {'q1':>6} {'median':>6} {'q3':>6} {'iqr':>6} {'won':>5} "
               f"{'base_s':>8} {'tree_s':>8} {'base_iqr':>8} {'9/10':>5} {'gap>iqr':>7}  same_bytes")
         for name, sides in workloads:

@@ -192,8 +192,8 @@ def drawn_configs(draw, algorithm, kind, auto, edges=True):
         ini["sweep"] = {"axis": axis, "values": ", ".join(values)}
     # Up to two edge values: of a key the config sets, and of any key, or an unknown key or section.
     present = tuple(f"{section}.{key}" for section, keys in ini.items() for key in keys)
-    for part in draw(st.lists(st.sampled_from(present), max_size=edges)) + draw(
-            st.lists(st.sampled_from((*VALUES, "unknown key", "unknown section")), max_size=edges)):
+    for part in draw(st.lists(st.sampled_from(present), max_size=int(edges))) + draw(
+            st.lists(st.sampled_from((*VALUES, "unknown key", "unknown section")), max_size=int(edges))):
         section, _, key = part.partition(".")
         if part == "unknown key":
             ini[draw(st.sampled_from(tuple(ini)))]["bogus"] = "1"
@@ -286,7 +286,7 @@ def incomplete_sweeps(draw):
 
 
 @settings(PROPERTY, max_examples=40)
-@given(drawn=st.tuples(st.sampled_from(tuple(ALGORITHMS)), st.sampled_from(VARIANTS), st.sampled_from(tuple(AUTO_VALUES)))
+@given(drawn=st.tuples(*map(st.sampled_from, (tuple(ALGORITHMS), VARIANTS, tuple(AUTO_VALUES))))
        .flatmap(lambda args: drawn_configs(*args, edges=False)), sweep=incomplete_sweeps())
 def test_a_sweep_section_without_axis_or_values_exits_2_naming_the_key(drawn, sweep):
     command, ini = drawn
